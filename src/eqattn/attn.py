@@ -8,12 +8,22 @@ is a left fold of the rounded products A_j * value_j in the fold format
 format), the denominator is a left fold of the exact A_j with rounding after
 every addition, the division rounds once into the output format, and the MLP
 runs entirely in the output format.
+
+The query row is constant and logits are exact, so all a position feeds
+into the folds depends only on (position, token row).  A spec compiles
+lazily into cached per-position cells (token_cells).  One resumable kernel,
+fold, runs both folds over any range of positions from any (numerator,
+denominator) state: forward is one fold plus the divide and the MLP, the
+factored verifier folds half-spaces with it, and the one-way protocol cuts
+it at Alice's prefix and resumes it for Bob.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from typing import NamedTuple
 
 from .bitnum import (
     FpFormat,
@@ -164,6 +174,23 @@ class TransformerSpec:
         k = next(i for i, c in enumerate(self.wv) if c)
         return k, self.wv[k]
 
+    # The compiled kernel is built on first use and lives in __dict__
+    # beside the fields, outside __eq__ and repr.  Assigning any attribute
+    # drops it, and so does pickling: cached cells are keyed by row
+    # identity, which a copy in another process does not share.
+    @cached_property
+    def _compiled(self) -> "_Compiled":
+        return _Compiled(self)
+
+    def __setattr__(self, name, value):
+        self.__dict__.pop("_compiled", None)
+        object.__setattr__(self, name, value)
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        state.pop("_compiled", None)
+        return state
+
 
 @dataclass
 class EvalTrace:
@@ -238,6 +265,124 @@ def token_logits(spec: TransformerSpec, x) -> list[Logit]:
     return out
 
 
+class Cell(NamedTuple):
+    """One token row's share of the folds at its position.  num_term is the
+    weight times value rounded into fold_fmt, or the ArithmeticError that
+    rounding raised, for the fold to raise on reaching it.  den_first opens
+    a denominator fold; den_term is the exact weight later steps add."""
+
+    row: tuple
+    logit: Logit
+    weight: Fraction
+    num_term: object
+    den_first: object
+    den_term: object
+
+
+class _Compiled:
+    """A spec's cell cache, one dict per position keyed by row id, and its
+    constants held in their stage formats: W^V's scale and the MLP."""
+
+    def __init__(self, spec: TransformerSpec):
+        last = spec.embedding[-1]
+        self.query = None if last.source else last.rows[0]
+        self.cells = [{} for _ in spec.embedding]
+        self.col, scale = spec.value_column()
+        self.scale = _wrap_exact(scale, spec.num_fmt)
+        self.mlp = _hold_mlp(spec.mlp, spec.out_fmt)
+
+
+def _make_cell(spec: TransformerSpec, col: int, row, logit: Logit) -> Cell:
+    round_ = _ops(spec.fold_fmt)[3]
+    w = exp_logit_exact(logit)
+    try:
+        term = round_(w * Fraction(row[col] or 0), spec.fold_fmt)
+    except ArithmeticError as exc:
+        term = exc
+    return Cell(row, logit, w, term, round_(w, spec.den_fmt),
+                _wrap_exact(w, spec.den_fmt))
+
+
+def token_cells(spec: TransformerSpec, x) -> list[Cell]:
+    """The cell of every position of a token sequence, query row last.
+
+    Cells are cached for the spec's own rows under its own constant query
+    row and looked up by identity; a cell keeps its row alive, so the id
+    stays unique.  On any miss the logits are computed once and every
+    missing cell is built, in position order, before folding starts.
+    """
+    comp = spec._compiled
+    cache = comp.cells
+    if x[-1] is not comp.query or \
+            not len(x) == len(cache) == len(spec.embedding):
+        cache = None
+    else:
+        try:
+            return [cache[j][id(row)] for j, row in enumerate(x)]
+        except KeyError:
+            pass
+    logits = token_logits(spec, x)
+    cells = []
+    for j, row in enumerate(x):
+        cell = None if cache is None else cache[j].get(id(row))
+        if cell is None:
+            cell = _make_cell(spec, comp.col, row, logits[j])
+            if cache is not None and \
+                    not isinstance(cell.num_term, ArithmeticError) and \
+                    any(r is row for r in spec.embedding[j].rows):
+                cache[j][id(row)] = cell
+        cells.append(cell)
+    return cells
+
+
+OFF = "off"
+
+
+def fold(spec: TransformerSpec, state, lo: int, hi: int, cells, trace=None):
+    """Resume the bounded left folds over the cells of positions lo..hi-1.
+
+    state is (num, den): the numerator fold (in the fold format, before the
+    W^V scale) and the denominator fold so far, each None before its first
+    term.  A fold given as OFF stays OFF and is skipped.  The numerator runs
+    over the whole range before the denominator starts.  Returns the new
+    (num, den); with a trace, every term and partial is recorded on it.
+    IndeterminateForm propagates; other arithmetic errors are raised as a
+    StageError naming the fold and the token.
+    """
+    num, den = state
+    add = _ops(spec.fold_fmt)[0]
+    stage, j = "numerator", lo
+    try:
+        if num is not OFF:
+            for j in range(lo, hi):
+                term = cells[j].num_term
+                if isinstance(term, ArithmeticError):
+                    raise term
+                num = term if num is None else add(num, term, spec.fold_fmt)
+                if trace is not None:
+                    trace.num_terms.append(term)
+                    trace.num_partials.append(num)
+        stage = "denominator"
+        if den is not OFF:
+            for j in range(lo, hi):
+                cell = cells[j]
+                den = cell.den_first if den is None else \
+                    add(den, cell.den_term, spec.den_fmt)
+                if trace is not None:
+                    trace.den_partials.append(den)
+    except IndeterminateForm:
+        raise
+    except ArithmeticError as exc:
+        raise StageError(stage, spec.index_base + j, exc) from exc
+    return num, den
+
+
+def scale_numerator(spec: TransformerSpec, num):
+    """The finished numerator fold times W^V, rounded into num_fmt."""
+    mul = _ops(spec.num_fmt)[1]
+    return mul(num, spec._compiled.scale, spec.num_fmt)
+
+
 def relu(v):
     if v.is_inf:
         return v if v.sign > 0 else type(v).zero(v.fmt)
@@ -246,19 +391,32 @@ def relu(v):
     return v
 
 
-def mlp_eval(mlp: MlpSpec, v, fmt):
-    """Run the output head in fmt; returns (output, hidden pair)."""
-    add, mul, _, round_, _ = _ops(fmt)
+def _hold_mlp(mlp: MlpSpec, fmt):
+    """The head's (w1, b1, w2, b2) held exactly in fmt."""
+    return (tuple(_wrap_exact(w, fmt) for w in mlp.w1),
+            tuple(_wrap_exact(b, fmt) for b in mlp.b1),
+            tuple(_wrap_exact(w, fmt) for w in mlp.w2),
+            _wrap_exact(mlp.b2, fmt))
+
+
+def mlp_eval(mlp: MlpSpec, v, fmt, held=None):
+    """Run the output head in fmt; returns (output, hidden pair).
+
+    held is the head's weights already held in fmt, as a compiled spec
+    keeps them; without it they are wrapped here.
+    """
+    add, mul, _, _, _ = _ops(fmt)
+    w1, b1, w2, b2 = held or _hold_mlp(mlp, fmt)
     hidden = []
-    for w, b in zip(mlp.w1, mlp.b1):
-        u = mul(v, _wrap_exact(w, fmt), fmt)
-        u = add(u, _wrap_exact(b, fmt), fmt)
+    for w, b in zip(w1, b1):
+        u = mul(v, w, fmt)
+        u = add(u, b, fmt)
         hidden.append(relu(u))
     acc = None
-    for h, w in zip(hidden, mlp.w2):
-        term = mul(h, _wrap_exact(w, fmt), fmt)
+    for h, w in zip(hidden, w2):
+        term = mul(h, w, fmt)
         acc = term if acc is None else add(acc, term, fmt)
-    acc = add(acc, _wrap_exact(mlp.b2, fmt), fmt)
+    acc = add(acc, b2, fmt)
     return relu(acc), hidden
 
 
@@ -266,28 +424,37 @@ def _accept_bit(out) -> int:
     return int(out.is_finite and not out.is_zero and out.as_fraction() == 1)
 
 
+def _attend(spec: TransformerSpec, num, den):
+    """The attention output in out_fmt: num / den, or for a linear head
+    (den None) the scaled numerator itself."""
+    _, _, div, round_, num_cls = _ops(spec.out_fmt)
+    if den is not None:
+        return div(num, den, spec.out_fmt)
+    if num.is_finite:
+        return round_(num, spec.out_fmt)
+    return num_cls.inf(num.sign, spec.out_fmt)
+
+
 def finish_softmax(spec: TransformerSpec, num, den):
     """Divide prepared numerator/denominator folds and run the output head.
 
     Returns (bit, sa, output); sa and output are None when the division is
     indeterminate.  Lets verifiers that compute the two folds independently
-    share the exact tail of the pipeline.
+    share the exact tail of the pipeline.  A den of None finishes a linear
+    head, whose scaled numerator is the attention output.
     """
-    _, _, div, _, _ = _ops(spec.out_fmt)
     try:
-        sa = div(num, den, spec.out_fmt)
+        sa = _attend(spec, num, den)
     except IndeterminateForm:
         return 0, None, None
-    out, _ = mlp_eval(spec.mlp, sa, spec.out_fmt)
+    out, _ = mlp_eval(spec.mlp, sa, spec.out_fmt, spec._compiled.mlp)
     return _accept_bit(out), sa, out
 
 
 def _forward(spec: TransformerSpec, x, normalize: bool) -> EvalTrace:
-    add, mul, div, round_, num_cls = _ops(spec.fold_fmt)
-    logits = token_logits(spec, x)
-    weights = [exp_logit_exact(lg) for lg in logits]
-    col, scale = spec.value_column()
-    trace = EvalTrace(x=x, logits=logits, weights=weights,
+    cells = token_cells(spec, x)
+    trace = EvalTrace(x=x, logits=[c.logit for c in cells],
+                      weights=[c.weight for c in cells],
                       index_base=spec.index_base)
 
     def nan_like():
@@ -298,51 +465,30 @@ def _forward(spec: TransformerSpec, x, normalize: bool) -> EvalTrace:
         trace.bit = 0
         return trace
 
-    num = None
-    for j, (w, row) in enumerate(zip(weights, x)):
-        try:
-            term = round_(w * Fraction(row[col] or 0), spec.fold_fmt)
-            num = term if num is None else add(num, term, spec.fold_fmt)
-        except IndeterminateForm:
-            return nan_like()
-        except ArithmeticError as exc:
-            raise StageError("numerator", spec.index_base + j, exc) from exc
-        trace.num_terms.append(term)
-        trace.num_partials.append(num)
     try:
-        num = mul(num, _wrap_exact(scale, spec.num_fmt), spec.num_fmt)
+        num, _ = fold(spec, (None, OFF), 0, len(cells), cells, trace)
+        num = scale_numerator(spec, num)
     except IndeterminateForm:
         return nan_like()
     except ArithmeticError as exc:
         raise StageError("numerator", None, exc) from exc
     trace.numerator = num
 
-    if normalize:
-        den = None
-        for j, w in enumerate(weights):
-            try:
-                term = _wrap_exact(w, spec.den_fmt)
-                den = round_(w, spec.den_fmt) if den is None else \
-                    add(den, term, spec.den_fmt)
-            except IndeterminateForm:
-                return nan_like()
-            except ArithmeticError as exc:
-                raise StageError("denominator", spec.index_base + j, exc) from exc
-            trace.den_partials.append(den)
-        trace.denominator = den
-        try:
-            sa = div(num, den, spec.out_fmt)
-        except IndeterminateForm:
-            return nan_like()
-        except ArithmeticError as exc:
-            raise StageError("attention", None, exc) from exc
-    else:
-        sa = round_(num, spec.out_fmt) if num.is_finite else \
-            num_cls.inf(num.sign, spec.out_fmt)
+    den = None
+    try:
+        if normalize:
+            _, den = fold(spec, (OFF, None), 0, len(cells), cells, trace)
+            trace.denominator = den
+        sa = _attend(spec, num, den)
+    except IndeterminateForm:
+        return nan_like()
+    except ArithmeticError as exc:
+        raise StageError("attention", None, exc) from exc
     trace.sa = sa
 
     try:
-        out, hidden = mlp_eval(spec.mlp, sa, spec.out_fmt)
+        out, hidden = mlp_eval(spec.mlp, sa, spec.out_fmt,
+                               spec._compiled.mlp)
     except IndeterminateForm:
         return nan_like()
     except ArithmeticError as exc:

@@ -64,10 +64,21 @@ class RunConfig:
     trace: bool = False
 
 
+def _jobs(flag) -> int:
+    """--jobs, else EQATTN_JOBS, else 1; at least 1 and at most the CPU
+    count."""
+    name, text = ("EQATTN_JOBS", os.environ.get("EQATTN_JOBS", "1")) \
+        if flag is None else ("--jobs", str(flag))
+    if not text.isdecimal() or int(text) < 1:
+        raise UsageError(f"{name} must be a positive integer, got {text!r}")
+    return min(int(text), os.cpu_count() or 1)
+
+
 def _config(args) -> RunConfig:
     fields = RunConfig.__dataclass_fields__
     picked = {name: getattr(args, name) for name in fields
               if hasattr(args, name)}
+    picked["jobs"] = _jobs(picked.get("jobs"))
     if picked.get("format") is None:
         picked["format"] = "csv" if args.command == "quantize" else "text"
     if isinstance(picked.get("ms"), str):
@@ -413,9 +424,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="report style (default text; quantize "
                              "defaults to csv)")
     common.add_argument("--jobs", type=int,
-                        default=int(os.environ.get("EQATTN_JOBS", "1")),
-                        help="worker processes for heavy runs "
-                             "(default EQATTN_JOBS or 1)")
+                        help="worker processes for heavy runs, at most the "
+                             "CPU count (default EQATTN_JOBS or 1)")
     common.add_argument("--trace", action="store_true",
                         help="dump per-stage evaluation traces where "
                              "they apply")

@@ -2,11 +2,12 @@
 counting arguments that lower-bound them.
 
 The reduction: the bounded left fold decomposes at any prefix boundary, so
-Alice (holding y) evaluates the fold over the construction's y-prefix and
-sends the partial numerator and denominator as two p-bit scalars; Bob resumes
-the folds over his tokens in ascending order and finishes the pipeline.  The
-answer bit is identical to the single-machine forward pass by construction,
-which the tests check pair-exhaustively at small m.
+Alice (holding y) runs the attention kernel's fold over the construction's
+y-prefix and sends the partial numerator and denominator as two p-bit
+scalars; Bob resumes the same fold from that state over his tokens and
+finishes the pipeline.  Both halves run the one kernel that forward runs
+end to end, so the answer bit equals the single-machine forward pass by
+construction; the tests still check it pair-exhaustively at small m.
 """
 
 from __future__ import annotations
@@ -16,18 +17,15 @@ from fractions import Fraction
 
 from .attn import (
     LINEAR,
-    SOFTMAX,
+    OFF,
     TransformerSpec,
-    _accept_bit,
-    _ops,
-    _wrap_exact,
-    exp_logit_exact,
     finish_softmax,
-    mlp_eval,
-    token_logits,
+    fold,
+    scale_numerator,
+    token_cells,
 )
-from .bitnum import FpFormat, IndeterminateForm
-from .constructs import EqInstance
+from .bitnum import IndeterminateForm
+from .constructs import EqInstance, native_precision
 from .oracle import BudgetExceeded
 
 
@@ -79,22 +77,14 @@ class PigeonholeWitness:
     z: str
 
 
-def _native_p(spec: TransformerSpec) -> int:
-    fmt = spec.num_fmt
-    return fmt.t + fmt.e if isinstance(fmt, FpFormat) else fmt.p
-
-
 def default_split(spec: TransformerSpec) -> tuple:
-    """The proofs' prefix: every token whose row depends only on y."""
-    if spec.attention_kind == LINEAR:
-        t = spec.num_fmt.t
-        k = 2 * t
-    elif spec.index_base == -1:
-        k = spec.m + 2
-    elif spec.index_base == 1:
-        k = spec.m
-    else:
-        k = spec.m
+    """The proofs' prefix: the longest run of leading tokens whose rows
+    read no z bit, so Alice can embed them from y alone."""
+    k = 0
+    for rule in spec.embedding:
+        if any(name == "z" for name, _ in rule.source):
+            break
+        k += 1
     return tuple(range(spec.index_base, spec.index_base + k))
 
 
@@ -128,59 +118,25 @@ def run_protocol(spec: TransformerSpec, inst: EqInstance,
             f"{spec.attention_kind!r} attention")
     split = default_split(spec) if s is None else tuple(sorted(s))
     k = _prefix_len(spec, split)
-    p = _native_p(spec)
+    linear = kind == LINEAR
+    cost = native_precision(spec) * (1 if linear else 2)
 
-    x = spec.encode(inst.y, inst.z)
-    weights = [exp_logit_exact(lg) for lg in token_logits(spec, x)]
-    add, mul, _, round_, num_cls = _ops(spec.fold_fmt)
-    col, scale = spec.value_column()
-
-    def num_fold(start, rows_weights):
-        acc = start
-        for w, row in rows_weights:
-            term = round_(w * Fraction(row[col] or 0), spec.fold_fmt)
-            acc = term if acc is None else add(acc, term, spec.fold_fmt)
-        return acc
-
-    def den_fold(start, ws):
-        acc = start
-        for w in ws:
-            acc = round_(w, spec.den_fmt) if acc is None else \
-                add(acc, _wrap_exact(w, spec.den_fmt), spec.den_fmt)
-        return acc
-
-    alice = list(zip(weights[:k], x[:k]))
-    bob = list(zip(weights[k:], x[k:]))
-
-    if kind == LINEAR:
-        try:
-            l2 = num_fold(None, alice)
-            num = num_fold(l2, bob)
-            num = mul(num, _wrap_exact(scale, spec.num_fmt), spec.num_fmt)
-            sa = round_(num, spec.out_fmt) if num.is_finite else \
-                num_cls.inf(num.sign, spec.out_fmt)
-            out, _ = mlp_eval(spec.mlp, sa, spec.out_fmt)
-            bit = _accept_bit(out)
-        except IndeterminateForm:
-            l2, bit = None, 0
-        return ProtocolRun(split=split, l1=None, l2=l2, bit_cost=p,
-                           bob_bit=bit)
-
+    cells = token_cells(spec, spec.encode(inst.y, inst.z))
     try:
-        l2 = num_fold(None, alice)
-        l1 = den_fold(None, [w for w, _ in alice])
+        l2, l1 = fold(spec, (None, OFF if linear else None), 0, k, cells)
     except IndeterminateForm:
-        return ProtocolRun(split=split, l1=None, l2=None, bit_cost=2 * p,
+        return ProtocolRun(split=split, l1=None, l2=None, bit_cost=cost,
                            bob_bit=0)
     try:
-        num = num_fold(l2, bob)
-        num = mul(num, _wrap_exact(scale, spec.num_fmt), spec.num_fmt)
-        den = den_fold(l1, [w for w, _ in bob])
-        bit = finish_softmax(spec, num, den)[0]
+        num, den = fold(spec, (l2, l1), k, len(cells), cells)
+        num = scale_numerator(spec, num)
+        bit = finish_softmax(spec, num, None if linear else den)[0]
     except IndeterminateForm:
         bit = 0
-    return ProtocolRun(split=split, l1=l1, l2=l2, bit_cost=2 * p,
-                       bob_bit=bit)
+        if linear:
+            l2 = None
+    return ProtocolRun(split=split, l1=None if linear else l1, l2=l2,
+                       bit_cost=cost, bob_bit=bit)
 
 
 def enumerate_fooling(m: int, e: int) -> FoolingReport:

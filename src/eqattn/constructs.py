@@ -17,8 +17,7 @@ strings are equal, reading the answer at a trailing query token:
 The builders check at build time that every attention-weight times value
 product any token can produce is exactly representable in the fold format,
 and (for the fixed-point pair) that the numerator depends only on first-half
-bits and the denominator only on second-half bits.  Known corrections to the
-source tables live in CONSTRUCTION_NOTES.md at the repository root.
+bits and the denominator only on second-half bits.
 """
 
 from __future__ import annotations

@@ -4,10 +4,12 @@ Verification enumerates (or samples) promise-satisfying pairs, runs the
 bounded-precision forward pass, and compares the answer bit against string
 equality.  For the fixed-point constructions the numerator provably depends
 only on first-half bits and the denominator only on second-half bits, so the
-exhaustive verifier builds one table per half-space and combines them by
-bucketing distinct fold values; this cuts the m=13 run from 3.4e7 forward
-passes to a few thousand plus a cheap cross product.  Every reported failure
-is re-evaluated with a direct forward pass before it is believed.
+exhaustive verifier runs the attention kernel's numerator fold alone over
+every first-half pair and its denominator fold alone over every second-half
+pair, buckets the distinct fold values, and combines the buckets; this cuts
+the m=13 run from 3.4e7 forward passes to a few thousand folds plus a cheap
+cross product.  Every reported failure is re-evaluated with a direct
+forward pass before it is believed.
 """
 
 from __future__ import annotations
@@ -17,17 +19,15 @@ import random
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 from .attn import (
-    LINEAR,
+    OFF,
     TransformerSpec,
-    _ops,
-    _wrap_exact,
-    exp_logit_exact,
     finish_softmax,
+    fold,
     forward,
-    token_logits,
+    scale_numerator,
+    token_cells,
 )
 from .bitnum import FpFormat, FxFormat, IndeterminateForm
 from .constructs import (
@@ -52,47 +52,6 @@ class BudgetExceeded(RuntimeError):
 def eq_truth(inst: EqInstance) -> int:
     """Ground truth: 1 iff the two strings are identical."""
     return int(inst.y == inst.z)
-
-
-@dataclass
-class ExactTrace:
-    """Unbounded-precision evaluation of a spec on one token sequence."""
-
-    weights: list
-    numerator: Fraction
-    denominator: Fraction | None
-    sa: Fraction | None
-    output: Fraction | None
-    bit: int
-    zero_division: bool = False
-
-
-def exact_forward(spec: TransformerSpec, x) -> ExactTrace:
-    """The attention pipeline over exact rationals with no rounding.
-
-    Sentinel logits contribute exactly zero weight.  Division by an exactly
-    zero denominator is reported on the trace rather than raised.
-    """
-    logits = token_logits(spec, x)
-    weights = [exp_logit_exact(lg) for lg in logits]
-    col, scale = spec.value_column()
-    num = sum((w * Fraction(row[col] or 0) for w, row in zip(weights, x)),
-              Fraction(0)) * scale
-    if spec.attention_kind == LINEAR:
-        den = None
-        sa = num
-    else:
-        den = sum(weights, Fraction(0))
-        if den == 0:
-            return ExactTrace(weights, num, den, None, None, 0,
-                              zero_division=True)
-        sa = num / den
-    hidden = [max(Fraction(0), sa * Fraction(w) + Fraction(b))
-              for w, b in zip(spec.mlp.w1, spec.mlp.b1)]
-    out = sum((h * Fraction(w) for h, w in zip(hidden, spec.mlp.w2)),
-              Fraction(spec.mlp.b2))
-    out = max(Fraction(0), out)
-    return ExactTrace(weights, num, den, sa, out, int(out == 1))
 
 
 def precision_delta_spec(spec: TransformerSpec, delta: int) -> TransformerSpec:
@@ -206,18 +165,14 @@ FAILURE_LIST_CAP = 32
 class _Collector:
     """Accumulates failures with an exact count and a capped listing."""
 
-    def __init__(self, spec):
-        self.spec = spec
+    def __init__(self):
         self.count = 0
         self.listed = []
 
-    def add(self, y, z, expected, got, trace=None):
+    def add(self, failure: Failure):
         self.count += 1
         if len(self.listed) < FAILURE_LIST_CAP:
-            if trace is None:
-                trace = forward(self.spec, self.spec.encode(y, z))
-            self.listed.append(
-                Failure(y, z, expected, got, _digest(trace)))
+            self.listed.append(failure)
 
     def merged(self):
         return tuple(sorted(self.listed, key=lambda f: (f.y, f.z)))
@@ -260,6 +215,23 @@ def _chunks(seq, k):
     return [seq[i:i + step] for i in range(0, len(seq), step)]
 
 
+def _eval_all(spec, pairs, jobs):
+    """Evaluate pairs, split over jobs worker processes when there are
+    enough of them; returns (count, collector, inf count)."""
+    if jobs > 1 and len(pairs) > 1024:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            results = list(pool.map(
+                _eval_pairs, [spec] * jobs, _chunks(pairs, jobs)))
+    else:
+        results = [_eval_pairs(spec, pairs)]
+    coll = _Collector()
+    for _, fails, _ in results:
+        for fail in fails:
+            coll.add(Failure(*fail))
+    return (sum(r[0] for r in results), coll,
+            sum(r[2] for r in results))
+
+
 def _direct_exhaustive(spec, promises, cap, jobs):
     m = spec.m
     ys = [_bits(v, m) for v in range(1 << m)]
@@ -272,53 +244,20 @@ def _direct_exhaustive(spec, promises, cap, jobs):
             f"{expected} promise pairs exceed the cap of {cap}")
     pairs = [(y, z) for y, s in zip(y_side, starts)
              for z in z_sorted[s:]]
-    coll = _Collector(spec)
-    total = 0
-    inf_total = 0
-    if jobs > 1 and len(pairs) > 1024:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(
-                _eval_pairs, [spec] * jobs, _chunks(pairs, jobs)))
-    else:
-        results = [_eval_pairs(spec, pairs)]
-    for n, fails, inf_n in results:
-        total += n
-        inf_total += inf_n
-        for y, z, expected, got, digest in fails:
-            coll.count += 1
-            if len(coll.listed) < FAILURE_LIST_CAP:
-                coll.listed.append(Failure(y, z, expected, got, digest))
-    return total, coll, inf_total
+    return _eval_all(spec, pairs, jobs)
 
 
 _NAN = "nan"
 
 
-def _num_fold(spec, x):
-    """The rounded numerator fold alone; _NAN when it hits Inf - Inf."""
-    add, mul, _, round_, _ = _ops(spec.fold_fmt)
-    col, scale = spec.value_column()
-    weights = [exp_logit_exact(lg) for lg in token_logits(spec, x)]
-    num = None
+def _fold_value(spec, y, z, state):
+    """One fold of the kernel over the pair's whole sequence, started from
+    state: the scaled numerator or the denominator, _NAN when it hits an
+    indeterminate form."""
+    cells = token_cells(spec, spec.encode(y, z))
     try:
-        for w, row in zip(weights, x):
-            term = round_(w * Fraction(row[col] or 0), spec.fold_fmt)
-            num = term if num is None else add(num, term, spec.fold_fmt)
-        return mul(num, _wrap_exact(scale, spec.num_fmt), spec.num_fmt)
-    except IndeterminateForm:
-        return _NAN
-
-
-def _den_fold(spec, x):
-    """The rounded denominator fold alone; _NAN on an indeterminate step."""
-    add, _, _, round_, _ = _ops(spec.den_fmt)
-    weights = [exp_logit_exact(lg) for lg in token_logits(spec, x)]
-    den = None
-    try:
-        for w in weights:
-            den = round_(w, spec.den_fmt) if den is None else \
-                add(den, _wrap_exact(w, spec.den_fmt), spec.den_fmt)
-        return den
+        num, den = fold(spec, state, 0, len(cells), cells)
+        return den if num is OFF else scale_numerator(spec, num)
     except IndeterminateForm:
         return _NAN
 
@@ -331,7 +270,8 @@ def _half_tables(spec, first, second):
     for a in range(1 << first):
         ya = _bits(a, first)
         for b in range(a, 1 << first):
-            num = _num_fold(spec, spec.encode(ya + pad, _bits(b, first) + pad))
+            num = _fold_value(spec, ya + pad, _bits(b, first) + pad,
+                              (None, OFF))
             key = (num, "eq" if a == b else "lt")
             cnt, examples = num_buckets.setdefault(key, [0, []])
             num_buckets[key][0] = cnt + 1
@@ -342,7 +282,8 @@ def _half_tables(spec, first, second):
     for c in range(1 << second):
         zc = _bits(c, second)
         for d in range(1 << second):
-            den = _den_fold(spec, spec.encode(lead + zc, lead + _bits(d, second)))
+            den = _fold_value(spec, lead + zc, lead + _bits(d, second),
+                              (OFF, None))
             rel = "eq" if c == d else ("lt" if c < d else "gt")
             key = (den, rel)
             cnt, examples = den_buckets.setdefault(key, [0, []])
@@ -368,7 +309,7 @@ def _factored_exhaustive(spec, cap, rng):
             f"{expected_total} promise pairs exceed the cap of {cap}")
     num_buckets, den_buckets = _half_tables(spec, first, second)
 
-    coll = _Collector(spec)
+    coll = _Collector()
     total = 0
     inf_total = 0
     for (num, rel1), (cnt1, ex1) in num_buckets.items():
@@ -511,22 +452,7 @@ def verify_sampled(construction: str, m: int | None = None,
     rng = random.Random(seed)
     pairs = _sample_pairs(promises, spec.m, samples, rng) if samples else []
     pairs += _adversarial_pairs(promises, spec.m, rng)
-    coll = _Collector(spec)
-    total = 0
-    inf_total = 0
-    if jobs > 1 and len(pairs) > 1024:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = pool.map(_eval_pairs, [spec] * jobs, _chunks(pairs, jobs))
-            results = list(parts)
-    else:
-        results = [_eval_pairs(spec, pairs)]
-    for nn, fails, inf_n in results:
-        total += nn
-        inf_total += inf_n
-        for y, z, expected, got, digest in fails:
-            coll.count += 1
-            if len(coll.listed) < FAILURE_LIST_CAP:
-                coll.listed.append(Failure(y, z, expected, got, digest))
+    total, coll, inf_total = _eval_all(spec, pairs, jobs)
     mm, tt, ee = _family_fields(construction, spec)
     return VerifyReport(
         construction=construction, m=mm, t=tt, e=ee,

@@ -1,0 +1,91 @@
+"""The plain forward pass the compiled kernel replaced, kept as a reference.
+
+Like gridref, nothing here is fast: every pair recomputes its logits,
+weights, rounded numerator terms and denominator terms from the spec, and
+the folds run position by position exactly as the pipeline is specified.
+The differential tests check attn.forward against it trace for trace.
+"""
+
+from fractions import Fraction
+
+from eqattn.attn import (
+    EvalTrace,
+    StageError,
+    _accept_bit,
+    _ops,
+    _wrap_exact,
+    mlp_eval,
+    token_logits,
+)
+from eqattn.bitnum import IndeterminateForm, exp_logit_exact
+
+
+def ref_forward(spec, x, normalize=None) -> EvalTrace:
+    if normalize is None:
+        normalize = spec.attention_kind == "softmax"
+    add, mul, div, round_, num_cls = _ops(spec.fold_fmt)
+    logits = token_logits(spec, x)
+    weights = [exp_logit_exact(lg) for lg in logits]
+    col, scale = spec.value_column()
+    trace = EvalTrace(x=x, logits=logits, weights=weights,
+                      index_base=spec.index_base)
+
+    def nan_like():
+        trace.indeterminate = True
+        trace.bit = 0
+        return trace
+
+    num = None
+    for j, (w, row) in enumerate(zip(weights, x)):
+        try:
+            term = round_(w * Fraction(row[col] or 0), spec.fold_fmt)
+            num = term if num is None else add(num, term, spec.fold_fmt)
+        except IndeterminateForm:
+            return nan_like()
+        except ArithmeticError as exc:
+            raise StageError("numerator", spec.index_base + j, exc) from exc
+        trace.num_terms.append(term)
+        trace.num_partials.append(num)
+    try:
+        num = mul(num, _wrap_exact(scale, spec.num_fmt), spec.num_fmt)
+    except IndeterminateForm:
+        return nan_like()
+    except ArithmeticError as exc:
+        raise StageError("numerator", None, exc) from exc
+    trace.numerator = num
+
+    if normalize:
+        den = None
+        for j, w in enumerate(weights):
+            try:
+                term = _wrap_exact(w, spec.den_fmt)
+                den = round_(w, spec.den_fmt) if den is None else \
+                    add(den, term, spec.den_fmt)
+            except IndeterminateForm:
+                return nan_like()
+            except ArithmeticError as exc:
+                raise StageError("denominator", spec.index_base + j,
+                                 exc) from exc
+            trace.den_partials.append(den)
+        trace.denominator = den
+        try:
+            sa = div(num, den, spec.out_fmt)
+        except IndeterminateForm:
+            return nan_like()
+        except ArithmeticError as exc:
+            raise StageError("attention", None, exc) from exc
+    else:
+        sa = round_(num, spec.out_fmt) if num.is_finite else \
+            num_cls.inf(num.sign, spec.out_fmt)
+    trace.sa = sa
+
+    try:
+        out, hidden = mlp_eval(spec.mlp, sa, spec.out_fmt)
+    except IndeterminateForm:
+        return nan_like()
+    except ArithmeticError as exc:
+        raise StageError("mlp", None, exc) from exc
+    trace.hidden = hidden
+    trace.output = out
+    trace.bit = _accept_bit(out)
+    return trace
