@@ -438,16 +438,17 @@ def _attend(spec: TransformerSpec, num, den):
 def finish_softmax(spec: TransformerSpec, num, den):
     """Divide prepared numerator/denominator folds and run the output head.
 
-    Returns (bit, sa, output); sa and output are None when the division is
-    indeterminate.  Lets verifiers that compute the two folds independently
-    share the exact tail of the pipeline.  A den of None finishes a linear
-    head, whose scaled numerator is the attention output.
+    Returns (bit, sa, output); as in forward, an indeterminate form in the
+    division or the MLP answers 0 with sa and output None.  Lets verifiers
+    that compute the two folds independently share the exact tail of the
+    pipeline.  A den of None finishes a linear head, whose scaled numerator
+    is the attention output.
     """
     try:
         sa = _attend(spec, num, den)
+        out, _ = mlp_eval(spec.mlp, sa, spec.out_fmt, spec._compiled.mlp)
     except IndeterminateForm:
         return 0, None, None
-    out, _ = mlp_eval(spec.mlp, sa, spec.out_fmt, spec._compiled.mlp)
     return _accept_bit(out), sa, out
 
 

@@ -29,8 +29,20 @@ class NonDyadicLogit(ValueError):
     """Raised when exponentiating a logit whose coefficient is not an integer."""
 
 
+class LogitOutOfRange(ValueError):
+    """Raised when exponentiating a logit past the infinity-code exponent."""
+
+
 class InvalidFormat(ValueError):
     pass
+
+
+# Exponent of the infinity code a quantized weight takes when it overflows
+# its grid: +-2**INF_CODE_LOG2 rounds to +-Inf in every stage format whose
+# top octave sits below it.  Builders' logits stay far below it (their
+# exponent fields are at most 14 bits); 2**coeff is built exactly only up
+# to it.
+INF_CODE_LOG2 = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -519,9 +531,6 @@ def fp_sum_left(values, fmt: FpFormat) -> FpNum:
     return acc if acc is not None else FpNum.zero(fmt)
 
 
-NEG_LARGE = object()
-
-
 @dataclass(frozen=True)
 class Logit:
     """An attention logit, held as the exact coefficient of ln 2.
@@ -564,6 +573,13 @@ def exp_logit_exact(logit: Logit) -> Fraction:
         return Fraction(0)
     if logit.coeff.denominator != 1:
         raise NonDyadicLogit(f"logit coefficient {logit.coeff} is not an integer")
+    if abs(logit.coeff) > INF_CODE_LOG2:
+        # A key quantized to the infinity code: 2**coeff would have more
+        # digits than any integer can hold.
+        raise LogitOutOfRange(
+            f"a logit of {logit.coeff.numerator.bit_length()} bits is past "
+            f"the infinity-code exponent {INF_CODE_LOG2}; a key the "
+            "sequence reaches overflowed the quantization grid")
     return _pow2(int(logit.coeff))
 
 

@@ -24,12 +24,13 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import commsim, oracle, quantlab
-from .attn import LINEAR, forward
-from .bitnum import (NEAREST, TRUNC, FpFormat, FxFormat, InvalidFormat,
-                     encode_scalar, fx_add, fx_mul, fx_round)
+from .attn import forward
+from .bitnum import (NEAREST, TRUNC, FxFormat, InvalidFormat,
+                     LogitOutOfRange, encode_scalar, fx_add, fx_mul,
+                     fx_round)
 from .commsim import SplitNotPrefix, run_protocol
-from .constructs import (CONSTRUCTIONS, EqInstance, PromiseViolated,
-                         UnsupportedM, make, native_precision)
+from .constructs import (CONSTRUCTIONS, EqInstance, UnsupportedM, make,
+                         native_precision)
 from .oracle import BudgetExceeded, precision_delta_spec
 from .quantlab import SchemaError, import_weights
 
@@ -200,35 +201,16 @@ def _protocol_pairs(cfg: RunConfig, spec, promises):
             raise UsageError(f"pair violates the promise: {', '.join(broken)}")
         return [(y, z)]
     if cfg.exhaustive:
-        strings = [format(v, f"0{m}b") for v in range(1 << m)]
-        ys = [s for s in strings if promises.y_ok(s)]
-        zs = set(s for s in strings if promises.z_ok(s))
-        return [(y, z) for y in ys for z in strings
-                if z >= y and z in zs
-                and not promises.check(EqInstance(y, z))]
-    rng = random.Random(cfg.seed)
-    pairs = []
-    guard = 0
-    while len(pairs) < cfg.count:
-        guard += 1
-        if guard > 200 * cfg.count + 1000:
-            raise UsageError("the promise set is too sparse to sample; "
-                             "try --exhaustive")
-        y = format(rng.getrandbits(m), f"0{m}b")
-        z = format(rng.getrandbits(m), f"0{m}b")
-        if y > z:
-            y, z = z, y
-        if not promises.check(EqInstance(y, z)):
-            pairs.append((y, z))
-    return pairs
+        return oracle.promise_pairs(promises, m)
+    return oracle.promise_pairs(promises, m, cfg.count,
+                                random.Random(cfg.seed))
 
 
 def cmd_protocol(cfg: RunConfig) -> int:
     _check_odd_m(cfg)
     spec, promises = _build_subject(cfg)
     pairs = _protocol_pairs(cfg, spec, promises)
-    p = native_precision(spec)
-    expect_cost = p if spec.attention_kind == LINEAR else 2 * p
+    expect_cost = commsim.bit_cost(spec)
 
     def enc(v):
         return "." if v is None else encode_scalar(v)
@@ -517,7 +499,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(_config(args))
-    except (UsageError, UnsupportedM, PromiseViolated, InvalidFormat,
+    except (UsageError, UnsupportedM, InvalidFormat, LogitOutOfRange,
             BudgetExceeded, SplitNotPrefix) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

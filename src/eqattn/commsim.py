@@ -103,6 +103,13 @@ def _prefix_len(spec: TransformerSpec, s) -> int:
     return len(idx)
 
 
+def bit_cost(spec: TransformerSpec) -> int:
+    """Bits Alice sends: the partial numerator, plus the partial
+    denominator for a softmax head, p bits each."""
+    return native_precision(spec) * (1 if spec.attention_kind == LINEAR
+                                     else 2)
+
+
 def run_protocol(spec: TransformerSpec, inst: EqInstance,
                  kind: str | None = None, s=None) -> ProtocolRun:
     """Simulate the one-way protocol and return its transcript.
@@ -119,7 +126,7 @@ def run_protocol(spec: TransformerSpec, inst: EqInstance,
     split = default_split(spec) if s is None else tuple(sorted(s))
     k = _prefix_len(spec, split)
     linear = kind == LINEAR
-    cost = native_precision(spec) * (1 if linear else 2)
+    cost = bit_cost(spec)
 
     cells = token_cells(spec, spec.encode(inst.y, inst.z))
     try:

@@ -1,7 +1,11 @@
-"""Input layouts and builders for the four analytic equality transformers.
+"""Builders and promise sets for the four analytic equality transformers.
 
 Each builder emits a complete TransformerSpec for deciding whether two m-bit
-strings are equal, reading the answer at a trailing query token:
+strings are equal, reading the answer at a trailing query token.  A
+builder's per-position TokenRule tables are the only record of which input
+bits each token carries (TokenRule.source); the layout beyond them is just
+the token count n, a per-family default checked against the fewest
+positions the table fills.
 
 * fx-simple (T0): fixed point, p = ceil(m/2)+1 bits, softmax attention.
   Accepts when the attention output is exactly 2.
@@ -41,15 +45,10 @@ CONSTRUCTIONS = {
     "fp-linear": T2,
     "fp-softmax": T3,
 }
-CONSTRUCTION_NAMES = {v: k for k, v in CONSTRUCTIONS.items()}
 
 
 class UnsupportedM(ValueError):
     """The requested parameters fall outside what a builder supports."""
-
-
-class PromiseViolated(ValueError):
-    """An instance violates the promise its layout requires."""
 
 
 @dataclass(frozen=True)
@@ -186,11 +185,6 @@ class PromiseSet:
         return self._side_ok(z, "z")
 
 
-def validate(inst: EqInstance, promises: PromiseSet) -> list[str]:
-    """Every violated promise flag; the instance is admissible iff empty."""
-    return promises.check(inst)
-
-
 def _t3_params(t: int, e: int):
     """Derived sizes for the softmax floating-point family, or raise."""
     te = t + e
@@ -219,162 +213,17 @@ def _t3_params(t: int, e: int):
     return m, K, log_k, q, r, w
 
 
-@dataclass(frozen=True)
-class ReprLayout:
-    """Token layout for one variant: positions, alphabet, and bit routing.
-
-    n counts non-query tokens; the query placeholder is appended last, so a
-    sequence has n+1 tokens at positions index_base .. index_base+n.
-    """
-
-    variant: str
-    m: int
-    n: int
-    index_base: int
-    t: int | None = None
-    e: int | None = None
-
-    @staticmethod
-    def min_n(variant: str, m: int, t: int | None = None,
-              e: int | None = None) -> int:
-        if variant == T0:
-            return 2 * m + 1
-        if variant == T1:
-            return 2 * m + 5
-        if variant == T2:
-            return 4 * t - 3
-        if variant == T3:
-            return 2 * m + 2
-        raise ValueError(f"unknown variant {variant!r}")
-
-    @staticmethod
-    def default_n(variant: str, m: int, t: int | None = None,
-                  e: int | None = None) -> int:
-        if variant == T0:
-            stated = 4 * (half_len(m) + 1) + 1
-        elif variant == T1:
-            stated = 4 * half_len(m) + 1
-        elif variant in (T2, T3):
-            stated = (2 if variant == T2 else 4) * (t + e) + 1
-        else:
-            raise ValueError(f"unknown variant {variant!r}")
-        return max(stated, ReprLayout.min_n(variant, m, t, e))
-
-    @classmethod
-    def for_variant(cls, variant: str, m: int | None = None,
-                    t: int | None = None, e: int | None = None,
-                    n: int | None = None) -> "ReprLayout":
-        if variant in (T0, T1):
-            if m is None:
-                raise ValueError("fixed-point layouts need m")
-            t = e = None
-        elif variant == T2:
-            if t is None or e is None:
-                raise ValueError("fp-linear layouts need t and e")
-            if t < 3:
-                raise UnsupportedM(f"fp-linear needs t >= 3, got t = {t}")
-            if e < 2:
-                raise UnsupportedM(f"fp-linear needs e >= 2, got e = {e}")
-            m = t + e
-        elif variant == T3:
-            if t is None or e is None:
-                raise ValueError("fp-softmax layouts need t and e")
-            m = _t3_params(t, e)[0]
-        else:
-            raise ValueError(f"unknown variant {variant!r}")
-        low = cls.min_n(variant, m, t, e)
-        if n is None:
-            n = cls.default_n(variant, m, t, e)
-        if n < low:
-            raise UnsupportedM(
-                f"{CONSTRUCTION_NAMES[variant]} layout needs n >= {low} "
-                f"here, got n = {n}")
-        base = {T0: 1, T1: -1, T2: 0, T3: 0}[variant]
-        return cls(variant=variant, m=m, n=n, index_base=base, t=t, e=e)
-
-    def positions(self) -> range:
-        return range(self.index_base, self.index_base + self.n + 1)
-
-    def _refs(self):
-        """Per-position bit routing: tuple of (side, index, flipped), or
-        None for constant positions.  Mirrors the builders' tables."""
-        m, t, e = self.m, self.t, self.e
-        out = {}
-        if self.variant == T0:
-            for i in range(1, m + 1):
-                out[i] = (("y", i, False),)
-            for i in range(m + 1, 2 * m + 1):
-                out[i] = (("z", i - m, False),)
-        elif self.variant == T1:
-            out[0] = out[1] = (("y", 1, False),)
-            for i in range(2, m + 1):
-                out[i] = (("y", i, False),)
-            out[m + 1] = out[m + 2] = (("z", 1, False),)
-            for j in range(2, m + 1):
-                out[j + m + 2] = (("z", j, False),)
-        elif self.variant == T2:
-            def regs(side):
-                return ((side, 1, False),) + tuple(
-                    (side, k, False) for k in range(2, e + 2))
-
-            out[0] = regs("y") + (("y", e + 3, t == 3),)
-            for i in range(1, 2 * t - 6, 2):
-                out[i] = regs("y")
-            for i in range(2, 2 * t - 5, 2):
-                out[i] = regs("y") + (("y", e + 3 + i // 2, i == 2 * t - 6),)
-            out[2 * t - 5] = regs("y") + (("y", e + 2, False),)
-            out[2 * t] = regs("z") + (("z", e + t, False),)
-            for i in range(2 * t + 1, 4 * t - 4, 2):
-                j = (i - 2 * t + 1) // 2
-                out[i] = regs("z") + (("z", e + 1 + j, False),)
-            for i in range(2 * t + 2, 4 * t - 3, 2):
-                out[i] = regs("z")
-        else:
-            _, _, _, _, r, w = _t3_params(t, e)
-            e1 = lambda side: tuple((side, k, False) for k in range(1, e))
-            e2 = lambda side: tuple(
-                (side, k, False) for k in range(e + t - 1, e + t - 1 + r))
-            out[0] = e1("y")
-            for i in range(1, t):
-                out[i] = e1("y") + (("y", e + i - 1, False),)
-            for i in range(t, t + w):
-                out[i] = e2("y") + (("y", m - w + (i - t + 1), False),)
-            out[t + w] = e2("y")
-            out[m] = e1("z")
-            for i in range(m + 1, m + t):
-                out[i] = e1("z") + (("z", e + i - m - 1, False),)
-            for i in range(m + t, m + t + w):
-                out[i] = e2("z") + (("z", m - w + (i - m - t + 1), False),)
-            out[2 * m + 1] = e2("z")
-        return out
-
-    def symbols(self, inst: EqInstance) -> list:
-        """The token at each position: an int bit for single-bit tokens, a
-        tuple of bits for register tokens, 0 for padding and the query."""
-        refs = self._refs()
-        seq = []
-        for i in self.positions():
-            spec = refs.get(i)
-            if spec is None:
-                seq.append(0)
-                continue
-            bits = tuple(
-                (1 - int((inst.y if side == "y" else inst.z)[idx - 1]))
-                if flip else int((inst.y if side == "y" else inst.z)[idx - 1])
-                for side, idx, flip in spec)
-            seq.append(bits[0] if len(bits) == 1 else bits)
-        return seq
-
-
-def encode(inst: EqInstance, layout: ReprLayout) -> list:
-    """Token sequence for an admissible instance, query placeholder last."""
-    if inst.m != layout.m:
-        raise PromiseViolated(
-            f"instance has m = {inst.m}, layout expects {layout.m}")
-    bad = validate(inst, PromiseSet(layout.variant, layout.t, layout.e))
-    if bad:
-        raise PromiseViolated("violated promise flags: " + ", ".join(bad))
-    return layout.symbols(inst)
+def _token_count(construction: str, n: int | None, low: int,
+                 stated: int) -> int:
+    """Non-query token count: n, or the family's stated default raised to
+    low, the fewest positions its table fills.  The query placeholder is
+    appended last, so a sequence has n+1 tokens."""
+    if n is None:
+        return max(stated, low)
+    if n < low:
+        raise UnsupportedM(
+            f"{construction} layout needs n >= {low} here, got n = {n}")
+    return n
 
 
 def _rule(refs, row_fn) -> TokenRule:
@@ -460,9 +309,8 @@ def _assert_half_split(spec: TransformerSpec, first_half: int):
 def _build_t0(m: int, n: int | None):
     if m % 2 == 0 or m < 3:
         raise UnsupportedM(f"fx-simple needs odd m >= 3, got m = {m}")
-    layout = ReprLayout.for_variant(T0, m=m, n=n)
-    n = layout.n
     k = half_len(m)
+    n = _token_count("fx-simple", n, 2 * m + 1, 4 * (k + 1) + 1)
     p = k + 1
     top = min(6, k)
     tbl = _Table(1, n)
@@ -517,9 +365,8 @@ def _build_t0(m: int, n: int | None):
 def _build_t1(m: int, n: int | None):
     if m % 2 == 0 or m < 5:
         raise UnsupportedM(f"fx-tight needs odd m >= 5, got m = {m}")
-    layout = ReprLayout.for_variant(T1, m=m, n=n)
-    n = layout.n
     k = half_len(m)
+    n = _token_count("fx-tight", n, 2 * m + 5, 4 * k + 1)
     top = min(6, k)
     shift = (1 << k) - 2
     tbl = _Table(-1, n)
@@ -610,8 +457,12 @@ def _build_t2(t: int, e: int, n: int | None):
         raise UnsupportedM(
             f"(t, e) = ({t}, {e}) leaves no legal exponent field: the "
             f"window [{t - 1}, {(1 << e) - 2}] is empty")
-    layout = ReprLayout.for_variant(T2, t=t, e=e, n=n)
-    m, n = layout.m, layout.n
+    if t < 3:
+        raise UnsupportedM(f"fp-linear needs t >= 3, got t = {t}")
+    if e < 2:
+        raise UnsupportedM(f"fp-linear needs e >= 2, got e = {e}")
+    m = t + e
+    n = _token_count("fp-linear", n, 4 * t - 3, 2 * m + 1)
     q = (1 << (e - 1)) - 1
     fmt = FpFormat(t, e)
     tbl = _Table(0, n)
@@ -700,8 +551,7 @@ def _build_t3(t: int, e: int, n: int | None):
         raise UnsupportedM(
             f"fp-softmax enumerates 2^e rows per token; e = {e} is past "
             "the supported e <= 14")
-    layout = ReprLayout.for_variant(T3, t=t, e=e, n=n)
-    n = layout.n
+    n = _token_count("fp-softmax", n, 2 * m + 2, 4 * (t + e) + 1)
     fmt = FpFormat(t, e)
     tbl = _Table(0, n)
 
@@ -781,26 +631,6 @@ def _build_t3(t: int, e: int, n: int | None):
     return spec, tbl.steps
 
 
-def build_fx_simple(m: int, n: int | None = None) -> TransformerSpec:
-    """Fixed-point equality at p = ceil(m/2)+1 bits (odd m >= 3)."""
-    return _build_t0(m, n)[0]
-
-
-def build_fx_tight(m: int, n: int | None = None) -> TransformerSpec:
-    """Fixed-point equality at the tight p = ceil(m/2) bits (odd m >= 5)."""
-    return _build_t1(m, n)[0]
-
-
-def build_fp_linear(t: int, e: int, n: int | None = None) -> TransformerSpec:
-    """Floating-point equality with linear attention, m = t + e."""
-    return _build_t2(t, e, n)[0]
-
-
-def build_fp_softmax(t: int, e: int, n: int | None = None) -> TransformerSpec:
-    """Floating-point equality with softmax attention, t+e = K + log2(K)."""
-    return _build_t3(t, e, n)[0]
-
-
 _BUILDERS = {
     "fx-simple": lambda m, t, e, n: _build_t0(m, n),
     "fx-tight": lambda m, t, e, n: _build_t1(m, n),
@@ -846,3 +676,12 @@ def native_precision(spec: TransformerSpec) -> int:
     if isinstance(fmt, FxFormat):
         return fmt.p
     return fmt.t + fmt.e
+
+
+def float_fields(spec: TransformerSpec) -> tuple:
+    """(t, e) of a floating-point spec's numerator format; (None, None) for
+    fixed point, whose reports carry m alone."""
+    fmt = spec.num_fmt
+    if isinstance(fmt, FxFormat):
+        return None, None
+    return fmt.t, fmt.e

@@ -1,6 +1,7 @@
-"""Exact-rational reference evaluation and construction verification.
+"""Construction verification: promise pairs against the bounded forward pass.
 
-Verification enumerates (or samples) promise-satisfying pairs, runs the
+Verification enumerates (or samples) promise-satisfying pairs with the one
+pair enumerator, promise_pairs, which the protocol command shares; runs the
 bounded-precision forward pass, and compares the answer bit against string
 equality.  For the fixed-point constructions the numerator provably depends
 only on first-half bits and the denominator only on second-half bits, so the
@@ -31,12 +32,12 @@ from .attn import (
 )
 from .bitnum import FpFormat, FxFormat, IndeterminateForm
 from .constructs import (
-    CONSTRUCTIONS,
     EqInstance,
     PromiseSet,
     T0,
     T1,
     _assert_half_split,
+    float_fields,
     half_len,
     make,
     native_precision,
@@ -232,19 +233,49 @@ def _eval_all(spec, pairs, jobs):
             sum(r[2] for r in results))
 
 
+def promise_pairs(promises: PromiseSet, m: int, count: int | None = None,
+                  rng: random.Random | None = None,
+                  cap: int = PAIR_CAP_DEFAULT) -> list:
+    """Promise pairs (y, z) of m-bit strings, y <= z.
+
+    With count None: every pair, y ascending, then z ascending.  Each
+    promise flag constrains y, z, the length or the order alone, so y_ok,
+    z_ok and y <= z are the whole promise.  Pairs are counted from the two
+    sides first and BudgetExceeded is raised past cap before any is
+    listed.  Otherwise: count uniform draws from
+    rng, by rejection.  Each draw takes getrandbits(m) twice, swaps the two
+    into order and keeps the pair when check passes.  BudgetExceeded is
+    raised when the promise set is too sparse to sample.
+    """
+    if count is None:
+        strings = [_bits(v, m) for v in range(1 << m)]
+        ys = [y for y in strings if promises.y_ok(y)]
+        zs = [z for z in strings if promises.z_ok(z)]
+        starts = [bisect.bisect_left(zs, y) for y in ys]
+        total = sum(len(zs) - s for s in starts)
+        if total > cap:
+            raise BudgetExceeded(
+                f"{total} promise pairs exceed the cap of {cap}")
+        return [(y, z) for y, s in zip(ys, starts) for z in zs[s:]]
+    pairs = []
+    draws = 0
+    while len(pairs) < count:
+        draws += 1
+        if draws > 200 * count + 1000:
+            raise BudgetExceeded(
+                f"{draws - 1} draws found {len(pairs)} of {count} promise "
+                "pairs; the promise set is too sparse to sample")
+        y = _bits(rng.getrandbits(m), m)
+        z = _bits(rng.getrandbits(m), m)
+        if y > z:
+            y, z = z, y
+        if not promises.check(EqInstance(y, z)):
+            pairs.append((y, z))
+    return pairs
+
+
 def _direct_exhaustive(spec, promises, cap, jobs):
-    m = spec.m
-    ys = [_bits(v, m) for v in range(1 << m)]
-    y_side = [y for y in ys if promises.y_ok(y)]
-    z_sorted = sorted(z for z in ys if promises.z_ok(z))
-    starts = [bisect.bisect_left(z_sorted, y) for y in y_side]
-    expected = sum(len(z_sorted) - s for s in starts)
-    if expected > cap:
-        raise BudgetExceeded(
-            f"{expected} promise pairs exceed the cap of {cap}")
-    pairs = [(y, z) for y, s in zip(y_side, starts)
-             for z in z_sorted[s:]]
-    return _eval_all(spec, pairs, jobs)
+    return _eval_all(spec, promise_pairs(promises, spec.m, cap=cap), jobs)
 
 
 _NAN = "nan"
@@ -367,13 +398,6 @@ def _factored_exhaustive(spec, cap, rng):
     return total, coll, inf_total
 
 
-def _family_fields(construction, spec):
-    fmt = spec.num_fmt
-    if isinstance(fmt, FxFormat):
-        return spec.m, None, None
-    return spec.m, fmt.t, fmt.e
-
-
 def verify_exhaustive_spec(spec: TransformerSpec, promises: PromiseSet,
                            construction: str, jobs: int = 1,
                            cap: int = PAIR_CAP_DEFAULT) -> VerifyReport:
@@ -385,9 +409,9 @@ def verify_exhaustive_spec(spec: TransformerSpec, promises: PromiseSet,
         total, coll, inf_total = _factored_exhaustive(spec, cap, rng)
     else:
         total, coll, inf_total = _direct_exhaustive(spec, promises, cap, jobs)
-    m, t, e = _family_fields(construction, spec)
+    t, e = float_fields(spec)
     return VerifyReport(
-        construction=construction, m=m, t=t, e=e,
+        construction=construction, m=spec.m, t=t, e=e,
         p=native_precision(spec), mode="exhaustive", total=total,
         failure_count=coll.count, failures=coll.merged(),
         seconds=time.monotonic() - start, inf_count=inf_total)
@@ -403,25 +427,6 @@ def verify_exhaustive(construction: str, m: int | None = None,
     spec, promises = make(construction, m=m, t=t, e=e, n=n)
     spec = precision_delta_spec(spec, precision_delta)
     return verify_exhaustive_spec(spec, promises, construction, jobs, cap)
-
-
-def _sample_pairs(promises, m, count, rng):
-    pairs = []
-    guard = 0
-    while len(pairs) < count:
-        guard += 1
-        if guard > 200 * count + 1000:
-            raise RuntimeError(
-                "rejection sampling is not finding promise pairs; the "
-                "promise set looks too sparse")
-        y = _bits(rng.getrandbits(m), m)
-        z = _bits(rng.getrandbits(m), m)
-        if y > z:
-            y, z = z, y
-        if promises.check(EqInstance(y, z)):
-            continue
-        pairs.append((y, z))
-    return pairs
 
 
 def _adversarial_pairs(promises, m, rng, bases: int = 64):
@@ -450,12 +455,12 @@ def verify_sampled(construction: str, m: int | None = None,
     spec = precision_delta_spec(spec, precision_delta)
     start = time.monotonic()
     rng = random.Random(seed)
-    pairs = _sample_pairs(promises, spec.m, samples, rng) if samples else []
+    pairs = promise_pairs(promises, spec.m, samples, rng) if samples else []
     pairs += _adversarial_pairs(promises, spec.m, rng)
     total, coll, inf_total = _eval_all(spec, pairs, jobs)
-    mm, tt, ee = _family_fields(construction, spec)
+    t, e = float_fields(spec)
     return VerifyReport(
-        construction=construction, m=mm, t=tt, e=ee,
+        construction=construction, m=spec.m, t=t, e=e,
         p=native_precision(spec), mode="sampled", total=total,
         failure_count=coll.count, failures=coll.merged(),
         seconds=time.monotonic() - start, inf_count=inf_total)

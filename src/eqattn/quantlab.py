@@ -12,7 +12,9 @@ Weights that overflow the target grid become the infinity code, stored as
 the exact dyadic +-2**INF_CODE_LOG2.  That magnitude is beyond the top of
 every practical stage format, so each use of such a weight rounds to the
 format's +-Inf, which is exactly how a dedicated infinity code would
-behave without the evaluation pipeline needing a special case.
+behave without the evaluation pipeline needing a special case.  The one
+use it cannot stand is as a key a sequence reaches: its attention weight,
+2 to an infinity-coded power, is refused with bitnum.LogitOutOfRange.
 """
 
 from __future__ import annotations
@@ -28,18 +30,15 @@ from pathlib import Path
 from typing import ClassVar
 
 from .attn import (LINEAR, SOFTMAX, MlpSpec, TokenRule, TransformerSpec,
-                   forward, spec_from_payload, spec_to_payload)
-from .bitnum import (FpFormat, FxFormat, InvalidFormat, decode_scalar,
-                     encode_scalar, fp_round, fx_round, parse_format)
-from .constructs import EqInstance, make, native_precision
+                   forward, spec_from_payload, spec_to_payload, token_logits)
+from .bitnum import (INF_CODE_LOG2, FpFormat, FxFormat, InvalidFormat,
+                     _pow2, decode_scalar, encode_scalar, fp_round, fx_round,
+                     parse_format)
+from .constructs import EqInstance, float_fields, make, native_precision
 from .oracle import trace_saturated, verify_exhaustive_spec
 
 INT = "int"
 FLOAT = "float"
-
-# Exponent of the infinity code.  Any weight stored as +-2**INF_CODE_LOG2
-# rounds to +-Inf in every stage format whose top octave sits below it.
-INF_CODE_LOG2 = 1 << 14
 
 
 class DegenerateTensor(UserWarning):
@@ -48,10 +47,6 @@ class DegenerateTensor(UserWarning):
 
 class SchemaError(ValueError):
     """A weights document that does not match the expected layout."""
-
-
-def _pow2(k: int) -> Fraction:
-    return Fraction(1 << k) if k >= 0 else Fraction(1, 1 << -k)
 
 
 _INF_CODE = _pow2(INF_CODE_LOG2)
@@ -421,13 +416,6 @@ class QuantReport:
         return lines
 
 
-def _family(spec: TransformerSpec):
-    fmt = spec.num_fmt
-    if isinstance(fmt, FpFormat):
-        return fmt.t, fmt.e
-    return None, None
-
-
 def eval_accuracy(spec: TransformerSpec, ds: Dataset, promises=None,
                   label: str = "spec", fmt: QuantFormat | None = None,
                   t: int | None = None, e: int | None = None) -> QuantRow:
@@ -441,7 +429,7 @@ def eval_accuracy(spec: TransformerSpec, ds: Dataset, promises=None,
     """
     start = time.monotonic()
     if t is None and e is None:
-        t, e = _family(spec)
+        t, e = float_fields(spec)
     total = correct = inf_n = 0
     for y, z, lab in ds.pairs:
         if promises is not None:
@@ -489,7 +477,7 @@ def sweep(source, formats, ms=None, count: int = 5120, seed: int = 0, *,
             subjects.append((spec0, pr, source))
     rows = []
     for spec0, pr, label in subjects:
-        t, e = _family(spec0)
+        t, e = float_fields(spec0)
         ds = None if exhaustive else gen_dataset(spec0.m, count, seed)
         for f in fmts:
             qspec = quantize_spec(spec0, f)
@@ -632,6 +620,23 @@ def _normalize_document(payload: dict) -> dict:
     return doc
 
 
+def _check_logits(spec: TransformerSpec) -> TransformerSpec:
+    """Every query row times every key row must give an integer coefficient
+    of ln 2: only those exponentiate to exact attention weights."""
+    for query in spec.embedding[-1].rows:
+        for pos, rule in enumerate(spec.embedding):
+            try:
+                logits = token_logits(spec, [*rule.rows, query])
+            except ValueError as exc:   # a sentinel in the query row
+                raise SchemaError(f"embedding: {exc}") from exc
+            for lg in logits:
+                if not lg.is_neg_large and lg.coeff.denominator != 1:
+                    raise SchemaError(
+                        f"embedding[{pos}]: logit {lg.coeff} is not an "
+                        "integer coefficient of ln 2")
+    return spec
+
+
 def export_weights(spec: TransformerSpec, path=None) -> str:
     """The spec as a weights document (JSON); also written to path if
     one is given."""
@@ -642,14 +647,17 @@ def export_weights(spec: TransformerSpec, path=None) -> str:
 
 
 def import_weights(path) -> TransformerSpec:
-    """Read and validate a weights document; exact round trip of
+    """Read and validate a weights file for running; exact round trip of
     export_weights, with decimal numbers converted exactly through their
-    binary representation."""
+    binary representation.  Beyond the document shape that
+    import_weights_text checks, every logit the head can form must be an
+    integer coefficient of ln 2, so no attention weight of a loaded head
+    is refused as non-dyadic when it runs."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise SchemaError(f"cannot read weights file: {exc}") from exc
-    return import_weights_text(text)
+    return _check_logits(import_weights_text(text))
 
 
 def import_weights_text(text: str) -> TransformerSpec:

@@ -1,0 +1,74 @@
+"""The one promise-pair enumerator: exhaustive order and cap, the sampled
+stream, and the budget errors every verify and protocol path shares."""
+
+import random
+from itertools import product
+
+import pytest
+
+from eqattn.constructs import T0, EqInstance, PromiseSet, make
+from eqattn.oracle import BudgetExceeded, promise_pairs
+
+
+def _brute_force(promises, m):
+    strings = ["".join(bits) for bits in product("01", repeat=m)]
+    return [(y, z) for y in strings for z in strings
+            if y <= z and not promises.check(EqInstance(y, z))]
+
+
+@pytest.mark.parametrize("name,size", [
+    ("fx-simple", {"m": 5}),
+    ("fx-tight", {"m": 5}),
+    ("fp-linear", {"t": 4, "e": 3}),
+    ("fp-linear", {"t": 3, "e": 3}),
+])
+def test_exhaustive_pairs_are_the_promise_filter_in_order(name, size):
+    spec, promises = make(name, **size)
+    assert promise_pairs(promises, spec.m) == _brute_force(promises, spec.m)
+
+
+def test_exhaustive_cap_is_checked_before_listing():
+    spec, promises = make("fp-softmax", t=4, e=7)
+    with pytest.raises(BudgetExceeded, match="479771776 promise pairs"):
+        promise_pairs(promises, spec.m, cap=10 ** 6)
+
+
+def _reference_draws(promises, m, count, rng):
+    """Rejection sampling as the verifier and the protocol command have
+    always drawn: two getrandbits(m) per draw, put in order, then check."""
+    pairs = []
+    while len(pairs) < count:
+        y = format(rng.getrandbits(m), f"0{m}b")
+        z = format(rng.getrandbits(m), f"0{m}b")
+        if y > z:
+            y, z = z, y
+        if not promises.check(EqInstance(y, z)):
+            pairs.append((y, z))
+    return pairs
+
+
+@pytest.mark.parametrize("name,size", [
+    ("fx-tight", {"m": 7}),
+    ("fp-linear", {"t": 4, "e": 3}),
+    ("fp-softmax", {"t": 4, "e": 7}),
+])
+def test_sampled_stream_and_rng_state_are_unchanged(name, size):
+    spec, promises = make(name, **size)
+    ours, ref = random.Random(3), random.Random(3)
+    assert promise_pairs(promises, spec.m, 300, ours) == \
+        _reference_draws(promises, spec.m, 300, ref)
+    assert ours.getrandbits(64) == ref.getrandbits(64)
+
+
+def test_too_sparse_to_sample_is_a_budget_error():
+    never = PromiseSet(T0)          # m_odd fails for every 4-bit pair
+    with pytest.raises(BudgetExceeded, match="too sparse"):
+        promise_pairs(never, 4, 1, random.Random(0))
+
+
+def test_protocol_exhaustive_respects_the_pair_cap(run_cli):
+    code, out, err = run_cli("protocol", "--construction", "fp-softmax",
+                             "--t", "4", "--e", "7", "--exhaustive")
+    assert code == 2
+    assert out == ""
+    assert "479771776 promise pairs exceed the cap" in err
