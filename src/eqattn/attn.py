@@ -16,6 +16,14 @@ fold, runs both folds over any range of positions from any (numerator,
 denominator) state: forward is one fold plus the divide and the MLP, the
 factored verifier folds half-spaces with it, and the one-way protocol cuts
 it at Alice's prefix and resumes it for Bob.
+
+A fold's state at any boundary is one value of its bounded format, so each
+fold step is a small finite map (state, term) -> next state.  A compiled
+spec interns one canonical scalar per full representation of each fold
+format (inexact flag and sign of zero included) and memoises that map in a
+step table; the memo is exact because the bounded add reads only its
+operands' representations.  The tables are cleared once they reach a fixed
+size, so a wide format, whose states rarely repeat, keeps bounded memory.
 """
 
 from __future__ import annotations
@@ -176,8 +184,8 @@ class TransformerSpec:
 
     # The compiled kernel is built on first use and lives in __dict__
     # beside the fields, outside __eq__ and repr.  Assigning any attribute
-    # drops it, and so does pickling: cached cells are keyed by row
-    # identity, which a copy in another process does not share.
+    # drops it, and so does pickling: cached cells and fold steps are keyed
+    # by object identity, which a copy in another process does not share.
     @cached_property
     def _compiled(self) -> "_Compiled":
         return _Compiled(self)
@@ -279,28 +287,84 @@ class Cell(NamedTuple):
     den_term: object
 
 
+def _rep(v):
+    """A scalar's full representation.  Unlike ==, it tells an inexact
+    value from an exact one and -0 from +0."""
+    return v.kind, v.sign, v.sig, v.exp2, v.inexact
+
+
+# The most entries (steps plus interned values) one fold format's tables
+# hold.  The largest table of the benchmark workloads, fp-linear (4,4), holds
+# about 8,400.  A wide format, where few states repeat, clears its tables each
+# time they fill, so memory stays bounded however long the run.
+STEP_LIMIT = 1 << 14
+
+
+class _Steps:
+    """One fold format's intern table (values) and step table (steps).
+
+    steps keys on (id(state), id(term)) of canonical objects only, which
+    values keeps alive, so no id is reused while it is a key.  Both tables
+    are cleared together once they hold STEP_LIMIT entries.  A state of
+    None opens the fold.  Folds and traces share the canonical objects, so
+    none may be mutated.
+    """
+
+    def __init__(self, fmt):
+        self.fmt = fmt
+        self.add = _ops(fmt)[0]
+        self.values = {}
+        self.steps = {}
+
+    def intern(self, v):
+        return v if v is None else self.values.setdefault(_rep(v), v)
+
+    def step(self, state, term, first):
+        """The miss path: first is the value a fold opens with at term.
+        state and term are interned here, after any clear.  A raised error
+        is never stored."""
+        if isinstance(term, ArithmeticError):
+            raise term
+        if len(self.steps) + len(self.values) >= STEP_LIMIT:
+            self.steps.clear()
+            self.values.clear()
+        state, term = self.intern(state), self.intern(term)
+        key = (id(state), id(term))
+        nxt = self.steps.get(key)
+        if nxt is None:
+            nxt = self.intern(first if state is None
+                              else self.add(state, term, self.fmt))
+            self.steps[key] = nxt
+        return nxt
+
+
 class _Compiled:
-    """A spec's cell cache, one dict per position keyed by row id, and its
-    constants held in their stage formats: W^V's scale and the MLP."""
+    """A spec's cell cache, one dict per position keyed by row id; the step
+    tables of its two folds; and its constants held in their stage formats:
+    W^V's scale and the MLP."""
 
     def __init__(self, spec: TransformerSpec):
         last = spec.embedding[-1]
         self.query = None if last.source else last.rows[0]
         self.cells = [{} for _ in spec.embedding]
+        self.num = _Steps(spec.fold_fmt)
+        self.den = _Steps(spec.den_fmt)
         self.col, scale = spec.value_column()
         self.scale = _wrap_exact(scale, spec.num_fmt)
         self.mlp = _hold_mlp(spec.mlp, spec.out_fmt)
 
 
-def _make_cell(spec: TransformerSpec, col: int, row, logit: Logit) -> Cell:
+def _make_cell(spec: TransformerSpec, comp: _Compiled, row,
+               logit: Logit) -> Cell:
     round_ = _ops(spec.fold_fmt)[3]
     w = exp_logit_exact(logit)
     try:
-        term = round_(w * Fraction(row[col] or 0), spec.fold_fmt)
+        term = comp.num.intern(
+            round_(w * Fraction(row[comp.col] or 0), spec.fold_fmt))
     except ArithmeticError as exc:
         term = exc
-    return Cell(row, logit, w, term, round_(w, spec.den_fmt),
-                _wrap_exact(w, spec.den_fmt))
+    return Cell(row, logit, w, term, comp.den.intern(round_(w, spec.den_fmt)),
+                comp.den.intern(_wrap_exact(w, spec.den_fmt)))
 
 
 def token_cells(spec: TransformerSpec, x) -> list[Cell]:
@@ -326,7 +390,7 @@ def token_cells(spec: TransformerSpec, x) -> list[Cell]:
     for j, row in enumerate(x):
         cell = None if cache is None else cache[j].get(id(row))
         if cell is None:
-            cell = _make_cell(spec, comp.col, row, logits[j])
+            cell = _make_cell(spec, comp, row, logits[j])
             if cache is not None and \
                     not isinstance(cell.num_term, ArithmeticError) and \
                     any(r is row for r in spec.embedding[j].rows):
@@ -348,26 +412,41 @@ def fold(spec: TransformerSpec, state, lo: int, hi: int, cells, trace=None):
     (num, den); with a trace, every term and partial is recorded on it.
     IndeterminateForm propagates; other arithmetic errors are raised as a
     StageError naming the fold and the token.
+
+    Each fold walks its format's step table: the incoming state is interned
+    once, then each position is one dict lookup on the canonical state and
+    the cell's canonical term, and fx_add / fp_add runs only on a miss.
+    This is exact because a bounded add's result, its inexact flag
+    included, depends only on the two operands' representations, never on
+    their flags.  An indeterminate form is never stored, so it is raised on
+    every visit.  A table cleared at its size limit only turns later steps
+    back into misses.
     """
     num, den = state
-    add = _ops(spec.fold_fmt)[0]
+    comp = spec._compiled
     stage, j = "numerator", lo
     try:
         if num is not OFF:
+            table = comp.num
+            get = table.steps.get
+            num = table.intern(num)
             for j in range(lo, hi):
                 term = cells[j].num_term
-                if isinstance(term, ArithmeticError):
-                    raise term
-                num = term if num is None else add(num, term, spec.fold_fmt)
+                nxt = get((id(num), id(term)))
+                num = table.step(num, term, term) if nxt is None else nxt
                 if trace is not None:
                     trace.num_terms.append(term)
                     trace.num_partials.append(num)
         stage = "denominator"
         if den is not OFF:
+            table = comp.den
+            get = table.steps.get
+            den = table.intern(den)
             for j in range(lo, hi):
                 cell = cells[j]
-                den = cell.den_first if den is None else \
-                    add(den, cell.den_term, spec.den_fmt)
+                nxt = get((id(den), id(cell.den_term)))
+                den = table.step(den, cell.den_term, cell.den_first) \
+                    if nxt is None else nxt
                 if trace is not None:
                     trace.den_partials.append(den)
     except IndeterminateForm:

@@ -232,8 +232,7 @@ def cmd_protocol(cfg: RunConfig) -> int:
                 f"model={ref.bit} {'ok' if ok else 'MISMATCH'}")
             listed += 1
         if cfg.trace and listed <= 4:
-            trace = forward(spec, spec.encode(y, z))
-            lines.extend("  " + ln for ln in trace.render_lines())
+            lines.extend("  " + ln for ln in ref.render_lines())
     if len(pairs) > listed:
         lines.append(f"... ({len(pairs)} transcripts, {listed} listed)")
     cost_txt = ",".join(str(c) for c in sorted(costs))

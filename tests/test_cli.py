@@ -5,6 +5,7 @@ Everything runs in-process through the run_cli fixture, so stdout and
 stderr assertions see exactly what a shell user would.
 """
 
+import hashlib
 import json
 import random
 
@@ -184,6 +185,27 @@ class TestProtocolCommand:
                                "--m", "5", "--y", "101", "--z", "10101")
         assert code == 2
         assert "must be 5 bits long" in err
+
+    def test_trace_renders_the_checked_forward_pass(self, run_cli,
+                                                    monkeypatch):
+        """--trace prints the forward trace each transcript was checked
+        against instead of evaluating the pair a second time."""
+        calls = []
+        real = cli.forward
+
+        def counted(spec, x):
+            calls.append(x)
+            return real(spec, x)
+
+        monkeypatch.setattr(cli, "forward", counted)
+        code, out, _ = run_cli("protocol", "--construction", "fx-tight",
+                               "--m", "5", "--count", "10", "--trace")
+        assert code == 0
+        assert len(calls) == 10
+        assert out.count("  token -1: ") == 4
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "438361fad3bfcaeca5c5e5e4991553dc"
+            "9916d8e1e06b25694563c569ec01b6c5")
 
 
 class TestFoolingCommand:

@@ -9,6 +9,7 @@ The protocol resumes the same kernel at a prefix boundary, so it must give
 the forward bit at every legal prefix length.
 """
 
+import gc
 import pickle
 import random
 from dataclasses import replace
@@ -17,8 +18,8 @@ from fractions import Fraction
 import pytest
 
 from conftest import build_toy_spec
-from eqattn.attn import StageError, TokenRule, forward, token_cells
-from eqattn.bitnum import FxFormat, NonDyadicLogit
+from eqattn.attn import OFF, StageError, TokenRule, fold, forward, token_cells
+from eqattn.bitnum import FxFormat, NonDyadicLogit, encode_scalar
 from eqattn.commsim import default_split, run_protocol
 from eqattn.constructs import EqInstance, make
 from eqattn.oracle import precision_delta_spec, trace_saturated
@@ -45,12 +46,24 @@ def _pairs(m, count, seed):
     return out
 
 
+def _scalars(trace):
+    """Every scalar a trace records, as (encoding, inexact flag)."""
+    def rep(v):
+        return None if v is None else (encode_scalar(v), v.inexact)
+
+    lists = (trace.num_terms, trace.num_partials, trace.den_partials,
+             trace.hidden)
+    ends = (trace.numerator, trace.denominator, trace.sa, trace.output)
+    return [[rep(v) for v in vs] for vs in lists] + [rep(v) for v in ends]
+
+
 def _assert_same(spec, x):
     got, want = forward(spec, x), ref_forward(spec, x)
     assert got.bit == want.bit
     assert got.render_lines() == want.render_lines()
     assert got.any_inexact() == want.any_inexact()
     assert trace_saturated(got) == trace_saturated(want)
+    assert _scalars(got) == _scalars(want)
     return got
 
 
@@ -95,6 +108,53 @@ def test_rows_that_are_not_the_specs_own_are_evaluated_uncached():
             first, again = token_cells(spec, x), token_cells(spec, x)
             fresh = [a is not b for a, b in zip(first, again)]
             assert fresh[:-1] == [True] * (len(x) - 1)
+
+
+@pytest.mark.parametrize("label", SUBJECTS)
+def test_warm_step_tables_replay_the_cold_folds(label):
+    """The first pass fills a fresh spec's step tables; the second, in
+    reverse order, answers mostly from them."""
+    spec = _subject(label)
+    for s in (spec, precision_delta_spec(spec, -1)):
+        pairs = _pairs(s.m, 40, 7)
+        for y, z in pairs + pairs[::-1]:
+            _assert_same(s, s.encode(y, z))
+
+
+@pytest.mark.parametrize("label", SUBJECTS)
+def test_foreign_rows_freed_between_sequences(label):
+    """Copied rows die after each sequence, so their ids are reused by the
+    next copies; a step stored under a dead row's id would show here."""
+    spec = _subject(label)
+    for i, (y, z) in enumerate(_pairs(spec.m, 30, 8)):
+        own = spec.encode(y, z)
+        copies = [tuple(row) for row in own]
+        x = copies if i % 2 else copies[:-1] + own[-1:]
+        _assert_same(spec, x)
+        del own, copies, x
+        gc.collect()
+
+
+def test_cells_of_a_dropped_kernel_still_fold_exactly():
+    """Cells built before a pickle round trip hold terms canonical only in
+    the original's tables; folding them in the copy must still be exact."""
+    spec = _subject("fp-softmax (4,7)")
+    copy = pickle.loads(pickle.dumps(spec))
+    for y, z in _pairs(spec.m, 20, 9):
+        x = spec.encode(y, z)
+        cells = token_cells(spec, x)
+        n = len(cells)
+        want = fold(spec, (None, None), 0, n, cells)
+        got = fold(copy, (None, None), 0, n, cells)
+        resumed = fold(copy, fold(copy, (None, OFF), 0, 3, cells),
+                       3, n, cells)[0]
+        assert [encode_scalar(v) for v in got] == \
+            [encode_scalar(v) for v in want]
+        assert [v.inexact for v in got] == [v.inexact for v in want]
+        assert (encode_scalar(resumed), resumed.inexact) == \
+            (encode_scalar(want[0]), want[0].inexact)
+        del cells
+        gc.collect()
 
 
 def test_derived_specs_start_without_the_parents_cells():
