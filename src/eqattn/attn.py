@@ -24,6 +24,17 @@ format (inexact flag and sign of zero included) and memoises that map in a
 step table; the memo is exact because the bounded add reads only its
 operands' representations.  The tables are cleared once they reach a fixed
 size, so a wide format, whose states rarely repeat, keeps bounded memory.
+
+The tail after the folds is memoised the same way.  The W^V scale is kept
+per numerator fold value, and the MLP (with its answer bit) per full
+representation of the attention output sa, since the MLP reads nothing
+else; many pairs share one sa.  The divide is not memoised: its (num, den)
+pairs rarely repeat.  No error is ever stored, so an indeterminate form is
+raised on every visit, and each trace gets its own list of hidden units.
+These tables obey the same size limit.  encode is compiled too: each
+position holds a getter of its source bits over y + z and a map from the
+bits read to the rule's own row, so a lookup keeps the cell cache hitting
+and a character other than 0 or 1 misses it.
 """
 
 from __future__ import annotations
@@ -31,6 +42,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import product
+from operator import itemgetter
 from typing import NamedTuple
 
 from .bitnum import (
@@ -98,16 +111,6 @@ class TokenRule:
     source: tuple
     rows: tuple
 
-    def token_of(self, y: str, z: str) -> int:
-        code = 0
-        for name, idx in self.source:
-            bits = y if name == "y" else z
-            code = code * 2 + int(bits[idx - 1])
-        return code
-
-    def row_for(self, y: str, z: str):
-        return self.rows[self.token_of(y, z)]
-
 
 @dataclass(frozen=True)
 class MlpSpec:
@@ -173,10 +176,22 @@ class TransformerSpec:
         return self
 
     def encode(self, y: str, z: str):
-        """Token rows (exact dyadics) for an input pair, query row last."""
+        """Token rows (exact dyadics) for an input pair, query row last.
+
+        Each position looks its row up by the bits its getter reads from
+        y + z, so the rows are the spec's own objects.  A character other
+        than 0 or 1 misses the lookup and raises ValueError.
+        """
         if len(y) != self.m or len(z) != self.m:
             raise ValueError(f"inputs must have m = {self.m} bits")
-        return [rule.row_for(y, z) for rule in self.embedding]
+        comp = self._compiled
+        bits = y + z
+        try:
+            if not (comp.unread and bits.strip("01")):
+                return [rows[get(bits)] for get, rows in comp.encoders]
+        except KeyError:
+            pass
+        raise ValueError(f"inputs must be bit strings, got {y!r}, {z!r}")
 
     def value_column(self) -> tuple[int, Fraction]:
         k = next(i for i, c in enumerate(self.wv) if c)
@@ -296,7 +311,8 @@ def _rep(v):
 # The most entries (steps plus interned values) one fold format's tables
 # hold.  The largest table of the benchmark workloads, fp-linear (4,4), holds
 # about 8,400.  A wide format, where few states repeat, clears its tables each
-# time they fill, so memory stays bounded however long the run.
+# time they fill, so memory stays bounded however long the run.  Each table
+# of the tail (scale, MLP) is cleared at the same size.
 STEP_LIMIT = 1 << 14
 
 
@@ -338,10 +354,26 @@ class _Steps:
         return nxt
 
 
+def _row_lookup(rule: TokenRule, m: int):
+    """A position's getter over y + z and the map from what it reads to
+    the rule's row.  One source bit reads a character, several read a
+    tuple of them, the first reference most significant; a constant
+    position reads the empty string."""
+    idx = [i - 1 if name == "y" else m + i - 1 for name, i in rule.source]
+    if not idx:
+        return itemgetter(slice(0, 0)), {"": rule.rows[0]}
+    keys = list(product("01", repeat=len(idx)))
+    if len(idx) == 1:
+        keys = [k for (k,) in keys]
+    return itemgetter(*idx), dict(zip(keys, rule.rows))
+
+
 class _Compiled:
     """A spec's cell cache, one dict per position keyed by row id; the step
-    tables of its two folds; and its constants held in their stage formats:
-    W^V's scale and the MLP."""
+    tables of its two folds; the memo tables of the tail (scaled keyed by
+    the numerator fold value's id, mlps by the attention output's full
+    representation); each position's row lookup for encode; and its
+    constants held in their stage formats: W^V's scale and the MLP."""
 
     def __init__(self, spec: TransformerSpec):
         last = spec.embedding[-1]
@@ -349,6 +381,11 @@ class _Compiled:
         self.cells = [{} for _ in spec.embedding]
         self.num = _Steps(spec.fold_fmt)
         self.den = _Steps(spec.den_fmt)
+        self.scaled = {}
+        self.mlps = {}
+        self.encoders = [_row_lookup(rule, spec.m) for rule in spec.embedding]
+        read = {ref for rule in spec.embedding for ref in rule.source}
+        self.unread = len(read) < 2 * spec.m
         self.col, scale = spec.value_column()
         self.scale = _wrap_exact(scale, spec.num_fmt)
         self.mlp = _hold_mlp(spec.mlp, spec.out_fmt)
@@ -456,10 +493,28 @@ def fold(spec: TransformerSpec, state, lo: int, hi: int, cells, trace=None):
     return num, den
 
 
+def _store(table: dict, key, value):
+    """table[key] = value, clearing a table that holds STEP_LIMIT entries
+    first.  Callers store only what was computed, never an error."""
+    if len(table) >= STEP_LIMIT:
+        table.clear()
+    table[key] = value
+    return value
+
+
 def scale_numerator(spec: TransformerSpec, num):
-    """The finished numerator fold times W^V, rounded into num_fmt."""
-    mul = _ops(spec.num_fmt)[1]
-    return mul(num, spec._compiled.scale, spec.num_fmt)
+    """The finished numerator fold times W^V, rounded into num_fmt.
+
+    Memoised on id(num): the entry holds num, so the id stays unique while
+    it is a key.  Folds return canonical values, so repeats hit.
+    """
+    comp = spec._compiled
+    hit = comp.scaled.get(id(num))
+    if hit is None:
+        mul = _ops(spec.num_fmt)[1]
+        hit = _store(comp.scaled, id(num),
+                     (num, mul(num, comp.scale, spec.num_fmt)))
+    return hit[1]
 
 
 def relu(v):
@@ -503,6 +558,18 @@ def _accept_bit(out) -> int:
     return int(out.is_finite and not out.is_zero and out.as_fraction() == 1)
 
 
+def _head(spec: TransformerSpec, sa):
+    """(output, hidden units as a tuple, answer bit) of the MLP at sa,
+    memoised on sa's full representation: mlp_eval reads nothing else."""
+    comp = spec._compiled
+    key = _rep(sa)
+    hit = comp.mlps.get(key)
+    if hit is None:
+        out, hidden = mlp_eval(spec.mlp, sa, spec.out_fmt, comp.mlp)
+        hit = _store(comp.mlps, key, (out, tuple(hidden), _accept_bit(out)))
+    return hit
+
+
 def _attend(spec: TransformerSpec, num, den):
     """The attention output in out_fmt: num / den, or for a linear head
     (den None) the scaled numerator itself."""
@@ -525,10 +592,10 @@ def finish_softmax(spec: TransformerSpec, num, den):
     """
     try:
         sa = _attend(spec, num, den)
-        out, _ = mlp_eval(spec.mlp, sa, spec.out_fmt, spec._compiled.mlp)
+        out, _, bit = _head(spec, sa)
     except IndeterminateForm:
         return 0, None, None
-    return _accept_bit(out), sa, out
+    return bit, sa, out
 
 
 def _forward(spec: TransformerSpec, x, normalize: bool) -> EvalTrace:
@@ -567,15 +634,14 @@ def _forward(spec: TransformerSpec, x, normalize: bool) -> EvalTrace:
     trace.sa = sa
 
     try:
-        out, hidden = mlp_eval(spec.mlp, sa, spec.out_fmt,
-                               spec._compiled.mlp)
+        out, hidden, bit = _head(spec, sa)
     except IndeterminateForm:
         return nan_like()
     except ArithmeticError as exc:
         raise StageError("mlp", None, exc) from exc
-    trace.hidden = hidden
+    trace.hidden = list(hidden)
     trace.output = out
-    trace.bit = _accept_bit(out)
+    trace.bit = bit
     return trace
 
 

@@ -80,6 +80,11 @@ def _config(args) -> RunConfig:
     picked = {name: getattr(args, name) for name in fields
               if hasattr(args, name)}
     picked["jobs"] = _jobs(picked.get("jobs"))
+    if picked.get("count", 1) < 1:
+        raise UsageError(f"--count must be positive, got {picked['count']}")
+    if picked.get("samples", 0) < 0:
+        raise UsageError("--samples must be 0 (exhaustive) or positive, "
+                         f"got {picked['samples']}")
     if picked.get("format") is None:
         picked["format"] = "csv" if args.command == "quantize" else "text"
     if isinstance(picked.get("ms"), str):
@@ -195,6 +200,9 @@ def _protocol_pairs(cfg: RunConfig, spec, promises):
             raise UsageError("--y and --z must be given together")
         if len(cfg.y) != m or len(cfg.z) != m:
             raise UsageError(f"--y/--z must be {m} bits long")
+        if (cfg.y + cfg.z).strip("01"):
+            raise UsageError(f"--y/--z must be bit strings, got {cfg.y!r}, "
+                             f"{cfg.z!r}")
         y, z = (cfg.y, cfg.z) if cfg.y <= cfg.z else (cfg.z, cfg.y)
         broken = promises.check(EqInstance(y, z))
         if broken:

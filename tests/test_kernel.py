@@ -6,7 +6,9 @@ of the rendered trace, on the inexact and saturation flags and on how they
 fail, for every family, below native precision, after quantization, on rows
 that are not the spec's own, and across the spec copies the library makes.
 The protocol resumes the same kernel at a prefix boundary, so it must give
-the forward bit at every legal prefix length.
+the forward bit at every legal prefix length.  The compiled encode must
+return the very row objects a bit-by-bit reading of each rule selects, and
+refuse any character but 0 and 1.
 """
 
 import gc
@@ -281,3 +283,64 @@ def test_split_is_the_z_free_prefix_for_every_family():
     for spec, k in cases:
         assert default_split(spec) == \
             tuple(range(spec.index_base, spec.index_base + k))
+
+
+def _ref_encode(spec, y, z):
+    """Each rule's row, its source bits read one at a time as a binary
+    number, the first reference most significant."""
+    x = []
+    for rule in spec.embedding:
+        code = 0
+        for name, idx in rule.source:
+            bit = (y if name == "y" else z)[idx - 1]
+            assert bit in "01"
+            code = 2 * code + (bit == "1")
+        x.append(rule.rows[code])
+    return x
+
+
+@pytest.mark.parametrize("spec", [
+    make("fx-simple", m=5)[0],
+    make("fx-tight", m=7)[0],
+    make("fp-linear", t=4, e=4)[0],
+    make("fp-softmax", t=4, e=7)[0],
+    quantize_spec(make("fp-softmax", t=4, e=7)[0], INT8),
+], ids=["fx-simple", "fx-tight", "fp-linear (4,4)", "fp-softmax (4,7)",
+        "fp-softmax-int8"])
+def test_compiled_encode_returns_the_rules_own_rows(spec):
+    m = spec.m
+    pairs = _pairs(m, 60, 10) + [("0" * m, "1" * m), ("1" * m, "0" * m)]
+    for y, z in pairs:
+        got, want = spec.encode(y, z), _ref_encode(spec, y, z)
+        assert len(got) == len(want) == spec.n + 1
+        assert all(a is b for a, b in zip(got, want)), (y, z)
+
+
+def test_wide_rules_are_read_most_significant_first():
+    """fp-linear (4,4) and fp-softmax (4,7) have rules of 6 and 7 source
+    bits; every one of their patterns must select its own row."""
+    for spec in (make("fp-linear", t=4, e=4)[0],
+                 make("fp-softmax", t=4, e=7)[0]):
+        j, rule = max(enumerate(spec.embedding),
+                      key=lambda jr: len(jr[1].source))
+        assert len(rule.source) >= 6
+        for code in range(len(rule.rows)):
+            bits = {"y": ["0"] * spec.m, "z": ["0"] * spec.m}
+            for k, (name, idx) in enumerate(reversed(rule.source)):
+                if code >> k & 1:
+                    bits[name][idx - 1] = "1"
+            y, z = "".join(bits["y"]), "".join(bits["z"])
+            assert spec.encode(y, z)[j] is rule.rows[code]
+
+
+@pytest.mark.parametrize("spec,y,z", [
+    (make("fp-linear", t=4, e=4)[0], "00200000", "0" * 8),
+    (make("fx-tight", m=7)[0], "0010100", "001010" + "2"),
+    (make("fp-softmax", t=4, e=7)[0], "0" * 14 + " ", "0" * 15),
+    (make("fx-simple", m=5)[0], "0a010", "00010"),
+    # y_2 and z_2 are read by no rule, so no row lookup sees them.
+    (replace(build_toy_spec(), m=2).validate(), "12", "10"),
+], ids=["fp-linear", "fx-tight", "fp-softmax", "fx-simple", "unread"])
+def test_encode_rejects_characters_that_are_not_bits(spec, y, z):
+    with pytest.raises(ValueError, match="bit strings"):
+        spec.encode(y, z)

@@ -67,3 +67,35 @@ def test_weights_that_cannot_run_are_rejected_at_import(
         assert code == 1
         assert out == ""
         assert message in err
+
+
+def test_protocol_input_that_is_not_bits_is_a_usage_error(run_cli):
+    code, out, err = run_cli("protocol", "--construction", "fx-tight",
+                             "--m", "7", "--y", "01x1010", "--z", "0101010")
+    assert code == 2
+    assert out == ""
+    assert "bit strings" in err
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (("quantize", "--construction", "fx-tight", "--m", "5",
+      "--formats", "int8", "--count", "0"), "--count"),
+    (("quantize", "--construction", "fx-tight", "--m", "5",
+      "--formats", "int8", "--count", "-1"), "--count"),
+    (("protocol", "--construction", "fx-tight", "--m", "5",
+      "--count", "0"), "--count"),
+    (("protocol", "--construction", "fx-tight", "--m", "5",
+      "--count", "-3"), "--count"),
+    (("verify", "--construction", "fx-tight", "--m", "5",
+      "--samples", "-5"), "--samples"),
+    (("sweep", "--construction", "fp-linear", "--t", "4", "--e", "3",
+      "--samples", "-2"), "--samples"),
+], ids=["quantize-0", "quantize-neg", "protocol-0", "protocol-neg",
+        "verify-samples", "sweep-samples"])
+def test_counts_out_of_range_are_usage_errors(run_cli, argv, flag):
+    """A count below 1, or a negative sample count, used to crash, report
+    0/0 transcripts, or quietly verify only the adversarial pairs."""
+    code, out, err = run_cli(*argv)
+    assert code == 2
+    assert out == ""
+    assert flag in err

@@ -1,4 +1,4 @@
-"""The fold's step tables against fresh bounded additions.
+"""The kernel's memo tables against fresh bounded arithmetic.
 
 attn._Steps interns one canonical scalar per full representation of a fold
 format and memoises the bounded add over canonical (state, term) pairs.  A
@@ -7,16 +7,34 @@ its inexact flag, for random small formats under both rounding policies;
 Inf - Inf must raise on every visit and leave nothing behind; a pass that
 repeats earlier steps must add nothing; and every id the table keys on must
 be one of its own live canonical objects.
+
+The tail's tables, the W^V scale keyed by the fold value and the MLP keyed
+by the attention output, obey the same rules: equal to fresh arithmetic,
+no stored error, no trace sharing a mutable list, bounded by STEP_LIMIT.
+A verify run pins the adds and MLP evaluations the memos leave.
 """
 
 import gc
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from conftest import build_toy_spec
 from eqattn import attn
-from eqattn.attn import OFF, _rep, _Steps, fold, token_cells
+from eqattn.attn import (
+    OFF,
+    MlpSpec,
+    _rep,
+    _Steps,
+    _wrap_exact,
+    fold,
+    forward,
+    mlp_eval,
+    scale_numerator,
+    token_cells,
+)
 from eqattn.bitnum import (
     NEAREST,
     TRUNC,
@@ -27,8 +45,10 @@ from eqattn.bitnum import (
     IndeterminateForm,
     _neg,
     fp_add,
+    fp_mul,
     fp_round,
     fx_add,
+    fx_mul,
     fx_round,
 )
 from eqattn.constructs import make
@@ -256,3 +276,112 @@ def test_wide_format_tables_stay_bounded():
     built = sum(len(c) for c in comp.cells)
     assert max(peak) >= attn.STEP_LIMIT - 4   # at least one table filled
     assert max(peak) <= attn.STEP_LIMIT + 4 + 3 * built
+
+
+def _dyadic(rng):
+    return Fraction(rng.choice((-1, 1)) * rng.randrange(1, 8),
+                    1 << rng.randrange(4))
+
+
+def _tail_spec(rng, fmt):
+    """The toy head with every stage in fmt, a random W^V scale and a
+    random MLP, all dyadic."""
+    mlp = MlpSpec(w1=(_dyadic(rng), _dyadic(rng)),
+                  b1=(_dyadic(rng), _dyadic(rng)),
+                  w2=(_dyadic(rng), _dyadic(rng)), b2=_dyadic(rng))
+    return replace(build_toy_spec(), fold_fmt=fmt, num_fmt=fmt, den_fmt=fmt,
+                   out_fmt=fmt, wv=(0, 0, _dyadic(rng)), mlp=mlp).validate()
+
+
+def _outcome(fn, *args):
+    """fn's result as full representations, or the type of its error."""
+    try:
+        got = fn(*args)
+    except ArithmeticError as exc:
+        return type(exc)
+    return [[_rep(v) for v in vs] if isinstance(vs, (list, tuple))
+            else _rep(vs) for vs in got]
+
+
+def test_memoised_scale_and_mlp_equal_fresh_evaluations(monkeypatch):
+    """Two passes over every operand, the second from the tables, each
+    against a fresh fx_mul / fp_mul and a fresh mlp_eval."""
+    rng = random.Random(0x59)
+    evals = _counting(monkeypatch, "mlp_eval")
+    raised = 0
+    for fmt in _formats(rng):
+        spec = _tail_spec(rng, fmt)
+        mul = fx_mul if isinstance(fmt, FxFormat) else fp_mul
+        scale = _wrap_exact(spec.wv[2], fmt)
+        pool = _operands(rng, fmt)
+        for again in (False, True):
+            evals[0] = 0
+            for v in pool:
+                assert _outcome(lambda: [scale_numerator(spec, v)]) == \
+                    _outcome(lambda: [mul(v, scale, fmt)])
+                want = _outcome(mlp_eval, spec.mlp, v, fmt)
+                before = evals[0]
+                got = _outcome(lambda: attn._head(spec, v)[:2])
+                assert got == want, (fmt, v)
+                raised += want is IndeterminateForm
+                if want is IndeterminateForm:   # raised on every visit
+                    assert evals[0] == before + 1
+            if again:   # only the errors run again
+                assert evals[0] == sum(
+                    _outcome(mlp_eval, spec.mlp, v, fmt) is IndeterminateForm
+                    for v in pool)
+        assert len(spec._compiled.mlps) <= len({_rep(v) for v in pool})
+    assert raised > 0
+
+
+def test_each_trace_gets_its_own_hidden_units():
+    spec = make("fx-tight", m=7)[0]
+    y = z = "0010100"
+    first = forward(spec, spec.encode(y, z))
+    want = [_rep(h) for h in first.hidden]
+    first.hidden[0] = first.output
+    first.hidden.append(first.sa)
+    for trace in (forward(spec, spec.encode(y, z)),
+                  ref_forward(spec, spec.encode(y, z))):
+        assert [_rep(h) for h in trace.hidden] == want
+    assert forward(spec, spec.encode(y, z)).hidden is not first.hidden
+
+
+@pytest.mark.parametrize("name,kwargs", [
+    ("fx-tight", {"m": 41}),
+    ("fp-softmax", {"t": 4, "e": 7}),
+])
+def test_tail_tables_stay_bounded_and_exact(monkeypatch, name, kwargs):
+    limit = 8
+    monkeypatch.setattr(attn, "STEP_LIMIT", limit)
+    spec = make(name, **kwargs)[0]
+    comp = spec._compiled
+    cleared = [False, False]
+    for x in _wide_sequences(spec, random.Random(0x5A), 60):
+        before = [len(comp.scaled), len(comp.mlps)]
+        got, want = forward(spec, x), ref_forward(spec, x)
+        assert got.bit == want.bit
+        for a, b in ((got.numerator, want.numerator), (got.sa, want.sa),
+                     (got.output, want.output)):
+            assert _rep(a) == _rep(b)
+        assert [_rep(h) for h in got.hidden] == \
+            [_rep(h) for h in want.hidden]
+        sizes = [len(comp.scaled), len(comp.mlps)]
+        assert max(sizes) <= limit
+        cleared = [c or s < b for c, s, b in zip(cleared, sizes, before)]
+    assert cleared == [True, True]
+
+
+def test_a_verify_run_pins_its_adds_and_mlp_evaluations(monkeypatch,
+                                                       run_cli):
+    """fx-tight m=7 exhaustive: the factored verifier's tables and spot
+    checks.  A change that drops a memo changes these counts: without the
+    two tail tables they are 854 adds, 864 multiplications and 166
+    evaluations.  Each evaluation makes 4 adds and 4 multiplications; the
+    other 11 multiplications are the scale table's misses."""
+    adds = _counting(monkeypatch, "fx_add")
+    muls = _counting(monkeypatch, "fx_mul")
+    evals = _counting(monkeypatch, "mlp_eval")
+    code, out, _ = run_cli("verify", "--construction", "fx-tight", "--m", "7")
+    assert code == 0 and "8256 pairs, 0 failures" in out
+    assert (adds[0], muls[0], evals[0]) == (318, 139, 32)
