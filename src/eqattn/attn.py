@@ -14,8 +14,9 @@ into the folds depends only on (position, token row).  A spec compiles
 lazily into cached per-position cells (token_cells).  One resumable kernel,
 fold, runs both folds over any range of positions from any (numerator,
 denominator) state: forward is one fold plus the divide and the MLP, the
-factored verifier folds half-spaces with it, and the one-way protocol cuts
-it at Alice's prefix and resumes it for Bob.
+factored verifier runs each fold alone over the input bits fold_reads finds
+it reading, and the one-way protocol cuts it at Alice's prefix and resumes
+it for Bob.
 
 A fold's state at any boundary is one value of its bounded format, so each
 fold step is a small finite map (state, term) -> next state.  A compiled
@@ -436,6 +437,41 @@ def token_cells(spec: TransformerSpec, x) -> list[Cell]:
     return cells
 
 
+def fold_reads(spec: TransformerSpec) -> tuple[set, set]:
+    """The input bits each fold reads: (numerator bits, denominator bits),
+    as 1-based indices counted for y and z alike.
+
+    A position's source bits count for a fold when that fold's term
+    differs, by full representation, between the cells of its rule's rows
+    under the spec's query row.  A query row that reads input bits, or a
+    row whose cell cannot be built, puts every bit in both sets.
+    """
+    comp = spec._compiled
+    every = set(range(1, spec.m + 1))
+    if comp.query is None:
+        return every, set(every)
+    rows = [row for rule in spec.embedding for row in rule.rows]
+    try:
+        cells = iter([_make_cell(spec, comp, row, logit) for row, logit in
+                      zip(rows, token_logits(spec, rows + [comp.query]))])
+    except ValueError:
+        return every, set(every)
+
+    def varies(terms):
+        return len({t if isinstance(t, ArithmeticError) else _rep(t)
+                    for t in terms}) > 1
+
+    num, den = set(), set()
+    for rule in spec.embedding:
+        mine = [next(cells) for _ in rule.rows]
+        bits = {idx for _, idx in rule.source}
+        if varies(c.num_term for c in mine):
+            num |= bits
+        if varies(c.den_term for c in mine):
+            den |= bits
+    return num, den
+
+
 OFF = "off"
 
 
@@ -645,24 +681,10 @@ def _forward(spec: TransformerSpec, x, normalize: bool) -> EvalTrace:
     return trace
 
 
-def forward_softmax(spec: TransformerSpec, x) -> EvalTrace:
-    """Normalized attention: numerator fold, denominator fold, divide, MLP."""
-    if spec.attention_kind != SOFTMAX:
-        raise ValueError("spec is not a softmax construction")
-    return _forward(spec, x, normalize=True)
-
-
-def forward_linear(spec: TransformerSpec, x) -> EvalTrace:
-    """Unnormalized attention: the weight fold only, then the MLP."""
-    if spec.attention_kind != LINEAR:
-        raise ValueError("spec is not a linear construction")
-    return _forward(spec, x, normalize=False)
-
-
 def forward(spec: TransformerSpec, x) -> EvalTrace:
-    if spec.attention_kind == SOFTMAX:
-        return forward_softmax(spec, x)
-    return forward_linear(spec, x)
+    """The whole head: numerator fold, the denominator fold and divide for
+    softmax attention, then the MLP."""
+    return _forward(spec, x, spec.attention_kind == SOFTMAX)
 
 
 def spec_to_payload(spec: TransformerSpec) -> dict:

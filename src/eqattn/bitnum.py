@@ -399,22 +399,6 @@ def fp_round(value, fmt: FpFormat) -> FpNum:
     return _fp_round_dyadic(sign, sig, exp2, fmt)
 
 
-def fx_representable(value, fmt: FxFormat) -> bool:
-    sign, sig, exp2 = _to_sig_exp(value)
-    if sig == 0:
-        return True
-    return _nbits(sig, exp2 - fmt.scale_log2) <= fmt.budget
-
-
-def fp_representable(value, fmt: FpFormat) -> bool:
-    sign, sig, exp2 = _to_sig_exp(value)
-    if sig == 0:
-        return True
-    if sig.bit_length() > fmt.t:
-        return False
-    return abs(sig.bit_length() - 1 + exp2) <= fmt.q
-
-
 def _add_exact(a, b) -> tuple[int, int, int]:
     """Exact sum of two finite numbers as (sign, sig, exp2)."""
     if a.sig == 0 or a.kind == _ZERO:
@@ -426,12 +410,6 @@ def _add_exact(a, b) -> tuple[int, int, int]:
     sign = 1 if total >= 0 else -1
     sig, e = _canon(abs(total), e)
     return sign, sig, e
-
-
-def _neg(x):
-    if x.is_inf:
-        return type(x).inf(-x.sign, x.fmt)
-    return type(x)(x.fmt, x.kind, -x.sign, x.sig, x.exp2, x.inexact)
 
 
 def _add(a, b, fmt, rounder, make_inf):
@@ -457,10 +435,6 @@ def _mul(a, b, fmt, rounder, make_inf):
 
 def fx_add(a: FxNum, b: FxNum, fmt: FxFormat) -> FxNum:
     return _add(a, b, fmt, _fx_round_dyadic, FxNum.inf)
-
-
-def fx_sub(a: FxNum, b: FxNum, fmt: FxFormat) -> FxNum:
-    return fx_add(a, _neg(b), fmt)
 
 
 def fx_mul(a: FxNum, b: FxNum, fmt: FxFormat) -> FxNum:
@@ -495,10 +469,6 @@ def fx_sum_left(values, fmt: FxFormat) -> FxNum:
 
 def fp_add(a: FpNum, b: FpNum, fmt: FpFormat) -> FpNum:
     return _add(a, b, fmt, _fp_round_dyadic, FpNum.inf)
-
-
-def fp_sub(a: FpNum, b: FpNum, fmt: FpFormat) -> FpNum:
-    return fp_add(a, _neg(b), fmt)
 
 
 def fp_mul(a: FpNum, b: FpNum, fmt: FpFormat) -> FpNum:
@@ -552,19 +522,6 @@ class Logit:
     @property
     def is_neg_large(self) -> bool:
         return self.coeff is None
-
-
-def exp_logit(logit: Logit, fmt: FxFormat | FpFormat):
-    """2 ** coeff rounded into fmt; the neg-large sentinel gives exact zero."""
-    zero = FxNum.zero if isinstance(fmt, FxFormat) else FpNum.zero
-    if logit.is_neg_large:
-        return zero(fmt)
-    if logit.coeff.denominator != 1:
-        raise NonDyadicLogit(f"logit coefficient {logit.coeff} is not an integer")
-    k = int(logit.coeff)
-    if isinstance(fmt, FxFormat):
-        return _fx_round_dyadic(1, 1, k, fmt)
-    return _fp_round_dyadic(1, 1, k, fmt)
 
 
 def exp_logit_exact(logit: Logit) -> Fraction:

@@ -70,13 +70,6 @@ class FoolingReport:
         return max(k, 0)
 
 
-@dataclass(frozen=True)
-class PigeonholeWitness:
-    y1: str
-    y2: str
-    z: str
-
-
 def default_split(spec: TransformerSpec) -> tuple:
     """The proofs' prefix: the longest run of leading tokens whose rows
     read no z bit, so Alice can embed them from y alone."""
@@ -111,21 +104,15 @@ def bit_cost(spec: TransformerSpec) -> int:
 
 
 def run_protocol(spec: TransformerSpec, inst: EqInstance,
-                 kind: str | None = None, s=None) -> ProtocolRun:
+                 s=None) -> ProtocolRun:
     """Simulate the one-way protocol and return its transcript.
 
     Alice evaluates the bounded folds over the prefix s (default: the
     construction's y-tokens), sends the partials; Bob resumes and answers.
     """
-    if kind is None:
-        kind = spec.attention_kind
-    if kind != spec.attention_kind:
-        raise ValueError(
-            f"protocol kind {kind!r} does not match the spec's "
-            f"{spec.attention_kind!r} attention")
     split = default_split(spec) if s is None else tuple(sorted(s))
     k = _prefix_len(spec, split)
-    linear = kind == LINEAR
+    linear = spec.attention_kind == LINEAR
     cost = bit_cost(spec)
 
     cells = token_cells(spec, spec.encode(inst.y, inst.z))
@@ -173,25 +160,3 @@ def enumerate_fooling(m: int, e: int) -> FoolingReport:
     bound = (count - 1).bit_length()
     return FoolingReport(m=m, e=e, enumerated=count, formula=formula,
                          bound=bound)
-
-
-def verify_pigeonhole(m: int, message=None) -> PigeonholeWitness | None:
-    """Find two y-strings with the same sub-m-bit message and a z telling
-    them apart, demonstrating the counting core of the lower bound.
-
-    The default message truncates y to its first m-1 bits.  Returns None
-    when the message function is injective (pigeonhole vacuous).
-    """
-    if m > 20:
-        raise BudgetExceeded(f"2^{m} strings is past the m <= 20 budget")
-    if message is None:
-        def message(y):
-            return y[:m - 1]
-    seen = {}
-    for v in range(1 << m):
-        y = format(v, f"0{m}b")
-        msg = message(y)
-        if msg in seen:
-            return PigeonholeWitness(y1=seen[msg], y2=y, z=y)
-        seen[msg] = y
-    return None

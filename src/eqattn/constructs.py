@@ -19,9 +19,7 @@ positions the table fills.
   Accepts when the attention output equals a fixed rounded constant.
 
 The builders check at build time that every attention-weight times value
-product any token can produce is exactly representable in the fold format,
-and (for the fixed-point pair) that the numerator depends only on first-half
-bits and the denominator only on second-half bits.
+product any token can produce is exactly representable in the fold format.
 """
 
 from __future__ import annotations
@@ -285,27 +283,6 @@ def _assert_products_exact(spec: TransformerSpec, keep=None):
                     f"representable in the fold format")
 
 
-def _assert_half_split(spec: TransformerSpec, first_half: int):
-    """Numerator-active rules may read only first-half bits, key-varying
-    (denominator-shaping) rules only second-half bits.  The factored
-    verifier relies on this split."""
-    col, _ = spec.value_column()
-    for pos, rule in enumerate(spec.embedding):
-        num_active = any(row[col] for row in rule.rows)
-        den_active = len({row[1] for row in rule.rows}) > 1
-        for _, idx in rule.source:
-            if num_active and idx > first_half:
-                raise RuntimeError(
-                    f"builder invariant: value at position "
-                    f"{spec.index_base + pos} depends on second-half bit "
-                    f"{idx}")
-            if den_active and idx <= first_half:
-                raise RuntimeError(
-                    f"builder invariant: weight at position "
-                    f"{spec.index_base + pos} depends on first-half bit "
-                    f"{idx}")
-
-
 def _build_t0(m: int, n: int | None):
     if m % 2 == 0 or m < 3:
         raise UnsupportedM(f"fx-simple needs odd m >= 3, got m = {m}")
@@ -357,7 +334,6 @@ def _build_t0(m: int, n: int | None):
                     w2=(-(1 << k), -(1 << k)), b2=1),
         index_base=1,
     ).validate()
-    _assert_half_split(spec, k)
     _assert_products_exact(spec)
     return spec, tbl.steps
 
@@ -430,7 +406,6 @@ def _build_t1(m: int, n: int | None):
                     w2=(-(1 << (k - 1)), -(1 << (k - 1))), b2=1),
         index_base=-1,
     ).validate()
-    _assert_half_split(spec, k)
     _assert_products_exact(spec)
     return spec, tbl.steps
 

@@ -3,14 +3,15 @@
 Verification enumerates (or samples) promise-satisfying pairs with the one
 pair enumerator, promise_pairs, which the protocol command shares; runs the
 bounded-precision forward pass, and compares the answer bit against string
-equality.  For the fixed-point constructions the numerator provably depends
-only on first-half bits and the denominator only on second-half bits, so the
-exhaustive verifier runs the attention kernel's numerator fold alone over
-every first-half pair and its denominator fold alone over every second-half
-pair, buckets the distinct fold values, and combines the buckets; this cuts
-the m=13 run from 3.4e7 forward passes to a few thousand folds plus a cheap
-cross product.  Every reported failure is re-evaluated with a direct
-forward pass before it is believed.
+equality.  An exhaustive run factors where the compiled spec allows it:
+fold_split derives from the cells which input bits each fold reads, and when
+the numerator reads only bits up to some s and the denominator only bits
+after it, the verifier runs the attention kernel's numerator fold alone over
+every pair of leading fields and its denominator fold alone over every pair
+of trailing fields, buckets the distinct fold values, and combines the
+buckets; this cuts the fx-tight m=13 run from 3.4e7 forward passes to a few
+thousand folds plus a cheap cross product.  Every reported failure is
+re-evaluated with a direct forward pass before it is believed.
 """
 
 from __future__ import annotations
@@ -20,25 +21,25 @@ import random
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from itertools import islice, product
 
 from .attn import (
     OFF,
+    SOFTMAX,
     TransformerSpec,
     finish_softmax,
     fold,
+    fold_reads,
     forward,
     scale_numerator,
     token_cells,
 )
 from .bitnum import FpFormat, FxFormat, IndeterminateForm
 from .constructs import (
+    _FLAGS,
     EqInstance,
     PromiseSet,
-    T0,
-    T1,
-    _assert_half_split,
     float_fields,
-    half_len,
     make,
     native_precision,
 )
@@ -183,16 +184,14 @@ def _bits(v: int, width: int) -> str:
     return format(v, f"0{width}b")
 
 
-def _value_inf(v) -> bool:
-    return v is not None and v.is_inf
+def _any_inf(*values) -> bool:
+    return any(v is not None and v.is_inf for v in values)
 
 
 def trace_saturated(trace) -> bool:
     """Whether the run saturated anywhere or hit an indeterminate form."""
-    if getattr(trace, "indeterminate", False):
-        return True
-    return any(_value_inf(v) for v in (trace.numerator, trace.denominator,
-                                       trace.sa, trace.output))
+    return getattr(trace, "indeterminate", False) or _any_inf(
+        trace.numerator, trace.denominator, trace.sa, trace.output)
 
 
 def _eval_pairs(spec, pairs):
@@ -281,6 +280,25 @@ def _direct_exhaustive(spec, promises, cap, jobs):
 _NAN = "nan"
 
 
+def fold_split(spec: TransformerSpec, promises: PromiseSet) -> int | None:
+    """Where an exhaustive run factors: the last input bit the numerator
+    fold reads, when every bit the denominator fold reads comes after it
+    (fold_reads); else None.
+
+    Only a softmax head has two folds to split, and only a promise whose
+    flags all constrain the pair as a whole (length, y <= z) admits every
+    pair the factored enumeration counts.
+    """
+    if spec.attention_kind != SOFTMAX or \
+            any(_FLAGS[f][1] != "pair" for f in promises.flags):
+        return None
+    num, den = fold_reads(spec)
+    if not num:
+        return None
+    s = max(num)
+    return s if s < min(den, default=spec.m) else None
+
+
 def _fold_value(spec, y, z, state):
     """One fold of the kernel over the pair's whole sequence, started from
     state: the scaled numerator or the denominator, _NAN when it hits an
@@ -293,91 +311,74 @@ def _fold_value(spec, y, z, state):
         return _NAN
 
 
-def _half_tables(spec, first, second):
-    """Numerator values over first-half pairs and denominator values over
-    second-half pairs, bucketed by distinct fold value and order relation."""
-    num_buckets = {}
-    pad = "0" * second
-    for a in range(1 << first):
-        ya = _bits(a, first)
-        for b in range(a, 1 << first):
-            num = _fold_value(spec, ya + pad, _bits(b, first) + pad,
-                              (None, OFF))
-            key = (num, "eq" if a == b else "lt")
-            cnt, examples = num_buckets.setdefault(key, [0, []])
-            num_buckets[key][0] = cnt + 1
-            if len(examples) < FAILURE_LIST_CAP:
-                examples.append((a, b))
-    den_buckets = {}
-    lead = "0" * first
-    for c in range(1 << second):
-        zc = _bits(c, second)
-        for d in range(1 << second):
-            den = _fold_value(spec, lead + zc, lead + _bits(d, second),
-                              (OFF, None))
-            rel = "eq" if c == d else ("lt" if c < d else "gt")
-            key = (den, rel)
-            cnt, examples = den_buckets.setdefault(key, [0, []])
-            den_buckets[key][0] = cnt + 1
-            if len(examples) < FAILURE_LIST_CAP:
-                examples.append((c, d))
-    return num_buckets, den_buckets
+def _buckets(spec, pairs, width, lead, trail, state):
+    """One fold's value over the (a, b) pairs of width-bit fields, placed
+    between the constant lead and trail bits of y and of z, bucketed by
+    (value, order of a against b): count and the first listed pairs."""
+    buckets = {}
+    for a, b in pairs:
+        value = _fold_value(spec, lead + _bits(a, width) + trail,
+                            lead + _bits(b, width) + trail, state)
+        bucket = buckets.setdefault((value, (a > b) - (a < b)), [0, []])
+        bucket[0] += 1
+        if len(bucket[1]) < FAILURE_LIST_CAP:
+            bucket[1].append((a, b))
+    return buckets
 
 
-def _factored_exhaustive(spec, cap, rng):
-    """Exhaustive verification using the half-split structure.
+def _factored_exhaustive(spec, s, cap, rng):
+    """Exhaustive verification split after input bit s (fold_split).
 
-    Returns (total, collector).  A random sample of combined verdicts is
+    The numerator fold reads no bit past s and the denominator fold none up
+    to s, so each is folded alone over its own pairs of fields: y[:s] <=
+    z[:s] for the numerator, every pair of tails for the denominator.
+    Their buckets combine into every pair y <= z.  Returns (total,
+    collector, inf count).  A random sample of combined verdicts is
     re-checked against direct forward passes, as is every failure.
     """
     m = spec.m
-    first = half_len(m)
-    second = m - first
-    _assert_half_split(spec, first)
+    second = m - s
     expected_total = (1 << (m - 1)) * ((1 << m) + 1)
     if expected_total > cap:
         raise BudgetExceeded(
             f"{expected_total} promise pairs exceed the cap of {cap}")
-    num_buckets, den_buckets = _half_tables(spec, first, second)
+    heads = range(1 << s)
+    num_buckets = _buckets(spec, ((a, b) for a in heads for b in heads[a:]),
+                           s, "", "0" * second, (None, OFF))
+    den_buckets = _buckets(spec, product(range(1 << second), repeat=2),
+                           second, "0" * s, "", (OFF, None))
 
     coll = _Collector()
     total = 0
     inf_total = 0
     for (num, rel1), (cnt1, ex1) in num_buckets.items():
         for (den, rel2), (cnt2, ex2) in den_buckets.items():
-            if rel1 == "eq" and rel2 == "gt":
+            if rel1 == 0 and rel2 > 0:
                 continue  # would violate y <= z
-            expected = 1 if (rel1, rel2) == ("eq", "eq") else 0
+            expected = int(rel1 == rel2 == 0)
             if num is _NAN or den is _NAN:
                 bit = 0
                 combo_inf = True
             else:
                 bit, sa, out = finish_softmax(spec, num, den)
-                combo_inf = (sa is None or _value_inf(num)
-                             or _value_inf(den) or _value_inf(sa)
-                             or _value_inf(out))
+                combo_inf = sa is None or _any_inf(num, den, sa, out)
             total += cnt1 * cnt2
             if combo_inf:
                 inf_total += cnt1 * cnt2
             if bit == expected:
                 continue
             coll.count += cnt1 * cnt2
-            for a, b in ex1:
-                for c, d in ex2:
-                    if len(coll.listed) >= FAILURE_LIST_CAP:
-                        break
-                    y = _bits(a, first) + _bits(c, second)
-                    z = _bits(b, first) + _bits(d, second)
-                    trace = forward(spec, spec.encode(y, z))
-                    if trace.bit != bit:
-                        raise RuntimeError(
-                            "factored and direct evaluation disagree at "
-                            f"y={y} z={z}")
-                    coll.listed.append(
-                        Failure(y, z, expected, bit, _digest(trace)))
-                else:
-                    continue
-                break
+            room = FAILURE_LIST_CAP - len(coll.listed)
+            for (a, b), (c, d) in islice(product(ex1, ex2), room):
+                y = _bits(a, s) + _bits(c, second)
+                z = _bits(b, s) + _bits(d, second)
+                trace = forward(spec, spec.encode(y, z))
+                if trace.bit != bit:
+                    raise RuntimeError(
+                        "factored and direct evaluation disagree at "
+                        f"y={y} z={z}")
+                coll.listed.append(
+                    Failure(y, z, expected, bit, _digest(trace)))
     if total != expected_total:
         raise RuntimeError(
             f"factored enumeration covered {total} pairs, expected "
@@ -401,12 +402,13 @@ def _factored_exhaustive(spec, cap, rng):
 def verify_exhaustive_spec(spec: TransformerSpec, promises: PromiseSet,
                            construction: str, jobs: int = 1,
                            cap: int = PAIR_CAP_DEFAULT) -> VerifyReport:
-    """Exhaustively verify an already-built (possibly modified) spec."""
+    """Exhaustively verify an already-built (possibly modified) spec,
+    factored where fold_split finds a split and pair by pair otherwise."""
     start = time.monotonic()
-    factorable = promises.variant in (T0, T1)
-    if factorable:
+    s = fold_split(spec, promises)
+    if s is not None:
         rng = random.Random(f"{construction}:{spec.m}:exhaustive")
-        total, coll, inf_total = _factored_exhaustive(spec, cap, rng)
+        total, coll, inf_total = _factored_exhaustive(spec, s, cap, rng)
     else:
         total, coll, inf_total = _direct_exhaustive(spec, promises, cap, jobs)
     t, e = float_fields(spec)

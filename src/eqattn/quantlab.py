@@ -453,8 +453,8 @@ def eval_accuracy(spec: TransformerSpec, ds: Dataset, promises=None,
 
 
 def sweep(source, formats, ms=None, count: int = 5120, seed: int = 0, *,
-          promises=None, exhaustive: bool = False, jobs: int = 1,
-          timing: bool = False) -> QuantReport:
+          promises=None, exhaustive: bool = False,
+          jobs: int = 1) -> QuantReport:
     """Quantize a subject to each format and measure accuracy.
 
     source is a construction name (swept over ms, whose entries are m for

@@ -14,8 +14,6 @@ from eqattn.attn import (
     TokenRule,
     finish_softmax,
     forward,
-    forward_linear,
-    forward_softmax,
     mlp_eval,
     relu,
     spec_from_payload,
@@ -57,13 +55,6 @@ class TestForward:
         assert len(trace.num_terms) == n_tokens
         assert trace.num_partials[-1] == trace.numerator
         assert trace.den_partials[-1] == trace.denominator
-
-    def test_kind_dispatch_guards(self, toy_spec):
-        with pytest.raises(ValueError):
-            forward_linear(toy_spec, toy_spec.encode("0", "0"))
-        linear = replace(toy_spec, attention_kind=LINEAR)
-        with pytest.raises(ValueError):
-            forward_softmax(linear, linear.encode("0", "0"))
 
     def test_linear_kind_skips_normalization(self, toy_spec):
         """With linear attention the raw numerator goes to the MLP, so the

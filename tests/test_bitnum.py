@@ -19,21 +19,16 @@ from eqattn.bitnum import (
     NonDyadicLogit,
     decode_scalar,
     encode_scalar,
-    exp_logit,
     exp_logit_exact,
     fp_add,
     fp_div,
     fp_mul,
-    fp_representable,
     fp_round,
-    fp_sub,
     fp_sum_left,
     fx_add,
     fx_div,
     fx_mul,
-    fx_representable,
     fx_round,
-    fx_sub,
     fx_sum_left,
     parse_format,
 )
@@ -111,7 +106,7 @@ class TestFormatObjects:
 class TestValueSets:
     def test_fx_grid_round_trips(self):
         """Every enumerated representable value survives rounding exactly
-        and is flagged representable; the grid's extremes match the format
+        and is flagged exact; the grid's extremes match the format
         bounds."""
         for fmt in FX_FORMATS:
             values = gridref.fx_values(fmt)
@@ -121,7 +116,6 @@ class TestValueSets:
                 got = fx_round(v, fmt)
                 assert got.is_finite and got.as_fraction() == v
                 assert not got.inexact
-                assert fx_representable(v, fmt)
 
     def test_fp_grid_round_trips(self):
         for fmt in FP_FORMATS:
@@ -131,14 +125,14 @@ class TestValueSets:
             for v in values:
                 got = fp_round(v, fmt)
                 assert got.is_finite and got.as_fraction() == v
-                assert fp_representable(v, fmt)
+                assert not got.inexact
 
     def test_off_grid_is_not_representable(self):
         fmt = FxFormat(4)
         values = set(gridref.fx_values(fmt))
         assert Fraction(9, 2) not in values
-        assert not fx_representable(Fraction(9, 2), fmt)
-        assert not fp_representable(Fraction(9, 2), FpFormat(2, 3))
+        assert fx_round(Fraction(9, 2), fmt).inexact
+        assert fp_round(Fraction(9, 2), FpFormat(2, 3)).inexact
 
 
 class TestRoundingDifferential:
@@ -244,8 +238,8 @@ class TestHalfUlpBound:
 
 class TestArithmetic:
     def test_fx_ops_round_the_exact_result_once(self):
-        """Add, subtract, multiply and divide behave as the exact rational
-        operation followed by one rounding."""
+        """Add, multiply and divide behave as the exact rational operation
+        followed by one rounding."""
         rng = random.Random(0xC1)
         fmt = FxFormat(5, scale_log2=-1)
         for _ in range(2500):
@@ -256,8 +250,6 @@ class TestArithmetic:
             af, bf = a.as_fraction(), b.as_fraction()
             assert gridref.unwrap(fx_add(a, b, fmt)) == \
                 gridref.fx_round_ref(af + bf, fmt)
-            assert gridref.unwrap(fx_sub(a, b, fmt)) == \
-                gridref.fx_round_ref(af - bf, fmt)
             assert gridref.unwrap(fx_mul(a, b, fmt)) == \
                 gridref.fx_round_ref(af * bf, fmt)
             if bf != 0:
@@ -275,8 +267,6 @@ class TestArithmetic:
             af, bf = a.as_fraction(), b.as_fraction()
             assert gridref.unwrap(fp_add(a, b, fmt)) == \
                 gridref.fp_round_ref(af + bf, fmt)
-            assert gridref.unwrap(fp_sub(a, b, fmt)) == \
-                gridref.fp_round_ref(af - bf, fmt)
             assert gridref.unwrap(fp_mul(a, b, fmt)) == \
                 gridref.fp_round_ref(af * bf, fmt)
             if bf != 0:
@@ -372,20 +362,13 @@ class TestFolds:
 
 class TestLogits:
     def test_exp_logit_is_a_power_of_two(self):
-        fmt = FxFormat(6)
         for k in range(-6, 6):
-            got = exp_logit(Logit.of(k), fmt)
-            want = gridref.fx_round_ref(Fraction(2) ** k, fmt)
-            assert gridref.unwrap(got) == want
             assert exp_logit_exact(Logit.of(k)) == Fraction(2) ** k
 
     def test_neg_large_sentinel_is_exact_zero(self):
-        assert exp_logit(Logit.neg_large(), FxFormat(4)).is_zero
         assert exp_logit_exact(Logit.neg_large()) == 0
 
     def test_non_integer_coefficient_rejected(self):
-        with pytest.raises(NonDyadicLogit):
-            exp_logit(Logit.of(Fraction(1, 2)), FxFormat(4))
         with pytest.raises(NonDyadicLogit):
             exp_logit_exact(Logit.of(Fraction(3, 2)))
 

@@ -12,7 +12,6 @@ from eqattn.commsim import (
     default_split,
     enumerate_fooling,
     run_protocol,
-    verify_pigeonhole,
 )
 from eqattn.constructs import EqInstance, make, native_precision
 from eqattn.oracle import BudgetExceeded
@@ -90,11 +89,6 @@ class TestProtocol:
             run_protocol(spec, EqInstance("00000", "00000"),
                          s=range(-1, 40))
 
-    def test_kind_mismatch_is_rejected(self):
-        spec, _ = make("fx-tight", m=5)
-        with pytest.raises(ValueError, match="kind"):
-            run_protocol(spec, EqInstance("00000", "00000"), kind="linear")
-
 
 class TestFooling:
     def test_small_set_recounted_independently(self):
@@ -148,18 +142,3 @@ class TestFooling:
         with pytest.raises(BudgetExceeded):
             enumerate_fooling(25, 3)
 
-
-class TestPigeonhole:
-    def test_truncated_messages_collide(self):
-        witness = verify_pigeonhole(4)
-        assert witness is not None
-        assert witness.y1 != witness.y2
-        assert witness.y1[:3] == witness.y2[:3]
-        assert witness.z == witness.y2
-
-    def test_injective_messages_have_no_witness(self):
-        assert verify_pigeonhole(4, message=lambda y: y) is None
-
-    def test_budget_guard(self):
-        with pytest.raises(BudgetExceeded):
-            verify_pigeonhole(21)

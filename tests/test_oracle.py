@@ -1,23 +1,34 @@
 """Exhaustive and sampled verification against ground-truth equality."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from eqattn import oracle
-from eqattn.attn import forward
+from conftest import build_toy_spec
+from eqattn.attn import TokenRule, fold_reads, forward
 from eqattn.bitnum import FpFormat, FxFormat
-from eqattn.constructs import EqInstance, make, native_precision
+from eqattn.constructs import (
+    EqInstance,
+    PromiseSet,
+    half_len,
+    make,
+    native_precision,
+)
 from eqattn.oracle import (
     BudgetExceeded,
     eq_truth,
+    fold_split,
     precision_delta_spec,
+    promise_pairs,
     to_csv,
     trace_saturated,
     verify_exhaustive,
     verify_exhaustive_spec,
     verify_sampled,
 )
+from eqattn.quantlab import parse_quant_format, quantize_spec
 
 
 class TestTruth:
@@ -108,6 +119,91 @@ class TestExhaustive:
             verify_exhaustive("fp-softmax", t=4, e=7)
         with pytest.raises(BudgetExceeded):
             verify_exhaustive("fp-linear", t=4, e=3, cap=10)
+
+
+
+def _with_rows(spec, source, row_fn):
+    """The spec with the rule reading exactly source given new rows."""
+    embedding = [TokenRule(rule.source, tuple(map(row_fn, rule.rows)))
+                 if rule.source == source else rule
+                 for rule in spec.embedding]
+    assert embedding != spec.embedding
+    return replace(spec, embedding=embedding).validate()
+
+
+def _both_paths(spec, promises):
+    """(total, failures, saturated) from verify_exhaustive_spec and from
+    the direct pair-by-pair path."""
+    rep = verify_exhaustive_spec(spec, promises, "fx-tight")
+    tot, coll, inf = oracle._direct_exhaustive(spec, promises, 10 ** 8, 1)
+    return (rep.total, rep.failure_count, rep.inf_count), (tot, coll.count,
+                                                           inf)
+
+
+class TestFoldSplit:
+    def test_fixed_point_heads_split_at_the_half(self):
+        """The numerator reads bits 1..ceil(m/2) and the denominator the
+        rest, on the built heads and on their quantizations."""
+        subjects = [make("fx-tight", m=m) for m in range(5, 17, 2)]
+        subjects += [make("fx-simple", m=m) for m in range(3, 15, 2)]
+        for m in (7, 9):
+            spec, promises = make("fx-tight", m=m)
+            subjects += [(quantize_spec(spec, parse_quant_format(f)),
+                          promises) for f in ("int6", "int8", "fp8_e4m3")]
+        for spec, promises in subjects:
+            k = half_len(spec.m)
+            assert fold_split(spec, promises) == k
+        for spec, _ in subjects[:12]:
+            k = half_len(spec.m)
+            assert fold_reads(spec) == (set(range(1, k + 1)),
+                                        set(range(k + 1, spec.m + 1)))
+
+    def test_no_split_without_two_ordered_folds(self):
+        """Linear heads have one fold; fp-softmax's folds share bits 10-12;
+        the one-bit toy head's denominator reads nothing after bit 1.  Under
+        fp_e2m1 a key overflows the grid, so no cell can be built and every
+        bit counts for both folds."""
+        for t, e in ((4, 3), (4, 4)):
+            assert fold_split(*make("fp-linear", t=t, e=e)) is None
+        fp, promises = make("fp-softmax", t=4, e=7)
+        assert fold_split(fp, promises) is None
+        num, den = fold_reads(fp)
+        assert (max(num), min(den)) == (12, 10)
+        assert fold_split(fp, PromiseSet("T1")) is None
+        assert fold_split(build_toy_spec(), PromiseSet("T1")) is None
+        tight, promises = make("fx-tight", m=7)
+        broken = quantize_spec(tight, parse_quant_format("fp_e2m1"))
+        assert fold_reads(broken) == (set(range(1, 8)), set(range(1, 8)))
+        assert fold_split(broken, promises) is None
+
+    def test_valueless_bit_moves_the_split(self):
+        """With y4 and z4 carrying value 0 the numerator stops at bit 3,
+        and the split there counts what the direct path counts."""
+        spec, promises = make("fx-tight", m=7)
+        for side in ("y", "z"):
+            spec = _with_rows(spec, ((side, 4),), lambda r: (r[0], r[1], 0))
+        assert fold_split(spec, promises) == 3
+        fast, direct = _both_paths(spec, promises)
+        assert fast == direct == (8256, 120, 3900)
+
+    def test_shared_bit_goes_direct(self):
+        """A value on the den-y rule at y5 puts bit 5 in both folds: no
+        split, and the report is the direct path's."""
+        spec, promises = make("fx-tight", m=7)
+        spec = _with_rows(spec, (("y", 5),), lambda r: (r[0], r[1], 1))
+        assert fold_split(spec, promises) is None
+        fast, direct = _both_paths(spec, promises)
+        assert fast == direct == (8256, 64, 5164)
+
+    def test_one_sided_flag_goes_direct(self):
+        """A flag on y alone is not a pair-wide promise, so the run counts
+        the pairs the promise admits, not every y <= z."""
+        spec, _ = make("fx-tight", m=7)
+        promises = PromiseSet("T1", flags=("m_odd", "y_le_z", "y_tail_ok"))
+        assert fold_split(spec, promises) is None
+        rep = verify_exhaustive_spec(spec, promises, "fx-tight")
+        assert rep.total == len(promise_pairs(promises, 7)) == 6208
+        assert rep.passed
 
 
 class TestSampled:

@@ -43,7 +43,6 @@ from eqattn.bitnum import (
     FxFormat,
     FxNum,
     IndeterminateForm,
-    _neg,
     fp_add,
     fp_mul,
     fp_round,
@@ -80,7 +79,7 @@ def _operands(rng, fmt, count=14):
     cls, round_, _ = _kit(fmt)
     zero = cls.zero(fmt)
     pool = [cls.inf(1, fmt), cls.inf(-1, fmt), zero,
-            cls.zero(fmt, inexact=True), _neg(zero)]
+            cls.zero(fmt, inexact=True), cls(fmt, zero.kind, -1, 0, 0)]
     for _ in range(count):
         v = round_(Fraction(rng.randrange(-40, 41), 1 << rng.randrange(5))
                    * Fraction(2) ** rng.randrange(-4, 5), fmt)
