@@ -9,9 +9,11 @@ format), the denominator is a left fold of the exact A_j with rounding after
 every addition, the division rounds once into the output format, and the MLP
 runs entirely in the output format.
 
-The query row is constant and logits are exact, so all a position feeds
-into the folds depends only on (position, token row).  A spec compiles
-lazily into cached per-position cells (token_cells).  One resumable kernel,
+The query row is constant and logits are exact, so all a token row feeds
+into the folds depends only on the row's contents, not on its position.  A
+spec compiles, on first use, a cell table: one cell per distinct row value,
+built from one token_logits call, and looked up by the id of each row the
+spec owns (token_cells).  One resumable kernel,
 fold, runs both folds over any range of positions from any (numerator,
 denominator) state: forward is one fold plus the divide and the MLP, the
 factored verifier runs each fold alone over the input bits fold_reads finds
@@ -34,7 +36,7 @@ pairs rarely repeat.  No error is ever stored, so an indeterminate form is
 raised on every visit, and each trace gets its own list of hidden units.
 These tables obey the same size limit.  encode is compiled too: each
 position holds a getter of its source bits over y + z and a map from the
-bits read to the rule's own row, so a lookup keeps the cell cache hitting
+bits read to the rule's own row, so a lookup keeps the cell table hitting
 and a character other than 0 or 1 misses it.
 """
 
@@ -200,7 +202,7 @@ class TransformerSpec:
 
     # The compiled kernel is built on first use and lives in __dict__
     # beside the fields, outside __eq__ and repr.  Assigning any attribute
-    # drops it, and so does pickling: cached cells and fold steps are keyed
+    # drops it, and so does pickling: the cell table and fold steps are keyed
     # by object identity, which a copy in another process does not share.
     @cached_property
     def _compiled(self) -> "_Compiled":
@@ -290,12 +292,11 @@ def token_logits(spec: TransformerSpec, x) -> list[Logit]:
 
 
 class Cell(NamedTuple):
-    """One token row's share of the folds at its position.  num_term is the
+    """One token row's share of the folds, at any position.  num_term is the
     weight times value rounded into fold_fmt, or the ArithmeticError that
     rounding raised, for the fold to raise on reaching it.  den_first opens
     a denominator fold; den_term is the exact weight later steps add."""
 
-    row: tuple
     logit: Logit
     weight: Fraction
     num_term: object
@@ -370,16 +371,23 @@ def _row_lookup(rule: TokenRule, m: int):
 
 
 class _Compiled:
-    """A spec's cell cache, one dict per position keyed by row id; the step
-    tables of its two folds; the memo tables of the tail (scaled keyed by
-    the numerator fold value's id, mlps by the attention output's full
-    representation); each position's row lookup for encode; and its
-    constants held in their stage formats: W^V's scale and the MLP."""
+    """A spec's cell table; the step tables of its two folds; the memo
+    tables of the tail (scaled keyed by the numerator fold value's id, mlps
+    by the attention output's full representation); each position's row
+    lookup for encode; and its constants held in their stage formats: W^V's
+    scale and the MLP.
+
+    own maps the id of every row of the embedding to (row, its cell under
+    the constant query row), or to (row, the error building that cell
+    raised); the entry keeps the row alive, so the id stays unique.  cells
+    holds the cells of own that a fold can use: not those whose num_term is
+    an error, which is raised afresh each time from a fresh cell.  Without a
+    constant query row both are empty.
+    """
 
     def __init__(self, spec: TransformerSpec):
         last = spec.embedding[-1]
         self.query = None if last.source else last.rows[0]
-        self.cells = [{} for _ in spec.embedding]
         self.num = _Steps(spec.fold_fmt)
         self.den = _Steps(spec.den_fmt)
         self.scaled = {}
@@ -390,6 +398,29 @@ class _Compiled:
         self.col, scale = spec.value_column()
         self.scale = _wrap_exact(scale, spec.num_fmt)
         self.mlp = _hold_mlp(spec.mlp, spec.out_fmt)
+        self.own = self._own_cells(spec)
+        self.cells = {key: cell for key, (_, cell) in self.own.items()
+                      if isinstance(cell, Cell)
+                      and not isinstance(cell.num_term, ArithmeticError)}
+
+    def _own_cells(self, spec):
+        """One token_logits call and one cell per distinct row value."""
+        if self.query is None:
+            return {}
+        rows = [row for rule in spec.embedding for row in rule.rows]
+        distinct = list(dict.fromkeys(rows))
+        try:
+            logits = token_logits(spec, distinct + [self.query])
+        except ValueError as exc:       # a sentinel in the query row
+            built = dict.fromkeys(distinct, exc)
+        else:
+            built = {}
+            for row, logit in zip(distinct, logits):
+                try:
+                    built[row] = _make_cell(spec, self, row, logit)
+                except ValueError as exc:   # a logit exp_logit_exact refuses
+                    built[row] = exc
+        return {id(row): (row, built[row]) for row in rows}
 
 
 def _make_cell(spec: TransformerSpec, comp: _Compiled, row,
@@ -401,40 +432,28 @@ def _make_cell(spec: TransformerSpec, comp: _Compiled, row,
             round_(w * Fraction(row[comp.col] or 0), spec.fold_fmt))
     except ArithmeticError as exc:
         term = exc
-    return Cell(row, logit, w, term, comp.den.intern(round_(w, spec.den_fmt)),
+    return Cell(logit, w, term, comp.den.intern(round_(w, spec.den_fmt)),
                 comp.den.intern(_wrap_exact(w, spec.den_fmt)))
 
 
 def token_cells(spec: TransformerSpec, x) -> list[Cell]:
     """The cell of every position of a token sequence, query row last.
 
-    Cells are cached for the spec's own rows under its own constant query
-    row and looked up by identity; a cell keeps its row alive, so the id
-    stays unique.  On any miss the logits are computed once and every
-    missing cell is built, in position order, before folding starts.
+    A sequence of the spec's own rows under its own query row reads every
+    cell from the compiled table, by row id.  Any other sequence (a copied
+    or foreign row, a copied query row, a row whose cell raised or whose
+    num_term is an error) is built uncached: its logits are computed once
+    and every cell is built, in position order, before folding starts, so
+    an error is raised at the first position that reaches it.
     """
     comp = spec._compiled
-    cache = comp.cells
-    if x[-1] is not comp.query or \
-            not len(x) == len(cache) == len(spec.embedding):
-        cache = None
-    else:
+    if x[-1] is comp.query:
         try:
-            return [cache[j][id(row)] for j, row in enumerate(x)]
+            return [comp.cells[id(row)] for row in x]
         except KeyError:
             pass
-    logits = token_logits(spec, x)
-    cells = []
-    for j, row in enumerate(x):
-        cell = None if cache is None else cache[j].get(id(row))
-        if cell is None:
-            cell = _make_cell(spec, comp, row, logits[j])
-            if cache is not None and \
-                    not isinstance(cell.num_term, ArithmeticError) and \
-                    any(r is row for r in spec.embedding[j].rows):
-                cache[j][id(row)] = cell
-        cells.append(cell)
-    return cells
+    return [_make_cell(spec, comp, row, logit)
+            for row, logit in zip(x, token_logits(spec, x))]
 
 
 def fold_reads(spec: TransformerSpec) -> tuple[set, set]:
@@ -442,32 +461,28 @@ def fold_reads(spec: TransformerSpec) -> tuple[set, set]:
     as 1-based indices counted for y and z alike.
 
     A position's source bits count for a fold when that fold's term
-    differs, by full representation, between the cells of its rule's rows
-    under the spec's query row.  A query row that reads input bits, or a
-    row whose cell cannot be built, puts every bit in both sets.
+    differs, by full representation, between the compiled cells of its
+    rule's rows; an error term differs from every other term, itself on
+    another row included.  A query row that reads input bits, or a row
+    whose cell could not be built, puts every bit in both sets.
     """
     comp = spec._compiled
     every = set(range(1, spec.m + 1))
-    if comp.query is None:
-        return every, set(every)
-    rows = [row for rule in spec.embedding for row in rule.rows]
-    try:
-        cells = iter([_make_cell(spec, comp, row, logit) for row, logit in
-                      zip(rows, token_logits(spec, rows + [comp.query]))])
-    except ValueError:
+    if comp.query is None or \
+            not all(isinstance(cell, Cell) for _, cell in comp.own.values()):
         return every, set(every)
 
     def varies(terms):
-        return len({t if isinstance(t, ArithmeticError) else _rep(t)
-                    for t in terms}) > 1
+        return len({i if isinstance(t, ArithmeticError) else _rep(t)
+                    for i, t in enumerate(terms)}) > 1
 
     num, den = set(), set()
     for rule in spec.embedding:
-        mine = [next(cells) for _ in rule.rows]
+        mine = [comp.own[id(row)][1] for row in rule.rows]
         bits = {idx for _, idx in rule.source}
-        if varies(c.num_term for c in mine):
+        if varies([c.num_term for c in mine]):
             num |= bits
-        if varies(c.den_term for c in mine):
+        if varies([c.den_term for c in mine]):
             den |= bits
     return num, den
 

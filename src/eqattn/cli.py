@@ -224,10 +224,10 @@ def cmd_protocol(cfg: RunConfig) -> int:
         return "." if v is None else encode_scalar(v)
 
     lines = []
-    listed = 0
-    matches = 0
+    total = listed = matches = 0
     costs = set()
     for y, z in pairs:
+        total += 1
         run = run_protocol(spec, EqInstance(y, z))
         ref = forward(spec, spec.encode(y, z))
         ok = run.bob_bit == ref.bit
@@ -241,14 +241,14 @@ def cmd_protocol(cfg: RunConfig) -> int:
             listed += 1
         if cfg.trace and listed <= 4:
             lines.extend("  " + ln for ln in ref.render_lines())
-    if len(pairs) > listed:
-        lines.append(f"... ({len(pairs)} transcripts, {listed} listed)")
+    if total > listed:
+        lines.append(f"... ({total} transcripts, {listed} listed)")
     cost_txt = ",".join(str(c) for c in sorted(costs))
     lines.append(
-        f"{matches}/{len(pairs)} transcripts agree with the forward pass; "
+        f"{matches}/{total} transcripts agree with the forward pass; "
         f"bit cost {cost_txt} (expected {expect_cost})")
     _emit(cfg, "\n".join(lines))
-    return 0 if matches == len(pairs) and costs == {expect_cost} else 1
+    return 0 if matches == total and costs == {expect_cost} else 1
 
 
 FOOLING_CSV_HEADER = "m,e,enumerated,formula,bound"

@@ -217,7 +217,10 @@ def _chunks(seq, k):
 
 def _eval_all(spec, pairs, jobs):
     """Evaluate pairs, split over jobs worker processes when there are
-    enough of them; returns (count, collector, inf count)."""
+    enough of them; returns (count, collector, inf count).  One job counts
+    the pairs as it consumes them, so an iterator is never held whole."""
+    if jobs > 1:
+        pairs = list(pairs)
     if jobs > 1 and len(pairs) > 1024:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(
@@ -234,15 +237,16 @@ def _eval_all(spec, pairs, jobs):
 
 def promise_pairs(promises: PromiseSet, m: int, count: int | None = None,
                   rng: random.Random | None = None,
-                  cap: int = PAIR_CAP_DEFAULT) -> list:
+                  cap: int = PAIR_CAP_DEFAULT):
     """Promise pairs (y, z) of m-bit strings, y <= z.
 
-    With count None: every pair, y ascending, then z ascending.  Each
-    promise flag constrains y, z, the length or the order alone, so y_ok,
-    z_ok and y <= z are the whole promise.  Pairs are counted from the two
-    sides first and BudgetExceeded is raised past cap before any is
-    listed.  Otherwise: count uniform draws from
-    rng, by rejection.  Each draw takes getrandbits(m) twice, swaps the two
+    With count None: an iterator over every pair, y ascending, then z
+    ascending.  Each promise flag constrains y, z, the length or the order
+    alone, so y_ok, z_ok and y <= z are the whole promise.  Pairs are
+    counted from the two sides first and BudgetExceeded is raised past cap
+    on the call, before any is made; they are then made one at a time, as
+    they are consumed.  Otherwise: a list of count uniform draws from rng,
+    by rejection.  Each draw takes getrandbits(m) twice, swaps the two
     into order and keeps the pair when check passes.  BudgetExceeded is
     raised when the promise set is too sparse to sample.
     """
@@ -255,7 +259,7 @@ def promise_pairs(promises: PromiseSet, m: int, count: int | None = None,
         if total > cap:
             raise BudgetExceeded(
                 f"{total} promise pairs exceed the cap of {cap}")
-        return [(y, z) for y, s in zip(ys, starts) for z in zs[s:]]
+        return ((y, z) for y, s in zip(ys, starts) for z in zs[s:])
     pairs = []
     draws = 0
     while len(pairs) < count:

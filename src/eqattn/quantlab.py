@@ -26,6 +26,7 @@ import time
 import warnings
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 from typing import ClassVar
 
@@ -245,21 +246,29 @@ def quantize_spec(spec: TransformerSpec, fmt: QuantFormat) -> TransformerSpec:
     they are excluded from calibration.  Stage formats keep their scale
     and rounding policy but adopt the new bit width, so the quantized head
     also accumulates and divides at the target precision.
+
+    Each distinct (tensor, value) is rounded once, integer scales are
+    calibrated over the distinct values, and each distinct (tensor, row)
+    is quantized once.  Equal quantized rows are one tuple, so the
+    quantized head's cell table holds one entry per distinct row.
     """
     rounders = {}
     for label, values in _spec_tensors(spec):
         if fmt.kind == INT:
-            rounders[label] = _int_rounder(label, values, fmt.bits)
+            rounders[label] = _int_rounder(label, dict.fromkeys(values),
+                                           fmt.bits)
         else:
             rounders[label] = _float_rounder(fmt)
+    shared = {}
 
+    @cache
     def q(label, v):
-        if v is None:
-            return None
-        return rounders[label](Fraction(v))
+        return None if v is None else rounders[label](Fraction(v))
 
+    @cache
     def q_row(label, row):
-        return tuple(q(label, v) for v in row)
+        out = tuple(q(label, v) for v in row)
+        return shared.setdefault(out, out)
 
     embedding = [
         TokenRule(source=rule.source,

@@ -1,0 +1,185 @@
+"""The compiled cell table against cells built fresh.
+
+A spec compiles one cell per distinct row value, from one token_logits call,
+and token_cells and fold_reads read every cell from that table.  Each table
+cell must equal a fresh _make_cell on every field, for every family and its
+quantizations; a row whose cell cannot be built stays out of the table and
+still fails where the sequence reaches it; fold_reads must give what a
+fresh build of every cell gives.
+"""
+
+import warnings
+
+import pytest
+
+from eqattn import attn
+from eqattn.attn import (Cell, StageError, _make_cell, _rep, fold_reads,
+                         forward, token_cells, token_logits)
+from eqattn.bitnum import LogitOutOfRange
+from eqattn.constructs import make
+from eqattn.quantlab import (FP8_E4M3, INT6, DegenerateTensor,
+                             parse_quant_format, quantize_spec)
+
+FP_E2M1 = parse_quant_format("fp_e2m1")
+
+FAMILIES = {
+    "fx-simple m=5": ("fx-simple", {"m": 5}),
+    "fx-tight m=7": ("fx-tight", {"m": 7}),
+    "fp-linear (4,3)": ("fp-linear", {"t": 4, "e": 3}),
+    "fp-softmax (4,7)": ("fp-softmax", {"t": 4, "e": 7}),
+}
+FORMATS = {"native": None, "int6": INT6, "fp8_e4m3": FP8_E4M3,
+           "fp_e2m1": FP_E2M1}
+
+
+def _subject(family, fmt):
+    name, size = FAMILIES[family]
+    spec = make(name, **size)[0]
+    if FORMATS[fmt] is None:
+        return spec
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateTensor)
+        return quantize_spec(spec, FORMATS[fmt])
+
+
+def _fresh(spec, row):
+    """The row's cell built anew under the query row, or the error."""
+    comp = spec._compiled
+    try:
+        return _make_cell(spec, comp, row,
+                          token_logits(spec, [row, comp.query])[0])
+    except ValueError as exc:
+        return exc
+
+
+def _fields(cell):
+    return (cell.logit.coeff, cell.weight, _rep(cell.num_term),
+            _rep(cell.den_first), _rep(cell.den_term))
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("family", FAMILIES)
+def test_every_table_cell_equals_a_fresh_build(family, fmt):
+    spec = _subject(family, fmt)
+    comp = spec._compiled
+    rows = [row for rule in spec.embedding for row in rule.rows]
+    missing = set()
+    for row in rows:
+        fresh = _fresh(spec, row)
+        if isinstance(fresh, Exception) or \
+                isinstance(fresh.num_term, ArithmeticError):
+            assert id(row) not in comp.cells
+            missing.add(id(row))
+        else:
+            assert _fields(comp.cells[id(row)]) == _fields(fresh)
+    assert set(comp.cells) == {id(row) for row in rows} - missing
+    assert bool(missing) == (fmt == "fp_e2m1")
+    # one cell per distinct row value, whatever the number of row objects
+    distinct = {row for row in rows if id(row) in comp.cells}
+    assert len({id(cell) for cell in comp.cells.values()}) == len(distinct)
+
+
+def test_equal_quantized_rows_are_one_object():
+    spec = _subject("fp-softmax (4,7)", "int6")
+    rows = [row for rule in spec.embedding for row in rule.rows]
+    assert len({id(row) for row in rows}) == len(set(rows)) < len(rows)
+
+
+def _old_fold_reads(spec):
+    """fold_reads from cells built fresh, row by row: the cells of every
+    rule's rows under the query row, each error term a value of its own."""
+    comp = spec._compiled
+    every = set(range(1, spec.m + 1))
+    if comp.query is None:
+        return every, set(every)
+    rows = [row for rule in spec.embedding for row in rule.rows]
+    try:
+        cells = iter([_make_cell(spec, comp, row, logit) for row, logit in
+                      zip(rows, token_logits(spec, rows + [comp.query]))])
+    except ValueError:
+        return every, set(every)
+
+    def varies(terms):
+        return len({t if isinstance(t, ArithmeticError) else _rep(t)
+                    for t in terms}) > 1
+
+    num, den = set(), set()
+    for rule in spec.embedding:
+        mine = [next(cells) for _ in rule.rows]
+        bits = {idx for _, idx in rule.source}
+        if varies(c.num_term for c in mine):
+            num |= bits
+        if varies(c.den_term for c in mine):
+            den |= bits
+    return num, den
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("family", FAMILIES)
+def test_fold_reads_matches_fresh_cells(family, fmt):
+    spec = _subject(family, fmt)
+    assert fold_reads(spec) == _old_fold_reads(spec)
+
+
+def test_an_error_term_differs_from_every_other_term(monkeypatch):
+    """A num_term that rounding raised on stays out of the table, counts as
+    a value of its own in fold_reads, and is raised by the fold."""
+    spec = make("fx-tight", m=5)[0]
+    fmt = spec.fold_fmt
+    real = attn.fx_round
+
+    def refuse_large(value, f):
+        if f is fmt and value > 1:
+            raise OverflowError("term past the fold format")
+        return real(value, f)
+
+    monkeypatch.setattr(attn, "fx_round", refuse_large)
+    comp = spec._compiled
+    bad = [row for rule in spec.embedding for row in rule.rows
+           if isinstance(comp.own[id(row)][1].num_term, OverflowError)]
+    assert bad and not any(id(row) in comp.cells for row in bad)
+    assert fold_reads(spec) == _old_fold_reads(spec)
+    pairs = ((format(v, "05b"), format(v, "05b")) for v in range(32))
+    y, z = next((y, z) for y, z in pairs
+                if any(row in bad for row in spec.encode(y, z)))
+    with pytest.raises(StageError, match="numerator.*past the fold format"):
+        forward(spec, spec.encode(y, z))
+
+
+def _infinity_keyed_pair(spec):
+    comp = spec._compiled
+    for v in range(1 << spec.m):
+        y = format(v, f"0{spec.m}b")
+        if any(not isinstance(comp.own[id(row)][1], Cell)
+               for row in spec.encode(y, y)):
+            return y
+    raise AssertionError("no sequence reaches an infinity-coded key")
+
+
+def test_an_infinity_coded_key_still_raises(run_cli):
+    spec = _subject("fx-tight m=7", "fp_e2m1")
+    y = _infinity_keyed_pair(spec)
+    with pytest.raises(LogitOutOfRange):
+        token_cells(spec, spec.encode(y, y))
+    with pytest.raises(LogitOutOfRange):
+        forward(spec, spec.encode(y, y))
+    code, out, err = run_cli("quantize", "--construction", "fx-tight",
+                             "--m", "7", "--formats", "fp_e2m1")
+    assert code == 2 and out == ""
+    assert "infinity-code exponent" in err
+
+
+def test_one_logit_pass_per_compiled_spec(run_cli, monkeypatch):
+    calls = []
+    real = attn.token_logits
+
+    def counted(spec, x):
+        calls.append(len(x))
+        return real(spec, x)
+
+    monkeypatch.setattr(attn, "token_logits", counted)
+    code, out, _ = run_cli("protocol", "--construction", "fp-softmax",
+                           "--t", "4", "--e", "7", "--count", "500")
+    assert code == 0
+    assert "500/500 transcripts agree" in out
+    assert len(calls) == 1

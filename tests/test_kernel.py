@@ -1,14 +1,14 @@
 """The compiled fold kernel against the plain reference forward pass.
 
-attn.forward folds cached per-position cells; reffwd.ref_forward recomputes
-every term from the spec.  They must agree on the answer bit, on every line
-of the rendered trace, on the inexact and saturation flags and on how they
-fail, for every family, below native precision, after quantization, on rows
-that are not the spec's own, and across the spec copies the library makes.
-The protocol resumes the same kernel at a prefix boundary, so it must give
-the forward bit at every legal prefix length.  The compiled encode must
-return the very row objects a bit-by-bit reading of each rule selects, and
-refuse any character but 0 and 1.
+attn.forward folds cells read from the compiled table; reffwd.ref_forward
+recomputes every term from the spec.  They must agree on the answer bit, on
+every line of the rendered trace, on the inexact and saturation flags and
+on how they fail, for every family, below native precision, after
+quantization, on rows that are not the spec's own, and across the spec
+copies the library makes.  The protocol resumes the same kernel at a prefix
+boundary, so it must give the forward bit at every legal prefix length.
+The compiled encode must return the very row objects a bit-by-bit reading
+of each rule selects, and refuse any character but 0 and 1.
 """
 
 import gc

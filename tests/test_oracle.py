@@ -202,7 +202,7 @@ class TestFoldSplit:
         promises = PromiseSet("T1", flags=("m_odd", "y_le_z", "y_tail_ok"))
         assert fold_split(spec, promises) is None
         rep = verify_exhaustive_spec(spec, promises, "fx-tight")
-        assert rep.total == len(promise_pairs(promises, 7)) == 6208
+        assert rep.total == len(list(promise_pairs(promises, 7))) == 6208
         assert rep.passed
 
 

@@ -24,7 +24,16 @@ def _brute_force(promises, m):
 ])
 def test_exhaustive_pairs_are_the_promise_filter_in_order(name, size):
     spec, promises = make(name, **size)
-    assert promise_pairs(promises, spec.m) == _brute_force(promises, spec.m)
+    assert list(promise_pairs(promises, spec.m)) == \
+        _brute_force(promises, spec.m)
+
+
+def test_exhaustive_pairs_are_made_as_they_are_consumed():
+    spec, promises = make("fx-tight", m=11)
+    pairs = promise_pairs(promises, spec.m)
+    assert iter(pairs) is pairs
+    assert next(pairs) == ("0" * 11, "0" * 11)
+    assert sum(1 for _ in pairs) == 2_098_176 - 1
 
 
 def test_exhaustive_cap_is_checked_before_listing():

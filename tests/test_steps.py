@@ -257,7 +257,7 @@ def test_a_full_table_is_cleared_and_folds_stay_exact(monkeypatch):
         assert _rep(den) == _rep(trace.den_partials[-1])
         # a step adds at most a state, a term, a result and one key past
         # the limit; building a cell interns three values
-        built = sum(len(c) for c in comp.cells)
+        built = len(comp.cells)
         for i, size in enumerate(_table_sizes(comp)):
             assert size <= limit + 4 + 3 * built
             cleared[i] |= size < before[i]
@@ -272,7 +272,7 @@ def test_wide_format_tables_stay_bounded():
         cells = token_cells(spec, x)
         fold(spec, (None, None), 0, len(cells), cells)
         peak = [max(p, s) for p, s in zip(peak, _table_sizes(comp))]
-    built = sum(len(c) for c in comp.cells)
+    built = len(comp.cells)
     assert max(peak) >= attn.STEP_LIMIT - 4   # at least one table filled
     assert max(peak) <= attn.STEP_LIMIT + 4 + 3 * built
 
