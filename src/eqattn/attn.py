@@ -13,31 +13,33 @@ The query row is constant and logits are exact, so all a token row feeds
 into the folds depends only on the row's contents, not on its position.  A
 spec compiles, on first use, a cell table: one cell per distinct row value,
 built from one token_logits call, and looked up by the id of each row the
-spec owns (token_cells).  One resumable kernel,
-fold, runs both folds over any range of positions from any (numerator,
-denominator) state: forward is one fold plus the divide and the MLP, the
-factored verifier runs each fold alone over the input bits fold_reads finds
-it reading, and the one-way protocol cuts it at Alice's prefix and resumes
-it for Bob.
+spec owns (token_cells).  One resumable kernel, fold, runs both folds over
+any range of positions from any (numerator, denominator) state: forward is
+one fold plus the divide and the MLP, the factored verifier runs each fold
+alone over the input bits fold_reads finds it reading, and the one-way
+protocol cuts it at Alice's prefix and resumes it for Bob.
 
 A fold's state at any boundary is one value of its bounded format, so each
 fold step is a small finite map (state, term) -> next state.  A compiled
 spec interns one canonical scalar per full representation of each fold
 format (inexact flag and sign of zero included) and memoises that map in a
 step table; the memo is exact because the bounded add reads only its
-operands' representations.  The tables are cleared once they reach a fixed
+operands' representations.  Two or more constant positions in a row add
+the same cells on every input, so they are one entry of the same table,
+keyed on (state, run).  The tables are cleared once they reach a fixed
 size, so a wide format, whose states rarely repeat, keeps bounded memory.
 
-The tail after the folds is memoised the same way.  The W^V scale is kept
-per numerator fold value, and the MLP (with its answer bit) per full
-representation of the attention output sa, since the MLP reads nothing
-else; many pairs share one sa.  The divide is not memoised: its (num, den)
-pairs rarely repeat.  No error is ever stored, so an indeterminate form is
-raised on every visit, and each trace gets its own list of hidden units.
-These tables obey the same size limit.  encode is compiled too: each
-position holds a getter of its source bits over y + z and a map from the
-bits read to the rule's own row, so a lookup keeps the cell table hitting
-and a character other than 0 or 1 misses it.
+The tail after the folds is memoised the same way, in smaller tables.  The
+W^V scale (and a linear head's attention output) is kept per numerator fold
+value, and the MLP (with its answer bit) per full representation of the
+attention output sa, since the MLP reads nothing else; many pairs share one
+sa.  The divide is not memoised: its (num, den) pairs rarely repeat.  No
+error is ever stored, so an indeterminate form is raised on every visit.
+forward records no per-token list: its trace refolds them when they are
+first read.  encode is compiled too: each position holds a getter of its
+source bits over y + z and a map from the bits read to the rule's own row,
+so a lookup keeps the cell table hitting and a character other than 0 or 1
+misses it.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import product
+from itertools import groupby, product
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -218,9 +220,19 @@ class TransformerSpec:
         return state
 
 
+# The per-token lists a trace from forward fills on first read.
+_REFOLDED = ("logits", "weights", "num_terms", "num_partials", "den_partials")
+
+
 @dataclass
 class EvalTrace:
-    """Everything the pipeline computed, token by token."""
+    """Everything the pipeline computed, token by token.
+
+    forward keeps the spec and cells and leaves the lists of _REFOLDED
+    unset; the first read of any fills all five by refolding the cells one
+    position at a time, up to where an indeterminate form stopped the pass.
+    A trace built with its lists holds them as given.
+    """
 
     x: list
     logits: list
@@ -236,6 +248,26 @@ class EvalTrace:
     bit: int | None = None
     index_base: int = 0
     indeterminate: bool = False
+    spec: object = field(default=None, repr=False, compare=False)
+    cells: list | None = field(default=None, repr=False, compare=False)
+
+    def __getattr__(self, name):
+        if name not in _REFOLDED or self.cells is None:
+            raise AttributeError(name)
+        spec, cells, partials = self.spec, self.cells, ([], [])
+        den = self.numerator is not None and spec.attention_kind == SOFTMAX
+        try:
+            for i, state in enumerate([(None, OFF), (OFF, None)][:1 + den]):
+                for j in range(len(cells)):
+                    state = fold(spec, state, j, j + 1, cells)
+                    partials[i].append(state[i])
+        except IndeterminateForm:
+            pass
+        vars(self).update(
+            logits=[c.logit for c in cells], weights=[c.weight for c in cells],
+            num_terms=[c.num_term for c in cells[:len(partials[0])]],
+            num_partials=partials[0], den_partials=partials[1])
+        return vars(self)[name]
 
     def any_inexact(self) -> bool:
         steps = (self.num_partials + self.den_partials + self.num_terms
@@ -295,13 +327,20 @@ class Cell(NamedTuple):
     """One token row's share of the folds, at any position.  num_term is the
     weight times value rounded into fold_fmt, or the ArithmeticError that
     rounding raised, for the fold to raise on reaching it.  den_first opens
-    a denominator fold; den_term is the exact weight later steps add."""
+    a denominator fold; den_term is the exact weight later steps add.
+
+    Cells compare by identity, so a fold can tell a constant run's compiled
+    cells from equal ones: == on scalars ignores flags and formats."""
 
     logit: Logit
     weight: Fraction
     num_term: object
     den_first: object
     den_term: object
+
+    __eq__ = object.__eq__
+    __ne__ = object.__ne__
+    __hash__ = object.__hash__
 
 
 def _rep(v):
@@ -310,18 +349,21 @@ def _rep(v):
     return v.kind, v.sign, v.sig, v.exp2, v.inexact
 
 
-# The most entries (steps plus interned values) one fold format's tables
+# The most entries (steps, runs and interned values) one fold format's tables
 # hold.  The largest table of the benchmark workloads, fp-linear (4,4), holds
 # about 8,400.  A wide format, where few states repeat, clears its tables each
 # time they fill, so memory stays bounded however long the run.  Each table
-# of the tail (scale, MLP) is cleared at the same size.
+# of the tail (scale, MLP) holds at most TAIL_LIMIT: an MLP entry costs about
+# 600 bytes, and no benchmark command's tail table exceeds 542 entries.
 STEP_LIMIT = 1 << 14
+TAIL_LIMIT = 1 << 12
 
 
 class _Steps:
-    """One fold format's intern table (values) and step table (steps).
+    """One fold's intern table (values) and step table (steps).
 
-    steps keys on (id(state), id(term)) of canonical objects only, which
+    steps keys a step on (id(state), id(term)) and a constant run of
+    positions a..b-1 on (id(state), a, b), of canonical objects only, which
     values keeps alive, so no id is reused while it is a key.  Both tables
     are cleared together once they hold STEP_LIMIT entries.  A state of
     None opens the fold.  Folds and traces share the canonical objects, so
@@ -337,15 +379,25 @@ class _Steps:
     def intern(self, v):
         return v if v is None else self.values.setdefault(_rep(v), v)
 
+    def _make_room(self):
+        if len(self.steps) + len(self.values) >= STEP_LIMIT:
+            self.steps.clear()
+            self.values.clear()
+
+    def end_run(self, state, a, b, nxt):
+        """Store and return nxt, walked from state over the constant run
+        a..b-1; both are interned after any clear."""
+        self._make_room()
+        nxt = self.steps[id(self.intern(state)), a, b] = self.intern(nxt)
+        return nxt
+
     def step(self, state, term, first):
         """The miss path: first is the value a fold opens with at term.
         state and term are interned here, after any clear.  A raised error
         is never stored."""
         if isinstance(term, ArithmeticError):
             raise term
-        if len(self.steps) + len(self.values) >= STEP_LIMIT:
-            self.steps.clear()
-            self.values.clear()
+        self._make_room()
         state, term = self.intern(state), self.intern(term)
         key = (id(state), id(term))
         nxt = self.steps.get(key)
@@ -382,7 +434,8 @@ class _Compiled:
     raised); the entry keeps the row alive, so the id stays unique.  cells
     holds the cells of own that a fold can use: not those whose num_term is
     an error, which is raised afresh each time from a fresh cell.  Without a
-    constant query row both are empty.
+    constant query row both are empty.  consts holds each position's cell
+    in cells if it is constant (no source bits), else None.
     """
 
     def __init__(self, spec: TransformerSpec):
@@ -402,6 +455,23 @@ class _Compiled:
         self.cells = {key: cell for key, (_, cell) in self.own.items()
                       if isinstance(cell, Cell)
                       and not isinstance(cell.num_term, ArithmeticError)}
+        self.consts = [None if rule.source else self.cells.get(id(rule.rows[0]))
+                       for rule in spec.embedding]
+        self.plans = {}
+
+    def plan(self, lo: int, hi: int) -> list:
+        """Positions lo..hi-1 as segments (a, b, run), memoised: run is the
+        cells of a..b-1 when they are two or more consts in a row, else
+        None."""
+        segments = []
+        for const, group in groupby(range(lo, hi),
+                                    lambda j: self.consts[j] is not None):
+            positions = list(group)
+            a, b = positions[0], positions[-1] + 1
+            segments.append((a, b, self.consts[a:b] if const and b - a > 1
+                             else None))
+        self.plans[lo, hi] = segments
+        return segments
 
     def _own_cells(self, spec):
         """One token_logits call and one cell per distinct row value."""
@@ -488,84 +558,91 @@ def fold_reads(spec: TransformerSpec) -> tuple[set, set]:
 
 
 OFF = "off"
+# Per fold: the stage a StageError names, and the indices in Cell of the term
+# each step adds (num_term, den_term) and of the value it opens with.
+_FOLDS = (("numerator", 2, 2), ("denominator", 4, 3))
 
 
-def fold(spec: TransformerSpec, state, lo: int, hi: int, cells, trace=None):
+def fold(spec: TransformerSpec, state, lo: int, hi: int, cells):
     """Resume the bounded left folds over the cells of positions lo..hi-1.
 
     state is (num, den): the numerator fold (in the fold format, before the
     W^V scale) and the denominator fold so far, each None before its first
     term.  A fold given as OFF stays OFF and is skipped.  The numerator runs
     over the whole range before the denominator starts.  Returns the new
-    (num, den); with a trace, every term and partial is recorded on it.
-    IndeterminateForm propagates; other arithmetic errors are raised as a
-    StageError naming the fold and the token.
+    (num, den) and records nothing else.  IndeterminateForm propagates;
+    other arithmetic errors are raised as a StageError naming the fold and
+    the token.
 
-    Each fold walks its format's step table: the incoming state is interned
-    once, then each position is one dict lookup on the canonical state and
-    the cell's canonical term, and fx_add / fp_add runs only on a miss.
-    This is exact because a bounded add's result, its inexact flag
-    included, depends only on the two operands' representations, never on
-    their flags.  An indeterminate form is never stored, so it is raised on
-    every visit.  A table cleared at its size limit only turns later steps
-    back into misses.
+    Each fold walks its step table: the incoming state is interned once,
+    then each position is one dict lookup on the canonical state and the
+    cell's canonical term, and fx_add / fp_add runs only on a miss.  This is
+    exact because a bounded add's result, its inexact flag included, depends
+    only on the two operands' representations.  Two or more constant
+    positions in a row within lo..hi are one lookup on (state, run) when each
+    cell is that position's compiled cell; a miss walks them one by one and
+    stores the end.  An indeterminate form is never stored, so it is raised
+    on every visit.  A table cleared at its size limit only turns later
+    steps back into misses.
     """
-    num, den = state
     comp = spec._compiled
-    stage, j = "numerator", lo
-    try:
-        if num is not OFF:
-            table = comp.num
+    plan = comp.plans.get((lo, hi)) or comp.plan(lo, hi)
+    out = []
+    for s, table, (stage, t, f) in zip(state, (comp.num, comp.den), _FOLDS):
+        if s is not OFF:
             get = table.steps.get
-            num = table.intern(num)
-            for j in range(lo, hi):
-                term = cells[j].num_term
-                nxt = get((id(num), id(term)))
-                num = table.step(num, term, term) if nxt is None else nxt
-                if trace is not None:
-                    trace.num_terms.append(term)
-                    trace.num_partials.append(num)
-        stage = "denominator"
-        if den is not OFF:
-            table = comp.den
-            get = table.steps.get
-            den = table.intern(den)
-            for j in range(lo, hi):
-                cell = cells[j]
-                nxt = get((id(den), id(cell.den_term)))
-                den = table.step(den, cell.den_term, cell.den_first) \
-                    if nxt is None else nxt
-                if trace is not None:
-                    trace.den_partials.append(den)
-    except IndeterminateForm:
-        raise
-    except ArithmeticError as exc:
-        raise StageError(stage, spec.index_base + j, exc) from exc
-    return num, den
+            s = table.intern(s)
+            j = lo
+            try:
+                for a, b, run in plan:
+                    own = run is not None and run == cells[a:b]
+                    if own:
+                        start, hit = s, get((id(s), a, b))
+                        if hit is not None:
+                            s = hit
+                            continue
+                    for j in range(a, b):
+                        term = cells[j][t]
+                        nxt = get((id(s), id(term)))
+                        s = table.step(s, term, cells[j][f]) \
+                            if nxt is None else nxt
+                    if own:
+                        s = table.end_run(start, a, b, s)
+            except IndeterminateForm:
+                raise
+            except ArithmeticError as exc:
+                raise StageError(stage, spec.index_base + j, exc) from exc
+        out.append(s)
+    return tuple(out)
 
 
 def _store(table: dict, key, value):
-    """table[key] = value, clearing a table that holds STEP_LIMIT entries
+    """table[key] = value, clearing a table that holds TAIL_LIMIT entries
     first.  Callers store only what was computed, never an error."""
-    if len(table) >= STEP_LIMIT:
+    if len(table) >= TAIL_LIMIT:
         table.clear()
     table[key] = value
     return value
 
 
-def scale_numerator(spec: TransformerSpec, num):
-    """The finished numerator fold times W^V, rounded into num_fmt.
-
-    Memoised on id(num): the entry holds num, so the id stays unique while
-    it is a key.  Folds return canonical values, so repeats hit.
-    """
+def _scaled(spec: TransformerSpec, num):
+    """(num, num times W^V rounded into num_fmt, and for a linear head the
+    attention output), memoised on id(num): the entry holds num, so the id
+    stays unique while it is a key.  Folds return canonical values, so
+    repeats hit."""
     comp = spec._compiled
     hit = comp.scaled.get(id(num))
     if hit is None:
-        mul = _ops(spec.num_fmt)[1]
-        hit = _store(comp.scaled, id(num),
-                     (num, mul(num, comp.scale, spec.num_fmt)))
-    return hit[1]
+        scaled = _ops(spec.num_fmt)[1](num, comp.scale, spec.num_fmt)
+        sa = _attend(spec, scaled, None) \
+            if spec.attention_kind == LINEAR else None
+        hit = _store(comp.scaled, id(num), (num, scaled, sa))
+    return hit
+
+
+def scale_numerator(spec: TransformerSpec, num):
+    """The finished numerator fold times W^V, rounded into num_fmt."""
+    return _scaled(spec, num)[1]
 
 
 def relu(v):
@@ -649,57 +726,36 @@ def finish_softmax(spec: TransformerSpec, num, den):
     return bit, sa, out
 
 
-def _forward(spec: TransformerSpec, x, normalize: bool) -> EvalTrace:
+def forward(spec: TransformerSpec, x) -> EvalTrace:
+    """The whole head: numerator fold, the denominator fold and divide for
+    softmax attention, then the MLP.  The trace keeps the cells and fills
+    its per-token lists only when they are read (see EvalTrace)."""
     cells = token_cells(spec, x)
-    trace = EvalTrace(x=x, logits=[c.logit for c in cells],
-                      weights=[c.weight for c in cells],
-                      index_base=spec.index_base)
-
-    def nan_like():
+    trace = EvalTrace.__new__(EvalTrace)    # with the lists of _REFOLDED unset
+    vars(trace).update(x=x, spec=spec, cells=cells,
+                       index_base=spec.index_base, hidden=[])
+    stage = "numerator"
+    try:
+        num, _ = fold(spec, (None, OFF), 0, len(cells), cells)
+        _, trace.numerator, sa = _scaled(spec, num)
+        if spec.attention_kind == SOFTMAX:
+            stage = "attention"
+            _, trace.denominator = fold(spec, (OFF, None), 0, len(cells),
+                                        cells)
+            sa = _attend(spec, trace.numerator, trace.denominator)
+        trace.sa = sa
+        stage = "mlp"
+        trace.output, hidden, trace.bit = _head(spec, sa)
+        trace.hidden = list(hidden)
+    except IndeterminateForm:
         # Inf - Inf and Inf/Inf under the saturating formats behave like a
         # NaN: every later comparison is false, so the head answers 0
         # without evaluating further.
         trace.indeterminate = True
         trace.bit = 0
-        return trace
-
-    try:
-        num, _ = fold(spec, (None, OFF), 0, len(cells), cells, trace)
-        num = scale_numerator(spec, num)
-    except IndeterminateForm:
-        return nan_like()
     except ArithmeticError as exc:
-        raise StageError("numerator", None, exc) from exc
-    trace.numerator = num
-
-    den = None
-    try:
-        if normalize:
-            _, den = fold(spec, (OFF, None), 0, len(cells), cells, trace)
-            trace.denominator = den
-        sa = _attend(spec, num, den)
-    except IndeterminateForm:
-        return nan_like()
-    except ArithmeticError as exc:
-        raise StageError("attention", None, exc) from exc
-    trace.sa = sa
-
-    try:
-        out, hidden, bit = _head(spec, sa)
-    except IndeterminateForm:
-        return nan_like()
-    except ArithmeticError as exc:
-        raise StageError("mlp", None, exc) from exc
-    trace.hidden = list(hidden)
-    trace.output = out
-    trace.bit = bit
+        raise StageError(stage, None, exc) from exc
     return trace
-
-
-def forward(spec: TransformerSpec, x) -> EvalTrace:
-    """The whole head: numerator fold, the denominator fold and divide for
-    softmax attention, then the MLP."""
-    return _forward(spec, x, spec.attention_kind == SOFTMAX)
 
 
 def spec_to_payload(spec: TransformerSpec) -> dict:

@@ -1,6 +1,14 @@
 """Shared fixtures: a tiny hand-built head, a CLI runner and the
-hypothesis profile."""
+hypothesis profiles.
 
+Property tests run the `eqattn` profile.  Setting the environment variable
+EQATTN_HEAVY_PROPS to a non-empty value runs the `eqattn-heavy` profile
+instead: 2,000 examples per property, drawn afresh on every run, e.g.
+
+    EQATTN_HEAVY_PROPS=1 PYTHONPATH=src python -m pytest tests/test_quantize_props.py
+"""
+
+import os
 import sys
 from fractions import Fraction
 
@@ -19,7 +27,11 @@ from eqattn.bitnum import FxFormat
 settings.register_profile(
     "eqattn", max_examples=40, deadline=None, derandomize=True,
     database=None, phases=[p for p in Phase if p is not Phase.explain])
-settings.load_profile("eqattn")
+settings.register_profile(
+    "eqattn-heavy", settings.get_profile("eqattn"), max_examples=2000,
+    derandomize=False)
+settings.load_profile("eqattn-heavy" if os.environ.get("EQATTN_HEAVY_PROPS")
+                      else "eqattn")
 
 
 def build_toy_spec(p: int = 5) -> TransformerSpec:

@@ -5,23 +5,33 @@ recomputes every term from the spec.  They must agree on the answer bit, on
 every line of the rendered trace, on the inexact and saturation flags and
 on how they fail, for every family, below native precision, after
 quantization, on rows that are not the spec's own, and across the spec
-copies the library makes.  The protocol resumes the same kernel at a prefix
-boundary, so it must give the forward bit at every legal prefix length.
-The compiled encode must return the very row objects a bit-by-bit reading
-of each rule selects, and refuse any character but 0 and 1.
+copies the library makes; also with step tables so small that they clear
+in the middle of a constant run, and when an indeterminate form is raised
+inside one.  A constant run is one lookup only over its compiled cells.
+forward's trace fills its per-token lists when they are first read, after
+any later clear, and two traces share none.  The protocol resumes the same
+kernel at a prefix boundary, so it must give the forward bit and the
+reference partials at every legal prefix length, those that cut a
+constant run included.  The compiled encode must return the very row
+objects a bit-by-bit reading of each rule selects, and refuse any
+character but 0 and 1.
 """
 
 import gc
 import pickle
 import random
+from itertools import groupby
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from conftest import build_toy_spec
-from eqattn.attn import OFF, StageError, TokenRule, fold, forward, token_cells
-from eqattn.bitnum import FxFormat, NonDyadicLogit, encode_scalar
+from eqattn import attn
+from eqattn.attn import (_REFOLDED, OFF, StageError, TokenRule, _rep, fold,
+                         forward, token_cells)
+from eqattn.bitnum import (FxFormat, IndeterminateForm, NonDyadicLogit,
+                           encode_scalar)
 from eqattn.commsim import default_split, run_protocol
 from eqattn.constructs import EqInstance, make
 from eqattn.oracle import precision_delta_spec, trace_saturated
@@ -34,6 +44,9 @@ SUBJECTS = {
     "fp-linear (4,3)": ("fp-linear", {"t": 4, "e": 3}),
     "fp-softmax (4,7)": ("fp-softmax", {"t": 4, "e": 7}),
 }
+# The default table size, and one so small that the tables clear every few
+# steps, in the middle of constant runs too.
+LIMITS = (None, 12)
 
 
 def _pairs(m, count, seed):
@@ -69,30 +82,174 @@ def _assert_same(spec, x):
     return got
 
 
+def _limited(monkeypatch, limit):
+    """Set attn.STEP_LIMIT to limit, or back to its default for None."""
+    monkeypatch.undo()
+    if limit is not None:
+        monkeypatch.setattr(attn, "STEP_LIMIT", limit)
+
+
+def _runs(spec):
+    """The runs of two or more constant positions, as ranges."""
+    out, j = [], 0
+    for constant, group in groupby(not rule.source for rule in spec.embedding):
+        size = len(list(group))
+        if constant and size > 1:
+            out.append(range(j, j + size))
+        j += size
+    return out
+
+
 def _subject(label):
     name, kwargs = SUBJECTS[label]
     return make(name, **kwargs)[0]
 
 
 @pytest.mark.parametrize("label", SUBJECTS)
-def test_native_and_cliff_specs_match_the_reference(label):
-    spec = _subject(label)
-    for s in (spec, precision_delta_spec(spec, -1)):
-        for y, z in _pairs(s.m, 40, 1):
-            _assert_same(s, s.encode(y, z))
+def test_native_and_cliff_specs_match_the_reference(label, monkeypatch):
+    for limit in LIMITS:
+        _limited(monkeypatch, limit)
+        spec = _subject(label)
+        assert _runs(spec)
+        for s in (spec, precision_delta_spec(spec, -1)):
+            for y, z in _pairs(s.m, 40, 1):
+                _assert_same(s, s.encode(y, z))
 
 
 @pytest.mark.parametrize("label", ["fx-tight m=7", "fp-linear (4,3)",
-                                   "fp-softmax (4,7)"])
-def test_saturating_quantized_specs_match_the_reference(label):
-    """INT4 drives every one of these heads into indeterminate forms."""
-    indeterminate = 0
-    for fmt in (INT6, INT8, FP8_E4M3, INT4):
-        spec = quantize_spec(_subject(label), fmt)
-        for y, z in _pairs(spec.m, 30, 2):
+                                   "fp-softmax (4,7)", "fx-simple m=5"])
+def test_saturating_quantized_specs_match_the_reference(label, monkeypatch):
+    """INT4 drives every one of these heads into indeterminate forms, in
+    the numerator fold on every family."""
+    for limit in LIMITS:
+        _limited(monkeypatch, limit)
+        indeterminate = in_numerator = 0
+        for fmt in (INT6, INT8, FP8_E4M3, INT4):
+            spec = quantize_spec(_subject(label), fmt)
+            for y, z in _pairs(spec.m, 30, 2):
+                trace = _assert_same(spec, spec.encode(y, z))
+                indeterminate += trace.indeterminate
+                in_numerator += len(trace.num_partials) <= spec.n
+        assert indeterminate > 0 and in_numerator > 0
+
+
+def _const_rows(spec, values):
+    """spec with the constant row at each position j of values given key 0
+    (weight 1) and the value values[j]."""
+    embedding = list(spec.embedding)
+    col = spec.value_column()[0]
+    for j, value in values.items():
+        (row,) = embedding[j].rows
+        row = [Fraction(0) if c else v for v, c in zip(row, spec.wk)]
+        row[col] = value
+        embedding[j] = TokenRule((), (tuple(row),))
+    return replace(spec, embedding=embedding).validate()
+
+
+def _planted_den_add(monkeypatch, spec, name, value):
+    """Make the denominator format's add raise IndeterminateForm on
+    value + 0, for the kernel and the reference alike."""
+    real = getattr(attn, name)
+
+    def add(a, b, fmt):
+        if fmt is spec.den_fmt and b.is_zero and a.is_finite and \
+                a.as_fraction() == value:
+            raise IndeterminateForm("planted")
+        return real(a, b, fmt)
+
+    monkeypatch.setattr(attn, name, add)
+
+
+def test_an_indeterminate_form_inside_a_constant_run(monkeypatch):
+    """Raised inside a run, in either fold, the form is never stored: a
+    warm or cleared table raises it again at the same token, and the
+    trace records the partials up to the step before it."""
+    for limit in LIMITS:
+        _limited(monkeypatch, limit)
+        # fx-simple m=5: positions 10..17 are one constant run.  +2^40 at
+        # 12 saturates the numerator to +Inf; -2^40 at 13 meets Inf - Inf.
+        spec = _const_rows(_subject("fx-simple m=5"),
+                           {12: Fraction(1 << 40), 13: Fraction(-1 << 40)})
+        assert range(10, 18) in _runs(spec)
+        for y, z in _pairs(spec.m, 20, 12) * 2:
             trace = _assert_same(spec, spec.encode(y, z))
-            indeterminate += trace.indeterminate
-    assert indeterminate > 0
+            assert trace.indeterminate and len(trace.num_partials) == 13
+            assert trace.den_partials == [] and trace.numerator is None
+        # Every weight of the run is 0; where the denominator holds 7/2
+        # on entering it, the planted add raises at its second token.
+        spec = _subject("fx-simple m=5")
+        _planted_den_add(monkeypatch, spec, "fx_add", Fraction(7, 2))
+        stopped = 0
+        for y, z in _pairs(spec.m, 40, 13) * 2:
+            trace = _assert_same(spec, spec.encode(y, z))
+            if len(trace.den_partials) <= spec.n:
+                stopped += 1
+                assert trace.indeterminate and trace.numerator is not None
+                assert len(trace.num_partials) == spec.n + 1
+                assert len(trace.den_partials) == 11
+        assert stopped > 0
+
+
+@pytest.mark.parametrize("label", SUBJECTS)
+def test_trace_lists_are_refolded_when_first_read(label):
+    """forward leaves the per-token lists unset; read after the step tables
+    were cleared they equal the reference, and a second read gives the
+    same values."""
+    spec = precision_delta_spec(_subject(label), -1)
+    pairs = _pairs(spec.m, 20, 11)
+    traces = [forward(spec, spec.encode(y, z)) for y, z in pairs]
+    assert not any(set(_REFOLDED) & set(vars(t)) for t in traces)
+    comp = spec._compiled
+    for table in (comp.num, comp.den):
+        table.steps.clear()
+        table.values.clear()
+    for trace, (y, z) in zip(traces, pairs):
+        want = ref_forward(spec, spec.encode(y, z))
+        first = [[_rep(v) for v in vs] for vs in (
+            trace.den_partials, trace.num_partials, trace.num_terms)]
+        assert _scalars(trace) == _scalars(want)
+        assert trace.render_lines() == want.render_lines()
+        assert [list(map(str, trace.logits)), trace.weights] == \
+            [list(map(str, want.logits)), want.weights]
+        assert [[_rep(v) for v in vs] for vs in (
+            trace.den_partials, trace.num_partials, trace.num_terms)] == first
+
+
+class _CountingDict(dict):
+    """A step table that counts the lookups fold makes."""
+    lookups = 0
+
+    def get(self, key, default=None):
+        self.lookups += 1
+        return super().get(key, default)
+
+
+@pytest.mark.parametrize("name,kwargs,per_fold", [
+    ("fp-linear", {"t": 4, "e": 4}, 11),
+    ("fp-softmax", {"t": 4, "e": 7}, 19),
+    ("fx-tight", {"m": 13}, 31),
+])
+def test_a_constant_run_is_one_lookup(name, kwargs, per_fold):
+    """Warm, a fold of the spec's own cells makes one lookup per variable
+    position and one per constant run of two or more; copied rows, whose
+    cells are built afresh, make one per position."""
+    spec = make(name, **kwargs)[0]
+    n = spec.n + 1
+    assert n - sum(len(r) for r in _runs(spec)) + len(_runs(spec)) \
+        == per_fold
+    seqs = [spec.encode(y, z) for y, z in _pairs(spec.m, 20, 14)]
+    for x in seqs:
+        fold(spec, (None, None), 0, n, token_cells(spec, x))
+    comp = spec._compiled
+    for x in seqs:
+        copies = [tuple(v for v in row) for row in x]
+        for own, want in ((x, per_fold), (copies, n)):
+            tables = [comp.num, comp.den]
+            for table in tables:
+                table.steps = _CountingDict(table.steps)
+            cells = token_cells(spec, own)
+            fold(spec, (None, None), 0, n, cells)
+            assert [t.steps.lookups for t in tables] == [want, want]
 
 
 def test_rows_that_are_not_the_specs_own_are_evaluated_uncached():
@@ -248,16 +405,30 @@ def test_errors_surface_as_in_the_reference():
     make("fp-softmax", t=4, e=7)[0],
     quantize_spec(make("fp-linear", t=4, e=3)[0], INT8),
     quantize_spec(make("fx-tight", m=5)[0], INT6),
+    _const_rows(make("fx-simple", m=5)[0],
+                dict.fromkeys(range(10, 18), Fraction(1, 4))),
 ], ids=["fx-simple", "fx-tight", "fp-linear", "fp-softmax",
-        "fp-linear-int8", "fx-tight-int6"])
-def test_protocol_gives_the_forward_bit_at_every_prefix(spec):
-    for y, z in _pairs(spec.m, 6, 6):
-        want = forward(spec, spec.encode(y, z)).bit
-        inst = EqInstance(y, z)
-        assert run_protocol(spec, inst).bob_bit == want
-        for k in range(1, spec.n + 2):
-            split = range(spec.index_base, spec.index_base + k)
-            assert run_protocol(spec, inst, s=split).bob_bit == want, (y, z, k)
+        "fp-linear-int8", "fx-tight-int6", "fx-simple-weighted-run"])
+def test_protocol_gives_the_forward_bit_at_every_prefix(spec, monkeypatch):
+    """Alice's partials are the reference partials at the cut, also where
+    it cuts a constant run, with the default and with tiny step tables.
+    The weighted run moves both partials at each of its positions."""
+    assert _runs(spec)   # so k = a + 1 cuts the run a..b-1
+    for limit in LIMITS:
+        _limited(monkeypatch, limit)
+        for y, z in _pairs(spec.m, 6, 6):
+            ref = ref_forward(spec, spec.encode(y, z))
+            want = forward(spec, spec.encode(y, z)).bit
+            inst = EqInstance(y, z)
+            assert run_protocol(spec, inst).bob_bit == want == ref.bit
+            for k in range(1, spec.n + 2):
+                split = range(spec.index_base, spec.index_base + k)
+                run = run_protocol(spec, inst, s=split)
+                assert run.bob_bit == want, (y, z, k)
+                if k <= len(ref.num_partials) and run.l2 is not None:
+                    assert _rep(run.l2) == _rep(ref.num_partials[k - 1])
+                if k <= len(ref.den_partials) and run.l1 is not None:
+                    assert _rep(run.l1) == _rep(ref.den_partials[k - 1])
 
 
 def test_linear_head_with_fixed_point_formats_runs_the_protocol():

@@ -5,12 +5,13 @@ format and memoises the bounded add over canonical (state, term) pairs.  A
 memoised step must equal a fresh fx_add / fp_add in representation and in
 its inexact flag, for random small formats under both rounding policies;
 Inf - Inf must raise on every visit and leave nothing behind; a pass that
-repeats earlier steps must add nothing; and every id the table keys on must
-be one of its own live canonical objects.
+repeats earlier steps must add nothing; and every id the table keys on, for
+a step or for a constant run, must be one of its own live canonical
+objects.
 
 The tail's tables, the W^V scale keyed by the fold value and the MLP keyed
 by the attention output, obey the same rules: equal to fresh arithmetic,
-no stored error, no trace sharing a mutable list, bounded by STEP_LIMIT.
+no stored error, no trace sharing a mutable list, bounded by TAIL_LIMIT.
 A verify run pins the adds and MLP evaluations the memos leave.
 """
 
@@ -220,13 +221,20 @@ def test_table_keys_are_ids_of_live_canonical_objects():
         del x, cells, num
         gc.collect()
     comp = spec._compiled
+    runs = set()
     for table in (comp.num, comp.den):
         live = {id(v) for v in table.values.values()} | {id(None)}
         assert table.steps
-        for state_id, term_id in table.steps:
-            assert state_id in live and term_id in live
+        for state_id, *rest in table.steps:
+            assert state_id in live
+            if len(rest) == 1:
+                assert rest[0] in live
+            else:   # a constant run: a range of constant positions
+                runs.add(tuple(rest))
+                assert all(comp.consts[j] is not None for j in range(*rest))
         for nxt in table.steps.values():
             assert table.values[_rep(nxt)] is nxt
+    assert runs
 
 
 def _wide_sequences(spec, rng, count):
@@ -267,13 +275,16 @@ def test_a_full_table_is_cleared_and_folds_stay_exact(monkeypatch):
 def test_wide_format_tables_stay_bounded():
     spec = make("fx-tight", m=41)[0]
     comp = spec._compiled
-    peak = [0, 0]
+    peak, sizes, cleared = [0, 0], [0, 0], False
     for x in _wide_sequences(spec, random.Random(0x58), 400):
         cells = token_cells(spec, x)
         fold(spec, (None, None), 0, len(cells), cells)
-        peak = [max(p, s) for p, s in zip(peak, _table_sizes(comp))]
+        before, sizes = sizes, _table_sizes(comp)
+        peak = [max(p, s) for p, s in zip(peak, sizes)]
+        # a table shrinks only when it is cleared, at STEP_LIMIT entries
+        cleared |= any(s < b for s, b in zip(sizes, before))
     built = len(comp.cells)
-    assert max(peak) >= attn.STEP_LIMIT - 4   # at least one table filled
+    assert cleared   # at least one table filled
     assert max(peak) <= attn.STEP_LIMIT + 4 + 3 * built
 
 
@@ -334,16 +345,27 @@ def test_memoised_scale_and_mlp_equal_fresh_evaluations(monkeypatch):
 
 
 def test_each_trace_gets_its_own_hidden_units():
+    """And its own per-token lists, filled when first read: two traces of
+    one pair share no list, and changing one changes no other."""
     spec = make("fx-tight", m=7)[0]
     y = z = "0010100"
     first = forward(spec, spec.encode(y, z))
     want = [_rep(h) for h in first.hidden]
+    lists = ("hidden",) + attn._REFOLDED
+    before = {name: list(getattr(first, name)) for name in lists}
     first.hidden[0] = first.output
     first.hidden.append(first.sa)
+    for name in attn._REFOLDED:
+        getattr(first, name).append(first.sa)
     for trace in (forward(spec, spec.encode(y, z)),
                   ref_forward(spec, spec.encode(y, z))):
         assert [_rep(h) for h in trace.hidden] == want
-    assert forward(spec, spec.encode(y, z)).hidden is not first.hidden
+        for name in attn._REFOLDED:
+            assert len(getattr(trace, name)) == len(before[name])
+    second = forward(spec, spec.encode(y, z))
+    for name in lists:
+        assert getattr(second, name) is not getattr(first, name)
+        assert getattr(second, name) == before[name]
 
 
 @pytest.mark.parametrize("name,kwargs", [
@@ -352,7 +374,7 @@ def test_each_trace_gets_its_own_hidden_units():
 ])
 def test_tail_tables_stay_bounded_and_exact(monkeypatch, name, kwargs):
     limit = 8
-    monkeypatch.setattr(attn, "STEP_LIMIT", limit)
+    monkeypatch.setattr(attn, "TAIL_LIMIT", limit)
     spec = make(name, **kwargs)[0]
     comp = spec._compiled
     cleared = [False, False]
