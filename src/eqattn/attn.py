@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import groupby, product
-from operator import itemgetter
+from operator import is_, itemgetter
 from typing import NamedTuple
 
 from .bitnum import (
@@ -327,20 +327,13 @@ class Cell(NamedTuple):
     """One token row's share of the folds, at any position.  num_term is the
     weight times value rounded into fold_fmt, or the ArithmeticError that
     rounding raised, for the fold to raise on reaching it.  den_first opens
-    a denominator fold; den_term is the exact weight later steps add.
-
-    Cells compare by identity, so a fold can tell a constant run's compiled
-    cells from equal ones: == on scalars ignores flags and formats."""
+    a denominator fold; den_term is the exact weight later steps add."""
 
     logit: Logit
     weight: Fraction
     num_term: object
     den_first: object
     den_term: object
-
-    __eq__ = object.__eq__
-    __ne__ = object.__ne__
-    __hash__ = object.__hash__
 
 
 def _rep(v):
@@ -459,19 +452,20 @@ class _Compiled:
                        for rule in spec.embedding]
         self.plans = {}
 
-    def plan(self, lo: int, hi: int) -> list:
-        """Positions lo..hi-1 as segments (a, b, run), memoised: run is the
-        cells of a..b-1 when they are two or more consts in a row, else
-        None."""
-        segments = []
+    def plan(self, lo: int, hi: int) -> tuple:
+        """Positions lo..hi-1 as segments (a, b, run), memoised, with a
+        getter of every run position and their consts: run is true when
+        a..b-1 are two or more consts in a row."""
+        segments, at = [], []
         for const, group in groupby(range(lo, hi),
                                     lambda j: self.consts[j] is not None):
             positions = list(group)
-            a, b = positions[0], positions[-1] + 1
-            segments.append((a, b, self.consts[a:b] if const and b - a > 1
-                             else None))
-        self.plans[lo, hi] = segments
-        return segments
+            run = const and len(positions) > 1
+            segments.append((positions[0], positions[-1] + 1, run))
+            at += positions if run else ()
+        plan = self.plans[lo, hi] = (segments, at and itemgetter(*at),
+                                     [self.consts[j] for j in at])
+        return plan
 
     def _own_cells(self, spec):
         """One token_logits call and one cell per distinct row value."""
@@ -579,14 +573,16 @@ def fold(spec: TransformerSpec, state, lo: int, hi: int, cells):
     cell's canonical term, and fx_add / fp_add runs only on a miss.  This is
     exact because a bounded add's result, its inexact flag included, depends
     only on the two operands' representations.  Two or more constant
-    positions in a row within lo..hi are one lookup on (state, run) when each
-    cell is that position's compiled cell; a miss walks them one by one and
-    stores the end.  An indeterminate form is never stored, so it is raised
-    on every visit.  A table cleared at its size limit only turns later
-    steps back into misses.
+    positions in a row within lo..hi are one lookup on (state, run) when
+    every such position holds its compiled cell; a miss walks them one by
+    one and stores the end.  An indeterminate form is never stored, so it
+    is raised on every visit.  A table cleared at its size limit only turns
+    later steps back into misses.
     """
     comp = spec._compiled
-    plan = comp.plans.get((lo, hi)) or comp.plan(lo, hi)
+    plan, pick, consts = comp.plans.get((lo, hi)) or comp.plan(lo, hi)
+    # by identity: == on scalars ignores flags and formats
+    own = bool(consts) and all(map(is_, consts, pick(cells)))
     out = []
     for s, table, (stage, t, f) in zip(state, (comp.num, comp.den), _FOLDS):
         if s is not OFF:
@@ -595,8 +591,8 @@ def fold(spec: TransformerSpec, state, lo: int, hi: int, cells):
             j = lo
             try:
                 for a, b, run in plan:
-                    own = run is not None and run == cells[a:b]
-                    if own:
+                    run = run and own
+                    if run:
                         start, hit = s, get((id(s), a, b))
                         if hit is not None:
                             s = hit
@@ -606,7 +602,7 @@ def fold(spec: TransformerSpec, state, lo: int, hi: int, cells):
                         nxt = get((id(s), id(term)))
                         s = table.step(s, term, cells[j][f]) \
                             if nxt is None else nxt
-                    if own:
+                    if run:
                         s = table.end_run(start, a, b, s)
             except IndeterminateForm:
                 raise
@@ -643,6 +639,12 @@ def _scaled(spec: TransformerSpec, num):
 def scale_numerator(spec: TransformerSpec, num):
     """The finished numerator fold times W^V, rounded into num_fmt."""
     return _scaled(spec, num)[1]
+
+
+def linear_output(spec: TransformerSpec, num):
+    """A linear head's attention output from its finished numerator fold:
+    the scaled numerator, rounded into out_fmt."""
+    return _scaled(spec, num)[2]
 
 
 def relu(v):
@@ -715,11 +717,11 @@ def finish_softmax(spec: TransformerSpec, num, den):
     Returns (bit, sa, output); as in forward, an indeterminate form in the
     division or the MLP answers 0 with sa and output None.  Lets verifiers
     that compute the two folds independently share the exact tail of the
-    pipeline.  A den of None finishes a linear head, whose scaled numerator
-    is the attention output.
+    pipeline.  A den of None finishes a linear head: num is then its
+    attention output, as linear_output gives it.
     """
     try:
-        sa = _attend(spec, num, den)
+        sa = num if den is None else _attend(spec, num, den)
         out, _, bit = _head(spec, sa)
     except IndeterminateForm:
         return 0, None, None

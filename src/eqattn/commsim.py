@@ -21,6 +21,7 @@ from .attn import (
     TransformerSpec,
     finish_softmax,
     fold,
+    linear_output,
     scale_numerator,
     token_cells,
 )
@@ -123,7 +124,7 @@ def run_protocol(spec: TransformerSpec, inst: EqInstance,
                            bob_bit=0)
     try:
         num, den = fold(spec, (l2, l1), k, len(cells), cells)
-        num = scale_numerator(spec, num)
+        num = (linear_output if linear else scale_numerator)(spec, num)
         bit = finish_softmax(spec, num, None if linear else den)[0]
     except IndeterminateForm:
         bit = 0

@@ -191,6 +191,27 @@ def test_an_indeterminate_form_inside_a_constant_run(monkeypatch):
 
 
 @pytest.mark.parametrize("label", SUBJECTS)
+def test_a_run_entry_stands_only_for_its_compiled_cells(label):
+    """With the run entries warm, a constant position that holds another
+    of the spec's rows, or a copy of one, is folded from its own cell."""
+    spec = _subject(label)
+    pairs = _pairs(spec.m, 4, 15)
+    for y, z in pairs:
+        _assert_same(spec, spec.encode(y, z))
+    rows = list({row: None for rule in spec.embedding for row in rule.rows})
+    changed = 0
+    for y, z in pairs:
+        x = spec.encode(y, z)
+        for run in _runs(spec):
+            j = run[1]
+            for row in random.Random(j).sample(rows, min(len(rows), 6)):
+                for held in (row, tuple(v for v in row)):
+                    got = _assert_same(spec, x[:j] + [held] + x[j + 1:])
+                    changed += got.numerator != forward(spec, x).numerator
+    assert changed
+
+
+@pytest.mark.parametrize("label", SUBJECTS)
 def test_trace_lists_are_refolded_when_first_read(label):
     """forward leaves the per-token lists unset; read after the step tables
     were cleared they equal the reference, and a second read gives the

@@ -281,8 +281,12 @@ def test_wide_format_tables_stay_bounded():
         fold(spec, (None, None), 0, len(cells), cells)
         before, sizes = sizes, _table_sizes(comp)
         peak = [max(p, s) for p, s in zip(peak, sizes)]
-        # a table shrinks only when it is cleared, at STEP_LIMIT entries
-        cleared |= any(s < b for s, b in zip(sizes, before))
+        for size, last in zip(sizes, before):
+            if size < last:   # cleared in this fold, at STEP_LIMIT entries:
+                # a fold adds at most four entries per position and one
+                # per constant run, so the last fold ended near the limit
+                assert last >= attn.STEP_LIMIT - 5 * (spec.n + 1)
+                cleared = True
     built = len(comp.cells)
     assert cleared   # at least one table filled
     assert max(peak) <= attn.STEP_LIMIT + 4 + 3 * built
