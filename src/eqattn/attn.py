@@ -11,13 +11,14 @@ runs entirely in the output format.
 
 The query row is constant and logits are exact, so all a token row feeds
 into the folds depends only on the row's contents, not on its position.  A
-spec compiles, on first use, a cell table: one cell per distinct row value,
-built from one token_logits call, and looked up by the id of each row the
-spec owns (token_cells).  One resumable kernel, fold, runs both folds over
-any range of positions from any (numerator, denominator) state: forward is
-one fold plus the divide and the MLP, the factored verifier runs each fold
-alone over the input bits fold_reads finds it reading, and the one-way
-protocol cuts it at Alice's prefix and resumes it for Bob.
+spec compiles, on first use, one cell per distinct row value, built from one
+token_logits call, and a map per position from the input bits it reads to
+its cell, so token_cells and forward take the pair (y, z) and read each
+position's cell with one lookup.  One resumable kernel, fold, runs both
+folds over any range of positions from any (numerator, denominator) state:
+forward is one fold plus the divide and the MLP, the factored verifier runs
+each fold alone over the input bits fold_reads finds it reading, and the
+one-way protocol cuts it at Alice's prefix and resumes it for Bob.
 
 A fold's state at any boundary is one value of its bounded format, so each
 fold step is a small finite map (state, term) -> next state.  A compiled
@@ -36,10 +37,7 @@ attention output sa, since the MLP reads nothing else; many pairs share one
 sa.  The divide is not memoised: its (num, den) pairs rarely repeat.  No
 error is ever stored, so an indeterminate form is raised on every visit.
 forward records no per-token list: its trace refolds them when they are
-first read.  encode is compiled too: each position holds a getter of its
-source bits over y + z and a map from the bits read to the rule's own row,
-so a lookup keeps the cell table hitting and a character other than 0 or 1
-misses it.
+first read.
 """
 
 from __future__ import annotations
@@ -48,7 +46,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import groupby, product
-from operator import is_, itemgetter
+from operator import itemgetter
 from typing import NamedTuple
 
 from .bitnum import (
@@ -204,8 +202,8 @@ class TransformerSpec:
 
     # The compiled kernel is built on first use and lives in __dict__
     # beside the fields, outside __eq__ and repr.  Assigning any attribute
-    # drops it, and so does pickling: the cell table and fold steps are keyed
-    # by object identity, which a copy in another process does not share.
+    # drops it, and so does pickling: the fold steps are keyed by object
+    # identity, which a copy in another process does not share.
     @cached_property
     def _compiled(self) -> "_Compiled":
         return _Compiled(self)
@@ -234,7 +232,6 @@ class EvalTrace:
     A trace built with its lists holds them as given.
     """
 
-    x: list
     logits: list
     weights: list
     num_terms: list = field(default_factory=list)
@@ -416,19 +413,19 @@ def _row_lookup(rule: TokenRule, m: int):
 
 
 class _Compiled:
-    """A spec's cell table; the step tables of its two folds; the memo
+    """A spec's compiled cells; the step tables of its two folds; the memo
     tables of the tail (scaled keyed by the numerator fold value's id, mlps
-    by the attention output's full representation); each position's row
-    lookup for encode; and its constants held in their stage formats: W^V's
-    scale and the MLP.
+    by the attention output's full representation); and its constants held
+    in their stage formats: W^V's scale and the MLP.
 
-    own maps the id of every row of the embedding to (row, its cell under
-    the constant query row), or to (row, the error building that cell
-    raised); the entry keeps the row alive, so the id stays unique.  cells
-    holds the cells of own that a fold can use: not those whose num_term is
-    an error, which is raised afresh each time from a fresh cell.  Without a
-    constant query row both are empty.  consts holds each position's cell
-    in cells if it is constant (no source bits), else None.
+    built maps each distinct row value of the embedding to its cell under
+    the constant query row, or to the error building that cell raised;
+    without a constant query row it is empty.  encoders holds each
+    position's getter over y + z and its map from the bits read to the
+    rule's row; lookups holds the same getter and a map from the bits read
+    to the row's cell, for the cells a fold can use: not those whose build
+    raised or whose num_term is an error, which are built afresh each time.
+    consts holds each constant position's cell in lookups, else None.
     """
 
     def __init__(self, spec: TransformerSpec):
@@ -444,47 +441,45 @@ class _Compiled:
         self.col, scale = spec.value_column()
         self.scale = _wrap_exact(scale, spec.num_fmt)
         self.mlp = _hold_mlp(spec.mlp, spec.out_fmt)
-        self.own = self._own_cells(spec)
-        self.cells = {key: cell for key, (_, cell) in self.own.items()
-                      if isinstance(cell, Cell)
-                      and not isinstance(cell.num_term, ArithmeticError)}
-        self.consts = [None if rule.source else self.cells.get(id(rule.rows[0]))
-                       for rule in spec.embedding]
+        self.built = self._build(spec)
+        usable = {row: cell for row, cell in self.built.items()
+                  if isinstance(cell, Cell)
+                  and not isinstance(cell.num_term, ArithmeticError)}
+        self.lookups = [(get, {bits: usable[row] for bits, row in rows.items()
+                               if row in usable})
+                        for get, rows in self.encoders]
+        self.consts = [cells.get("") for _, cells in self.lookups]
         self.plans = {}
 
-    def plan(self, lo: int, hi: int) -> tuple:
-        """Positions lo..hi-1 as segments (a, b, run), memoised, with a
-        getter of every run position and their consts: run is true when
-        a..b-1 are two or more consts in a row."""
-        segments, at = [], []
+    def plan(self, lo: int, hi: int) -> list:
+        """Positions lo..hi-1 as segments (a, b, run), memoised: run is
+        true when a..b-1 are two or more consts in a row."""
+        segments = []
         for const, group in groupby(range(lo, hi),
                                     lambda j: self.consts[j] is not None):
             positions = list(group)
-            run = const and len(positions) > 1
-            segments.append((positions[0], positions[-1] + 1, run))
-            at += positions if run else ()
-        plan = self.plans[lo, hi] = (segments, at and itemgetter(*at),
-                                     [self.consts[j] for j in at])
-        return plan
+            segments.append((positions[0], positions[-1] + 1,
+                             const and len(positions) > 1))
+        self.plans[lo, hi] = segments
+        return segments
 
-    def _own_cells(self, spec):
+    def _build(self, spec):
         """One token_logits call and one cell per distinct row value."""
         if self.query is None:
             return {}
-        rows = [row for rule in spec.embedding for row in rule.rows]
-        distinct = list(dict.fromkeys(rows))
+        distinct = list(dict.fromkeys(
+            row for rule in spec.embedding for row in rule.rows))
         try:
             logits = token_logits(spec, distinct + [self.query])
         except ValueError as exc:       # a sentinel in the query row
-            built = dict.fromkeys(distinct, exc)
-        else:
-            built = {}
-            for row, logit in zip(distinct, logits):
-                try:
-                    built[row] = _make_cell(spec, self, row, logit)
-                except ValueError as exc:   # a logit exp_logit_exact refuses
-                    built[row] = exc
-        return {id(row): (row, built[row]) for row in rows}
+            return dict.fromkeys(distinct, exc)
+        built = {}
+        for row, logit in zip(distinct, logits):
+            try:
+                built[row] = _make_cell(spec, self, row, logit)
+            except ValueError as exc:   # a logit exp_logit_exact refuses
+                built[row] = exc
+        return built
 
 
 def _make_cell(spec: TransformerSpec, comp: _Compiled, row,
@@ -500,22 +495,26 @@ def _make_cell(spec: TransformerSpec, comp: _Compiled, row,
                 comp.den.intern(_wrap_exact(w, spec.den_fmt)))
 
 
-def token_cells(spec: TransformerSpec, x) -> list[Cell]:
-    """The cell of every position of a token sequence, query row last.
+def token_cells(spec: TransformerSpec, y: str, z: str) -> list[Cell]:
+    """The cell of every position for the input pair, query row last.
 
-    A sequence of the spec's own rows under its own query row reads every
-    cell from the compiled table, by row id.  Any other sequence (a copied
-    or foreign row, a copied query row, a row whose cell raised or whose
-    num_term is an error) is built uncached: its logits are computed once
-    and every cell is built, in position order, before folding starts, so
-    an error is raised at the first position that reaches it.
+    Each position reads its cell from the compiled lookups by the bits it
+    reads of y + z.  On a miss (a query row that reads input bits, a row
+    whose cell raised or whose num_term is an error, or input encode
+    refuses) every cell is built uncached from encode's rows: their logits
+    are computed once and every cell is built, in position order, before
+    folding starts, so an error is raised at the first position that
+    reaches it.
     """
     comp = spec._compiled
-    if x[-1] is comp.query:
-        try:
-            return [comp.cells[id(row)] for row in x]
-        except KeyError:
-            pass
+    bits = y + z
+    try:
+        if len(y) == spec.m == len(z) and \
+                not (comp.unread and bits.strip("01")):
+            return [cells[get(bits)] for get, cells in comp.lookups]
+    except KeyError:
+        pass
+    x = spec.encode(y, z)
     return [_make_cell(spec, comp, row, logit)
             for row, logit in zip(x, token_logits(spec, x))]
 
@@ -533,7 +532,7 @@ def fold_reads(spec: TransformerSpec) -> tuple[set, set]:
     comp = spec._compiled
     every = set(range(1, spec.m + 1))
     if comp.query is None or \
-            not all(isinstance(cell, Cell) for _, cell in comp.own.values()):
+            not all(isinstance(cell, Cell) for cell in comp.built.values()):
         return every, set(every)
 
     def varies(terms):
@@ -542,7 +541,7 @@ def fold_reads(spec: TransformerSpec) -> tuple[set, set]:
 
     num, den = set(), set()
     for rule in spec.embedding:
-        mine = [comp.own[id(row)][1] for row in rule.rows]
+        mine = [comp.built[row] for row in rule.rows]
         bits = {idx for _, idx in rule.source}
         if varies([c.num_term for c in mine]):
             num |= bits
@@ -573,16 +572,16 @@ def fold(spec: TransformerSpec, state, lo: int, hi: int, cells):
     cell's canonical term, and fx_add / fp_add runs only on a miss.  This is
     exact because a bounded add's result, its inexact flag included, depends
     only on the two operands' representations.  Two or more constant
-    positions in a row within lo..hi are one lookup on (state, run) when
-    every such position holds its compiled cell; a miss walks them one by
-    one and stores the end.  An indeterminate form is never stored, so it
-    is raised on every visit.  A table cleared at its size limit only turns
-    later steps back into misses.
+    positions in a row within lo..hi are one lookup on (state, run); a miss
+    walks them one by one and stores the end.  This is exact for cells from
+    token_cells: a constant position holds its compiled cell, or one built
+    afresh from the same row, whose terms have the same representations.
+    An indeterminate form is never stored, so it is raised on every visit.
+    A table cleared at its size limit only turns later steps back into
+    misses.
     """
     comp = spec._compiled
-    plan, pick, consts = comp.plans.get((lo, hi)) or comp.plan(lo, hi)
-    # by identity: == on scalars ignores flags and formats
-    own = bool(consts) and all(map(is_, consts, pick(cells)))
+    plan = comp.plans.get((lo, hi)) or comp.plan(lo, hi)
     out = []
     for s, table, (stage, t, f) in zip(state, (comp.num, comp.den), _FOLDS):
         if s is not OFF:
@@ -591,7 +590,6 @@ def fold(spec: TransformerSpec, state, lo: int, hi: int, cells):
             j = lo
             try:
                 for a, b, run in plan:
-                    run = run and own
                     if run:
                         start, hit = s, get((id(s), a, b))
                         if hit is not None:
@@ -728,13 +726,14 @@ def finish_softmax(spec: TransformerSpec, num, den):
     return bit, sa, out
 
 
-def forward(spec: TransformerSpec, x) -> EvalTrace:
-    """The whole head: numerator fold, the denominator fold and divide for
-    softmax attention, then the MLP.  The trace keeps the cells and fills
-    its per-token lists only when they are read (see EvalTrace)."""
-    cells = token_cells(spec, x)
+def forward(spec: TransformerSpec, y: str, z: str) -> EvalTrace:
+    """The whole head on the input pair: numerator fold, the denominator
+    fold and divide for softmax attention, then the MLP.  The trace keeps
+    the cells and fills its per-token lists only when they are read (see
+    EvalTrace)."""
+    cells = token_cells(spec, y, z)
     trace = EvalTrace.__new__(EvalTrace)    # with the lists of _REFOLDED unset
-    vars(trace).update(x=x, spec=spec, cells=cells,
+    vars(trace).update(spec=spec, cells=cells,
                        index_base=spec.index_base, hidden=[])
     stage = "numerator"
     try:

@@ -135,7 +135,7 @@ def _failure_traces(cfg: RunConfig, report, limit: int = 3) -> list[str]:
     lines = []
     for f in report.failures[:limit]:
         lines.append(f"trace y={f.y} z={f.z}:")
-        trace = forward(spec, spec.encode(f.y, f.z))
+        trace = forward(spec, f.y, f.z)
         lines.extend("  " + ln for ln in trace.render_lines())
     return lines
 
@@ -229,7 +229,7 @@ def cmd_protocol(cfg: RunConfig) -> int:
     for y, z in pairs:
         total += 1
         run = run_protocol(spec, EqInstance(y, z))
-        ref = forward(spec, spec.encode(y, z))
+        ref = forward(spec, y, z)
         ok = run.bob_bit == ref.bit
         matches += ok
         costs.add(run.bit_cost)

@@ -116,7 +116,7 @@ def run_protocol(spec: TransformerSpec, inst: EqInstance,
     linear = spec.attention_kind == LINEAR
     cost = bit_cost(spec)
 
-    cells = token_cells(spec, spec.encode(inst.y, inst.z))
+    cells = token_cells(spec, inst.y, inst.z)
     try:
         l2, l1 = fold(spec, (None, OFF if linear else None), 0, k, cells)
     except IndeterminateForm:

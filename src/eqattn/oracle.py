@@ -201,7 +201,7 @@ def _eval_pairs(spec, pairs):
     inf_n = 0
     for y, z in pairs:
         n += 1
-        trace = forward(spec, spec.encode(y, z))
+        trace = forward(spec, y, z)
         inf_n += trace_saturated(trace)
         expected = int(y == z)
         if trace.bit != expected:
@@ -307,7 +307,7 @@ def _fold_value(spec, y, z, state):
     """One fold of the kernel over the pair's whole sequence, started from
     state: the scaled numerator or the denominator, _NAN when it hits an
     indeterminate form."""
-    cells = token_cells(spec, spec.encode(y, z))
+    cells = token_cells(spec, y, z)
     try:
         num, den = fold(spec, state, 0, len(cells), cells)
         return den if num is OFF else scale_numerator(spec, num)
@@ -376,7 +376,7 @@ def _factored_exhaustive(spec, s, cap, rng):
             for (a, b), (c, d) in islice(product(ex1, ex2), room):
                 y = _bits(a, s) + _bits(c, second)
                 z = _bits(b, s) + _bits(d, second)
-                trace = forward(spec, spec.encode(y, z))
+                trace = forward(spec, y, z)
                 if trace.bit != bit:
                     raise RuntimeError(
                         "factored and direct evaluation disagree at "
@@ -395,7 +395,7 @@ def _factored_exhaustive(spec, s, cap, rng):
             z = _bits(rng.getrandbits(m), m)
             if y > z:
                 y, z = z, y
-            trace = forward(spec, spec.encode(y, z))
+            trace = forward(spec, y, z)
             if trace.bit != int(y == z):
                 raise RuntimeError(
                     "spot check found a failure the factored pass missed: "

@@ -249,8 +249,7 @@ def quantize_spec(spec: TransformerSpec, fmt: QuantFormat) -> TransformerSpec:
 
     Each distinct (tensor, value) is rounded once, integer scales are
     calibrated over the distinct values, and each distinct (tensor, row)
-    is quantized once.  Equal quantized rows are one tuple, so the
-    quantized head's cell table holds one entry per distinct row.
+    is quantized once.
     """
     rounders = {}
     for label, values in _spec_tensors(spec):
@@ -259,7 +258,6 @@ def quantize_spec(spec: TransformerSpec, fmt: QuantFormat) -> TransformerSpec:
                                            fmt.bits)
         else:
             rounders[label] = _float_rounder(fmt)
-    shared = {}
 
     @cache
     def q(label, v):
@@ -267,8 +265,7 @@ def quantize_spec(spec: TransformerSpec, fmt: QuantFormat) -> TransformerSpec:
 
     @cache
     def q_row(label, row):
-        out = tuple(q(label, v) for v in row)
-        return shared.setdefault(out, out)
+        return tuple(q(label, v) for v in row)
 
     embedding = [
         TokenRule(source=rule.source,
@@ -446,7 +443,7 @@ def eval_accuracy(spec: TransformerSpec, ds: Dataset, promises=None,
                 y, z = z, y
             if promises.check(EqInstance(y, z)):
                 continue
-        trace = forward(spec, spec.encode(y, z))
+        trace = forward(spec, y, z)
         total += 1
         correct += trace.bit == lab
         inf_n += trace_saturated(trace)

@@ -27,7 +27,7 @@ def ref_forward(spec, x, normalize=None) -> EvalTrace:
     logits = token_logits(spec, x)
     weights = [exp_logit_exact(lg) for lg in logits]
     col, scale = spec.value_column()
-    trace = EvalTrace(x=x, logits=logits, weights=weights,
+    trace = EvalTrace(logits=logits, weights=weights,
                       index_base=spec.index_base)
 
     def nan_like():

@@ -95,7 +95,7 @@ def test_criterion_04_protocol_matches_forward_pass():
         costs = set()
         for y, z in pairs:
             run = run_protocol(spec, EqInstance(y, z))
-            ref = forward(spec, spec.encode(y, z))
+            ref = forward(spec, y, z)
             assert run.bob_bit == ref.bit, f"m={m} y={y} z={z} disagrees"
             costs.add(run.bit_cost)
         assert costs == {2 * p}

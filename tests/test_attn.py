@@ -28,11 +28,11 @@ class TestForward:
         """The two-token head accepts exactly the diagonal pairs."""
         for y in "01":
             for z in "01":
-                trace = forward(toy_spec, toy_spec.encode(y, z))
+                trace = forward(toy_spec, y, z)
                 assert trace.bit == int(y == z)
 
     def test_attention_output_is_the_midpoint_on_equal_pairs(self, toy_spec):
-        trace = forward(toy_spec, toy_spec.encode("1", "1"))
+        trace = forward(toy_spec, "1", "1")
         assert trace.sa.as_fraction() == Fraction(1, 2)
         assert trace.denominator.as_fraction() == 2
         assert trace.numerator.as_fraction() == 1
@@ -43,12 +43,12 @@ class TestForward:
         x = toy_spec.encode("0", "0")
         logits = token_logits(toy_spec, x)
         assert logits[-1].is_neg_large
-        trace = forward(toy_spec, x)
+        trace = forward(toy_spec, "0", "0")
         assert trace.weights[-1] == 0
         assert trace.weights[0] == 1
 
     def test_partials_are_recorded_per_token(self, toy_spec):
-        trace = forward(toy_spec, toy_spec.encode("0", "1"))
+        trace = forward(toy_spec, "0", "1")
         n_tokens = toy_spec.n + 1
         assert len(trace.num_partials) == n_tokens
         assert len(trace.den_partials) == n_tokens
@@ -61,7 +61,7 @@ class TestForward:
         toy head sees 1 on equal pairs and fires on sa = 1 inputs only
         after retuning; here we just pin the plumbing."""
         linear = replace(toy_spec, attention_kind=LINEAR)
-        trace = forward(linear, linear.encode("1", "1"))
+        trace = forward(linear, "1", "1")
         assert trace.denominator is None
         assert trace.sa.as_fraction() == 1
 
@@ -72,7 +72,7 @@ class TestForward:
     def test_finish_softmax_matches_forward(self, toy_spec):
         for y in "01":
             for z in "01":
-                trace = forward(toy_spec, toy_spec.encode(y, z))
+                trace = forward(toy_spec, y, z)
                 bit, sa, out = finish_softmax(
                     toy_spec, trace.numerator, trace.denominator)
                 assert bit == trace.bit
@@ -138,7 +138,7 @@ class TestValidation:
 
 class TestTraceRendering:
     def test_render_lines_shape(self, toy_spec):
-        trace = forward(toy_spec, toy_spec.encode("0", "0"))
+        trace = forward(toy_spec, "0", "0")
         lines = trace.render_lines()
         assert lines[0].startswith("token 0: logit=0 weight=1")
         assert any(ln.startswith("numerator: ") for ln in lines)
@@ -147,12 +147,12 @@ class TestTraceRendering:
         assert "logit=-N" in lines[2]
 
     def test_render_marks_indeterminate(self):
-        trace = EvalTrace(x=[], logits=[], weights=[], indeterminate=True,
+        trace = EvalTrace(logits=[], weights=[], indeterminate=True,
                           bit=0)
         assert "attention output: indeterminate" in trace.render_lines()
 
     def test_any_inexact_flags_rounded_steps(self, toy_spec):
-        exact = forward(toy_spec, toy_spec.encode("0", "0"))
+        exact = forward(toy_spec, "0", "0")
         assert not exact.any_inexact()
 
 
@@ -163,8 +163,8 @@ class TestPayload:
         assert spec_to_payload(again) == payload
         for y in "01":
             for z in "01":
-                a = forward(toy_spec, toy_spec.encode(y, z))
-                b = forward(again, again.encode(y, z))
+                a = forward(toy_spec, y, z)
+                b = forward(again, y, z)
                 assert a.bit == b.bit and a.sa == b.sa
 
     def test_sentinel_key_survives_the_trip(self, toy_spec):

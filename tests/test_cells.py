@@ -1,11 +1,13 @@
-"""The compiled cell table against cells built fresh.
+"""The compiled cells against cells built fresh.
 
 A spec compiles one cell per distinct row value, from one token_logits call,
-and token_cells and fold_reads read every cell from that table.  Each table
-cell must equal a fresh _make_cell on every field, for every family and its
-quantizations; a row whose cell cannot be built stays out of the table and
-still fails where the sequence reaches it; fold_reads must give what a
-fresh build of every cell gives.
+and a map per position from the input bits it reads to its cell; token_cells
+and fold_reads read every cell from these.  At every position and for every
+pattern of its bits, the mapped cell must equal a fresh _make_cell of the
+encoded row on every field, for every family and its quantizations; a row
+whose cell cannot be built is mapped at no position and still fails at the
+first position that reaches it; fold_reads must give what a fresh build of
+every cell gives.
 """
 
 import warnings
@@ -57,32 +59,45 @@ def _fields(cell):
             _rep(cell.den_first), _rep(cell.den_term))
 
 
+def _patterns(spec, j):
+    """(y, z) for every pattern of the bits position j reads, the first
+    reference most significant, with every other bit 0."""
+    source = spec.embedding[j].source
+    for code in range(1 << len(source)):
+        bits = {"y": ["0"] * spec.m, "z": ["0"] * spec.m}
+        for k, (name, idx) in enumerate(reversed(source)):
+            if code >> k & 1:
+                bits[name][idx - 1] = "1"
+        yield "".join(bits["y"]), "".join(bits["z"])
+
+
 @pytest.mark.parametrize("fmt", FORMATS)
 @pytest.mark.parametrize("family", FAMILIES)
 def test_every_table_cell_equals_a_fresh_build(family, fmt):
     spec = _subject(family, fmt)
     comp = spec._compiled
-    rows = [row for rule in spec.embedding for row in rule.rows]
-    missing = set()
-    for row in rows:
-        fresh = _fresh(spec, row)
-        if isinstance(fresh, Exception) or \
-                isinstance(fresh.num_term, ArithmeticError):
-            assert id(row) not in comp.cells
-            missing.add(id(row))
-        else:
-            assert _fields(comp.cells[id(row)]) == _fields(fresh)
-    assert set(comp.cells) == {id(row) for row in rows} - missing
+    rows = {row for rule in spec.embedding for row in rule.rows}
+    assert set(comp.built) == rows
+    missing, mapped = set(), {}
+    for j, (get, cells) in enumerate(comp.lookups):
+        for y, z in _patterns(spec, j):
+            row = spec.encode(y, z)[j]
+            fresh = _fresh(spec, row)
+            if isinstance(fresh, Exception) or \
+                    isinstance(fresh.num_term, ArithmeticError):
+                assert get(y + z) not in cells
+                missing.add(row)
+            else:
+                cell = cells[get(y + z)]
+                assert _fields(cell) == _fields(fresh)
+                mapped.setdefault(row, cell)
+                assert mapped[row] is cell
+        assert len(cells) == len(spec.embedding[j].rows) - sum(
+            row in missing for row in spec.embedding[j].rows)
     assert bool(missing) == (fmt == "fp_e2m1")
-    # one cell per distinct row value, whatever the number of row objects
-    distinct = {row for row in rows if id(row) in comp.cells}
-    assert len({id(cell) for cell in comp.cells.values()}) == len(distinct)
-
-
-def test_equal_quantized_rows_are_one_object():
-    spec = _subject("fp-softmax (4,7)", "int6")
-    rows = [row for rule in spec.embedding for row in rule.rows]
-    assert len({id(row) for row in rows}) == len(set(rows)) < len(rows)
+    assert len(mapped) + len(missing) == len(rows)
+    # one cell per distinct row value, at every position it is read from
+    assert len({id(cell) for cell in mapped.values()}) == len(mapped)
 
 
 def _old_fold_reads(spec):
@@ -135,22 +150,27 @@ def test_an_error_term_differs_from_every_other_term(monkeypatch):
 
     monkeypatch.setattr(attn, "fx_round", refuse_large)
     comp = spec._compiled
-    bad = [row for rule in spec.embedding for row in rule.rows
-           if isinstance(comp.own[id(row)][1].num_term, OverflowError)]
-    assert bad and not any(id(row) in comp.cells for row in bad)
+    bad = [row for row, cell in comp.built.items()
+           if isinstance(cell.num_term, OverflowError)]
+    assert bad and not any(isinstance(cell.num_term, ArithmeticError)
+                           for _, cells in comp.lookups
+                           for cell in cells.values())
     assert fold_reads(spec) == _old_fold_reads(spec)
     pairs = ((format(v, "05b"), format(v, "05b")) for v in range(32))
     y, z = next((y, z) for y, z in pairs
                 if any(row in bad for row in spec.encode(y, z)))
-    with pytest.raises(StageError, match="numerator.*past the fold format"):
-        forward(spec, spec.encode(y, z))
+    first = next(j for j, row in enumerate(spec.encode(y, z)) if row in bad)
+    with pytest.raises(StageError, match="numerator.*past the fold format") \
+            as info:
+        forward(spec, y, z)
+    assert info.value.token == spec.index_base + first
 
 
 def _infinity_keyed_pair(spec):
     comp = spec._compiled
     for v in range(1 << spec.m):
         y = format(v, f"0{spec.m}b")
-        if any(not isinstance(comp.own[id(row)][1], Cell)
+        if any(not isinstance(comp.built[row], Cell)
                for row in spec.encode(y, y)):
             return y
     raise AssertionError("no sequence reaches an infinity-coded key")
@@ -160,9 +180,9 @@ def test_an_infinity_coded_key_still_raises(run_cli):
     spec = _subject("fx-tight m=7", "fp_e2m1")
     y = _infinity_keyed_pair(spec)
     with pytest.raises(LogitOutOfRange):
-        token_cells(spec, spec.encode(y, y))
+        token_cells(spec, y, y)
     with pytest.raises(LogitOutOfRange):
-        forward(spec, spec.encode(y, y))
+        forward(spec, y, y)
     code, out, err = run_cli("quantize", "--construction", "fx-tight",
                              "--m", "7", "--formats", "fp_e2m1")
     assert code == 2 and out == ""

@@ -193,9 +193,9 @@ class TestProtocolCommand:
         calls = []
         real = cli.forward
 
-        def counted(spec, x):
-            calls.append(x)
-            return real(spec, x)
+        def counted(spec, y, z):
+            calls.append((y, z))
+            return real(spec, y, z)
 
         monkeypatch.setattr(cli, "forward", counted)
         code, out, _ = run_cli("protocol", "--construction", "fx-tight",

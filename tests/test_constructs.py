@@ -93,7 +93,7 @@ class TestBuilders:
         with pytest.raises(UnsupportedM, match="n >="):
             make("fx-tight", m=5, n=3)
         for y, z in (("00000", "00000"), ("00101", "11010")):
-            wide = forward(spec, spec.encode(y, z))
+            wide = forward(spec, y, z)
             assert wide.bit == int(y == z)
 
 
@@ -165,7 +165,7 @@ class TestGroundTruth:
         wrong = []
         for y, z in all_pairs(5):
             assert promises.check(EqInstance(y, z)) == []
-            trace = forward(spec, spec.encode(y, z))
+            trace = forward(spec, y, z)
             if trace.bit != int(y == z):
                 wrong.append((y, z))
         assert wrong == []
@@ -173,7 +173,7 @@ class TestGroundTruth:
     def test_fx_simple_m5_is_exact_over_all_pairs(self):
         spec, _ = make("fx-simple", m=5)
         for y, z in all_pairs(5):
-            trace = forward(spec, spec.encode(y, z))
+            trace = forward(spec, y, z)
             assert trace.bit == int(y == z), (y, z)
 
     def test_fp_linear_43_is_exact_on_admissible_pairs(self):
@@ -183,7 +183,7 @@ class TestGroundTruth:
             if promises.check(EqInstance(y, z)):
                 continue
             good += 1
-            trace = forward(spec, spec.encode(y, z))
+            trace = forward(spec, y, z)
             assert trace.bit == int(y == z), (y, z)
         assert good == 1568
 
@@ -198,6 +198,6 @@ class TestGroundTruth:
                 z = y
             if promises.check(EqInstance(y, z)):
                 continue
-            trace = forward(spec, spec.encode(y, z))
+            trace = forward(spec, y, z)
             assert trace.bit == int(y == z), (y, z)
             done += 1

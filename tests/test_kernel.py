@@ -4,37 +4,41 @@ attn.forward folds cells read from the compiled table; reffwd.ref_forward
 recomputes every term from the spec.  They must agree on the answer bit, on
 every line of the rendered trace, on the inexact and saturation flags and
 on how they fail, for every family, below native precision, after
-quantization, on rows that are not the spec's own, and across the spec
-copies the library makes; also with step tables so small that they clear
-in the middle of a constant run, and when an indeterminate form is raised
-inside one.  A constant run is one lookup only over its compiled cells.
-forward's trace fills its per-token lists when they are first read, after
-any later clear, and two traces share none.  The protocol resumes the same
-kernel at a prefix boundary, so it must give the forward bit and the
-reference partials at every legal prefix length, those that cut a
-constant run included.  The compiled encode must return the very row
-objects a bit-by-bit reading of each rule selects, and refuse any
-character but 0 and 1.
+quantization, with a query row that reads an input bit, and across the
+spec copies the library makes; also with step tables so small that they
+clear in the middle of a constant run, and when an indeterminate form is
+raised inside one.  A constant run is one lookup, also over cells built
+afresh from the same rows.  forward's trace fills its per-token lists when
+they are first read, after any later clear, and two traces share none.
+The protocol resumes the same kernel at a prefix boundary, so it must give
+the forward bit and the reference partials at every legal prefix length,
+those that cut a constant run included.  The compiled encode must return
+the very row objects a bit-by-bit reading of each rule selects; it, forward
+and token_cells must refuse any character but 0 and 1, and any pair but
+two m-bit strings.
 """
 
 import gc
 import pickle
 import random
-from itertools import groupby
 from dataclasses import replace
+from functools import partial
+from itertools import groupby, product
 from fractions import Fraction
 
 import pytest
 
 from conftest import build_toy_spec
-from eqattn import attn
-from eqattn.attn import (_REFOLDED, OFF, StageError, TokenRule, _rep, fold,
-                         forward, token_cells)
+from eqattn import attn, oracle
+from eqattn.attn import (_REFOLDED, OFF, StageError, TokenRule, _make_cell,
+                         _rep, fold, fold_reads, forward, token_cells,
+                         token_logits)
 from eqattn.bitnum import (FxFormat, IndeterminateForm, NonDyadicLogit,
                            encode_scalar)
 from eqattn.commsim import default_split, run_protocol
-from eqattn.constructs import EqInstance, make
-from eqattn.oracle import precision_delta_spec, trace_saturated
+from eqattn.constructs import EqInstance, PromiseSet, make
+from eqattn.oracle import (precision_delta_spec, trace_saturated,
+                           verify_exhaustive_spec)
 from eqattn.quantlab import FP8_E4M3, INT4, INT6, INT8, quantize_spec
 from reffwd import ref_forward
 
@@ -72,8 +76,8 @@ def _scalars(trace):
     return [[rep(v) for v in vs] for vs in lists] + [rep(v) for v in ends]
 
 
-def _assert_same(spec, x):
-    got, want = forward(spec, x), ref_forward(spec, x)
+def _assert_same(spec, y, z):
+    got, want = forward(spec, y, z), ref_forward(spec, spec.encode(y, z))
     assert got.bit == want.bit
     assert got.render_lines() == want.render_lines()
     assert got.any_inexact() == want.any_inexact()
@@ -113,7 +117,7 @@ def test_native_and_cliff_specs_match_the_reference(label, monkeypatch):
         assert _runs(spec)
         for s in (spec, precision_delta_spec(spec, -1)):
             for y, z in _pairs(s.m, 40, 1):
-                _assert_same(s, s.encode(y, z))
+                _assert_same(s, y, z)
 
 
 @pytest.mark.parametrize("label", ["fx-tight m=7", "fp-linear (4,3)",
@@ -127,7 +131,7 @@ def test_saturating_quantized_specs_match_the_reference(label, monkeypatch):
         for fmt in (INT6, INT8, FP8_E4M3, INT4):
             spec = quantize_spec(_subject(label), fmt)
             for y, z in _pairs(spec.m, 30, 2):
-                trace = _assert_same(spec, spec.encode(y, z))
+                trace = _assert_same(spec, y, z)
                 indeterminate += trace.indeterminate
                 in_numerator += len(trace.num_partials) <= spec.n
         assert indeterminate > 0 and in_numerator > 0
@@ -172,7 +176,7 @@ def test_an_indeterminate_form_inside_a_constant_run(monkeypatch):
                            {12: Fraction(1 << 40), 13: Fraction(-1 << 40)})
         assert range(10, 18) in _runs(spec)
         for y, z in _pairs(spec.m, 20, 12) * 2:
-            trace = _assert_same(spec, spec.encode(y, z))
+            trace = _assert_same(spec, y, z)
             assert trace.indeterminate and len(trace.num_partials) == 13
             assert trace.den_partials == [] and trace.numerator is None
         # Every weight of the run is 0; where the denominator holds 7/2
@@ -181,7 +185,7 @@ def test_an_indeterminate_form_inside_a_constant_run(monkeypatch):
         _planted_den_add(monkeypatch, spec, "fx_add", Fraction(7, 2))
         stopped = 0
         for y, z in _pairs(spec.m, 40, 13) * 2:
-            trace = _assert_same(spec, spec.encode(y, z))
+            trace = _assert_same(spec, y, z)
             if len(trace.den_partials) <= spec.n:
                 stopped += 1
                 assert trace.indeterminate and trace.numerator is not None
@@ -191,34 +195,13 @@ def test_an_indeterminate_form_inside_a_constant_run(monkeypatch):
 
 
 @pytest.mark.parametrize("label", SUBJECTS)
-def test_a_run_entry_stands_only_for_its_compiled_cells(label):
-    """With the run entries warm, a constant position that holds another
-    of the spec's rows, or a copy of one, is folded from its own cell."""
-    spec = _subject(label)
-    pairs = _pairs(spec.m, 4, 15)
-    for y, z in pairs:
-        _assert_same(spec, spec.encode(y, z))
-    rows = list({row: None for rule in spec.embedding for row in rule.rows})
-    changed = 0
-    for y, z in pairs:
-        x = spec.encode(y, z)
-        for run in _runs(spec):
-            j = run[1]
-            for row in random.Random(j).sample(rows, min(len(rows), 6)):
-                for held in (row, tuple(v for v in row)):
-                    got = _assert_same(spec, x[:j] + [held] + x[j + 1:])
-                    changed += got.numerator != forward(spec, x).numerator
-    assert changed
-
-
-@pytest.mark.parametrize("label", SUBJECTS)
 def test_trace_lists_are_refolded_when_first_read(label):
     """forward leaves the per-token lists unset; read after the step tables
     were cleared they equal the reference, and a second read gives the
     same values."""
     spec = precision_delta_spec(_subject(label), -1)
     pairs = _pairs(spec.m, 20, 11)
-    traces = [forward(spec, spec.encode(y, z)) for y, z in pairs]
+    traces = [forward(spec, y, z) for y, z in pairs]
     assert not any(set(_REFOLDED) & set(vars(t)) for t in traces)
     comp = spec._compiled
     for table in (comp.num, comp.den):
@@ -251,43 +234,22 @@ class _CountingDict(dict):
     ("fx-tight", {"m": 13}, 31),
 ])
 def test_a_constant_run_is_one_lookup(name, kwargs, per_fold):
-    """Warm, a fold of the spec's own cells makes one lookup per variable
-    position and one per constant run of two or more; copied rows, whose
-    cells are built afresh, make one per position."""
+    """Warm, a fold makes one lookup per variable position and one per
+    constant run of two or more."""
     spec = make(name, **kwargs)[0]
     n = spec.n + 1
     assert n - sum(len(r) for r in _runs(spec)) + len(_runs(spec)) \
         == per_fold
-    seqs = [spec.encode(y, z) for y, z in _pairs(spec.m, 20, 14)]
-    for x in seqs:
-        fold(spec, (None, None), 0, n, token_cells(spec, x))
+    pairs = _pairs(spec.m, 20, 14)
+    for y, z in pairs:
+        fold(spec, (None, None), 0, n, token_cells(spec, y, z))
     comp = spec._compiled
-    for x in seqs:
-        copies = [tuple(v for v in row) for row in x]
-        for own, want in ((x, per_fold), (copies, n)):
-            tables = [comp.num, comp.den]
-            for table in tables:
-                table.steps = _CountingDict(table.steps)
-            cells = token_cells(spec, own)
-            fold(spec, (None, None), 0, n, cells)
-            assert [t.steps.lookups for t in tables] == [want, want]
-
-
-def test_rows_that_are_not_the_specs_own_are_evaluated_uncached():
-    spec = _subject("fx-tight m=7")
-    for y, z in _pairs(spec.m, 12, 3):
-        own = spec.encode(y, z)
-        copies = [tuple(v for v in row) for row in own]
-        assert all(a is not b for a, b in zip(own, copies))
-        cached = token_cells(spec, own)
-        assert all(a is b for a, b in zip(cached, token_cells(spec, own)))
-        # Copied token rows under the spec's own query row, then the own
-        # token rows under a copied query row, which feeds every logit.
-        for x in (copies[:-1] + own[-1:], own[:-1] + copies[-1:]):
-            _assert_same(spec, x)
-            first, again = token_cells(spec, x), token_cells(spec, x)
-            fresh = [a is not b for a, b in zip(first, again)]
-            assert fresh[:-1] == [True] * (len(x) - 1)
+    for y, z in pairs:
+        tables = [comp.num, comp.den]
+        for table in tables:
+            table.steps = _CountingDict(table.steps)
+        fold(spec, (None, None), 0, n, token_cells(spec, y, z))
+        assert [t.steps.lookups for t in tables] == [per_fold, per_fold]
 
 
 @pytest.mark.parametrize("label", SUBJECTS)
@@ -298,21 +260,7 @@ def test_warm_step_tables_replay_the_cold_folds(label):
     for s in (spec, precision_delta_spec(spec, -1)):
         pairs = _pairs(s.m, 40, 7)
         for y, z in pairs + pairs[::-1]:
-            _assert_same(s, s.encode(y, z))
-
-
-@pytest.mark.parametrize("label", SUBJECTS)
-def test_foreign_rows_freed_between_sequences(label):
-    """Copied rows die after each sequence, so their ids are reused by the
-    next copies; a step stored under a dead row's id would show here."""
-    spec = _subject(label)
-    for i, (y, z) in enumerate(_pairs(spec.m, 30, 8)):
-        own = spec.encode(y, z)
-        copies = [tuple(row) for row in own]
-        x = copies if i % 2 else copies[:-1] + own[-1:]
-        _assert_same(spec, x)
-        del own, copies, x
-        gc.collect()
+            _assert_same(s, y, z)
 
 
 def test_cells_of_a_dropped_kernel_still_fold_exactly():
@@ -321,8 +269,7 @@ def test_cells_of_a_dropped_kernel_still_fold_exactly():
     spec = _subject("fp-softmax (4,7)")
     copy = pickle.loads(pickle.dumps(spec))
     for y, z in _pairs(spec.m, 20, 9):
-        x = spec.encode(y, z)
-        cells = token_cells(spec, x)
+        cells = token_cells(spec, y, z)
         n = len(cells)
         want = fold(spec, (None, None), 0, n, cells)
         got = fold(copy, (None, None), 0, n, cells)
@@ -343,39 +290,39 @@ def test_derived_specs_start_without_the_parents_cells():
     spec = _subject("fx-tight m=7")
     pairs = _pairs(spec.m, 20, 4)
     for y, z in pairs:
-        forward(spec, spec.encode(y, z))
+        forward(spec, y, z)
     thin_fold = FxFormat(3, spec.fold_fmt.scale_log2)
     for derived in (precision_delta_spec(spec, -1),
                     replace(spec, fold_fmt=thin_fold),
                     quantize_spec(spec, INT6)):
         assert "_compiled" not in vars(derived)
         for y, z in pairs:
-            _assert_same(derived, derived.encode(y, z))
+            _assert_same(derived, y, z)
     for y, z in pairs:
-        _assert_same(spec, spec.encode(y, z))
+        _assert_same(spec, y, z)
 
 
 def test_assigning_a_field_drops_the_cells():
     spec = _subject("fx-tight m=7")
     pairs = _pairs(spec.m, 20, 5)
     for y, z in pairs:
-        forward(spec, spec.encode(y, z))
+        forward(spec, y, z)
     spec.fold_fmt = FxFormat(spec.fold_fmt.p - 1, spec.fold_fmt.scale_log2)
     for y, z in pairs:
-        _assert_same(spec, spec.encode(y, z))
+        _assert_same(spec, y, z)
 
 
 def test_the_cache_stays_out_of_equality_repr_and_pickles():
     spec = _subject("fp-linear (4,3)")
     fresh = _subject("fp-linear (4,3)")
     before = repr(spec)
-    forward(spec, spec.encode("0010100", "0010100"))
+    forward(spec, "0010100", "0010100")
     assert "_compiled" in vars(spec)
     assert spec == fresh and repr(spec) == before
     copy = pickle.loads(pickle.dumps(spec))
     assert "_compiled" not in vars(copy)
     assert copy == spec
-    _assert_same(copy, copy.encode("0010100", "0010100"))
+    _assert_same(copy, "0010100", "0010100")
 
 
 def _toy_with_row(pos, code, row):
@@ -388,9 +335,9 @@ def _toy_with_row(pos, code, row):
     return replace(spec, embedding=embedding)
 
 
-def _failure(fn, spec, x):
+def _failure(fn, spec, *args):
     with pytest.raises(Exception) as info:
-        fn(spec, x)
+        fn(spec, *args)
     exc = info.value
     return type(exc), getattr(exc, "stage", None), getattr(exc, "token", None)
 
@@ -407,16 +354,67 @@ def test_errors_surface_as_in_the_reference():
         (_toy_with_row(2, 0, (None, None, Fraction(0))), "0", "1"),
     ]
     for spec, y, z in cases:
-        x = spec.encode(y, z)
-        got = _failure(forward, spec, x)
-        assert got == _failure(ref_forward, spec, x)
-    assert _failure(forward, cases[0][0], cases[0][0].encode("0", "0")) == \
+        got = _failure(forward, spec, y, z)
+        assert got == _failure(ref_forward, spec, spec.encode(y, z))
+    assert _failure(forward, cases[0][0], "0", "0") == \
         (StageError, "numerator", 1)
-    assert _failure(forward, cases[1][0], cases[1][0].encode("1", "1"))[0] \
-        is NonDyadicLogit
+    assert _failure(forward, cases[1][0], "1", "1")[0] is NonDyadicLogit
     # The same specs still answer on inputs that avoid the bad row.
-    _assert_same(cases[0][0], cases[0][0].encode("0", "1"))
-    _assert_same(cases[1][0], cases[1][0].encode("0", "0"))
+    _assert_same(cases[0][0], "0", "1")
+    _assert_same(cases[1][0], "0", "0")
+
+
+def test_a_query_row_that_reads_an_input_bit():
+    """The toy head with its query row reading y_1 (a key of 0, so weight
+    1 and value 1, when y_1 is 1) has no compiled cells: every pair is
+    built uncached, the folds read every bit, and verification runs pair
+    by pair."""
+    spec = build_toy_spec()
+    (row,) = spec.embedding[-1].rows
+    query = TokenRule((("y", 1),), (row, (Fraction(1), Fraction(0),
+                                           Fraction(1))))
+    spec = replace(spec, embedding=spec.embedding[:-1] + [query]).validate()
+    comp = spec._compiled
+    assert comp.built == {} and comp.consts == [None] * (spec.n + 1)
+    assert fold_reads(spec) == ({1}, {1})
+    pairs = list(product("01", repeat=2))
+    bits = [_assert_same(spec, y, z).bit for y, z in pairs]
+    assert bits != [int(y == z) for y, z in pairs]
+    promises = PromiseSet("T1", flags=("y_le_z",))
+    assert oracle.fold_split(spec, promises) is None
+    rep = verify_exhaustive_spec(spec, promises, "toy")
+    assert rep.total == 3
+    assert rep.failure_count == sum(bit != int(y == z) for bit, (y, z)
+                                    in zip(bits, pairs) if y <= z)
+
+
+@pytest.mark.parametrize("label", SUBJECTS)
+def test_a_run_entry_stands_for_cells_built_afresh(label):
+    """fold keeps no check on the cells of a constant run: cells built
+    uncached from the same rows, as token_cells builds them on a miss,
+    fold through the warm run entries to the reference partials."""
+    spec = _subject(label)
+    pairs = _pairs(spec.m, 10, 15)
+    for y, z in pairs:
+        forward(spec, y, z)
+    comp = spec._compiled
+    for y, z in pairs:
+        x = spec.encode(y, z)
+        fresh = [_make_cell(spec, comp, row, logit)
+                 for row, logit in zip(x, token_logits(spec, x))]
+        assert not any(a is b for a, b in zip(fresh, comp.consts))
+        want = ref_forward(spec, x)
+        softmax = spec.attention_kind == "softmax"
+        for i, state in enumerate([(None, OFF), (OFF, None)][:1 + softmax]):
+            partials = (want.num_partials, want.den_partials)[i]
+            try:
+                end = _rep(fold(spec, state, 0, len(x), fresh)[i])
+            except IndeterminateForm:
+                end = None
+            if len(partials) == len(x):
+                assert end == _rep(partials[-1])
+            elif partials or i == 0:    # the reference stopped in this fold
+                assert end is None
 
 
 @pytest.mark.parametrize("spec", [
@@ -439,7 +437,7 @@ def test_protocol_gives_the_forward_bit_at_every_prefix(spec, monkeypatch):
         _limited(monkeypatch, limit)
         for y, z in _pairs(spec.m, 6, 6):
             ref = ref_forward(spec, spec.encode(y, z))
-            want = forward(spec, spec.encode(y, z)).bit
+            want = forward(spec, y, z).bit
             inst = EqInstance(y, z)
             assert run_protocol(spec, inst).bob_bit == want == ref.bit
             for k in range(1, spec.n + 2):
@@ -459,7 +457,7 @@ def test_linear_head_with_fixed_point_formats_runs_the_protocol():
     run = run_protocol(spec, EqInstance("0010100", "0010100"))
     assert run.split == tuple(range(0, 8))
     assert run.bit_cost == 8 and run.l1 is None
-    assert run.bob_bit == forward(spec, spec.encode("0010100", "0010100")).bit
+    assert run.bob_bit == forward(spec, "0010100", "0010100").bit
 
 
 def test_split_is_the_z_free_prefix_for_every_family():
@@ -525,14 +523,21 @@ def test_wide_rules_are_read_most_significant_first():
             assert spec.encode(y, z)[j] is rule.rows[code]
 
 
-@pytest.mark.parametrize("spec,y,z", [
-    (make("fp-linear", t=4, e=4)[0], "00200000", "0" * 8),
-    (make("fx-tight", m=7)[0], "0010100", "001010" + "2"),
-    (make("fp-softmax", t=4, e=7)[0], "0" * 14 + " ", "0" * 15),
-    (make("fx-simple", m=5)[0], "0a010", "00010"),
+@pytest.mark.parametrize("spec,y,z,match", [
+    (make("fp-linear", t=4, e=4)[0], "00200000", "0" * 8, "bit strings"),
+    (make("fx-tight", m=7)[0], "0010100", "001010" + "2", "bit strings"),
+    (make("fp-softmax", t=4, e=7)[0], "0" * 14 + " ", "0" * 15,
+     "bit strings"),
+    (make("fx-simple", m=5)[0], "0a010", "00010", "bit strings"),
     # y_2 and z_2 are read by no rule, so no row lookup sees them.
-    (replace(build_toy_spec(), m=2).validate(), "12", "10"),
-], ids=["fp-linear", "fx-tight", "fp-softmax", "fx-simple", "unread"])
-def test_encode_rejects_characters_that_are_not_bits(spec, y, z):
-    with pytest.raises(ValueError, match="bit strings"):
-        spec.encode(y, z)
+    (replace(build_toy_spec(), m=2).validate(), "12", "10", "bit strings"),
+    # 14 bits in all, as y + z of m = 7 has: only the split is wrong.
+    (make("fx-tight", m=7)[0], "0" * 8, "0" * 6,
+     "inputs must have m = 7 bits"),
+], ids=["fp-linear", "fx-tight", "fp-softmax", "fx-simple", "unread",
+        "split-length"])
+def test_encode_rejects_characters_that_are_not_bits(spec, y, z, match):
+    for fn in (spec.encode, partial(forward, spec),
+               partial(token_cells, spec)):
+        with pytest.raises(ValueError, match=match):
+            fn(y, z)

@@ -102,7 +102,7 @@ class TestExhaustive:
         assert fast.failure_count == coll.count
         assert fast.inf_count == inf
         for f in list(fast.failures)[:6] + list(coll.merged())[:6]:
-            trace = forward(thin, thin.encode(f.y, f.z))
+            trace = forward(thin, f.y, f.z)
             assert trace.bit == f.got != f.expected
 
     def test_every_reported_failure_reproduces(self):
@@ -110,7 +110,7 @@ class TestExhaustive:
         spec, _ = make("fx-tight", m=5)
         thin = precision_delta_spec(spec, -1)
         for f in rep.failures[:8]:
-            trace = forward(thin, thin.encode(f.y, f.z))
+            trace = forward(thin, f.y, f.z)
             assert trace.bit == f.got
             assert eq_truth(EqInstance(f.y, f.z)) == f.expected
 
@@ -250,6 +250,6 @@ class TestReporting:
         manual = 0
         for i, y in enumerate(strings):
             for z in strings[i:]:
-                if trace_saturated(forward(spec, spec.encode(y, z))):
+                if trace_saturated(forward(spec, y, z)):
                     manual += 1
         assert manual == 496

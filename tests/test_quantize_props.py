@@ -127,8 +127,6 @@ def test_shared_rounding_equals_per_value_rounding(preset, spec):
     fmt = PRESETS[preset]
     got = _quiet(quantize_spec, spec, fmt)
     assert _fields(got) == _quiet(_per_value, spec, fmt)
-    rows = [r for rule in got.embedding for r in rule.rows]
-    assert len({id(r) for r in rows}) == len(set(rows))
 
 
 @pytest.mark.parametrize("preset", PRESETS)

@@ -99,8 +99,8 @@ class TestIntQuantization:
         quant = quantize_spec(spec, int_format(p))
         assert spec_weights(quant) == spec_weights(spec)
         for y, z in (("000000000",) * 2, ("000010001", "110010001")):
-            assert forward(quant, quant.encode(y, z)).bit == \
-                forward(spec, spec.encode(y, z)).bit
+            assert forward(quant, y, z).bit == \
+                forward(spec, y, z).bit
 
     @pytest.mark.filterwarnings("ignore::eqattn.quantlab.DegenerateTensor")
     def test_quantization_is_idempotent(self):
@@ -259,8 +259,8 @@ class TestWeightsFiles:
         assert export_weights(again) == text
         for y in "01":
             for z in "01":
-                assert forward(again, again.encode(y, z)).bit == \
-                    forward(toy_spec, toy_spec.encode(y, z)).bit
+                assert forward(again, y, z).bit == \
+                    forward(toy_spec, y, z).bit
 
     def test_import_accepts_plain_floats(self, toy_spec):
         """Hand-edited files may write dyadic scalars as JSON numbers."""

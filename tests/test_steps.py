@@ -181,14 +181,13 @@ def test_a_repeated_fold_makes_no_additions(monkeypatch, name, kwargs, add):
     spec = make(name, **kwargs)[0]
     rng = random.Random(0x55)
     m = spec.m
-    seqs = [spec.encode(format(rng.getrandbits(m), f"0{m}b"),
-                        format(rng.getrandbits(m), f"0{m}b"))
-            for _ in range(40)]
+    pairs = [(format(rng.getrandbits(m), f"0{m}b"),
+              format(rng.getrandbits(m), f"0{m}b")) for _ in range(40)]
 
     def one_pass():
         out = []
-        for x in seqs:
-            cells = token_cells(spec, x)
+        for y, z in pairs:
+            cells = token_cells(spec, y, z)
             out.append(fold(spec, (None, None), 0, len(cells), cells))
         return out
 
@@ -201,16 +200,12 @@ def test_a_repeated_fold_makes_no_additions(monkeypatch, name, kwargs, add):
 
 
 def test_table_keys_are_ids_of_live_canonical_objects():
-    """Folds over copied rows, freed between sequences, and resumed from
-    states the caller holds must key only on the tables' own objects."""
+    """Folds, some resumed from states the caller holds, must key only on
+    the tables' own objects."""
     spec = make("fp-softmax", t=4, e=7)[0]
     rng = random.Random(0x56)
-    m = spec.m
-    for i in range(30):
-        x = [tuple(row) for row in
-             spec.encode(format(rng.getrandbits(m), f"0{m}b"),
-                         format(rng.getrandbits(m), f"0{m}b"))]
-        cells = token_cells(spec, x)
+    for i, (y, z) in enumerate(_wide_pairs(spec, rng, 30)):
+        cells = token_cells(spec, y, z)
         k = i % len(cells)
         num = fold(spec, (None, OFF), 0, k, cells)[0]
         if num is not None:   # resume from a copy the tables do not hold
@@ -218,7 +213,7 @@ def test_table_keys_are_ids_of_live_canonical_objects():
                             num.inexact)
         fold(spec, (num, OFF), k, len(cells), cells)
         fold(spec, (OFF, None), 0, len(cells), cells)
-        del x, cells, num
+        del cells, num
         gc.collect()
     comp = spec._compiled
     runs = set()
@@ -237,11 +232,10 @@ def test_table_keys_are_ids_of_live_canonical_objects():
     assert runs
 
 
-def _wide_sequences(spec, rng, count):
+def _wide_pairs(spec, rng, count):
     m = spec.m
-    return [spec.encode(format(rng.getrandbits(m), f"0{m}b"),
-                        format(rng.getrandbits(m), f"0{m}b"))
-            for _ in range(count)]
+    return [(format(rng.getrandbits(m), f"0{m}b"),
+             format(rng.getrandbits(m), f"0{m}b")) for _ in range(count)]
 
 
 def _table_sizes(comp):
@@ -256,16 +250,16 @@ def test_a_full_table_is_cleared_and_folds_stay_exact(monkeypatch):
     spec = make("fx-tight", m=41)[0]
     comp = spec._compiled
     cleared = [False, False]
-    for x in _wide_sequences(spec, random.Random(0x57), 60):
+    for y, z in _wide_pairs(spec, random.Random(0x57), 60):
         before = _table_sizes(comp)
-        cells = token_cells(spec, x)
-        trace = ref_forward(spec, x)
+        cells = token_cells(spec, y, z)
+        trace = ref_forward(spec, spec.encode(y, z))
         num, den = fold(spec, (None, None), 0, len(cells), cells)
         assert _rep(num) == _rep(trace.num_partials[-1])
         assert _rep(den) == _rep(trace.den_partials[-1])
         # a step adds at most a state, a term, a result and one key past
         # the limit; building a cell interns three values
-        built = len(comp.cells)
+        built = len(comp.built)
         for i, size in enumerate(_table_sizes(comp)):
             assert size <= limit + 4 + 3 * built
             cleared[i] |= size < before[i]
@@ -276,8 +270,8 @@ def test_wide_format_tables_stay_bounded():
     spec = make("fx-tight", m=41)[0]
     comp = spec._compiled
     peak, sizes, cleared = [0, 0], [0, 0], False
-    for x in _wide_sequences(spec, random.Random(0x58), 400):
-        cells = token_cells(spec, x)
+    for y, z in _wide_pairs(spec, random.Random(0x58), 400):
+        cells = token_cells(spec, y, z)
         fold(spec, (None, None), 0, len(cells), cells)
         before, sizes = sizes, _table_sizes(comp)
         peak = [max(p, s) for p, s in zip(peak, sizes)]
@@ -287,7 +281,7 @@ def test_wide_format_tables_stay_bounded():
                 # per constant run, so the last fold ended near the limit
                 assert last >= attn.STEP_LIMIT - 5 * (spec.n + 1)
                 cleared = True
-    built = len(comp.cells)
+    built = len(comp.built)
     assert cleared   # at least one table filled
     assert max(peak) <= attn.STEP_LIMIT + 4 + 3 * built
 
@@ -353,7 +347,7 @@ def test_each_trace_gets_its_own_hidden_units():
     one pair share no list, and changing one changes no other."""
     spec = make("fx-tight", m=7)[0]
     y = z = "0010100"
-    first = forward(spec, spec.encode(y, z))
+    first = forward(spec, y, z)
     want = [_rep(h) for h in first.hidden]
     lists = ("hidden",) + attn._REFOLDED
     before = {name: list(getattr(first, name)) for name in lists}
@@ -361,12 +355,12 @@ def test_each_trace_gets_its_own_hidden_units():
     first.hidden.append(first.sa)
     for name in attn._REFOLDED:
         getattr(first, name).append(first.sa)
-    for trace in (forward(spec, spec.encode(y, z)),
+    for trace in (forward(spec, y, z),
                   ref_forward(spec, spec.encode(y, z))):
         assert [_rep(h) for h in trace.hidden] == want
         for name in attn._REFOLDED:
             assert len(getattr(trace, name)) == len(before[name])
-    second = forward(spec, spec.encode(y, z))
+    second = forward(spec, y, z)
     for name in lists:
         assert getattr(second, name) is not getattr(first, name)
         assert getattr(second, name) == before[name]
@@ -382,9 +376,9 @@ def test_tail_tables_stay_bounded_and_exact(monkeypatch, name, kwargs):
     spec = make(name, **kwargs)[0]
     comp = spec._compiled
     cleared = [False, False]
-    for x in _wide_sequences(spec, random.Random(0x5A), 60):
+    for y, z in _wide_pairs(spec, random.Random(0x5A), 60):
         before = [len(comp.scaled), len(comp.mlps)]
-        got, want = forward(spec, x), ref_forward(spec, x)
+        got, want = forward(spec, y, z), ref_forward(spec, spec.encode(y, z))
         assert got.bit == want.bit
         for a, b in ((got.numerator, want.numerator), (got.sa, want.sa),
                      (got.output, want.output)):
