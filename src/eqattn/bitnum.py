@@ -4,7 +4,9 @@ Values are stored as sign * sig * 2**exp2 with an odd significand, so every
 operation is computed exactly over the integers (or rationals, for division)
 and rounded once into the requested format.  Out-of-range magnitudes saturate
 to +/-Inf; magnitudes that round to no nonzero representable value become
-exact zero.  There are no NaNs: indeterminate forms raise.
+exact zero.  There are no NaNs: indeterminate forms raise.  FxNum and FpNum
+share one scalar core (_Num and one body per round, divide and left sum);
+they differ only in the kind their zero carries.
 """
 
 from __future__ import annotations
@@ -178,10 +180,12 @@ def _ratio_floor_log2(n: int, d: int) -> int:
     return x
 
 
-class FxNum:
-    """A value held in (or saturated out of) a fixed-point format."""
+class _Num:
+    """A value held in (or saturated out of) a format; a subclass names the
+    kind its zero carries."""
 
     __slots__ = ("fmt", "kind", "sign", "sig", "exp2", "inexact")
+    _zero_kind = _FINITE
 
     def __init__(self, fmt, kind, sign, sig, exp2, inexact=False):
         self.fmt = fmt
@@ -192,65 +196,11 @@ class FxNum:
         self.inexact = inexact
 
     @classmethod
-    def zero(cls, fmt: FxFormat, inexact: bool = False) -> "FxNum":
-        return cls(fmt, _FINITE, 1, 0, 0, inexact)
+    def zero(cls, fmt, inexact: bool = False):
+        return cls(fmt, cls._zero_kind, 1, 0, 0, inexact)
 
     @classmethod
-    def inf(cls, sign: int, fmt: FxFormat) -> "FxNum":
-        return cls(fmt, _POS_INF if sign > 0 else _NEG_INF, sign, 0, 0, True)
-
-    @property
-    def is_finite(self) -> bool:
-        return self.kind == _FINITE
-
-    @property
-    def is_inf(self) -> bool:
-        return self.kind in (_POS_INF, _NEG_INF)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.kind == _FINITE and self.sig == 0
-
-    def as_fraction(self) -> Fraction:
-        if not self.is_finite:
-            raise ValueError("infinity has no rational value")
-        return self.sign * self.sig * _pow2(self.exp2)
-
-    def __eq__(self, other):
-        if not isinstance(other, FxNum):
-            return NotImplemented
-        return (self.kind, self.sign * bool(self.sig or self.is_inf),
-                self.sig, self.exp2) == \
-               (other.kind, other.sign * bool(other.sig or other.is_inf),
-                other.sig, other.exp2)
-
-    def __hash__(self):
-        return hash((self.kind, self.sign * bool(self.sig or self.is_inf),
-                     self.sig, self.exp2))
-
-    def __repr__(self):
-        return f"FxNum({encode_scalar(self)})"
-
-
-class FpNum:
-    """A value held in (or saturated out of) a floating-point format."""
-
-    __slots__ = ("fmt", "kind", "sign", "sig", "exp2", "inexact")
-
-    def __init__(self, fmt, kind, sign, sig, exp2, inexact=False):
-        self.fmt = fmt
-        self.kind = kind
-        self.sign = sign
-        self.sig = sig
-        self.exp2 = exp2
-        self.inexact = inexact
-
-    @classmethod
-    def zero(cls, fmt: FpFormat, inexact: bool = False) -> "FpNum":
-        return cls(fmt, _ZERO, 1, 0, 0, inexact)
-
-    @classmethod
-    def inf(cls, sign: int, fmt: FpFormat) -> "FpNum":
+    def inf(cls, sign: int, fmt):
         return cls(fmt, _POS_INF if sign > 0 else _NEG_INF, sign, 0, 0, True)
 
     @property
@@ -263,73 +213,94 @@ class FpNum:
 
     @property
     def is_zero(self) -> bool:
-        return self.kind == _ZERO
+        return self.kind == self._zero_kind and self.sig == 0
 
     def as_fraction(self) -> Fraction:
         if not self.is_finite:
             raise ValueError("infinity has no rational value")
-        if self.kind == _ZERO:
-            return Fraction(0)
         return self.sign * self.sig * _pow2(self.exp2)
 
+    def _key(self):
+        # The kind tells +Inf from -Inf; the signed significand drops the
+        # sign of zero.  inexact is not part of the value.
+        return self.kind, self.sign * self.sig, self.exp2
+
     def __eq__(self, other):
-        if not isinstance(other, FpNum):
+        if type(other) is not type(self):
             return NotImplemented
-        return (self.kind, self.sign if self.kind != _ZERO else 1,
-                self.sig, self.exp2) == \
-               (other.kind, other.sign if other.kind != _ZERO else 1,
-                other.sig, other.exp2)
+        return self._key() == other._key()
 
     def __hash__(self):
-        return hash((self.kind, self.sign if self.kind != _ZERO else 1,
-                     self.sig, self.exp2))
+        return hash(self._key())
 
     def __repr__(self):
-        return f"FpNum({encode_scalar(self)})"
+        return f"{type(self).__name__}({encode_scalar(self)})"
+
+
+class FxNum(_Num):
+    """A value held in (or saturated out of) a fixed-point format."""
+
+    __slots__ = ()
+
+
+class FpNum(_Num):
+    """A value held in (or saturated out of) a floating-point format; zero
+    is its own kind."""
+
+    __slots__ = ()
+    _zero_kind = _ZERO
+
+
+def _divround(n: int, d: int, lsb: int, rounding: str) -> tuple[int, bool]:
+    """Round the positive rational n/d to a multiple of 2**lsb.
+
+    Returns (multiple, exact).  Nearest resolves ties toward zero.
+    """
+    d <<= max(0, lsb)
+    q, r = divmod(n << max(0, -lsb), d)
+    if r and rounding == NEAREST and 2 * r > d:
+        q += 1
+    return q, r == 0
+
+
+def _fx_finish(sign: int, q: int, lsb: int, exact: bool,
+               fmt: FxFormat) -> FxNum:
+    """Flush, saturate or canonicalize q * 2**lsb (in scale units)."""
+    if q == 0:
+        return FxNum.zero(fmt, inexact=True)
+    q, lsb = _canon(q, lsb)
+    if _nbits(q, lsb) > fmt.budget:
+        return FxNum.inf(sign, fmt)
+    return FxNum(fmt, _FINITE, sign, q, lsb + fmt.scale_log2, not exact)
 
 
 def _fx_round_dyadic(sign: int, sig: int, exp2: int, fmt: FxFormat) -> FxNum:
     if sig == 0:
         return FxNum.zero(fmt)
     rel = exp2 - fmt.scale_log2
-    budget = fmt.budget
     octave = sig.bit_length() + rel
-    if octave > budget:
+    if octave > fmt.budget:
         return FxNum.inf(sign, fmt)
-    lsb = max(octave, 0) - budget
+    lsb = max(octave, 0) - fmt.budget
     q, exact = _quantize(sig, rel, lsb, fmt.rounding)
-    if q == 0:
-        return FxNum.zero(fmt, inexact=True)
-    if _nbits(*_canon(q, lsb)) > budget:
-        return FxNum.inf(sign, fmt)
-    q, lsb = _canon(q, lsb)
-    return FxNum(fmt, _FINITE, sign, q, lsb + fmt.scale_log2, not exact)
+    return _fx_finish(sign, q, lsb, exact, fmt)
 
 
 def _fx_round_rational(sign: int, n: int, d: int, fmt: FxFormat) -> FxNum:
-    """Round the positive rational n/d (already in scale units) into fmt."""
-    budget = fmt.budget
+    """Round the positive rational n/d into fmt."""
+    k = fmt.scale_log2
+    n, d = n << max(0, -k), d << max(0, k)
     octave = _ratio_floor_log2(n, d) + 1
-    if octave > budget:
+    if octave > fmt.budget:
         return FxNum.inf(sign, fmt)
-    lsb = max(octave, 0) - budget
-    q, r = divmod(n << max(0, -lsb), d << max(0, lsb))
-    if r and fmt.rounding == NEAREST and 2 * r > (d << max(0, lsb)):
-        q += 1
-    if q == 0:
-        return FxNum.zero(fmt, inexact=True)
-    if _nbits(*_canon(q, lsb)) > budget:
-        return FxNum.inf(sign, fmt)
-    q, lsb = _canon(q, lsb)
-    return FxNum(fmt, _FINITE, sign, q, lsb + fmt.scale_log2, r != 0)
+    lsb = max(octave, 0) - fmt.budget
+    q, exact = _divround(n, d, lsb, fmt.rounding)
+    return _fx_finish(sign, q, lsb, exact, fmt)
 
 
-def _fp_round_dyadic(sign: int, sig: int, exp2: int, fmt: FpFormat) -> FpNum:
-    if sig == 0:
-        return FpNum.zero(fmt)
-    msb = sig.bit_length() - 1 + exp2
-    lsb = msb - (fmt.t - 1)
-    q, exact = _quantize(sig, exp2, lsb, fmt.rounding)
+def _fp_finish(sign: int, q: int, lsb: int, exact: bool,
+               fmt: FpFormat) -> FpNum:
+    """Saturate, flush or canonicalize q * 2**lsb."""
     msb = q.bit_length() - 1 + lsb
     if msb > fmt.q:
         return FpNum.inf(sign, fmt)
@@ -339,24 +310,23 @@ def _fp_round_dyadic(sign: int, sig: int, exp2: int, fmt: FpFormat) -> FpNum:
     return FpNum(fmt, _FINITE, sign, q, lsb, not exact)
 
 
+def _fp_round_dyadic(sign: int, sig: int, exp2: int, fmt: FpFormat) -> FpNum:
+    if sig == 0:
+        return FpNum.zero(fmt)
+    lsb = sig.bit_length() - fmt.t + exp2
+    q, exact = _quantize(sig, exp2, lsb, fmt.rounding)
+    return _fp_finish(sign, q, lsb, exact, fmt)
+
+
 def _fp_round_rational(sign: int, n: int, d: int, fmt: FpFormat) -> FpNum:
-    msb = _ratio_floor_log2(n, d)
-    lsb = msb - (fmt.t - 1)
-    q, r = divmod(n << max(0, -lsb), d << max(0, lsb))
-    if r and fmt.rounding == NEAREST and 2 * r > (d << max(0, lsb)):
-        q += 1
-    msb = q.bit_length() - 1 + lsb
-    if msb > fmt.q:
-        return FpNum.inf(sign, fmt)
-    if msb < -fmt.q:
-        return FpNum.zero(fmt, inexact=True)
-    q, lsb = _canon(q, lsb)
-    return FpNum(fmt, _FINITE, sign, q, lsb, r != 0)
+    lsb = _ratio_floor_log2(n, d) - (fmt.t - 1)
+    q, exact = _divround(n, d, lsb, fmt.rounding)
+    return _fp_finish(sign, q, lsb, exact, fmt)
 
 
 def _to_sig_exp(value) -> tuple[int, int, int]:
     """Decompose an exact dyadic value into (sign, odd sig, exp2)."""
-    if isinstance(value, (FxNum, FpNum)):
+    if isinstance(value, _Num):
         if not value.is_finite:
             raise ValueError("cannot decompose an infinity")
         return value.sign, value.sig, value.exp2
@@ -369,41 +339,32 @@ def _to_sig_exp(value) -> tuple[int, int, int]:
     return sign, sig, exp2
 
 
+def _round(value, fmt, cls, round_dyadic, round_rational):
+    if isinstance(value, _Num) and value.is_inf:
+        return cls.inf(value.sign, fmt)
+    if isinstance(value, Fraction) and (value.denominator & (value.denominator - 1)):
+        # Not dyadic, so not zero either.
+        sign = 1 if value >= 0 else -1
+        return round_rational(sign, abs(value.numerator), value.denominator,
+                              fmt)
+    return round_dyadic(*_to_sig_exp(value), fmt)
+
+
 def fx_round(value, fmt: FxFormat) -> FxNum:
     """Round an exact value (Fraction, int, FxNum or FpNum) into fmt."""
-    if isinstance(value, (FxNum, FpNum)) and value.is_inf:
-        return FxNum.inf(value.sign, fmt)
-    if isinstance(value, Fraction) and (value.denominator & (value.denominator - 1)):
-        sign = 1 if value >= 0 else -1
-        n, d = abs(value.numerator), value.denominator
-        if n == 0:
-            return FxNum.zero(fmt)
-        k = fmt.scale_log2
-        n, d = n << max(0, -k), d << max(0, k)
-        return _fx_round_rational(sign, n, d, fmt)
-    sign, sig, exp2 = _to_sig_exp(value)
-    return _fx_round_dyadic(sign, sig, exp2, fmt)
+    return _round(value, fmt, FxNum, _fx_round_dyadic, _fx_round_rational)
 
 
 def fp_round(value, fmt: FpFormat) -> FpNum:
     """Round an exact value (Fraction, int, FxNum or FpNum) into fmt."""
-    if isinstance(value, (FxNum, FpNum)) and value.is_inf:
-        return FpNum.inf(value.sign, fmt)
-    if isinstance(value, Fraction) and (value.denominator & (value.denominator - 1)):
-        sign = 1 if value >= 0 else -1
-        n, d = abs(value.numerator), value.denominator
-        if n == 0:
-            return FpNum.zero(fmt)
-        return _fp_round_rational(sign, n, d, fmt)
-    sign, sig, exp2 = _to_sig_exp(value)
-    return _fp_round_dyadic(sign, sig, exp2, fmt)
+    return _round(value, fmt, FpNum, _fp_round_dyadic, _fp_round_rational)
 
 
 def _add_exact(a, b) -> tuple[int, int, int]:
     """Exact sum of two finite numbers as (sign, sig, exp2)."""
-    if a.sig == 0 or a.kind == _ZERO:
+    if a.sig == 0:
         return b.sign, b.sig, b.exp2
-    if b.sig == 0 or b.kind == _ZERO:
+    if b.sig == 0:
         return a.sign, a.sig, a.exp2
     e = min(a.exp2, b.exp2)
     total = a.sign * (a.sig << (a.exp2 - e)) + b.sign * (b.sig << (b.exp2 - e))
@@ -412,93 +373,78 @@ def _add_exact(a, b) -> tuple[int, int, int]:
     return sign, sig, e
 
 
-def _add(a, b, fmt, rounder, make_inf):
+def _add(a, b, fmt, cls, round_dyadic):
     if a.is_inf or b.is_inf:
-        if a.is_inf and b.is_inf:
-            if a.sign != b.sign:
-                raise IndeterminateForm("Inf - Inf")
-            return make_inf(a.sign, fmt)
-        src = a if a.is_inf else b
-        return make_inf(src.sign, fmt)
-    sign, sig, exp2 = _add_exact(a, b)
-    return rounder(sign, sig, exp2, fmt)
+        if a.is_inf and b.is_inf and a.sign != b.sign:
+            raise IndeterminateForm("Inf - Inf")
+        return cls.inf((a if a.is_inf else b).sign, fmt)
+    return round_dyadic(*_add_exact(a, b), fmt)
 
 
-def _mul(a, b, fmt, rounder, make_inf):
+def _mul(a, b, fmt, cls, round_dyadic):
     if a.is_inf or b.is_inf:
         other = b if a.is_inf else a
-        if other.is_finite and (other.sig == 0 or other.kind == _ZERO):
+        if other.is_finite and other.sig == 0:
             raise IndeterminateForm("0 * Inf")
-        return make_inf(a.sign * b.sign, fmt)
-    return rounder(a.sign * b.sign, a.sig * b.sig, a.exp2 + b.exp2, fmt)
+        return cls.inf(a.sign * b.sign, fmt)
+    return round_dyadic(a.sign * b.sign, a.sig * b.sig, a.exp2 + b.exp2, fmt)
 
 
-def fx_add(a: FxNum, b: FxNum, fmt: FxFormat) -> FxNum:
-    return _add(a, b, fmt, _fx_round_dyadic, FxNum.inf)
-
-
-def fx_mul(a: FxNum, b: FxNum, fmt: FxFormat) -> FxNum:
-    return _mul(a, b, fmt, _fx_round_dyadic, FxNum.inf)
-
-
-def fx_div(a: FxNum, b: FxNum, fmt: FxFormat) -> FxNum:
+def _div(a, b, fmt, cls, round_rational):
     if a.is_inf and b.is_inf:
         raise IndeterminateForm("Inf / Inf")
     if b.is_finite and b.sig == 0:
         if a.is_finite and a.sig == 0:
             raise IndeterminateForm("0 / 0")
-        return FxNum.inf(a.sign, fmt)
+        return cls.inf(a.sign, fmt)
     if a.is_inf:
-        return FxNum.inf(a.sign * b.sign, fmt)
+        return cls.inf(a.sign * b.sign, fmt)
     if b.is_inf or a.sig == 0:
-        return FxNum.zero(fmt)
-    e = a.exp2 - b.exp2 - fmt.scale_log2
-    n = a.sig << max(0, e)
-    d = b.sig << max(0, -e)
-    return _fx_round_rational(a.sign * b.sign, n, d, fmt)
+        return cls.zero(fmt)
+    e = a.exp2 - b.exp2
+    return round_rational(a.sign * b.sign, a.sig << max(0, e),
+                          b.sig << max(0, -e), fmt)
 
 
-def fx_sum_left(values, fmt: FxFormat) -> FxNum:
+def _sum_left(values, fmt, cls, round_, add):
     """Left-associative fold with rounding after every addition."""
     acc = None
     for v in values:
-        num = v if isinstance(v, FxNum) else fx_round(v, fmt)
-        acc = num if acc is None else fx_add(acc, num, fmt)
-    return acc if acc is not None else FxNum.zero(fmt)
+        num = v if isinstance(v, cls) else round_(v, fmt)
+        acc = num if acc is None else add(acc, num, fmt)
+    return acc if acc is not None else cls.zero(fmt)
+
+
+def fx_add(a: FxNum, b: FxNum, fmt: FxFormat) -> FxNum:
+    return _add(a, b, fmt, FxNum, _fx_round_dyadic)
+
+
+def fx_mul(a: FxNum, b: FxNum, fmt: FxFormat) -> FxNum:
+    return _mul(a, b, fmt, FxNum, _fx_round_dyadic)
+
+
+def fx_div(a: FxNum, b: FxNum, fmt: FxFormat) -> FxNum:
+    return _div(a, b, fmt, FxNum, _fx_round_rational)
+
+
+def fx_sum_left(values, fmt: FxFormat) -> FxNum:
+    return _sum_left(values, fmt, FxNum, fx_round, fx_add)
 
 
 def fp_add(a: FpNum, b: FpNum, fmt: FpFormat) -> FpNum:
-    return _add(a, b, fmt, _fp_round_dyadic, FpNum.inf)
+    return _add(a, b, fmt, FpNum, _fp_round_dyadic)
 
 
 def fp_mul(a: FpNum, b: FpNum, fmt: FpFormat) -> FpNum:
-    return _mul(a, b, fmt, _fp_round_dyadic, FpNum.inf)
+    return _mul(a, b, fmt, FpNum, _fp_round_dyadic)
 
 
 def fp_div(a: FpNum, b: FpNum, fmt: FpFormat) -> FpNum:
-    if a.is_inf and b.is_inf:
-        raise IndeterminateForm("Inf / Inf")
-    if b.is_finite and (b.kind == _ZERO or b.sig == 0):
-        if a.is_finite and (a.kind == _ZERO or a.sig == 0):
-            raise IndeterminateForm("0 / 0")
-        return FpNum.inf(a.sign, fmt)
-    if a.is_inf:
-        return FpNum.inf(a.sign * b.sign, fmt)
-    if b.is_inf or a.kind == _ZERO or a.sig == 0:
-        return FpNum.zero(fmt)
-    e = a.exp2 - b.exp2
-    n = a.sig << max(0, e)
-    d = b.sig << max(0, -e)
-    return _fp_round_rational(a.sign * b.sign, n, d, fmt)
+    return _div(a, b, fmt, FpNum, _fp_round_rational)
 
 
 def fp_sum_left(values, fmt: FpFormat) -> FpNum:
-    it = iter(values)
-    acc = None
-    for v in it:
-        num = v if isinstance(v, FpNum) else fp_round(v, fmt)
-        acc = num if acc is None else fp_add(acc, num, fmt)
-    return acc if acc is not None else FpNum.zero(fmt)
+    return _sum_left(values, fmt, FpNum, fp_round, fp_add)
 
 
 @dataclass(frozen=True)
@@ -542,7 +488,7 @@ def exp_logit_exact(logit: Logit) -> Fraction:
 
 def encode_scalar(value) -> str:
     """Render a value as +<int>/2^<k>, -<int>/2^<k>, 0, +inf or -inf."""
-    if isinstance(value, (FxNum, FpNum)):
+    if isinstance(value, _Num):
         if value.kind == _POS_INF:
             return "+inf"
         if value.kind == _NEG_INF:

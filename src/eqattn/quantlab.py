@@ -28,7 +28,6 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache
 from pathlib import Path
-from typing import ClassVar
 
 from .attn import (LINEAR, SOFTMAX, MlpSpec, TokenRule, TransformerSpec,
                    forward, spec_from_payload, spec_to_payload, token_logits)
@@ -199,27 +198,22 @@ def _int_rounder(label: str, values, bits: int):
         scale_log2 = 0
     else:
         scale_log2 = _ceil_log2(maxabs / ((1 << (bits - 1)) - 1))
-    grid = FxFormat(bits, scale_log2)
-
-    def rnd(v: Fraction) -> Fraction:
-        if is_inf_code(v):
-            return _inf_code(1 if v > 0 else -1)
-        x = fx_round(v, grid)
-        if x.is_inf:
-            return _inf_code(x.sign)
-        return x.as_fraction()
-
-    return rnd
+    return _grid_rounder(fx_round, FxFormat(bits, scale_log2))
 
 
 def _float_rounder(fmt: QuantFormat):
     """Absolute-grid float rounding; exponent overflow is the Inf code."""
-    grid = FpFormat(fmt.mant + 1, fmt.exp)
+    return _grid_rounder(fp_round, FpFormat(fmt.mant + 1, fmt.exp))
+
+
+def _grid_rounder(round_, grid):
+    """Round a weight onto grid: infinity codes pass through, overflow
+    becomes the infinity code."""
 
     def rnd(v: Fraction) -> Fraction:
         if is_inf_code(v):
             return _inf_code(1 if v > 0 else -1)
-        x = fp_round(v, grid)
+        x = round_(v, grid)
         if x.is_inf:
             return _inf_code(x.sign)
         return x.as_fraction()
@@ -322,8 +316,6 @@ class Dataset:
     pairs: tuple
     seed: int
     flip_count: int
-
-    equal_target: ClassVar[Fraction] = Fraction(1, 2)
 
     @property
     def equal_fraction(self) -> Fraction:

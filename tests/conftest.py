@@ -9,7 +9,6 @@ instead: 2,000 examples per property, drawn afresh on every run, e.g.
 """
 
 import os
-import sys
 from fractions import Fraction
 
 import pytest

@@ -5,12 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import build_toy_spec
 from eqattn.attn import (
     LINEAR,
-    SOFTMAX,
     EvalTrace,
-    MlpSpec,
     TokenRule,
     finish_softmax,
     forward,

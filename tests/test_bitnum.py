@@ -1,13 +1,14 @@
 """Scalar format semantics, checked against brute-force references."""
 
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
 
 import gridref
+from eqattn.attn import _rep
 from eqattn.bitnum import (
-    NEAREST,
     TRUNC,
     FpFormat,
     FpNum,
@@ -313,6 +314,37 @@ class TestArithmetic:
         assert fp_add(zero, one, fmt).as_fraction() == 1
         assert fp_mul(zero, one, fmt).is_zero
         assert fp_div(zero, one, fmt).is_zero
+
+
+SCALARS = [(FxNum, FxFormat(4), fx_round), (FpNum, FpFormat(3, 3), fp_round)]
+
+
+class TestScalarContract:
+    @pytest.mark.parametrize("mine", [0, 1], ids=["fx", "fp"])
+    def test_equality_is_value_equality(self, mine):
+        """== ignores inexact and the sign of zero and never holds across
+        the two scalar classes; _rep keeps what == ignores, also through a
+        pickle round trip."""
+        cls, fmt, round_ = SCALARS[mine]
+        other_cls, other_fmt, other_round = SCALARS[1 - mine]
+        pos = cls.zero(fmt)
+        neg = cls(fmt, pos.kind, -1, 0, 0)
+        assert pos == neg and hash(pos) == hash(neg)
+        assert _rep(pos) != _rep(neg)
+        inexact = round_(Fraction(1, 3), fmt)
+        exact = round_(inexact.as_fraction(), fmt)
+        assert inexact.inexact and not exact.inexact
+        assert inexact == exact and hash(inexact) == hash(exact)
+        assert _rep(inexact) != _rep(exact)
+        assert cls.inf(1, fmt) != cls.inf(-1, fmt)
+        one = round_(1, fmt)
+        assert one != other_round(1, other_fmt)
+        assert other_cls.zero(other_fmt) != pos
+        assert repr(one) == f"{cls.__name__}(+1/2^0)"
+        assert not hasattr(one, "__dict__")
+        for v in (pos, neg, inexact, exact, cls.inf(-1, fmt)):
+            back = pickle.loads(pickle.dumps(v))
+            assert type(back) is cls and _rep(back) == _rep(v)
 
 
 class TestFolds:

@@ -1,13 +1,11 @@
 """Analytic construction builders, promise sets and layout tables."""
 
 import random
-from fractions import Fraction
 
 import pytest
 
 from eqattn.attn import LINEAR, SOFTMAX, forward
 from eqattn.constructs import (
-    CONSTRUCTIONS,
     EqInstance,
     UnsupportedM,
     half_len,

@@ -1,14 +1,13 @@
 """Exhaustive and sampled verification against ground-truth equality."""
 
 from dataclasses import replace
-from fractions import Fraction
 
 import pytest
 
 from eqattn import oracle
 from conftest import build_toy_spec
 from eqattn.attn import TokenRule, fold_reads, forward
-from eqattn.bitnum import FpFormat, FxFormat
+from eqattn.bitnum import FpFormat
 from eqattn.constructs import (
     EqInstance,
     PromiseSet,

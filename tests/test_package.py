@@ -1,5 +1,7 @@
-"""Every module of the package is reachable from the command line."""
+"""Every module of the package is reachable from the command line, and no
+module imports a name it never uses."""
 
+import ast
 import os
 import pkgutil
 import subprocess
@@ -19,3 +21,28 @@ def test_every_module_is_imported_by_the_cli():
     modules = [f"eqattn.{info.name}"
                for info in pkgutil.iter_modules(eqattn.__path__)]
     assert sorted(modules) == loaded
+
+
+def test_no_module_imports_an_unused_name():
+    """Each name a module under src/eqattn/ or tests/ imports is referenced
+    in that module; `from __future__` imports are exempt."""
+    dirs = [os.path.dirname(eqattn.__file__), os.path.dirname(__file__)]
+    unused = []
+    for d in dirs:
+        for name in sorted(os.listdir(d)):
+            if not name.endswith(".py"):
+                continue
+            path = os.path.join(d, name)
+            with open(path) as f:
+                tree = ast.parse(f.read(), path)
+            used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom) and \
+                        node.module == "__future__":
+                    continue
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    unused += [f"{path}:{node.lineno} {bound}"
+                               for alias in node.names
+                               if (bound := alias.asname
+                                   or alias.name.split(".")[0]) not in used]
+    assert unused == []

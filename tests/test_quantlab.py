@@ -1,16 +1,13 @@
 """Post-training quantization: formats, calibration, datasets, accuracy."""
 
 import json
-import math
-import random
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from conftest import build_toy_spec
 from eqattn.attn import forward
-from eqattn.bitnum import FxFormat, InvalidFormat, fp_round, fx_round
+from eqattn.bitnum import InvalidFormat, fp_round, fx_round
 from eqattn.constructs import make
 from eqattn.quantlab import (
     FP8_E4M3,
@@ -22,8 +19,6 @@ from eqattn.quantlab import (
     QUANT_CSV_HEADER,
     Dataset,
     DegenerateTensor,
-    QuantFormat,
-    QuantReport,
     SchemaError,
     eval_accuracy,
     export_weights,
