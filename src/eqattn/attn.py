@@ -16,9 +16,9 @@ token_logits call, and a map per position from the input bits it reads to
 its cell, so token_cells and forward take the pair (y, z) and read each
 position's cell with one lookup.  One resumable kernel, fold, runs both
 folds over any range of positions from any (numerator, denominator) state:
-forward is one fold plus the divide and the MLP, the factored verifier runs
-each fold alone over the input bits fold_reads finds it reading, and the
-one-way protocol cuts it at Alice's prefix and resumes it for Bob.
+forward is one fold plus the divide and the MLP; the factored verifier, each
+fold alone over the bits fold_reads finds it reading, and the one-way
+protocol cut it at Alice's prefix (alice_len) and resume it for Bob.
 
 A fold's state at any boundary is one value of its bounded format, so each
 fold step is a small finite map (state, term) -> next state.  A compiled
@@ -56,7 +56,6 @@ from .bitnum import (
     FxNum,
     IndeterminateForm,
     Logit,
-    _to_sig_exp,
     encode_scalar,
     exp_logit_exact,
     fp_add,
@@ -67,6 +66,7 @@ from .bitnum import (
     fx_div,
     fx_mul,
     fx_round,
+    hold_exact,
 )
 
 SOFTMAX = "softmax"
@@ -88,15 +88,6 @@ def _ops(fmt):
     if isinstance(fmt, FxFormat):
         return fx_add, fx_mul, fx_div, fx_round, FxNum
     return fp_add, fp_mul, fp_div, fp_round, FpNum
-
-
-def _wrap_exact(value: Fraction, fmt):
-    """Hold an exact dyadic in a scalar wrapper without rounding it."""
-    num_cls = FxNum if isinstance(fmt, FxFormat) else FpNum
-    sign, sig, exp2 = _to_sig_exp(value)
-    if sig == 0:
-        return num_cls.zero(fmt)
-    return num_cls(fmt, "finite", sign, sig, exp2)
 
 
 @dataclass(frozen=True)
@@ -439,7 +430,7 @@ class _Compiled:
         read = {ref for rule in spec.embedding for ref in rule.source}
         self.unread = len(read) < 2 * spec.m
         self.col, scale = spec.value_column()
-        self.scale = _wrap_exact(scale, spec.num_fmt)
+        self.scale = hold_exact(scale, spec.num_fmt)
         self.mlp = _hold_mlp(spec.mlp, spec.out_fmt)
         self.built = self._build(spec)
         usable = {row: cell for row, cell in self.built.items()
@@ -492,7 +483,7 @@ def _make_cell(spec: TransformerSpec, comp: _Compiled, row,
     except ArithmeticError as exc:
         term = exc
     return Cell(logit, w, term, comp.den.intern(round_(w, spec.den_fmt)),
-                comp.den.intern(_wrap_exact(w, spec.den_fmt)))
+                comp.den.intern(hold_exact(w, spec.den_fmt)))
 
 
 def token_cells(spec: TransformerSpec, y: str, z: str) -> list[Cell]:
@@ -548,6 +539,14 @@ def fold_reads(spec: TransformerSpec) -> tuple[set, set]:
         if varies([c.den_term for c in mine]):
             den |= bits
     return num, den
+
+
+def alice_len(spec: TransformerSpec) -> int:
+    """The protocol prefix: how many leading positions read no z bit, so
+    Alice can fold them from y alone."""
+    return next((j for j, rule in enumerate(spec.embedding)
+                 if any(name == "z" for name, _ in rule.source)),
+                len(spec.embedding))
 
 
 OFF = "off"
@@ -655,10 +654,10 @@ def relu(v):
 
 def _hold_mlp(mlp: MlpSpec, fmt):
     """The head's (w1, b1, w2, b2) held exactly in fmt."""
-    return (tuple(_wrap_exact(w, fmt) for w in mlp.w1),
-            tuple(_wrap_exact(b, fmt) for b in mlp.b1),
-            tuple(_wrap_exact(w, fmt) for w in mlp.w2),
-            _wrap_exact(mlp.b2, fmt))
+    return (tuple(hold_exact(w, fmt) for w in mlp.w1),
+            tuple(hold_exact(b, fmt) for b in mlp.b1),
+            tuple(hold_exact(w, fmt) for w in mlp.w2),
+            hold_exact(mlp.b2, fmt))
 
 
 def mlp_eval(mlp: MlpSpec, v, fmt, held=None):

@@ -339,6 +339,14 @@ def _to_sig_exp(value) -> tuple[int, int, int]:
     return sign, sig, exp2
 
 
+def hold_exact(value, fmt: FxFormat | FpFormat) -> FxNum | FpNum:
+    """An exact dyadic held in fmt's scalar type, never rounded or
+    saturated: where it fits in fmt, the same as fx_round / fp_round."""
+    cls = FxNum if isinstance(fmt, FxFormat) else FpNum
+    sign, sig, exp2 = _to_sig_exp(value)
+    return cls(fmt, _FINITE, sign, sig, exp2) if sig else cls.zero(fmt)
+
+
 def _round(value, fmt, cls, round_dyadic, round_rational):
     if isinstance(value, _Num) and value.is_inf:
         return cls.inf(value.sign, fmt)

@@ -19,6 +19,7 @@ import os
 import random
 import re
 import sys
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -504,18 +505,21 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(_config(args))
-    except (UsageError, UnsupportedM, InvalidFormat, LogitOutOfRange,
-            BudgetExceeded, SplitNotPrefix) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except SchemaError as exc:
-        print(f"weights file rejected: {exc}", file=sys.stderr)
-        return 1
-    except Exception as exc:  # noqa: BLE001 - stable exit-code contract
-        print(f"internal invariant breach: {exc}", file=sys.stderr)
-        return 3
+    with warnings.catch_warnings():     # one line, with no source location
+        warnings.showwarning = lambda message, category, *_: print(
+            f"warning: {category.__name__}: {message}", file=sys.stderr)
+        try:
+            return args.func(_config(args))
+        except (UsageError, UnsupportedM, InvalidFormat, LogitOutOfRange,
+                BudgetExceeded, SplitNotPrefix) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except SchemaError as exc:
+            print(f"weights file rejected: {exc}", file=sys.stderr)
+            return 1
+        except Exception as exc:  # noqa: BLE001 - stable exit-code contract
+            print(f"internal invariant breach: {exc}", file=sys.stderr)
+            return 3
 
 
 if __name__ == "__main__":

@@ -2,12 +2,13 @@
 counting arguments that lower-bound them.
 
 The reduction: the bounded left fold decomposes at any prefix boundary, so
-Alice (holding y) runs the attention kernel's fold over the construction's
-y-prefix and sends the partial numerator and denominator as two p-bit
-scalars; Bob resumes the same fold from that state over his tokens and
-finishes the pipeline.  Both halves run the one kernel that forward runs
-end to end, so the answer bit equals the single-machine forward pass by
-construction; the tests still check it pair-exhaustively at small m.
+Alice (holding y) folds the tokens that read no z bit (attn.alice_len, the
+cut the factored verifier makes too) and sends the partial numerator and
+denominator as two p-bit scalars; Bob resumes the same fold from that state
+over his tokens and finishes the pipeline.  Both halves run the one kernel
+that forward runs end to end, so the answer bit equals the single-machine
+forward pass by construction; the tests still check it pair-exhaustively at
+small m.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from .attn import (
     LINEAR,
     OFF,
     TransformerSpec,
+    alice_len,
     finish_softmax,
     fold,
     linear_output,
@@ -72,14 +74,9 @@ class FoolingReport:
 
 
 def default_split(spec: TransformerSpec) -> tuple:
-    """The proofs' prefix: the longest run of leading tokens whose rows
-    read no z bit, so Alice can embed them from y alone."""
-    k = 0
-    for rule in spec.embedding:
-        if any(name == "z" for name, _ in rule.source):
-            break
-        k += 1
-    return tuple(range(spec.index_base, spec.index_base + k))
+    """The proofs' prefix as token indices: the alice_len(spec) leading
+    tokens, whose rows read no z bit."""
+    return tuple(range(spec.index_base, spec.index_base + alice_len(spec)))
 
 
 def _prefix_len(spec: TransformerSpec, s) -> int:

@@ -10,8 +10,10 @@ after it, the verifier runs the attention kernel's numerator fold alone over
 every pair of leading fields and its denominator fold alone over every pair
 of trailing fields, buckets the distinct fold values, and combines the
 buckets; this cuts the fx-tight m=13 run from 3.4e7 forward passes to a few
-thousand folds plus a cheap cross product.  Every reported failure is
-re-evaluated with a direct forward pass before it is believed.
+thousand folds plus a cheap cross product.  Each fold resumes where the
+protocol does: Alice's prefix (attn.alice_len) is folded once per field of
+y, and the cap bounds this work, not the promise pairs.  Every reported
+failure is re-evaluated with a direct forward pass before it is believed.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from __future__ import annotations
 import bisect
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import islice, product
 
@@ -27,6 +28,7 @@ from .attn import (
     OFF,
     SOFTMAX,
     TransformerSpec,
+    alice_len,
     finish_softmax,
     fold,
     fold_reads,
@@ -209,12 +211,6 @@ def _eval_pairs(spec, pairs):
     return n, out, inf_n
 
 
-def _chunks(seq, k):
-    k = max(1, k)
-    step = max(1, (len(seq) + k - 1) // k)
-    return [seq[i:i + step] for i in range(0, len(seq), step)]
-
-
 def _eval_all(spec, pairs, jobs):
     """Evaluate pairs, split over jobs worker processes when there are
     enough of them; returns (count, collector, inf count).  One job counts
@@ -222,9 +218,12 @@ def _eval_all(spec, pairs, jobs):
     if jobs > 1:
         pairs = list(pairs)
     if jobs > 1 and len(pairs) > 1024:
+        from concurrent.futures import ProcessPoolExecutor
+        step = -(-len(pairs) // jobs)
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(
-                _eval_pairs, [spec] * jobs, _chunks(pairs, jobs)))
+                _eval_pairs, [spec] * jobs,
+                [pairs[i:i + step] for i in range(0, len(pairs), step)]))
     else:
         results = [_eval_pairs(spec, pairs)]
     coll = _Collector()
@@ -291,10 +290,13 @@ def fold_split(spec: TransformerSpec, promises: PromiseSet) -> int | None:
 
     Only a softmax head has two folds to split, and only a promise whose
     flags all constrain the pair as a whole (length, y <= z) admits every
-    pair the factored enumeration counts.
+    pair the factored enumeration counts.  Bob's positions, after
+    alice_len, must read no y bit: the factored run resumes there.
     """
     if spec.attention_kind != SOFTMAX or \
-            any(_FLAGS[f][1] != "pair" for f in promises.flags):
+            any(_FLAGS[f][1] != "pair" for f in promises.flags) or \
+            any(name == "y" for rule in spec.embedding[alice_len(spec):]
+                for name, _ in rule.source):
         return None
     num, den = fold_reads(spec)
     if not num:
@@ -303,26 +305,36 @@ def fold_split(spec: TransformerSpec, promises: PromiseSet) -> int | None:
     return s if s < min(den, default=spec.m) else None
 
 
-def _fold_value(spec, y, z, state):
-    """One fold of the kernel over the pair's whole sequence, started from
-    state: the scaled numerator or the denominator, _NAN when it hits an
-    indeterminate form."""
-    cells = token_cells(spec, y, z)
-    try:
-        num, den = fold(spec, state, 0, len(cells), cells)
-        return den if num is OFF else scale_numerator(spec, num)
-    except IndeterminateForm:
-        return _NAN
-
-
 def _buckets(spec, pairs, width, lead, trail, state):
     """One fold's value over the (a, b) pairs of width-bit fields, placed
     between the constant lead and trail bits of y and of z, bucketed by
-    (value, order of a against b): count and the first listed pairs."""
+    (value, order of a against b): count and the first listed pairs.
+
+    The value, the scaled numerator or the denominator (_NAN on an
+    indeterminate form), is folded from state over Alice's prefix
+    (alice_len) once per run of pairs with one a, then resumed over Bob's
+    cells of b.  Alice reads no z bit and Bob no y bit (fold_split), so the
+    cells of (v, v), built once per v, serve both.  Errors surface at the
+    pair, stage and token a whole fold per pair would raise them."""
+    k, end = alice_len(spec), spec.n + 1
+    fields = (lead + _bits(v, width) + trail for v in range(1 << width))
+    cells = [token_cells(spec, f, f) for f in fields]
     buckets = {}
+    alice_of = None
     for a, b in pairs:
-        value = _fold_value(spec, lead + _bits(a, width) + trail,
-                            lead + _bits(b, width) + trail, state)
+        if a != alice_of:
+            alice_of = a
+            try:
+                alice = fold(spec, state, 0, k, cells[a])
+            except IndeterminateForm:
+                alice = _NAN
+        value = _NAN
+        if alice is not _NAN:
+            try:
+                num, den = fold(spec, alice, k, end, cells[b])
+                value = den if num is OFF else scale_numerator(spec, num)
+            except IndeterminateForm:
+                pass
         bucket = buckets.setdefault((value, (a > b) - (a < b)), [0, []])
         bucket[0] += 1
         if len(bucket[1]) < FAILURE_LIST_CAP:
@@ -336,21 +348,25 @@ def _factored_exhaustive(spec, s, cap, rng):
     The numerator fold reads no bit past s and the denominator fold none up
     to s, so each is folded alone over its own pairs of fields: y[:s] <=
     z[:s] for the numerator, every pair of tails for the denominator.
-    Their buckets combine into every pair y <= z.  Returns (total,
-    collector, inf count).  A random sample of combined verdicts is
-    re-checked against direct forward passes, as is every failure.
+    Their buckets combine into every pair y <= z.  cap bounds the field
+    pairs folded, then the bucket pairs.  Returns (total, collector, inf
+    count).  A random sample of combined verdicts is re-checked against
+    direct forward passes, as is every failure.
     """
     m = spec.m
     second = m - s
     expected_total = (1 << (m - 1)) * ((1 << m) + 1)
-    if expected_total > cap:
-        raise BudgetExceeded(
-            f"{expected_total} promise pairs exceed the cap of {cap}")
+    work = (1 << s) * ((1 << s) + 1) // 2 + (1 << 2 * second)
+    if work > cap:
+        raise BudgetExceeded(f"{work} field pairs exceed the cap of {cap}")
     heads = range(1 << s)
     num_buckets = _buckets(spec, ((a, b) for a in heads for b in heads[a:]),
                            s, "", "0" * second, (None, OFF))
     den_buckets = _buckets(spec, product(range(1 << second), repeat=2),
                            second, "0" * s, "", (OFF, None))
+    combos = len(num_buckets) * len(den_buckets)
+    if combos > cap:
+        raise BudgetExceeded(f"{combos} bucket pairs exceed the cap of {cap}")
 
     coll = _Collector()
     total = 0

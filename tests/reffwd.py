@@ -13,11 +13,10 @@ from eqattn.attn import (
     StageError,
     _accept_bit,
     _ops,
-    _wrap_exact,
     mlp_eval,
     token_logits,
 )
-from eqattn.bitnum import IndeterminateForm, exp_logit_exact
+from eqattn.bitnum import IndeterminateForm, exp_logit_exact, hold_exact
 
 
 def ref_forward(spec, x, normalize=None) -> EvalTrace:
@@ -47,7 +46,7 @@ def ref_forward(spec, x, normalize=None) -> EvalTrace:
         trace.num_terms.append(term)
         trace.num_partials.append(num)
     try:
-        num = mul(num, _wrap_exact(scale, spec.num_fmt), spec.num_fmt)
+        num = mul(num, hold_exact(scale, spec.num_fmt), spec.num_fmt)
     except IndeterminateForm:
         return nan_like()
     except ArithmeticError as exc:
@@ -58,7 +57,7 @@ def ref_forward(spec, x, normalize=None) -> EvalTrace:
         den = None
         for j, w in enumerate(weights):
             try:
-                term = _wrap_exact(w, spec.den_fmt)
+                term = hold_exact(w, spec.den_fmt)
                 den = round_(w, spec.den_fmt) if den is None else \
                     add(den, term, spec.den_fmt)
             except IndeterminateForm:

@@ -31,6 +31,7 @@ from eqattn.bitnum import (
     fx_mul,
     fx_round,
     fx_sum_left,
+    hold_exact,
     parse_format,
 )
 
@@ -134,6 +135,26 @@ class TestValueSets:
         assert Fraction(9, 2) not in values
         assert fx_round(Fraction(9, 2), fmt).inexact
         assert fp_round(Fraction(9, 2), FpFormat(2, 3)).inexact
+
+
+class TestHoldExact:
+    def test_held_values_are_the_rounded_ones_where_they_fit(self):
+        """On both kinds, every grid value (zero included) is held finite
+        with the representation rounding it gives."""
+        for fmts, grid, round_ in ((FX_FORMATS, gridref.fx_values, fx_round),
+                                   (FP_FORMATS, gridref.fp_values, fp_round)):
+            for fmt in fmts:
+                for v in grid(fmt):
+                    held = hold_exact(v, fmt)
+                    assert held.is_finite
+                    assert _rep(held) == _rep(round_(v, fmt))
+
+    def test_a_held_value_is_never_rounded_or_saturated(self):
+        for fmt in (FxFormat(3), FpFormat(2, 3)):
+            for v in (Fraction(1 << 20), Fraction(-5, 1 << 9)):
+                held = hold_exact(v, fmt)
+                assert held.is_finite and not held.inexact
+                assert held.as_fraction() == v
 
 
 class TestRoundingDifferential:

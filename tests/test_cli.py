@@ -103,6 +103,19 @@ class TestVerifyCommand:
         text = (tmp_path / "reports" / "run.csv").read_text()
         assert "fx-tight,5,,,3,528,0,0.000" in text
 
+    def test_factored_run_is_capped_on_its_work(self, run_cli):
+        """fx-tight m=15 has 536,887,296 promise pairs, past the pair cap,
+        but the factored run folds only 2^8(2^8+1)/2 + 4^7 field pairs."""
+        argv = ("verify", "--construction", "fx-tight", "--m", "15",
+                "--format", "csv")
+        code, out, err = run_cli(*argv)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1] == "fx-tight,15,,,8,536887296,0,0.000"
+        code, out, err = run_cli(*argv, "--precision-delta", "-1")
+        assert (code, err) == (1, "")
+        assert out.splitlines()[1] == \
+            "fx-tight,15,,,7,536887296,236875922,0.000"
+
 
 class TestSweepCommand:
     def test_grid_of_sizes_in_csv(self, run_cli):
@@ -275,6 +288,17 @@ class TestQuantizeCommand:
         assert code == 0
         row = out.strip().split("\n")[1].split(",")
         assert row[0] == "imported"
+
+    def test_degenerate_tensor_is_one_plain_stderr_line(self, run_cli):
+        """The library warns; the command line prints the warning's class
+        and message once, without the source location of the warn call."""
+        code, _, err = run_cli("quantize", "--construction", "fp-linear",
+                               "--t", "4", "--e", "3", "--formats",
+                               "native,native-1,int8,fp16", "--exhaustive")
+        assert code == 0
+        assert err == ("warning: DegenerateTensor: tensor mlp.b1 has no "
+                       "nonzero weight; scale defaults to 1\n")
+        assert ".py:" not in err
 
     def test_exhaustive_needs_a_named_construction(self, run_cli, tmp_path):
         path = tmp_path / "head.json"

@@ -1,9 +1,11 @@
 """--jobs: rejected below 1, capped at the CPU count, and invisible in the
 report whether or not worker processes ran."""
 
+import concurrent.futures
+
 import pytest
 
-from eqattn import cli, oracle
+from eqattn import cli
 
 VERIFY = ("verify", "--construction", "fp-linear", "--t", "4", "--e", "3",
           "--format", "csv")
@@ -46,7 +48,8 @@ def test_jobs_from_the_environment_is_checked_too(run_cli, monkeypatch,
 
 def test_jobs_is_capped_at_the_cpu_count(run_cli, monkeypatch):
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(oracle, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        _RecordingPool)
     monkeypatch.setattr(_RecordingPool, "sizes", [])
     code, capped, _ = run_cli(*VERIFY, "--jobs", "64")
     assert code == 0

@@ -113,6 +113,17 @@ class TestExhaustive:
             assert trace.bit == f.got
             assert eq_truth(EqInstance(f.y, f.z)) == f.expected
 
+    def test_factored_cap_bounds_the_work_not_the_pairs(self):
+        """fx-tight m=7 splits after bit 4 and folds 16*17/2 + 8*8 = 200
+        field pairs, so a cap of 200 admits its 8,256 promise pairs and 199
+        does not.  One bit wider at m=11 it folds 64*65/2 + 32*32 = 3,104
+        field pairs into 64 x 94 bucket pairs, checked once bucketed."""
+        assert verify_exhaustive("fx-tight", m=7, cap=200).total == 8256
+        with pytest.raises(BudgetExceeded, match="^200 field pairs"):
+            verify_exhaustive("fx-tight", m=7, cap=199)
+        with pytest.raises(BudgetExceeded, match="^6016 bucket pairs"):
+            verify_exhaustive("fx-tight", m=11, precision_delta=1, cap=3104)
+
     def test_pair_cap_guards_runaway_enumerations(self):
         with pytest.raises(BudgetExceeded):
             verify_exhaustive("fp-softmax", t=4, e=7)
@@ -193,6 +204,20 @@ class TestFoldSplit:
         assert fold_split(spec, promises) is None
         fast, direct = _both_paths(spec, promises)
         assert fast == direct == (8256, 64, 5164)
+
+    def test_a_y_bit_after_alices_prefix_goes_direct(self):
+        """The den-z rule at z5 reading y5 instead leaves the folds' bits
+        split after bit 4, but Bob's cells would then depend on y: no
+        split, and the report is the direct path's."""
+        spec, promises = make("fx-tight", m=7)
+        embedding = [TokenRule((("y", 5),), rule.rows)
+                     if rule.source == (("z", 5),) else rule
+                     for rule in spec.embedding]
+        spec = replace(spec, embedding=embedding).validate()
+        assert fold_reads(spec) == ({1, 2, 3, 4}, {5, 6, 7})
+        assert fold_split(spec, promises) is None
+        fast, direct = _both_paths(spec, promises)
+        assert fast == direct
 
     def test_one_sided_flag_goes_direct(self):
         """A flag on y alone is not a pair-wide promise, so the run counts

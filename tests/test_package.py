@@ -11,16 +11,21 @@ import eqattn
 
 
 def test_every_module_is_imported_by_the_cli():
+    """A fresh `import eqattn.cli` loads every module of the package and
+    leaves the process pool, which only --jobs above 1 uses, unloaded."""
     src = os.path.dirname(os.path.dirname(eqattn.__file__))
     probe = ("import sys, eqattn.cli; print(' '.join(sorted("
-             "m for m in sys.modules if m.startswith('eqattn.'))))")
+             "m for m in sys.modules if m.startswith('eqattn.')))); "
+             "print(' '.join(m for m in ('multiprocessing', "
+             "'concurrent.futures') if m in sys.modules))")
     env = dict(os.environ, PYTHONPATH=src)
-    loaded = subprocess.run([sys.executable, "-c", probe], env=env,
-                            check=True, capture_output=True,
-                            text=True).stdout.split()
+    ours, pool = subprocess.run([sys.executable, "-c", probe], env=env,
+                                check=True, capture_output=True,
+                                text=True).stdout.split("\n")[:2]
     modules = [f"eqattn.{info.name}"
                for info in pkgutil.iter_modules(eqattn.__path__)]
-    assert sorted(modules) == loaded
+    assert sorted(modules) == ours.split()
+    assert pool == ""
 
 
 def test_no_module_imports_an_unused_name():

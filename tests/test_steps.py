@@ -29,7 +29,6 @@ from eqattn.attn import (
     MlpSpec,
     _rep,
     _Steps,
-    _wrap_exact,
     fold,
     forward,
     mlp_eval,
@@ -50,6 +49,7 @@ from eqattn.bitnum import (
     fx_add,
     fx_mul,
     fx_round,
+    hold_exact,
 )
 from eqattn.constructs import make
 from reffwd import ref_forward
@@ -320,7 +320,7 @@ def test_memoised_scale_and_mlp_equal_fresh_evaluations(monkeypatch):
     for fmt in _formats(rng):
         spec = _tail_spec(rng, fmt)
         mul = fx_mul if isinstance(fmt, FxFormat) else fp_mul
-        scale = _wrap_exact(spec.wv[2], fmt)
+        scale = hold_exact(spec.wv[2], fmt)
         pool = _operands(rng, fmt)
         for again in (False, True):
             evals[0] = 0
