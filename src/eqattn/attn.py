@@ -257,13 +257,6 @@ class EvalTrace:
             num_partials=partials[0], den_partials=partials[1])
         return vars(self)[name]
 
-    def any_inexact(self) -> bool:
-        steps = (self.num_partials + self.den_partials + self.num_terms
-                 + self.hidden)
-        steps += [v for v in (self.numerator, self.denominator, self.sa,
-                              self.output) if v is not None]
-        return any(getattr(v, "inexact", False) for v in steps)
-
     def render_lines(self):
         def enc(v):
             return "." if v is None else encode_scalar(v)
@@ -756,73 +749,3 @@ def forward(spec: TransformerSpec, y: str, z: str) -> EvalTrace:
     except ArithmeticError as exc:
         raise StageError(stage, None, exc) from exc
     return trace
-
-
-def spec_to_payload(spec: TransformerSpec) -> dict:
-    """JSON-ready dict; exact scalars use the textual encoding."""
-    def enc(v):
-        return "neglarge" if v is None else encode_scalar(Fraction(v))
-
-    def enc_row(row):
-        return [enc(v) for v in row]
-
-    return {
-        "version": 1,
-        "m": spec.m,
-        "n": spec.n,
-        "attention_kind": spec.attention_kind,
-        "index_base": spec.index_base,
-        "formats": {k: f.descriptor() for k, f in spec.formats.items()},
-        "embedding": [
-            {"source": [[name, idx] for name, idx in rule.source],
-             "rows": [enc_row(r) for r in rule.rows]}
-            for rule in spec.embedding
-        ],
-        "wq": enc_row(spec.wq),
-        "wk": enc_row(spec.wk),
-        "wv": enc_row(spec.wv),
-        "mlp": {
-            "w1": enc_row(spec.mlp.w1),
-            "b1": enc_row(spec.mlp.b1),
-            "w2": enc_row(spec.mlp.w2),
-            "b2": enc(spec.mlp.b2),
-        },
-    }
-
-
-def spec_from_payload(payload: dict) -> TransformerSpec:
-    from .bitnum import decode_scalar, parse_format
-
-    if payload.get("version") != 1:
-        raise ValueError(f"unsupported weights version {payload.get('version')}")
-
-    def dec(s):
-        if s == "neglarge":
-            return None
-        v = decode_scalar(s)
-        if isinstance(v, float):
-            raise ValueError("weights must be finite")
-        return v
-
-    def dec_row(row):
-        return tuple(dec(v) for v in row)
-
-    fmts = {k: parse_format(v) for k, v in payload["formats"].items()}
-    embedding = [
-        TokenRule(source=tuple((name, idx) for name, idx in e["source"] or ()),
-                  rows=tuple(dec_row(r) for r in e["rows"]))
-        for e in payload["embedding"]
-    ]
-    mlp = MlpSpec(w1=dec_row(payload["mlp"]["w1"]),
-                  b1=dec_row(payload["mlp"]["b1"]),
-                  w2=dec_row(payload["mlp"]["w2"]),
-                  b2=dec(payload["mlp"]["b2"]))
-    return TransformerSpec(
-        m=payload["m"], n=payload["n"],
-        attention_kind=payload["attention_kind"],
-        fold_fmt=fmts["fold"], num_fmt=fmts["num"],
-        den_fmt=fmts["den"], out_fmt=fmts["out"],
-        embedding=embedding, wq=dec_row(payload["wq"]),
-        wk=dec_row(payload["wk"]), wv=dec_row(payload["wv"]),
-        mlp=mlp, index_base=payload.get("index_base", 0),
-    ).validate()

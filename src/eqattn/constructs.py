@@ -428,14 +428,14 @@ def _build_t2(t: int, e: int, n: int | None):
         raise UnsupportedM(
             f"fp-linear enumerates 2^(e+2) rows per token; e = {e} is past "
             "the supported e <= 12")
+    if e < 2:
+        raise UnsupportedM(f"fp-linear needs e >= 2, got e = {e}")
     if (1 << e) - 2 < t - 1:
         raise UnsupportedM(
             f"(t, e) = ({t}, {e}) leaves no legal exponent field: the "
             f"window [{t - 1}, {(1 << e) - 2}] is empty")
     if t < 3:
         raise UnsupportedM(f"fp-linear needs t >= 3, got t = {t}")
-    if e < 2:
-        raise UnsupportedM(f"fp-linear needs e >= 2, got e = {e}")
     m = t + e
     n = _token_count("fp-linear", n, 4 * t - 3, 2 * m + 1)
     q = (1 << (e - 1)) - 1

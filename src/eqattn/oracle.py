@@ -234,6 +234,35 @@ def _eval_all(spec, pairs, jobs):
             sum(r[2] for r in results))
 
 
+def _pair_scoped(promises: PromiseSet) -> bool:
+    """Whether every flag constrains the pair as a whole (length, y <= z),
+    so each side admits every m-bit string or none."""
+    return all(_FLAGS[f][1] == "pair" for f in promises.flags)
+
+
+def _count_pairs(promises: PromiseSet, m: int, cap: int) -> int:
+    """How many exhaustive promise pairs there are, found without listing
+    a string: in closed form when the flags are pair-scoped, else in one
+    streamed pass, which is refused past cap when the 2^m strings alone
+    exceed it."""
+    if _pair_scoped(promises):
+        s = "0" * m
+        if not (promises.y_ok(s) and promises.z_ok(s)):
+            return 0
+        return (1 << m - 1) * ((1 << m) + 1)
+    if 1 << m > cap:
+        raise BudgetExceeded(
+            f"{1 << m} strings of {m} bits exceed the cap of {cap}")
+    ys = zs = below = 0      # below: (y, z) with z < y, both admitted
+    for v in range(1 << m):
+        s = _bits(v, m)
+        if promises.y_ok(s):
+            ys += 1
+            below += zs
+        zs += promises.z_ok(s)
+    return ys * zs - below
+
+
 def promise_pairs(promises: PromiseSet, m: int, count: int | None = None,
                   rng: random.Random | None = None,
                   cap: int = PAIR_CAP_DEFAULT):
@@ -242,23 +271,23 @@ def promise_pairs(promises: PromiseSet, m: int, count: int | None = None,
     With count None: an iterator over every pair, y ascending, then z
     ascending.  Each promise flag constrains y, z, the length or the order
     alone, so y_ok, z_ok and y <= z are the whole promise.  Pairs are
-    counted from the two sides first and BudgetExceeded is raised past cap
-    on the call, before any is made; they are then made one at a time, as
-    they are consumed.  Otherwise: a list of count uniform draws from rng,
-    by rejection.  Each draw takes getrandbits(m) twice, swaps the two
-    into order and keeps the pair when check passes.  BudgetExceeded is
-    raised when the promise set is too sparse to sample.
+    counted first (_count_pairs) and BudgetExceeded is raised past cap on
+    the call, before any string is listed; they are then made one at a
+    time, as they are consumed.  Otherwise: a list of count uniform draws
+    from rng, by rejection.  Each draw takes getrandbits(m) twice, swaps
+    the two into order and keeps the pair when check passes.
+    BudgetExceeded is raised when the promise set is too sparse to
+    sample.
     """
     if count is None:
-        strings = [_bits(v, m) for v in range(1 << m)]
-        ys = [y for y in strings if promises.y_ok(y)]
-        zs = [z for z in strings if promises.z_ok(z)]
-        starts = [bisect.bisect_left(zs, y) for y in ys]
-        total = sum(len(zs) - s for s in starts)
+        total = _count_pairs(promises, m, cap)
         if total > cap:
             raise BudgetExceeded(
                 f"{total} promise pairs exceed the cap of {cap}")
-        return ((y, z) for y, s in zip(ys, starts) for z in zs[s:])
+        strings = [_bits(v, m) for v in range(1 << m)]
+        ys = [y for y in strings if promises.y_ok(y)]
+        zs = [z for z in strings if promises.z_ok(z)]
+        return ((y, z) for y in ys for z in zs[bisect.bisect_left(zs, y):])
     pairs = []
     draws = 0
     while len(pairs) < count:
@@ -293,8 +322,7 @@ def fold_split(spec: TransformerSpec, promises: PromiseSet) -> int | None:
     pair the factored enumeration counts.  Bob's positions, after
     alice_len, must read no y bit: the factored run resumes there.
     """
-    if spec.attention_kind != SOFTMAX or \
-            any(_FLAGS[f][1] != "pair" for f in promises.flags) or \
+    if spec.attention_kind != SOFTMAX or not _pair_scoped(promises) or \
             any(name == "y" for rule in spec.embedding[alice_len(spec):]
                 for name, _ in rule.source):
         return None

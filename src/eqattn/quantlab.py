@@ -1,4 +1,5 @@
-"""Post-training quantization of equality heads and accuracy sweeps.
+"""Post-training quantization of equality heads, accuracy sweeps, and the
+weights file format.
 
 quantize_spec re-rounds every weight of a TransformerSpec onto an INTk or
 floating-point grid and swaps the stage formats to match, so activations
@@ -15,6 +16,13 @@ format's +-Inf, which is exactly how a dedicated infinity code would
 behave without the evaluation pipeline needing a special case.  The one
 use it cannot stand is as a key a sequence reaches: its attention weight,
 2 to an infinity-coded power, is refused with bitnum.LogitOutOfRange.
+
+This module owns the weights format, reading and writing.  export_weights
+writes a spec as a JSON document, each scalar in bitnum's exact textual
+encoding and the key sentinel as "neglarge".  import_weights_text checks
+the document in one pass, decoding each field straight into the spec and
+naming the field of the first error in a SchemaError; import_weights also
+refuses a head whose logits are not integer coefficients of ln 2.
 """
 
 from __future__ import annotations
@@ -30,7 +38,7 @@ from functools import cache
 from pathlib import Path
 
 from .attn import (LINEAR, SOFTMAX, MlpSpec, TokenRule, TransformerSpec,
-                   forward, spec_from_payload, spec_to_payload, token_logits)
+                   forward, token_logits)
 from .bitnum import (INF_CODE_LOG2, FpFormat, FxFormat, InvalidFormat,
                      _pow2, decode_scalar, encode_scalar, fp_round, fx_round,
                      parse_format)
@@ -504,41 +512,69 @@ def _schema(cond: bool, where: str, msg: str):
         raise SchemaError(f"{where}: {msg}")
 
 
-def _norm_scalar(v, where: str) -> str:
-    """A scalar cell as its textual encoding; numbers convert exactly
-    through their binary representation."""
-    if v is None:
-        return "neglarge"
+def _scalar(v, where: str) -> Fraction | None:
+    """A scalar cell as an exact dyadic, None for the "neglarge" sentinel;
+    JSON numbers convert exactly through their binary representation."""
+    if v is None or v == "neglarge":
+        return None
     if isinstance(v, bool):
         raise SchemaError(f"{where}: booleans are not scalars")
     if isinstance(v, str):
-        if v == "neglarge":
-            return v
         try:
-            decode_scalar(v)
+            v = decode_scalar(v)
         except ValueError as exc:
             raise SchemaError(f"{where}: {exc}") from exc
-        return v
-    if isinstance(v, int):
-        return encode_scalar(Fraction(v))
-    if isinstance(v, float):
-        if not math.isfinite(v):
-            raise SchemaError(f"{where}: {v!r} is not finite")
-        return encode_scalar(Fraction(v))
-    raise SchemaError(f"{where}: expected a number or scalar string, got "
-                      f"{type(v).__name__}")
+    elif not isinstance(v, (int, float)):
+        raise SchemaError(f"{where}: expected a number or scalar string, "
+                          f"got {type(v).__name__}")
+    if isinstance(v, float) and not math.isfinite(v):
+        raise SchemaError(f"{where}: {v!r} is not finite")
+    return Fraction(v)
 
 
-def _norm_row(row, where: str, width: int | None = None) -> list:
+def _row(row, where: str, width: int) -> tuple:
     _schema(isinstance(row, list), where, "expected an array")
-    if width is not None:
-        _schema(len(row) == width, where,
-                f"expected {width} entries, got {len(row)}")
-    return [_norm_scalar(v, f"{where}[{i}]") for i, v in enumerate(row)]
+    _schema(len(row) == width, where,
+            f"expected {width} entries, got {len(row)}")
+    return tuple(_scalar(v, f"{where}[{i}]") for i, v in enumerate(row))
 
 
-def _normalize_document(payload: dict) -> dict:
-    """Check the weights document shape and put scalars in textual form."""
+def _format(fmts: dict, stage: str):
+    where = f"formats.{stage}"
+    _schema(stage in fmts, where, "missing")
+    _schema(isinstance(fmts[stage], str), where,
+            "expected a format descriptor string")
+    try:
+        return parse_format(fmts[stage])
+    except ValueError as exc:
+        raise SchemaError(f"{where}: {exc}") from exc
+
+
+def _rule(rule, where: str) -> TokenRule:
+    _schema(isinstance(rule, dict), where, "expected an object")
+    _schema("source" in rule and "rows" in rule, where,
+            "needs source and rows")
+    source = rule["source"]
+    _schema(isinstance(source, list), f"{where}.source",
+            "expected an array of [side, index] pairs")
+    for j, ref in enumerate(source):
+        _schema(isinstance(ref, list) and len(ref) == 2
+                and ref[0] in ("y", "z")
+                and isinstance(ref[1], int), f"{where}.source[{j}]",
+                f"expected [\"y\"|\"z\", index], got {ref!r}")
+    rows = rule["rows"]
+    _schema(isinstance(rows, list) and len(rows) == (1 << len(source)),
+            f"{where}.rows",
+            f"{len(source)} source bits need {1 << len(source)} rows, "
+            f"got {len(rows) if isinstance(rows, list) else rows!r}")
+    return TokenRule(source=tuple(map(tuple, source)),
+                     rows=tuple(_row(r, f"{where}.rows[{j}]", 3)
+                                for j, r in enumerate(rows)))
+
+
+def _decode_document(payload) -> TransformerSpec:
+    """Check a weights document field by field, decoding each into the
+    spec; a field error names the field."""
     _schema(isinstance(payload, dict), "document", "expected an object")
     for field in ("version", "m", "n", "attention_kind", "formats",
                   "embedding", "wq", "wk", "wv", "mlp"):
@@ -555,67 +591,41 @@ def _normalize_document(payload: dict) -> dict:
             f"got {payload['attention_kind']!r}")
     fmts = payload["formats"]
     _schema(isinstance(fmts, dict), "formats", "expected an object")
-    for stage in _STAGES:
-        _schema(stage in fmts, f"formats.{stage}", "missing")
-        _schema(isinstance(fmts[stage], str), f"formats.{stage}",
-                "expected a format descriptor string")
-        try:
-            parse_format(fmts[stage])
-        except ValueError as exc:
-            raise SchemaError(f"formats.{stage}: {exc}") from exc
-    doc = dict(payload)
+    # Every entry must parse, though only the four stages are read.
+    formats = {stage: _format(fmts, stage)
+               for stage in dict.fromkeys([*_STAGES, *fmts])}
     emb = payload["embedding"]
     _schema(isinstance(emb, list) and emb, "embedding",
             "expected a non-empty array of position rules")
-    rules = []
-    for i, rule in enumerate(emb):
-        where = f"embedding[{i}]"
-        _schema(isinstance(rule, dict), where, "expected an object")
-        _schema("source" in rule and "rows" in rule, where,
-                "needs source and rows")
-        source = rule["source"]
-        _schema(isinstance(source, list), f"{where}.source",
-                "expected an array of [side, index] pairs")
-        for j, ref in enumerate(source):
-            _schema(isinstance(ref, list) and len(ref) == 2
-                    and ref[0] in ("y", "z")
-                    and isinstance(ref[1], int), f"{where}.source[{j}]",
-                    f"expected [\"y\"|\"z\", index], got {ref!r}")
-        rows = rule["rows"]
-        _schema(isinstance(rows, list) and len(rows) == (1 << len(source)),
-                f"{where}.rows",
-                f"{len(source)} source bits need {1 << len(source)} rows, "
-                f"got {len(rows) if isinstance(rows, list) else rows!r}")
-        rules.append({
-            "source": source,
-            "rows": [_norm_row(r, f"{where}.rows[{j}]", 3)
-                     for j, r in enumerate(rows)],
-        })
-    doc["embedding"] = rules
+    embedding = [_rule(rule, f"embedding[{i}]") for i, rule in enumerate(emb)]
+    proj = {}
     for field in ("wq", "wk", "wv"):
-        doc[field] = _norm_row(payload[field], field, 3)
-        _schema("neglarge" not in doc[field], field,
+        proj[field] = _row(payload[field], field, 3)
+        _schema(None not in proj[field], field,
                 "projection weights must be finite scalars")
     mlp = payload["mlp"]
     _schema(isinstance(mlp, dict), "mlp", "expected an object")
     for field in ("w1", "b1", "w2", "b2"):
         _schema(field in mlp, f"mlp.{field}", "missing")
-    doc["mlp"] = {
-        "w1": _norm_row(mlp["w1"], "mlp.w1", 2),
-        "b1": _norm_row(mlp["b1"], "mlp.b1", 2),
-        "w2": _norm_row(mlp["w2"], "mlp.w2", 2),
-        "b2": _norm_scalar(mlp["b2"], "mlp.b2"),
-    }
-    for field in ("w1", "b1", "w2"):
-        _schema("neglarge" not in doc["mlp"][field], f"mlp.{field}",
+    w1, b1, w2 = (_row(mlp[f], f"mlp.{f}", 2) for f in ("w1", "b1", "w2"))
+    b2 = _scalar(mlp["b2"], "mlp.b2")
+    for field, row in zip(("w1", "b1", "w2", "b2"), (w1, b1, w2, (b2,))):
+        _schema(None not in row, f"mlp.{field}",
                 "mlp weights must be finite scalars")
-    _schema(doc["mlp"]["b2"] != "neglarge", "mlp.b2",
-            "mlp weights must be finite scalars")
-    if "index_base" in payload:
-        _schema(isinstance(payload["index_base"], int)
-                and not isinstance(payload["index_base"], bool),
-                "index_base", "expected an integer")
-    return doc
+    index_base = payload.get("index_base", 0)
+    _schema(isinstance(index_base, int) and not isinstance(index_base, bool),
+            "index_base", "expected an integer")
+    spec = TransformerSpec(
+        m=payload["m"], n=payload["n"],
+        attention_kind=payload["attention_kind"],
+        fold_fmt=formats["fold"], num_fmt=formats["num"],
+        den_fmt=formats["den"], out_fmt=formats["out"],
+        embedding=embedding, **proj, index_base=index_base,
+        mlp=MlpSpec(w1=w1, b1=b1, w2=w2, b2=b2))
+    try:
+        return spec.validate()
+    except ValueError as exc:
+        raise SchemaError(str(exc)) from exc
 
 
 def _check_logits(spec: TransformerSpec) -> TransformerSpec:
@@ -636,9 +646,38 @@ def _check_logits(spec: TransformerSpec) -> TransformerSpec:
 
 
 def export_weights(spec: TransformerSpec, path=None) -> str:
-    """The spec as a weights document (JSON); also written to path if
-    one is given."""
-    text = json.dumps(spec_to_payload(spec), indent=2) + "\n"
+    """The spec as a weights document (JSON), exact scalars in their
+    textual encoding and the key sentinel as "neglarge"; also written to
+    path if one is given."""
+    def enc(v):
+        return "neglarge" if v is None else encode_scalar(v)
+
+    def row(values):
+        return [enc(v) for v in values]
+
+    doc = {
+        "version": 1,
+        "m": spec.m,
+        "n": spec.n,
+        "attention_kind": spec.attention_kind,
+        "index_base": spec.index_base,
+        "formats": {k: f.descriptor() for k, f in spec.formats.items()},
+        "embedding": [
+            {"source": [[name, idx] for name, idx in rule.source],
+             "rows": [row(r) for r in rule.rows]}
+            for rule in spec.embedding
+        ],
+        "wq": row(spec.wq),
+        "wk": row(spec.wk),
+        "wv": row(spec.wv),
+        "mlp": {
+            "w1": row(spec.mlp.w1),
+            "b1": row(spec.mlp.b1),
+            "w2": row(spec.mlp.w2),
+            "b2": enc(spec.mlp.b2),
+        },
+    }
+    text = json.dumps(doc, indent=2) + "\n"
     if path is not None:
         Path(path).write_text(text)
     return text
@@ -665,10 +704,4 @@ def import_weights_text(text: str) -> TransformerSpec:
     except json.JSONDecodeError as exc:
         raise SchemaError(f"not valid JSON: line {exc.lineno} column "
                           f"{exc.colno}: {exc.msg}") from exc
-    doc = _normalize_document(payload)
-    try:
-        return spec_from_payload(doc)
-    except SchemaError:
-        raise
-    except (ValueError, KeyError, TypeError) as exc:
-        raise SchemaError(str(exc)) from exc
+    return _decode_document(payload)

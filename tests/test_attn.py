@@ -13,8 +13,6 @@ from eqattn.attn import (
     forward,
     mlp_eval,
     relu,
-    spec_from_payload,
-    spec_to_payload,
     token_logits,
 )
 from eqattn.bitnum import FpFormat, FxFormat, FxNum, fx_round
@@ -147,37 +145,3 @@ class TestTraceRendering:
         trace = EvalTrace(logits=[], weights=[], indeterminate=True,
                           bit=0)
         assert "attention output: indeterminate" in trace.render_lines()
-
-    def test_any_inexact_flags_rounded_steps(self, toy_spec):
-        exact = forward(toy_spec, "0", "0")
-        assert not exact.any_inexact()
-
-
-class TestPayload:
-    def test_round_trip_preserves_the_head(self, toy_spec):
-        payload = spec_to_payload(toy_spec)
-        again = spec_from_payload(payload)
-        assert spec_to_payload(again) == payload
-        for y in "01":
-            for z in "01":
-                a = forward(toy_spec, y, z)
-                b = forward(again, y, z)
-                assert a.bit == b.bit and a.sa == b.sa
-
-    def test_sentinel_key_survives_the_trip(self, toy_spec):
-        payload = spec_to_payload(toy_spec)
-        assert payload["embedding"][2]["rows"][0][1] == "neglarge"
-        again = spec_from_payload(payload)
-        assert again.embedding[2].rows[0][1] is None
-
-    def test_version_gate(self, toy_spec):
-        payload = spec_to_payload(toy_spec)
-        payload["version"] = 2
-        with pytest.raises(ValueError, match="version"):
-            spec_from_payload(payload)
-
-    def test_infinite_weights_rejected(self, toy_spec):
-        payload = spec_to_payload(toy_spec)
-        payload["wq"] = ["+inf", "0", "0"]
-        with pytest.raises(ValueError, match="finite"):
-            spec_from_payload(payload)

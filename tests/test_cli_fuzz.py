@@ -1,0 +1,123 @@
+"""Seeded fuzz of the command-line flags: every combination ends with a
+documented exit code (0 success, 1 verified failure or rejected weights,
+2 usage error), never 3, the internal invariant breach."""
+
+import random
+
+import pytest
+
+from eqattn import cli
+
+# Each flag draws a value from its first tuple, or with probability 1/5
+# from its second, which argparse or the command refuses.
+COMMON = {
+    "--seed": (("0", "3"), ("-5",)),
+    "--format": (("text", "csv"), ("json",)),
+    "--jobs": (("1",), ("0", "-1", "x")),
+    "--trace": None,
+    "--out": (("report.txt",), ()),
+}
+SUBJECT = {
+    "--m": (("5", "3"), ("1", "4", "0", "-1", "x")),
+    "--t": (("3", "4"), ("2", "0")),
+    "--e": (("2", "3"), ("-1", "0")),
+    "--n": (("20",), ("1", "0", "-3")),
+}
+DELTA = {"--precision-delta": (("-1", "0", "1", "3"), ("-9",))}
+COMMANDS = {
+    "verify": {**COMMON, **SUBJECT, **DELTA,
+               "--samples": (("5", "20", "0"), ("-1",))},
+    "sweep": {**COMMON, **SUBJECT, **DELTA,
+              "--ms": (("5", "3,5"), ("4", "x", "")),
+              "--samples": (("5", "0"), ("-1",))},
+    "protocol": {**COMMON, **SUBJECT,
+                 "--count": (("5",), ("0", "-1")), "--exhaustive": None,
+                 "--y": (("00000", "01010"), ("0101", "abcde")),
+                 "--z": (("00000", "11111"), ("0", "0z000"))},
+    "fooling": {**COMMON, "--m": (("3", "5", "7"), ("0", "-2")),
+                "--e": (("2", "3"), ("0", "9"))},
+    "quantize": {**COMMON, **SUBJECT,
+                 "--formats": (("int8", "native,native-1", "fp8_e4m3"),
+                               ("int1", "bogus", "")),
+                 "--ms": (("5", "3,5"), ("4", "x")),
+                 "--count": (("5",), ("0", "-1")), "--exhaustive": None,
+                 "--weights": (("good.json",), ("bad.json", "absent.json"))},
+    "arith-demo": COMMON,
+    "build": {**COMMON, **SUBJECT},
+    "import-check": COMMON,
+}
+# A named subject, drawn before the flags above, which may then override
+# its size; the sizes are small enough for an exhaustive run.
+SUBJECTS = (("fx-tight", "--m", "5"), ("fx-simple", "--m", "5"),
+            ("fp-linear", "--t", "3", "--e", "3"),
+            ("fp-softmax", "--t", "4", "--e", "7"), ("nope",))
+# Arguments kept in most draws: those argparse requires, so the run gets
+# past the parser, and a small --count in place of the default.
+REQUIRED = {"fooling": ("--m", "--e"), "quantize": ("--formats", "--count"),
+            "protocol": ("--count",)}
+
+
+def _pick(rng: random.Random, values):
+    good, bad = values
+    return rng.choice(bad if bad and rng.random() < 0.2 else good)
+
+
+def _argv(rng: random.Random) -> list[str]:
+    command = rng.choice(sorted(COMMANDS))
+    argv = [command]
+    if command == "import-check":
+        argv.append(_pick(rng, (("good.json",), ("bad.json", "absent.json"))))
+    if "--m" in COMMANDS[command] and command != "fooling" and \
+            rng.random() < 0.9:
+        argv += ["--construction", *rng.choice(SUBJECTS)]
+    for flag, values in COMMANDS[command].items():
+        keep = 0.9 if flag in REQUIRED.get(command, ()) else 0.25
+        if rng.random() < keep:
+            argv.append(flag)
+            if values is not None:
+                argv.append(_pick(rng, values))
+    return argv
+
+
+def _exit_code(argv) -> int:
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:       # argparse refuses the flags
+        return exc.code
+
+
+@pytest.fixture
+def weights_dir(tmp_path, monkeypatch):
+    """A working directory holding one good and one bad weights file,
+    with reports written beneath it."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("EQATTN_OUT_DIR", str(tmp_path / "out"))
+    assert cli.main(["build", "--construction", "fx-tight", "--m", "5",
+                     "--out", str(tmp_path / "good.json")]) == 0
+    (tmp_path / "bad.json").write_text('{"version": 1, "m": true}')
+    return tmp_path
+
+
+def test_flag_combinations_exit_with_a_documented_code(weights_dir, capsys):
+    rng = random.Random(7)
+    codes = {}
+    for _ in range(200):
+        argv = _argv(rng)
+        code = _exit_code(argv)
+        capsys.readouterr()
+        assert code in (0, 1, 2), argv
+        codes[code] = codes.get(code, 0) + 1
+    assert set(codes) == {0, 1, 2}, codes
+
+
+@pytest.mark.parametrize("argv,needle", [
+    # Refused from the closed-form pair count, before any string is made.
+    (["protocol", "--construction", "fx-tight", "--m", "99",
+      "--exhaustive"], "promise pairs exceed the cap"),
+    # A negative exponent width is refused before it is used as a shift.
+    (["build", "--construction", "fp-linear", "--t", "3", "--e", "-1"],
+     "fp-linear needs e >= 2"),
+])
+def test_pinned_usage_errors(argv, needle, capsys):
+    assert _exit_code(argv) == 2
+    assert needle in capsys.readouterr().err

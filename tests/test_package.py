@@ -1,7 +1,11 @@
-"""Every module of the package is reachable from the command line, and no
-module imports a name it never uses."""
+"""Every module of the package is reachable from the command line, every
+function the benchmark traces exists, and no module imports a name it
+never uses."""
 
 import ast
+import importlib
+import importlib.util
+import inspect
 import os
 import pkgutil
 import subprocess
@@ -26,6 +30,26 @@ def test_every_module_is_imported_by_the_cli():
                for info in pkgutil.iter_modules(eqattn.__path__)]
     assert sorted(modules) == ours.split()
     assert pool == ""
+
+
+def test_every_traced_function_exists():
+    """perfbench/tracer.py wraps each function its LAYERS names ("Class.
+    method" for a method), and the traced benchmark run fails on one that
+    is gone."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", os.path.join(root, "perfbench", "tracer.py"))
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = []
+    for layer, names in tracer.LAYERS.items():
+        for name in names:
+            obj = importlib.import_module(f"{tracer.PACKAGE}.{layer}")
+            for part in name.split("."):
+                obj = getattr(obj, part, None)
+            if not inspect.isfunction(obj):
+                missing.append(f"{layer}.{name}")
+    assert missing == []
 
 
 def test_no_module_imports_an_unused_name():

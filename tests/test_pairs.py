@@ -24,8 +24,11 @@ def _brute_force(promises, m):
 ])
 def test_exhaustive_pairs_are_the_promise_filter_in_order(name, size):
     spec, promises = make(name, **size)
-    assert list(promise_pairs(promises, spec.m)) == \
-        _brute_force(promises, spec.m)
+    want = _brute_force(promises, spec.m)
+    assert list(promise_pairs(promises, spec.m)) == want
+    assert list(promise_pairs(promises, spec.m, cap=len(want))) == want
+    with pytest.raises(BudgetExceeded, match=f"^{len(want)} promise pairs"):
+        promise_pairs(promises, spec.m, cap=len(want) - 1)
 
 
 def test_exhaustive_pairs_are_made_as_they_are_consumed():
@@ -40,6 +43,23 @@ def test_exhaustive_cap_is_checked_before_listing():
     spec, promises = make("fp-softmax", t=4, e=7)
     with pytest.raises(BudgetExceeded, match="479771776 promise pairs"):
         promise_pairs(promises, spec.m, cap=10 ** 6)
+
+
+def test_pair_scoped_promises_are_counted_in_closed_form():
+    """fx-tight's flags (m odd, y <= z) admit every string on each side,
+    so m=41 is refused at once, with 2^40 (2^41 + 1) pairs, and an even m
+    has none."""
+    _, promises = make("fx-tight", m=41)
+    with pytest.raises(BudgetExceeded,
+                       match=f"^{(1 << 40) * ((1 << 41) + 1)} promise pairs"):
+        promise_pairs(promises, 41)
+    assert list(promise_pairs(PromiseSet(T0), 4)) == []
+
+
+def test_more_strings_than_the_cap_are_refused_before_counting():
+    spec, promises = make("fp-linear", t=4, e=3)
+    with pytest.raises(BudgetExceeded, match=f"^{1 << spec.m} strings"):
+        promise_pairs(promises, spec.m, cap=(1 << spec.m) - 1)
 
 
 def _reference_draws(promises, m, count, rng):

@@ -257,6 +257,39 @@ class TestWeightsFiles:
                 assert forward(again, y, z).bit == \
                     forward(toy_spec, y, z).bit
 
+    def test_round_trip_preserves_the_head(self, toy_spec):
+        text = export_weights(toy_spec)
+        again = import_weights_text(text)
+        assert export_weights(again) == text
+        for y in "01":
+            for z in "01":
+                a = forward(toy_spec, y, z)
+                b = forward(again, y, z)
+                assert a.bit == b.bit and a.sa == b.sa
+
+    def test_sentinel_key_survives_the_trip(self, toy_spec):
+        text = export_weights(toy_spec)
+        assert json.loads(text)["embedding"][2]["rows"][0][1] == "neglarge"
+        again = import_weights_text(text)
+        assert again.embedding[2].rows[0][1] is None
+
+    def test_version_gate(self, toy_spec):
+        doc = json.loads(export_weights(toy_spec))
+        doc["version"] = 2
+        with pytest.raises(SchemaError, match="version"):
+            import_weights_text(json.dumps(doc))
+
+    def test_infinite_weights_rejected(self, toy_spec):
+        """An infinite scalar string names its field, as the same value
+        written as a JSON number does."""
+        doc = json.loads(export_weights(toy_spec))
+        for poison, name in (("+inf", "inf"), (float("inf"), "inf"),
+                             ("-inf", "-inf")):
+            doc["wq"] = [poison, "0", "0"]
+            with pytest.raises(SchemaError) as err:
+                import_weights_text(json.dumps(doc))
+            assert str(err.value) == f"wq[0]: {name} is not finite"
+
     def test_import_accepts_plain_floats(self, toy_spec):
         """Hand-edited files may write dyadic scalars as JSON numbers."""
         doc = json.loads(export_weights(toy_spec))
