@@ -32,7 +32,7 @@ from .bitnum import (NEAREST, TRUNC, FxFormat, InvalidFormat,
 from .commsim import SplitNotPrefix, run_protocol
 from .constructs import (CONSTRUCTIONS, EqInstance, UnsupportedM, make,
                          native_precision)
-from .oracle import BudgetExceeded, precision_delta_spec
+from .oracle import BudgetExceeded
 from .quantlab import SchemaError, import_weights
 
 
@@ -130,14 +130,12 @@ def _build_subject(cfg: RunConfig):
     return make(cfg.construction, m=cfg.m, t=cfg.t, e=cfg.e, n=cfg.n)
 
 
-def _failure_traces(cfg: RunConfig, report, limit: int = 3) -> list[str]:
-    spec, _ = _build_subject(cfg)
-    spec = precision_delta_spec(spec, cfg.precision_delta)
+def _failure_traces(report, limit: int = 3) -> list[str]:
+    """The traces the first listed failures were found with."""
     lines = []
     for f in report.failures[:limit]:
         lines.append(f"trace y={f.y} z={f.z}:")
-        trace = forward(spec, f.y, f.z)
-        lines.extend("  " + ln for ln in trace.render_lines())
+        lines.extend("  " + ln for ln in f.trace.render_lines())
     return lines
 
 
@@ -157,7 +155,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     else:
         lines = report.render_lines()
         if cfg.trace and report.failures:
-            lines += _failure_traces(cfg, report)
+            lines += _failure_traces(report)
         text = "\n".join(lines)
     _emit(cfg, text)
     return 0 if report.passed else 1
@@ -307,7 +305,8 @@ def cmd_quantize(cfg: RunConfig) -> int:
         if cfg.exhaustive:
             raise UsageError("--exhaustive needs a named construction "
                              "(imported weights carry no promise set)")
-        rep = quantlab.sweep(spec, fmts, count=cfg.count, seed=cfg.seed)
+        rep = quantlab.sweep(spec, fmts, count=cfg.count, seed=cfg.seed,
+                             jobs=cfg.jobs)
         rows += rep.rows
     else:
         keys = list(cfg.ms)
@@ -414,8 +413,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="report style (default text; quantize "
                              "defaults to csv)")
     common.add_argument("--jobs", type=int,
-                        help="worker processes for heavy runs, at most the "
-                             "CPU count (default EQATTN_JOBS or 1)")
+                        help="worker processes for verify, sweep and "
+                             "quantize, at most the CPU count (default "
+                             "EQATTN_JOBS or 1)")
     common.add_argument("--trace", action="store_true",
                         help="dump per-stage evaluation traces where "
                              "they apply")

@@ -14,6 +14,8 @@ thousand folds plus a cheap cross product.  Each fold resumes where the
 protocol does: Alice's prefix (attn.alice_len) is folded once per field of
 y, and the cap bounds this work, not the promise pairs.  Every reported
 failure is re-evaluated with a direct forward pass before it is believed.
+Every path, and quantlab's sampled scoring, counts pairs into one Tally,
+and tallies merge by addition.
 """
 
 from __future__ import annotations
@@ -21,8 +23,9 @@ from __future__ import annotations
 import bisect
 import random
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from itertools import islice, product
+from typing import NamedTuple
 
 from .attn import (
     OFF,
@@ -89,25 +92,48 @@ def _fmt_scalar(v) -> str:
     return str(v)
 
 
-def _digest(trace) -> str:
-    parts = [f"num={_fmt_scalar(trace.numerator)}"]
-    if trace.denominator is not None:
-        parts.append(f"den={_fmt_scalar(trace.denominator)}")
-    if getattr(trace, "indeterminate", False):
-        parts.append("sa=indeterminate")
-    else:
-        parts.append(f"sa={_fmt_scalar(trace.sa)}")
-    parts.append(f"out={_fmt_scalar(trace.output)}")
-    return ";".join(parts)
-
-
 @dataclass(frozen=True)
 class Failure:
+    """A pair the head answers wrongly, with the trace it was found with;
+    its digest is formatted from the trace only when read."""
+
     y: str
     z: str
     expected: int
     got: int
-    digest: str
+    trace: object = field(repr=False, compare=False)
+
+    @property
+    def digest(self) -> str:
+        trace = self.trace
+        parts = [f"num={_fmt_scalar(trace.numerator)}"]
+        if trace.denominator is not None:
+            parts.append(f"den={_fmt_scalar(trace.denominator)}")
+        parts.append("sa=indeterminate" if trace.indeterminate
+                     else f"sa={_fmt_scalar(trace.sa)}")
+        parts.append(f"out={_fmt_scalar(trace.output)}")
+        return ";".join(parts)
+
+
+FAILURE_LIST_CAP = 32
+
+
+class Tally(NamedTuple):
+    """Pairs decided against string equality: how many, how many wrongly,
+    the first FAILURE_LIST_CAP failures in enumeration order, and how many
+    saturated or hit an indeterminate form.  Tallies of consecutive runs
+    merge with +, which adds them field by field."""
+
+    total: int = 0
+    failure_count: int = 0
+    failures: tuple = ()
+    saturated: int = 0
+
+    def __add__(self, other: "Tally") -> "Tally":
+        return Tally(self.total + other.total,
+                     self.failure_count + other.failure_count,
+                     (self.failures + other.failures)[:FAILURE_LIST_CAP],
+                     self.saturated + other.saturated)
 
 
 @dataclass(frozen=True)
@@ -163,25 +189,6 @@ def to_csv(reports, timing: bool = False) -> str:
     return "\n".join(rows) + "\n"
 
 
-FAILURE_LIST_CAP = 32
-
-
-class _Collector:
-    """Accumulates failures with an exact count and a capped listing."""
-
-    def __init__(self):
-        self.count = 0
-        self.listed = []
-
-    def add(self, failure: Failure):
-        self.count += 1
-        if len(self.listed) < FAILURE_LIST_CAP:
-            self.listed.append(failure)
-
-    def merged(self):
-        return tuple(sorted(self.listed, key=lambda f: (f.y, f.z)))
-
-
 def _bits(v: int, width: int) -> str:
     return format(v, f"0{width}b")
 
@@ -196,42 +203,38 @@ def trace_saturated(trace) -> bool:
         trace.numerator, trace.denominator, trace.sa, trace.output)
 
 
-def _eval_pairs(spec, pairs):
-    """Worker: evaluate (y, z) pairs; returns (count, failures, inf count)."""
-    out = []
-    n = 0
-    inf_n = 0
+def _eval_pairs(spec, pairs) -> Tally:
+    """Worker: tally each (y, z) pair's forward bit against y == z."""
+    total = wrong = saturated = 0
+    listed = []
     for y, z in pairs:
-        n += 1
+        total += 1
         trace = forward(spec, y, z)
-        inf_n += trace_saturated(trace)
+        saturated += trace_saturated(trace)
         expected = int(y == z)
         if trace.bit != expected:
-            out.append((y, z, expected, trace.bit, _digest(trace)))
-    return n, out, inf_n
+            wrong += 1
+            if len(listed) < FAILURE_LIST_CAP:
+                listed.append(Failure(y, z, expected, trace.bit, trace))
+    return Tally(total, wrong, tuple(listed), saturated)
 
 
-def _eval_all(spec, pairs, jobs):
-    """Evaluate pairs, split over jobs worker processes when there are
-    enough of them; returns (count, collector, inf count).  One job counts
-    the pairs as it consumes them, so an iterator is never held whole."""
+def _eval_all(spec, pairs, jobs) -> Tally:
+    """Tally pairs, split into consecutive chunks over jobs worker
+    processes when there are enough of them, the chunks' tallies summed in
+    order.  One job counts the pairs as it consumes them, so an iterator
+    is never held whole."""
     if jobs > 1:
         pairs = list(pairs)
     if jobs > 1 and len(pairs) > 1024:
         from concurrent.futures import ProcessPoolExecutor
         step = -(-len(pairs) // jobs)
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(
+            return sum(pool.map(
                 _eval_pairs, [spec] * jobs,
-                [pairs[i:i + step] for i in range(0, len(pairs), step)]))
-    else:
-        results = [_eval_pairs(spec, pairs)]
-    coll = _Collector()
-    for _, fails, _ in results:
-        for fail in fails:
-            coll.add(Failure(*fail))
-    return (sum(r[0] for r in results), coll,
-            sum(r[2] for r in results))
+                [pairs[i:i + step] for i in range(0, len(pairs), step)]),
+                Tally())
+    return _eval_pairs(spec, pairs)
 
 
 def _pair_scoped(promises: PromiseSet) -> bool:
@@ -305,10 +308,6 @@ def promise_pairs(promises: PromiseSet, m: int, count: int | None = None,
     return pairs
 
 
-def _direct_exhaustive(spec, promises, cap, jobs):
-    return _eval_all(spec, promise_pairs(promises, spec.m, cap=cap), jobs)
-
-
 _NAN = "nan"
 
 
@@ -377,9 +376,9 @@ def _factored_exhaustive(spec, s, cap, rng):
     to s, so each is folded alone over its own pairs of fields: y[:s] <=
     z[:s] for the numerator, every pair of tails for the denominator.
     Their buckets combine into every pair y <= z.  cap bounds the field
-    pairs folded, then the bucket pairs.  Returns (total, collector, inf
-    count).  A random sample of combined verdicts is re-checked against
-    direct forward passes, as is every failure.
+    pairs folded, then the bucket pairs.  A random sample of combined
+    verdicts is re-checked against direct forward passes, as is every
+    listed failure, which keeps the trace of its re-check.
     """
     m = spec.m
     second = m - s
@@ -396,27 +395,25 @@ def _factored_exhaustive(spec, s, cap, rng):
     if combos > cap:
         raise BudgetExceeded(f"{combos} bucket pairs exceed the cap of {cap}")
 
-    coll = _Collector()
-    total = 0
-    inf_total = 0
+    total = wrong = saturated = 0
+    listed = []
     for (num, rel1), (cnt1, ex1) in num_buckets.items():
         for (den, rel2), (cnt2, ex2) in den_buckets.items():
             if rel1 == 0 and rel2 > 0:
                 continue  # would violate y <= z
             expected = int(rel1 == rel2 == 0)
             if num is _NAN or den is _NAN:
-                bit = 0
-                combo_inf = True
+                bit, combo_inf = 0, True
             else:
                 bit, sa, out = finish_softmax(spec, num, den)
                 combo_inf = sa is None or _any_inf(num, den, sa, out)
-            total += cnt1 * cnt2
-            if combo_inf:
-                inf_total += cnt1 * cnt2
+            count = cnt1 * cnt2
+            total += count
+            saturated += count * combo_inf
             if bit == expected:
                 continue
-            coll.count += cnt1 * cnt2
-            room = FAILURE_LIST_CAP - len(coll.listed)
+            wrong += count
+            room = FAILURE_LIST_CAP - len(listed)
             for (a, b), (c, d) in islice(product(ex1, ex2), room):
                 y = _bits(a, s) + _bits(c, second)
                 z = _bits(b, s) + _bits(d, second)
@@ -425,26 +422,33 @@ def _factored_exhaustive(spec, s, cap, rng):
                     raise RuntimeError(
                         "factored and direct evaluation disagree at "
                         f"y={y} z={z}")
-                coll.listed.append(
-                    Failure(y, z, expected, bit, _digest(trace)))
+                listed.append(Failure(y, z, expected, bit, trace))
     if total != expected_total:
         raise RuntimeError(
             f"factored enumeration covered {total} pairs, expected "
             f"{expected_total}")
-    if coll.count == 0:
+    if wrong == 0:
         # The factored pass claims a clean sweep; spot-check random pairs
         # with direct forward evaluation.
-        for _ in range(64):
-            y = _bits(rng.getrandbits(m), m)
-            z = _bits(rng.getrandbits(m), m)
-            if y > z:
-                y, z = z, y
-            trace = forward(spec, y, z)
-            if trace.bit != int(y == z):
-                raise RuntimeError(
-                    "spot check found a failure the factored pass missed: "
-                    f"y={y} z={z}")
-    return total, coll, inf_total
+        draws = ((_bits(rng.getrandbits(m), m), _bits(rng.getrandbits(m), m))
+                 for _ in range(64))
+        for f in _eval_pairs(spec, map(sorted, draws)).failures[:1]:
+            raise RuntimeError(
+                "spot check found a failure the factored pass missed: "
+                f"y={f.y} z={f.z}")
+    return Tally(total, wrong, tuple(listed), saturated)
+
+
+def _report(spec, construction: str, mode: str, tally: Tally,
+            start: float) -> VerifyReport:
+    """A verification report of a tally, failures sorted by (y, z)."""
+    t, e = float_fields(spec)
+    return VerifyReport(
+        construction=construction, m=spec.m, t=t, e=e,
+        p=native_precision(spec), mode=mode, total=tally.total,
+        failure_count=tally.failure_count,
+        failures=tuple(sorted(tally.failures, key=lambda f: (f.y, f.z))),
+        seconds=time.monotonic() - start, inf_count=tally.saturated)
 
 
 def verify_exhaustive_spec(spec: TransformerSpec, promises: PromiseSet,
@@ -454,17 +458,12 @@ def verify_exhaustive_spec(spec: TransformerSpec, promises: PromiseSet,
     factored where fold_split finds a split and pair by pair otherwise."""
     start = time.monotonic()
     s = fold_split(spec, promises)
-    if s is not None:
-        rng = random.Random(f"{construction}:{spec.m}:exhaustive")
-        total, coll, inf_total = _factored_exhaustive(spec, s, cap, rng)
+    if s is None:
+        tally = _eval_all(spec, promise_pairs(promises, spec.m, cap=cap), jobs)
     else:
-        total, coll, inf_total = _direct_exhaustive(spec, promises, cap, jobs)
-    t, e = float_fields(spec)
-    return VerifyReport(
-        construction=construction, m=spec.m, t=t, e=e,
-        p=native_precision(spec), mode="exhaustive", total=total,
-        failure_count=coll.count, failures=coll.merged(),
-        seconds=time.monotonic() - start, inf_count=inf_total)
+        rng = random.Random(f"{construction}:{spec.m}:exhaustive")
+        tally = _factored_exhaustive(spec, s, cap, rng)
+    return _report(spec, construction, "exhaustive", tally, start)
 
 
 def verify_exhaustive(construction: str, m: int | None = None,
@@ -507,10 +506,5 @@ def verify_sampled(construction: str, m: int | None = None,
     rng = random.Random(seed)
     pairs = promise_pairs(promises, spec.m, samples, rng) if samples else []
     pairs += _adversarial_pairs(promises, spec.m, rng)
-    total, coll, inf_total = _eval_all(spec, pairs, jobs)
-    t, e = float_fields(spec)
-    return VerifyReport(
-        construction=construction, m=spec.m, t=t, e=e,
-        p=native_precision(spec), mode="sampled", total=total,
-        failure_count=coll.count, failures=coll.merged(),
-        seconds=time.monotonic() - start, inf_count=inf_total)
+    return _report(spec, construction, "sampled",
+                   _eval_all(spec, pairs, jobs), start)

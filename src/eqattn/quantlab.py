@@ -7,7 +7,9 @@ are quantized implicitly the next time the head runs.  gen_dataset draws
 the randomized equality benchmark (half equal pairs, half pairs differing
 in exactly floor(0.75 m) positions) from a counter-based generator, and
 eval_accuracy / sweep measure how the accept bit degrades format by
-format, tallying saturated and indeterminate traces separately.
+format.  Scoring goes through the verifier's pair tally (oracle.Tally),
+sampled datasets over --jobs processes too; saturated and indeterminate
+traces are tallied separately.
 
 Weights that overflow the target grid become the infinity code, stored as
 the exact dyadic +-2**INF_CODE_LOG2.  That magnitude is beyond the top of
@@ -38,12 +40,12 @@ from functools import cache
 from pathlib import Path
 
 from .attn import (LINEAR, SOFTMAX, MlpSpec, TokenRule, TransformerSpec,
-                   forward, token_logits)
+                   token_logits)
 from .bitnum import (INF_CODE_LOG2, FpFormat, FxFormat, InvalidFormat,
                      _pow2, decode_scalar, encode_scalar, fp_round, fx_round,
                      parse_format)
 from .constructs import EqInstance, float_fields, make, native_precision
-from .oracle import trace_saturated, verify_exhaustive_spec
+from .oracle import Tally, _eval_all, verify_exhaustive_spec
 
 INT = "int"
 FLOAT = "float"
@@ -422,40 +424,42 @@ class QuantReport:
         return lines
 
 
+def _quant_row(spec: TransformerSpec, label: str, m: int, t, e,
+               fmt: QuantFormat | None, tally: Tally,
+               seconds: float) -> QuantRow:
+    """A row from a verifier tally: what it does not count as a failure
+    is correct."""
+    return QuantRow(
+        construction=label, m=m, t=t, e=e,
+        fmt=fmt.name if fmt else "native",
+        capacity=fmt.capacity() if fmt else 2 * native_precision(spec),
+        total=tally.total, correct=tally.total - tally.failure_count,
+        inf_count=tally.saturated, seconds=seconds)
+
+
 def eval_accuracy(spec: TransformerSpec, ds: Dataset, promises=None,
                   label: str = "spec", fmt: QuantFormat | None = None,
-                  t: int | None = None, e: int | None = None) -> QuantRow:
+                  t: int | None = None, e: int | None = None,
+                  jobs: int = 1) -> QuantRow:
     """Score the accept bit against the labels of a dataset.
 
     With a promise set, pairs are reordered so y <= z and pairs that still
     violate a promise are skipped, mirroring how the head is specified.
+    The verifier's tally scores the rest over jobs processes: every label
+    is y == z (gen_dataset), so a pair is correct unless it is a failure.
     Saturated or indeterminate traces are tallied in inf_count; they score
-    like any other trace (the accept bit they produce is compared to the
-    label), they are only reported separately.
+    like any other trace, they are only reported separately.
     """
     start = time.monotonic()
     if t is None and e is None:
         t, e = float_fields(spec)
-    total = correct = inf_n = 0
-    for y, z, lab in ds.pairs:
-        if promises is not None:
-            if y > z:
-                y, z = z, y
-            if promises.check(EqInstance(y, z)):
-                continue
-        trace = forward(spec, y, z)
-        total += 1
-        correct += trace.bit == lab
-        inf_n += trace_saturated(trace)
-    if fmt is None:
-        fmt_name = "native"
-        capacity = 2 * native_precision(spec)
-    else:
-        fmt_name = fmt.name
-        capacity = fmt.capacity()
-    return QuantRow(construction=label, m=ds.m, t=t, e=e, fmt=fmt_name,
-                    capacity=capacity, total=total, correct=correct,
-                    inf_count=inf_n, seconds=time.monotonic() - start)
+    pairs = [(y, z) if promises is None else (min(y, z), max(y, z))
+             for y, z, _ in ds.pairs]
+    if promises is not None:
+        pairs = [p for p in pairs if not promises.check(EqInstance(*p))]
+    return _quant_row(spec, label, ds.m, t, e, fmt,
+                      _eval_all(spec, pairs, jobs),
+                      time.monotonic() - start)
 
 
 def sweep(source, formats, ms=None, count: int = 5120, seed: int = 0, *,
@@ -467,8 +471,8 @@ def sweep(source, formats, ms=None, count: int = 5120, seed: int = 0, *,
     fixed-point families or (t, e) for floating-point ones) or an already
     built TransformerSpec (then promises, if any, must be passed in).
     exhaustive runs every promise pair through the verifier instead of a
-    sampled dataset; jobs spreads that work over processes.  Rows appear
-    in subject-major, format-minor order.
+    sampled dataset; jobs spreads either over processes.  Rows appear in
+    subject-major, format-minor order.
     """
     fmts = [parse_quant_format(f) if isinstance(f, str) else f
             for f in formats]
@@ -483,24 +487,21 @@ def sweep(source, formats, ms=None, count: int = 5120, seed: int = 0, *,
             subjects.append((spec0, pr, source))
     rows = []
     for spec0, pr, label in subjects:
+        if exhaustive and pr is None:
+            raise ValueError("an exhaustive sweep needs the subject's "
+                             "promise set")
         t, e = float_fields(spec0)
         ds = None if exhaustive else gen_dataset(spec0.m, count, seed)
         for f in fmts:
             qspec = quantize_spec(spec0, f)
             if exhaustive:
-                if pr is None:
-                    raise ValueError("an exhaustive sweep needs the "
-                                     "subject's promise set")
                 rep = verify_exhaustive_spec(qspec, pr, label, jobs=jobs)
-                row = QuantRow(
-                    construction=label, m=spec0.m, t=t, e=e, fmt=f.name,
-                    capacity=f.capacity(), total=rep.total,
-                    correct=rep.total - rep.failure_count,
-                    inf_count=rep.inf_count, seconds=rep.seconds)
+                rows.append(_quant_row(qspec, label, spec0.m, t, e, f, Tally(
+                    rep.total, rep.failure_count, (), rep.inf_count),
+                    rep.seconds))
             else:
-                row = eval_accuracy(qspec, ds, pr, label=label, fmt=f,
-                                    t=t, e=e)
-            rows.append(row)
+                rows.append(eval_accuracy(qspec, ds, pr, label=label, fmt=f,
+                                          t=t, e=e, jobs=jobs))
     return QuantReport(rows=tuple(rows))
 
 
@@ -539,9 +540,16 @@ def _row(row, where: str, width: int) -> tuple:
     return tuple(_scalar(v, f"{where}[{i}]") for i, v in enumerate(row))
 
 
+def _fields(obj: dict, prefix: str, known, optional=()):
+    """Refuse a missing known field, and any field the schema lacks."""
+    for key in known:
+        _schema(key in obj, prefix + key, "missing")
+    for key in obj:
+        _schema(key in (*known, *optional), prefix + key, "unknown field")
+
+
 def _format(fmts: dict, stage: str):
     where = f"formats.{stage}"
-    _schema(stage in fmts, where, "missing")
     _schema(isinstance(fmts[stage], str), where,
             "expected a format descriptor string")
     try:
@@ -552,8 +560,7 @@ def _format(fmts: dict, stage: str):
 
 def _rule(rule, where: str) -> TokenRule:
     _schema(isinstance(rule, dict), where, "expected an object")
-    _schema("source" in rule and "rows" in rule, where,
-            "needs source and rows")
+    _fields(rule, f"{where}.", ("source", "rows"))
     source = rule["source"]
     _schema(isinstance(source, list), f"{where}.source",
             "expected an array of [side, index] pairs")
@@ -576,9 +583,9 @@ def _decode_document(payload) -> TransformerSpec:
     """Check a weights document field by field, decoding each into the
     spec; a field error names the field."""
     _schema(isinstance(payload, dict), "document", "expected an object")
-    for field in ("version", "m", "n", "attention_kind", "formats",
-                  "embedding", "wq", "wk", "wv", "mlp"):
-        _schema(field in payload, field, "missing")
+    _fields(payload, "", ("version", "m", "n", "attention_kind", "formats",
+                          "embedding", "wq", "wk", "wv", "mlp"),
+            optional=("index_base",))
     _schema(payload["version"] == 1, "version",
             f"expected 1, got {payload['version']!r}")
     for field in ("m", "n"):
@@ -591,9 +598,8 @@ def _decode_document(payload) -> TransformerSpec:
             f"got {payload['attention_kind']!r}")
     fmts = payload["formats"]
     _schema(isinstance(fmts, dict), "formats", "expected an object")
-    # Every entry must parse, though only the four stages are read.
-    formats = {stage: _format(fmts, stage)
-               for stage in dict.fromkeys([*_STAGES, *fmts])}
+    _fields(fmts, "formats.", _STAGES)
+    formats = {stage: _format(fmts, stage) for stage in _STAGES}
     emb = payload["embedding"]
     _schema(isinstance(emb, list) and emb, "embedding",
             "expected a non-empty array of position rules")
@@ -605,8 +611,7 @@ def _decode_document(payload) -> TransformerSpec:
                 "projection weights must be finite scalars")
     mlp = payload["mlp"]
     _schema(isinstance(mlp, dict), "mlp", "expected an object")
-    for field in ("w1", "b1", "w2", "b2"):
-        _schema(field in mlp, f"mlp.{field}", "missing")
+    _fields(mlp, "mlp.", ("w1", "b1", "w2", "b2"))
     w1, b1, w2 = (_row(mlp[f], f"mlp.{f}", 2) for f in ("w1", "b1", "w2"))
     b2 = _scalar(mlp["b2"], "mlp.b2")
     for field, row in zip(("w1", "b1", "w2", "b2"), (w1, b1, w2, (b2,))):

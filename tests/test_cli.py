@@ -8,10 +8,12 @@ stderr assertions see exactly what a shell user would.
 import hashlib
 import json
 import random
+import re
 
 import pytest
 
-from eqattn import cli
+from eqattn import cli, oracle
+from eqattn.constructs import make
 
 
 class TestExitContract:
@@ -85,6 +87,35 @@ class TestVerifyCommand:
                             "--trace")
         assert "trace y=" in out
         assert "logit=" in out
+
+    def test_trace_renders_the_traces_the_failures_were_found_with(
+            self, run_cli, monkeypatch):
+        """The factored run re-checks each of its 32 listed failures with
+        forward and keeps that trace; --trace renders three of them and
+        evaluates no pair again."""
+        calls = []
+        real = cli.forward
+
+        def counted(spec, y, z):
+            calls.append((y, z))
+            return real(spec, y, z)
+
+        monkeypatch.setattr(oracle, "forward", counted)
+        monkeypatch.setattr(cli, "forward", counted)
+        code, out, _ = run_cli("verify", "--construction", "fx-tight",
+                               "--m", "5", "--precision-delta", "-1",
+                               "--trace")
+        assert code == 1
+        assert len(calls) == 32
+        thin = oracle.precision_delta_spec(make("fx-tight", m=5)[0], -1)
+        blocks = out.split("\ntrace ")[1:]
+        assert len(blocks) == 3
+        for block in blocks:
+            head, *body = block.rstrip("\n").split("\n")
+            y, z = re.fullmatch(r"y=([01]+) z=([01]+):", head).groups()
+            assert (y, z) in calls
+            assert body == ["  " + ln
+                            for ln in real(thin, y, z).render_lines()]
 
     def test_sampled_mode_respects_the_promise(self, run_cli):
         code, out, _ = run_cli("verify", "--construction", "fx-simple",

@@ -30,6 +30,12 @@ from eqattn.oracle import (
 from eqattn.quantlab import parse_quant_format, quantize_spec
 
 
+def _direct(spec, promises):
+    """The pair-by-pair tally of every promise pair, as the verifier runs
+    it when the spec does not factor."""
+    return oracle._eval_all(spec, promise_pairs(promises, spec.m), 1)
+
+
 class TestTruth:
     def test_eq_truth(self):
         assert eq_truth(EqInstance("0101", "0101")) == 1
@@ -86,10 +92,9 @@ class TestExhaustive:
         for name, m in (("fx-simple", 5), ("fx-tight", 5), ("fx-tight", 7)):
             spec, promises = make(name, m=m)
             fast = verify_exhaustive_spec(spec, promises, name)
-            tot, coll, inf = oracle._direct_exhaustive(
-                spec, promises, 10 ** 8, 1)
+            direct = _direct(spec, promises)
             assert (fast.total, fast.failure_count, fast.inf_count) == \
-                (tot, coll.count, inf)
+                (direct.total, direct.failure_count, direct.saturated)
 
     def test_factored_failures_match_direct_failures(self):
         """Both pipelines find the same number of failures below native
@@ -97,10 +102,10 @@ class TestExhaustive:
         spec, promises = make("fx-tight", m=5)
         thin = precision_delta_spec(spec, -1)
         fast = verify_exhaustive_spec(thin, promises, "fx-tight")
-        tot, coll, inf = oracle._direct_exhaustive(thin, promises, 10 ** 8, 1)
-        assert fast.failure_count == coll.count
-        assert fast.inf_count == inf
-        for f in list(fast.failures)[:6] + list(coll.merged())[:6]:
+        direct = _direct(thin, promises)
+        assert fast.failure_count == direct.failure_count
+        assert fast.inf_count == direct.saturated
+        for f in list(fast.failures)[:6] + list(direct.failures)[:6]:
             trace = forward(thin, f.y, f.z)
             assert trace.bit == f.got != f.expected
 
@@ -145,9 +150,9 @@ def _both_paths(spec, promises):
     """(total, failures, saturated) from verify_exhaustive_spec and from
     the direct pair-by-pair path."""
     rep = verify_exhaustive_spec(spec, promises, "fx-tight")
-    tot, coll, inf = oracle._direct_exhaustive(spec, promises, 10 ** 8, 1)
-    return (rep.total, rep.failure_count, rep.inf_count), (tot, coll.count,
-                                                           inf)
+    direct = _direct(spec, promises)
+    return (rep.total, rep.failure_count, rep.inf_count), \
+        (direct.total, direct.failure_count, direct.saturated)
 
 
 class TestFoldSplit:

@@ -318,6 +318,24 @@ class TestWeightsFiles:
                 import_weights_text(json.dumps(doc))
             assert needle in str(err.value), needle
 
+    def test_unknown_fields_are_refused_at_every_level(self, toy_spec):
+        """An unknown key is refused alike in the document, its formats,
+        an embedding rule and the MLP; index_base is an optional known
+        key."""
+        base = json.loads(export_weights(toy_spec))
+        for level, where in ((lambda d: d, "extra"),
+                             (lambda d: d["formats"], "formats.extra"),
+                             (lambda d: d["embedding"][1],
+                              "embedding[1].extra"),
+                             (lambda d: d["mlp"], "mlp.extra")):
+            doc = json.loads(json.dumps(base))
+            level(doc)["extra"] = 1
+            with pytest.raises(SchemaError) as err:
+                import_weights_text(json.dumps(doc))
+            assert str(err.value) == f"{where}: unknown field"
+        del base["index_base"]
+        assert import_weights_text(json.dumps(base)).index_base == 0
+
     def test_malformed_json_reports_position(self):
         with pytest.raises(SchemaError, match="line"):
             import_weights_text("{\n  broken")
