@@ -7,6 +7,11 @@ post-training quantization accuracy, arith-demo prints the pinned
 order-of-operations walkthroughs, and build / import-check round-trip the
 weights file format.
 
+The report commands (verify, sweep, quantize, fooling) pass their rows to
+_report, which writes each row's text lines or, with --format csv, the rows
+through the one CSV writer, oracle.to_csv.  Commands read the argparse
+namespace, which _config checks and normalises in place.
+
 Exit codes are a stable contract: 0 success, 1 verified failure (expected
 in precision-cliff runs and rejected weights files), 2 usage error, 3
 internal invariant breach.
@@ -17,10 +22,8 @@ from __future__ import annotations
 import argparse
 import os
 import random
-import re
 import sys
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -40,32 +43,6 @@ class UsageError(Exception):
     """A request the command line cannot honor; maps to exit code 2."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything one invocation needs, assembled from parsed flags."""
-
-    command: str
-    construction: str | None = None
-    m: int | None = None
-    t: int | None = None
-    e: int | None = None
-    n: int | None = None
-    precision_delta: int = 0
-    samples: int = 0
-    count: int = 5120
-    ms: tuple = ()
-    formats: tuple = ()
-    weights: str | None = None
-    y: str | None = None
-    z: str | None = None
-    exhaustive: bool = False
-    seed: int = 0
-    out: str | None = None
-    format: str = "text"
-    jobs: int = 1
-    trace: bool = False
-
-
 def _jobs(flag) -> int:
     """--jobs, else EQATTN_JOBS, else 1; at least 1 and at most the CPU
     count."""
@@ -76,33 +53,29 @@ def _jobs(flag) -> int:
     return min(int(text), os.cpu_count() or 1)
 
 
-def _config(args) -> RunConfig:
-    fields = RunConfig.__dataclass_fields__
-    picked = {name: getattr(args, name) for name in fields
-              if hasattr(args, name)}
-    picked["jobs"] = _jobs(picked.get("jobs"))
-    if picked.get("count", 1) < 1:
-        raise UsageError(f"--count must be positive, got {picked['count']}")
-    if picked.get("samples", 0) < 0:
+def _config(args):
+    """Check the parsed flags and normalise them in place: the job count,
+    positive counts, and the comma-separated lists as tuples (ms is () for
+    commands without --ms)."""
+    args.jobs = _jobs(args.jobs)
+    if getattr(args, "count", 1) < 1:
+        raise UsageError(f"--count must be positive, got {args.count}")
+    if getattr(args, "samples", 0) < 0:
         raise UsageError("--samples must be 0 (exhaustive) or positive, "
-                         f"got {picked['samples']}")
-    if picked.get("format") is None:
-        picked["format"] = "csv" if args.command == "quantize" else "text"
-    if isinstance(picked.get("ms"), str):
-        picked["ms"] = _int_list(picked["ms"])
-    if isinstance(picked.get("formats"), str):
-        picked["formats"] = tuple(
-            tok for tok in picked["formats"].split(",") if tok)
-    return RunConfig(**picked)
+                         f"got {args.samples}")
+    args.ms = _int_list(getattr(args, "ms", ""))
+    if hasattr(args, "formats"):
+        args.formats = tuple(tok for tok in args.formats.split(",") if tok)
+    return args
 
 
-def _emit(cfg: RunConfig, text: str):
+def _emit(args, text: str):
     if not text.endswith("\n"):
         text += "\n"
-    if cfg.out is None:
+    if args.out is None:
         sys.stdout.write(text)
         return
-    path = Path(cfg.out)
+    path = Path(args.out)
     base = os.environ.get("EQATTN_OUT_DIR")
     if base and not path.is_absolute():
         path = Path(base) / path
@@ -118,16 +91,16 @@ def _int_list(text: str) -> tuple:
                          f"got {text!r}") from exc
 
 
-def _check_odd_m(cfg: RunConfig):
-    for m in (cfg.m, *cfg.ms):
+def _check_odd_m(args):
+    for m in (args.m, *args.ms):
         if m is not None and m % 2 == 0:
             raise UsageError("m must be odd")
 
 
-def _build_subject(cfg: RunConfig):
-    if cfg.construction is None:
+def _build_subject(args):
+    if args.construction is None:
         raise UsageError("--construction is required")
-    return make(cfg.construction, m=cfg.m, t=cfg.t, e=cfg.e, n=cfg.n)
+    return make(args.construction, m=args.m, t=args.t, e=args.e, n=args.n)
 
 
 def _failure_traces(report, limit: int = 3) -> list[str]:
@@ -139,84 +112,73 @@ def _failure_traces(report, limit: int = 3) -> list[str]:
     return lines
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    _check_odd_m(cfg)
-    if cfg.samples:
-        report = oracle.verify_sampled(
-            cfg.construction, m=cfg.m, t=cfg.t, e=cfg.e, n=cfg.n,
-            samples=cfg.samples, seed=cfg.seed,
-            precision_delta=cfg.precision_delta, jobs=cfg.jobs)
+def _report(args, rows, notes=()):
+    """Write report rows: with --format csv through the one CSV writer,
+    otherwise as each row's text lines followed by notes."""
+    if args.format == "csv":
+        text = oracle.to_csv(rows)
     else:
-        report = oracle.verify_exhaustive(
-            cfg.construction, m=cfg.m, t=cfg.t, e=cfg.e, n=cfg.n,
-            precision_delta=cfg.precision_delta, jobs=cfg.jobs)
-    if cfg.format == "csv":
-        text = oracle.to_csv([report])
-    else:
-        lines = report.render_lines()
-        if cfg.trace and report.failures:
-            lines += _failure_traces(report)
-        text = "\n".join(lines)
-    _emit(cfg, text)
+        text = "\n".join([ln for r in rows for ln in r.render_lines()]
+                         + list(notes))
+    _emit(args, text)
+
+
+def _verify(args, samples: int = 0, **size) -> oracle.VerifyReport:
+    """Verify the named construction at one size: sampled when samples is
+    positive, exhaustive otherwise."""
+    if samples:
+        return oracle.verify_sampled(
+            args.construction, **size, n=args.n, samples=samples,
+            seed=args.seed, precision_delta=args.precision_delta,
+            jobs=args.jobs)
+    return oracle.verify_exhaustive(
+        args.construction, **size, n=args.n,
+        precision_delta=args.precision_delta, jobs=args.jobs)
+
+
+def cmd_verify(args) -> int:
+    _check_odd_m(args)
+    report = _verify(args, args.samples, m=args.m, t=args.t, e=args.e)
+    _report(args, [report], _failure_traces(report) if args.trace else ())
     return 0 if report.passed else 1
 
 
-def cmd_sweep(cfg: RunConfig) -> int:
-    _check_odd_m(cfg)
-    reports = []
-    if cfg.ms:
-        for m in cfg.ms:
-            reports.append(oracle.verify_exhaustive(
-                cfg.construction, m=m, n=cfg.n,
-                precision_delta=cfg.precision_delta, jobs=cfg.jobs))
-    if cfg.t is not None or cfg.e is not None:
-        if cfg.samples:
-            reports.append(oracle.verify_sampled(
-                cfg.construction, t=cfg.t, e=cfg.e, n=cfg.n,
-                samples=cfg.samples, seed=cfg.seed,
-                precision_delta=cfg.precision_delta, jobs=cfg.jobs))
-        else:
-            reports.append(oracle.verify_exhaustive(
-                cfg.construction, t=cfg.t, e=cfg.e, n=cfg.n,
-                precision_delta=cfg.precision_delta, jobs=cfg.jobs))
+def cmd_sweep(args) -> int:
+    _check_odd_m(args)
+    reports = [_verify(args, m=m) for m in args.ms]
+    if args.t is not None or args.e is not None:
+        reports.append(_verify(args, args.samples, t=args.t, e=args.e))
     if not reports:
         raise UsageError("nothing to sweep: pass --ms and/or --t/--e")
-    if cfg.format == "csv":
-        text = oracle.to_csv(reports)
-    else:
-        lines = []
-        for r in reports:
-            lines += r.render_lines()
-        text = "\n".join(lines)
-    _emit(cfg, text)
+    _report(args, reports)
     return 0 if all(r.passed for r in reports) else 1
 
 
-def _protocol_pairs(cfg: RunConfig, spec, promises):
+def _protocol_pairs(args, spec, promises):
     m = spec.m
-    if cfg.y is not None or cfg.z is not None:
-        if cfg.y is None or cfg.z is None:
+    if args.y is not None or args.z is not None:
+        if args.y is None or args.z is None:
             raise UsageError("--y and --z must be given together")
-        if len(cfg.y) != m or len(cfg.z) != m:
+        if len(args.y) != m or len(args.z) != m:
             raise UsageError(f"--y/--z must be {m} bits long")
-        if (cfg.y + cfg.z).strip("01"):
-            raise UsageError(f"--y/--z must be bit strings, got {cfg.y!r}, "
-                             f"{cfg.z!r}")
-        y, z = (cfg.y, cfg.z) if cfg.y <= cfg.z else (cfg.z, cfg.y)
+        if (args.y + args.z).strip("01"):
+            raise UsageError(f"--y/--z must be bit strings, got {args.y!r}, "
+                             f"{args.z!r}")
+        y, z = (args.y, args.z) if args.y <= args.z else (args.z, args.y)
         broken = promises.check(EqInstance(y, z))
         if broken:
             raise UsageError(f"pair violates the promise: {', '.join(broken)}")
         return [(y, z)]
-    if cfg.exhaustive:
+    if args.exhaustive:
         return oracle.promise_pairs(promises, m)
-    return oracle.promise_pairs(promises, m, cfg.count,
-                                random.Random(cfg.seed))
+    return oracle.promise_pairs(promises, m, args.count,
+                                random.Random(args.seed))
 
 
-def cmd_protocol(cfg: RunConfig) -> int:
-    _check_odd_m(cfg)
-    spec, promises = _build_subject(cfg)
-    pairs = _protocol_pairs(cfg, spec, promises)
+def cmd_protocol(args) -> int:
+    _check_odd_m(args)
+    spec, promises = _build_subject(args)
+    pairs = _protocol_pairs(args, spec, promises)
     expect_cost = commsim.bit_cost(spec)
 
     def enc(v):
@@ -238,7 +200,7 @@ def cmd_protocol(cfg: RunConfig) -> int:
                 f"l2={enc(run.l2)} cost={run.bit_cost} bob={run.bob_bit} "
                 f"model={ref.bit} {'ok' if ok else 'MISMATCH'}")
             listed += 1
-        if cfg.trace and listed <= 4:
+        if args.trace and listed <= 4:
             lines.extend("  " + ln for ln in ref.render_lines())
     if total > listed:
         lines.append(f"... ({total} transcripts, {listed} listed)")
@@ -246,91 +208,39 @@ def cmd_protocol(cfg: RunConfig) -> int:
     lines.append(
         f"{matches}/{total} transcripts agree with the forward pass; "
         f"bit cost {cost_txt} (expected {expect_cost})")
-    _emit(cfg, "\n".join(lines))
+    _emit(args, "\n".join(lines))
     return 0 if matches == total and costs == {expect_cost} else 1
 
 
-FOOLING_CSV_HEADER = "m,e,enumerated,formula,bound"
-
-
-def cmd_fooling(cfg: RunConfig) -> int:
-    if cfg.m is None or cfg.e is None:
-        raise UsageError("fooling needs --m and --e")
+def cmd_fooling(args) -> int:
     try:
-        rep = commsim.enumerate_fooling(cfg.m, cfg.e)
+        rep = commsim.enumerate_fooling(args.m, args.e)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    formula = (str(int(rep.formula)) if rep.formula.denominator == 1
-               else f"{rep.formula.numerator}/{rep.formula.denominator}")
-    row = f"{rep.m},{rep.e},{rep.enumerated},{formula},{rep.formula_bound}"
-    if cfg.format == "csv":
-        text = f"{FOOLING_CSV_HEADER}\n{row}"
-    else:
-        note = ("" if rep.formula_exact
-                else " (closed form differs from the enumeration here)")
-        text = (f"fooling m={rep.m} e={rep.e}: closed form {formula}, "
-                f"enumerated {rep.enumerated}, implied bound "
-                f"{rep.formula_bound} bits{note}\nrow: {row}")
-    _emit(cfg, text)
+    _report(args, [rep])
     return 0
 
 
-_NATIVE_RE = re.compile(r"native([+-]\d+)?")
-
-
-def _resolve_formats(tokens, spec) -> list:
-    out = []
-    for tok in tokens:
-        hit = _NATIVE_RE.fullmatch(tok)
-        if not hit:
-            out.append(quantlab.parse_quant_format(tok))
-            continue
-        delta = int(hit.group(1) or 0)
-        fmt = spec.num_fmt
-        if isinstance(fmt, FxFormat):
-            out.append(quantlab.int_format(fmt.p + delta))
-        else:
-            out.append(quantlab.float_format(fmt.e, fmt.t - 1 + delta))
-    return out
-
-
-def cmd_quantize(cfg: RunConfig) -> int:
-    _check_odd_m(cfg)
-    if not cfg.formats:
+def cmd_quantize(args) -> int:
+    _check_odd_m(args)
+    if not args.formats:
         raise UsageError("quantize needs --formats")
-    rows = []
-    if cfg.weights is not None:
-        spec = import_weights(cfg.weights)
-        fmts = _resolve_formats(cfg.formats, spec)
-        if cfg.exhaustive:
+    if args.weights is not None:
+        source, keys = import_weights(args.weights), None
+        if args.exhaustive:
             raise UsageError("--exhaustive needs a named construction "
                              "(imported weights carry no promise set)")
-        rep = quantlab.sweep(spec, fmts, count=cfg.count, seed=cfg.seed,
-                             jobs=cfg.jobs)
-        rows += rep.rows
     else:
-        keys = list(cfg.ms)
-        if cfg.m is not None:
-            keys.append(cfg.m)
-        if cfg.t is not None and cfg.e is not None:
-            keys.append((cfg.t, cfg.e))
+        source, keys = args.construction, list(args.ms)
+        if args.m is not None:
+            keys.append(args.m)
+        if args.t is not None and args.e is not None:
+            keys.append((args.t, args.e))
         if not keys:
             raise UsageError("quantize needs --m, --ms or --t/--e")
-        for key in keys:
-            kwargs = {"m": key} if isinstance(key, int) else \
-                {"t": key[0], "e": key[1]}
-            spec, _ = make(cfg.construction, **kwargs)
-            fmts = _resolve_formats(cfg.formats, spec)
-            rep = quantlab.sweep(cfg.construction, fmts, ms=[key],
-                                 count=cfg.count, seed=cfg.seed,
-                                 exhaustive=cfg.exhaustive, jobs=cfg.jobs)
-            rows += rep.rows
-    report = quantlab.QuantReport(rows=tuple(rows))
-    if cfg.format == "csv":
-        text = report.to_csv()
-    else:
-        text = "\n".join(report.render_lines())
-    _emit(cfg, text)
+    _report(args, quantlab.sweep(source, args.formats, keys, count=args.count,
+                                 seed=args.seed, exhaustive=args.exhaustive,
+                                 jobs=args.jobs))
     return 0
 
 
@@ -356,7 +266,7 @@ def _decimal(fr: Fraction) -> str:
     return f"{float(fr):g}"
 
 
-def cmd_arith_demo(cfg: RunConfig) -> int:
+def cmd_arith_demo(args) -> int:
     lines = []
     a, b = Fraction(13, 8), Fraction(11, 4)  # 1.101 and 10.11
     for rounding, label in ((NEAREST, "nearest-ties-truncate"),
@@ -377,19 +287,19 @@ def cmd_arith_demo(cfg: RunConfig) -> int:
                      f"(3 significant bits, {label}):")
         lines.append(f"  left: {_binary(left)} ({_decimal(left)})")
         lines.append(f"  right: {_binary(right)} ({_decimal(right)})")
-    _emit(cfg, "\n".join(lines))
+    _emit(args, "\n".join(lines))
     return 0
 
 
-def cmd_build(cfg: RunConfig) -> int:
-    _check_odd_m(cfg)
-    spec, _ = _build_subject(cfg)
-    _emit(cfg, quantlab.export_weights(spec))
+def cmd_build(args) -> int:
+    _check_odd_m(args)
+    spec, _ = _build_subject(args)
+    _emit(args, quantlab.export_weights(spec))
     return 0
 
 
-def cmd_import_check(cfg: RunConfig) -> int:
-    spec = import_weights(cfg.weights)
+def cmd_import_check(args) -> int:
+    spec = import_weights(args.weights)
     fmts = ", ".join(f"{k}={f.descriptor()}"
                      for k, f in spec.formats.items())
     lines = [
@@ -397,11 +307,13 @@ def cmd_import_check(cfg: RunConfig) -> int:
         f"p={native_precision(spec)}",
         f"formats: {fmts}",
     ]
-    _emit(cfg, "\n".join(lines))
+    _emit(args, "\n".join(lines))
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _common(report_format: str | None = None) -> argparse.ArgumentParser:
+    """The flags every command takes; --format too for a report command,
+    defaulting to report_format."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0,
                         help="seed for any sampled work (default 0)")
@@ -409,9 +321,12 @@ def build_parser() -> argparse.ArgumentParser:
                         help="write the report to this file instead of "
                              "stdout; relative paths go under "
                              "EQATTN_OUT_DIR when that is set")
-    common.add_argument("--format", choices=("text", "csv"), default=None,
-                        help="report style (default text; quantize "
-                             "defaults to csv)")
+    if report_format is not None:
+        common.add_argument("--format", choices=("text", "csv"),
+                            default=report_format,
+                            help="report style: text lines, or CSV rows "
+                                 "with any seconds column at 0.000 "
+                                 f"(default {report_format})")
     common.add_argument("--jobs", type=int,
                         help="worker processes for verify, sweep and "
                              "quantize, at most the CPU count (default "
@@ -419,6 +334,11 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--trace", action="store_true",
                         help="dump per-stage evaluation traces where "
                              "they apply")
+    return common
+
+
+def build_parser() -> argparse.ArgumentParser:
+    common, text_report = _common(), _common("text")
 
     subject = argparse.ArgumentParser(add_help=False)
     subject.add_argument("--construction", choices=tuple(CONSTRUCTIONS),
@@ -437,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "build, verify, simulate, and quantize them.")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("verify", parents=[common, subject],
+    p = subs.add_parser("verify", parents=[text_report, subject],
                         help="check a construction over its promise pairs")
     p.add_argument("--precision-delta", type=int, default=0,
                    help="shift every stage precision by this many bits")
@@ -446,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "(0 = exhaustive)")
     p.set_defaults(func=cmd_verify)
 
-    p = subs.add_parser("sweep", parents=[common, subject],
+    p = subs.add_parser("sweep", parents=[text_report, subject],
                         help="verify a construction across a grid of sizes")
     p.add_argument("--ms", type=str, default="",
                    help="comma-separated m values, e.g. 5,7,9")
@@ -465,13 +385,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--z", type=str, help="explicit second input")
     p.set_defaults(func=cmd_protocol)
 
-    p = subs.add_parser("fooling", parents=[common],
+    p = subs.add_parser("fooling", parents=[text_report],
                         help="enumerate the fooling set and its bound")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--e", type=int, required=True)
     p.set_defaults(func=cmd_fooling)
 
-    p = subs.add_parser("quantize", parents=[common, subject],
+    p = subs.add_parser("quantize", parents=[_common("csv"), subject],
                         help="quantize a head and measure accuracy")
     p.add_argument("--formats", type=str, required=True,
                    help="comma-separated targets, e.g. int8,int6,int4 or "

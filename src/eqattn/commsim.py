@@ -49,6 +49,10 @@ class ProtocolRun:
 
 @dataclass(frozen=True)
 class FoolingReport:
+    """The fooling-set count at (m, e) against its closed form."""
+
+    CSV_HEADER = "m,e,enumerated,formula,bound"
+
     m: int
     e: int
     enumerated: int
@@ -71,6 +75,18 @@ class FoolingReport:
         while Fraction(2) ** k < v:
             k += 1
         return max(k, 0)
+
+    def csv_row(self) -> str:
+        return (f"{self.m},{self.e},{self.enumerated},{self.formula},"
+                f"{self.formula_bound}")
+
+    def render_lines(self) -> list[str]:
+        note = ("" if self.formula_exact
+                else " (closed form differs from the enumeration here)")
+        return [f"fooling m={self.m} e={self.e}: closed form {self.formula}, "
+                f"enumerated {self.enumerated}, implied bound "
+                f"{self.formula_bound} bits{note}",
+                f"row: {self.csv_row()}"]
 
 
 def default_split(spec: TransformerSpec) -> tuple:

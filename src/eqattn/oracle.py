@@ -140,6 +140,8 @@ class Tally(NamedTuple):
 class VerifyReport:
     """Outcome of one verification run."""
 
+    CSV_HEADER = "construction,m,t,e,p,total,failures,seconds"
+
     construction: str
     m: int
     t: int | None
@@ -156,6 +158,13 @@ class VerifyReport:
     def passed(self) -> bool:
         return self.failure_count == 0
 
+    def csv_row(self) -> str:
+        return ",".join([
+            self.construction, str(self.m),
+            "" if self.t is None else str(self.t),
+            "" if self.e is None else str(self.e),
+            str(self.p), str(self.total), str(self.failure_count), "0.000"])
+
     def render_lines(self, limit: int = 10) -> list[str]:
         head = (f"{self.construction} m={self.m}"
                 + (f" t={self.t} e={self.e}" if self.t is not None else "")
@@ -171,22 +180,13 @@ class VerifyReport:
         return lines
 
 
-CSV_HEADER = "construction,m,t,e,p,total,failures,seconds"
-
-
-def to_csv(reports, timing: bool = False) -> str:
-    """CSV report; wall time is zeroed unless timing is requested so that
-    repeated runs with one seed stay byte-identical."""
-    rows = [CSV_HEADER]
-    for r in reports:
-        rows.append(",".join([
-            r.construction, str(r.m),
-            "" if r.t is None else str(r.t),
-            "" if r.e is None else str(r.e),
-            str(r.p), str(r.total), str(r.failure_count),
-            f"{r.seconds:.3f}" if timing else "0.000",
-        ]))
-    return "\n".join(rows) + "\n"
+def to_csv(rows) -> str:
+    """The CSV report of a non-empty sequence of report rows of one type
+    (VerifyReport, quantlab.QuantRow, commsim.FoolingReport): the type's
+    CSV_HEADER, then each row's csv_row().  Seconds columns read 0.000, so
+    repeated runs with one seed are byte-identical."""
+    return "\n".join([rows[0].CSV_HEADER,
+                      *(r.csv_row() for r in rows)]) + "\n"
 
 
 def _bits(v: int, width: int) -> str:

@@ -7,9 +7,12 @@ are quantized implicitly the next time the head runs.  gen_dataset draws
 the randomized equality benchmark (half equal pairs, half pairs differing
 in exactly floor(0.75 m) positions) from a counter-based generator, and
 eval_accuracy / sweep measure how the accept bit degrades format by
-format.  Scoring goes through the verifier's pair tally (oracle.Tally),
+format.  sweep resolves "native" and "native+-k" against each subject it
+builds.  Scoring goes through the verifier's pair tally (oracle.Tally),
 sampled datasets over --jobs processes too; saturated and indeterminate
-traces are tallied separately.
+traces are tallied separately.  Each measurement is a QuantRow, which gives
+its own CSV and text lines; the CLI writes them like every other report,
+CSV through oracle.to_csv.
 
 Weights that overflow the target grid become the infinity code, stored as
 the exact dyadic +-2**INF_CODE_LOG2.  That magnitude is beyond the top of
@@ -372,6 +375,9 @@ def gen_dataset(m: int, count: int, seed: int = 0) -> Dataset:
 class QuantRow:
     """One accuracy measurement: a subject at one storage format."""
 
+    CSV_HEADER = ("construction,m,t,e,format,capacity,total,correct,"
+                  "accuracy,inf_count,seconds")
+
     construction: str
     m: int
     t: int | None
@@ -389,39 +395,20 @@ class QuantRow:
             return Fraction(0)
         return Fraction(self.correct, self.total)
 
-
-QUANT_CSV_HEADER = ("construction,m,t,e,format,capacity,total,correct,"
-                    "accuracy,inf_count,seconds")
-
-
-@dataclass(frozen=True)
-class QuantReport:
-    rows: tuple
-
-    def to_csv(self, timing: bool = False) -> str:
-        """CSV rows; wall time is zeroed unless timing is requested so
-        repeated runs with one seed stay byte-identical."""
-        out = [QUANT_CSV_HEADER]
-        for r in self.rows:
-            out.append(",".join([
-                r.construction, str(r.m),
-                "" if r.t is None else str(r.t),
-                "" if r.e is None else str(r.e),
-                r.fmt, str(r.capacity), str(r.total), str(r.correct),
-                f"{float(r.accuracy):.6f}", str(r.inf_count),
-                f"{r.seconds:.3f}" if timing else "0.000",
-            ]))
-        return "\n".join(out) + "\n"
+    def csv_row(self) -> str:
+        return ",".join([
+            self.construction, str(self.m),
+            "" if self.t is None else str(self.t),
+            "" if self.e is None else str(self.e),
+            self.fmt, str(self.capacity), str(self.total), str(self.correct),
+            f"{float(self.accuracy):.6f}", str(self.inf_count), "0.000"])
 
     def render_lines(self) -> list[str]:
-        lines = []
-        for r in self.rows:
-            label = r.construction + (f" t={r.t} e={r.e}" if r.t else "")
-            lines.append(
-                f"{label} m={r.m} {r.fmt} (capacity {r.capacity}): "
-                f"{r.correct}/{r.total} = {float(r.accuracy):.6f}, "
-                f"{r.inf_count} saturated")
-        return lines
+        label = self.construction + (f" t={self.t} e={self.e}"
+                                     if self.t else "")
+        return [f"{label} m={self.m} {self.fmt} (capacity {self.capacity}): "
+                f"{self.correct}/{self.total} = {float(self.accuracy):.6f}, "
+                f"{self.inf_count} saturated"]
 
 
 def _quant_row(spec: TransformerSpec, label: str, m: int, t, e,
@@ -462,31 +449,47 @@ def eval_accuracy(spec: TransformerSpec, ds: Dataset, promises=None,
                       time.monotonic() - start)
 
 
+_NATIVE = re.compile(r"native([+-]\d+)?")
+
+
+def _resolve_format(token, spec: TransformerSpec) -> QuantFormat:
+    """A sweep format for one subject: a QuantFormat as given, a name
+    parse_quant_format reads, or "native" / "native+-k", the subject's
+    numerator width plus k bits as an integer or float format."""
+    if not isinstance(token, str):
+        return token
+    hit = _NATIVE.fullmatch(token)
+    if not hit:
+        return parse_quant_format(token)
+    delta = int(hit.group(1) or 0)
+    fmt = spec.num_fmt
+    if isinstance(fmt, FxFormat):
+        return int_format(fmt.p + delta)
+    return float_format(fmt.e, fmt.t - 1 + delta)
+
+
 def sweep(source, formats, ms=None, count: int = 5120, seed: int = 0, *,
-          promises=None, exhaustive: bool = False,
-          jobs: int = 1) -> QuantReport:
-    """Quantize a subject to each format and measure accuracy.
+          promises=None, exhaustive: bool = False, jobs: int = 1) -> tuple:
+    """Quantize a subject to each format and measure accuracy; returns the
+    QuantRows in subject-major, format-minor order.
 
     source is a construction name (swept over ms, whose entries are m for
     fixed-point families or (t, e) for floating-point ones) or an already
     built TransformerSpec (then promises, if any, must be passed in).
-    exhaustive runs every promise pair through the verifier instead of a
-    sampled dataset; jobs spreads either over processes.  Rows appear in
-    subject-major, format-minor order.
+    Subjects are built, their formats resolved (_resolve_format) and
+    their rows measured one at a time.  exhaustive runs every promise pair
+    through the verifier instead of a sampled dataset; jobs spreads either
+    over processes.
     """
-    fmts = [parse_quant_format(f) if isinstance(f, str) else f
-            for f in formats]
-    subjects = []
     if isinstance(source, TransformerSpec):
-        subjects.append((source, promises, "imported"))
+        subjects = [(source, promises, "imported")]
     else:
-        for key in (ms if ms is not None else []):
-            kwargs = {"m": key} if isinstance(key, int) else \
-                {"t": key[0], "e": key[1]}
-            spec0, pr = make(source, **kwargs)
-            subjects.append((spec0, pr, source))
+        subjects = (make(source, **({"m": key} if isinstance(key, int) else
+                                    {"t": key[0], "e": key[1]})) + (source,)
+                    for key in ms or ())
     rows = []
     for spec0, pr, label in subjects:
+        fmts = [_resolve_format(f, spec0) for f in formats]
         if exhaustive and pr is None:
             raise ValueError("an exhaustive sweep needs the subject's "
                              "promise set")
@@ -502,7 +505,7 @@ def sweep(source, formats, ms=None, count: int = 5120, seed: int = 0, *,
             else:
                 rows.append(eval_accuracy(qspec, ds, pr, label=label, fmt=f,
                                           t=t, e=e, jobs=jobs))
-    return QuantReport(rows=tuple(rows))
+    return tuple(rows)
 
 
 _STAGES = ("fold", "num", "den", "out")

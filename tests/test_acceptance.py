@@ -221,9 +221,8 @@ def test_criterion_08_quantization_cliff_sweep():
     """Quantizing fx-tight at m=13 to native, native-1 and native-2 integer
     widths over the full exhaustive set scores 1.0 only at native width,
     and accuracy is 1.0 exactly when the capacity column reaches m."""
-    report = sweep("fx-tight", [int_format(7), int_format(6), int_format(5)],
-                   ms=[13], exhaustive=True)
-    rows = report.rows
+    rows = sweep("fx-tight", [int_format(7), int_format(6), int_format(5)],
+                 ms=[13], exhaustive=True)
     assert [r.capacity for r in rows] == [14, 12, 10]
     assert all(r.total == 33558528 for r in rows)
     assert rows[0].accuracy == 1
@@ -259,7 +258,7 @@ def test_criterion_10_csv_reports_are_deterministic(run_cli):
 
     qa = sweep("fx-tight", [int_format(6)], ms=[9], count=400, seed=7)
     qb = sweep("fx-tight", [int_format(6)], ms=[9], count=400, seed=7)
-    assert qa.to_csv() == qb.to_csv()
+    assert to_csv(qa) == to_csv(qb)
 
     first = run_cli("fooling", "--m", "6", "--e", "3", "--format", "csv")
     second = run_cli("fooling", "--m", "6", "--e", "3", "--format", "csv")

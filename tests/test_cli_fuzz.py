@@ -12,11 +12,12 @@ from eqattn import cli
 # from its second, which argparse or the command refuses.
 COMMON = {
     "--seed": (("0", "3"), ("-5",)),
-    "--format": (("text", "csv"), ("json",)),
     "--jobs": (("1",), ("0", "-1", "x")),
     "--trace": None,
     "--out": (("report.txt",), ()),
 }
+# Only the report commands offer --format.
+REPORT = {**COMMON, "--format": (("text", "csv"), ("json",))}
 SUBJECT = {
     "--m": (("5", "3"), ("1", "4", "0", "-1", "x")),
     "--t": (("3", "4"), ("2", "0")),
@@ -25,18 +26,18 @@ SUBJECT = {
 }
 DELTA = {"--precision-delta": (("-1", "0", "1", "3"), ("-9",))}
 COMMANDS = {
-    "verify": {**COMMON, **SUBJECT, **DELTA,
+    "verify": {**REPORT, **SUBJECT, **DELTA,
                "--samples": (("5", "20", "0"), ("-1",))},
-    "sweep": {**COMMON, **SUBJECT, **DELTA,
+    "sweep": {**REPORT, **SUBJECT, **DELTA,
               "--ms": (("5", "3,5"), ("4", "x", "")),
               "--samples": (("5", "0"), ("-1",))},
     "protocol": {**COMMON, **SUBJECT,
                  "--count": (("5",), ("0", "-1")), "--exhaustive": None,
                  "--y": (("00000", "01010"), ("0101", "abcde")),
                  "--z": (("00000", "11111"), ("0", "0z000"))},
-    "fooling": {**COMMON, "--m": (("3", "5", "7"), ("0", "-2")),
+    "fooling": {**REPORT, "--m": (("3", "5", "7"), ("0", "-2")),
                 "--e": (("2", "3"), ("0", "9"))},
-    "quantize": {**COMMON, **SUBJECT,
+    "quantize": {**REPORT, **SUBJECT,
                  "--formats": (("int8", "native,native-1", "fp8_e4m3"),
                                ("int1", "bogus", "")),
                  "--ms": (("5", "3,5"), ("4", "x")),
@@ -117,6 +118,10 @@ def test_flag_combinations_exit_with_a_documented_code(weights_dir, capsys):
     # A negative exponent width is refused before it is used as a shift.
     (["build", "--construction", "fp-linear", "--t", "3", "--e", "-1"],
      "fp-linear needs e >= 2"),
+    # Only the report commands take --format; protocol refuses it.
+    (["protocol", "--construction", "fp-linear", "--t", "3", "--e", "3",
+      "--count", "3", "--format", "csv"],
+     "unrecognized arguments: --format csv"),
 ])
 def test_pinned_usage_errors(argv, needle, capsys):
     assert _exit_code(argv) == 2

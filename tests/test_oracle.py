@@ -263,9 +263,6 @@ class TestReporting:
         assert text.splitlines()[0] == \
             "construction,m,t,e,p,total,failures,seconds"
         assert text.splitlines()[1] == "fx-tight,5,,,3,528,0,0.000"
-        timed = to_csv([rep], timing=True)
-        assert timed.splitlines()[1].rsplit(",", 1)[0] == \
-            "fx-tight,5,,,3,528,0"
 
     def test_render_lines_caps_the_listing(self):
         rep = verify_exhaustive("fx-tight", m=5, precision_delta=-1)

@@ -9,6 +9,7 @@ import pytest
 from eqattn.attn import forward
 from eqattn.bitnum import InvalidFormat, fp_round, fx_round
 from eqattn.constructs import make
+from eqattn.oracle import to_csv
 from eqattn.quantlab import (
     FP8_E4M3,
     FP8_E5M2,
@@ -16,9 +17,9 @@ from eqattn.quantlab import (
     INT4,
     INT6,
     INT8,
-    QUANT_CSV_HEADER,
     Dataset,
     DegenerateTensor,
+    QuantRow,
     SchemaError,
     eval_accuracy,
     export_weights,
@@ -211,9 +212,8 @@ class TestSweep:
     def test_exhaustive_cliff_at_m9(self):
         """Native width scores 1.0; once the capacity drops below m the
         YES pairs saturate away and exactly 512 of them flip."""
-        report = sweep("fx-tight", [int_format(5), INT4, int_format(3)],
-                       ms=[9], exhaustive=True)
-        rows = report.rows
+        rows = sweep("fx-tight", [int_format(5), INT4, int_format(3)],
+                     ms=[9], exhaustive=True)
         assert [r.fmt for r in rows] == ["int5", "int4", "int3"]
         assert [r.capacity for r in rows] == [10, 8, 6]
         assert rows[0].accuracy == 1
@@ -224,21 +224,20 @@ class TestSweep:
     def test_sampled_sweep_is_deterministic(self):
         a = sweep("fx-tight", [INT6], ms=[9], count=300, seed=8)
         b = sweep("fx-tight", [INT6], ms=[9], count=300, seed=8)
-        assert a.to_csv() == b.to_csv()
+        assert to_csv(a) == to_csv(b)
 
     def test_mixed_subjects_and_labels(self):
-        report = sweep("fp-linear", [FP8_E4M3], ms=[(4, 3)], count=64)
-        row = report.rows[0]
+        (row,) = sweep("fp-linear", [FP8_E4M3], ms=[(4, 3)], count=64)
         assert row.construction == "fp-linear"
         assert (row.t, row.e) == (4, 3)
         spec, _ = make("fx-tight", m=9)
         imported = sweep(spec, [INT8], count=64)
-        assert imported.rows[0].construction == "imported"
+        assert imported[0].construction == "imported"
 
     def test_csv_shape(self):
-        report = sweep("fx-tight", [INT6], ms=[9], count=120, seed=1)
-        lines = report.to_csv().splitlines()
-        assert lines[0] == QUANT_CSV_HEADER
+        rows = sweep("fx-tight", [INT6], ms=[9], count=120, seed=1)
+        lines = to_csv(rows).splitlines()
+        assert lines[0] == QuantRow.CSV_HEADER
         fields = lines[1].split(",")
         assert fields[0] == "fx-tight"
         assert fields[-1] == "0.000"
