@@ -164,8 +164,7 @@ class TransformerSpec:
         for f in (self.fold_fmt, self.den_fmt, self.out_fmt):
             if isinstance(f, FxFormat) != fx_like:
                 raise ValueError("stage formats must agree on fx/fp kind")
-        if fx_like and (self.num_fmt.p, self.num_fmt.budget) != \
-                (self.den_fmt.p, self.den_fmt.budget):
+        if fx_like and self.num_fmt.p != self.den_fmt.p:
             raise ValueError("num and den formats may differ only in scale")
         return self
 

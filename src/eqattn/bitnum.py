@@ -54,27 +54,20 @@ class FxFormat:
     The remaining budget B = p - 1 is split freely between integer and
     fraction bits, so the representable magnitudes are exactly the
     u * scale with u a dyadic needing at most B positional bits.
-    significand_override replaces B for reproducing textbook walkthroughs
-    whose budgets count p bits instead of p - 1.
     """
 
     p: int
     scale_log2: int = 0
     rounding: str = NEAREST
-    significand_override: int | None = None
 
     def __post_init__(self):
         if self.p < 2:
             raise InvalidFormat(f"p must be at least 2, got {self.p}")
         if self.rounding not in (NEAREST, TRUNC):
             raise InvalidFormat(f"unknown rounding policy {self.rounding!r}")
-        if self.significand_override is not None and self.significand_override < 1:
-            raise InvalidFormat("significand_override must be positive")
 
     @property
     def budget(self) -> int:
-        if self.significand_override is not None:
-            return self.significand_override
         return self.p - 1
 
     @property

@@ -10,7 +10,10 @@ weights file format.
 The report commands (verify, sweep, quantize, fooling) pass their rows to
 _report, which writes each row's text lines or, with --format csv, the rows
 through the one CSV writer, oracle.to_csv.  Commands read the argparse
-namespace, which _config checks and normalises in place.
+namespace, which _config checks and normalises in place.  Each command
+offers only the flags it reads (build_parser), so argparse refuses any
+other; protocol's --jobs is the one exception, kept so that one flag set
+runs every command.
 
 Exit codes are a stable contract: 0 success, 1 verified failure (expected
 in precision-cliff runs and rejected weights files), 2 usage error, 3
@@ -57,7 +60,8 @@ def _config(args):
     """Check the parsed flags and normalise them in place: the job count,
     positive counts, and the comma-separated lists as tuples (ms is () for
     commands without --ms)."""
-    args.jobs = _jobs(args.jobs)
+    if hasattr(args, "jobs"):
+        args.jobs = _jobs(args.jobs)
     if getattr(args, "count", 1) < 1:
         raise UsageError(f"--count must be positive, got {args.count}")
     if getattr(args, "samples", 0) < 0:
@@ -92,7 +96,12 @@ def _int_list(text: str) -> tuple:
 
 
 def _check_odd_m(args):
-    for m in (args.m, *args.ms):
+    """Refuse an even m, --m or --ms, unless the construction takes (t, e),
+    when make refuses any m."""
+    family = CONSTRUCTIONS.get(args.construction)
+    if family is not None and "m" not in family[1]:
+        return
+    for m in (getattr(args, "m", None), *args.ms):
         if m is not None and m % 2 == 0:
             raise UsageError("m must be odd")
 
@@ -271,7 +280,7 @@ def cmd_arith_demo(args) -> int:
     a, b = Fraction(13, 8), Fraction(11, 4)  # 1.101 and 10.11
     for rounding, label in ((NEAREST, "nearest-ties-truncate"),
                             (TRUNC, "truncate")):
-        fmt = FxFormat(4, rounding=rounding, significand_override=4)
+        fmt = FxFormat(5, rounding=rounding)
         prod = fx_mul(fx_round(a, fmt), fx_round(b, fmt), fmt).as_fraction()
         lines.append(f"multiply {_binary(a)} * {_binary(b)} "
                      f"(4 significant bits, {label}): "
@@ -279,7 +288,7 @@ def cmd_arith_demo(args) -> int:
     xs = (Fraction(2), Fraction(5, 4), Fraction(7, 4))  # 10.0, 1.01, 1.11
     for rounding, label in ((TRUNC, "truncate"),
                             (NEAREST, "nearest-ties-truncate")):
-        fmt = FxFormat(3, rounding=rounding, significand_override=3)
+        fmt = FxFormat(4, rounding=rounding)
         va, vb, vc = (fx_round(x, fmt) for x in xs)
         left = fx_add(fx_add(va, vb, fmt), vc, fmt).as_fraction()
         right = fx_add(va, fx_add(vb, vc, fmt), fmt).as_fraction()
@@ -311,88 +320,95 @@ def cmd_import_check(args) -> int:
     return 0
 
 
-def _common(report_format: str | None = None) -> argparse.ArgumentParser:
-    """The flags every command takes; --format too for a report command,
-    defaulting to report_format."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for any sampled work (default 0)")
-    common.add_argument("--out", metavar="PATH",
-                        help="write the report to this file instead of "
-                             "stdout; relative paths go under "
-                             "EQATTN_OUT_DIR when that is set")
-    if report_format is not None:
-        common.add_argument("--format", choices=("text", "csv"),
-                            default=report_format,
-                            help="report style: text lines, or CSV rows "
-                                 "with any seconds column at 0.000 "
-                                 f"(default {report_format})")
-    common.add_argument("--jobs", type=int,
-                        help="worker processes for verify, sweep and "
-                             "quantize, at most the CPU count (default "
-                             "EQATTN_JOBS or 1)")
-    common.add_argument("--trace", action="store_true",
-                        help="dump per-stage evaluation traces where "
-                             "they apply")
-    return common
-
-
 def build_parser() -> argparse.ArgumentParser:
-    common, text_report = _common(), _common("text")
-
-    subject = argparse.ArgumentParser(add_help=False)
-    subject.add_argument("--construction", choices=tuple(CONSTRUCTIONS),
-                         help="which analytic head to build")
-    subject.add_argument("--m", type=int, help="input length in bits")
-    subject.add_argument("--t", type=int,
-                         help="significand bits (floating-point families)")
-    subject.add_argument("--e", type=int,
-                         help="exponent bits (floating-point families)")
-    subject.add_argument("--n", type=int,
-                         help="token count override (defaults per family)")
-
     parser = argparse.ArgumentParser(
         prog="eqattn",
         description="Exact bounded-precision attention heads for equality: "
                     "build, verify, simulate, and quantize them.")
     subs = parser.add_subparsers(dest="command", required=True)
+    shared = {
+        "--seed": dict(type=int, default=0,
+                       help="seed for any sampled work (default 0)"),
+        "--out": dict(metavar="PATH",
+                      help="write the report to this file instead of "
+                           "stdout; relative paths go under EQATTN_OUT_DIR "
+                           "when that is set"),
+        "--format": dict(choices=("text", "csv"), default="text",
+                         help="report style: text lines, or CSV rows with "
+                              "any seconds column at 0.000 (default "
+                              "%(default)s)"),
+        "--jobs": dict(type=int,
+                       help="worker processes, at most the CPU count "
+                            "(default EQATTN_JOBS or 1); protocol runs in "
+                            "one process and takes --jobs only so that a "
+                            "caller such as perfbench can pass it to every "
+                            "command it runs"),
+        "--trace": dict(action="store_true",
+                        help="print the per-stage forward traces of the "
+                             "first failures or transcripts"),
+        "--construction": dict(choices=tuple(CONSTRUCTIONS),
+                               help="which analytic head to build"),
+        "--m": dict(type=int,
+                    help="input length in bits (fixed-point families)"),
+        "--t": dict(type=int,
+                    help="significand bits (floating-point families)"),
+        "--e": dict(type=int,
+                    help="exponent bits (floating-point families)"),
+        "--n": dict(type=int,
+                    help="token count override (defaults per family)"),
+        "--precision-delta": dict(type=int, default=0,
+                                  help="shift every stage precision by this "
+                                       "many bits"),
+    }
 
-    p = subs.add_parser("verify", parents=[text_report, subject],
-                        help="check a construction over its promise pairs")
-    p.add_argument("--precision-delta", type=int, default=0,
-                   help="shift every stage precision by this many bits")
+    def command(name, func, help, *flags):
+        """A subcommand offering the named shared flags, which it reads.
+        No flag is abbreviated: sweep would read --m as --ms."""
+        p = subs.add_parser(name, help=help, allow_abbrev=False)
+        for flag in flags:
+            p.add_argument(flag, **shared[flag])
+        p.set_defaults(func=func)
+        return p
+
+    report = ("--seed", "--out", "--format", "--jobs")
+    subject = ("--construction", "--m", "--t", "--e", "--n")
+
+    p = command("verify", cmd_verify,
+                "check a construction over its promise pairs",
+                *report, "--trace", *subject, "--precision-delta")
     p.add_argument("--samples", type=int, default=0,
                    help="sample this many pairs instead of exhausting "
                         "(0 = exhaustive)")
-    p.set_defaults(func=cmd_verify)
 
-    p = subs.add_parser("sweep", parents=[text_report, subject],
-                        help="verify a construction across a grid of sizes")
+    p = command("sweep", cmd_sweep,
+                "verify a construction across a grid of sizes",
+                *report, "--construction", "--t", "--e", "--n",
+                "--precision-delta")
     p.add_argument("--ms", type=str, default="",
                    help="comma-separated m values, e.g. 5,7,9")
-    p.add_argument("--precision-delta", type=int, default=0)
     p.add_argument("--samples", type=int, default=0,
                    help="sampled verification for the (t, e) subject")
-    p.set_defaults(func=cmd_sweep)
 
-    p = subs.add_parser("protocol", parents=[common, subject],
-                        help="run the one-way protocol against the model")
+    p = command("protocol", cmd_protocol,
+                "run the one-way protocol against the model",
+                "--seed", "--out", "--jobs", "--trace", *subject)
     p.add_argument("--count", type=int, default=128,
                    help="sampled instance count (default 128)")
     p.add_argument("--exhaustive", action="store_true",
                    help="run every promise pair")
     p.add_argument("--y", type=str, help="explicit first input")
     p.add_argument("--z", type=str, help="explicit second input")
-    p.set_defaults(func=cmd_protocol)
 
-    p = subs.add_parser("fooling", parents=[text_report],
-                        help="enumerate the fooling set and its bound")
+    p = command("fooling", cmd_fooling,
+                "enumerate the fooling set and its bound",
+                "--out", "--format")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--e", type=int, required=True)
-    p.set_defaults(func=cmd_fooling)
 
-    p = subs.add_parser("quantize", parents=[_common("csv"), subject],
-                        help="quantize a head and measure accuracy")
+    p = command("quantize", cmd_quantize,
+                "quantize a head and measure accuracy",
+                *report, "--construction", "--m", "--t", "--e")
+    p.set_defaults(format="csv")
     p.add_argument("--formats", type=str, required=True,
                    help="comma-separated targets, e.g. int8,int6,int4 or "
                         "native,native-1,native-2")
@@ -405,20 +421,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weights", metavar="PATH",
                    help="quantize an imported weights file instead of a "
                         "named construction")
-    p.set_defaults(func=cmd_quantize)
 
-    p = subs.add_parser("arith-demo", parents=[common],
-                        help="print the order-of-operations walkthroughs")
-    p.set_defaults(func=cmd_arith_demo)
-
-    p = subs.add_parser("build", parents=[common, subject],
-                        help="emit a construction as a weights file")
-    p.set_defaults(func=cmd_build)
-
-    p = subs.add_parser("import-check", parents=[common],
-                        help="validate a weights file")
+    command("arith-demo", cmd_arith_demo,
+            "print the order-of-operations walkthroughs", "--out")
+    command("build", cmd_build, "emit a construction as a weights file",
+            "--out", *subject)
+    p = command("import-check", cmd_import_check, "validate a weights file",
+                "--out")
     p.add_argument("weights", metavar="PATH")
-    p.set_defaults(func=cmd_import_check)
     return parser
 
 

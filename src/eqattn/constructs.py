@@ -7,16 +7,23 @@ bits each token carries (TokenRule.source); the layout beyond them is just
 the token count n, a per-family default checked against the fewest
 positions the table fills.
 
-* fx-simple (T0): fixed point, p = ceil(m/2)+1 bits, softmax attention.
+* fx-simple: fixed point, p = ceil(m/2)+1 bits, softmax attention.
   Accepts when the attention output is exactly 2.
-* fx-tight (T1): fixed point, p = ceil(m/2) bits, softmax attention.
+* fx-tight: fixed point, p = ceil(m/2) bits, softmax attention.
   Accepts when the attention output is exactly 2^(1-p).
-* fp-linear (T2): floating point (t, e), linear attention over tuple tokens
+* fp-linear: floating point (t, e), linear attention over tuple tokens
   carrying a sign, an exponent register, and one mantissa bit.  Accepts when
   the fold cancels to exact zero.
-* fp-softmax (T3): floating point (t, e) with t+e = K + log2(K) for K =
+* fp-softmax: floating point (t, e) with t+e = K + log2(K) for K =
   ceil(m/2) a power of two; softmax attention over exponent-register tokens.
   Accepts when the attention output equals a fixed rounded constant.
+
+Two tables own what the rest of the package knows of the families.
+CONSTRUCTIONS gives each family its builder, the sizes it takes (m, or t
+and e; make refuses any other) and its default promise flags.  _FLAGS
+gives each promise flag what it reads (y, z, the length or the order), a
+predicate on that one string, and whether it needs t and e; PromiseSet
+derives its y_ok, z_ok and pair_scoped answers from that column.
 
 The builders check at build time that every attention-weight times value
 product any token can produce is exactly representable in the fold format.
@@ -30,19 +37,6 @@ from itertools import product as _bit_patterns
 
 from .attn import LINEAR, SOFTMAX, MlpSpec, TokenRule, TransformerSpec
 from .bitnum import FpFormat, FxFormat, fp_round, fx_round
-
-T0 = "T0"
-T1 = "T1"
-T2 = "T2"
-T3 = "T3"
-VARIANTS = (T0, T1, T2, T3)
-
-CONSTRUCTIONS = {
-    "fx-simple": T0,
-    "fx-tight": T1,
-    "fp-linear": T2,
-    "fp-softmax": T3,
-}
 
 
 class UnsupportedM(ValueError):
@@ -81,98 +75,68 @@ def _bits_int(s: str, lo: int, hi: int) -> int:
     return int(s[lo - 1:hi], 2)
 
 
-def _flag_m_odd(inst, ps):
-    return inst.m % 2 == 1
-
-
-def _flag_y_le_z(inst, ps):
-    return inst.y <= inst.z
-
-
-def _flag_y_exp_positive(inst, ps):
-    return _bits_int(inst.y, 2, ps.e + 1) > 0
-
-
-def _flag_y_tail_ok(inst, ps):
-    return inst.y[-2:] != "10"
-
-
-def _flag_z_head_ok(inst, ps):
-    return inst.z[:ps.e] != "1" * ps.e
-
-
-def _flag_y_exp_window(inst, ps):
+def _exp_window(s, ps):
     # Lower bound: a difference in the deepest mantissa bit leaves a
     # residue of 2^(E-(t-1)), which flushes to zero below this window.
     # Upper bound: the all-ones field would encode exponent q+1, outside
     # the format's legal range.
-    v = _bits_int(inst.y, 2, ps.e + 1)
-    return ps.t - 1 <= v <= (1 << ps.e) - 2
+    return ps.t - 1 <= _bits_int(s, 2, ps.e + 1) <= (1 << ps.e) - 2
 
 
-def _flag_z_exp_window(inst, ps):
-    v = _bits_int(inst.z, 2, ps.e + 1)
-    return ps.t - 1 <= v <= (1 << ps.e) - 2
-
-
-def _flag_exp_head_min(inst, ps):
-    return _bits_int(inst.y, 1, ps.e - 1) >= ps.t - 1
-
-
-# Flag registry: name -> (predicate, which string it constrains).
+# Flag registry: name -> (what the flag reads, a predicate on that string
+# and the promise set, whether the predicate needs t and e).  A flag reads
+# y, z, the length (either side: both have m bits) or the order, read off
+# y + z, whose halves are y and z.
 _FLAGS = {
-    "m_odd": (_flag_m_odd, "pair"),
-    "y_le_z": (_flag_y_le_z, "pair"),
-    "y_exp_positive": (_flag_y_exp_positive, "y"),
-    "y_tail_ok": (_flag_y_tail_ok, "y"),
-    "z_head_ok": (_flag_z_head_ok, "z"),
-    "y_exp_window": (_flag_y_exp_window, "y"),
-    "z_exp_window": (_flag_z_exp_window, "z"),
-    "exp_head_min": (_flag_exp_head_min, "y"),
-}
-
-_DEFAULT_FLAGS = {
-    T0: ("m_odd", "y_le_z"),
-    T1: ("m_odd", "y_le_z"),
-    T2: ("y_le_z", "y_exp_positive", "y_tail_ok",
-         "y_exp_window", "z_exp_window"),
-    T3: ("m_odd", "y_le_z", "z_head_ok", "exp_head_min"),
+    "m_odd": ("length", lambda s, ps: len(s) % 2 == 1, False),
+    "y_le_z": ("order", lambda yz, ps: yz[:len(yz) // 2] <= yz[len(yz) // 2:],
+               False),
+    "y_exp_positive": ("y", lambda y, ps: _bits_int(y, 2, ps.e + 1) > 0,
+                       True),
+    "y_tail_ok": ("y", lambda y, ps: y[-2:] != "10", False),
+    "z_head_ok": ("z", lambda z, ps: z[:ps.e] != "1" * ps.e, True),
+    "y_exp_window": ("y", _exp_window, True),
+    "z_exp_window": ("z", _exp_window, True),
+    "exp_head_min": ("y", lambda y, ps: _bits_int(y, 1, ps.e - 1) >= ps.t - 1,
+                     True),
 }
 
 
 @dataclass(frozen=True)
 class PromiseSet:
-    """The named input restrictions a construction's correctness assumes."""
+    """The named input restrictions a construction's correctness assumes:
+    the construction's default flags (CONSTRUCTIONS) unless flags are
+    given."""
 
-    variant: str
+    construction: str
     t: int | None = None
     e: int | None = None
     flags: tuple = ()
 
     def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}")
+        if self.construction not in CONSTRUCTIONS:
+            raise ValueError(f"unknown construction {self.construction!r}")
         if not self.flags:
-            object.__setattr__(self, "flags", _DEFAULT_FLAGS[self.variant])
+            object.__setattr__(self, "flags",
+                               CONSTRUCTIONS[self.construction][2])
         for f in self.flags:
             if f not in _FLAGS:
                 raise ValueError(f"unknown promise flag {f!r}")
-        sized = set(self.flags) - {"m_odd", "y_le_z", "y_tail_ok"}
+        sized = {f for f in self.flags if _FLAGS[f][2]}
         if sized and (self.t is None or self.e is None):
             raise ValueError(
                 f"promise flags {sorted(sized)} need t and e")
 
     def check(self, inst: EqInstance) -> list[str]:
         """Names of every violated flag, in declaration order."""
-        return [f for f in self.flags if not _FLAGS[f][0](inst, self)]
+        read = {"y": inst.y, "z": inst.z, "length": inst.y,
+                "order": inst.y + inst.z}
+        return [f for f in self.flags
+                if not _FLAGS[f][1](read[_FLAGS[f][0]], self)]
 
     def _side_ok(self, s: str, side: str) -> bool:
-        inst = EqInstance(s, s)
-        for f in self.flags:
-            pred, scope = _FLAGS[f]
-            if (scope == side or f == "m_odd") and not pred(inst, self):
-                return False
-        return True
+        return all(_FLAGS[f][1](s, self) for f in self.flags
+                   if _FLAGS[f][0] in (side, "length"))
 
     def y_ok(self, y: str) -> bool:
         """Whether y satisfies every y-side (and length) flag."""
@@ -182,8 +146,14 @@ class PromiseSet:
         """Whether z satisfies every z-side (and length) flag."""
         return self._side_ok(z, "z")
 
+    @property
+    def pair_scoped(self) -> bool:
+        """Whether every flag reads the length or the order alone, so each
+        side admits every m-bit string or none."""
+        return all(_FLAGS[f][0] in ("length", "order") for f in self.flags)
 
-def _t3_params(t: int, e: int):
+
+def _fp_softmax_params(t: int, e: int):
     """Derived sizes for the softmax floating-point family, or raise."""
     te = t + e
     K = 1
@@ -283,7 +253,7 @@ def _assert_products_exact(spec: TransformerSpec, keep=None):
                     f"representable in the fold format")
 
 
-def _build_t0(m: int, n: int | None):
+def _build_fx_simple(m: int, n: int | None):
     if m % 2 == 0 or m < 3:
         raise UnsupportedM(f"fx-simple needs odd m >= 3, got m = {m}")
     k = half_len(m)
@@ -338,7 +308,7 @@ def _build_t0(m: int, n: int | None):
     return spec, tbl.steps
 
 
-def _build_t1(m: int, n: int | None):
+def _build_fx_tight(m: int, n: int | None):
     if m % 2 == 0 or m < 5:
         raise UnsupportedM(f"fx-tight needs odd m >= 5, got m = {m}")
     k = half_len(m)
@@ -410,7 +380,7 @@ def _build_t1(m: int, n: int | None):
     return spec, tbl.steps
 
 
-def _t2_row(e: int, q: int, coeff_fn, carries_bit: bool):
+def _fp_linear_row(e: int, q: int, coeff_fn, carries_bit: bool):
     """Row function for a sign + exponent-register (+ optional bit) token."""
     def fn(bits):
         s = -1 if bits[0] else 1
@@ -423,7 +393,7 @@ def _t2_row(e: int, q: int, coeff_fn, carries_bit: bool):
     return fn
 
 
-def _build_t2(t: int, e: int, n: int | None):
+def _build_fp_linear(t: int, e: int, n: int | None):
     if e > 12:
         raise UnsupportedM(
             f"fp-linear enumerates 2^(e+2) rows per token; e = {e} is past "
@@ -450,11 +420,11 @@ def _build_t2(t: int, e: int, n: int | None):
 
     def yrule(coeff_fn, bit=None):
         refs = yregs() + ((("y", bit),) if bit else ())
-        return _rule(refs, _t2_row(e, q, coeff_fn, bit is not None))
+        return _rule(refs, _fp_linear_row(e, q, coeff_fn, bit is not None))
 
     def zrule(coeff_fn, bit=None):
         refs = zregs() + ((("z", bit),) if bit else ())
-        return _rule(refs, _t2_row(e, q, coeff_fn, bit is not None))
+        return _rule(refs, _fp_linear_row(e, q, coeff_fn, bit is not None))
 
     half = Fraction(1, 2)
     tail = Fraction(1, 1 << (t - 1))
@@ -520,8 +490,8 @@ def _build_t2(t: int, e: int, n: int | None):
     return spec, tbl.steps
 
 
-def _build_t3(t: int, e: int, n: int | None):
-    m, k, log_k, q, r, w = _t3_params(t, e)
+def _build_fp_softmax(t: int, e: int, n: int | None):
+    m, k, log_k, q, r, w = _fp_softmax_params(t, e)
     if e > 14:
         raise UnsupportedM(
             f"fp-softmax enumerates 2^e rows per token; e = {e} is past "
@@ -606,33 +576,42 @@ def _build_t3(t: int, e: int, n: int | None):
     return spec, tbl.steps
 
 
-_BUILDERS = {
-    "fx-simple": lambda m, t, e, n: _build_t0(m, n),
-    "fx-tight": lambda m, t, e, n: _build_t1(m, n),
-    "fp-linear": lambda m, t, e, n: _build_t2(t, e, n),
-    "fp-softmax": lambda m, t, e, n: _build_t3(t, e, n),
+# Family registry: name -> (builder, the sizes it takes, default promise
+# flags).  A builder takes its sizes, then n, and returns (spec, steps).
+CONSTRUCTIONS = {
+    "fx-simple": (_build_fx_simple, ("m",), ("m_odd", "y_le_z")),
+    "fx-tight": (_build_fx_tight, ("m",), ("m_odd", "y_le_z")),
+    "fp-linear": (_build_fp_linear, ("t", "e"),
+                  ("y_le_z", "y_exp_positive", "y_tail_ok", "y_exp_window",
+                   "z_exp_window")),
+    "fp-softmax": (_build_fp_softmax, ("t", "e"),
+                   ("m_odd", "y_le_z", "z_head_ok", "exp_head_min")),
 }
+
+
+def _build(construction: str, m, t, e, n):
+    """Build a named construction given exactly the sizes it takes: m for
+    fixed point, (t, e) for floating point.  Returns (spec, steps)."""
+    if construction not in CONSTRUCTIONS:
+        raise UnsupportedM(
+            f"unknown construction {construction!r}; pick one of "
+            + ", ".join(sorted(CONSTRUCTIONS)))
+    build, takes, _ = CONSTRUCTIONS[construction]
+    size = {"m": m, "t": t, "e": e}
+    if any(size[k] is None for k in takes):
+        raise UnsupportedM(f"{construction} needs {' and '.join(takes)}")
+    extra = [k for k, v in size.items() if v is not None and k not in takes]
+    if extra:
+        raise UnsupportedM(f"{construction} takes {' and '.join(takes)}, "
+                           f"not {' and '.join(extra)}")
+    return build(*(size[k] for k in takes), n)
 
 
 def make(construction: str, m: int | None = None, t: int | None = None,
          e: int | None = None, n: int | None = None):
-    """Build a named construction; returns (spec, promises).
-
-    Fixed-point constructions take m; floating-point ones take (t, e).
-    """
-    if construction not in _BUILDERS:
-        raise UnsupportedM(
-            f"unknown construction {construction!r}; pick one of "
-            + ", ".join(sorted(_BUILDERS)))
-    variant = CONSTRUCTIONS[construction]
-    if variant in (T0, T1):
-        if m is None:
-            raise UnsupportedM(f"{construction} needs m")
-    else:
-        if t is None or e is None:
-            raise UnsupportedM(f"{construction} needs t and e")
-    spec, _ = _BUILDERS[construction](m, t, e, n)
-    return spec, PromiseSet(variant, t, e)
+    """Build a named construction; returns (spec, promises)."""
+    spec, _ = _build(construction, m, t, e, n)
+    return spec, PromiseSet(construction, t, e)
 
 
 def table_outline(construction: str, m: int | None = None,
@@ -640,9 +619,7 @@ def table_outline(construction: str, m: int | None = None,
                   n: int | None = None) -> list[str]:
     """The builder's step list (name, position range, cell shapes), used to
     diff the emitted table against a checked-in rendering."""
-    if construction not in _BUILDERS:
-        raise UnsupportedM(f"unknown construction {construction!r}")
-    return _BUILDERS[construction](m, t, e, n)[1]
+    return _build(construction, m, t, e, n)[1]
 
 
 def native_precision(spec: TransformerSpec) -> int:

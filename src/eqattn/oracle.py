@@ -40,14 +40,8 @@ from .attn import (
     token_cells,
 )
 from .bitnum import FpFormat, FxFormat, IndeterminateForm
-from .constructs import (
-    _FLAGS,
-    EqInstance,
-    PromiseSet,
-    float_fields,
-    make,
-    native_precision,
-)
+from .constructs import (EqInstance, PromiseSet, float_fields, make,
+                         native_precision)
 
 PAIR_CAP_DEFAULT = 10 ** 8
 
@@ -219,7 +213,7 @@ def _eval_pairs(spec, pairs) -> Tally:
     return Tally(total, wrong, tuple(listed), saturated)
 
 
-def _eval_all(spec, pairs, jobs) -> Tally:
+def tally_pairs(spec, pairs, jobs) -> Tally:
     """Tally pairs, split into consecutive chunks over jobs worker
     processes when there are enough of them, the chunks' tallies summed in
     order.  One job counts the pairs as it consumes them, so an iterator
@@ -237,18 +231,12 @@ def _eval_all(spec, pairs, jobs) -> Tally:
     return _eval_pairs(spec, pairs)
 
 
-def _pair_scoped(promises: PromiseSet) -> bool:
-    """Whether every flag constrains the pair as a whole (length, y <= z),
-    so each side admits every m-bit string or none."""
-    return all(_FLAGS[f][1] == "pair" for f in promises.flags)
-
-
 def _count_pairs(promises: PromiseSet, m: int, cap: int) -> int:
     """How many exhaustive promise pairs there are, found without listing
-    a string: in closed form when the flags are pair-scoped, else in one
+    a string: in closed form when the flags are pair_scoped, else in one
     streamed pass, which is refused past cap when the 2^m strings alone
     exceed it."""
-    if _pair_scoped(promises):
+    if promises.pair_scoped:
         s = "0" * m
         if not (promises.y_ok(s) and promises.z_ok(s)):
             return 0
@@ -321,7 +309,7 @@ def fold_split(spec: TransformerSpec, promises: PromiseSet) -> int | None:
     pair the factored enumeration counts.  Bob's positions, after
     alice_len, must read no y bit: the factored run resumes there.
     """
-    if spec.attention_kind != SOFTMAX or not _pair_scoped(promises) or \
+    if spec.attention_kind != SOFTMAX or not promises.pair_scoped or \
             any(name == "y" for rule in spec.embedding[alice_len(spec):]
                 for name, _ in rule.source):
         return None
@@ -459,7 +447,8 @@ def verify_exhaustive_spec(spec: TransformerSpec, promises: PromiseSet,
     start = time.monotonic()
     s = fold_split(spec, promises)
     if s is None:
-        tally = _eval_all(spec, promise_pairs(promises, spec.m, cap=cap), jobs)
+        tally = tally_pairs(spec, promise_pairs(promises, spec.m, cap=cap),
+                            jobs)
     else:
         rng = random.Random(f"{construction}:{spec.m}:exhaustive")
         tally = _factored_exhaustive(spec, s, cap, rng)
@@ -507,4 +496,4 @@ def verify_sampled(construction: str, m: int | None = None,
     pairs = promise_pairs(promises, spec.m, samples, rng) if samples else []
     pairs += _adversarial_pairs(promises, spec.m, rng)
     return _report(spec, construction, "sampled",
-                   _eval_all(spec, pairs, jobs), start)
+                   tally_pairs(spec, pairs, jobs), start)

@@ -35,7 +35,6 @@ from __future__ import annotations
 import json
 import math
 import re
-import time
 import warnings
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -45,10 +44,10 @@ from pathlib import Path
 from .attn import (LINEAR, SOFTMAX, MlpSpec, TokenRule, TransformerSpec,
                    token_logits)
 from .bitnum import (INF_CODE_LOG2, FpFormat, FxFormat, InvalidFormat,
-                     _pow2, decode_scalar, encode_scalar, fp_round, fx_round,
+                     decode_scalar, encode_scalar, fp_round, fx_round,
                      parse_format)
 from .constructs import EqInstance, float_fields, make, native_precision
-from .oracle import Tally, _eval_all, verify_exhaustive_spec
+from .oracle import Tally, tally_pairs, verify_exhaustive_spec
 
 INT = "int"
 FLOAT = "float"
@@ -62,7 +61,7 @@ class SchemaError(ValueError):
     """A weights document that does not match the expected layout."""
 
 
-_INF_CODE = _pow2(INF_CODE_LOG2)
+_INF_CODE = Fraction(1 << INF_CODE_LOG2)
 
 
 @dataclass(frozen=True)
@@ -176,7 +175,7 @@ def _inf_code(sign: int) -> Fraction:
 def _ceil_log2(fr: Fraction) -> int:
     """Smallest s with 2**s >= fr, computed exactly (fr > 0)."""
     s = fr.numerator.bit_length() - fr.denominator.bit_length() + 1
-    while _pow2(s - 1) >= fr:
+    while Fraction(2) ** (s - 1) >= fr:
         s -= 1
     return s
 
@@ -387,7 +386,6 @@ class QuantRow:
     total: int
     correct: int
     inf_count: int
-    seconds: float
 
     @property
     def accuracy(self) -> Fraction:
@@ -412,8 +410,7 @@ class QuantRow:
 
 
 def _quant_row(spec: TransformerSpec, label: str, m: int, t, e,
-               fmt: QuantFormat | None, tally: Tally,
-               seconds: float) -> QuantRow:
+               fmt: QuantFormat | None, tally: Tally) -> QuantRow:
     """A row from a verifier tally: what it does not count as a failure
     is correct."""
     return QuantRow(
@@ -421,7 +418,7 @@ def _quant_row(spec: TransformerSpec, label: str, m: int, t, e,
         fmt=fmt.name if fmt else "native",
         capacity=fmt.capacity() if fmt else 2 * native_precision(spec),
         total=tally.total, correct=tally.total - tally.failure_count,
-        inf_count=tally.saturated, seconds=seconds)
+        inf_count=tally.saturated)
 
 
 def eval_accuracy(spec: TransformerSpec, ds: Dataset, promises=None,
@@ -437,7 +434,6 @@ def eval_accuracy(spec: TransformerSpec, ds: Dataset, promises=None,
     Saturated or indeterminate traces are tallied in inf_count; they score
     like any other trace, they are only reported separately.
     """
-    start = time.monotonic()
     if t is None and e is None:
         t, e = float_fields(spec)
     pairs = [(y, z) if promises is None else (min(y, z), max(y, z))
@@ -445,8 +441,7 @@ def eval_accuracy(spec: TransformerSpec, ds: Dataset, promises=None,
     if promises is not None:
         pairs = [p for p in pairs if not promises.check(EqInstance(*p))]
     return _quant_row(spec, label, ds.m, t, e, fmt,
-                      _eval_all(spec, pairs, jobs),
-                      time.monotonic() - start)
+                      tally_pairs(spec, pairs, jobs))
 
 
 _NATIVE = re.compile(r"native([+-]\d+)?")
@@ -500,8 +495,7 @@ def sweep(source, formats, ms=None, count: int = 5120, seed: int = 0, *,
             if exhaustive:
                 rep = verify_exhaustive_spec(qspec, pr, label, jobs=jobs)
                 rows.append(_quant_row(qspec, label, spec0.m, t, e, f, Tally(
-                    rep.total, rep.failure_count, (), rep.inf_count),
-                    rep.seconds))
+                    rep.total, rep.failure_count, (), rep.inf_count)))
             else:
                 rows.append(eval_accuracy(qspec, ds, pr, label=label, fmt=f,
                                           t=t, e=e, jobs=jobs))

@@ -40,7 +40,7 @@ FX_FORMATS = [
     FxFormat(4, rounding=TRUNC),
     FxFormat(5, scale_log2=-2),
     FxFormat(5, scale_log2=3, rounding=TRUNC),
-    FxFormat(4, significand_override=4),
+    FxFormat(5),
 ]
 FP_FORMATS = [
     FpFormat(3, 3),
@@ -72,7 +72,6 @@ class TestFormatObjects:
         fmt = FxFormat(5, scale_log2=-2)
         assert fmt.budget == 4
         assert fmt.max_magnitude() == Fraction(15, 4)
-        assert FxFormat(4, significand_override=4).budget == 4
 
     def test_fp_bounds(self):
         """The largest float is (2 - 2^(1-t)) 2^q and the smallest positive
@@ -84,11 +83,7 @@ class TestFormatObjects:
 
     def test_descriptor_round_trip(self):
         for fmt in FX_FORMATS + FP_FORMATS:
-            again = parse_format(fmt.descriptor())
-            if isinstance(fmt, FxFormat) and fmt.significand_override:
-                assert again == FxFormat(fmt.p, fmt.scale_log2, fmt.rounding)
-            else:
-                assert again == fmt
+            assert parse_format(fmt.descriptor()) == fmt
 
     def test_invalid_formats(self):
         with pytest.raises(InvalidFormat):
@@ -400,7 +395,7 @@ class TestFolds:
     def test_fold_order_matters(self):
         """The textbook 3-bit example: truncating folds of (10.0, 1.01,
         1.11) give 100 when grouped left and 101 when grouped right."""
-        fmt = FxFormat(3, rounding=TRUNC, significand_override=3)
+        fmt = FxFormat(4, rounding=TRUNC)
         xs = [Fraction(2), Fraction(5, 4), Fraction(7, 4)]
         left = fx_sum_left(xs, fmt)
         a, b, c = (fx_round(x, fmt) for x in xs)

@@ -9,43 +9,42 @@ import pytest
 from eqattn import cli
 
 # Each flag draws a value from its first tuple, or with probability 1/5
-# from its second, which argparse or the command refuses.
-COMMON = {
-    "--seed": (("0", "3"), ("-5",)),
-    "--jobs": (("1",), ("0", "-1", "x")),
-    "--trace": None,
-    "--out": (("report.txt",), ()),
-}
-# Only the report commands offer --format.
-REPORT = {**COMMON, "--format": (("text", "csv"), ("json",))}
-SUBJECT = {
+# from its second, which argparse or the command refuses.  Each command
+# offers only the flags it reads, so each draws only those.
+SEED = {"--seed": (("0", "3"), ("-5",))}
+JOBS = {"--jobs": (("1",), ("0", "-1", "x"))}
+TRACE = {"--trace": None}
+OUT = {"--out": (("report.txt",), ())}
+REPORT = {**SEED, **OUT, "--format": (("text", "csv"), ("json",)), **JOBS}
+SIZES = {
     "--m": (("5", "3"), ("1", "4", "0", "-1", "x")),
     "--t": (("3", "4"), ("2", "0")),
     "--e": (("2", "3"), ("-1", "0")),
-    "--n": (("20",), ("1", "0", "-3")),
 }
+TOKENS = {"--n": (("20",), ("1", "0", "-3"))}
 DELTA = {"--precision-delta": (("-1", "0", "1", "3"), ("-9",))}
 COMMANDS = {
-    "verify": {**REPORT, **SUBJECT, **DELTA,
+    "verify": {**REPORT, **TRACE, **SIZES, **TOKENS, **DELTA,
                "--samples": (("5", "20", "0"), ("-1",))},
-    "sweep": {**REPORT, **SUBJECT, **DELTA,
-              "--ms": (("5", "3,5"), ("4", "x", "")),
+    "sweep": {**REPORT, "--t": SIZES["--t"], "--e": SIZES["--e"], **TOKENS,
+              **DELTA, "--ms": (("5", "3,5"), ("4", "x", "")),
               "--samples": (("5", "0"), ("-1",))},
-    "protocol": {**COMMON, **SUBJECT,
+    "protocol": {**SEED, **OUT, **JOBS, **TRACE, **SIZES, **TOKENS,
                  "--count": (("5",), ("0", "-1")), "--exhaustive": None,
                  "--y": (("00000", "01010"), ("0101", "abcde")),
                  "--z": (("00000", "11111"), ("0", "0z000"))},
-    "fooling": {**REPORT, "--m": (("3", "5", "7"), ("0", "-2")),
+    "fooling": {**OUT, "--format": REPORT["--format"],
+                "--m": (("3", "5", "7"), ("0", "-2")),
                 "--e": (("2", "3"), ("0", "9"))},
-    "quantize": {**REPORT, **SUBJECT,
+    "quantize": {**REPORT, **SIZES,
                  "--formats": (("int8", "native,native-1", "fp8_e4m3"),
                                ("int1", "bogus", "")),
                  "--ms": (("5", "3,5"), ("4", "x")),
                  "--count": (("5",), ("0", "-1")), "--exhaustive": None,
                  "--weights": (("good.json",), ("bad.json", "absent.json"))},
-    "arith-demo": COMMON,
-    "build": {**COMMON, **SUBJECT},
-    "import-check": COMMON,
+    "arith-demo": OUT,
+    "build": {**OUT, **SIZES, **TOKENS},
+    "import-check": OUT,
 }
 # A named subject, drawn before the flags above, which may then override
 # its size; the sizes are small enough for an exhaustive run.
@@ -68,9 +67,11 @@ def _argv(rng: random.Random) -> list[str]:
     argv = [command]
     if command == "import-check":
         argv.append(_pick(rng, (("good.json",), ("bad.json", "absent.json"))))
-    if "--m" in COMMANDS[command] and command != "fooling" and \
-            rng.random() < 0.9:
-        argv += ["--construction", *rng.choice(SUBJECTS)]
+    if "--t" in COMMANDS[command] and rng.random() < 0.9:
+        # sweep takes no --m; it sweeps the subject's m as --ms.
+        argv += ["--construction", *(
+            "--ms" if a == "--m" and "--m" not in COMMANDS[command] else a
+            for a in rng.choice(SUBJECTS))]
     for flag, values in COMMANDS[command].items():
         keep = 0.9 if flag in REQUIRED.get(command, ()) else 0.25
         if rng.random() < keep:
@@ -122,6 +123,29 @@ def test_flag_combinations_exit_with_a_documented_code(weights_dir, capsys):
     (["protocol", "--construction", "fp-linear", "--t", "3", "--e", "3",
       "--count", "3", "--format", "csv"],
      "unrecognized arguments: --format csv"),
+    # Each command offers only the flags it reads.
+    (["fooling", "--m", "5", "--e", "2", "--trace"],
+     "unrecognized arguments: --trace"),
+    (["quantize", "--construction", "fx-tight", "--m", "7", "--formats",
+      "int8", "--count", "20", "--n", "3"], "unrecognized arguments: --n 3"),
+    (["sweep", "--construction", "fx-tight", "--ms", "5", "--trace"],
+     "unrecognized arguments: --trace"),
+    (["arith-demo", "--seed", "1", "--jobs", "1"],
+     "unrecognized arguments: --seed 1 --jobs 1"),
+    (["build", "--construction", "fx-tight", "--m", "5", "--seed", "1"],
+     "unrecognized arguments: --seed 1"),
+    # sweep reads --ms, and --m is not taken as its abbreviation.
+    (["sweep", "--construction", "fx-tight", "--ms", "5", "--m", "9"],
+     "unrecognized arguments: --m 9"),
+    # A family refuses a size it does not take; only a family that takes
+    # m needs an odd one.
+    (["verify", "--construction", "fp-linear", "--t", "3", "--e", "3",
+      "--m", "5"], "fp-linear takes t and e, not m"),
+    (["verify", "--construction", "fp-linear", "--t", "3", "--e", "3",
+      "--m", "4"], "fp-linear takes t and e, not m"),
+    (["verify", "--construction", "fx-tight", "--m", "6"], "m must be odd"),
+    (["verify", "--construction", "fx-tight", "--m", "5", "--t", "3"],
+     "fx-tight takes m, not t"),
 ])
 def test_pinned_usage_errors(argv, needle, capsys):
     assert _exit_code(argv) == 2

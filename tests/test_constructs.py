@@ -82,6 +82,10 @@ class TestBuilders:
             make("fx-simple", m=4)
         with pytest.raises(UnsupportedM, match="t and e"):
             make("fp-linear", t=4)
+        with pytest.raises(UnsupportedM, match="takes t and e, not m"):
+            make("fp-linear", m=7, t=4, e=3)
+        with pytest.raises(UnsupportedM, match="takes m, not t and e"):
+            make("fx-tight", m=5, t=4, e=3)
         with pytest.raises(UnsupportedM, match="unknown construction"):
             make("nope", m=5)
 

@@ -379,7 +379,7 @@ def test_a_query_row_that_reads_an_input_bit():
     pairs = list(product("01", repeat=2))
     bits = [_assert_same(spec, y, z).bit for y, z in pairs]
     assert bits != [int(y == z) for y, z in pairs]
-    promises = PromiseSet("T1", flags=("y_le_z",))
+    promises = PromiseSet("fx-tight", flags=("y_le_z",))
     assert oracle.fold_split(spec, promises) is None
     rep = verify_exhaustive_spec(spec, promises, "toy")
     assert rep.total == 3

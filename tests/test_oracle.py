@@ -33,7 +33,7 @@ from eqattn.quantlab import parse_quant_format, quantize_spec
 def _direct(spec, promises):
     """The pair-by-pair tally of every promise pair, as the verifier runs
     it when the spec does not factor."""
-    return oracle._eval_all(spec, promise_pairs(promises, spec.m), 1)
+    return oracle.tally_pairs(spec, promise_pairs(promises, spec.m), 1)
 
 
 class TestTruth:
@@ -184,8 +184,8 @@ class TestFoldSplit:
         assert fold_split(fp, promises) is None
         num, den = fold_reads(fp)
         assert (max(num), min(den)) == (12, 10)
-        assert fold_split(fp, PromiseSet("T1")) is None
-        assert fold_split(build_toy_spec(), PromiseSet("T1")) is None
+        assert fold_split(fp, PromiseSet("fx-tight")) is None
+        assert fold_split(build_toy_spec(), PromiseSet("fx-tight")) is None
         tight, promises = make("fx-tight", m=7)
         broken = quantize_spec(tight, parse_quant_format("fp_e2m1"))
         assert fold_reads(broken) == (set(range(1, 8)), set(range(1, 8)))
@@ -228,7 +228,8 @@ class TestFoldSplit:
         """A flag on y alone is not a pair-wide promise, so the run counts
         the pairs the promise admits, not every y <= z."""
         spec, _ = make("fx-tight", m=7)
-        promises = PromiseSet("T1", flags=("m_odd", "y_le_z", "y_tail_ok"))
+        promises = PromiseSet("fx-tight",
+                              flags=("m_odd", "y_le_z", "y_tail_ok"))
         assert fold_split(spec, promises) is None
         rep = verify_exhaustive_spec(spec, promises, "fx-tight")
         assert rep.total == len(list(promise_pairs(promises, 7))) == 6208

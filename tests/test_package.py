@@ -1,6 +1,6 @@
 """Every module of the package is reachable from the command line, every
-function the benchmark traces exists, and no module imports a name it
-never uses."""
+function the benchmark traces exists, no module imports a name it never
+uses, and none imports another module's private name."""
 
 import ast
 import importlib
@@ -75,3 +75,23 @@ def test_no_module_imports_an_unused_name():
                                if (bound := alias.asname
                                    or alias.name.split(".")[0]) not in used]
     assert unused == []
+
+
+def test_no_module_imports_a_private_name_of_another():
+    """Each module owns its underscore names: no module under src/eqattn/
+    imports one from another eqattn module."""
+    d = os.path.dirname(eqattn.__file__)
+    borrowed = []
+    for name in sorted(os.listdir(d)):
+        if not name.endswith(".py"):
+            continue
+        path = os.path.join(d, name)
+        with open(path) as f:
+            tree = ast.parse(f.read(), path)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").startswith("eqattn")):
+                borrowed += [f"{name}:{node.lineno} {alias.name}"
+                             for alias in node.names
+                             if alias.name.startswith("_")]
+    assert borrowed == []

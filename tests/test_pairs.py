@@ -6,7 +6,7 @@ from itertools import product
 
 import pytest
 
-from eqattn.constructs import T0, EqInstance, PromiseSet, make
+from eqattn.constructs import EqInstance, PromiseSet, make
 from eqattn.oracle import BudgetExceeded, promise_pairs
 
 
@@ -48,12 +48,18 @@ def test_exhaustive_cap_is_checked_before_listing():
 def test_pair_scoped_promises_are_counted_in_closed_form():
     """fx-tight's flags (m odd, y <= z) admit every string on each side,
     so m=41 is refused at once, with 2^40 (2^41 + 1) pairs, and an even m
-    has none."""
+    has none.  Only the fixed-point families' default flags read the
+    length and the order alone; each floating-point family has a flag
+    that reads y or z."""
     _, promises = make("fx-tight", m=41)
     with pytest.raises(BudgetExceeded,
                        match=f"^{(1 << 40) * ((1 << 41) + 1)} promise pairs"):
         promise_pairs(promises, 41)
-    assert list(promise_pairs(PromiseSet(T0), 4)) == []
+    assert list(promise_pairs(PromiseSet("fx-simple"), 4)) == []
+    scoped = {name: PromiseSet(name, 4, 7).pair_scoped
+              for name in ("fx-simple", "fx-tight", "fp-linear", "fp-softmax")}
+    assert scoped == {"fx-simple": True, "fx-tight": True,
+                      "fp-linear": False, "fp-softmax": False}
 
 
 def test_more_strings_than_the_cap_are_refused_before_counting():
@@ -90,7 +96,7 @@ def test_sampled_stream_and_rng_state_are_unchanged(name, size):
 
 
 def test_too_sparse_to_sample_is_a_budget_error():
-    never = PromiseSet(T0)          # m_odd fails for every 4-bit pair
+    never = PromiseSet("fx-simple")  # m_odd fails for every 4-bit pair
     with pytest.raises(BudgetExceeded, match="too sparse"):
         promise_pairs(never, 4, 1, random.Random(0))
 
