@@ -674,7 +674,7 @@ def mlp_eval(mlp: MlpSpec, v, fmt, held=None):
 
 
 def _accept_bit(out) -> int:
-    return int(out.is_finite and not out.is_zero and out.as_fraction() == 1)
+    return int(out.is_finite and out.as_fraction() == 1)
 
 
 def _head(spec: TransformerSpec, sa):

@@ -70,13 +70,6 @@ class FxFormat:
     def budget(self) -> int:
         return self.p - 1
 
-    @property
-    def scale(self) -> Fraction:
-        return _pow2(self.scale_log2)
-
-    def max_magnitude(self) -> Fraction:
-        return ((1 << self.budget) - 1) * self.scale
-
     def descriptor(self) -> str:
         return f"fx:p={self.p},scale=2^{self.scale_log2},round={self.rounding}"
 
@@ -102,12 +95,6 @@ class FpFormat:
     @property
     def q(self) -> int:
         return (1 << (self.e - 1)) - 1
-
-    def max_magnitude(self) -> Fraction:
-        return (2 - _pow2(1 - self.t)) * _pow2(self.q)
-
-    def min_positive(self) -> Fraction:
-        return _pow2(-self.q)
 
     def descriptor(self) -> str:
         return f"fp:t={self.t},e={self.e},round={self.rounding}"
@@ -407,15 +394,6 @@ def _div(a, b, fmt, cls, round_rational):
                           b.sig << max(0, -e), fmt)
 
 
-def _sum_left(values, fmt, cls, round_, add):
-    """Left-associative fold with rounding after every addition."""
-    acc = None
-    for v in values:
-        num = v if isinstance(v, cls) else round_(v, fmt)
-        acc = num if acc is None else add(acc, num, fmt)
-    return acc if acc is not None else cls.zero(fmt)
-
-
 def fx_add(a: FxNum, b: FxNum, fmt: FxFormat) -> FxNum:
     return _add(a, b, fmt, FxNum, _fx_round_dyadic)
 
@@ -428,10 +406,6 @@ def fx_div(a: FxNum, b: FxNum, fmt: FxFormat) -> FxNum:
     return _div(a, b, fmt, FxNum, _fx_round_rational)
 
 
-def fx_sum_left(values, fmt: FxFormat) -> FxNum:
-    return _sum_left(values, fmt, FxNum, fx_round, fx_add)
-
-
 def fp_add(a: FpNum, b: FpNum, fmt: FpFormat) -> FpNum:
     return _add(a, b, fmt, FpNum, _fp_round_dyadic)
 
@@ -442,10 +416,6 @@ def fp_mul(a: FpNum, b: FpNum, fmt: FpFormat) -> FpNum:
 
 def fp_div(a: FpNum, b: FpNum, fmt: FpFormat) -> FpNum:
     return _div(a, b, fmt, FpNum, _fp_round_rational)
-
-
-def fp_sum_left(values, fmt: FpFormat) -> FpNum:
-    return _sum_left(values, fmt, FpNum, fp_round, fp_add)
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,7 @@ from .attn import forward
 from .bitnum import (NEAREST, TRUNC, FxFormat, InvalidFormat,
                      LogitOutOfRange, encode_scalar, fx_add, fx_mul,
                      fx_round)
-from .commsim import SplitNotPrefix, run_protocol
+from .commsim import run_protocol
 from .constructs import (CONSTRUCTIONS, EqInstance, UnsupportedM, make,
                          native_precision)
 from .oracle import BudgetExceeded
@@ -62,7 +62,7 @@ def _config(args):
     commands without --ms)."""
     if hasattr(args, "jobs"):
         args.jobs = _jobs(args.jobs)
-    if getattr(args, "count", 1) < 1:
+    if getattr(args, "count", None) is not None and args.count < 1:
         raise UsageError(f"--count must be positive, got {args.count}")
     if getattr(args, "samples", 0) < 0:
         raise UsageError("--samples must be 0 (exhaustive) or positive, "
@@ -168,6 +168,9 @@ def _protocol_pairs(args, spec, promises):
     if args.y is not None or args.z is not None:
         if args.y is None or args.z is None:
             raise UsageError("--y and --z must be given together")
+        if args.exhaustive or (args.count, args.seed) != (None, None):
+            raise UsageError("--y/--z name the one pair to run; drop "
+                             "--exhaustive, --count and --seed")
         if len(args.y) != m or len(args.z) != m:
             raise UsageError(f"--y/--z must be {m} bits long")
         if (args.y + args.z).strip("01"):
@@ -180,8 +183,8 @@ def _protocol_pairs(args, spec, promises):
         return [(y, z)]
     if args.exhaustive:
         return oracle.promise_pairs(promises, m)
-    return oracle.promise_pairs(promises, m, args.count,
-                                random.Random(args.seed))
+    return oracle.promise_pairs(promises, m, args.count or 128,
+                                random.Random(args.seed or 0))
 
 
 def cmd_protocol(args) -> int:
@@ -205,7 +208,7 @@ def cmd_protocol(args) -> int:
         costs.add(run.bit_cost)
         if listed < 32 or not ok:
             lines.append(
-                f"y={y} z={z} prefix={len(run.split)} l1={enc(run.l1)} "
+                f"y={y} z={z} prefix={run.prefix} l1={enc(run.l1)} "
                 f"l2={enc(run.l2)} cost={run.bit_cost} bob={run.bob_bit} "
                 f"model={ref.bit} {'ok' if ok else 'MISMATCH'}")
             listed += 1
@@ -239,6 +242,10 @@ def cmd_quantize(args) -> int:
         if args.exhaustive:
             raise UsageError("--exhaustive needs a named construction "
                              "(imported weights carry no promise set)")
+        if args.construction or args.ms or \
+                (args.m, args.t, args.e) != (None, None, None):
+            raise UsageError("--weights is the subject; drop --construction, "
+                             "--m, --t, --e and --ms")
     else:
         source, keys = args.construction, list(args.ms)
         if args.m is not None:
@@ -392,7 +399,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("protocol", cmd_protocol,
                 "run the one-way protocol against the model",
                 "--seed", "--out", "--jobs", "--trace", *subject)
-    p.add_argument("--count", type=int, default=128,
+    p.set_defaults(seed=None)   # None until given, so --y/--z can refuse it
+    p.add_argument("--count", type=int,
                    help="sampled instance count (default 128)")
     p.add_argument("--exhaustive", action="store_true",
                    help="run every promise pair")
@@ -441,7 +449,7 @@ def main(argv=None) -> int:
         try:
             return args.func(_config(args))
         except (UsageError, UnsupportedM, InvalidFormat, LogitOutOfRange,
-                BudgetExceeded, SplitNotPrefix) as exc:
+                BudgetExceeded) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         except SchemaError as exc:

@@ -2,13 +2,14 @@
 counting arguments that lower-bound them.
 
 The reduction: the bounded left fold decomposes at any prefix boundary, so
-Alice (holding y) folds the tokens that read no z bit (attn.alice_len, the
-cut the factored verifier makes too) and sends the partial numerator and
-denominator as two p-bit scalars; Bob resumes the same fold from that state
-over his tokens and finishes the pipeline.  Both halves run the one kernel
-that forward runs end to end, so the answer bit equals the single-machine
-forward pass by construction; the tests still check it pair-exhaustively at
-small m.
+Alice's share is a prefix length k of the fold order.  Alice (holding y)
+folds the first k tokens, by default the attn.alice_len(spec) tokens that
+read no z bit (the cut the factored verifier makes too), and sends the
+partial numerator and denominator as two p-bit scalars; Bob resumes the
+same fold from that state over the rest and finishes the pipeline.  Both
+halves run the one kernel that forward runs end to end, so the answer bit
+equals the single-machine forward pass by construction; the tests still
+check it pair-exhaustively at small m.
 """
 
 from __future__ import annotations
@@ -32,15 +33,11 @@ from .constructs import EqInstance, native_precision
 from .oracle import BudgetExceeded
 
 
-class SplitNotPrefix(ValueError):
-    """Alice's token set must be a contiguous prefix of the fold order."""
-
-
 @dataclass(frozen=True)
 class ProtocolRun:
     """Transcript of one simulated protocol execution."""
 
-    split: tuple
+    prefix: int
     l1: object
     l2: object
     bit_cost: int
@@ -89,27 +86,6 @@ class FoolingReport:
                 f"row: {self.csv_row()}"]
 
 
-def default_split(spec: TransformerSpec) -> tuple:
-    """The proofs' prefix as token indices: the alice_len(spec) leading
-    tokens, whose rows read no z bit."""
-    return tuple(range(spec.index_base, spec.index_base + alice_len(spec)))
-
-
-def _prefix_len(spec: TransformerSpec, s) -> int:
-    idx = sorted(s)
-    if not idx:
-        raise SplitNotPrefix("Alice's token set is empty")
-    want = list(range(spec.index_base, spec.index_base + len(idx)))
-    if idx != want:
-        raise SplitNotPrefix(
-            f"{tuple(idx)} is not a contiguous prefix starting at token "
-            f"{spec.index_base}; left-associative folds only decompose "
-            "across a prefix boundary")
-    if len(idx) > spec.n + 1:
-        raise SplitNotPrefix("Alice's token set exceeds the sequence")
-    return len(idx)
-
-
 def bit_cost(spec: TransformerSpec) -> int:
     """Bits Alice sends: the partial numerator, plus the partial
     denominator for a softmax head, p bits each."""
@@ -118,14 +94,19 @@ def bit_cost(spec: TransformerSpec) -> int:
 
 
 def run_protocol(spec: TransformerSpec, inst: EqInstance,
-                 s=None) -> ProtocolRun:
+                 k: int | None = None) -> ProtocolRun:
     """Simulate the one-way protocol and return its transcript.
 
-    Alice evaluates the bounded folds over the prefix s (default: the
-    construction's y-tokens), sends the partials; Bob resumes and answers.
+    Alice's share is the prefix length k, 1 to spec.n + 1 tokens (default
+    alice_len(spec), the tokens that read no z bit): she evaluates the
+    bounded folds over those tokens and sends the partials; Bob resumes
+    and answers.
     """
-    split = default_split(spec) if s is None else tuple(sorted(s))
-    k = _prefix_len(spec, split)
+    if k is None:
+        k = alice_len(spec)
+    elif not 1 <= k <= spec.n + 1:
+        raise ValueError(f"Alice's prefix length must be 1 to {spec.n + 1} "
+                         f"tokens, got {k}")
     linear = spec.attention_kind == LINEAR
     cost = bit_cost(spec)
 
@@ -133,7 +114,7 @@ def run_protocol(spec: TransformerSpec, inst: EqInstance,
     try:
         l2, l1 = fold(spec, (None, OFF if linear else None), 0, k, cells)
     except IndeterminateForm:
-        return ProtocolRun(split=split, l1=None, l2=None, bit_cost=cost,
+        return ProtocolRun(prefix=k, l1=None, l2=None, bit_cost=cost,
                            bob_bit=0)
     try:
         num, den = fold(spec, (l2, l1), k, len(cells), cells)
@@ -143,7 +124,7 @@ def run_protocol(spec: TransformerSpec, inst: EqInstance,
         bit = 0
         if linear:
             l2 = None
-    return ProtocolRun(split=split, l1=None if linear else l1, l2=l2,
+    return ProtocolRun(prefix=k, l1=None if linear else l1, l2=l2,
                        bit_cost=cost, bob_bit=bit)
 
 

@@ -50,11 +50,6 @@ class BudgetExceeded(RuntimeError):
     """The instance space is too large for exhaustive enumeration."""
 
 
-def eq_truth(inst: EqInstance) -> int:
-    """Ground truth: 1 iff the two strings are identical."""
-    return int(inst.y == inst.z)
-
-
 def precision_delta_spec(spec: TransformerSpec, delta: int) -> TransformerSpec:
     """The same spec with every stage format's bit budget moved by delta.
 
@@ -159,13 +154,13 @@ class VerifyReport:
             "" if self.e is None else str(self.e),
             str(self.p), str(self.total), str(self.failure_count), "0.000"])
 
-    def render_lines(self, limit: int = 10) -> list[str]:
+    def render_lines(self) -> list[str]:
         head = (f"{self.construction} m={self.m}"
                 + (f" t={self.t} e={self.e}" if self.t is not None else "")
                 + f" p={self.p} [{self.mode}]")
         lines = [f"{head}: {self.total} pairs, "
                  f"{self.failure_count} failures, {self.seconds:.3f}s"]
-        for f in self.failures[:limit]:
+        for f in self.failures[:10]:
             lines.append(f"  y={f.y} z={f.z} expected={f.expected} "
                          f"got={f.got} {f.digest}")
         if self.failure_count > len(self.failures):

@@ -106,9 +106,10 @@ class QuantFormat:
             return f"int{self.bits}"
         return f"fp_e{self.exp}m{self.mant}"
 
-    def capacity(self, heads: int = 1, d_v: int = 1) -> int:
-        """The storage budget H * (d_v + 1) * p carried by the head."""
-        return heads * (d_v + 1) * self.p_bits
+    def capacity(self) -> int:
+        """The storage budget H * (d_v + 1) * p carried by the head, at one
+        head (H = 1) and one value column (d_v = 1): 2 p."""
+        return 2 * self.p_bits
 
 
 def int_format(bits: int) -> QuantFormat:
@@ -329,10 +330,6 @@ class Dataset:
     seed: int
     flip_count: int
 
-    @property
-    def equal_fraction(self) -> Fraction:
-        return Fraction(sum(lab for _, _, lab in self.pairs), len(self.pairs))
-
 
 def gen_dataset(m: int, count: int, seed: int = 0) -> Dataset:
     """Draw count labeled pairs; deterministic for a fixed (m, count, seed).
@@ -464,20 +461,20 @@ def _resolve_format(token, spec: TransformerSpec) -> QuantFormat:
 
 
 def sweep(source, formats, ms=None, count: int = 5120, seed: int = 0, *,
-          promises=None, exhaustive: bool = False, jobs: int = 1) -> tuple:
+          exhaustive: bool = False, jobs: int = 1) -> tuple:
     """Quantize a subject to each format and measure accuracy; returns the
     QuantRows in subject-major, format-minor order.
 
     source is a construction name (swept over ms, whose entries are m for
     fixed-point families or (t, e) for floating-point ones) or an already
-    built TransformerSpec (then promises, if any, must be passed in).
+    built TransformerSpec, which carries no promise set.
     Subjects are built, their formats resolved (_resolve_format) and
     their rows measured one at a time.  exhaustive runs every promise pair
     through the verifier instead of a sampled dataset; jobs spreads either
     over processes.
     """
     if isinstance(source, TransformerSpec):
-        subjects = [(source, promises, "imported")]
+        subjects = [(source, None, "imported")]
     else:
         subjects = (make(source, **({"m": key} if isinstance(key, int) else
                                     {"t": key[0], "e": key[1]})) + (source,)
@@ -647,10 +644,9 @@ def _check_logits(spec: TransformerSpec) -> TransformerSpec:
     return spec
 
 
-def export_weights(spec: TransformerSpec, path=None) -> str:
+def export_weights(spec: TransformerSpec) -> str:
     """The spec as a weights document (JSON), exact scalars in their
-    textual encoding and the key sentinel as "neglarge"; also written to
-    path if one is given."""
+    textual encoding and the key sentinel as "neglarge"."""
     def enc(v):
         return "neglarge" if v is None else encode_scalar(v)
 
@@ -679,10 +675,7 @@ def export_weights(spec: TransformerSpec, path=None) -> str:
             "b2": enc(spec.mlp.b2),
         },
     }
-    text = json.dumps(doc, indent=2) + "\n"
-    if path is not None:
-        Path(path).write_text(text)
-    return text
+    return json.dumps(doc, indent=2) + "\n"
 
 
 def import_weights(path) -> TransformerSpec:

@@ -4,6 +4,8 @@ Like gridref, nothing here is fast: every pair recomputes its logits,
 weights, rounded numerator terms and denominator terms from the spec, and
 the folds run position by position exactly as the pipeline is specified.
 The differential tests check attn.forward against it trace for trace.
+sum_left is the same left fold over a bare list of values, which the scalar
+tests check against gridref.fold_ref.
 """
 
 from fractions import Fraction
@@ -17,6 +19,18 @@ from eqattn.attn import (
     token_logits,
 )
 from eqattn.bitnum import IndeterminateForm, exp_logit_exact, hold_exact
+
+
+def sum_left(values, fmt):
+    """Left-associative fold with rounding after every addition: each value
+    rounded into fmt (unless it already is a scalar), then added in order;
+    zero for no values."""
+    add, _, _, round_, num_cls = _ops(fmt)
+    acc = None
+    for v in values:
+        num = v if isinstance(v, num_cls) else round_(v, fmt)
+        acc = num if acc is None else add(acc, num, fmt)
+    return acc if acc is not None else num_cls.zero(fmt)
 
 
 def ref_forward(spec, x, normalize=None) -> EvalTrace:

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 import gridref
+from reffwd import sum_left
 from eqattn.attn import _rep
 from eqattn.bitnum import (
     TRUNC,
@@ -25,12 +26,10 @@ from eqattn.bitnum import (
     fp_div,
     fp_mul,
     fp_round,
-    fp_sum_left,
     fx_add,
     fx_div,
     fx_mul,
     fx_round,
-    fx_sum_left,
     hold_exact,
     parse_format,
 )
@@ -71,15 +70,20 @@ class TestFormatObjects:
         magnitude is (2^(p-1) - 1) scale units."""
         fmt = FxFormat(5, scale_log2=-2)
         assert fmt.budget == 4
-        assert fmt.max_magnitude() == Fraction(15, 4)
+        top = fx_round(Fraction(15, 4), fmt)
+        assert top.as_fraction() == Fraction(15, 4) and not top.inexact
+        assert not fx_round(Fraction(4), fmt).is_finite
 
     def test_fp_bounds(self):
         """The largest float is (2 - 2^(1-t)) 2^q and the smallest positive
         one is 2^-q; there are no subnormals below it."""
         fmt = FpFormat(4, 3)
         assert fmt.q == 3
-        assert fmt.max_magnitude() == Fraction(15, 8) * 8
-        assert fmt.min_positive() == Fraction(1, 8)
+        top = fp_round(Fraction(15), fmt)
+        assert top.as_fraction() == Fraction(15, 8) * 8 and not top.inexact
+        assert not fp_round(Fraction(16), fmt).is_finite
+        assert fp_round(Fraction(1, 8), fmt).as_fraction() == Fraction(1, 8)
+        assert fp_round(Fraction(1, 16), fmt).is_zero
 
     def test_descriptor_round_trip(self):
         for fmt in FX_FORMATS + FP_FORMATS:
@@ -107,8 +111,8 @@ class TestValueSets:
         bounds."""
         for fmt in FX_FORMATS:
             values = gridref.fx_values(fmt)
-            assert values[-1] == fmt.max_magnitude()
-            assert values[0] == -fmt.max_magnitude()
+            top = ((1 << fmt.budget) - 1) * Fraction(2) ** fmt.scale_log2
+            assert values[-1] == top and values[0] == -top
             for v in values:
                 got = fx_round(v, fmt)
                 assert got.is_finite and got.as_fraction() == v
@@ -118,7 +122,8 @@ class TestValueSets:
         for fmt in FP_FORMATS:
             values = gridref.fp_values(fmt)
             assert len(values) == 2 * (2 * fmt.q + 1) * (1 << (fmt.t - 1)) + 1
-            assert values[-1] == fmt.max_magnitude()
+            assert values[-1] == \
+                (2 - Fraction(2) ** (1 - fmt.t)) * Fraction(2) ** fmt.q
             for v in values:
                 got = fp_round(v, fmt)
                 assert got.is_finite and got.as_fraction() == v
@@ -236,9 +241,10 @@ class TestHalfUlpBound:
             got = fx_round(v, fmt)
             if not got.is_finite:
                 continue
-            u = abs(v) / fmt.scale
+            scale = Fraction(2) ** fmt.scale_log2
+            u = abs(v) / scale
             octave = gridref.floor_log2(u) + 1 if u else 0
-            step = Fraction(2) ** (max(octave, 0) - fmt.budget) * fmt.scale
+            step = Fraction(2) ** (max(octave, 0) - fmt.budget) * scale
             assert abs(got.as_fraction() - v) <= step / 2
 
     def test_fp_nearest_error_bound(self):
@@ -374,7 +380,7 @@ class TestFolds:
             want = gridref.fold_ref(
                 vals, lambda v: gridref.fx_round_ref(v, fmt))
             try:
-                got = gridref.unwrap(fx_sum_left(vals, fmt))
+                got = gridref.unwrap(sum_left(vals, fmt))
             except IndeterminateForm:
                 got = "indeterminate"
             assert got == want, vals
@@ -387,7 +393,7 @@ class TestFolds:
             want = gridref.fold_ref(
                 vals, lambda v: gridref.fp_round_ref(v, fmt))
             try:
-                got = gridref.unwrap(fp_sum_left(vals, fmt))
+                got = gridref.unwrap(sum_left(vals, fmt))
             except IndeterminateForm:
                 got = "indeterminate"
             assert got == want, vals
@@ -397,15 +403,15 @@ class TestFolds:
         1.11) give 100 when grouped left and 101 when grouped right."""
         fmt = FxFormat(4, rounding=TRUNC)
         xs = [Fraction(2), Fraction(5, 4), Fraction(7, 4)]
-        left = fx_sum_left(xs, fmt)
+        left = sum_left(xs, fmt)
         a, b, c = (fx_round(x, fmt) for x in xs)
         right = fx_add(a, fx_add(b, c, fmt), fmt)
         assert left.as_fraction() == 4
         assert right.as_fraction() == 5
 
     def test_empty_fold_is_zero(self):
-        assert fx_sum_left([], FxFormat(4)).is_zero
-        assert fp_sum_left([], FpFormat(3, 3)).is_zero
+        assert sum_left([], FxFormat(4)).is_zero
+        assert sum_left([], FpFormat(3, 3)).is_zero
 
 
 class TestLogits:

@@ -146,7 +146,19 @@ def test_flag_combinations_exit_with_a_documented_code(weights_dir, capsys):
     (["verify", "--construction", "fx-tight", "--m", "6"], "m must be odd"),
     (["verify", "--construction", "fx-tight", "--m", "5", "--t", "3"],
      "fx-tight takes m, not t"),
+    # One source per choice: --weights is the subject, and --y/--z the
+    # pair, so the flags that would choose another are refused.
+    (["quantize", "--weights", "good.json", "--formats", "int8", "--count",
+      "20", "--construction", "fp-linear", "--m", "9", "--ms", "3"],
+     "--weights is the subject"),
+    (["quantize", "--weights", "good.json", "--formats", "int8", "--t", "3"],
+     "--weights is the subject"),
+    (["protocol", "--construction", "fx-tight", "--m", "5", "--y", "00000",
+      "--z", "00001", "--exhaustive", "--count", "7", "--seed", "9"],
+     "--y/--z name the one pair"),
+    (["protocol", "--construction", "fx-tight", "--m", "5", "--y", "00000",
+      "--z", "00001", "--seed", "0"], "--y/--z name the one pair"),
 ])
-def test_pinned_usage_errors(argv, needle, capsys):
+def test_pinned_usage_errors(argv, needle, weights_dir, capsys):
     assert _exit_code(argv) == 2
     assert needle in capsys.readouterr().err

@@ -6,13 +6,7 @@ from fractions import Fraction
 import pytest
 
 from eqattn.attn import forward
-from eqattn.commsim import (
-    FoolingReport,
-    SplitNotPrefix,
-    default_split,
-    enumerate_fooling,
-    run_protocol,
-)
+from eqattn.commsim import FoolingReport, enumerate_fooling, run_protocol
 from eqattn.constructs import EqInstance, make, native_precision
 from eqattn.oracle import BudgetExceeded
 
@@ -35,13 +29,12 @@ class TestProtocol:
             assert run.bob_bit == ref.bit, (y, z)
             assert run.bit_cost == 2 * p
 
-    def test_default_split_is_the_y_prefix(self):
-        tight, _ = make("fx-tight", m=5)
-        assert default_split(tight) == tuple(range(-1, 6))
-        simple, _ = make("fx-simple", m=5)
-        assert default_split(simple) == tuple(range(1, 6))
-        linear, _ = make("fp-linear", t=4, e=3)
-        assert default_split(linear) == tuple(range(0, 8))
+    def test_default_prefix_is_the_y_tokens(self):
+        for spec, k in ((make("fx-tight", m=5)[0], 7),
+                        (make("fx-simple", m=5)[0], 5),
+                        (make("fp-linear", t=4, e=3)[0], 8)):
+            run = run_protocol(spec, EqInstance("0" * spec.m, "0" * spec.m))
+            assert run.prefix == k
 
     def test_any_prefix_length_gives_the_same_bit(self):
         """Left folds decompose at every prefix boundary, not just the
@@ -56,9 +49,8 @@ class TestProtocol:
             y, z = min(y, z), max(y, z)
             ref = forward(spec, y, z).bit
             for k in (1, 3, 7, 10, spec.n + 1):
-                s = range(spec.index_base, spec.index_base + k)
-                assert run_protocol(spec, EqInstance(y, z), s=s).bob_bit \
-                    == ref, (y, z, k)
+                run = run_protocol(spec, EqInstance(y, z), k)
+                assert (run.prefix, run.bob_bit) == (k, ref), (y, z)
 
     def test_linear_protocol_sends_one_scalar(self):
         spec, promises = make("fp-linear", t=4, e=3)
@@ -77,17 +69,14 @@ class TestProtocol:
             assert run.bob_bit == forward(spec, y, z).bit
             done += 1
 
-    def test_non_prefix_splits_are_rejected(self):
+    def test_prefix_lengths_past_the_sequence_are_rejected(self):
+        """Alice holds 1 to n + 1 tokens: the empty share, a negative one
+        and one past the last token are refused."""
         spec, _ = make("fx-tight", m=5)
-        with pytest.raises(SplitNotPrefix):
-            run_protocol(spec, EqInstance("00000", "00000"), s=())
-        with pytest.raises(SplitNotPrefix):
-            run_protocol(spec, EqInstance("00000", "00000"), s=(-1, 1, 2))
-        with pytest.raises(SplitNotPrefix):
-            run_protocol(spec, EqInstance("00000", "00000"), s=(0, 1))
-        with pytest.raises(SplitNotPrefix):
-            run_protocol(spec, EqInstance("00000", "00000"),
-                         s=range(-1, 40))
+        inst = EqInstance("00000", "00000")
+        for k in (0, -1, spec.n + 2, 40):
+            with pytest.raises(ValueError, match="prefix length"):
+                run_protocol(spec, inst, k)
 
 
 class TestFooling:

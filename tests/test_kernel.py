@@ -31,11 +31,11 @@ import pytest
 from conftest import build_toy_spec
 from eqattn import attn, oracle
 from eqattn.attn import (_REFOLDED, OFF, StageError, TokenRule, _make_cell,
-                         _rep, fold, fold_reads, forward, token_cells,
-                         token_logits)
+                         _rep, alice_len, fold, fold_reads, forward,
+                         token_cells, token_logits)
 from eqattn.bitnum import (FxFormat, IndeterminateForm, NonDyadicLogit,
                            encode_scalar)
-from eqattn.commsim import default_split, run_protocol
+from eqattn.commsim import run_protocol
 from eqattn.constructs import EqInstance, PromiseSet, make
 from eqattn.oracle import (precision_delta_spec, trace_saturated,
                            verify_exhaustive_spec)
@@ -440,8 +440,7 @@ def test_protocol_gives_the_forward_bit_at_every_prefix(spec, monkeypatch):
             inst = EqInstance(y, z)
             assert run_protocol(spec, inst).bob_bit == want == ref.bit
             for k in range(1, spec.n + 2):
-                split = range(spec.index_base, spec.index_base + k)
-                run = run_protocol(spec, inst, s=split)
+                run = run_protocol(spec, inst, k)
                 assert run.bob_bit == want, (y, z, k)
                 if k <= len(ref.num_partials) and run.l2 is not None:
                     assert _rep(run.l2) == _rep(ref.num_partials[k - 1])
@@ -454,7 +453,7 @@ def test_linear_head_with_fixed_point_formats_runs_the_protocol():
     which an int8 quantization of fp-linear does not have."""
     spec = quantize_spec(make("fp-linear", t=4, e=3)[0], INT8)
     run = run_protocol(spec, EqInstance("0010100", "0010100"))
-    assert run.split == tuple(range(0, 8))
+    assert run.prefix == 8
     assert run.bit_cost == 8 and run.l1 is None
     assert run.bob_bit == forward(spec, "0010100", "0010100").bit
 
@@ -470,8 +469,7 @@ def test_split_is_the_z_free_prefix_for_every_family():
     softmax = make("fp-softmax", t=4, e=7)[0]
     cases += [(softmax, softmax.m)]
     for spec, k in cases:
-        assert default_split(spec) == \
-            tuple(range(spec.index_base, spec.index_base + k))
+        assert alice_len(spec) == k
 
 
 def _ref_encode(spec, y, z):

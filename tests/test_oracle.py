@@ -9,7 +9,6 @@ from conftest import build_toy_spec
 from eqattn.attn import TokenRule, fold_reads, forward
 from eqattn.bitnum import FpFormat
 from eqattn.constructs import (
-    EqInstance,
     PromiseSet,
     half_len,
     make,
@@ -17,7 +16,6 @@ from eqattn.constructs import (
 )
 from eqattn.oracle import (
     BudgetExceeded,
-    eq_truth,
     fold_split,
     precision_delta_spec,
     promise_pairs,
@@ -34,12 +32,6 @@ def _direct(spec, promises):
     """The pair-by-pair tally of every promise pair, as the verifier runs
     it when the spec does not factor."""
     return oracle.tally_pairs(spec, promise_pairs(promises, spec.m), 1)
-
-
-class TestTruth:
-    def test_eq_truth(self):
-        assert eq_truth(EqInstance("0101", "0101")) == 1
-        assert eq_truth(EqInstance("0101", "0100")) == 0
 
 
 class TestPrecisionDelta:
@@ -116,7 +108,24 @@ class TestExhaustive:
         for f in rep.failures[:8]:
             trace = forward(thin, f.y, f.z)
             assert trace.bit == f.got
-            assert eq_truth(EqInstance(f.y, f.z)) == f.expected
+            assert int(f.y == f.z) == f.expected
+
+    def test_spot_check_catches_a_miss_of_the_factored_pass(self,
+                                                           monkeypatch):
+        """A clean factored sweep is spot-checked with direct forward
+        passes; a forward that flips every bit makes the spot check find
+        a failure the factored pass did not."""
+        real = oracle.forward
+
+        def flipped(spec, y, z):
+            trace = real(spec, y, z)
+            trace.bit ^= 1
+            return trace
+
+        monkeypatch.setattr(oracle, "forward", flipped)
+        with pytest.raises(RuntimeError,
+                           match="spot check found a failure"):
+            verify_exhaustive("fx-tight", m=5)
 
     def test_factored_cap_bounds_the_work_not_the_pairs(self):
         """fx-tight m=7 splits after bit 4 and folds 16*17/2 + 8*8 = 200
@@ -267,9 +276,9 @@ class TestReporting:
 
     def test_render_lines_caps_the_listing(self):
         rep = verify_exhaustive("fx-tight", m=5, precision_delta=-1)
-        lines = rep.render_lines(limit=3)
+        lines = rep.render_lines()
         assert "249 failures" in lines[0]
-        assert len([ln for ln in lines if ln.startswith("  y=")]) == 3
+        assert len([ln for ln in lines if ln.startswith("  y=")]) == 10
 
     def test_trace_saturated_matches_the_tally(self):
         spec, promises = make("fx-simple", m=5)

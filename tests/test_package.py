@@ -1,6 +1,7 @@
 """Every module of the package is reachable from the command line, every
 function the benchmark traces exists, no module imports a name it never
-uses, and none imports another module's private name."""
+uses, none imports another module's private name, and every name the
+package defines is read by the package or the benchmark."""
 
 import ast
 import importlib
@@ -95,3 +96,50 @@ def test_no_module_imports_a_private_name_of_another():
                              for alias in node.names
                              if alias.name.startswith("_")]
     assert borrowed == []
+
+
+def test_every_package_name_is_read_outside_the_tests():
+    """Each top-level function, class and constant, and each method or
+    property, defined in src/eqattn/ is named somewhere in src/eqattn/ or
+    perfbench/ besides its definition (an attribute, a name read or a word
+    of a string, as perfbench/tracer.py names what it wraps).  A name only
+    the tests read belongs in the tests.  Dunder names are called by
+    Python itself; table_outline feeds the checked-in outline check."""
+    pkg = os.path.dirname(eqattn.__file__)
+    bench = os.path.join(os.path.dirname(os.path.dirname(pkg)), "perfbench")
+    named, defined = set(), []
+    for d in (pkg, bench):
+        for name in sorted(os.listdir(d)):
+            if not name.endswith(".py"):
+                continue
+            path = os.path.join(d, name)
+            with open(path) as f:
+                tree = ast.parse(f.read(), path)
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name) and \
+                        not isinstance(node.ctx, ast.Store):
+                    named.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    named.add(node.attr)
+                elif isinstance(node, ast.Constant) and \
+                        isinstance(node.value, str):
+                    named.update(node.value.replace(".", " ").split())
+            if d != pkg:
+                continue
+            for node in tree.body:
+                if isinstance(node, ast.ClassDef):
+                    defined += [(name, f"{node.name}.{n.name}", n.name)
+                                for n in node.body
+                                if isinstance(n, ast.FunctionDef)]
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    defined.append((name, node.name, node.name))
+                targets = (node.targets if isinstance(node, ast.Assign) else
+                           [node.target] if isinstance(node, ast.AnnAssign)
+                           else [])
+                defined += [(name, t.id, t.id) for t in targets
+                            if isinstance(t, ast.Name)]
+    unread = [f"{module}:{qual}" for module, qual, bare in defined
+              if bare not in named
+              and bare not in ("table_outline", "__version__")
+              and not (bare.startswith("__") and bare.endswith("__"))]
+    assert unread == []
