@@ -55,7 +55,6 @@ from .bitnum import (
     FxFormat,
     FxNum,
     IndeterminateForm,
-    Logit,
     encode_scalar,
     exp_logit_exact,
     fp_add,
@@ -262,7 +261,7 @@ class EvalTrace:
 
         lines = []
         for j, (lg, w) in enumerate(zip(self.logits, self.weights)):
-            coeff = "-N" if lg.is_neg_large else str(lg.coeff)
+            coeff = "-N" if lg is None else str(lg)
             term = self.num_terms[j] if j < len(self.num_terms) else None
             np_ = self.num_partials[j] if j < len(self.num_partials) else None
             dp = self.den_partials[j] if j < len(self.den_partials) else None
@@ -291,15 +290,16 @@ def _dot(row, coeffs):
     return acc
 
 
-def token_logits(spec: TransformerSpec, x) -> list[Logit]:
-    """Exact logits <Q_query, K_j> as coefficients of ln 2."""
+def token_logits(spec: TransformerSpec, x) -> list[Fraction | None]:
+    """Exact logits <Q_query, K_j> as coefficients of ln 2; None for a key
+    row's sentinel, the "minus large constant" logit."""
     qc = _dot(x[-1], spec.wq)
     if qc is None:
         raise ValueError("query row has a sentinel in a selected coordinate")
     out = []
     for row in x:
         key = _dot(row, spec.wk)
-        out.append(Logit.neg_large() if key is None else Logit(qc * key))
+        out.append(None if key is None else qc * key)
     return out
 
 
@@ -309,7 +309,7 @@ class Cell(NamedTuple):
     rounding raised, for the fold to raise on reaching it.  den_first opens
     a denominator fold; den_term is the exact weight later steps add."""
 
-    logit: Logit
+    logit: Fraction | None
     weight: Fraction
     num_term: object
     den_first: object
@@ -466,7 +466,7 @@ class _Compiled:
 
 
 def _make_cell(spec: TransformerSpec, comp: _Compiled, row,
-               logit: Logit) -> Cell:
+               logit: Fraction | None) -> Cell:
     round_ = _ops(spec.fold_fmt)[3]
     w = exp_logit_exact(logit)
     try:

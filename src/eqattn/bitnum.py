@@ -418,43 +418,21 @@ def fp_div(a: FpNum, b: FpNum, fmt: FpFormat) -> FpNum:
     return _div(a, b, fmt, FpNum, _fp_round_rational)
 
 
-@dataclass(frozen=True)
-class Logit:
-    """An attention logit, held as the exact coefficient of ln 2.
-
-    coeff is a Fraction, or None for the "minus large constant" sentinel
-    whose exponential is exactly zero.
-    """
-
-    coeff: Fraction | None
-
-    @classmethod
-    def of(cls, value) -> "Logit":
-        return cls(Fraction(value))
-
-    @classmethod
-    def neg_large(cls) -> "Logit":
-        return cls(None)
-
-    @property
-    def is_neg_large(self) -> bool:
-        return self.coeff is None
-
-
-def exp_logit_exact(logit: Logit) -> Fraction:
-    """2 ** coeff as an exact rational (zero for the sentinel)."""
-    if logit.is_neg_large:
+def exp_logit_exact(coeff: Fraction | None) -> Fraction:
+    """2 ** coeff as an exact rational, for a logit held as its coefficient
+    of ln 2: zero for None, the "minus large constant" sentinel."""
+    if coeff is None:
         return Fraction(0)
-    if logit.coeff.denominator != 1:
-        raise NonDyadicLogit(f"logit coefficient {logit.coeff} is not an integer")
-    if abs(logit.coeff) > INF_CODE_LOG2:
+    if coeff.denominator != 1:
+        raise NonDyadicLogit(f"logit coefficient {coeff} is not an integer")
+    if abs(coeff) > INF_CODE_LOG2:
         # A key quantized to the infinity code: 2**coeff would have more
         # digits than any integer can hold.
         raise LogitOutOfRange(
-            f"a logit of {logit.coeff.numerator.bit_length()} bits is past "
+            f"a logit of {coeff.numerator.bit_length()} bits is past "
             f"the infinity-code exponent {INF_CODE_LOG2}; a key the "
             "sequence reaches overflowed the quantization grid")
-    return _pow2(int(logit.coeff))
+    return _pow2(int(coeff))
 
 
 def encode_scalar(value) -> str:

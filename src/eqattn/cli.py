@@ -36,8 +36,7 @@ from .bitnum import (NEAREST, TRUNC, FxFormat, InvalidFormat,
                      LogitOutOfRange, encode_scalar, fx_add, fx_mul,
                      fx_round)
 from .commsim import run_protocol
-from .constructs import (CONSTRUCTIONS, EqInstance, UnsupportedM, make,
-                         native_precision)
+from .constructs import CONSTRUCTIONS, UnsupportedM, make, native_precision
 from .oracle import BudgetExceeded
 from .quantlab import SchemaError, import_weights
 
@@ -112,10 +111,10 @@ def _build_subject(args):
     return make(args.construction, m=args.m, t=args.t, e=args.e, n=args.n)
 
 
-def _failure_traces(report, limit: int = 3) -> list[str]:
-    """The traces the first listed failures were found with."""
+def _failure_traces(report) -> list[str]:
+    """The traces the first three listed failures were found with."""
     lines = []
-    for f in report.failures[:limit]:
+    for f in report.failures[:3]:
         lines.append(f"trace y={f.y} z={f.z}:")
         lines.extend("  " + ln for ln in f.trace.render_lines())
     return lines
@@ -163,6 +162,14 @@ def cmd_sweep(args) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
+def _check_exhaustive(args):
+    """--exhaustive runs every promise pair: it takes no --count or --seed,
+    which default to None so that a given one is seen."""
+    if args.exhaustive and (args.count, args.seed) != (None, None):
+        raise UsageError("--exhaustive runs every promise pair; drop "
+                         "--count and --seed")
+
+
 def _protocol_pairs(args, spec, promises):
     m = spec.m
     if args.y is not None or args.z is not None:
@@ -177,10 +184,11 @@ def _protocol_pairs(args, spec, promises):
             raise UsageError(f"--y/--z must be bit strings, got {args.y!r}, "
                              f"{args.z!r}")
         y, z = (args.y, args.z) if args.y <= args.z else (args.z, args.y)
-        broken = promises.check(EqInstance(y, z))
+        broken = promises.check(y, z)
         if broken:
             raise UsageError(f"pair violates the promise: {', '.join(broken)}")
         return [(y, z)]
+    _check_exhaustive(args)
     if args.exhaustive:
         return oracle.promise_pairs(promises, m)
     return oracle.promise_pairs(promises, m, args.count or 128,
@@ -201,7 +209,7 @@ def cmd_protocol(args) -> int:
     costs = set()
     for y, z in pairs:
         total += 1
-        run = run_protocol(spec, EqInstance(y, z))
+        run = run_protocol(spec, y, z)
         ref = forward(spec, y, z)
         ok = run.bob_bit == ref.bit
         matches += ok
@@ -237,6 +245,7 @@ def cmd_quantize(args) -> int:
     _check_odd_m(args)
     if not args.formats:
         raise UsageError("quantize needs --formats")
+    _check_exhaustive(args)
     if args.weights is not None:
         source, keys = import_weights(args.weights), None
         if args.exhaustive:
@@ -254,9 +263,10 @@ def cmd_quantize(args) -> int:
             keys.append((args.t, args.e))
         if not keys:
             raise UsageError("quantize needs --m, --ms or --t/--e")
-    _report(args, quantlab.sweep(source, args.formats, keys, count=args.count,
-                                 seed=args.seed, exhaustive=args.exhaustive,
-                                 jobs=args.jobs))
+    _report(args, quantlab.sweep(source, args.formats, keys,
+                                 count=args.count or 5120,
+                                 seed=args.seed or 0,
+                                 exhaustive=args.exhaustive, jobs=args.jobs))
     return 0
 
 
@@ -399,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("protocol", cmd_protocol,
                 "run the one-way protocol against the model",
                 "--seed", "--out", "--jobs", "--trace", *subject)
-    p.set_defaults(seed=None)   # None until given, so --y/--z can refuse it
+    p.set_defaults(seed=None)   # None until given, so it can be refused
     p.add_argument("--count", type=int,
                    help="sampled instance count (default 128)")
     p.add_argument("--exhaustive", action="store_true",
@@ -416,13 +426,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("quantize", cmd_quantize,
                 "quantize a head and measure accuracy",
                 *report, "--construction", "--m", "--t", "--e")
-    p.set_defaults(format="csv")
+    p.set_defaults(format="csv", seed=None)   # None until given, as above
     p.add_argument("--formats", type=str, required=True,
                    help="comma-separated targets, e.g. int8,int6,int4 or "
                         "native,native-1,native-2")
     p.add_argument("--ms", type=str, default="",
                    help="comma-separated m values")
-    p.add_argument("--count", type=int, default=5120,
+    p.add_argument("--count", type=int,
                    help="dataset size per subject (default 5120)")
     p.add_argument("--exhaustive", action="store_true",
                    help="score every promise pair instead of a dataset")

@@ -29,7 +29,7 @@ from .attn import (
     token_cells,
 )
 from .bitnum import IndeterminateForm
-from .constructs import EqInstance, native_precision
+from .constructs import native_precision
 from .oracle import BudgetExceeded
 
 
@@ -93,9 +93,10 @@ def bit_cost(spec: TransformerSpec) -> int:
                                      else 2)
 
 
-def run_protocol(spec: TransformerSpec, inst: EqInstance,
+def run_protocol(spec: TransformerSpec, y: str, z: str,
                  k: int | None = None) -> ProtocolRun:
-    """Simulate the one-way protocol and return its transcript.
+    """Simulate the one-way protocol on the pair (y, z) and return its
+    transcript.
 
     Alice's share is the prefix length k, 1 to spec.n + 1 tokens (default
     alice_len(spec), the tokens that read no z bit): she evaluates the
@@ -110,7 +111,7 @@ def run_protocol(spec: TransformerSpec, inst: EqInstance,
     linear = spec.attention_kind == LINEAR
     cost = bit_cost(spec)
 
-    cells = token_cells(spec, inst.y, inst.z)
+    cells = token_cells(spec, y, z)
     try:
         l2, l1 = fold(spec, (None, OFF if linear else None), 0, k, cells)
     except IndeterminateForm:

@@ -43,28 +43,6 @@ class UnsupportedM(ValueError):
     """The requested parameters fall outside what a builder supports."""
 
 
-@dataclass(frozen=True)
-class EqInstance:
-    """A pair of equal-length bit strings whose equality is in question."""
-
-    y: str
-    z: str
-
-    def __post_init__(self):
-        if len(self.y) != len(self.z):
-            raise ValueError(
-                f"strings differ in length: {len(self.y)} vs {len(self.z)}")
-        if not self.y:
-            raise ValueError("strings must be non-empty")
-        for s in (self.y, self.z):
-            if set(s) - {"0", "1"}:
-                raise ValueError(f"not a bit string: {s!r}")
-
-    @property
-    def m(self) -> int:
-        return len(self.y)
-
-
 def half_len(m: int) -> int:
     """Length of the first half of an m-bit string, ceil(m/2)."""
     return (m + 1) // 2
@@ -127,10 +105,10 @@ class PromiseSet:
             raise ValueError(
                 f"promise flags {sorted(sized)} need t and e")
 
-    def check(self, inst: EqInstance) -> list[str]:
-        """Names of every violated flag, in declaration order."""
-        read = {"y": inst.y, "z": inst.z, "length": inst.y,
-                "order": inst.y + inst.z}
+    def check(self, y: str, z: str) -> list[str]:
+        """Names of every flag the pair (y, z) violates, in declaration
+        order."""
+        read = {"y": y, "z": z, "length": y, "order": y + z}
         return [f for f in self.flags
                 if not _FLAGS[f][1](read[_FLAGS[f][0]], self)]
 

@@ -40,8 +40,7 @@ from .attn import (
     token_cells,
 )
 from .bitnum import FpFormat, FxFormat, IndeterminateForm
-from .constructs import (EqInstance, PromiseSet, float_fields, make,
-                         native_precision)
+from .constructs import PromiseSet, float_fields, make, native_precision
 
 PAIR_CAP_DEFAULT = 10 ** 8
 
@@ -286,7 +285,7 @@ def promise_pairs(promises: PromiseSet, m: int, count: int | None = None,
         z = _bits(rng.getrandbits(m), m)
         if y > z:
             y, z = z, y
-        if not promises.check(EqInstance(y, z)):
+        if not promises.check(y, z):
             pairs.append((y, z))
     return pairs
 
@@ -462,18 +461,18 @@ def verify_exhaustive(construction: str, m: int | None = None,
     return verify_exhaustive_spec(spec, promises, construction, jobs, cap)
 
 
-def _adversarial_pairs(promises, m, rng, bases: int = 64):
-    """Deterministic hard cases: equal pairs plus all single-bit flips of a
-    few random base strings, kept only when they satisfy the promise."""
+def _adversarial_pairs(promises, m, rng):
+    """Deterministic hard cases: equal pairs plus all single-bit flips of
+    64 random base strings, kept only when they satisfy the promise."""
     pairs = []
-    for _ in range(bases):
+    for _ in range(64):
         y = _bits(rng.getrandbits(m), m)
         cands = [(y, y)]
         for i in range(m):
             fl = y[:i] + ("1" if y[i] == "0" else "0") + y[i + 1:]
             cands.append((y, fl) if y <= fl else (fl, y))
         for y2, z2 in cands:
-            if not promises.check(EqInstance(y2, z2)):
+            if not promises.check(y2, z2):
                 pairs.append((y2, z2))
     return pairs
 

@@ -1,13 +1,16 @@
 """Post-training quantization of equality heads, accuracy sweeps, and the
 weights file format.
 
-quantize_spec re-rounds every weight of a TransformerSpec onto an INTk or
-floating-point grid and swaps the stage formats to match, so activations
-are quantized implicitly the next time the head runs.  gen_dataset draws
-the randomized equality benchmark (half equal pairs, half pairs differing
-in exactly floor(0.75 m) positions) from a counter-based generator, and
-eval_accuracy / sweep measure how the accept bit degrades format by
-format.  sweep resolves "native" and "native+-k" against each subject it
+A quantization target is a stage format: FxFormat(k) for INTk
+(int_format), FpFormat(mant + 1, exp) for a float with exp exponent and
+mant mantissa bits (float_format); the presets are such formats, and
+parse_quant_format reads their names.  quantize_spec re-rounds every
+weight of a TransformerSpec onto the target's grid and swaps the stage
+formats to the target's width, so activations are quantized implicitly the
+next time the head runs.  gen_dataset draws the randomized equality
+benchmark (half equal pairs, half pairs differing in exactly floor(0.75 m)
+positions) from a counter-based generator, and eval_accuracy / sweep
+measure how the accept bit degrades format by format.  sweep resolves "native" and "native+-k" against each subject it
 builds.  Scoring goes through the verifier's pair tally (oracle.Tally),
 sampled datasets over --jobs processes too; saturated and indeterminate
 traces are tallied separately.  Each measurement is a QuantRow, which gives
@@ -46,11 +49,8 @@ from .attn import (LINEAR, SOFTMAX, MlpSpec, TokenRule, TransformerSpec,
 from .bitnum import (INF_CODE_LOG2, FpFormat, FxFormat, InvalidFormat,
                      decode_scalar, encode_scalar, fp_round, fx_round,
                      parse_format)
-from .constructs import EqInstance, float_fields, make, native_precision
+from .constructs import float_fields, make, native_precision
 from .oracle import Tally, tally_pairs, verify_exhaustive_spec
-
-INT = "int"
-FLOAT = "float"
 
 
 class DegenerateTensor(UserWarning):
@@ -64,60 +64,19 @@ class SchemaError(ValueError):
 _INF_CODE = Fraction(1 << INF_CODE_LOG2)
 
 
-@dataclass(frozen=True)
-class QuantFormat:
-    """A storage format: INTk (bits total) or float with (exp, mant) bits."""
-
-    kind: str
-    bits: int = 0
-    exp: int = 0
-    mant: int = 0
-
-    def __post_init__(self):
-        if self.kind == INT:
-            if self.bits < 2:
-                raise InvalidFormat(
-                    f"integer formats need at least 2 bits, got {self.bits}")
-        elif self.kind == FLOAT:
-            if self.exp < 2:
-                raise InvalidFormat(
-                    f"float formats need at least 2 exponent bits, got "
-                    f"{self.exp}")
-            if self.mant < 1:
-                raise InvalidFormat(
-                    f"float formats need at least 1 mantissa bit, got "
-                    f"{self.mant}")
-        else:
-            raise InvalidFormat(f"unknown format kind {self.kind!r}")
-
-    @property
-    def p_bits(self) -> int:
-        """Bits per stored number: k, or sign + exponent + mantissa."""
-        if self.kind == INT:
-            return self.bits
-        return self.exp + self.mant + 1
-
-    @property
-    def name(self) -> str:
-        preset = _PRESET_NAMES.get(self)
-        if preset is not None:
-            return preset
-        if self.kind == INT:
-            return f"int{self.bits}"
-        return f"fp_e{self.exp}m{self.mant}"
-
-    def capacity(self) -> int:
-        """The storage budget H * (d_v + 1) * p carried by the head, at one
-        head (H = 1) and one value column (d_v = 1): 2 p."""
-        return 2 * self.p_bits
+def int_format(bits: int) -> FxFormat:
+    """INT<bits>: a fixed-point format of that width, whose scale
+    quantize_spec calibrates per tensor."""
+    return FxFormat(bits)
 
 
-def int_format(bits: int) -> QuantFormat:
-    return QuantFormat(INT, bits=bits)
-
-
-def float_format(exp: int, mant: int) -> QuantFormat:
-    return QuantFormat(FLOAT, exp=exp, mant=mant)
+def float_format(exp: int, mant: int) -> FpFormat:
+    """A float with exp exponent bits and mant stored mantissa bits after
+    the implicit leading one: t = mant + 1 significand bits."""
+    if mant < 1:
+        raise InvalidFormat(
+            f"float formats need at least 1 mantissa bit, got {mant}")
+    return FpFormat(mant + 1, exp)
 
 
 INT12 = int_format(12)
@@ -140,7 +99,14 @@ PRESETS = {
 _PRESET_NAMES = {fmt: name for name, fmt in PRESETS.items()}
 
 
-def parse_quant_format(text: str) -> QuantFormat:
+def _format_name(fmt: FxFormat | FpFormat) -> str:
+    """A target's name: the preset's, else int<p> or fp_e<e>m<t-1>."""
+    if isinstance(fmt, FxFormat):
+        return _PRESET_NAMES.get(fmt, f"int{fmt.p}")
+    return _PRESET_NAMES.get(fmt, f"fp_e{fmt.e}m{fmt.t - 1}")
+
+
+def parse_quant_format(text: str) -> FxFormat | FpFormat:
     """Resolve a format name: a preset, int<k>, or fp_e<exp>m<mant>."""
     key = text.strip().lower()
     if key in PRESETS:
@@ -214,9 +180,9 @@ def _int_rounder(label: str, values, bits: int):
     return _grid_rounder(fx_round, FxFormat(bits, scale_log2))
 
 
-def _float_rounder(fmt: QuantFormat):
+def _float_rounder(fmt: FpFormat):
     """Absolute-grid float rounding; exponent overflow is the Inf code."""
-    return _grid_rounder(fp_round, FpFormat(fmt.mant + 1, fmt.exp))
+    return _grid_rounder(fp_round, FpFormat(fmt.t, fmt.e))
 
 
 def _grid_rounder(round_, grid):
@@ -234,25 +200,28 @@ def _grid_rounder(round_, grid):
     return rnd
 
 
-def _stage_format(old, fmt: QuantFormat):
+def _stage_format(old, fmt: FxFormat | FpFormat):
     """The stage format after quantization: same role (scale, rounding),
-    new per-number width."""
-    if fmt.kind == INT:
+    the target's per-number width."""
+    if isinstance(fmt, FxFormat):
         scale = old.scale_log2 if isinstance(old, FxFormat) else 0
-        return FxFormat(fmt.bits, scale, old.rounding)
-    return FpFormat(fmt.mant + 1, fmt.exp, old.rounding)
+        return FxFormat(fmt.p, scale, old.rounding)
+    return FpFormat(fmt.t, fmt.e, old.rounding)
 
 
-def quantize_spec(spec: TransformerSpec, fmt: QuantFormat) -> TransformerSpec:
+def quantize_spec(spec: TransformerSpec,
+                  fmt: FxFormat | FpFormat) -> TransformerSpec:
     """Round every weight onto the target grid and swap stage formats.
 
-    Integer formats calibrate a power-of-two scale per tensor from its
-    largest magnitude; float formats round each value on the absolute
-    (exp, mant) grid.  Values past the top of the grid become the infinity
-    code (see module docstring); existing infinity codes pass through, and
-    they are excluded from calibration.  Stage formats keep their scale
-    and rounding policy but adopt the new bit width, so the quantized head
-    also accumulates and divides at the target precision.
+    Only the target's width is read: p for a fixed-point target, t and e
+    for a floating-point one.  Integer targets calibrate a power-of-two
+    scale per tensor from its largest magnitude; float targets round each
+    value on the absolute (t, e) grid.  Values past the top of the grid
+    become the infinity code (see module docstring); existing infinity
+    codes pass through, and they are excluded from calibration.  Stage
+    formats keep their scale and rounding policy but adopt the target's
+    width, so the quantized head also accumulates and divides at the
+    target precision.
 
     Each distinct (tensor, value) is rounded once, integer scales are
     calibrated over the distinct values, and each distinct (tensor, row)
@@ -260,9 +229,9 @@ def quantize_spec(spec: TransformerSpec, fmt: QuantFormat) -> TransformerSpec:
     """
     rounders = {}
     for label, values in _spec_tensors(spec):
-        if fmt.kind == INT:
+        if isinstance(fmt, FxFormat):
             rounders[label] = _int_rounder(label, dict.fromkeys(values),
-                                           fmt.bits)
+                                           fmt.p)
         else:
             rounders[label] = _float_rounder(fmt)
 
@@ -322,13 +291,11 @@ class Dataset:
     """Labeled equality pairs.
 
     Each pair is equal with probability 1/2; unequal pairs differ in
-    exactly flip_count = floor(0.75 m) positions, chosen uniformly.
+    exactly floor(0.75 m) positions, chosen uniformly.
     """
 
     m: int
     pairs: tuple
-    seed: int
-    flip_count: int
 
 
 def gen_dataset(m: int, count: int, seed: int = 0) -> Dataset:
@@ -364,12 +331,16 @@ def gen_dataset(m: int, count: int, seed: int = 0) -> Dataset:
                 zb[pos] = "1" if zb[pos] == "0" else "0"
             z = "".join(zb)
         pairs.append((y, z, int(y == z)))
-    return Dataset(m=m, pairs=tuple(pairs), seed=seed, flip_count=flips)
+    return Dataset(m=m, pairs=tuple(pairs))
 
 
 @dataclass(frozen=True)
 class QuantRow:
-    """One accuracy measurement: a subject at one storage format."""
+    """One accuracy measurement: a subject at one storage format.
+
+    capacity is the storage budget H * (d_v + 1) * p the head carries, at
+    one head (H = 1) and one value column (d_v = 1): 2 p, with p the
+    quantized head's native_precision."""
 
     CSV_HEADER = ("construction,m,t,e,format,capacity,total,correct,"
                   "accuracy,inf_count,seconds")
@@ -407,19 +378,20 @@ class QuantRow:
 
 
 def _quant_row(spec: TransformerSpec, label: str, m: int, t, e,
-               fmt: QuantFormat | None, tally: Tally) -> QuantRow:
+               fmt: FxFormat | FpFormat | None, tally: Tally) -> QuantRow:
     """A row from a verifier tally: what it does not count as a failure
     is correct."""
     return QuantRow(
         construction=label, m=m, t=t, e=e,
-        fmt=fmt.name if fmt else "native",
-        capacity=fmt.capacity() if fmt else 2 * native_precision(spec),
+        fmt=_format_name(fmt) if fmt else "native",
+        capacity=2 * native_precision(spec),
         total=tally.total, correct=tally.total - tally.failure_count,
         inf_count=tally.saturated)
 
 
 def eval_accuracy(spec: TransformerSpec, ds: Dataset, promises=None,
-                  label: str = "spec", fmt: QuantFormat | None = None,
+                  label: str = "spec",
+                  fmt: FxFormat | FpFormat | None = None,
                   t: int | None = None, e: int | None = None,
                   jobs: int = 1) -> QuantRow:
     """Score the accept bit against the labels of a dataset.
@@ -436,7 +408,7 @@ def eval_accuracy(spec: TransformerSpec, ds: Dataset, promises=None,
     pairs = [(y, z) if promises is None else (min(y, z), max(y, z))
              for y, z, _ in ds.pairs]
     if promises is not None:
-        pairs = [p for p in pairs if not promises.check(EqInstance(*p))]
+        pairs = [p for p in pairs if not promises.check(*p)]
     return _quant_row(spec, label, ds.m, t, e, fmt,
                       tally_pairs(spec, pairs, jobs))
 
@@ -444,8 +416,8 @@ def eval_accuracy(spec: TransformerSpec, ds: Dataset, promises=None,
 _NATIVE = re.compile(r"native([+-]\d+)?")
 
 
-def _resolve_format(token, spec: TransformerSpec) -> QuantFormat:
-    """A sweep format for one subject: a QuantFormat as given, a name
+def _resolve_format(token, spec: TransformerSpec) -> FxFormat | FpFormat:
+    """A sweep format for one subject: a format as given, a name
     parse_quant_format reads, or "native" / "native+-k", the subject's
     numerator width plus k bits as an integer or float format."""
     if not isinstance(token, str):
@@ -636,10 +608,10 @@ def _check_logits(spec: TransformerSpec) -> TransformerSpec:
                 logits = token_logits(spec, [*rule.rows, query])
             except ValueError as exc:   # a sentinel in the query row
                 raise SchemaError(f"embedding: {exc}") from exc
-            for lg in logits:
-                if not lg.is_neg_large and lg.coeff.denominator != 1:
+            for coeff in logits:
+                if coeff is not None and coeff.denominator != 1:
                     raise SchemaError(
-                        f"embedding[{pos}]: logit {lg.coeff} is not an "
+                        f"embedding[{pos}]: logit {coeff} is not an "
                         "integer coefficient of ln 2")
     return spec
 

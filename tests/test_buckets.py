@@ -73,8 +73,8 @@ def _subjects():
     for m in range(5, 10, 2):
         out.append((f"fx-simple-{m}", *make("fx-simple", m=m)))
     spec, promises = make("fx-tight", m=7)
-    out += [(f"fx-tight-7-{fmt.name}", quantize_spec(spec, fmt), promises)
-            for fmt in (INT6, INT8)]
+    out += [(f"fx-tight-7-{name}", quantize_spec(spec, fmt), promises)
+            for name, fmt in (("int6", INT6), ("int8", INT8))]
     spec, promises = make("fx-tight", m=5)
     out.append(("fx-tight-5-w2-zero",
                 replace(spec, mlp=replace(spec.mlp, w2=(0, 0))), promises))

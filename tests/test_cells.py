@@ -55,7 +55,7 @@ def _fresh(spec, row):
 
 
 def _fields(cell):
-    return (cell.logit.coeff, cell.weight, _rep(cell.num_term),
+    return (cell.logit, cell.weight, _rep(cell.num_term),
             _rep(cell.den_first), _rep(cell.den_term))
 
 

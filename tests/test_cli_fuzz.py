@@ -158,6 +158,26 @@ def test_flag_combinations_exit_with_a_documented_code(weights_dir, capsys):
      "--y/--z name the one pair"),
     (["protocol", "--construction", "fx-tight", "--m", "5", "--y", "00000",
       "--z", "00001", "--seed", "0"], "--y/--z name the one pair"),
+    # --exhaustive runs every promise pair, so it takes no --count or --seed.
+    (["protocol", "--construction", "fx-tight", "--m", "5", "--exhaustive",
+      "--count", "3"], "--exhaustive runs every promise pair"),
+    (["protocol", "--construction", "fx-tight", "--m", "5", "--exhaustive",
+      "--seed", "0"], "--exhaustive runs every promise pair"),
+    (["quantize", "--construction", "fx-tight", "--m", "5", "--formats",
+      "int8", "--exhaustive", "--count", "3"],
+     "--exhaustive runs every promise pair"),
+    (["quantize", "--construction", "fx-tight", "--m", "5", "--formats",
+      "int8", "--exhaustive", "--seed", "0"],
+     "--exhaustive runs every promise pair"),
+    # A target needs a mantissa bit (native-3 of t = 4 leaves none), two
+    # integer bits and two exponent bits.
+    (["quantize", "--construction", "fp-linear", "--t", "4", "--e", "4",
+      "--formats", "native-3"],
+     "float formats need at least 1 mantissa bit, got 0"),
+    (["quantize", "--construction", "fx-tight", "--m", "5", "--formats",
+      "int1"], "p must be at least 2, got 1"),
+    (["quantize", "--construction", "fx-tight", "--m", "5", "--formats",
+      "fp_e1m2"], "e must be at least 2, got 1"),
 ])
 def test_pinned_usage_errors(argv, needle, weights_dir, capsys):
     assert _exit_code(argv) == 2

@@ -7,7 +7,7 @@ import pytest
 
 from eqattn.attn import forward
 from eqattn.commsim import FoolingReport, enumerate_fooling, run_protocol
-from eqattn.constructs import EqInstance, make, native_precision
+from eqattn.constructs import make, native_precision
 from eqattn.oracle import BudgetExceeded
 
 
@@ -24,7 +24,7 @@ class TestProtocol:
         spec, _ = make("fx-tight", m=5)
         p = native_precision(spec)
         for y, z in all_pairs(5):
-            run = run_protocol(spec, EqInstance(y, z))
+            run = run_protocol(spec, y, z)
             ref = forward(spec, y, z)
             assert run.bob_bit == ref.bit, (y, z)
             assert run.bit_cost == 2 * p
@@ -33,7 +33,7 @@ class TestProtocol:
         for spec, k in ((make("fx-tight", m=5)[0], 7),
                         (make("fx-simple", m=5)[0], 5),
                         (make("fp-linear", t=4, e=3)[0], 8)):
-            run = run_protocol(spec, EqInstance("0" * spec.m, "0" * spec.m))
+            run = run_protocol(spec, "0" * spec.m, "0" * spec.m)
             assert run.prefix == k
 
     def test_any_prefix_length_gives_the_same_bit(self):
@@ -49,7 +49,7 @@ class TestProtocol:
             y, z = min(y, z), max(y, z)
             ref = forward(spec, y, z).bit
             for k in (1, 3, 7, 10, spec.n + 1):
-                run = run_protocol(spec, EqInstance(y, z), k)
+                run = run_protocol(spec, y, z, k)
                 assert (run.prefix, run.bob_bit) == (k, ref), (y, z)
 
     def test_linear_protocol_sends_one_scalar(self):
@@ -61,9 +61,9 @@ class TestProtocol:
             y = format(rng.getrandbits(7), "07b")
             z = format(rng.getrandbits(7), "07b")
             y, z = min(y, z), max(y, z)
-            if promises.check(EqInstance(y, z)):
+            if promises.check(y, z):
                 continue
-            run = run_protocol(spec, EqInstance(y, z))
+            run = run_protocol(spec, y, z)
             assert run.l1 is None
             assert run.bit_cost == p
             assert run.bob_bit == forward(spec, y, z).bit
@@ -73,10 +73,9 @@ class TestProtocol:
         """Alice holds 1 to n + 1 tokens: the empty share, a negative one
         and one past the last token are refused."""
         spec, _ = make("fx-tight", m=5)
-        inst = EqInstance("00000", "00000")
         for k in (0, -1, spec.n + 2, 40):
             with pytest.raises(ValueError, match="prefix length"):
-                run_protocol(spec, inst, k)
+                run_protocol(spec, "00000", "00000", k)
 
 
 class TestFooling:

@@ -6,7 +6,6 @@ import pytest
 
 from eqattn.attn import LINEAR, SOFTMAX, forward
 from eqattn.constructs import (
-    EqInstance,
     UnsupportedM,
     half_len,
     make,
@@ -111,8 +110,8 @@ class TestPromises:
                 z = format(rng.getrandbits(7), "07b")
                 if y > z:
                     y, z = z, y
-                assert promises.check(EqInstance(y, z)) == []
-            assert promises.check(EqInstance("1000000", "0000000")) \
+                assert promises.check(y, z) == []
+            assert promises.check("1000000", "0000000") \
                 == ["y_le_z"]
 
     def test_fp_linear_promise_is_an_exponent_window(self):
@@ -124,13 +123,13 @@ class TestPromises:
                 if promises.y_ok(y := format(v, "07b"))]
         assert len(good) == 48
         assert all(y[-2:] != "10" for y in good)
-        flags = promises.check(EqInstance("0000000", "1111111"))
+        flags = promises.check("0000000", "1111111")
         assert "y_exp_positive" in flags
         assert "z_exp_window" in flags
 
     def test_fp_softmax_promise_flags_small_exponents(self):
         _, promises = make("fp-softmax", t=4, e=7)
-        assert promises.check(EqInstance("0" * 15, "0" * 15)) \
+        assert promises.check("0" * 15, "0" * 15) \
             == ["exp_head_min"]
         assert promises.y_ok("011100101010101")
 
@@ -139,7 +138,7 @@ class TestPromises:
         for v in range(1 << 7):
             y = format(v, "07b")
             if promises.y_ok(y) and promises.z_ok(y):
-                assert promises.check(EqInstance(y, y)) == []
+                assert promises.check(y, y) == []
 
 
 class TestOutlines:
@@ -166,7 +165,7 @@ class TestGroundTruth:
         spec, promises = make("fx-tight", m=5)
         wrong = []
         for y, z in all_pairs(5):
-            assert promises.check(EqInstance(y, z)) == []
+            assert promises.check(y, z) == []
             trace = forward(spec, y, z)
             if trace.bit != int(y == z):
                 wrong.append((y, z))
@@ -182,7 +181,7 @@ class TestGroundTruth:
         spec, promises = make("fp-linear", t=4, e=3)
         good = 0
         for y, z in all_pairs(7):
-            if promises.check(EqInstance(y, z)):
+            if promises.check(y, z):
                 continue
             good += 1
             trace = forward(spec, y, z)
@@ -198,7 +197,7 @@ class TestGroundTruth:
             z = format(rng.getrandbits(15), "015b")
             if rng.random() < 0.5:
                 z = y
-            if promises.check(EqInstance(y, z)):
+            if promises.check(y, z):
                 continue
             trace = forward(spec, y, z)
             assert trace.bit == int(y == z), (y, z)

@@ -36,7 +36,7 @@ from eqattn.attn import (_REFOLDED, OFF, StageError, TokenRule, _make_cell,
 from eqattn.bitnum import (FxFormat, IndeterminateForm, NonDyadicLogit,
                            encode_scalar)
 from eqattn.commsim import run_protocol
-from eqattn.constructs import EqInstance, PromiseSet, make
+from eqattn.constructs import PromiseSet, make
 from eqattn.oracle import (precision_delta_spec, trace_saturated,
                            verify_exhaustive_spec)
 from eqattn.quantlab import FP8_E4M3, INT4, INT6, INT8, quantize_spec
@@ -437,10 +437,9 @@ def test_protocol_gives_the_forward_bit_at_every_prefix(spec, monkeypatch):
         for y, z in _pairs(spec.m, 6, 6):
             ref = ref_forward(spec, spec.encode(y, z))
             want = forward(spec, y, z).bit
-            inst = EqInstance(y, z)
-            assert run_protocol(spec, inst).bob_bit == want == ref.bit
+            assert run_protocol(spec, y, z).bob_bit == want == ref.bit
             for k in range(1, spec.n + 2):
-                run = run_protocol(spec, inst, k)
+                run = run_protocol(spec, y, z, k)
                 assert run.bob_bit == want, (y, z, k)
                 if k <= len(ref.num_partials) and run.l2 is not None:
                     assert _rep(run.l2) == _rep(ref.num_partials[k - 1])
@@ -452,7 +451,7 @@ def test_linear_head_with_fixed_point_formats_runs_the_protocol():
     """The split used to read the float significand width off num_fmt,
     which an int8 quantization of fp-linear does not have."""
     spec = quantize_spec(make("fp-linear", t=4, e=3)[0], INT8)
-    run = run_protocol(spec, EqInstance("0010100", "0010100"))
+    run = run_protocol(spec, "0010100", "0010100")
     assert run.prefix == 8
     assert run.bit_cost == 8 and run.l1 is None
     assert run.bob_bit == forward(spec, "0010100", "0010100").bit

@@ -6,14 +6,14 @@ from itertools import product
 
 import pytest
 
-from eqattn.constructs import EqInstance, PromiseSet, make
+from eqattn.constructs import PromiseSet, make
 from eqattn.oracle import BudgetExceeded, promise_pairs
 
 
 def _brute_force(promises, m):
     strings = ["".join(bits) for bits in product("01", repeat=m)]
     return [(y, z) for y in strings for z in strings
-            if y <= z and not promises.check(EqInstance(y, z))]
+            if y <= z and not promises.check(y, z)]
 
 
 @pytest.mark.parametrize("name,size", [
@@ -77,7 +77,7 @@ def _reference_draws(promises, m, count, rng):
         z = format(rng.getrandbits(m), f"0{m}b")
         if y > z:
             y, z = z, y
-        if not promises.check(EqInstance(y, z)):
+        if not promises.check(y, z):
             pairs.append((y, z))
     return pairs
 

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from eqattn.attn import LINEAR, SOFTMAX, MlpSpec, TokenRule, TransformerSpec
 from eqattn.bitnum import FpFormat, FxFormat
-from eqattn.quantlab import (_INF_CODE, INT, PRESETS, DegenerateTensor,
+from eqattn.quantlab import (_INF_CODE, PRESETS, DegenerateTensor,
                              _float_rounder, _int_rounder, _spec_tensors,
                              _stage_format, is_inf_code, quantize_spec)
 
@@ -86,8 +86,8 @@ def _per_value(spec, fmt):
     a rounder calibrated over its tensor's full value list."""
     rounders = {}
     for label, values in _spec_tensors(spec):
-        rounders[label] = _int_rounder(label, values, fmt.bits) \
-            if fmt.kind == INT else _float_rounder(fmt)
+        rounders[label] = _int_rounder(label, values, fmt.p) \
+            if isinstance(fmt, FxFormat) else _float_rounder(fmt)
 
     def row(label, values):
         return tuple(None if v is None else

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from eqattn.attn import forward
-from eqattn.bitnum import InvalidFormat, fp_round, fx_round
+from eqattn.bitnum import FpFormat, FxFormat, InvalidFormat, fp_round, fx_round
 from eqattn.constructs import make
 from eqattn.oracle import to_csv
 from eqattn.quantlab import (
@@ -17,10 +17,12 @@ from eqattn.quantlab import (
     INT4,
     INT6,
     INT8,
+    PRESETS,
     Dataset,
     DegenerateTensor,
     QuantRow,
     SchemaError,
+    _format_name,
     eval_accuracy,
     export_weights,
     float_format,
@@ -55,6 +57,9 @@ class TestFormats:
         assert parse_quant_format("fp16") == FP16
         assert parse_quant_format("fp_e4m3") == float_format(4, 3)
         assert parse_quant_format("fp12_e5m6") == float_format(5, 6)
+        # a row names its target by the name the target was parsed from
+        for name in (*PRESETS, "int5", "fp_e5m6"):
+            assert _format_name(parse_quant_format(name)) == name
 
     def test_parse_rejects_nonsense(self):
         for bad in ("int1", "fp_e1m2", "fp9_e4m3", "float8", "", "int"):
@@ -62,11 +67,15 @@ class TestFormats:
                 parse_quant_format(bad)
 
     def test_bit_width_and_capacity(self):
-        assert INT8.p_bits == 8
-        assert FP8_E4M3.p_bits == 8
-        assert float_format(4, 3).name == "fp8_e4m3"
-        assert int_format(5).name == "int5"
-        assert INT6.capacity() == 12
+        """A target is the stage format of its width: INTk is p = k, and
+        a float is sign + exponent + mantissa = t + e bits.  A row's
+        capacity is 2 p at the quantized width."""
+        assert INT8 == FxFormat(8)
+        assert FP8_E4M3 == FpFormat(4, 4)
+        spec, _ = make("fx-tight", m=7)
+        row = eval_accuracy(quantize_spec(spec, INT6), gen_dataset(7, 4),
+                            fmt=INT6)
+        assert (row.fmt, row.capacity) == ("int6", 12)
 
     def test_constructor_guards(self):
         with pytest.raises(InvalidFormat):
@@ -160,7 +169,6 @@ class TestDataset:
         for y, z, lab in ds.pairs:
             diff = sum(a != b for a, b in zip(y, z))
             assert diff == (0 if lab else 6)
-        assert ds.flip_count == 6
 
     def test_equal_fraction_is_balanced(self):
         ds = gen_dataset(9, 4000, seed=3)
@@ -189,8 +197,7 @@ class TestDataset:
 class TestAccuracy:
     def toy_dataset(self):
         return Dataset(m=1, pairs=(("0", "0", 1), ("0", "1", 0),
-                                   ("1", "1", 1), ("1", "0", 0)),
-                       seed=0, flip_count=1)
+                                   ("1", "1", 1), ("1", "0", 0)))
 
     def test_toy_head_scores_perfectly(self, toy_spec):
         row = eval_accuracy(toy_spec, self.toy_dataset(), fmt=INT8)
@@ -204,8 +211,7 @@ class TestAccuracy:
         assert row.accuracy == 1
 
     def test_accuracy_of_empty_dataset_is_zero(self, toy_spec):
-        row = eval_accuracy(toy_spec, Dataset(m=1, pairs=(), seed=0,
-                                              flip_count=1))
+        row = eval_accuracy(toy_spec, Dataset(m=1, pairs=()))
         assert row.total == 0 and row.accuracy == 0
 
 
