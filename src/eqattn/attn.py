@@ -42,7 +42,7 @@ first read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 from itertools import groupby, product
@@ -205,6 +205,20 @@ class TransformerSpec:
         state = dict(self.__dict__)
         state.pop("_compiled", None)
         return state
+
+
+def with_stage_widths(spec: TransformerSpec, widths: dict) -> TransformerSpec:
+    """The spec with each stage of spec.formats at the width of widths[stage]:
+    p of an FxFormat, t and e of an FpFormat.  A stage keeps its rounding,
+    and its scale while it stays fixed point.  Weights are untouched."""
+    def stage(old, new):
+        if isinstance(new, FxFormat):
+            scale = old.scale_log2 if isinstance(old, FxFormat) else 0
+            return FxFormat(new.p, scale, old.rounding)
+        return FpFormat(new.t, new.e, old.rounding)
+
+    return replace(spec, **{f"{name}_fmt": stage(old, widths[name])
+                            for name, old in spec.formats.items()})
 
 
 # The per-token lists a trace from forward fills on first read.

@@ -160,6 +160,12 @@ def _ratio_floor_log2(n: int, d: int) -> int:
     return x
 
 
+def ceil_log2(x: Fraction) -> int:
+    """The least k with 2**k >= x, computed exactly (x > 0)."""
+    k = _ratio_floor_log2(x.numerator, x.denominator)
+    return k if x == Fraction(2) ** k else k + 1
+
+
 class _Num:
     """A value held in (or saturated out of) a format; a subclass names the
     kind its zero carries."""

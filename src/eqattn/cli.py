@@ -373,9 +373,11 @@ def build_parser() -> argparse.ArgumentParser:
                     help="exponent bits (floating-point families)"),
         "--n": dict(type=int,
                     help="token count override (defaults per family)"),
-        "--precision-delta": dict(type=int, default=0,
-                                  help="shift every stage precision by this "
-                                       "many bits"),
+        "--precision-delta": dict(
+            type=int, default=0,
+            help="shift every stage precision by this many bits; the fx "
+                 "heads are exact-precision heads, so a positive shift "
+                 "measures detuning, not expressivity"),
     }
 
     def command(name, func, help, *flags):

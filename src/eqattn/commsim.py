@@ -28,7 +28,7 @@ from .attn import (
     scale_numerator,
     token_cells,
 )
-from .bitnum import IndeterminateForm
+from .bitnum import IndeterminateForm, ceil_log2
 from .constructs import native_precision
 from .oracle import BudgetExceeded
 
@@ -54,7 +54,6 @@ class FoolingReport:
     e: int
     enumerated: int
     formula: Fraction
-    bound: int
 
     @property
     def formula_exact(self) -> bool:
@@ -62,16 +61,9 @@ class FoolingReport:
 
     @property
     def formula_bound(self) -> int:
-        """Bits implied by the closed form: the exact ceiling of its log2,
-        computed on the rational value so fractional counts still give the
-        least k with 2^k >= formula."""
-        v = self.formula
-        if v.denominator == 1:
-            return max(int(v) - 1, 0).bit_length()
-        k = v.numerator.bit_length() - v.denominator.bit_length() - 1
-        while Fraction(2) ** k < v:
-            k += 1
-        return max(k, 0)
+        """Bits implied by the closed form: the least k >= 0 with
+        2^k >= formula, exact on fractional counts too."""
+        return max(ceil_log2(self.formula), 0)
 
     def csv_row(self) -> str:
         return (f"{self.m},{self.e},{self.enumerated},{self.formula},"
@@ -123,8 +115,6 @@ def run_protocol(spec: TransformerSpec, y: str, z: str,
         bit = finish_softmax(spec, num, None if linear else den)[0]
     except IndeterminateForm:
         bit = 0
-        if linear:
-            l2 = None
     return ProtocolRun(prefix=k, l1=None if linear else l1, l2=l2,
                        bit_cost=cost, bob_bit=bit)
 
@@ -153,6 +143,4 @@ def enumerate_fooling(m: int, e: int) -> FoolingReport:
             continue
         count += 1
     formula = 3 * Fraction(1 << (m - 2)) * (1 - Fraction(1, 1 << e))
-    bound = (count - 1).bit_length()
-    return FoolingReport(m=m, e=e, enumerated=count, formula=formula,
-                         bound=bound)
+    return FoolingReport(m=m, e=e, enumerated=count, formula=formula)

@@ -27,6 +27,10 @@ derives its y_ok, z_ok and pair_scoped answers from that column.
 
 The builders check at build time that every attention-weight times value
 product any token can produce is exactly representable in the fold format.
+
+The fx heads are exact-precision heads: they compute with the den format's
+saturation and rounding, so a positive --precision-delta or a wider
+quantization target measures detuning, not expressivity.
 """
 
 from __future__ import annotations

@@ -23,7 +23,7 @@ from __future__ import annotations
 import bisect
 import random
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import islice, product
 from typing import NamedTuple
 
@@ -38,6 +38,7 @@ from .attn import (
     forward,
     scale_numerator,
     token_cells,
+    with_stage_widths,
 )
 from .bitnum import FpFormat, FxFormat, IndeterminateForm
 from .constructs import PromiseSet, float_fields, make, native_precision
@@ -57,17 +58,9 @@ def precision_delta_spec(spec: TransformerSpec, delta: int) -> TransformerSpec:
     """
     if delta == 0:
         return spec
-
-    def shift(fmt):
-        if isinstance(fmt, FxFormat):
-            return FxFormat(fmt.p + delta, fmt.scale_log2, fmt.rounding)
-        return FpFormat(fmt.t + delta, fmt.e, fmt.rounding)
-
-    return replace(
-        spec,
-        fold_fmt=shift(spec.fold_fmt), num_fmt=shift(spec.num_fmt),
-        den_fmt=shift(spec.den_fmt), out_fmt=shift(spec.out_fmt),
-    )
+    return with_stage_widths(spec, {
+        name: FxFormat(f.p + delta) if isinstance(f, FxFormat)
+        else FpFormat(f.t + delta, f.e) for name, f in spec.formats.items()})
 
 
 def _fmt_scalar(v) -> str:

@@ -7,15 +7,17 @@ mant mantissa bits (float_format); the presets are such formats, and
 parse_quant_format reads their names.  quantize_spec re-rounds every
 weight of a TransformerSpec onto the target's grid and swaps the stage
 formats to the target's width, so activations are quantized implicitly the
-next time the head runs.  gen_dataset draws the randomized equality
-benchmark (half equal pairs, half pairs differing in exactly floor(0.75 m)
-positions) from a counter-based generator, and eval_accuracy / sweep
-measure how the accept bit degrades format by format.  sweep resolves "native" and "native+-k" against each subject it
-builds.  Scoring goes through the verifier's pair tally (oracle.Tally),
-sampled datasets over --jobs processes too; saturated and indeterminate
-traces are tallied separately.  Each measurement is a QuantRow, which gives
-its own CSV and text lines; the CLI writes them like every other report,
-CSV through oracle.to_csv.
+next time the head runs.  On the exact-precision fx heads (constructs), a
+target wider than native measures detuning, not expressivity.  gen_dataset
+draws the randomized equality benchmark (half equal pairs, half pairs
+differing in exactly floor(0.75 m) positions) from a counter-based
+generator, and eval_accuracy / sweep measure how the accept bit degrades
+format by format.  sweep resolves "native" and "native+-k" against each
+subject it builds.  Scoring goes through the verifier's pair tally
+(oracle.Tally), sampled datasets over --jobs processes too; saturated and
+indeterminate traces are tallied separately.  Each measurement is a
+QuantRow, which gives its own CSV and text lines; the CLI writes them like
+every other report, CSV through oracle.to_csv.
 
 Weights that overflow the target grid become the infinity code, stored as
 the exact dyadic +-2**INF_CODE_LOG2.  That magnitude is beyond the top of
@@ -45,10 +47,10 @@ from functools import cache
 from pathlib import Path
 
 from .attn import (LINEAR, SOFTMAX, MlpSpec, TokenRule, TransformerSpec,
-                   token_logits)
+                   token_logits, with_stage_widths)
 from .bitnum import (INF_CODE_LOG2, FpFormat, FxFormat, InvalidFormat,
-                     decode_scalar, encode_scalar, fp_round, fx_round,
-                     parse_format)
+                     ceil_log2, decode_scalar, encode_scalar, fp_round,
+                     fx_round, parse_format)
 from .constructs import float_fields, make, native_precision
 from .oracle import Tally, tally_pairs, verify_exhaustive_spec
 
@@ -122,12 +124,11 @@ def parse_quant_format(text: str) -> FxFormat | FpFormat:
         total, exp, mant = map(int, hit.groups())
         if exp + mant + 1 != total:
             raise InvalidFormat(
-                f"{text!r}: sign + {exp} exponent + {mant} mantissa bits "
-                f"is {exp + mant + 1}, not {total}")
+                f"sign + {exp} exponent + {mant} mantissa bits is "
+                f"{exp + mant + 1}, not {total}")
         return float_format(exp, mant)
-    raise InvalidFormat(
-        f"unknown quantization format {text!r}; try int<k>, fp16, "
-        f"fp8_e5m2, fp8_e4m3 or fp_e<exp>m<mant>")
+    raise InvalidFormat("unknown quantization format; try int<k>, fp16, "
+                        "fp8_e5m2, fp8_e4m3 or fp_e<exp>m<mant>")
 
 
 def is_inf_code(value) -> bool:
@@ -137,14 +138,6 @@ def is_inf_code(value) -> bool:
 
 def _inf_code(sign: int) -> Fraction:
     return _INF_CODE if sign > 0 else -_INF_CODE
-
-
-def _ceil_log2(fr: Fraction) -> int:
-    """Smallest s with 2**s >= fr, computed exactly (fr > 0)."""
-    s = fr.numerator.bit_length() - fr.denominator.bit_length() + 1
-    while Fraction(2) ** (s - 1) >= fr:
-        s -= 1
-    return s
 
 
 def _spec_tensors(spec: TransformerSpec):
@@ -176,7 +169,7 @@ def _int_rounder(label: str, values, bits: int):
             f"tensor {label} has no nonzero weight; scale defaults to 1"))
         scale_log2 = 0
     else:
-        scale_log2 = _ceil_log2(maxabs / ((1 << (bits - 1)) - 1))
+        scale_log2 = ceil_log2(maxabs / ((1 << (bits - 1)) - 1))
     return _grid_rounder(fx_round, FxFormat(bits, scale_log2))
 
 
@@ -200,15 +193,6 @@ def _grid_rounder(round_, grid):
     return rnd
 
 
-def _stage_format(old, fmt: FxFormat | FpFormat):
-    """The stage format after quantization: same role (scale, rounding),
-    the target's per-number width."""
-    if isinstance(fmt, FxFormat):
-        scale = old.scale_log2 if isinstance(old, FxFormat) else 0
-        return FxFormat(fmt.p, scale, old.rounding)
-    return FpFormat(fmt.t, fmt.e, old.rounding)
-
-
 def quantize_spec(spec: TransformerSpec,
                   fmt: FxFormat | FpFormat) -> TransformerSpec:
     """Round every weight onto the target grid and swap stage formats.
@@ -219,9 +203,8 @@ def quantize_spec(spec: TransformerSpec,
     value on the absolute (t, e) grid.  Values past the top of the grid
     become the infinity code (see module docstring); existing infinity
     codes pass through, and they are excluded from calibration.  Stage
-    formats keep their scale and rounding policy but adopt the target's
-    width, so the quantized head also accumulates and divides at the
-    target precision.
+    formats take the target's width (attn.with_stage_widths), so the
+    quantized head also accumulates and divides at the target precision.
 
     Each distinct (tensor, value) is rounded once, integer scales are
     calibrated over the distinct values, and each distinct (tensor, row)
@@ -253,11 +236,7 @@ def quantize_spec(spec: TransformerSpec,
                   w2=q_row("mlp.w2", spec.mlp.w2),
                   b2=q("mlp.b2", spec.mlp.b2))
     out = replace(
-        spec,
-        fold_fmt=_stage_format(spec.fold_fmt, fmt),
-        num_fmt=_stage_format(spec.num_fmt, fmt),
-        den_fmt=_stage_format(spec.den_fmt, fmt),
-        out_fmt=_stage_format(spec.out_fmt, fmt),
+        with_stage_widths(spec, dict.fromkeys(spec.formats, fmt)),
         embedding=embedding,
         wq=q_row("wq", spec.wq),
         wk=q_row("wk", spec.wk),
@@ -286,20 +265,10 @@ class _SplitMix64:
         return z ^ (z >> 31)
 
 
-@dataclass(frozen=True)
-class Dataset:
-    """Labeled equality pairs.
-
-    Each pair is equal with probability 1/2; unequal pairs differ in
-    exactly floor(0.75 m) positions, chosen uniformly.
-    """
-
-    m: int
-    pairs: tuple
-
-
-def gen_dataset(m: int, count: int, seed: int = 0) -> Dataset:
-    """Draw count labeled pairs; deterministic for a fixed (m, count, seed).
+def gen_dataset(m: int, count: int, seed: int = 0) -> tuple:
+    """Draw count labeled pairs (y, z, y == z); deterministic for a fixed
+    (m, count, seed).  Each pair is equal with probability 1/2; unequal
+    pairs differ in exactly floor(0.75 m) positions, chosen uniformly.
 
     Pair i uses its own splitmix64 stream keyed by seed ^ (GOLDEN * i), so
     any prefix of a larger dataset equals the smaller dataset.  The first
@@ -331,16 +300,18 @@ def gen_dataset(m: int, count: int, seed: int = 0) -> Dataset:
                 zb[pos] = "1" if zb[pos] == "0" else "0"
             z = "".join(zb)
         pairs.append((y, z, int(y == z)))
-    return Dataset(m=m, pairs=tuple(pairs))
+    return tuple(pairs)
 
 
 @dataclass(frozen=True)
 class QuantRow:
     """One accuracy measurement: a subject at one storage format.
 
-    capacity is the storage budget H * (d_v + 1) * p the head carries, at
-    one head (H = 1) and one value column (d_v = 1): 2 p, with p the
-    quantized head's native_precision."""
+    t and e are the subject's float fields, or for a fixed-point subject
+    the quantized head's (none at an integer target).  capacity is the
+    storage budget H * (d_v + 1) * p the head carries, at one head (H = 1)
+    and one value column (d_v = 1): 2 p, with p the quantized head's
+    native_precision."""
 
     CSV_HEADER = ("construction,m,t,e,format,capacity,total,correct,"
                   "accuracy,inf_count,seconds")
@@ -377,40 +348,36 @@ class QuantRow:
                 f"{self.inf_count} saturated"]
 
 
-def _quant_row(spec: TransformerSpec, label: str, m: int, t, e,
-               fmt: FxFormat | FpFormat | None, tally: Tally) -> QuantRow:
-    """A row from a verifier tally: what it does not count as a failure
-    is correct."""
+def _quant_row(label: str, subject: TransformerSpec,
+               target: FxFormat | FpFormat, qspec: TransformerSpec,
+               tally: Tally) -> QuantRow:
+    """The row of subject quantized to target (qspec), from the verifier's
+    tally: what it does not count as a failure is correct."""
+    t, e = float_fields(subject)
+    if t is None:
+        t, e = float_fields(qspec)
     return QuantRow(
-        construction=label, m=m, t=t, e=e,
-        fmt=_format_name(fmt) if fmt else "native",
-        capacity=2 * native_precision(spec),
+        construction=label, m=subject.m, t=t, e=e, fmt=_format_name(target),
+        capacity=2 * native_precision(qspec),
         total=tally.total, correct=tally.total - tally.failure_count,
         inf_count=tally.saturated)
 
 
-def eval_accuracy(spec: TransformerSpec, ds: Dataset, promises=None,
-                  label: str = "spec",
-                  fmt: FxFormat | FpFormat | None = None,
-                  t: int | None = None, e: int | None = None,
-                  jobs: int = 1) -> QuantRow:
-    """Score the accept bit against the labels of a dataset.
+def eval_accuracy(spec: TransformerSpec, pairs, promises=None,
+                  jobs: int = 1) -> Tally:
+    """Score the accept bit against labeled pairs (gen_dataset).
 
     With a promise set, pairs are reordered so y <= z and pairs that still
     violate a promise are skipped, mirroring how the head is specified.
     The verifier's tally scores the rest over jobs processes: every label
-    is y == z (gen_dataset), so a pair is correct unless it is a failure.
-    Saturated or indeterminate traces are tallied in inf_count; they score
-    like any other trace, they are only reported separately.
+    is y == z, so a pair is correct unless it is a failure.  Saturated or
+    indeterminate traces score like any other; Tally.saturated counts them.
     """
-    if t is None and e is None:
-        t, e = float_fields(spec)
     pairs = [(y, z) if promises is None else (min(y, z), max(y, z))
-             for y, z, _ in ds.pairs]
+             for y, z, _ in pairs]
     if promises is not None:
         pairs = [p for p in pairs if not promises.check(*p)]
-    return _quant_row(spec, label, ds.m, t, e, fmt,
-                      tally_pairs(spec, pairs, jobs))
+    return tally_pairs(spec, pairs, jobs)
 
 
 _NATIVE = re.compile(r"native([+-]\d+)?")
@@ -419,17 +386,21 @@ _NATIVE = re.compile(r"native([+-]\d+)?")
 def _resolve_format(token, spec: TransformerSpec) -> FxFormat | FpFormat:
     """A sweep format for one subject: a format as given, a name
     parse_quant_format reads, or "native" / "native+-k", the subject's
-    numerator width plus k bits as an integer or float format."""
+    numerator width plus k bits as an integer or float format.  A refusal
+    names the token."""
     if not isinstance(token, str):
         return token
     hit = _NATIVE.fullmatch(token)
-    if not hit:
-        return parse_quant_format(token)
-    delta = int(hit.group(1) or 0)
-    fmt = spec.num_fmt
-    if isinstance(fmt, FxFormat):
-        return int_format(fmt.p + delta)
-    return float_format(fmt.e, fmt.t - 1 + delta)
+    try:
+        if not hit:
+            return parse_quant_format(token)
+        delta = int(hit.group(1) or 0)
+        fmt = spec.num_fmt
+        if isinstance(fmt, FxFormat):
+            return int_format(fmt.p + delta)
+        return float_format(fmt.e, fmt.t - 1 + delta)
+    except InvalidFormat as exc:
+        raise InvalidFormat(f"{token}: {exc}") from None
 
 
 def sweep(source, formats, ms=None, count: int = 5120, seed: int = 0, *,
@@ -443,7 +414,7 @@ def sweep(source, formats, ms=None, count: int = 5120, seed: int = 0, *,
     Subjects are built, their formats resolved (_resolve_format) and
     their rows measured one at a time.  exhaustive runs every promise pair
     through the verifier instead of a sampled dataset; jobs spreads either
-    over processes.
+    over processes.  Both give a Tally, and _quant_row makes each row.
     """
     if isinstance(source, TransformerSpec):
         subjects = [(source, None, "imported")]
@@ -457,17 +428,15 @@ def sweep(source, formats, ms=None, count: int = 5120, seed: int = 0, *,
         if exhaustive and pr is None:
             raise ValueError("an exhaustive sweep needs the subject's "
                              "promise set")
-        t, e = float_fields(spec0)
-        ds = None if exhaustive else gen_dataset(spec0.m, count, seed)
+        pairs = None if exhaustive else gen_dataset(spec0.m, count, seed)
         for f in fmts:
             qspec = quantize_spec(spec0, f)
             if exhaustive:
                 rep = verify_exhaustive_spec(qspec, pr, label, jobs=jobs)
-                rows.append(_quant_row(qspec, label, spec0.m, t, e, f, Tally(
-                    rep.total, rep.failure_count, (), rep.inf_count)))
+                tally = Tally(rep.total, rep.failure_count, (), rep.inf_count)
             else:
-                rows.append(eval_accuracy(qspec, ds, pr, label=label, fmt=f,
-                                          t=t, e=e, jobs=jobs))
+                tally = eval_accuracy(qspec, pairs, pr, jobs)
+            rows.append(_quant_row(label, spec0, f, qspec, tally))
     return tuple(rows)
 
 

@@ -182,3 +182,17 @@ def test_flag_combinations_exit_with_a_documented_code(weights_dir, capsys):
 def test_pinned_usage_errors(argv, needle, weights_dir, capsys):
     assert _exit_code(argv) == 2
     assert needle in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,name", [
+    (["quantize", "--construction", "fp-linear", "--t", "4", "--e", "4",
+      "--formats", "native-3"], "native-3"),
+    (["quantize", "--construction", "fx-tight", "--m", "5", "--formats",
+      "int1"], "int1"),
+    (["quantize", "--construction", "fx-tight", "--m", "5", "--formats",
+      "fp_e1m2"], "fp_e1m2"),
+])
+def test_a_refused_target_is_named(argv, name, capsys):
+    # The message names the target as it was given on the command line.
+    assert _exit_code(argv) == 2
+    assert f"{name}: " in capsys.readouterr().err

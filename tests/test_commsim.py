@@ -9,6 +9,8 @@ from eqattn.attn import forward
 from eqattn.commsim import FoolingReport, enumerate_fooling, run_protocol
 from eqattn.constructs import make, native_precision
 from eqattn.oracle import BudgetExceeded
+from eqattn.quantlab import INT4, DegenerateTensor, quantize_spec
+from reffwd import ref_forward
 
 
 def all_pairs(m):
@@ -28,6 +30,18 @@ class TestProtocol:
             ref = forward(spec, y, z)
             assert run.bob_bit == ref.bit, (y, z)
             assert run.bit_cost == 2 * p
+
+    def test_a_linear_transcript_keeps_alices_message(self):
+        """When Bob's part of a linear head meets an indeterminate form,
+        the transcript still shows the numerator partial Alice sent."""
+        spec, _ = make("fp-linear", t=4, e=3)
+        with pytest.warns(DegenerateTensor):
+            spec = quantize_spec(spec, INT4)
+        y, z = "0011000", "0110000"
+        run = run_protocol(spec, y, z)
+        ref = ref_forward(spec, spec.encode(y, z))
+        assert ref.indeterminate and run.bob_bit == 0
+        assert run.l2 == ref.num_partials[run.prefix - 1]
 
     def test_default_prefix_is_the_y_tokens(self):
         for spec, k in ((make("fx-tight", m=5)[0], 7),
@@ -91,7 +105,8 @@ class TestFooling:
         assert rep.enumerated == want == 18
         assert rep.formula == Fraction(18)
         assert rep.formula_exact
-        assert rep.bound == 5 and rep.formula_bound == 5
+        assert (rep.enumerated - 1).bit_length() == 5
+        assert rep.formula_bound == 5
 
     def test_closed_formula_on_disjoint_windows(self):
         for m, e in ((6, 3), (8, 2), (9, 5), (10, 7)):
@@ -99,7 +114,7 @@ class TestFooling:
             assert rep.formula == \
                 3 * Fraction(1 << (m - 2)) * (1 - Fraction(1, 1 << e))
             assert rep.formula_exact
-            assert rep.bound == m
+            assert (rep.enumerated - 1).bit_length() == m
 
     def test_overlapping_windows_fall_short(self):
         """At e = m - 2 the exponent field reaches the tail and the closed
@@ -109,17 +124,17 @@ class TestFooling:
         assert rep.enumerated == 8
         assert rep.formula == Fraction(9)
         assert not rep.formula_exact
-        assert rep.bound == 3
+        assert (rep.enumerated - 1).bit_length() == 3
         assert rep.formula_bound == 4
 
     def test_formula_bound_ceils_fractional_forms_exactly(self):
         """ceil(log2(45/2)) is 5 and ceil(log2(9/2)) is 3; the second one
         separates exact rational handling from any integer fallback."""
         frac = FoolingReport(m=5, e=4, enumerated=21,
-                             formula=Fraction(45, 2), bound=5)
+                             formula=Fraction(45, 2))
         assert frac.formula_bound == 5
         tiny = FoolingReport(m=3, e=2, enumerated=4,
-                             formula=Fraction(9, 2), bound=2)
+                             formula=Fraction(9, 2))
         assert tiny.formula_bound == 3
 
     def test_parameter_guards(self):

@@ -98,18 +98,27 @@ def test_no_module_imports_a_private_name_of_another():
     assert borrowed == []
 
 
+def _is_record(node):
+    """A dataclass or a NamedTuple."""
+    marks = [getattr(d, "func", d) for d in node.decorator_list] + node.bases
+    return any(isinstance(n, ast.Name) and n.id in ("dataclass", "NamedTuple")
+               for n in marks)
+
+
 def test_every_package_name_is_read_outside_the_tests():
     """Each top-level function, class and constant, and each method or
     property, defined in src/eqattn/ is named somewhere in src/eqattn/ or
     perfbench/ besides its definition: an attribute, a name read, or a
     string that is one dotted identifier, as perfbench/tracer.py names what
     it wraps ("PromiseSet.check").  Words of prose strings do not count.
-    A name only the tests read belongs in the tests.  Dunder names are
-    called by Python itself; table_outline feeds the checked-in outline
-    check."""
+    Each field of a record (a dataclass or a NamedTuple) is read there as
+    an attribute, x.field.  A name only the tests read belongs in the
+    tests.  Dunder names are called by Python itself; table_outline feeds
+    the checked-in outline check.  Cell is exempt: attn.fold reads its
+    fields by index, through _FOLDS."""
     pkg = os.path.dirname(eqattn.__file__)
     bench = os.path.join(os.path.dirname(os.path.dirname(pkg)), "perfbench")
-    named, defined = set(), []
+    named, read, defined, fields = set(), set(), [], []
     for d in (pkg, bench):
         for name in sorted(os.listdir(d)):
             if not name.endswith(".py"):
@@ -123,6 +132,8 @@ def test_every_package_name_is_read_outside_the_tests():
                     named.add(node.id)
                 elif isinstance(node, ast.Attribute):
                     named.add(node.attr)
+                    if isinstance(node.ctx, ast.Load):
+                        read.add(node.attr)
                 elif isinstance(node, ast.Constant) and \
                         isinstance(node.value, str) and \
                         all(part.isidentifier()
@@ -135,6 +146,11 @@ def test_every_package_name_is_read_outside_the_tests():
                     defined += [(name, f"{node.name}.{n.name}", n.name)
                                 for n in node.body
                                 if isinstance(n, ast.FunctionDef)]
+                if isinstance(node, ast.ClassDef) and _is_record(node) \
+                        and node.name != "Cell":
+                    fields += [(name, f"{node.name}.{n.target.id}",
+                                n.target.id) for n in node.body
+                               if isinstance(n, ast.AnnAssign)]
                 if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                     defined.append((name, node.name, node.name))
                 targets = (node.targets if isinstance(node, ast.Assign) else
@@ -146,4 +162,6 @@ def test_every_package_name_is_read_outside_the_tests():
               if bare not in named
               and bare not in ("table_outline", "__version__")
               and not (bare.startswith("__") and bare.endswith("__"))]
+    unread += [f"{module}:{qual}" for module, qual, field in fields
+               if field not in read]
     assert unread == []

@@ -14,11 +14,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from eqattn.attn import LINEAR, SOFTMAX, MlpSpec, TokenRule, TransformerSpec
+from eqattn.attn import (LINEAR, SOFTMAX, MlpSpec, TokenRule, TransformerSpec,
+                         with_stage_widths)
 from eqattn.bitnum import FpFormat, FxFormat
 from eqattn.quantlab import (_INF_CODE, PRESETS, DegenerateTensor,
                              _float_rounder, _int_rounder, _spec_tensors,
-                             _stage_format, is_inf_code, quantize_spec)
+                             is_inf_code, quantize_spec)
 
 
 class _InfCode(Fraction):
@@ -99,8 +100,8 @@ def _per_value(spec, fmt):
         row("wq", spec.wq), row("wk", spec.wk), row("wv", spec.wv),
         row("mlp.w1", spec.mlp.w1), row("mlp.b1", spec.mlp.b1),
         row("mlp.w2", spec.mlp.w2), row("mlp.b2", (spec.mlp.b2,))[0],
-        [_stage_format(f, fmt) for f in (spec.fold_fmt, spec.num_fmt,
-                                         spec.den_fmt, spec.out_fmt)],
+        list(with_stage_widths(spec, dict.fromkeys(spec.formats, fmt))
+             .formats.values()),
     )
 
 

@@ -18,11 +18,11 @@ from eqattn.quantlab import (
     INT6,
     INT8,
     PRESETS,
-    Dataset,
     DegenerateTensor,
     QuantRow,
     SchemaError,
     _format_name,
+    _quant_row,
     eval_accuracy,
     export_weights,
     float_format,
@@ -73,8 +73,9 @@ class TestFormats:
         assert INT8 == FxFormat(8)
         assert FP8_E4M3 == FpFormat(4, 4)
         spec, _ = make("fx-tight", m=7)
-        row = eval_accuracy(quantize_spec(spec, INT6), gen_dataset(7, 4),
-                            fmt=INT6)
+        quant = quantize_spec(spec, INT6)
+        row = _quant_row("fx-tight", spec, INT6, quant,
+                         eval_accuracy(quant, gen_dataset(7, 4)))
         assert (row.fmt, row.capacity) == ("int6", 12)
 
     def test_constructor_guards(self):
@@ -166,26 +167,26 @@ class TestDataset:
     def test_unequal_pairs_flip_a_fixed_count(self):
         """Every unequal pair differs in exactly floor(3m/4) positions."""
         ds = gen_dataset(9, 600, seed=2)
-        for y, z, lab in ds.pairs:
+        for y, z, lab in ds:
             diff = sum(a != b for a, b in zip(y, z))
             assert diff == (0 if lab else 6)
 
     def test_equal_fraction_is_balanced(self):
         ds = gen_dataset(9, 4000, seed=3)
-        equal = sum(lab for _, _, lab in ds.pairs)
-        assert abs(equal / len(ds.pairs) - 0.5) < 0.03
+        equal = sum(lab for _, _, lab in ds)
+        assert abs(equal / len(ds) - 0.5) < 0.03
 
     def test_same_seed_same_data_and_prefix_growth(self):
         a = gen_dataset(11, 300, seed=5)
         b = gen_dataset(11, 300, seed=5)
         c = gen_dataset(11, 500, seed=5)
-        assert a.pairs == b.pairs
-        assert c.pairs[:300] == a.pairs
+        assert a == b
+        assert c[:300] == a
 
     def test_seeds_are_independent_streams(self):
         a = gen_dataset(11, 200, seed=5)
         b = gen_dataset(11, 200, seed=6)
-        assert a.pairs != b.pairs
+        assert a != b
 
     def test_parameter_guards(self):
         with pytest.raises(ValueError):
@@ -196,22 +197,21 @@ class TestDataset:
 
 class TestAccuracy:
     def toy_dataset(self):
-        return Dataset(m=1, pairs=(("0", "0", 1), ("0", "1", 0),
-                                   ("1", "1", 1), ("1", "0", 0)))
+        return (("0", "0", 1), ("0", "1", 0), ("1", "1", 1), ("1", "0", 0))
 
     def test_toy_head_scores_perfectly(self, toy_spec):
-        row = eval_accuracy(toy_spec, self.toy_dataset(), fmt=INT8)
-        assert (row.total, row.correct) == (4, 4)
-        assert row.accuracy == 1
-        assert row.inf_count == 0
+        tally = eval_accuracy(toy_spec, self.toy_dataset())
+        assert (tally.total, tally.failure_count) == (4, 0)
+        assert tally.saturated == 0
 
     def test_quantized_toy_head_still_scores(self, toy_spec):
         quant = quantize_spec(toy_spec, INT8)
-        row = eval_accuracy(quant, self.toy_dataset(), fmt=INT8)
-        assert row.accuracy == 1
+        tally = eval_accuracy(quant, self.toy_dataset())
+        assert (tally.total, tally.failure_count) == (4, 0)
 
     def test_accuracy_of_empty_dataset_is_zero(self, toy_spec):
-        row = eval_accuracy(toy_spec, Dataset(m=1, pairs=()))
+        tally = eval_accuracy(toy_spec, ())
+        row = _quant_row("spec", toy_spec, INT8, toy_spec, tally)
         assert row.total == 0 and row.accuracy == 0
 
 
@@ -240,6 +240,23 @@ class TestSweep:
         spec, _ = make("fx-tight", m=9)
         imported = sweep(spec, [INT8], count=64)
         assert imported[0].construction == "imported"
+
+    @pytest.mark.filterwarnings("ignore::eqattn.quantlab.DegenerateTensor")
+    def test_sampled_and_exhaustive_rows_name_one_subject(self):
+        """Both modes make a row by one rule: t and e are the subject's, or
+        for a fixed-point subject the quantized head's."""
+        def label(row):
+            return (row.construction, row.m, row.t, row.e, row.fmt,
+                    row.capacity)
+
+        for source, key, target, want in (
+                ("fx-tight", 5, FP8_E4M3,
+                 ("fx-tight", 5, 4, 4, "fp8_e4m3", 16)),
+                ("fp-linear", (4, 3), INT8,
+                 ("fp-linear", 7, 4, 3, "int8", 16))):
+            (sampled,) = sweep(source, [target], ms=[key], count=64)
+            (exhaustive,) = sweep(source, [target], ms=[key], exhaustive=True)
+            assert label(sampled) == label(exhaustive) == want
 
     def test_csv_shape(self):
         rows = sweep("fx-tight", [INT6], ms=[9], count=120, seed=1)
