@@ -703,6 +703,43 @@ def _head(spec: TransformerSpec, sa):
     return hit
 
 
+def _output_bounds(spec: TransformerSpec, lo, hi):
+    """The least and greatest MLP output at any out_fmt value from lo to
+    hi: each MLP step is monotone under either rounding, so the hidden
+    units at lo and hi (_head) bound the w2 terms, rising with sa where w1
+    and w2 agree in sign, and mlp_eval's fold of the lower and of the upper
+    terms bounds the output."""
+    fmt = spec.out_fmt
+    add, mul, _, _, _ = _ops(fmt)
+    w1, _, w2, b2 = spec._compiled.mlp
+    low = high = None
+    for a, b, v, w in zip(_head(spec, lo)[1], _head(spec, hi)[1], w1, w2):
+        ta, tb = mul(a, w, fmt), mul(b, w, fmt)
+        if v.sign != w.sign:
+            ta, tb = tb, ta
+        low = ta if low is None else add(low, ta, fmt)
+        high = tb if high is None else add(high, tb, fmt)
+    return relu(add(low, b2, fmt)), relu(add(high, b2, fmt))
+
+
+def head_class(spec: TransformerSpec, lo, hi):
+    """(answer bit, output infinite) at every out_fmt value from the
+    attention output lo up to hi, when both are finite and the output
+    bounds are equal or finite on one side of 1; else None, as also on an
+    indeterminate form while bounding."""
+    if lo.is_inf or hi.is_inf:
+        return None
+    try:
+        low, high = _output_bounds(spec, lo, hi)
+    except IndeterminateForm:
+        return None
+    if low == high:
+        return _accept_bit(low), low.is_inf
+    if high.is_inf or (low.as_fraction() - 1) * (high.as_fraction() - 1) <= 0:
+        return None
+    return 0, False
+
+
 def _attend(spec: TransformerSpec, num, den):
     """The attention output in out_fmt: num / den, or for a linear head
     (den None) the scaled numerator itself."""

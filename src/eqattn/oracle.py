@@ -9,13 +9,15 @@ the numerator reads only bits up to some s and the denominator only bits
 after it, the verifier runs the attention kernel's numerator fold alone over
 every pair of leading fields and its denominator fold alone over every pair
 of trailing fields, buckets the distinct fold values, and combines the
-buckets; this cuts the fx-tight m=13 run from 3.4e7 forward passes to a few
-thousand folds plus a cheap cross product.  Each fold resumes where the
-protocol does: Alice's prefix (attn.alice_len) is folded once per field of
-y, and the cap bounds this work, not the promise pairs.  Every reported
-failure is re-evaluated with a direct forward pass before it is believed.
-Every path, and quantlab's sampled scoring, counts pairs into one Tally,
-and tallies merge by addition.
+buckets by runs: rounding is monotone, so against one numerator value the
+quotient is monotone in the denominator, and every MLP step in its input.
+This cuts the fx-tight m=13 run from 3.4e7 forward passes to a few
+thousand folds and 753 divides.  Each fold resumes where the protocol
+does: Alice's prefix (attn.alice_len) is folded once per field of y, and
+the cap bounds this work, not the promise pairs.  Every reported failure
+is re-evaluated with a direct forward pass before it is believed.  Every
+path, and quantlab's sampled scoring, counts pairs into one Tally, and
+tallies merge by addition.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import bisect
 import random
 import time
 from dataclasses import dataclass, field
-from itertools import islice, product
+from itertools import accumulate, islice, product
 from typing import NamedTuple
 
 from .attn import (
@@ -36,6 +38,7 @@ from .attn import (
     fold,
     fold_reads,
     forward,
+    head_class,
     scale_numerator,
     token_cells,
     with_stage_widths,
@@ -344,16 +347,100 @@ def _buckets(spec, pairs, width, lead, trail, state):
     return buckets
 
 
+def _segments(spec, num, dens, npos):
+    """Runs (i, j, bit, saturated) that cover dens once, each sharing its
+    class against num.  dens[:npos], finite, positive and ascending, are
+    halved until head_class certifies each range's end quotients."""
+    ends, runs = {}, []
+    finite = num is not _NAN and num.is_finite
+    todo = [(i, i, i) for i in range(npos if finite else 0, len(dens))]
+    todo += [(0, npos - 1, 0)] if finite and npos else []
+    while todo:
+        i, j, first = todo.pop()    # certify dens[i..j], count dens[first..j]
+        for k in {i, j} - ends.keys():
+            den = dens[k]
+            bit, sa, out = (0, None, None) if num is _NAN or den is _NAN \
+                else finish_softmax(spec, num, den)
+            ends[k] = bit, sa is None or _any_inf(num, den, sa, out), sa
+        lo, hi = ends[i][2], ends[j][2]
+        if i < j and num.sign > 0:    # the quotient falls as den rises
+            lo, hi = hi, lo
+        cls = ends[i][:2] if i == j else None if lo is None or hi is None \
+            else head_class(spec, lo, hi)
+        if cls is not None:
+            runs.append((first, j, *cls))
+        elif j - i > 1:
+            mid = (i + j) // 2
+            todo += [(mid, j, mid + 1), (i, mid, first)]
+        else:
+            runs += [(k, k, *ends[k][:2]) for k in range(first, j + 1)]
+    return runs
+
+
+def _combine(spec, num_buckets, den_buckets, s, second) -> Tally:
+    """Every pair y <= z the buckets make, each numerator value's runs
+    counted from prefix sums over the distinct denominator values; the
+    first failures listed in bucket order and re-checked with forward."""
+    counts = {}
+    for (den, rel2), (cnt, _) in den_buckets.items():
+        counts.setdefault(den, {-1: 0, 0: 0, 1: 0})[rel2] += cnt
+    pos = sorted((v for v in counts if v is not _NAN and v.is_finite
+                  and v.sig and v.sign > 0), key=lambda v: v.as_fraction())
+    known = set(pos)
+    dens = pos + [v for v in counts if v not in known]
+    prefix = {r: list(accumulate((counts[v][r] for v in dens), initial=0))
+              for r in (-1, 0, 1)}
+    total = wrong = saturated = 0
+    listed, classed = [], {}
+    for (num, rel1), (cnt1, ex1) in num_buckets.items():
+        if num not in classed:
+            classed[num] = _segments(spec, num, dens, len(pos))
+        # the expected bit at each order of the tails that keeps y <= z
+        verdicts = {-1: 0, 0: 1} if rel1 == 0 else {-1: 0, 0: 0, 1: 0}
+        bad = 0
+        for i, j, bit, sat in classed[num]:
+            for rel2, expected in verdicts.items():
+                cum = prefix[rel2]
+                n = cnt1 * (cum[j + 1] - cum[i])
+                total += n
+                saturated += n * sat
+                bad += n * (bit != expected)
+        wrong += bad
+        if not bad or len(listed) == FAILURE_LIST_CAP:
+            continue
+        bits = {dens[k]: bit for i, j, bit, _ in classed[num]
+                for k in range(i, j + 1)}
+        for (den, rel2), (_, ex2) in den_buckets.items():
+            bit, expected = bits[den], verdicts.get(rel2)
+            if expected is None or bit == expected:
+                continue
+            room = FAILURE_LIST_CAP - len(listed)
+            for (a, b), (c, d) in islice(product(ex1, ex2), room):
+                y = _bits(a, s) + _bits(c, second)
+                z = _bits(b, s) + _bits(d, second)
+                trace = forward(spec, y, z)
+                if trace.bit != bit:
+                    raise RuntimeError(
+                        "factored and direct evaluation disagree at "
+                        f"y={y} z={z}")
+                listed.append(Failure(y, z, expected, bit, trace))
+    return Tally(total, wrong, tuple(listed), saturated)
+
+
 def _factored_exhaustive(spec, s, cap, rng):
     """Exhaustive verification split after input bit s (fold_split).
 
     The numerator fold reads no bit past s and the denominator fold none up
     to s, so each is folded alone over its own pairs of fields: y[:s] <=
     z[:s] for the numerator, every pair of tails for the denominator.
-    Their buckets combine into every pair y <= z.  cap bounds the field
-    pairs folded, then the bucket pairs.  A random sample of combined
-    verdicts is re-checked against direct forward passes, as is every
-    listed failure, which keeps the trace of its re-check.
+    Their buckets combine into every pair y <= z by monotone runs
+    (_combine): each run of sorted denominators whose end quotients
+    attn.head_class certifies is counted at once, and NaN, zero, infinite
+    and negative denominators and non-finite numerators are runs of one.
+    cap bounds the field pairs folded, then the bucket pairs.  A random
+    sample of combined verdicts is re-checked against direct forward
+    passes, as is every listed failure, which keeps the trace of its
+    re-check.
     """
     m = spec.m
     second = m - s
@@ -370,39 +457,12 @@ def _factored_exhaustive(spec, s, cap, rng):
     if combos > cap:
         raise BudgetExceeded(f"{combos} bucket pairs exceed the cap of {cap}")
 
-    total = wrong = saturated = 0
-    listed = []
-    for (num, rel1), (cnt1, ex1) in num_buckets.items():
-        for (den, rel2), (cnt2, ex2) in den_buckets.items():
-            if rel1 == 0 and rel2 > 0:
-                continue  # would violate y <= z
-            expected = int(rel1 == rel2 == 0)
-            if num is _NAN or den is _NAN:
-                bit, combo_inf = 0, True
-            else:
-                bit, sa, out = finish_softmax(spec, num, den)
-                combo_inf = sa is None or _any_inf(num, den, sa, out)
-            count = cnt1 * cnt2
-            total += count
-            saturated += count * combo_inf
-            if bit == expected:
-                continue
-            wrong += count
-            room = FAILURE_LIST_CAP - len(listed)
-            for (a, b), (c, d) in islice(product(ex1, ex2), room):
-                y = _bits(a, s) + _bits(c, second)
-                z = _bits(b, s) + _bits(d, second)
-                trace = forward(spec, y, z)
-                if trace.bit != bit:
-                    raise RuntimeError(
-                        "factored and direct evaluation disagree at "
-                        f"y={y} z={z}")
-                listed.append(Failure(y, z, expected, bit, trace))
-    if total != expected_total:
+    tally = _combine(spec, num_buckets, den_buckets, s, second)
+    if tally.total != expected_total:
         raise RuntimeError(
-            f"factored enumeration covered {total} pairs, expected "
+            f"factored enumeration covered {tally.total} pairs, expected "
             f"{expected_total}")
-    if wrong == 0:
+    if tally.failure_count == 0:
         # The factored pass claims a clean sweep; spot-check random pairs
         # with direct forward evaluation.
         draws = ((_bits(rng.getrandbits(m), m), _bits(rng.getrandbits(m), m))
@@ -411,7 +471,7 @@ def _factored_exhaustive(spec, s, cap, rng):
             raise RuntimeError(
                 "spot check found a failure the factored pass missed: "
                 f"y={f.y} z={f.z}")
-    return Tally(total, wrong, tuple(listed), saturated)
+    return tally
 
 
 def _report(spec, construction: str, mode: str, tally: Tally,

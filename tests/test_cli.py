@@ -14,6 +14,7 @@ import pytest
 
 from eqattn import cli, oracle
 from eqattn.constructs import make
+from eqattn.quantlab import int_format, quantize_spec
 
 
 class TestExitContract:
@@ -297,6 +298,25 @@ class TestQuantizeCommand:
                                "--count", "100", "--format", "text")
         assert code == 0
         assert "(capacity 16)" in out
+
+    def test_int16_at_m13_rejects_exactly_the_equal_pairs(self, run_cli):
+        """int16 keeps every fx-tight weight but widens the stage formats:
+        the exhaustive row is pinned, and every failure the same spec
+        lists is an equal pair the head rejects, 2^13 of them, none
+        saturated."""
+        code, out, err = run_cli("quantize", "--construction", "fx-tight",
+                                 "--ms", "13", "--formats", "int16",
+                                 "--exhaustive", "--format", "csv")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1] == \
+            "fx-tight,13,,,int16,32,33558528,33550336,0.999756,0,0.000"
+        spec, promises = make("fx-tight", m=13)
+        report = oracle.verify_exhaustive_spec(
+            quantize_spec(spec, int_format(16)), promises, "fx-tight")
+        assert (report.failure_count, report.inf_count) == (1 << 13, 0)
+        assert len(report.failures) == oracle.FAILURE_LIST_CAP
+        assert all((f.y, f.expected, f.got) == (f.z, 1, 0)
+                   for f in report.failures)
 
     def test_formats_flag_is_required(self, run_cli):
         with pytest.raises(SystemExit):

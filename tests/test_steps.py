@@ -393,14 +393,16 @@ def test_tail_tables_stay_bounded_and_exact(monkeypatch, name, kwargs):
 
 def test_a_verify_run_pins_its_adds_and_mlp_evaluations(monkeypatch,
                                                        run_cli):
-    """fx-tight m=7 exhaustive: the factored verifier's tables and spot
-    checks.  A change that drops a memo changes these counts: without the
-    two tail tables they are 854 adds, 864 multiplications and 166
-    evaluations.  Each evaluation makes 4 adds and 4 multiplications; the
-    other 11 multiplications are the scale table's misses."""
+    """fx-tight m=7 exhaustive: the factored verifier's tables, its
+    certified runs and spot checks.  A change that drops a memo changes
+    these counts: without the two tail tables they are 1,026 adds, 1,036
+    multiplications and 180 evaluations.  Each evaluation makes 4 adds and
+    4 multiplications, and so does each of the 29 output bounds the
+    combine takes (attn._output_bounds); the other 11 multiplications are
+    the scale table's misses."""
     adds = _counting(monkeypatch, "fx_add")
     muls = _counting(monkeypatch, "fx_mul")
     evals = _counting(monkeypatch, "mlp_eval")
     code, out, _ = run_cli("verify", "--construction", "fx-tight", "--m", "7")
     assert code == 0 and "8256 pairs, 0 failures" in out
-    assert (adds[0], muls[0], evals[0]) == (318, 139, 32)
+    assert (adds[0], muls[0], evals[0]) == (430, 251, 31)
