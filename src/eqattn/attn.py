@@ -42,7 +42,6 @@ first read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 from itertools import groupby, product
@@ -89,8 +88,7 @@ def _ops(fmt):
     return fp_add, fp_mul, fp_div, fp_round, FpNum
 
 
-@dataclass(frozen=True)
-class TokenRule:
+class TokenRule(NamedTuple):
     """Embedding rule for one position.
 
     source is a tuple of ("y" or "z", index) references naming the 1-based
@@ -105,8 +103,7 @@ class TokenRule:
     rows: tuple
 
 
-@dataclass(frozen=True)
-class MlpSpec:
+class MlpSpec(NamedTuple):
     """Two hidden relu units and one relu output, all exact dyadics."""
 
     w1: tuple
@@ -115,8 +112,7 @@ class MlpSpec:
     b2: Fraction
 
 
-@dataclass
-class TransformerSpec:
+class _SpecFields(NamedTuple):
     m: int
     n: int
     attention_kind: str
@@ -131,6 +127,8 @@ class TransformerSpec:
     mlp: MlpSpec
     index_base: int = 0
 
+
+class TransformerSpec(_SpecFields):
     @property
     def d(self) -> int:
         return 3
@@ -189,22 +187,17 @@ class TransformerSpec:
         k = next(i for i, c in enumerate(self.wv) if c)
         return k, self.wv[k]
 
-    # The compiled kernel is built on first use and lives in __dict__
-    # beside the fields, outside __eq__ and repr.  Assigning any attribute
-    # drops it, and so does pickling: the fold steps are keyed by object
-    # identity, which a copy in another process does not share.
+    # The compiled kernel is built on first use and lives in the instance
+    # __dict__, beside the tuple of fields, so == and repr never see it.
+    # The fields are read-only, so it never goes stale; _replace and
+    # pickling start the copy without it: the fold steps are keyed by
+    # object identity, which a copy in another process does not share.
     @cached_property
     def _compiled(self) -> "_Compiled":
         return _Compiled(self)
 
-    def __setattr__(self, name, value):
-        self.__dict__.pop("_compiled", None)
-        object.__setattr__(self, name, value)
-
     def __getstate__(self):
-        state = dict(self.__dict__)
-        state.pop("_compiled", None)
-        return state
+        return None
 
 
 def with_stage_widths(spec: TransformerSpec, widths: dict) -> TransformerSpec:
@@ -217,7 +210,7 @@ def with_stage_widths(spec: TransformerSpec, widths: dict) -> TransformerSpec:
             return FxFormat(new.p, scale, old.rounding)
         return FpFormat(new.t, new.e, old.rounding)
 
-    return replace(spec, **{f"{name}_fmt": stage(old, widths[name])
+    return spec._replace(**{f"{name}_fmt": stage(old, widths[name])
                             for name, old in spec.formats.items()})
 
 
@@ -225,31 +218,52 @@ def with_stage_widths(spec: TransformerSpec, widths: dict) -> TransformerSpec:
 _REFOLDED = ("logits", "weights", "num_terms", "num_partials", "den_partials")
 
 
-@dataclass
 class EvalTrace:
     """Everything the pipeline computed, token by token.
 
     forward keeps the spec and cells and leaves the lists of _REFOLDED
     unset; the first read of any fills all five by refolding the cells one
     position at a time, up to where an indeterminate form stopped the pass.
-    A trace built with its lists holds them as given.
+    A trace built with its lists holds them as given.  The fields are the
+    names annotated below, in repr order; a default is a class attribute.
+    spec and cells stay out of repr and ==.
     """
 
     logits: list
     weights: list
-    num_terms: list = field(default_factory=list)
-    num_partials: list = field(default_factory=list)
-    den_partials: list = field(default_factory=list)
+    num_terms: list
+    num_partials: list
+    den_partials: list
     numerator: object = None
     denominator: object = None
     sa: object = None
-    hidden: list = field(default_factory=list)
+    hidden: list
     output: object = None
     bit: int | None = None
     index_base: int = 0
     indeterminate: bool = False
-    spec: object = field(default=None, repr=False, compare=False)
-    cells: list | None = field(default=None, repr=False, compare=False)
+    spec: object = None
+    cells: list | None = None
+
+    def __init__(self, logits, weights, **fields):
+        unknown = fields.keys() - self.__annotations__.keys()
+        if unknown:
+            raise TypeError(f"EvalTrace has no fields {sorted(unknown)}")
+        vars(self).update(num_terms=[], num_partials=[], den_partials=[],
+                          hidden=[], logits=logits, weights=weights)
+        vars(self).update(fields)
+
+    def _shown(self):
+        return [(name, getattr(self, name)) for name in self.__annotations__
+                if name not in ("spec", "cells")]
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={value!r}" for name, value in self._shown())
+        return f"EvalTrace({shown})"
+
+    def __eq__(self, other):
+        return (self._shown() == other._shown() if type(other) is EvalTrace
+                else NotImplemented)
 
     def __getattr__(self, name):
         if name not in _REFOLDED or self.cells is None:

@@ -11,8 +11,8 @@ they differ only in the kind their zero carries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 NEAREST = "nearest"
 TRUNC = "trunc"
@@ -47,8 +47,46 @@ class InvalidFormat(ValueError):
 INF_CODE_LOG2 = 1 << 14
 
 
-@dataclass(frozen=True)
-class FxFormat:
+class _Format(tuple):
+    """What the two formats add to their NamedTuple fields: every
+    construction path (the constructor, _make and so _replace, unpickling)
+    checks each size field against its least value in _LEAST and the
+    rounding policy, and equality and hash tell the kinds apart, so
+    FxFormat(4, 2) != FpFormat(4, 2) and the two key separate entries."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        for name, least in cls._LEAST.items():
+            if getattr(self, name) < least:
+                raise InvalidFormat(f"{name} must be at least {least}, "
+                                    f"got {getattr(self, name)}")
+        if self.rounding not in (NEAREST, TRUNC):
+            raise InvalidFormat(f"unknown rounding policy {self.rounding!r}")
+        return self
+
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
+
+    def __eq__(self, other):
+        return type(self) is type(other) and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __hash__(self):
+        return hash((type(self), *self))
+
+
+class _FxFields(NamedTuple):
+    p: int
+    scale_log2: int = 0
+    rounding: str = NEAREST
+
+
+class FxFormat(_Format, _FxFields):
     """Fixed-point format: p bits total, one of them sign.
 
     The remaining budget B = p - 1 is split freely between integer and
@@ -56,15 +94,8 @@ class FxFormat:
     u * scale with u a dyadic needing at most B positional bits.
     """
 
-    p: int
-    scale_log2: int = 0
-    rounding: str = NEAREST
-
-    def __post_init__(self):
-        if self.p < 2:
-            raise InvalidFormat(f"p must be at least 2, got {self.p}")
-        if self.rounding not in (NEAREST, TRUNC):
-            raise InvalidFormat(f"unknown rounding policy {self.rounding!r}")
+    __slots__ = ()
+    _LEAST = {"p": 2}
 
     @property
     def budget(self) -> int:
@@ -74,23 +105,19 @@ class FxFormat:
         return f"fx:p={self.p},scale=2^{self.scale_log2},round={self.rounding}"
 
 
-@dataclass(frozen=True)
-class FpFormat:
-    """Floating-point format: t significand bits (1.a with |a| = t - 1) and
-    e exponent bits giving |exponent| <= q = 2**(e-1) - 1.  No subnormals;
-    zero is its own class."""
-
+class _FpFields(NamedTuple):
     t: int
     e: int
     rounding: str = NEAREST
 
-    def __post_init__(self):
-        if self.t < 1:
-            raise InvalidFormat(f"t must be at least 1, got {self.t}")
-        if self.e < 2:
-            raise InvalidFormat(f"e must be at least 2, got {self.e}")
-        if self.rounding not in (NEAREST, TRUNC):
-            raise InvalidFormat(f"unknown rounding policy {self.rounding!r}")
+
+class FpFormat(_Format, _FpFields):
+    """Floating-point format: t significand bits (1.a with |a| = t - 1) and
+    e exponent bits giving |exponent| <= q = 2**(e-1) - 1.  No subnormals;
+    zero is its own class."""
+
+    __slots__ = ()
+    _LEAST = {"t": 1, "e": 2}
 
     @property
     def q(self) -> int:

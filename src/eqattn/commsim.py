@@ -14,8 +14,8 @@ check it pair-exhaustively at small m.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .attn import (
     LINEAR,
@@ -33,8 +33,7 @@ from .constructs import native_precision
 from .oracle import BudgetExceeded
 
 
-@dataclass(frozen=True)
-class ProtocolRun:
+class ProtocolRun(NamedTuple):
     """Transcript of one simulated protocol execution."""
 
     prefix: int
@@ -44,8 +43,7 @@ class ProtocolRun:
     bob_bit: int
 
 
-@dataclass(frozen=True)
-class FoolingReport:
+class FoolingReport(NamedTuple):
     """The fooling-set count at (m, e) against its closed form."""
 
     CSV_HEADER = "m,e,enumerated,formula,bound"

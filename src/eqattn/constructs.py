@@ -35,9 +35,9 @@ quantization target measures detuning, not expressivity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as _bit_patterns
+from typing import NamedTuple
 
 from .attn import LINEAR, SOFTMAX, MlpSpec, TokenRule, TransformerSpec
 from .bitnum import FpFormat, FxFormat, fp_round, fx_round
@@ -84,30 +84,37 @@ _FLAGS = {
 }
 
 
-@dataclass(frozen=True)
-class PromiseSet:
-    """The named input restrictions a construction's correctness assumes:
-    the construction's default flags (CONSTRUCTIONS) unless flags are
-    given."""
-
+class _PromiseFields(NamedTuple):
     construction: str
     t: int | None = None
     e: int | None = None
     flags: tuple = ()
 
-    def __post_init__(self):
-        if self.construction not in CONSTRUCTIONS:
-            raise ValueError(f"unknown construction {self.construction!r}")
-        if not self.flags:
-            object.__setattr__(self, "flags",
-                               CONSTRUCTIONS[self.construction][2])
-        for f in self.flags:
+
+class PromiseSet(_PromiseFields):
+    """The named input restrictions a construction's correctness assumes:
+    the construction's default flags (CONSTRUCTIONS) unless flags are
+    given.  Every construction path, _replace included, fills in and
+    checks the flags."""
+
+    __slots__ = ()
+
+    def __new__(cls, construction, t=None, e=None, flags=()):
+        if construction not in CONSTRUCTIONS:
+            raise ValueError(f"unknown construction {construction!r}")
+        flags = flags or CONSTRUCTIONS[construction][2]
+        for f in flags:
             if f not in _FLAGS:
                 raise ValueError(f"unknown promise flag {f!r}")
-        sized = {f for f in self.flags if _FLAGS[f][2]}
-        if sized and (self.t is None or self.e is None):
+        sized = {f for f in flags if _FLAGS[f][2]}
+        if sized and (t is None or e is None):
             raise ValueError(
                 f"promise flags {sorted(sized)} need t and e")
+        return super().__new__(cls, construction, t, e, flags)
+
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
 
     def check(self, y: str, z: str) -> list[str]:
         """Names of every flag the pair (y, z) violates, in declaration

@@ -25,7 +25,6 @@ from __future__ import annotations
 import bisect
 import random
 import time
-from dataclasses import dataclass, field
 from itertools import accumulate, islice, product
 from typing import NamedTuple
 
@@ -76,8 +75,7 @@ def _fmt_scalar(v) -> str:
     return str(v)
 
 
-@dataclass(frozen=True)
-class Failure:
+class Failure(NamedTuple):
     """A pair the head answers wrongly, with the trace it was found with;
     its digest is formatted from the trace only when read."""
 
@@ -85,7 +83,21 @@ class Failure:
     z: str
     expected: int
     got: int
-    trace: object = field(repr=False, compare=False)
+    trace: object
+
+    # The trace is a diagnostic: it stays out of ==, hash and repr.
+    def __eq__(self, other):
+        return type(other) is Failure and self[:4] == other[:4]
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __hash__(self):
+        return hash(self[:4])
+
+    def __repr__(self):
+        return (f"Failure(y={self.y!r}, z={self.z!r}, "
+                f"expected={self.expected!r}, got={self.got!r})")
 
     @property
     def digest(self) -> str:
@@ -120,8 +132,7 @@ class Tally(NamedTuple):
                      self.saturated + other.saturated)
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(NamedTuple):
     """Outcome of one verification run."""
 
     CSV_HEADER = "construction,m,t,e,p,total,failures,seconds"

@@ -37,14 +37,13 @@ refuses a head whose logits are not integer coefficients of ln 2.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 import warnings
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache
 from pathlib import Path
+from typing import NamedTuple
 
 from .attn import (LINEAR, SOFTMAX, MlpSpec, TokenRule, TransformerSpec,
                    token_logits, with_stage_widths)
@@ -227,16 +226,13 @@ def quantize_spec(spec: TransformerSpec,
         return tuple(q(label, v) for v in row)
 
     embedding = [
-        TokenRule(source=rule.source,
-                  rows=tuple(q_row("embedding", row) for row in rule.rows))
-        for rule in spec.embedding
-    ]
+        rule._replace(rows=tuple(q_row("embedding", row) for row in rule.rows))
+        for rule in spec.embedding]
     mlp = MlpSpec(w1=q_row("mlp.w1", spec.mlp.w1),
                   b1=q_row("mlp.b1", spec.mlp.b1),
                   w2=q_row("mlp.w2", spec.mlp.w2),
                   b2=q("mlp.b2", spec.mlp.b2))
-    out = replace(
-        with_stage_widths(spec, dict.fromkeys(spec.formats, fmt)),
+    out = with_stage_widths(spec, dict.fromkeys(spec.formats, fmt))._replace(
         embedding=embedding,
         wq=q_row("wq", spec.wq),
         wk=q_row("wk", spec.wk),
@@ -303,8 +299,7 @@ def gen_dataset(m: int, count: int, seed: int = 0) -> tuple:
     return tuple(pairs)
 
 
-@dataclass(frozen=True)
-class QuantRow:
+class QuantRow(NamedTuple):
     """One accuracy measurement: a subject at one storage format.
 
     t and e are the subject's float fields, or for a fixed-point subject
@@ -616,6 +611,7 @@ def export_weights(spec: TransformerSpec) -> str:
             "b2": enc(spec.mlp.b2),
         },
     }
+    import json
     return json.dumps(doc, indent=2) + "\n"
 
 
@@ -635,6 +631,7 @@ def import_weights(path) -> TransformerSpec:
 
 def import_weights_text(text: str) -> TransformerSpec:
     """import_weights for an in-memory document."""
+    import json
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -1,6 +1,5 @@
 """Forward-pass semantics on a small hand-built head."""
 
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -55,7 +54,7 @@ class TestForward:
         """With linear attention the raw numerator goes to the MLP, so the
         toy head sees 1 on equal pairs and fires on sa = 1 inputs only
         after retuning; here we just pin the plumbing."""
-        linear = replace(toy_spec, attention_kind=LINEAR)
+        linear = toy_spec._replace(attention_kind=LINEAR)
         trace = forward(linear, "1", "1")
         assert trace.denominator is None
         assert trace.sa.as_fraction() == 1
@@ -96,37 +95,37 @@ class TestMlp:
 
 class TestValidation:
     def test_embedding_count_must_be_n_plus_one(self, toy_spec):
-        bad = replace(toy_spec, embedding=toy_spec.embedding[:-1])
+        bad = toy_spec._replace(embedding=toy_spec.embedding[:-1])
         with pytest.raises(ValueError, match="positions"):
             bad.validate()
 
     def test_rule_row_count_must_match_sources(self, toy_spec):
         rule = TokenRule(source=(("y", 1),),
                          rows=((Fraction(1), Fraction(0), Fraction(0)),))
-        bad = replace(toy_spec, embedding=[rule] + toy_spec.embedding[1:])
+        bad = toy_spec._replace(embedding=[rule] + toy_spec.embedding[1:])
         with pytest.raises(ValueError, match="rows"):
             bad.validate()
 
     def test_bit_references_must_be_in_range(self, toy_spec):
         rule = TokenRule(source=(("y", 2),), rows=toy_spec.embedding[0].rows)
-        bad = replace(toy_spec, embedding=[rule] + toy_spec.embedding[1:])
+        bad = toy_spec._replace(embedding=[rule] + toy_spec.embedding[1:])
         with pytest.raises(ValueError, match="reference"):
             bad.validate()
 
     def test_wv_selects_exactly_one_coordinate(self, toy_spec):
-        bad = replace(toy_spec, wv=(Fraction(0), Fraction(1), Fraction(1)))
+        bad = toy_spec._replace(wv=(Fraction(0), Fraction(1), Fraction(1)))
         with pytest.raises(ValueError, match="wv"):
             bad.validate()
 
     def test_stage_formats_must_share_a_kind(self, toy_spec):
-        bad = replace(toy_spec, out_fmt=FpFormat(3, 3))
+        bad = toy_spec._replace(out_fmt=FpFormat(3, 3))
         with pytest.raises(ValueError, match="kind"):
             bad.validate()
 
     def test_num_and_den_may_differ_only_in_scale(self, toy_spec):
-        ok = replace(toy_spec, den_fmt=FxFormat(toy_spec.num_fmt.p, 2))
+        ok = toy_spec._replace(den_fmt=FxFormat(toy_spec.num_fmt.p, 2))
         ok.validate()
-        bad = replace(toy_spec, den_fmt=FxFormat(toy_spec.num_fmt.p + 1))
+        bad = toy_spec._replace(den_fmt=FxFormat(toy_spec.num_fmt.p + 1))
         with pytest.raises(ValueError, match="scale"):
             bad.validate()
 

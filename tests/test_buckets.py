@@ -9,7 +9,6 @@ and the same insertion order, which fixes the failure lists and the order
 the verifier combines buckets in.
 """
 
-from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -77,7 +76,7 @@ def _subjects():
             for name, fmt in (("int6", INT6), ("int8", INT8))]
     spec, promises = make("fx-tight", m=5)
     out.append(("fx-tight-5-w2-zero",
-                replace(spec, mlp=replace(spec.mlp, w2=(0, 0))), promises))
+                spec._replace(mlp=spec.mlp._replace(w2=(0, 0))), promises))
     # Indeterminate folds: in Bob's part on fx-simple one bit short, in
     # Alice's prefix too on fx-tight two bits short.
     for m in range(5, 10, 2):
@@ -123,7 +122,7 @@ def _poisoned(side):
                            (rule.rows[0], rule.rows[1][:2] + (float("inf"),)))
                  if rule.source == ((side, 3),) else rule
                  for rule in spec.embedding]
-    return replace(spec, embedding=embedding).validate(), promises
+    return spec._replace(embedding=embedding).validate(), promises
 
 
 def _first_error(builder, spec, s):

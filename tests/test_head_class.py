@@ -10,8 +10,6 @@ returned class whenever one is returned; a value whose MLP hits an
 indeterminate form must leave the interval uncertified.
 """
 
-from dataclasses import replace
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -34,12 +32,12 @@ def _heads():
     quantized = [quantize_spec(tight, parse_quant_format(name))
                  for name in ("int3", "int4", "int6", "fp8_e4m3")]
     heads += quantized
-    heads += [replace(head, out_fmt=replace(head.out_fmt, rounding=TRUNC))
+    heads += [head._replace(out_fmt=head.out_fmt._replace(rounding=TRUNC))
               for head in heads[:4]]
     # An MLP whose output saturates, and one that meets 0 * Inf at an
     # infinite hidden unit, in a fixed- and a floating-point out format.
     for head in (tight, quantized[-1]):
-        heads += [replace(head, mlp=replace(head.mlp, w2=w2, b2=b2))
+        heads += [head._replace(mlp=head.mlp._replace(w2=w2, b2=b2))
                   for w2, b2 in (((4, 4), -1), ((0, 0), 1))]
     return heads
 

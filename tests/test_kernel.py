@@ -21,7 +21,6 @@ two m-bit strings.
 import gc
 import pickle
 import random
-from dataclasses import replace
 from functools import partial
 from itertools import groupby, product
 from fractions import Fraction
@@ -157,7 +156,7 @@ def _const_rows(spec, values):
         row = [Fraction(0) if c else v for v, c in zip(row, spec.wk)]
         row[col] = value
         embedding[j] = TokenRule((), (tuple(row),))
-    return replace(spec, embedding=embedding).validate()
+    return spec._replace(embedding=embedding).validate()
 
 
 def _planted_den_add(monkeypatch, spec, name, value):
@@ -303,7 +302,7 @@ def test_derived_specs_start_without_the_parents_cells():
         forward(spec, y, z)
     thin_fold = FxFormat(3, spec.fold_fmt.scale_log2)
     for derived in (precision_delta_spec(spec, -1),
-                    replace(spec, fold_fmt=thin_fold),
+                    spec._replace(fold_fmt=thin_fold),
                     quantize_spec(spec, INT6)):
         assert "_compiled" not in vars(derived)
         for y, z in pairs:
@@ -312,12 +311,17 @@ def test_derived_specs_start_without_the_parents_cells():
         _assert_same(spec, y, z)
 
 
-def test_assigning_a_field_drops_the_cells():
+def test_assigning_a_field_raises_and_keeps_the_cells():
+    """The fields are read-only, so the compiled cells never go stale."""
     spec = _subject("fx-tight m=7")
     pairs = _pairs(spec.m, 20, 5)
     for y, z in pairs:
         forward(spec, y, z)
-    spec.fold_fmt = FxFormat(spec.fold_fmt.p - 1, spec.fold_fmt.scale_log2)
+    compiled = vars(spec)["_compiled"]
+    with pytest.raises(AttributeError):
+        spec.fold_fmt = FxFormat(spec.fold_fmt.p - 1,
+                                 spec.fold_fmt.scale_log2)
+    assert vars(spec)["_compiled"] is compiled
     for y, z in pairs:
         _assert_same(spec, y, z)
 
@@ -342,7 +346,7 @@ def _toy_with_row(pos, code, row):
     rows[code] = row
     embedding = list(spec.embedding)
     embedding[pos] = TokenRule(rule.source, tuple(rows))
-    return replace(spec, embedding=embedding)
+    return spec._replace(embedding=embedding)
 
 
 def _failure(fn, spec, *args):
@@ -383,7 +387,7 @@ def test_a_query_row_that_reads_an_input_bit():
     (row,) = spec.embedding[-1].rows
     query = TokenRule((("y", 1),), (row, (Fraction(1), Fraction(0),
                                            Fraction(1))))
-    spec = replace(spec, embedding=spec.embedding[:-1] + [query]).validate()
+    spec = spec._replace(embedding=spec.embedding[:-1] + [query]).validate()
     comp = spec._compiled
     assert comp.built == {} and comp.consts == [None] * (spec.n + 1)
     assert fold_reads(spec) == ({1}, {1})
@@ -537,7 +541,7 @@ def test_wide_rules_are_read_most_significant_first():
      "bit strings"),
     (make("fx-simple", m=5)[0], "0a010", "00010", "bit strings"),
     # y_2 and z_2 are read by no rule, so no row lookup sees them.
-    (replace(build_toy_spec(), m=2).validate(), "12", "10", "bit strings"),
+    (build_toy_spec()._replace(m=2).validate(), "12", "10", "bit strings"),
     # 14 bits in all, as y + z of m = 7 has: only the split is wrong.
     (make("fx-tight", m=7)[0], "0" * 8, "0" * 6,
      "inputs must have m = 7 bits"),

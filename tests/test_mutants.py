@@ -1,0 +1,189 @@
+"""A standing mutation check: each entry of MUTANTS is a one-line fault in
+src/eqattn/ that the tests it names must kill.
+
+By default only the table is checked: each old line occurs exactly once in
+src/eqattn/, in the file the entry names, so a refactor that rewrites a
+mutated line must update its entry; and each killer names a test that
+exists.  Setting the environment variable EQATTN_MUTANTS to a non-empty
+value also applies every mutant to its own copy of src/ and runs only its
+killers on it, in a subprocess; each run must fail, e.g.
+
+    EQATTN_MUTANTS=1 PYTHONPATH=src python -m pytest tests/test_mutants.py
+
+Mutation testing: DeMillo, Lipton & Sayward, "Hints on Test Data
+Selection", IEEE Computer, 1978.
+"""
+
+import ast
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import eqattn
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PKG = os.path.dirname(eqattn.__file__)
+
+# (file under src/eqattn/, the exact old line, the new line, killers)
+MUTANTS = [
+    # scalar rounding: the nearest tie broken away from zero, and a float
+    # flushed to zero one octave early
+    ("bitnum.py",
+     "    if rounding == NEAREST and rem > (1 << (-shift - 1)):",
+     "    if rounding == NEAREST and rem >= (1 << (-shift - 1)):",
+     ["tests/test_bitnum.py"]),
+    ("bitnum.py",
+     "    if msb < -fmt.q:",
+     "    if msb <= -fmt.q:",
+     ["tests/test_acceptance.py::test_criterion_03_floating_point_families"]),
+    # the formats told apart by type
+    ("bitnum.py",
+     "        return type(self) is type(other) and tuple.__eq__(self, other)",
+     "        return tuple.__eq__(self, other)",
+     ["tests/test_records.py::test_formats_of_equal_fields_are_distinct"]),
+    # the fold-step tables cleared 64 times too often
+    ("attn.py",
+     "        if len(self.steps) + len(self.values) >= STEP_LIMIT:",
+     "        if len(self.steps) + len(self.values) >= STEP_LIMIT // 64:",
+     ["tests/test_kernel.py::test_a_constant_run_is_one_lookup"]),
+    # head_class certifying output bounds on both sides of 1
+    ("attn.py",
+     "    if high.is_inf or (low.as_fraction() - 1) * (high.as_fraction() - 1)"
+     " <= 0:",
+     "    if high.is_inf:",
+     ["tests/test_head_class.py", "tests/test_combine.py"]),
+    # a failure equal to another only with the same trace
+    ("oracle.py",
+     "        return type(other) is Failure and self[:4] == other[:4]",
+     "        return tuple.__eq__(self, other)",
+     ["tests/test_records.py::test_a_failure_is_its_pair_and_bits_not_its_"
+      "trace"]),
+    # merged tallies keeping the later chunk's failures first
+    ("oracle.py",
+     "                     (self.failures + other.failures)"
+     "[:FAILURE_LIST_CAP],",
+     "                     (other.failures + self.failures)"
+     "[:FAILURE_LIST_CAP],",
+     ["tests/test_jobs.py::test_two_workers_merge_a_failing_run_as_one"]),
+    # the worker chunks summed in reverse order
+    ("oracle.py",
+     "                [pairs[i:i + step] for i in range(0, len(pairs), step)]"
+     "),",
+     "                [pairs[i:i + step] for i in range(0, len(pairs), step)]"
+     "[::-1]),",
+     ["tests/test_jobs.py::test_two_workers_merge_a_failing_run_as_one"]),
+    # a split with the numerator's last bit on the denominator's first
+    ("oracle.py",
+     "    return s if s < min(den, default=spec.m) else None",
+     "    return s if s <= min(den, default=spec.m) else None",
+     ["tests/test_oracle.py::TestFoldSplit::"
+      "test_no_split_without_two_ordered_folds"]),
+    # Bob resuming one token early, and over Alice's cells
+    ("oracle.py",
+     "                num, den = fold(spec, alice, k, end, cells[b])",
+     "                num, den = fold(spec, alice, k - 1, end, cells[b])",
+     ["tests/test_buckets.py::test_resumed_buckets_match_one_fold_per_pair"]),
+    ("oracle.py",
+     "                num, den = fold(spec, alice, k, end, cells[b])",
+     "                num, den = fold(spec, alice, k, end, cells[a])",
+     ["tests/test_buckets.py::test_resumed_buckets_match_one_fold_per_pair"]),
+    # the run counts off by one column, and every pair counted saturated
+    ("oracle.py",
+     "                n = cnt1 * (cum[j + 1] - cum[i])",
+     "                n = cnt1 * (cum[j] - cum[i])",
+     ["tests/test_combine.py"]),
+    ("oracle.py",
+     "                saturated += n * sat",
+     "                saturated += n",
+     ["tests/test_oracle.py::TestExhaustive::"
+      "test_native_precision_has_zero_failures"]),
+    # the spot check of the factored pass drawing no pair
+    ("oracle.py",
+     "                 for _ in range(64))",
+     "                 for _ in range(0))",
+     ["tests/test_oracle.py::TestExhaustive::"
+      "test_spot_check_catches_a_miss_of_the_factored_pass"]),
+    # a private name of another module imported
+    ("oracle.py",
+     "from .constructs import PromiseSet, float_fields, make, "
+     "native_precision",
+     "from .constructs import _FLAGS, PromiseSet, float_fields, make, "
+     "native_precision",
+     ["tests/test_package.py::"
+      "test_no_module_imports_a_private_name_of_another"]),
+    # a prefix length past the sequence accepted
+    ("commsim.py",
+     "    elif not 1 <= k <= spec.n + 1:",
+     "    elif not 1 <= k <= spec.n + 2:",
+     ["tests/test_commsim.py::TestProtocol::"
+      "test_prefix_lengths_past_the_sequence_are_rejected"]),
+    # weights files: a row not checked to be an array, a float not checked
+    # to be finite, and a spec error escaping as a bare ValueError
+    ("quantlab.py",
+     '    _schema(isinstance(row, list), where, "expected an array")',
+     '    _schema(True, where, "expected an array")',
+     ["tests/test_weights_fuzz.py"]),
+    ("quantlab.py",
+     "    if isinstance(v, float) and not math.isfinite(v):",
+     "    if False:",
+     ["tests/test_weights_fuzz.py"]),
+    ("quantlab.py",
+     "        raise SchemaError(str(exc)) from exc",
+     "        raise",
+     ["tests/test_weights_fuzz.py"]),
+]
+
+
+def _test_names(path):
+    """Node ids below path: test functions, and Class::method."""
+    tree = ast.parse(Path(ROOT, path).read_text(), path)
+    names = set()
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            names.add(node.name)
+        elif isinstance(node, ast.ClassDef):
+            names.update(f"{node.name}::{n.name}" for n in node.body
+                         if isinstance(n, ast.FunctionDef))
+    return names
+
+
+def test_every_mutant_names_one_line_and_existing_killers():
+    sources = {name: Path(PKG, name).read_text().split("\n")
+               for name in os.listdir(PKG) if name.endswith(".py")}
+    for name, old, new, killers in MUTANTS:
+        assert old != new and killers
+        places = {f: lines.count(old) for f, lines in sources.items()
+                  if old in lines}
+        assert places == {name: 1}, (name, old)
+        for killer in killers:
+            path, _, test = killer.partition("::")
+            assert os.path.isfile(os.path.join(ROOT, path)), killer
+            assert not test or test in _test_names(path), killer
+
+
+@pytest.mark.skipif(not os.environ.get("EQATTN_MUTANTS"),
+                    reason="set EQATTN_MUTANTS to run the mutants")
+def test_no_mutant_survives_its_killers(tmp_path):
+    survivors = []
+    for i, (name, old, new, killers) in enumerate(MUTANTS):
+        src = tmp_path / str(i)
+        shutil.copytree(PKG, src / "eqattn",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        target = src / "eqattn" / name
+        lines = target.read_text().split("\n")
+        lines[lines.index(old)] = new
+        target.write_text("\n".join(lines))
+        env = dict(os.environ, PYTHONPATH=str(src),
+                   PYTHONDONTWRITEBYTECODE="1")
+        run = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p",
+             "no:cacheprovider", *killers], cwd=ROOT, env=env,
+            capture_output=True, text=True, timeout=600)
+        if run.returncode != 1:   # 1: tests ran and one failed
+            survivors.append((name, new, run.returncode,
+                              run.stdout[-400:] + run.stderr[-400:]))
+    assert survivors == []

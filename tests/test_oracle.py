@@ -1,7 +1,5 @@
 """Exhaustive and sampled verification against ground-truth equality."""
 
-from dataclasses import replace
-
 import pytest
 
 from eqattn import oracle
@@ -152,7 +150,7 @@ def _with_rows(spec, source, row_fn):
                  if rule.source == source else rule
                  for rule in spec.embedding]
     assert embedding != spec.embedding
-    return replace(spec, embedding=embedding).validate()
+    return spec._replace(embedding=embedding).validate()
 
 
 def _both_paths(spec, promises):
@@ -227,7 +225,7 @@ class TestFoldSplit:
         embedding = [TokenRule((("y", 5),), rule.rows)
                      if rule.source == (("z", 5),) else rule
                      for rule in spec.embedding]
-        spec = replace(spec, embedding=embedding).validate()
+        spec = spec._replace(embedding=embedding).validate()
         assert fold_reads(spec) == ({1, 2, 3, 4}, {5, 6, 7})
         assert fold_split(spec, promises) is None
         fast, direct = _both_paths(spec, promises)

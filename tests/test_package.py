@@ -17,20 +17,24 @@ import eqattn
 
 def test_every_module_is_imported_by_the_cli():
     """A fresh `import eqattn.cli` loads every module of the package and
-    leaves the process pool, which only --jobs above 1 uses, unloaded."""
+    none that only some commands need, or none does, since every command
+    pays for the import: the process pool (only --jobs above 1), json
+    (only the weights files) and dataclasses with the inspect it imports
+    (no record)."""
     src = os.path.dirname(os.path.dirname(eqattn.__file__))
     probe = ("import sys, eqattn.cli; print(' '.join(sorted("
              "m for m in sys.modules if m.startswith('eqattn.')))); "
              "print(' '.join(m for m in ('multiprocessing', "
-             "'concurrent.futures') if m in sys.modules))")
+             "'concurrent.futures', 'dataclasses', 'inspect', 'json') "
+             "if m in sys.modules))")
     env = dict(os.environ, PYTHONPATH=src)
-    ours, pool = subprocess.run([sys.executable, "-c", probe], env=env,
-                                check=True, capture_output=True,
-                                text=True).stdout.split("\n")[:2]
+    ours, unused = subprocess.run([sys.executable, "-c", probe], env=env,
+                                  check=True, capture_output=True,
+                                  text=True).stdout.split("\n")[:2]
     modules = [f"eqattn.{info.name}"
                for info in pkgutil.iter_modules(eqattn.__path__)]
     assert sorted(modules) == ours.split()
-    assert pool == ""
+    assert unused == ""
 
 
 def test_every_traced_function_exists():
@@ -98,11 +102,13 @@ def test_no_module_imports_a_private_name_of_another():
     assert borrowed == []
 
 
-def _is_record(node):
-    """A dataclass or a NamedTuple."""
-    marks = [getattr(d, "func", d) for d in node.decorator_list] + node.bases
-    return any(isinstance(n, ast.Name) and n.id in ("dataclass", "NamedTuple")
-               for n in marks)
+def _fields(node):
+    """The fields a class declares: the names its body annotates.  In the
+    package only records annotate names: a NamedTuple, whose fields a
+    subclass may extend with methods (FxFormat's are _FxFields'), or a
+    plain class that keeps its fields in the instance __dict__
+    (EvalTrace)."""
+    return [n.target.id for n in node.body if isinstance(n, ast.AnnAssign)]
 
 
 def test_every_package_name_is_read_outside_the_tests():
@@ -111,11 +117,12 @@ def test_every_package_name_is_read_outside_the_tests():
     perfbench/ besides its definition: an attribute, a name read, or a
     string that is one dotted identifier, as perfbench/tracer.py names what
     it wraps ("PromiseSet.check").  Words of prose strings do not count.
-    Each field of a record (a dataclass or a NamedTuple) is read there as
-    an attribute, x.field.  A name only the tests read belongs in the
-    tests.  Dunder names are called by Python itself; table_outline feeds
-    the checked-in outline check.  Cell is exempt: attn.fold reads its
-    fields by index, through _FOLDS."""
+    Each field of a record (a name a class body annotates) is read there
+    as an attribute, x.field.  A name only the tests read belongs in the
+    tests.  Dunder names are called by Python itself, and _make by
+    NamedTuple's _replace; table_outline feeds the checked-in outline
+    check.  Cell is exempt: attn.fold reads its fields by index, through
+    _FOLDS."""
     pkg = os.path.dirname(eqattn.__file__)
     bench = os.path.join(os.path.dirname(os.path.dirname(pkg)), "perfbench")
     named, read, defined, fields = set(), set(), [], []
@@ -146,11 +153,9 @@ def test_every_package_name_is_read_outside_the_tests():
                     defined += [(name, f"{node.name}.{n.name}", n.name)
                                 for n in node.body
                                 if isinstance(n, ast.FunctionDef)]
-                if isinstance(node, ast.ClassDef) and _is_record(node) \
-                        and node.name != "Cell":
-                    fields += [(name, f"{node.name}.{n.target.id}",
-                                n.target.id) for n in node.body
-                               if isinstance(n, ast.AnnAssign)]
+                if isinstance(node, ast.ClassDef) and node.name != "Cell":
+                    fields += [(name, f"{node.name}.{field}", field)
+                               for field in _fields(node)]
                 if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                     defined.append((name, node.name, node.name))
                 targets = (node.targets if isinstance(node, ast.Assign) else
@@ -160,7 +165,7 @@ def test_every_package_name_is_read_outside_the_tests():
                             if isinstance(t, ast.Name)]
     unread = [f"{module}:{qual}" for module, qual, bare in defined
               if bare not in named
-              and bare not in ("table_outline", "__version__")
+              and bare not in ("table_outline", "__version__", "_make")
               and not (bare.startswith("__") and bare.endswith("__"))]
     unread += [f"{module}:{qual}" for module, qual, field in fields
                if field not in read]

@@ -1,7 +1,6 @@
 """Post-training quantization: formats, calibration, datasets, accuracy."""
 
 import json
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -132,8 +131,8 @@ class TestIntQuantization:
                     assert num.denominator & (num.denominator - 1) == 0
 
     def test_degenerate_tensor_warns(self, toy_spec):
-        muted = replace(toy_spec,
-                        mlp=replace(toy_spec.mlp, w2=(Fraction(0),) * 2))
+        muted = toy_spec._replace(
+            mlp=toy_spec.mlp._replace(w2=(Fraction(0),) * 2))
         with pytest.warns(DegenerateTensor):
             quantize_spec(muted, INT8)
 

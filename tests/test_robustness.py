@@ -1,7 +1,6 @@
 """Inputs that once crashed: each now ends with its documented outcome."""
 
 import json
-from dataclasses import replace
 
 import pytest
 
@@ -14,7 +13,7 @@ def test_factored_verifier_survives_an_indeterminate_mlp():
     """Zero output weights times an infinite hidden unit is 0 * Inf: the
     factored verifier answers 0 there, as forward does."""
     spec, promises = make("fx-tight", m=5)
-    spec = replace(spec, mlp=replace(spec.mlp, w2=(0, 0)))
+    spec = spec._replace(mlp=spec.mlp._replace(w2=(0, 0)))
     fast = verify_exhaustive_spec(spec, promises, "fx-tight")
     direct = oracle.tally_pairs(spec, oracle.promise_pairs(promises, 5), 1)
     assert (fast.total, fast.failure_count, fast.inf_count) == \

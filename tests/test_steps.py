@@ -17,7 +17,6 @@ A verify run pins the adds and MLP evaluations the memos leave.
 
 import gc
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -297,8 +296,9 @@ def _tail_spec(rng, fmt):
     mlp = MlpSpec(w1=(_dyadic(rng), _dyadic(rng)),
                   b1=(_dyadic(rng), _dyadic(rng)),
                   w2=(_dyadic(rng), _dyadic(rng)), b2=_dyadic(rng))
-    return replace(build_toy_spec(), fold_fmt=fmt, num_fmt=fmt, den_fmt=fmt,
-                   out_fmt=fmt, wv=(0, 0, _dyadic(rng)), mlp=mlp).validate()
+    return build_toy_spec()._replace(
+        fold_fmt=fmt, num_fmt=fmt, den_fmt=fmt, out_fmt=fmt,
+        wv=(0, 0, _dyadic(rng)), mlp=mlp).validate()
 
 
 def _outcome(fn, *args):
