@@ -191,7 +191,7 @@ class TransformerSpec(_SpecFields):
     # __dict__, beside the tuple of fields, so == and repr never see it.
     # The fields are read-only, so it never goes stale; _replace and
     # pickling start the copy without it: the fold steps are keyed by
-    # object identity, which a copy in another process does not share.
+    # object identity, which an unpickled copy does not share.
     @cached_property
     def _compiled(self) -> "_Compiled":
         return _Compiled(self)

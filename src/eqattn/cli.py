@@ -12,8 +12,9 @@ _report, which writes each row's text lines or, with --format csv, the rows
 through the one CSV writer, oracle.to_csv.  Commands read the argparse
 namespace, which _config checks and normalises in place.  Each command
 offers only the flags it reads (build_parser), so argparse refuses any
-other; protocol's --jobs is the one exception, kept so that one flag set
-runs every command.
+other; --jobs is the one exception.  Every command runs in one process;
+verify, sweep, protocol and quantize take --jobs, refuse a value below 1
+and otherwise ignore it, so that one flag set runs every command.
 
 Exit codes are a stable contract: 0 success, 1 verified failure (expected
 in precision-cliff runs and rejected weights files), 2 usage error, 3
@@ -45,22 +46,13 @@ class UsageError(Exception):
     """A request the command line cannot honor; maps to exit code 2."""
 
 
-def _jobs(flag) -> int:
-    """--jobs, else EQATTN_JOBS, else 1; at least 1 and at most the CPU
-    count."""
-    name, text = ("EQATTN_JOBS", os.environ.get("EQATTN_JOBS", "1")) \
-        if flag is None else ("--jobs", str(flag))
-    if not text.isdecimal() or int(text) < 1:
-        raise UsageError(f"{name} must be a positive integer, got {text!r}")
-    return min(int(text), os.cpu_count() or 1)
-
-
 def _config(args):
-    """Check the parsed flags and normalise them in place: the job count,
-    positive counts, and the comma-separated lists as tuples (ms is () for
-    commands without --ms)."""
-    if hasattr(args, "jobs"):
-        args.jobs = _jobs(args.jobs)
+    """Check the parsed flags and normalise them in place: positive counts
+    (--jobs included, though nothing reads it), and the comma-separated
+    lists as tuples (ms is () for commands without --ms)."""
+    if getattr(args, "jobs", 1) < 1:
+        raise UsageError(f"--jobs must be a positive integer, got "
+                         f"'{args.jobs}'")
     if getattr(args, "count", None) is not None and args.count < 1:
         raise UsageError(f"--count must be positive, got {args.count}")
     if getattr(args, "samples", 0) < 0:
@@ -137,11 +129,10 @@ def _verify(args, samples: int = 0, **size) -> oracle.VerifyReport:
     if samples:
         return oracle.verify_sampled(
             args.construction, **size, n=args.n, samples=samples,
-            seed=args.seed, precision_delta=args.precision_delta,
-            jobs=args.jobs)
+            seed=args.seed, precision_delta=args.precision_delta)
     return oracle.verify_exhaustive(
         args.construction, **size, n=args.n,
-        precision_delta=args.precision_delta, jobs=args.jobs)
+        precision_delta=args.precision_delta)
 
 
 def cmd_verify(args) -> int:
@@ -153,6 +144,8 @@ def cmd_verify(args) -> int:
 
 def cmd_sweep(args) -> int:
     _check_odd_m(args)
+    if args.samples and args.t is None and args.e is None:
+        raise UsageError("--samples needs a --t/--e subject; drop it")
     reports = [_verify(args, m=m) for m in args.ms]
     if args.t is not None or args.e is not None:
         reports.append(_verify(args, args.samples, t=args.t, e=args.e))
@@ -266,7 +259,7 @@ def cmd_quantize(args) -> int:
     _report(args, quantlab.sweep(source, args.formats, keys,
                                  count=args.count or 5120,
                                  seed=args.seed or 0,
-                                 exhaustive=args.exhaustive, jobs=args.jobs))
+                                 exhaustive=args.exhaustive))
     return 0
 
 
@@ -354,12 +347,11 @@ def build_parser() -> argparse.ArgumentParser:
                          help="report style: text lines, or CSV rows with "
                               "any seconds column at 0.000 (default "
                               "%(default)s)"),
-        "--jobs": dict(type=int,
-                       help="worker processes, at most the CPU count "
-                            "(default EQATTN_JOBS or 1); protocol runs in "
-                            "one process and takes --jobs only so that a "
-                            "caller such as perfbench can pass it to every "
-                            "command it runs"),
+        "--jobs": dict(type=int, default=1,
+                       help="accepted and ignored when positive: every "
+                            "command runs in one process and takes --jobs "
+                            "only so that a caller such as perfbench can "
+                            "pass it to every command it runs"),
         "--trace": dict(action="store_true",
                         help="print the per-stage forward traces of the "
                              "first failures or transcripts"),

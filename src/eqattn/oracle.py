@@ -16,8 +16,7 @@ thousand folds and 753 divides.  Each fold resumes where the protocol
 does: Alice's prefix (attn.alice_len) is folded once per field of y, and
 the cap bounds this work, not the promise pairs.  Every reported failure
 is re-evaluated with a direct forward pass before it is believed.  Every
-path, and quantlab's sampled scoring, counts pairs into one Tally, and
-tallies merge by addition.
+path, and quantlab's sampled scoring, counts pairs into one Tally.
 """
 
 from __future__ import annotations
@@ -117,19 +116,12 @@ FAILURE_LIST_CAP = 32
 class Tally(NamedTuple):
     """Pairs decided against string equality: how many, how many wrongly,
     the first FAILURE_LIST_CAP failures in enumeration order, and how many
-    saturated or hit an indeterminate form.  Tallies of consecutive runs
-    merge with +, which adds them field by field."""
+    saturated or hit an indeterminate form."""
 
-    total: int = 0
-    failure_count: int = 0
-    failures: tuple = ()
-    saturated: int = 0
-
-    def __add__(self, other: "Tally") -> "Tally":
-        return Tally(self.total + other.total,
-                     self.failure_count + other.failure_count,
-                     (self.failures + other.failures)[:FAILURE_LIST_CAP],
-                     self.saturated + other.saturated)
+    total: int
+    failure_count: int
+    failures: tuple
+    saturated: int
 
 
 class VerifyReport(NamedTuple):
@@ -198,8 +190,9 @@ def trace_saturated(trace) -> bool:
         trace.numerator, trace.denominator, trace.sa, trace.output)
 
 
-def _eval_pairs(spec, pairs) -> Tally:
-    """Worker: tally each (y, z) pair's forward bit against y == z."""
+def tally_pairs(spec, pairs) -> Tally:
+    """Tally each (y, z) pair's forward bit against y == z, counting the
+    pairs as it consumes them, so an iterator is never held whole."""
     total = wrong = saturated = 0
     listed = []
     for y, z in pairs:
@@ -212,24 +205,6 @@ def _eval_pairs(spec, pairs) -> Tally:
             if len(listed) < FAILURE_LIST_CAP:
                 listed.append(Failure(y, z, expected, trace.bit, trace))
     return Tally(total, wrong, tuple(listed), saturated)
-
-
-def tally_pairs(spec, pairs, jobs) -> Tally:
-    """Tally pairs, split into consecutive chunks over jobs worker
-    processes when there are enough of them, the chunks' tallies summed in
-    order.  One job counts the pairs as it consumes them, so an iterator
-    is never held whole."""
-    if jobs > 1:
-        pairs = list(pairs)
-    if jobs > 1 and len(pairs) > 1024:
-        from concurrent.futures import ProcessPoolExecutor
-        step = -(-len(pairs) // jobs)
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return sum(pool.map(
-                _eval_pairs, [spec] * jobs,
-                [pairs[i:i + step] for i in range(0, len(pairs), step)]),
-                Tally())
-    return _eval_pairs(spec, pairs)
 
 
 def _count_pairs(promises: PromiseSet, m: int, cap: int) -> int:
@@ -438,8 +413,9 @@ def _combine(spec, num_buckets, den_buckets, s, second) -> Tally:
     return Tally(total, wrong, tuple(listed), saturated)
 
 
-def _factored_exhaustive(spec, s, cap, rng):
-    """Exhaustive verification split after input bit s (fold_split).
+def _factored_exhaustive(spec, s, cap, rng, expected_total):
+    """Exhaustive verification split after input bit s (fold_split),
+    which must cover expected_total pairs (_count_pairs).
 
     The numerator fold reads no bit past s and the denominator fold none up
     to s, so each is folded alone over its own pairs of fields: y[:s] <=
@@ -455,7 +431,6 @@ def _factored_exhaustive(spec, s, cap, rng):
     """
     m = spec.m
     second = m - s
-    expected_total = (1 << (m - 1)) * ((1 << m) + 1)
     work = (1 << s) * ((1 << s) + 1) // 2 + (1 << 2 * second)
     if work > cap:
         raise BudgetExceeded(f"{work} field pairs exceed the cap of {cap}")
@@ -478,7 +453,7 @@ def _factored_exhaustive(spec, s, cap, rng):
         # with direct forward evaluation.
         draws = ((_bits(rng.getrandbits(m), m), _bits(rng.getrandbits(m), m))
                  for _ in range(64))
-        for f in _eval_pairs(spec, map(sorted, draws)).failures[:1]:
+        for f in tally_pairs(spec, map(sorted, draws)).failures[:1]:
             raise RuntimeError(
                 "spot check found a failure the factored pass missed: "
                 f"y={f.y} z={f.z}")
@@ -498,31 +473,30 @@ def _report(spec, construction: str, mode: str, tally: Tally,
 
 
 def verify_exhaustive_spec(spec: TransformerSpec, promises: PromiseSet,
-                           construction: str, jobs: int = 1,
+                           construction: str,
                            cap: int = PAIR_CAP_DEFAULT) -> VerifyReport:
     """Exhaustively verify an already-built (possibly modified) spec,
     factored where fold_split finds a split and pair by pair otherwise."""
     start = time.monotonic()
     s = fold_split(spec, promises)
     if s is None:
-        tally = tally_pairs(spec, promise_pairs(promises, spec.m, cap=cap),
-                            jobs)
+        tally = tally_pairs(spec, promise_pairs(promises, spec.m, cap=cap))
     else:
         rng = random.Random(f"{construction}:{spec.m}:exhaustive")
-        tally = _factored_exhaustive(spec, s, cap, rng)
+        tally = _factored_exhaustive(spec, s, cap, rng,
+                                     _count_pairs(promises, spec.m, cap))
     return _report(spec, construction, "exhaustive", tally, start)
 
 
 def verify_exhaustive(construction: str, m: int | None = None,
                       t: int | None = None, e: int | None = None,
                       n: int | None = None, precision_delta: int = 0,
-                      jobs: int = 1,
                       cap: int = PAIR_CAP_DEFAULT) -> VerifyReport:
     """Check every promise pair of a named construction, optionally with
     every stage format thinned by precision_delta bits."""
     spec, promises = make(construction, m=m, t=t, e=e, n=n)
     spec = precision_delta_spec(spec, precision_delta)
-    return verify_exhaustive_spec(spec, promises, construction, jobs, cap)
+    return verify_exhaustive_spec(spec, promises, construction, cap)
 
 
 def _adversarial_pairs(promises, m, rng):
@@ -544,8 +518,7 @@ def _adversarial_pairs(promises, m, rng):
 def verify_sampled(construction: str, m: int | None = None,
                    t: int | None = None, e: int | None = None,
                    n: int | None = None, samples: int = 10 ** 5,
-                   seed: int = 0, precision_delta: int = 0,
-                   jobs: int = 1) -> VerifyReport:
+                   seed: int = 0, precision_delta: int = 0) -> VerifyReport:
     """Check uniform promise pairs plus a deterministic adversarial set."""
     spec, promises = make(construction, m=m, t=t, e=e, n=n)
     spec = precision_delta_spec(spec, precision_delta)
@@ -554,4 +527,4 @@ def verify_sampled(construction: str, m: int | None = None,
     pairs = promise_pairs(promises, spec.m, samples, rng) if samples else []
     pairs += _adversarial_pairs(promises, spec.m, rng)
     return _report(spec, construction, "sampled",
-                   tally_pairs(spec, pairs, jobs), start)
+                   tally_pairs(spec, pairs), start)

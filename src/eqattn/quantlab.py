@@ -13,11 +13,11 @@ draws the randomized equality benchmark (half equal pairs, half pairs
 differing in exactly floor(0.75 m) positions) from a counter-based
 generator, and eval_accuracy / sweep measure how the accept bit degrades
 format by format.  sweep resolves "native" and "native+-k" against each
-subject it builds.  Scoring goes through the verifier's pair tally
-(oracle.Tally), sampled datasets over --jobs processes too; saturated and
-indeterminate traces are tallied separately.  Each measurement is a
-QuantRow, which gives its own CSV and text lines; the CLI writes them like
-every other report, CSV through oracle.to_csv.
+subject it builds.  Sampled and exhaustive scoring both count pairs into
+the verifier's tally (oracle.Tally), which counts saturated and
+indeterminate traces separately.  Each measurement is a QuantRow, which
+gives its own CSV and text lines; the CLI writes them like every other
+report, CSV through oracle.to_csv.
 
 Weights that overflow the target grid become the infinity code, stored as
 the exact dyadic +-2**INF_CODE_LOG2.  That magnitude is beyond the top of
@@ -358,21 +358,20 @@ def _quant_row(label: str, subject: TransformerSpec,
         inf_count=tally.saturated)
 
 
-def eval_accuracy(spec: TransformerSpec, pairs, promises=None,
-                  jobs: int = 1) -> Tally:
+def eval_accuracy(spec: TransformerSpec, pairs, promises=None) -> Tally:
     """Score the accept bit against labeled pairs (gen_dataset).
 
     With a promise set, pairs are reordered so y <= z and pairs that still
     violate a promise are skipped, mirroring how the head is specified.
-    The verifier's tally scores the rest over jobs processes: every label
-    is y == z, so a pair is correct unless it is a failure.  Saturated or
-    indeterminate traces score like any other; Tally.saturated counts them.
+    The verifier's tally scores the rest: every label is y == z, so a
+    pair is correct unless it is a failure.  Saturated or indeterminate
+    traces score like any other; Tally.saturated counts them.
     """
     pairs = [(y, z) if promises is None else (min(y, z), max(y, z))
              for y, z, _ in pairs]
     if promises is not None:
         pairs = [p for p in pairs if not promises.check(*p)]
-    return tally_pairs(spec, pairs, jobs)
+    return tally_pairs(spec, pairs)
 
 
 _NATIVE = re.compile(r"native([+-]\d+)?")
@@ -399,7 +398,7 @@ def _resolve_format(token, spec: TransformerSpec) -> FxFormat | FpFormat:
 
 
 def sweep(source, formats, ms=None, count: int = 5120, seed: int = 0, *,
-          exhaustive: bool = False, jobs: int = 1) -> tuple:
+          exhaustive: bool = False) -> tuple:
     """Quantize a subject to each format and measure accuracy; returns the
     QuantRows in subject-major, format-minor order.
 
@@ -408,8 +407,8 @@ def sweep(source, formats, ms=None, count: int = 5120, seed: int = 0, *,
     built TransformerSpec, which carries no promise set.
     Subjects are built, their formats resolved (_resolve_format) and
     their rows measured one at a time.  exhaustive runs every promise pair
-    through the verifier instead of a sampled dataset; jobs spreads either
-    over processes.  Both give a Tally, and _quant_row makes each row.
+    through the verifier instead of a sampled dataset.  Both give a
+    Tally, and _quant_row makes each row.
     """
     if isinstance(source, TransformerSpec):
         subjects = [(source, None, "imported")]
@@ -427,10 +426,10 @@ def sweep(source, formats, ms=None, count: int = 5120, seed: int = 0, *,
         for f in fmts:
             qspec = quantize_spec(spec0, f)
             if exhaustive:
-                rep = verify_exhaustive_spec(qspec, pr, label, jobs=jobs)
+                rep = verify_exhaustive_spec(qspec, pr, label)
                 tally = Tally(rep.total, rep.failure_count, (), rep.inf_count)
             else:
-                tally = eval_accuracy(qspec, pairs, pr, jobs)
+                tally = eval_accuracy(qspec, pairs, pr)
             rows.append(_quant_row(label, spec0, f, qspec, tally))
     return tuple(rows)
 

@@ -178,6 +178,9 @@ def test_flag_combinations_exit_with_a_documented_code(weights_dir, capsys):
       "int1"], "p must be at least 2, got 1"),
     (["quantize", "--construction", "fx-tight", "--m", "5", "--formats",
       "fp_e1m2"], "e must be at least 2, got 1"),
+    # sweep samples only the (t, e) subject, so --samples needs one.
+    (["sweep", "--construction", "fx-tight", "--ms", "5", "--samples",
+      "100"], "--samples needs a --t/--e subject"),
 ])
 def test_pinned_usage_errors(argv, needle, weights_dir, capsys):
     assert _exit_code(argv) == 2

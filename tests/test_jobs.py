@@ -1,34 +1,20 @@
-"""--jobs: rejected below 1, capped at the CPU count, and invisible in the
-report whether or not worker processes ran."""
+"""--jobs: rejected below 1, and otherwise never read: every command runs
+in one process and prints what --jobs 1 prints."""
 
-import concurrent.futures
+import os
+import subprocess
+import sys
 
 import pytest
 
-from eqattn import cli
-from eqattn.oracle import FAILURE_LIST_CAP, verify_exhaustive
+import eqattn
+from eqattn.attn import forward
+from eqattn.constructs import make
+from eqattn.oracle import (FAILURE_LIST_CAP, precision_delta_spec,
+                           promise_pairs, verify_exhaustive)
 
 VERIFY = ("verify", "--construction", "fp-linear", "--t", "4", "--e", "3",
           "--format", "csv")
-
-
-class _RecordingPool:
-    """Stands in for ProcessPoolExecutor: records max_workers and maps in
-    this process, so no worker starts."""
-
-    sizes = []
-
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, *iterables):
-        return map(fn, *iterables)
 
 
 @pytest.mark.parametrize("value", ["0", "-2"])
@@ -38,63 +24,51 @@ def test_jobs_below_one_is_a_usage_error(run_cli, value):
     assert "--jobs must be a positive integer" in err
 
 
-@pytest.mark.parametrize("value", ["0", "-1", "many"])
-def test_jobs_from_the_environment_is_checked_too(run_cli, monkeypatch,
-                                                  value):
-    monkeypatch.setenv("EQATTN_JOBS", value)
-    code, out, err = run_cli(*VERIFY)
-    assert code == 2 and out == ""
-    assert "EQATTN_JOBS must be a positive integer" in err
+CSV_1568 = ("construction,m,t,e,p,total,failures,seconds\n"
+            "fp-linear,7,4,3,7,1568,0,0.000\n")
 
 
-def test_jobs_is_capped_at_the_cpu_count(run_cli, monkeypatch):
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                        _RecordingPool)
-    monkeypatch.setattr(_RecordingPool, "sizes", [])
-    code, capped, _ = run_cli(*VERIFY, "--jobs", "64")
-    assert code == 0
-    assert _RecordingPool.sizes == [2]
-    monkeypatch.setenv("EQATTN_JOBS", "9")
-    assert run_cli(*VERIFY)[1] == capped
-    assert _RecordingPool.sizes == [2, 2]
-    assert run_cli(*VERIFY, "--jobs", "1")[1] == capped
-    assert _RecordingPool.sizes == [2, 2]
+@pytest.mark.parametrize("argv,out", [
+    (VERIFY, CSV_1568),
+    (("sweep", "--construction", "fp-linear", "--t", "4", "--e", "3",
+      "--format", "csv"), CSV_1568),
+    (("quantize", "--construction", "fx-tight", "--ms", "7,9", "--formats",
+      "native,native-1", "--count", "2000", "--seed", "1"),
+     "construction,m,t,e,format,capacity,total,correct,accuracy,inf_count,"
+     "seconds\n"
+     "fx-tight,7,,,int4,8,2000,1019,0.509500,2000,0.000\n"
+     "fx-tight,7,,,int3,6,2000,1019,0.509500,2000,0.000\n"
+     "fx-tight,9,,,int5,10,2000,2000,1.000000,526,0.000\n"
+     "fx-tight,9,,,int4,8,2000,1019,0.509500,2000,0.000\n"),
+], ids=["verify", "sweep", "quantize"])
+def test_two_jobs_print_the_bytes_of_one_and_start_no_process(argv, out):
+    """Each run tallies more than 1,024 pairs one by one, enough that a
+    pool would have split them; --jobs 2 prints what --jobs 1 prints and
+    loads neither concurrent.futures nor multiprocessing."""
+    src = os.path.dirname(os.path.dirname(eqattn.__file__))
+    probe = ("import sys; from eqattn import cli; "
+             "code = cli.main(sys.argv[1:]); "
+             "print(' '.join(m for m in ('multiprocessing', "
+             "'concurrent.futures') if m in sys.modules)); sys.exit(code)")
+    env = dict(os.environ, PYTHONPATH=src)
+    one, two = (subprocess.run([sys.executable, "-c", probe, *argv,
+                                "--jobs", jobs], env=env, check=True,
+                               capture_output=True, text=True).stdout
+                for jobs in ("1", "2"))
+    assert one == two == out + "\n"     # and no pool module: ""
 
 
-def test_two_workers_write_the_same_csv_as_one(run_cli, monkeypatch):
-    """Workers receive pickled specs, which leave the compiled cells
-    behind, and build their own."""
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
-    code1, one, _ = run_cli(*VERIFY, "--jobs", "1")
-    code2, two, _ = run_cli(*VERIFY, "--jobs", "2")
-    assert code1 == code2 == 0
-    assert one == two == "construction,m,t,e,p,total,failures,seconds\n" \
-        "fp-linear,7,4,3,7,1568,0,0.000\n"
-
-
-def test_two_workers_merge_a_failing_run_as_one():
+def test_a_failing_run_lists_its_first_failures():
     """fp-linear (4, 4) one bit thin runs pair by pair and fails 92 of its
-    13,920 pairs: 29 in the first half and 63 in the second.  The chunks'
-    tallies merge in order, so two workers list the same first 32 failures
-    (29 from one chunk and 3 from the other) as one."""
-    one, two = (verify_exhaustive("fp-linear", t=4, e=4, precision_delta=-1,
-                                  jobs=jobs) for jobs in (1, 2))
-    assert (one.total, one.failure_count, one.inf_count) == \
-        (two.total, two.failure_count, two.inf_count) == (13920, 92, 1564)
-    assert len(one.failures) == FAILURE_LIST_CAP
-    assert [(f.y, f.z, f.digest) for f in one.failures] == \
-        [(f.y, f.z, f.digest) for f in two.failures]
-
-
-def test_two_workers_score_a_sampled_quantize_as_one(run_cli, monkeypatch):
-    """Sampled quantize scores its dataset through the verifier's tally,
-    so --jobs reaches it and changes no byte of the table."""
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
-    argv = ("quantize", "--construction", "fx-tight", "--ms", "7,9",
-            "--formats", "native,native-1", "--count", "2000", "--seed", "1")
-    code1, one, _ = run_cli(*argv, "--jobs", "1")
-    code2, two, _ = run_cli(*argv, "--jobs", "2")
-    assert code1 == code2 == 0
-    assert one == two
-    assert len(one.splitlines()) == 5
+    13,920 pairs, 1,564 of them saturated; the report lists the first 32
+    in enumeration order, sorted."""
+    rep = verify_exhaustive("fp-linear", t=4, e=4, precision_delta=-1)
+    assert (rep.total, rep.failure_count, rep.inf_count) == \
+        (13920, 92, 1564)
+    spec, promises = make("fp-linear", t=4, e=4)
+    spec = precision_delta_spec(spec, -1)
+    wrong = [(y, z) for y, z in promise_pairs(promises, spec.m)
+             if forward(spec, y, z).bit != (y == z)]
+    assert len(wrong) == 92
+    assert [(f.y, f.z) for f in rep.failures] == \
+        sorted(wrong[:FAILURE_LIST_CAP])

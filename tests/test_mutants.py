@@ -62,20 +62,11 @@ MUTANTS = [
      "        return tuple.__eq__(self, other)",
      ["tests/test_records.py::test_a_failure_is_its_pair_and_bits_not_its_"
       "trace"]),
-    # merged tallies keeping the later chunk's failures first
+    # the pair-by-pair tally listing every failure, not the first 32
     ("oracle.py",
-     "                     (self.failures + other.failures)"
-     "[:FAILURE_LIST_CAP],",
-     "                     (other.failures + self.failures)"
-     "[:FAILURE_LIST_CAP],",
-     ["tests/test_jobs.py::test_two_workers_merge_a_failing_run_as_one"]),
-    # the worker chunks summed in reverse order
-    ("oracle.py",
-     "                [pairs[i:i + step] for i in range(0, len(pairs), step)]"
-     "),",
-     "                [pairs[i:i + step] for i in range(0, len(pairs), step)]"
-     "[::-1]),",
-     ["tests/test_jobs.py::test_two_workers_merge_a_failing_run_as_one"]),
+     "            if len(listed) < FAILURE_LIST_CAP:",
+     "            if True:",
+     ["tests/test_jobs.py::test_a_failing_run_lists_its_first_failures"]),
     # a split with the numerator's last bit on the denominator's first
     ("oracle.py",
      "    return s if s < min(den, default=spec.m) else None",
@@ -121,6 +112,16 @@ MUTANTS = [
      "    elif not 1 <= k <= spec.n + 2:",
      ["tests/test_commsim.py::TestProtocol::"
       "test_prefix_lengths_past_the_sequence_are_rejected"]),
+    # the command line: --jobs 0 accepted, and sweep's --samples ignored
+    # without a (t, e) subject
+    ("cli.py",
+     '    if getattr(args, "jobs", 1) < 1:',
+     '    if getattr(args, "jobs", 1) < 0:',
+     ["tests/test_jobs.py::test_jobs_below_one_is_a_usage_error"]),
+    ("cli.py",
+     "    if args.samples and args.t is None and args.e is None:",
+     "    if False:",
+     ["tests/test_cli_fuzz.py::test_pinned_usage_errors"]),
     # weights files: a row not checked to be an array, a float not checked
     # to be finite, and a spec error escaping as a bare ValueError
     ("quantlab.py",

@@ -29,7 +29,7 @@ from eqattn.quantlab import parse_quant_format, quantize_spec
 def _direct(spec, promises):
     """The pair-by-pair tally of every promise pair, as the verifier runs
     it when the spec does not factor."""
-    return oracle.tally_pairs(spec, promise_pairs(promises, spec.m), 1)
+    return oracle.tally_pairs(spec, promise_pairs(promises, spec.m))
 
 
 class TestPrecisionDelta:

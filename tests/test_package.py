@@ -18,7 +18,7 @@ import eqattn
 def test_every_module_is_imported_by_the_cli():
     """A fresh `import eqattn.cli` loads every module of the package and
     none that only some commands need, or none does, since every command
-    pays for the import: the process pool (only --jobs above 1), json
+    pays for the import: the process pool (no command starts one), json
     (only the weights files) and dataclasses with the inspect it imports
     (no record)."""
     src = os.path.dirname(os.path.dirname(eqattn.__file__))
@@ -112,11 +112,13 @@ def _fields(node):
 
 
 def test_every_package_name_is_read_outside_the_tests():
-    """Each top-level function, class and constant, and each method or
-    property, defined in src/eqattn/ is named somewhere in src/eqattn/ or
-    perfbench/ besides its definition: an attribute, a name read, or a
-    string that is one dotted identifier, as perfbench/tracer.py names what
-    it wraps ("PromiseSet.check").  Words of prose strings do not count.
+    """Each top-level function, class and constant, and each method,
+    property or class constant (a name a class body assigns, as in
+    name = classmethod(...)), defined in src/eqattn/ is named somewhere in
+    src/eqattn/ or perfbench/ besides its definition: an attribute, a name
+    read, or a string that is one dotted identifier, as perfbench/tracer.py
+    names what it wraps ("PromiseSet.check").  Words of prose strings do
+    not count.
     Each field of a record (a name a class body annotates) is read there
     as an attribute, x.field.  A name only the tests read belongs in the
     tests.  Dunder names are called by Python itself, and _make by
@@ -153,6 +155,11 @@ def test_every_package_name_is_read_outside_the_tests():
                     defined += [(name, f"{node.name}.{n.name}", n.name)
                                 for n in node.body
                                 if isinstance(n, ast.FunctionDef)]
+                    defined += [(name, f"{node.name}.{t.id}", t.id)
+                                for n in node.body
+                                if isinstance(n, ast.Assign)
+                                for t in n.targets
+                                if isinstance(t, ast.Name)]
                 if isinstance(node, ast.ClassDef) and node.name != "Cell":
                     fields += [(name, f"{node.name}.{field}", field)
                                for field in _fields(node)]

@@ -103,8 +103,7 @@ def weights(tmp_path_factory):
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_report_bytes_are_pinned(name, weights, capsys, monkeypatch):
-    monkeypatch.delenv("EQATTN_JOBS", raising=False)
+def test_report_bytes_are_pinned(name, weights, capsys):
     argv, code, digest = CASES[name]
     argv = [weights if a == "WEIGHTS" else a for a in argv]
     assert cli.main(argv) == code

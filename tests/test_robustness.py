@@ -15,7 +15,7 @@ def test_factored_verifier_survives_an_indeterminate_mlp():
     spec, promises = make("fx-tight", m=5)
     spec = spec._replace(mlp=spec.mlp._replace(w2=(0, 0)))
     fast = verify_exhaustive_spec(spec, promises, "fx-tight")
-    direct = oracle.tally_pairs(spec, oracle.promise_pairs(promises, 5), 1)
+    direct = oracle.tally_pairs(spec, oracle.promise_pairs(promises, 5))
     assert (fast.total, fast.failure_count, fast.inf_count) == \
         (direct.total, direct.failure_count, direct.saturated) == \
         (528, 488, 224)
