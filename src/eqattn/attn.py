@@ -16,9 +16,9 @@ token_logits call, and a map per position from the input bits it reads to
 its cell, so token_cells and forward take the pair (y, z) and read each
 position's cell with one lookup.  One resumable kernel, fold, runs both
 folds over any range of positions from any (numerator, denominator) state:
-forward is one fold plus the divide and the MLP; the factored verifier, each
-fold alone over the bits fold_reads finds it reading, and the one-way
-protocol cut it at Alice's prefix (alice_len) and resume it for Bob.
+forward is one fold plus the divide and the MLP; the one-way protocol cuts
+it at Alice's prefix (alice_len) and resumes it for Bob; the factored
+verifier steps each fold alone through its step table (fold_stepper).
 
 A fold's state at any boundary is one value of its bounded format, so each
 fold step is a small finite map (state, term) -> next state.  A compiled
@@ -627,6 +627,17 @@ def fold(spec: TransformerSpec, state, lo: int, hi: int, cells):
                 raise StageError(stage, spec.index_base + j, exc) from exc
         out.append(s)
     return tuple(out)
+
+
+def fold_stepper(spec: TransformerSpec, which: int):
+    """(stage a StageError names, step) of the numerator (which 0) or
+    denominator (which 1) fold.  step(state, cell) is the fold after cell
+    from state (canonical, None to open it), through its step table."""
+    comp = spec._compiled
+    table = (comp.num, comp.den)[which]
+    stage, t, f = _FOLDS[which]
+    return stage, lambda state, cell: table.steps.get(
+        (id(state), id(cell[t]))) or table.step(state, cell[t], cell[f])
 
 
 def _store(table: dict, key, value):

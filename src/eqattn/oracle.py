@@ -11,12 +11,13 @@ every pair of leading fields and its denominator fold alone over every pair
 of trailing fields, buckets the distinct fold values, and combines the
 buckets by runs: rounding is monotone, so against one numerator value the
 quotient is monotone in the denominator, and every MLP step in its input.
-This cuts the fx-tight m=13 run from 3.4e7 forward passes to a few
-thousand folds and 753 divides.  Each fold resumes where the protocol
-does: Alice's prefix (attn.alice_len) is folded once per field of y, and
-the cap bounds this work, not the promise pairs.  Every reported failure
-is re-evaluated with a direct forward pass before it is believed.  Every
-path, and quantlab's sampled scoring, counts pairs into one Tally.
+One pass over the positions per fold counts the pairs of fields by fold
+state, not one by one (the transfer-matrix method: Stanley, Enumerative
+Combinatorics I, 4.7): fx-tight m=13 takes about 4,400 states and 753
+divides, not 3.4e7 forward passes.  The cap bounds the pairs of fields,
+not the promise pairs.  Every reported failure is re-evaluated with a
+direct forward pass before it is believed.  Every path, and quantlab's
+sampled scoring, counts pairs into one Tally.
 """
 
 from __future__ import annotations
@@ -25,16 +26,18 @@ import bisect
 import random
 import time
 from itertools import accumulate, islice, product
+from operator import or_
 from typing import NamedTuple
 
 from .attn import (
     OFF,
     SOFTMAX,
+    StageError,
     TransformerSpec,
     alice_len,
     finish_softmax,
-    fold,
     fold_reads,
+    fold_stepper,
     forward,
     head_class,
     scale_numerator,
@@ -296,41 +299,80 @@ def fold_split(spec: TransformerSpec, promises: PromiseSet) -> int | None:
     return s if s < min(den, default=spec.m) else None
 
 
-def _buckets(spec, pairs, width, lead, trail, state):
-    """One fold's value over the (a, b) pairs of width-bit fields, placed
-    between the constant lead and trail bits of y and of z, bucketed by
-    (value, order of a against b): count and the first listed pairs.
+def _buckets(spec, width, lead, trail, state, ordered):
+    """One fold's value over every pair (a, b) of width-bit fields (a <= b
+    when ordered), placed between the constant lead and trail bits of y and
+    of z, bucketed by (value, order of a against b): count and the first
+    listed pairs, in the order of each bucket's first pair.
 
-    The value, the scaled numerator or the denominator (_NAN on an
-    indeterminate form), is folded from state over Alice's prefix
-    (alice_len) once per run of pairs with one a, then resumed over Bob's
-    cells of b.  Alice reads no z bit and Bob no y bit (fold_split), so the
-    cells of (v, v), built once per v, serve both.  Errors surface at the
-    pair, stage and token a whole fold per pair would raise them."""
-    k, end = alice_len(spec), spec.n + 1
-    fields = (lead + _bits(v, width) + trail for v in range(1 << width))
-    cells = [token_cells(spec, f, f) for f in fields]
+    The value (the scaled numerator or the denominator, _NAN on an
+    indeterminate form) is folded from state in one pass over the positions
+    that counts the paths a << width | b by state: the fold (_NAN, or the
+    StageError it raised), the order once a compared bit differs, and the
+    bits a later position reads or, while the order is open, not yet
+    compared.  A position branches on the bits it reads first (the last
+    also on those none reads).  Equal states merge, keeping their
+    FAILURE_LIST_CAP smallest paths (unread bits 0), so the first erring
+    pair raises its error, as one whole fold per pair would."""
+    which, low = int(state[0] is OFF), (1 << width) - 1
+    stage, step = fold_stepper(spec, which)
+    masks = [sum({1 << width - i + len(lead) + width * (name == "y")
+                  for name, i in rule.source if 0 < i - len(lead) <= width})
+             for rule in spec.embedding]        # the field bits each reads
+    cells = [{code: token_cells(spec, *(lead + _bits(v, width) + trail for v
+                                        in (code >> width, code & low)))[j]
+              for code in _subsets(mask)} for j, mask in enumerate(masks)]
+    after = list(accumulate(reversed(masks), or_, initial=0))[::-1]
+    known = c = 0                       # bits read; a, b read below bit c
+    states = {(id(state[which]), None, 0): [state[which], None, 0, 1, [0]]}
+    for j, mask in enumerate(masks):    # the last also reads what none does
+        new = mask & ~known | (~after[0] & (low << width | low)
+                               if j == len(masks) - 1 else 0)
+        known |= new                # a and b both read at each index < c:
+        was, c = c, width - (~(known & known >> width) & low).bit_length()
+        compare = low >> was & ~(low >> c)      # b's bits was..c-1
+        keep_open = after[j + 1] | known & (low >> c) * (low + 2)
+        nxt, adds = {}, _subsets(new)
+        for fold_, order, needed, count, paths in states.values():
+            for add in adds:
+                code, f = needed | add, fold_
+                a, b = code >> width & compare, code & compare
+                o = order if order is not None or a == b else (a > b) - (a < b)
+                if ordered and o == 1:
+                    continue
+                if f is not _NAN and not isinstance(f, StageError):
+                    try:
+                        f = step(f, cells[j][code & mask])
+                    except IndeterminateForm:
+                        f = _NAN
+                    except ArithmeticError as exc:
+                        f = StageError(stage, spec.index_base + j, exc)
+                code &= keep_open if o is None else after[j + 1]
+                moved = [p | add for p in paths] if add else paths
+                entry = nxt.setdefault((id(f), o, code), [f, o, code, 0, []])
+                entry[3] += count
+                entry[4] = sorted(entry[4] + moved)[:FAILURE_LIST_CAP]
+        states = nxt
     buckets = {}
-    alice_of = None
-    for a, b in pairs:
-        if a != alice_of:
-            alice_of = a
-            try:
-                alice = fold(spec, state, 0, k, cells[a])
-            except IndeterminateForm:
-                alice = _NAN
-        value = _NAN
-        if alice is not _NAN:
-            try:
-                num, den = fold(spec, alice, k, end, cells[b])
-                value = den if num is OFF else scale_numerator(spec, num)
-            except IndeterminateForm:
-                pass
-        bucket = buckets.setdefault((value, (a > b) - (a < b)), [0, []])
-        bucket[0] += 1
-        if len(bucket[1]) < FAILURE_LIST_CAP:
-            bucket[1].append((a, b))
+    for f, o, _, count, paths in sorted(states.values(),
+                                        key=lambda e: e[4][0]):
+        if isinstance(f, StageError):
+            raise f from f.original
+        try:
+            f = scale_numerator(spec, f) if which == 0 and f is not _NAN else f
+        except IndeterminateForm:
+            f = _NAN
+        bucket = buckets.setdefault((f, o or 0), [0, []])
+        bucket[0] += count
+        bucket[1] = sorted(bucket[1] + [divmod(p, 1 << width)
+                                        for p in paths])[:FAILURE_LIST_CAP]
     return buckets
+
+
+def _subsets(mask):
+    """Every code whose set bits are some of mask's."""
+    return [sum(c) for c in product(*[(0, 1 << r) for r in range(
+        mask.bit_length()) if mask >> r & 1])]
 
 
 def _segments(spec, num, dens, npos):
@@ -424,21 +466,18 @@ def _factored_exhaustive(spec, s, cap, rng, expected_total):
     (_combine): each run of sorted denominators whose end quotients
     attn.head_class certifies is counted at once, and NaN, zero, infinite
     and negative denominators and non-finite numerators are runs of one.
-    cap bounds the field pairs folded, then the bucket pairs.  A random
-    sample of combined verdicts is re-checked against direct forward
-    passes, as is every listed failure, which keeps the trace of its
-    re-check.
+    cap bounds the pairs of fields, though the passes (_buckets) visit far
+    fewer states, then the bucket pairs.  A random sample of combined
+    verdicts is re-checked against direct forward passes, as is every
+    listed failure, which keeps the trace of its re-check.
     """
     m = spec.m
     second = m - s
     work = (1 << s) * ((1 << s) + 1) // 2 + (1 << 2 * second)
     if work > cap:
         raise BudgetExceeded(f"{work} field pairs exceed the cap of {cap}")
-    heads = range(1 << s)
-    num_buckets = _buckets(spec, ((a, b) for a in heads for b in heads[a:]),
-                           s, "", "0" * second, (None, OFF))
-    den_buckets = _buckets(spec, product(range(1 << second), repeat=2),
-                           second, "0" * s, "", (OFF, None))
+    num_buckets = _buckets(spec, s, "", "0" * second, (None, OFF), True)
+    den_buckets = _buckets(spec, second, "0" * s, "", (OFF, None), False)
     combos = len(num_buckets) * len(den_buckets)
     if combos > cap:
         raise BudgetExceeded(f"{combos} bucket pairs exceed the cap of {cap}")

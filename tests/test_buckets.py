@@ -1,15 +1,14 @@
 """The factored verifier's buckets against a per-pair reference.
 
-oracle._buckets folds Alice's prefix once per field value of y and resumes
-each pair over Bob's cells.  The reference below is the plain builder it
-replaced: token_cells and one whole fold per pair.  Both must give the same
-buckets, compared by the full representation of each key's value (the
-indeterminate marker included), with the same counts, the same listed pairs
-and the same insertion order, which fixes the failure lists and the order
-the verifier combines buckets in.
+oracle._buckets walks the positions once, carrying a count per fold state.
+The reference below is the plain builder: token_cells and one whole fold
+per pair, in (a, b) order.  Both must give the same buckets, compared by
+the full representation of each key's value (the indeterminate marker
+included), with the same counts, the same listed pairs and the same
+insertion order, which fixes the failure lists and the order the verifier
+combines buckets in.  Besides the built heads, hand-built subjects read
+field bits in ways those heads never do.
 """
-
-from itertools import product
 
 import pytest
 
@@ -47,17 +46,20 @@ def _ref_buckets(spec, pairs, width, lead, trail, state):
     return buckets
 
 
+def _ref_pass(spec, width, lead, trail, state, ordered):
+    """The reference with the pass's arguments: every pair of fields, or
+    those with a <= b when ordered, in (a, b) order."""
+    fields = range(1 << width)
+    pairs = ((a, b) for a in fields for b in fields[a if ordered else 0:])
+    return _ref_buckets(spec, pairs, width, lead, trail, state)
+
+
 def _both_folds(builder, spec, s):
     """The numerator and denominator buckets as _factored_exhaustive asks
     for them, each as an ordered list of (value rep, order, count, pairs)."""
     second = spec.m - s
-    heads = range(1 << s)
-    calls = [
-        (((a, b) for a in heads for b in heads[a:]), s, "", "0" * second,
-         (None, OFF)),
-        (product(range(1 << second), repeat=2), second, "0" * s, "",
-         (OFF, None)),
-    ]
+    calls = [(s, "", "0" * second, (None, OFF), True),
+             (second, "0" * s, "", (OFF, None), False)]
     return [[(value if value is oracle._NAN else _rep(value), rel, cnt, ex)
              for (value, rel), (cnt, ex) in builder(spec, *call).items()]
             for call in calls]
@@ -96,8 +98,56 @@ SUBJECTS = _subjects()
 def test_resumed_buckets_match_one_fold_per_pair(label, spec, promises):
     s = fold_split(spec, promises)
     assert s is not None, label
-    want = _both_folds(_ref_buckets, spec, s)
+    want = _both_folds(_ref_pass, spec, s)
     assert _both_folds(oracle._buckets, spec, s) == want
+
+
+def test_fx_tight_reads_a_field_bit_at_two_positions():
+    """The built subjects cover a field bit read twice: fx-tight's copy-y1
+    and copy-z1 rules read y1 and z1 at two positions each, so the pass
+    carries a compared bit until its second read."""
+    spec, _ = make("fx-tight", m=7)
+    sources = [rule.source for rule in spec.embedding]
+    assert sources.count((("y", 1),)) == sources.count((("z", 1),)) == 2
+
+
+def _hand_built():
+    """fx-tight m=7 with rules no built head has, folded as split after
+    bit 4.  Alice's prefix is positions 0..8, Bob's part 9..17."""
+    spec, _ = make("fx-tight", m=7)
+    e = list(spec.embedding)
+
+    def rule(refs, values):
+        return TokenRule(tuple(refs), tuple((1, -6, v) for v in values))
+
+    silent = TokenRule((), ((1, None, 0),))
+    subjects = [
+        # Bob reads z7 down to z1: no bit is compared until his last reads.
+        ("bob-reads-z-backwards", e[:9] + e[9:18][::-1] + e[18:]),
+        # One rule reads z3 and then z2, and no rule reads them alone.
+        ("one-rule-reads-z3-z2",
+         e[:12] + [rule([("z", 3), ("z", 2)], (0, -64, -32, -96)), silent]
+         + e[14:]),
+        # y1 and z1 first read together, so compared at the same position.
+        ("one-rule-reads-y1-z1",
+         e[:1] + [rule([("y", 1), ("z", 1)], (0, -64, 64, 0))] + e[2:]),
+        # y4 read last, after z4: b's bit known before a's.
+        ("y4-read-after-z4", e[:5] + [silent] + e[6:18] + [e[5]] + e[19:]),
+        # y4 and z4 read nowhere: the pass branches on them at the end.
+        ("y4-z4-unread", e[:5] + [silent] + e[6:14] + [silent] + e[15:]),
+    ]
+    return [(label, spec._replace(embedding=emb).validate())
+            for label, emb in subjects]
+
+
+HAND_BUILT = _hand_built()
+
+
+@pytest.mark.parametrize("label,spec", HAND_BUILT,
+                         ids=[label for label, _ in HAND_BUILT])
+def test_hand_built_buckets_match_one_fold_per_pair(label, spec):
+    want = _both_folds(_ref_pass, spec, 4)
+    assert _both_folds(oracle._buckets, spec, 4) == want
 
 
 def test_the_short_subjects_reach_indeterminate_buckets():
@@ -109,41 +159,44 @@ def test_the_short_subjects_reach_indeterminate_buckets():
     assert len(short) == 4
     for spec, pr in short:
         keys = [value for fold_ in
-                _both_folds(_ref_buckets, spec, fold_split(spec, pr))
+                _both_folds(_ref_pass, spec, fold_split(spec, pr))
                 for value, *_ in fold_]
         assert oracle._NAN in keys
 
 
-def _poisoned(side):
-    """fx-tight m=7 with an infinite value on bit 3 of one side: the
+def _poisoned(refs):
+    """fx-tight m=7 with an infinite value on each input bit of refs: the
     numerator term of that row is an arithmetic error."""
     spec, promises = make("fx-tight", m=7)
     embedding = [TokenRule(rule.source,
                            (rule.rows[0], rule.rows[1][:2] + (float("inf"),)))
-                 if rule.source == ((side, 3),) else rule
+                 if rule.source and rule.source[0] in refs else rule
                  for rule in spec.embedding]
     return spec._replace(embedding=embedding).validate(), promises
 
 
 def _first_error(builder, spec, s):
-    """(stage, token, pair being folded) of the StageError builder raises
-    on the numerator pass."""
-    seen = []
-    heads = range(1 << s)
-    pairs = ((a, b) for a in heads for b in heads[a:]
-             if not seen.append((a, b)))
+    """(stage, token) of the StageError builder raises on the numerator
+    fold."""
     with pytest.raises(StageError) as info:
-        builder(spec, pairs, s, "", "0" * (spec.m - s), (None, OFF))
-    return info.value.stage, info.value.token, seen[-1]
+        builder(spec, s, "", "0" * (spec.m - s), (None, OFF), True)
+    return info.value.stage, info.value.token
 
 
-@pytest.mark.parametrize("side", ["y", "z"])
-def test_a_stage_error_surfaces_at_the_same_pair_and_token(side):
+@pytest.mark.parametrize("refs", [[("y", 3)], [("z", 3)],
+                                  [("y", 3), ("z", 2)]],
+                         ids=["y", "z", "y3-z2"])
+def test_a_stage_error_surfaces_at_the_same_pair_and_token(refs):
     """An error term in Alice's prefix (y) or in Bob's part (z) is raised
-    where one whole fold per pair raises it."""
-    spec, promises = _poisoned(side)
+    as one whole fold per pair, in (a, b) order, raises it first.  With
+    both, the smallest erring pair, (0, 4), errs at z2 (token 11), though
+    y3 (token 3) comes first in the sequence: the pass raises the error of
+    the smallest erring pair, not of the first erring position."""
+    spec, promises = _poisoned(refs)
     s = fold_split(spec, promises)
     assert s == 4
-    want = _first_error(_ref_buckets, spec, s)
+    want = _first_error(_ref_pass, spec, s)
     assert _first_error(oracle._buckets, spec, s) == want
     assert want[0] == "numerator"
+    assert want[1] == (11 if ("z", 2) in refs else
+                       {"y": 3, "z": 12}[refs[0][0]])

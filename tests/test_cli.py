@@ -148,6 +148,21 @@ class TestVerifyCommand:
         assert out.splitlines()[1] == \
             "fx-tight,15,,,7,536887296,236875922,0.000"
 
+    @pytest.mark.parametrize("m,delta,row", [
+        (19, 0, "fx-tight,19,,,10,137439215616,0,0.000"),
+        (19, -1, "fx-tight,19,,,9,137439215616,60259323122,0.000"),
+        (17, -1, "fx-tight,17,,,8,8590000128,3774227165,0.000"),
+    ], ids=["m19", "m19-1", "m17-1"])
+    def test_a_proof_at_scale(self, run_cli, m, delta, row):
+        """The claim and its cliff at m = 17 and 19: 2^(m-1)(2^m + 1)
+        promise pairs each, counted by the bucket pass without visiting
+        them.  The field-pair walk that pass replaced gave the same rows."""
+        code, out, err = run_cli("verify", "--construction", "fx-tight",
+                                 "--m", str(m), "--precision-delta",
+                                 str(delta), "--format", "csv")
+        assert (code, err) == (int(delta < 0), "")
+        assert out.splitlines()[1] == row
+
 
 class TestSweepCommand:
     def test_grid_of_sizes_in_csv(self, run_cli):

@@ -73,15 +73,35 @@ MUTANTS = [
      "    return s if s <= min(den, default=spec.m) else None",
      ["tests/test_oracle.py::TestFoldSplit::"
       "test_no_split_without_two_ordered_folds"]),
-    # Bob resuming one token early, and over Alice's cells
+    # the bucket pass: bits compared once b's are read, though a's are not;
+    # the order decided on bits not yet compared; a compared bit dropped
+    # though a later position reads it; a merged state keeping its first
+    # paths, not its smallest; and the buckets made and an error raised in
+    # reverse order of their first pairs
     ("oracle.py",
-     "                num, den = fold(spec, alice, k, end, cells[b])",
-     "                num, den = fold(spec, alice, k - 1, end, cells[b])",
+     "        was, c = c, width - (~(known & known >> width) & low)"
+     ".bit_length()",
+     "        was, c = c, width - (~known & low).bit_length()",
+     ["tests/test_buckets.py::test_hand_built_buckets_match_one_fold_per_"
+      "pair"]),
+    ("oracle.py",
+     "        compare = low >> was & ~(low >> c)      # b's bits was..c-1",
+     "        compare = low >> was",
+     ["tests/test_buckets.py::test_hand_built_buckets_match_one_fold_per_"
+      "pair"]),
+    ("oracle.py",
+     "        keep_open = after[j + 1] | known & (low >> c) * (low + 2)",
+     "        keep_open = known & (low >> c) * (low + 2)",
      ["tests/test_buckets.py::test_resumed_buckets_match_one_fold_per_pair"]),
     ("oracle.py",
-     "                num, den = fold(spec, alice, k, end, cells[b])",
-     "                num, den = fold(spec, alice, k, end, cells[a])",
+     "                entry[4] = sorted(entry[4] + moved)[:FAILURE_LIST_CAP]",
+     "                entry[4] = (entry[4] + moved)[:FAILURE_LIST_CAP]",
      ["tests/test_buckets.py::test_resumed_buckets_match_one_fold_per_pair"]),
+    ("oracle.py",
+     "                                        key=lambda e: e[4][0]):",
+     "                                        key=lambda e: -e[4][0]):",
+     ["tests/test_buckets.py::test_a_stage_error_surfaces_at_the_same_pair_"
+      "and_token"]),
     # the run counts off by one column, and every pair counted saturated
     ("oracle.py",
      "                n = cnt1 * (cum[j + 1] - cum[i])",

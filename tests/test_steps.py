@@ -399,7 +399,13 @@ def test_a_verify_run_pins_its_adds_and_mlp_evaluations(monkeypatch,
     multiplications and 180 evaluations.  Each evaluation makes 4 adds and
     4 multiplications, and so does each of the 29 output bounds the
     combine takes (attn._output_bounds); the other 11 multiplications are
-    the scale table's misses."""
+    the scale table's misses.  So 240 of the adds are the MLP's (27
+    evaluations in the combine, 4 in the spot checks); the other 190 are
+    the fold-step misses of the two bucket passes, one per distinct
+    (state, term) step.  The numerator pass drops a path once a compared
+    bit shows a > b; here every path it keeps still ends in a pair it
+    counts, so it takes the steps of one whole fold per counted pair, as
+    the per-pair walk did.  The spot checks' folds all hit."""
     adds = _counting(monkeypatch, "fx_add")
     muls = _counting(monkeypatch, "fx_mul")
     evals = _counting(monkeypatch, "mlp_eval")
