@@ -14,11 +14,12 @@ into the folds depends only on the row's contents, not on its position.  A
 spec compiles, on first use, one cell per distinct row value, built from one
 token_logits call, and a map per position from the input bits it reads to
 its cell, so token_cells and forward take the pair (y, z) and read each
-position's cell with one lookup.  One resumable kernel, fold, runs both
-folds over any range of positions from any (numerator, denominator) state:
-forward is one fold plus the divide and the MLP; the one-way protocol cuts
-it at Alice's prefix (alice_len) and resumes it for Bob; the factored
-verifier steps each fold alone through its step table (fold_stepper).
+position's cell with one lookup.  One resumable kernel, fold, runs one
+fold, the numerator or the denominator, over any range of positions from
+any state of it: forward runs each fold once, then the divide and the MLP;
+the one-way protocol cuts each at Alice's prefix (alice_len) and resumes it
+for Bob; the factored verifier steps each fold through its step table
+(fold_stepper).
 
 A fold's state at any boundary is one value of its bounded format, so each
 fold step is a small finite map (state, term) -> next state.  A compiled
@@ -271,10 +272,11 @@ class EvalTrace:
         spec, cells, partials = self.spec, self.cells, ([], [])
         den = self.numerator is not None and spec.attention_kind == SOFTMAX
         try:
-            for i, state in enumerate([(None, OFF), (OFF, None)][:1 + den]):
+            for which in range(1 + den):
+                state = None
                 for j in range(len(cells)):
-                    state = fold(spec, state, j, j + 1, cells)
-                    partials[i].append(state[i])
+                    state = fold(spec, which, state, j, j + 1, cells)
+                    partials[which].append(state)
         except IndeterminateForm:
             pass
         vars(self).update(
@@ -569,24 +571,22 @@ def alice_len(spec: TransformerSpec) -> int:
                 len(spec.embedding))
 
 
-OFF = "off"
 # Per fold: the stage a StageError names, and the indices in Cell of the term
 # each step adds (num_term, den_term) and of the value it opens with.
 _FOLDS = (("numerator", 2, 2), ("denominator", 4, 3))
 
 
-def fold(spec: TransformerSpec, state, lo: int, hi: int, cells):
-    """Resume the bounded left folds over the cells of positions lo..hi-1.
+def fold(spec: TransformerSpec, which: int, state, lo: int, hi: int, cells):
+    """Resume the numerator (which 0) or denominator (which 1) bounded left
+    fold over the cells of positions lo..hi-1.
 
-    state is (num, den): the numerator fold (in the fold format, before the
-    W^V scale) and the denominator fold so far, each None before its first
-    term.  A fold given as OFF stays OFF and is skipped.  The numerator runs
-    over the whole range before the denominator starts.  Returns the new
-    (num, den) and records nothing else.  IndeterminateForm propagates;
+    state is that fold so far, None before its first term: the numerator in
+    the fold format, before the W^V scale, or the denominator.  Returns the
+    new state and records nothing else.  IndeterminateForm propagates;
     other arithmetic errors are raised as a StageError naming the fold and
     the token.
 
-    Each fold walks its step table: the incoming state is interned once,
+    The fold walks its step table: the incoming state is interned once,
     then each position is one dict lookup on the canonical state and the
     cell's canonical term, and fx_add / fp_add runs only on a miss.  This is
     exact because a bounded add's result, its inexact flag included, depends
@@ -601,32 +601,28 @@ def fold(spec: TransformerSpec, state, lo: int, hi: int, cells):
     """
     comp = spec._compiled
     plan = comp.plans.get((lo, hi)) or comp.plan(lo, hi)
-    out = []
-    for s, table, (stage, t, f) in zip(state, (comp.num, comp.den), _FOLDS):
-        if s is not OFF:
-            get = table.steps.get
-            s = table.intern(s)
-            j = lo
-            try:
-                for a, b, run in plan:
-                    if run:
-                        start, hit = s, get((id(s), a, b))
-                        if hit is not None:
-                            s = hit
-                            continue
-                    for j in range(a, b):
-                        term = cells[j][t]
-                        nxt = get((id(s), id(term)))
-                        s = table.step(s, term, cells[j][f]) \
-                            if nxt is None else nxt
-                    if run:
-                        s = table.end_run(start, a, b, s)
-            except IndeterminateForm:
-                raise
-            except ArithmeticError as exc:
-                raise StageError(stage, spec.index_base + j, exc) from exc
-        out.append(s)
-    return tuple(out)
+    table, (stage, t, f) = (comp.num, comp.den)[which], _FOLDS[which]
+    get = table.steps.get
+    s = table.intern(state)
+    j = lo
+    try:
+        for a, b, run in plan:
+            if run:
+                start, hit = s, get((id(s), a, b))
+                if hit is not None:
+                    s = hit
+                    continue
+            for j in range(a, b):
+                term = cells[j][t]
+                nxt = get((id(s), id(term)))
+                s = table.step(s, term, cells[j][f]) if nxt is None else nxt
+            if run:
+                s = table.end_run(start, a, b, s)
+    except IndeterminateForm:
+        raise
+    except ArithmeticError as exc:
+        raise StageError(stage, spec.index_base + j, exc) from exc
+    return s
 
 
 def fold_stepper(spec: TransformerSpec, which: int):
@@ -804,12 +800,11 @@ def forward(spec: TransformerSpec, y: str, z: str) -> EvalTrace:
                        index_base=spec.index_base, hidden=[])
     stage = "numerator"
     try:
-        num, _ = fold(spec, (None, OFF), 0, len(cells), cells)
+        num = fold(spec, 0, None, 0, len(cells), cells)
         _, trace.numerator, sa = _scaled(spec, num)
         if spec.attention_kind == SOFTMAX:
             stage = "attention"
-            _, trace.denominator = fold(spec, (OFF, None), 0, len(cells),
-                                        cells)
+            trace.denominator = fold(spec, 1, None, 0, len(cells), cells)
             sa = _attend(spec, trace.numerator, trace.denominator)
         trace.sa = sa
         stage = "mlp"

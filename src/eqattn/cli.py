@@ -338,7 +338,9 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
     shared = {
         "--seed": dict(type=int, default=0,
-                       help="seed for any sampled work (default 0)"),
+                       help="seed for any sampled work (default 0); "
+                            "exhaustive verify and sweep runs ignore it, "
+                            "and --exhaustive refuses it"),
         "--out": dict(metavar="PATH",
                       help="write the report to this file instead of "
                            "stdout; relative paths go under EQATTN_OUT_DIR "

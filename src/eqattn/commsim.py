@@ -4,12 +4,11 @@ counting arguments that lower-bound them.
 The reduction: the bounded left fold decomposes at any prefix boundary, so
 Alice's share is a prefix length k of the fold order.  Alice (holding y)
 folds the first k tokens, by default the attn.alice_len(spec) tokens that
-read no z bit (the cut the factored verifier makes too), and sends the
-partial numerator and denominator as two p-bit scalars; Bob resumes the
-same fold from that state over the rest and finishes the pipeline.  Both
-halves run the one kernel that forward runs end to end, so the answer bit
-equals the single-machine forward pass by construction; the tests still
-check it pair-exhaustively at small m.
+read no z bit, and sends the partial numerator and denominator as two p-bit
+scalars; Bob resumes each fold from that state over the rest and finishes
+the pipeline.  Both halves run the one kernel that forward runs end to end,
+so the answer bit equals the single-machine forward pass by construction;
+the tests still check it pair-exhaustively at small m.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ from typing import NamedTuple
 
 from .attn import (
     LINEAR,
-    OFF,
     TransformerSpec,
     alice_len,
     finish_softmax,
@@ -103,18 +101,19 @@ def run_protocol(spec: TransformerSpec, y: str, z: str,
 
     cells = token_cells(spec, y, z)
     try:
-        l2, l1 = fold(spec, (None, OFF if linear else None), 0, k, cells)
+        l2 = fold(spec, 0, None, 0, k, cells)
+        l1 = None if linear else fold(spec, 1, None, 0, k, cells)
     except IndeterminateForm:
         return ProtocolRun(prefix=k, l1=None, l2=None, bit_cost=cost,
                            bob_bit=0)
     try:
-        num, den = fold(spec, (l2, l1), k, len(cells), cells)
+        num = fold(spec, 0, l2, k, len(cells), cells)
+        den = None if linear else fold(spec, 1, l1, k, len(cells), cells)
         num = (linear_output if linear else scale_numerator)(spec, num)
-        bit = finish_softmax(spec, num, None if linear else den)[0]
+        bit = finish_softmax(spec, num, den)[0]
     except IndeterminateForm:
         bit = 0
-    return ProtocolRun(prefix=k, l1=None if linear else l1, l2=l2,
-                       bit_cost=cost, bob_bit=bit)
+    return ProtocolRun(prefix=k, l1=l1, l2=l2, bit_cost=cost, bob_bit=bit)
 
 
 def enumerate_fooling(m: int, e: int) -> FoolingReport:

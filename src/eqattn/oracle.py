@@ -6,18 +6,18 @@ bounded-precision forward pass, and compares the answer bit against string
 equality.  An exhaustive run factors where the compiled spec allows it:
 fold_split derives from the cells which input bits each fold reads, and when
 the numerator reads only bits up to some s and the denominator only bits
-after it, the verifier runs the attention kernel's numerator fold alone over
-every pair of leading fields and its denominator fold alone over every pair
-of trailing fields, buckets the distinct fold values, and combines the
-buckets by runs: rounding is monotone, so against one numerator value the
-quotient is monotone in the denominator, and every MLP step in its input.
-One pass over the positions per fold counts the pairs of fields by fold
-state, not one by one (the transfer-matrix method: Stanley, Enumerative
-Combinatorics I, 4.7): fx-tight m=13 takes about 4,400 states and 753
-divides, not 3.4e7 forward passes.  The cap bounds the pairs of fields,
-not the promise pairs.  Every reported failure is re-evaluated with a
-direct forward pass before it is believed.  Every path, and quantlab's
-sampled scoring, counts pairs into one Tally.
+after it, the verifier buckets each fold's values over its own pairs of
+fields, y[:s] <= z[:s] for the numerator and every pair of tails for the
+denominator, and combines the buckets by runs: rounding is monotone, so
+against one numerator value the quotient is monotone in the denominator,
+and every MLP step in its input.  Each fold's buckets come from one pass
+over the positions that steps the fold through its step table and counts
+the pairs of fields by state, not one by one (the transfer-matrix method:
+Stanley, Enumerative Combinatorics I, 4.7): fx-tight m=13 takes about
+4,200 states and 753 divides, not 3.4e7 forward passes.  The cap bounds
+the pairs of fields, not the promise pairs.  Every reported failure is
+re-evaluated with a direct forward pass before it is believed.  Every
+path, and quantlab's sampled scoring, counts pairs into one Tally.
 """
 
 from __future__ import annotations
@@ -30,11 +30,9 @@ from operator import or_
 from typing import NamedTuple
 
 from .attn import (
-    OFF,
     SOFTMAX,
     StageError,
     TransformerSpec,
-    alice_len,
     finish_softmax,
     fold_reads,
     fold_stepper,
@@ -118,8 +116,10 @@ FAILURE_LIST_CAP = 32
 
 class Tally(NamedTuple):
     """Pairs decided against string equality: how many, how many wrongly,
-    the first FAILURE_LIST_CAP failures in enumeration order, and how many
-    saturated or hit an indeterminate form."""
+    up to FAILURE_LIST_CAP failures (tally_pairs lists the first in
+    enumeration order; the factored _combine lists them in bucket order,
+    not the first by (y, z)), and how many saturated or hit an
+    indeterminate form."""
 
     total: int
     failure_count: int
@@ -285,12 +285,11 @@ def fold_split(spec: TransformerSpec, promises: PromiseSet) -> int | None:
 
     Only a softmax head has two folds to split, and only a promise whose
     flags all constrain the pair as a whole (length, y <= z) admits every
-    pair the factored enumeration counts.  Bob's positions, after
-    alice_len, must read no y bit: the factored run resumes there.
+    pair the factored enumeration counts.  Which positions read the bits
+    does not matter: each fold's pass (_buckets) branches on any field bit
+    at any position.
     """
-    if spec.attention_kind != SOFTMAX or not promises.pair_scoped or \
-            any(name == "y" for rule in spec.embedding[alice_len(spec):]
-                for name, _ in rule.source):
+    if spec.attention_kind != SOFTMAX or not promises.pair_scoped:
         return None
     num, den = fold_reads(spec)
     if not num:
@@ -299,22 +298,26 @@ def fold_split(spec: TransformerSpec, promises: PromiseSet) -> int | None:
     return s if s < min(den, default=spec.m) else None
 
 
-def _buckets(spec, width, lead, trail, state, ordered):
-    """One fold's value over every pair (a, b) of width-bit fields (a <= b
-    when ordered), placed between the constant lead and trail bits of y and
-    of z, bucketed by (value, order of a against b): count and the first
-    listed pairs, in the order of each bucket's first pair.
+def _buckets(spec, which, s):
+    """The numerator's (which 0) or denominator's (which 1) value over
+    every pair (a, b) of its fields, with the input split after bit s
+    (fold_split) and the other bits 0: y[:s] and z[:s] with a <= b for the
+    numerator, every y[s:] and z[s:] for the denominator.  Bucketed by
+    (value, order of a against b): count and the first listed pairs, in the
+    order of each bucket's first pair.
 
     The value (the scaled numerator or the denominator, _NAN on an
-    indeterminate form) is folded from state in one pass over the positions
-    that counts the paths a << width | b by state: the fold (_NAN, or the
+    indeterminate form) is folded in one pass over the positions that
+    counts the paths a << width | b by state: the fold (_NAN, or the
     StageError it raised), the order once a compared bit differs, and the
     bits a later position reads or, while the order is open, not yet
     compared.  A position branches on the bits it reads first (the last
     also on those none reads).  Equal states merge, keeping their
     FAILURE_LIST_CAP smallest paths (unread bits 0), so the first erring
     pair raises its error, as one whole fold per pair would."""
-    which, low = int(state[0] is OFF), (1 << width) - 1
+    rest = "0" * (spec.m - s)
+    lead, width, trail = ("0" * s, len(rest), "") if which else ("", s, rest)
+    low = (1 << width) - 1
     stage, step = fold_stepper(spec, which)
     masks = [sum({1 << width - i + len(lead) + width * (name == "y")
                   for name, i in rule.source if 0 < i - len(lead) <= width})
@@ -324,7 +327,7 @@ def _buckets(spec, width, lead, trail, state, ordered):
               for code in _subsets(mask)} for j, mask in enumerate(masks)]
     after = list(accumulate(reversed(masks), or_, initial=0))[::-1]
     known = c = 0                       # bits read; a, b read below bit c
-    states = {(id(state[which]), None, 0): [state[which], None, 0, 1, [0]]}
+    states = {(id(None), None, 0): [None, None, 0, 1, [0]]}
     for j, mask in enumerate(masks):    # the last also reads what none does
         new = mask & ~known | (~after[0] & (low << width | low)
                                if j == len(masks) - 1 else 0)
@@ -338,7 +341,7 @@ def _buckets(spec, width, lead, trail, state, ordered):
                 code, f = needed | add, fold_
                 a, b = code >> width & compare, code & compare
                 o = order if order is not None or a == b else (a > b) - (a < b)
-                if ordered and o == 1:
+                if which == 0 and o == 1:     # the numerator's a <= b
                     continue
                 if f is not _NAN and not isinstance(f, StageError):
                     try:
@@ -405,7 +408,7 @@ def _segments(spec, num, dens, npos):
     return runs
 
 
-def _combine(spec, num_buckets, den_buckets, s, second) -> Tally:
+def _combine(spec, num_buckets, den_buckets, s) -> Tally:
     """Every pair y <= z the buckets make, each numerator value's runs
     counted from prefix sums over the distinct denominator values; the
     first failures listed in bucket order and re-checked with forward."""
@@ -444,8 +447,8 @@ def _combine(spec, num_buckets, den_buckets, s, second) -> Tally:
                 continue
             room = FAILURE_LIST_CAP - len(listed)
             for (a, b), (c, d) in islice(product(ex1, ex2), room):
-                y = _bits(a, s) + _bits(c, second)
-                z = _bits(b, s) + _bits(d, second)
+                y = _bits(a, s) + _bits(c, spec.m - s)
+                z = _bits(b, s) + _bits(d, spec.m - s)
                 trace = forward(spec, y, z)
                 if trace.bit != bit:
                     raise RuntimeError(
@@ -476,13 +479,12 @@ def _factored_exhaustive(spec, s, cap, rng, expected_total):
     work = (1 << s) * ((1 << s) + 1) // 2 + (1 << 2 * second)
     if work > cap:
         raise BudgetExceeded(f"{work} field pairs exceed the cap of {cap}")
-    num_buckets = _buckets(spec, s, "", "0" * second, (None, OFF), True)
-    den_buckets = _buckets(spec, second, "0" * s, "", (OFF, None), False)
+    num_buckets, den_buckets = _buckets(spec, 0, s), _buckets(spec, 1, s)
     combos = len(num_buckets) * len(den_buckets)
     if combos > cap:
         raise BudgetExceeded(f"{combos} bucket pairs exceed the cap of {cap}")
 
-    tally = _combine(spec, num_buckets, den_buckets, s, second)
+    tally = _combine(spec, num_buckets, den_buckets, s)
     if tally.total != expected_total:
         raise RuntimeError(
             f"factored enumeration covered {tally.total} pairs, expected "

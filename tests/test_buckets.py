@@ -14,7 +14,6 @@ import pytest
 
 from eqattn import oracle
 from eqattn.attn import (
-    OFF,
     StageError,
     TokenRule,
     _rep,
@@ -28,15 +27,16 @@ from eqattn.oracle import fold_split, precision_delta_spec
 from eqattn.quantlab import INT6, INT8, quantize_spec
 
 
-def _ref_buckets(spec, pairs, width, lead, trail, state):
+def _ref_buckets(spec, pairs, width, lead, trail, which):
     """One whole fold of the kernel per pair, from token 0."""
     buckets = {}
     for a, b in pairs:
         cells = token_cells(spec, lead + format(a, f"0{width}b") + trail,
                             lead + format(b, f"0{width}b") + trail)
         try:
-            num, den = fold(spec, state, 0, len(cells), cells)
-            value = den if num is OFF else scale_numerator(spec, num)
+            value = fold(spec, which, None, 0, len(cells), cells)
+            if which == 0:
+                value = scale_numerator(spec, value)
         except IndeterminateForm:
             value = oracle._NAN
         bucket = buckets.setdefault((value, (a > b) - (a < b)), [0, []])
@@ -46,23 +46,25 @@ def _ref_buckets(spec, pairs, width, lead, trail, state):
     return buckets
 
 
-def _ref_pass(spec, width, lead, trail, state, ordered):
-    """The reference with the pass's arguments: every pair of fields, or
-    those with a <= b when ordered, in (a, b) order."""
+def _ref_pass(spec, which, s):
+    """The reference with the pass's arguments, in (a, b) order: for the
+    numerator every pair a <= b of the fields y[:s] and z[:s], trailed by
+    zeros; for the denominator every pair of y[s:] and z[s:], led by
+    zeros."""
+    second = spec.m - s
+    width, lead, trail = (second, "0" * s, "") if which else \
+        (s, "", "0" * second)
     fields = range(1 << width)
-    pairs = ((a, b) for a in fields for b in fields[a if ordered else 0:])
-    return _ref_buckets(spec, pairs, width, lead, trail, state)
+    pairs = ((a, b) for a in fields for b in fields[0 if which else a:])
+    return _ref_buckets(spec, pairs, width, lead, trail, which)
 
 
 def _both_folds(builder, spec, s):
     """The numerator and denominator buckets as _factored_exhaustive asks
     for them, each as an ordered list of (value rep, order, count, pairs)."""
-    second = spec.m - s
-    calls = [(s, "", "0" * second, (None, OFF), True),
-             (second, "0" * s, "", (OFF, None), False)]
     return [[(value if value is oracle._NAN else _rep(value), rel, cnt, ex)
-             for (value, rel), (cnt, ex) in builder(spec, *call).items()]
-            for call in calls]
+             for (value, rel), (cnt, ex) in builder(spec, which, s).items()]
+            for which in (0, 1)]
 
 
 def _subjects():
@@ -179,7 +181,7 @@ def _first_error(builder, spec, s):
     """(stage, token) of the StageError builder raises on the numerator
     fold."""
     with pytest.raises(StageError) as info:
-        builder(spec, s, "", "0" * (spec.m - s), (None, OFF), True)
+        builder(spec, 0, s)
     return info.value.stage, info.value.token
 
 

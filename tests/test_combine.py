@@ -21,9 +21,10 @@ from eqattn.oracle import (FAILURE_LIST_CAP, Failure, Tally, fold_split,
 from eqattn.quantlab import parse_quant_format, quantize_spec
 
 
-def _per_pair_combine(spec, num_buckets, den_buckets, s, second):
+def _per_pair_combine(spec, num_buckets, den_buckets, s):
     """One finish_softmax per bucket pair, failures listed in bucket order
     and re-checked with forward."""
+    second = spec.m - s
     total = wrong = saturated = 0
     listed = []
     for (num, rel1), (cnt1, ex1) in num_buckets.items():

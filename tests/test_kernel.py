@@ -29,9 +29,9 @@ import pytest
 
 from conftest import build_toy_spec
 from eqattn import attn, oracle
-from eqattn.attn import (_REFOLDED, OFF, StageError, TokenRule, _make_cell,
-                         _rep, alice_len, fold, fold_reads, forward,
-                         token_cells, token_logits)
+from eqattn.attn import (_REFOLDED, StageError, TokenRule, _make_cell, _rep,
+                         alice_len, fold, fold_reads, forward, token_cells,
+                         token_logits)
 from eqattn.bitnum import (FxFormat, IndeterminateForm, NonDyadicLogit,
                            encode_scalar)
 from eqattn.commsim import run_protocol
@@ -251,13 +251,15 @@ def test_a_constant_run_is_one_lookup(name, kwargs, per_fold):
         == per_fold
     pairs = _pairs(spec.m, 20, 14)
     for y, z in pairs:
-        fold(spec, (None, None), 0, n, token_cells(spec, y, z))
+        for which in (0, 1):
+            fold(spec, which, None, 0, n, token_cells(spec, y, z))
     comp = spec._compiled
     for y, z in pairs:
         tables = [comp.num, comp.den]
         for table in tables:
             table.steps = _CountingDict(table.steps)
-        fold(spec, (None, None), 0, n, token_cells(spec, y, z))
+        for which in (0, 1):
+            fold(spec, which, None, 0, n, token_cells(spec, y, z))
         assert [t.steps.lookups for t in tables] == [per_fold, per_fold]
 
 
@@ -280,10 +282,9 @@ def test_cells_of_a_dropped_kernel_still_fold_exactly():
     for y, z in _pairs(spec.m, 20, 9):
         cells = token_cells(spec, y, z)
         n = len(cells)
-        want = fold(spec, (None, None), 0, n, cells)
-        got = fold(copy, (None, None), 0, n, cells)
-        resumed = fold(copy, fold(copy, (None, OFF), 0, 3, cells),
-                       3, n, cells)[0]
+        want = [fold(spec, which, None, 0, n, cells) for which in (0, 1)]
+        got = [fold(copy, which, None, 0, n, cells) for which in (0, 1)]
+        resumed = fold(copy, 0, fold(copy, 0, None, 0, 3, cells), 3, n, cells)
         assert [encode_scalar(v) for v in got] == \
             [encode_scalar(v) for v in want]
         assert [v.inexact for v in got] == [v.inexact for v in want]
@@ -419,15 +420,15 @@ def test_a_run_entry_stands_for_cells_built_afresh(label):
         assert not any(a is b for a, b in zip(fresh, comp.consts))
         want = ref_forward(spec, x)
         softmax = spec.attention_kind == "softmax"
-        for i, state in enumerate([(None, OFF), (OFF, None)][:1 + softmax]):
-            partials = (want.num_partials, want.den_partials)[i]
+        for which in range(1 + softmax):
+            partials = (want.num_partials, want.den_partials)[which]
             try:
-                end = _rep(fold(spec, state, 0, len(x), fresh)[i])
+                end = _rep(fold(spec, which, None, 0, len(x), fresh))
             except IndeterminateForm:
                 end = None
             if len(partials) == len(x):
                 assert end == _rep(partials[-1])
-            elif partials or i == 0:    # the reference stopped in this fold
+            elif partials or which == 0:  # the reference stopped in this fold
                 assert end is None
 
 

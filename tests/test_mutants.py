@@ -50,6 +50,12 @@ MUTANTS = [
      "        if len(self.steps) + len(self.values) >= STEP_LIMIT:",
      "        if len(self.steps) + len(self.values) >= STEP_LIMIT // 64:",
      ["tests/test_kernel.py::test_a_constant_run_is_one_lookup"]),
+    # the denominator folded with the numerator's terms and stage
+    ("attn.py",
+     "    table, (stage, t, f) = (comp.num, comp.den)[which], _FOLDS[which]",
+     "    table, (stage, t, f) = (comp.num, comp.den)[which], _FOLDS[0]",
+     ["tests/test_kernel.py::test_native_and_cliff_specs_match_the_"
+      "reference"]),
     # head_class certifying output bounds on both sides of 1
     ("attn.py",
      "    if high.is_inf or (low.as_fraction() - 1) * (high.as_fraction() - 1)"
@@ -76,8 +82,9 @@ MUTANTS = [
     # the bucket pass: bits compared once b's are read, though a's are not;
     # the order decided on bits not yet compared; a compared bit dropped
     # though a later position reads it; a merged state keeping its first
-    # paths, not its smallest; and the buckets made and an error raised in
-    # reverse order of their first pairs
+    # paths, not its smallest; the buckets made and an error raised in
+    # reverse order of their first pairs; and the denominator's pass
+    # dropping a > b as the numerator's does
     ("oracle.py",
      "        was, c = c, width - (~(known & known >> width) & low)"
      ".bit_length()",
@@ -102,6 +109,10 @@ MUTANTS = [
      "                                        key=lambda e: -e[4][0]):",
      ["tests/test_buckets.py::test_a_stage_error_surfaces_at_the_same_pair_"
       "and_token"]),
+    ("oracle.py",
+     "                if which == 0 and o == 1:     # the numerator's a <= b",
+     "                if o == 1:     # the numerator's a <= b",
+     ["tests/test_buckets.py::test_resumed_buckets_match_one_fold_per_pair"]),
     # the run counts off by one column, and every pair counted saturated
     ("oracle.py",
      "                n = cnt1 * (cum[j + 1] - cum[i])",

@@ -217,17 +217,21 @@ class TestFoldSplit:
         fast, direct = _both_paths(spec, promises)
         assert fast == direct == (8256, 64, 5164)
 
-    def test_a_y_bit_after_alices_prefix_goes_direct(self):
-        """The den-z rule at z5 reading y5 instead leaves the folds' bits
-        split after bit 4, but Bob's cells would then depend on y: no
-        split, and the report is the direct path's."""
+    @pytest.mark.parametrize("delta", [0, -1], ids=["p", "p-1"])
+    @pytest.mark.parametrize("bit", [5, 6, 7], ids=["z5", "z6", "z7"])
+    def test_a_y_bit_after_alices_prefix_still_splits(self, bit, delta):
+        """The den-z rule at z5, z6 or z7 reading y instead leaves the
+        folds' bits split after bit 4.  Bob's cells then depend on y, which
+        the denominator's pass branches on as on any field bit, so the run
+        still factors and counts what the direct path counts."""
         spec, promises = make("fx-tight", m=7)
-        embedding = [TokenRule((("y", 5),), rule.rows)
-                     if rule.source == (("z", 5),) else rule
+        embedding = [TokenRule((("y", bit),), rule.rows)
+                     if rule.source == (("z", bit),) else rule
                      for rule in spec.embedding]
-        spec = spec._replace(embedding=embedding).validate()
+        spec = precision_delta_spec(
+            spec._replace(embedding=embedding).validate(), delta)
         assert fold_reads(spec) == ({1, 2, 3, 4}, {5, 6, 7})
-        assert fold_split(spec, promises) is None
+        assert fold_split(spec, promises) == 4
         fast, direct = _both_paths(spec, promises)
         assert fast == direct
 

@@ -24,7 +24,6 @@ import pytest
 from conftest import build_toy_spec
 from eqattn import attn
 from eqattn.attn import (
-    OFF,
     MlpSpec,
     _rep,
     _Steps,
@@ -187,7 +186,8 @@ def test_a_repeated_fold_makes_no_additions(monkeypatch, name, kwargs, add):
         out = []
         for y, z in pairs:
             cells = token_cells(spec, y, z)
-            out.append(fold(spec, (None, None), 0, len(cells), cells))
+            out.append([fold(spec, which, None, 0, len(cells), cells)
+                        for which in (0, 1)])
         return out
 
     first = one_pass()
@@ -206,12 +206,12 @@ def test_table_keys_are_ids_of_live_canonical_objects():
     for i, (y, z) in enumerate(_wide_pairs(spec, rng, 30)):
         cells = token_cells(spec, y, z)
         k = i % len(cells)
-        num = fold(spec, (None, OFF), 0, k, cells)[0]
+        num = fold(spec, 0, None, 0, k, cells)
         if num is not None:   # resume from a copy the tables do not hold
             num = type(num)(num.fmt, num.kind, num.sign, num.sig, num.exp2,
                             num.inexact)
-        fold(spec, (num, OFF), k, len(cells), cells)
-        fold(spec, (OFF, None), 0, len(cells), cells)
+        fold(spec, 0, num, k, len(cells), cells)
+        fold(spec, 1, None, 0, len(cells), cells)
         del cells, num
         gc.collect()
     comp = spec._compiled
@@ -253,7 +253,8 @@ def test_a_full_table_is_cleared_and_folds_stay_exact(monkeypatch):
         before = _table_sizes(comp)
         cells = token_cells(spec, y, z)
         trace = ref_forward(spec, spec.encode(y, z))
-        num, den = fold(spec, (None, None), 0, len(cells), cells)
+        num, den = [fold(spec, which, None, 0, len(cells), cells)
+                    for which in (0, 1)]
         assert _rep(num) == _rep(trace.num_partials[-1])
         assert _rep(den) == _rep(trace.den_partials[-1])
         # a step adds at most a state, a term, a result and one key past
@@ -271,7 +272,8 @@ def test_wide_format_tables_stay_bounded():
     peak, sizes, cleared = [0, 0], [0, 0], False
     for y, z in _wide_pairs(spec, random.Random(0x58), 400):
         cells = token_cells(spec, y, z)
-        fold(spec, (None, None), 0, len(cells), cells)
+        for which in (0, 1):
+            fold(spec, which, None, 0, len(cells), cells)
         before, sizes = sizes, _table_sizes(comp)
         peak = [max(p, s) for p, s in zip(peak, sizes)]
         for size, last in zip(sizes, before):
