@@ -439,6 +439,7 @@ class _Compiled:
     to the row's cell, for the cells a fold can use: not those whose build
     raised or whose num_term is an error, which are built afresh each time.
     consts holds each constant position's cell in lookups, else None.
+    alice_len is the protocol prefix alice_len(spec) returns.
     """
 
     def __init__(self, spec: TransformerSpec):
@@ -451,6 +452,9 @@ class _Compiled:
         self.encoders = [_row_lookup(rule, spec.m) for rule in spec.embedding]
         read = {ref for rule in spec.embedding for ref in rule.source}
         self.unread = len(read) < 2 * spec.m
+        self.alice_len = next((j for j, rule in enumerate(spec.embedding)
+                               if any(name == "z" for name, _ in rule.source)),
+                              len(spec.embedding))
         self.col, scale = spec.value_column()
         self.scale = hold_exact(scale, spec.num_fmt)
         self.mlp = _hold_mlp(spec.mlp, spec.out_fmt)
@@ -566,9 +570,7 @@ def fold_reads(spec: TransformerSpec) -> tuple[set, set]:
 def alice_len(spec: TransformerSpec) -> int:
     """The protocol prefix: how many leading positions read no z bit, so
     Alice can fold them from y alone."""
-    return next((j for j, rule in enumerate(spec.embedding)
-                 if any(name == "z" for name, _ in rule.source)),
-                len(spec.embedding))
+    return spec._compiled.alice_len
 
 
 # Per fold: the stage a StageError names, and the indices in Cell of the term

@@ -5,8 +5,15 @@ operation is computed exactly over the integers (or rationals, for division)
 and rounded once into the requested format.  Out-of-range magnitudes saturate
 to +/-Inf; magnitudes that round to no nonzero representable value become
 exact zero.  There are no NaNs: indeterminate forms raise.  FxNum and FpNum
-share one scalar core (_Num and one body per round, divide and left sum);
-they differ only in the kind their zero carries.
+share one scalar class (_Num) and differ only in the kind their zero carries.
+
+The arithmetic is straight-line kernels.  Each format kind has one rounding
+body per shape of exact value, a dyadic sig * 2**exp2 (sig not necessarily
+odd) or a positive rational n/d: it unpacks the format once, quantizes (ties
+go toward zero), saturates or flushes, and builds the canonical scalar.  Add,
+multiply and divide (_add, _mul, _div) are shared by fixed and floating
+point: with both operands finite and nonzero they pass the exact result
+straight to the body of the result's format; else they read each kind once.
 """
 
 from __future__ import annotations
@@ -21,6 +28,8 @@ _FINITE = "finite"
 _POS_INF = "pinf"
 _NEG_INF = "ninf"
 _ZERO = "zero"
+# The kinds of +-Inf; every other kind is finite.
+INF_KINDS = frozenset((_POS_INF, _NEG_INF))
 
 
 class IndeterminateForm(ArithmeticError):
@@ -150,41 +159,10 @@ def _pow2(k: int) -> Fraction:
     return Fraction(1 << k) if k >= 0 else Fraction(1, 1 << -k)
 
 
-def _canon(sig: int, exp2: int) -> tuple[int, int]:
-    if sig == 0:
-        return 0, 0
-    shift = (sig & -sig).bit_length() - 1
-    return sig >> shift, exp2 + shift
-
-
-def _nbits(sig: int, e: int) -> int:
-    """Positional bits needed for the dyadic sig * 2**e with sig odd."""
-    return max(sig.bit_length() + e, 0) - min(e, 0)
-
-
-def _quantize(sig: int, exp2: int, lsb: int, rounding: str) -> tuple[int, bool]:
-    """Round sig * 2**exp2 (sig > 0) to a multiple of 2**lsb.
-
-    Returns (multiple, exact).  Nearest resolves ties toward zero.
-    """
-    shift = exp2 - lsb
-    if shift >= 0:
-        return sig << shift, True
-    q = sig >> -shift
-    rem = sig & ((1 << -shift) - 1)
-    if rem == 0:
-        return q, True
-    if rounding == NEAREST and rem > (1 << (-shift - 1)):
-        q += 1
-    return q, False
-
-
 def _ratio_floor_log2(n: int, d: int) -> int:
     """floor(log2(n / d)) for positive integers."""
     x = n.bit_length() - d.bit_length()
-    if (n << max(0, -x)) < (d << max(0, x)):
-        x -= 1
-    return x
+    return x - ((n << -x) < d if x < 0 else n < (d << x))
 
 
 def ceil_log2(x: Fraction) -> int:
@@ -195,7 +173,7 @@ def ceil_log2(x: Fraction) -> int:
 
 class _Num:
     """A value held in (or saturated out of) a format; a subclass names the
-    kind its zero carries."""
+    kind its zero carries.  An infinity holds sig 0, as a zero does."""
 
     __slots__ = ("fmt", "kind", "sign", "sig", "exp2", "inexact")
     _zero_kind = _FINITE
@@ -218,11 +196,11 @@ class _Num:
 
     @property
     def is_finite(self) -> bool:
-        return self.kind in (_FINITE, _ZERO)
+        return self.kind not in INF_KINDS
 
     @property
     def is_inf(self) -> bool:
-        return self.kind in (_POS_INF, _NEG_INF)
+        return self.kind in INF_KINDS
 
     @property
     def is_zero(self) -> bool:
@@ -264,111 +242,126 @@ class FpNum(_Num):
     _zero_kind = _ZERO
 
 
-def _divround(n: int, d: int, lsb: int, rounding: str) -> tuple[int, bool]:
-    """Round the positive rational n/d to a multiple of 2**lsb.
-
-    Returns (multiple, exact).  Nearest resolves ties toward zero.
-    """
-    d <<= max(0, lsb)
-    q, r = divmod(n << max(0, -lsb), d)
-    if r and rounding == NEAREST and 2 * r > d:
-        q += 1
-    return q, r == 0
-
-
-def _fx_finish(sign: int, q: int, lsb: int, exact: bool,
-               fmt: FxFormat) -> FxNum:
-    """Flush, saturate or canonicalize q * 2**lsb (in scale units)."""
-    if q == 0:
-        return FxNum.zero(fmt, inexact=True)
-    q, lsb = _canon(q, lsb)
-    if _nbits(q, lsb) > fmt.budget:
-        return FxNum.inf(sign, fmt)
-    return FxNum(fmt, _FINITE, sign, q, lsb + fmt.scale_log2, not exact)
-
-
 def _fx_round_dyadic(sign: int, sig: int, exp2: int, fmt: FxFormat) -> FxNum:
-    if sig == 0:
-        return FxNum.zero(fmt)
-    rel = exp2 - fmt.scale_log2
+    """Round sign * sig * 2**exp2 into fmt; sig >= 0 need not be odd."""
+    p, scale, rounding = fmt
+    if not sig:
+        return FxNum(fmt, _FINITE, 1, 0, 0)
+    budget = p - 1
+    rel = exp2 - scale
     octave = sig.bit_length() + rel
-    if octave > fmt.budget:
+    if octave > budget:
         return FxNum.inf(sign, fmt)
-    lsb = max(octave, 0) - fmt.budget
-    q, exact = _quantize(sig, rel, lsb, fmt.rounding)
-    return _fx_finish(sign, q, lsb, exact, fmt)
+    lsb = (octave if octave > 0 else 0) - budget    # grid step, scale units
+    drop = lsb - rel
+    rem = sig & ((1 << drop) - 1) if drop > 0 else 0
+    if rem:
+        sig >>= drop
+        exp2 += drop
+        if rounding == NEAREST and rem > 1 << (drop - 1):
+            sig += 1
+            if sig.bit_length() + lsb > budget:     # carried past the top
+                return FxNum.inf(sign, fmt)
+        elif not sig:
+            return FxNum.zero(fmt, True)
+    low = (sig & -sig).bit_length() - 1
+    return FxNum(fmt, _FINITE, sign, sig >> low, exp2 + low, rem != 0)
 
 
 def _fx_round_rational(sign: int, n: int, d: int, fmt: FxFormat) -> FxNum:
-    """Round the positive rational n/d into fmt."""
-    k = fmt.scale_log2
-    n, d = n << max(0, -k), d << max(0, k)
-    octave = _ratio_floor_log2(n, d) + 1
-    if octave > fmt.budget:
+    """Round sign * n/d into fmt, for positive n and d."""
+    p, scale, rounding = fmt
+    budget = p - 1
+    octave = _ratio_floor_log2(n, d) + 1 - scale
+    if octave > budget:
         return FxNum.inf(sign, fmt)
-    lsb = max(octave, 0) - fmt.budget
-    q, exact = _divround(n, d, lsb, fmt.rounding)
-    return _fx_finish(sign, q, lsb, exact, fmt)
-
-
-def _fp_finish(sign: int, q: int, lsb: int, exact: bool,
-               fmt: FpFormat) -> FpNum:
-    """Saturate, flush or canonicalize q * 2**lsb."""
-    msb = q.bit_length() - 1 + lsb
-    if msb > fmt.q:
-        return FpNum.inf(sign, fmt)
-    if msb < -fmt.q:
-        return FpNum.zero(fmt, inexact=True)
-    q, lsb = _canon(q, lsb)
-    return FpNum(fmt, _FINITE, sign, q, lsb, not exact)
+    lsb = (octave if octave > 0 else 0) - budget    # grid step, scale units
+    exp2 = lsb + scale
+    if exp2 > 0:
+        d <<= exp2
+    else:
+        n <<= -exp2
+    q, r = divmod(n, d)
+    if rounding == NEAREST and 2 * r > d:
+        q += 1
+        if q.bit_length() + lsb > budget:           # carried past the top
+            return FxNum.inf(sign, fmt)
+    elif not q:
+        return FxNum.zero(fmt, True)
+    low = (q & -q).bit_length() - 1
+    return FxNum(fmt, _FINITE, sign, q >> low, exp2 + low, r != 0)
 
 
 def _fp_round_dyadic(sign: int, sig: int, exp2: int, fmt: FpFormat) -> FpNum:
-    if sig == 0:
-        return FpNum.zero(fmt)
-    lsb = sig.bit_length() - fmt.t + exp2
-    q, exact = _quantize(sig, exp2, lsb, fmt.rounding)
-    return _fp_finish(sign, q, lsb, exact, fmt)
+    """Round sign * sig * 2**exp2 into fmt; sig >= 0 need not be odd."""
+    t, e, rounding = fmt
+    if not sig:
+        return FpNum(fmt, _ZERO, 1, 0, 0)
+    extra = sig.bit_length() - t                    # bits past t
+    msb = exp2 + t - 1 + extra
+    rem = sig & ((1 << extra) - 1) if extra > 0 else 0
+    if rem:
+        sig >>= extra
+        exp2 += extra
+        if rounding == NEAREST and rem > 1 << (extra - 1):
+            sig += 1
+            msb += sig >> t                         # carried to 2**t
+    q = (1 << (e - 1)) - 1
+    if msb > q:
+        return FpNum.inf(sign, fmt)
+    if msb < -q:
+        return FpNum.zero(fmt, True)
+    low = (sig & -sig).bit_length() - 1
+    return FpNum(fmt, _FINITE, sign, sig >> low, exp2 + low, rem != 0)
 
 
 def _fp_round_rational(sign: int, n: int, d: int, fmt: FpFormat) -> FpNum:
-    lsb = _ratio_floor_log2(n, d) - (fmt.t - 1)
-    q, exact = _divround(n, d, lsb, fmt.rounding)
-    return _fp_finish(sign, q, lsb, exact, fmt)
-
-
-def _to_sig_exp(value) -> tuple[int, int, int]:
-    """Decompose an exact dyadic value into (sign, odd sig, exp2)."""
-    if isinstance(value, _Num):
-        if not value.is_finite:
-            raise ValueError("cannot decompose an infinity")
-        return value.sign, value.sig, value.exp2
-    fr = Fraction(value)
-    d = fr.denominator
-    if d & (d - 1):
-        raise ValueError(f"{value} is not dyadic")
-    sign = 1 if fr >= 0 else -1
-    sig, exp2 = _canon(abs(fr.numerator), -(d.bit_length() - 1))
-    return sign, sig, exp2
+    """Round sign * n/d into fmt, for positive n and d."""
+    t, e, rounding = fmt
+    msb = _ratio_floor_log2(n, d)
+    lsb = msb - (t - 1)
+    if lsb > 0:
+        d <<= lsb
+    else:
+        n <<= -lsb
+    q, r = divmod(n, d)
+    if rounding == NEAREST and 2 * r > d:
+        q += 1
+        msb += q >> t                               # carried to 2**t
+    emax = (1 << (e - 1)) - 1
+    if msb > emax:
+        return FpNum.inf(sign, fmt)
+    if msb < -emax:
+        return FpNum.zero(fmt, True)
+    low = (q & -q).bit_length() - 1
+    return FpNum(fmt, _FINITE, sign, q >> low, lsb + low, r != 0)
 
 
 def hold_exact(value, fmt: FxFormat | FpFormat) -> FxNum | FpNum:
     """An exact dyadic held in fmt's scalar type, never rounded or
     saturated: where it fits in fmt, the same as fx_round / fp_round."""
     cls = FxNum if isinstance(fmt, FxFormat) else FpNum
-    sign, sig, exp2 = _to_sig_exp(value)
-    return cls(fmt, _FINITE, sign, sig, exp2) if sig else cls.zero(fmt)
+    fr = Fraction(value)
+    n, d = fr.numerator, fr.denominator
+    if d & (d - 1):
+        raise ValueError(f"{value} is not dyadic")
+    if not n:
+        return cls.zero(fmt)
+    low = (n & -n).bit_length() - 1
+    return cls(fmt, _FINITE, -1 if n < 0 else 1, abs(n) >> low,
+               low + 1 - d.bit_length())
 
 
 def _round(value, fmt, cls, round_dyadic, round_rational):
-    if isinstance(value, _Num) and value.is_inf:
-        return cls.inf(value.sign, fmt)
-    if isinstance(value, Fraction) and (value.denominator & (value.denominator - 1)):
-        # Not dyadic, so not zero either.
-        sign = 1 if value >= 0 else -1
-        return round_rational(sign, abs(value.numerator), value.denominator,
-                              fmt)
-    return round_dyadic(*_to_sig_exp(value), fmt)
+    if isinstance(value, _Num):
+        if value.kind in INF_KINDS:
+            return cls.inf(value.sign, fmt)
+        return round_dyadic(value.sign, value.sig, value.exp2, fmt)
+    n, d = value.numerator, value.denominator
+    sign = -1 if n < 0 else 1
+    if d & (d - 1):
+        return round_rational(sign, abs(n), d, fmt)
+    return round_dyadic(sign, abs(n), 1 - d.bit_length(), fmt)
 
 
 def fx_round(value, fmt: FxFormat) -> FxNum:
@@ -381,50 +374,60 @@ def fp_round(value, fmt: FpFormat) -> FpNum:
     return _round(value, fmt, FpNum, _fp_round_dyadic, _fp_round_rational)
 
 
-def _add_exact(a, b) -> tuple[int, int, int]:
-    """Exact sum of two finite numbers as (sign, sig, exp2)."""
-    if a.sig == 0:
-        return b.sign, b.sig, b.exp2
-    if b.sig == 0:
-        return a.sign, a.sig, a.exp2
-    e = min(a.exp2, b.exp2)
-    total = a.sign * (a.sig << (a.exp2 - e)) + b.sign * (b.sig << (b.exp2 - e))
-    sign = 1 if total >= 0 else -1
-    sig, e = _canon(abs(total), e)
-    return sign, sig, e
-
-
 def _add(a, b, fmt, cls, round_dyadic):
-    if a.is_inf or b.is_inf:
-        if a.is_inf and b.is_inf and a.sign != b.sign:
+    x, y = a.sig, b.sig
+    if x and y:
+        e, eb = a.exp2, b.exp2
+        if e > eb:
+            x, e = x << (e - eb), eb
+        else:
+            y <<= eb - e
+        total = a.sign * x + b.sign * y
+        if total < 0:
+            return round_dyadic(-1, -total, e, fmt)
+        return round_dyadic(1, total, e, fmt)
+    if a.kind in INF_KINDS:
+        if b.kind in INF_KINDS and a.sign != b.sign:
             raise IndeterminateForm("Inf - Inf")
-        return cls.inf((a if a.is_inf else b).sign, fmt)
-    return round_dyadic(*_add_exact(a, b), fmt)
+        return cls.inf(a.sign, fmt)
+    if b.kind in INF_KINDS:
+        return cls.inf(b.sign, fmt)
+    if x:
+        return round_dyadic(a.sign, x, a.exp2, fmt)
+    return round_dyadic(b.sign, y, b.exp2, fmt)
 
 
 def _mul(a, b, fmt, cls, round_dyadic):
-    if a.is_inf or b.is_inf:
-        other = b if a.is_inf else a
-        if other.is_finite and other.sig == 0:
-            raise IndeterminateForm("0 * Inf")
-        return cls.inf(a.sign * b.sign, fmt)
-    return round_dyadic(a.sign * b.sign, a.sig * b.sig, a.exp2 + b.exp2, fmt)
+    x, y = a.sig, b.sig
+    if x and y:
+        return round_dyadic(a.sign * b.sign, x * y, a.exp2 + b.exp2, fmt)
+    a_inf, b_inf = a.kind in INF_KINDS, b.kind in INF_KINDS
+    if not (a_inf or b_inf):
+        return cls.zero(fmt)
+    if not (x or a_inf) or not (y or b_inf):
+        raise IndeterminateForm("0 * Inf")
+    return cls.inf(a.sign * b.sign, fmt)
 
 
 def _div(a, b, fmt, cls, round_rational):
-    if a.is_inf and b.is_inf:
-        raise IndeterminateForm("Inf / Inf")
-    if b.is_finite and b.sig == 0:
-        if a.is_finite and a.sig == 0:
+    x, y = a.sig, b.sig
+    if x and y:
+        e = a.exp2 - b.exp2
+        if e > 0:
+            x <<= e
+        else:
+            y <<= -e
+        return round_rational(a.sign * b.sign, x, y, fmt)
+    a_inf, b_inf = a.kind in INF_KINDS, b.kind in INF_KINDS
+    if not (y or b_inf):
+        if not (x or a_inf):
             raise IndeterminateForm("0 / 0")
         return cls.inf(a.sign, fmt)
-    if a.is_inf:
+    if a_inf:
+        if b_inf:
+            raise IndeterminateForm("Inf / Inf")
         return cls.inf(a.sign * b.sign, fmt)
-    if b.is_inf or a.sig == 0:
-        return cls.zero(fmt)
-    e = a.exp2 - b.exp2
-    return round_rational(a.sign * b.sign, a.sig << max(0, e),
-                          b.sig << max(0, -e), fmt)
+    return cls.zero(fmt)
 
 
 def fx_add(a: FxNum, b: FxNum, fmt: FxFormat) -> FxNum:

@@ -42,7 +42,7 @@ from .attn import (
     token_cells,
     with_stage_widths,
 )
-from .bitnum import FpFormat, FxFormat, IndeterminateForm
+from .bitnum import INF_KINDS, FpFormat, FxFormat, IndeterminateForm
 from .constructs import PromiseSet, float_fields, make, native_precision
 
 PAIR_CAP_DEFAULT = 10 ** 8
@@ -183,13 +183,18 @@ def _bits(v: int, width: int) -> str:
     return format(v, f"0{width}b")
 
 
-def _any_inf(*values) -> bool:
-    return any(v is not None and v.is_inf for v in values)
+def _any_inf(num, den, sa, out) -> bool:
+    """Whether a stage value, a scalar or None, is infinite: a flat check of
+    the four kinds."""
+    return (num is not None and num.kind in INF_KINDS
+            or den is not None and den.kind in INF_KINDS
+            or sa is not None and sa.kind in INF_KINDS
+            or out is not None and out.kind in INF_KINDS)
 
 
 def trace_saturated(trace) -> bool:
     """Whether the run saturated anywhere or hit an indeterminate form."""
-    return getattr(trace, "indeterminate", False) or _any_inf(
+    return trace.indeterminate or _any_inf(
         trace.numerator, trace.denominator, trace.sa, trace.output)
 
 

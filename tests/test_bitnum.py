@@ -10,6 +10,7 @@ import gridref
 from reffwd import sum_left
 from eqattn.attn import _rep
 from eqattn.bitnum import (
+    NEAREST,
     TRUNC,
     FpFormat,
     FpNum,
@@ -335,6 +336,98 @@ class TestArithmetic:
         assert fp_add(zero, one, fmt).as_fraction() == 1
         assert fp_mul(zero, one, fmt).is_zero
         assert fp_div(zero, one, fmt).is_zero
+
+
+# Every result format of the exhaustive differential, and for each the other
+# format it also takes operands from: a different width and scale.
+EXHAUSTIVE = [(FxFormat(p, s, r), FxFormat(7 - p, (s + 5) % 8 - 3))
+              for p in range(2, 6) for s in (-3, 0, 2)
+              for r in (NEAREST, TRUNC)]
+EXHAUSTIVE += [(FpFormat(t, e, r), FpFormat(4 - t, 5 - e))
+               for t in (1, 2, 3) for e in (2, 3) for r in (NEAREST, TRUNC)]
+
+
+def _held(fmt):
+    """Every value of fmt's grid, and +-Inf, held in fmt."""
+    fx = isinstance(fmt, FxFormat)
+    cls, round_ = (FxNum, fx_round) if fx else (FpNum, fp_round)
+    grid = gridref.fx_values(fmt) if fx else gridref.fp_values(fmt)
+    return [round_(v, fmt) for v in grid] + [cls.inf(1, fmt),
+                                             cls.inf(-1, fmt)]
+
+
+def _inf_rep(sign):
+    return ("pinf" if sign > 0 else "ninf", sign, 0, 0, True)
+
+
+class TestExhaustiveOps:
+    @pytest.mark.parametrize("fmt,other", EXHAUSTIVE,
+                             ids=[f.descriptor() for f, _ in EXHAUSTIVE])
+    def test_ops_give_the_reference_representation(self, fmt, other):
+        """On every pair of operands, both held in fmt or both in other,
+        with +-Inf: add, mul, div and round of the exact result give the
+        full representation the brute-force rounding gives, inexact exactly
+        when it differs from the exact value; the indeterminate forms raise
+        and the infinities follow the saturating algebra."""
+        fx = isinstance(fmt, FxFormat)
+        if fx:
+            ops, round_ = (fx_add, fx_mul, fx_div), fx_round
+            ref = gridref.fx_round_ref
+        else:
+            ops, round_ = (fp_add, fp_mul, fp_div), fp_round
+            ref = gridref.fp_round_ref
+        zero_kind, memo = "finite" if fx else "zero", {}
+
+        def want(exact):
+            """The representation the reference gives exact in fmt."""
+            if exact not in memo:
+                got = ref(exact, fmt)
+                if isinstance(got, tuple):
+                    memo[exact] = _inf_rep(got[1])
+                elif got == 0:
+                    memo[exact] = (zero_kind, 1, 0, 0, exact != 0)
+                else:
+                    sig = abs(got.numerator)
+                    exp2 = 1 - got.denominator.bit_length()
+                    while sig % 2 == 0:
+                        sig, exp2 = sig // 2, exp2 + 1
+                    memo[exact] = ("finite", 1 if got > 0 else -1, sig, exp2,
+                                   got != exact)
+                assert _rep(round_(exact, fmt)) == memo[exact], exact
+            return memo[exact]
+
+        for held in (_held(fmt), _held(other)):
+            for a in held:
+                for b in held:
+                    got = []
+                    for op in ops:
+                        try:
+                            got.append(_rep(op(a, b, fmt)))
+                        except IndeterminateForm:
+                            got.append("indeterminate")
+                    assert got == self._expect(a, b, want), (a, b)
+
+    @staticmethod
+    def _expect(a, b, want):
+        """(add, mul, div) by the saturating algebra, finite results by
+        want of the exact value."""
+        inf = _inf_rep
+        if a.is_finite and b.is_finite:
+            x, y = a.as_fraction(), b.as_fraction()
+            if y:
+                quo = want(x / y)
+            else:
+                quo = inf(a.sign) if x else "indeterminate"
+            return [want(x + y), want(x * y), quo]
+        if a.is_inf and b.is_inf:
+            add = inf(a.sign) if a.sign == b.sign else "indeterminate"
+            return [add, inf(a.sign * b.sign), "indeterminate"]
+        x = a.as_fraction() if a.is_finite else b.as_fraction()
+        mul = inf(a.sign * b.sign) if x else "indeterminate"
+        if a.is_inf:
+            return [inf(a.sign), mul,
+                    inf(a.sign * b.sign) if x else inf(a.sign)]
+        return [inf(b.sign), mul, want(Fraction(0))]
 
 
 SCALARS = [(FxNum, FxFormat(4), fx_round), (FpNum, FpFormat(3, 3), fp_round)]

@@ -30,16 +30,45 @@ PKG = os.path.dirname(eqattn.__file__)
 
 # (file under src/eqattn/, the exact old line, the new line, killers)
 MUTANTS = [
-    # scalar rounding: the nearest tie broken away from zero, and a float
-    # flushed to zero one octave early
+    # scalar rounding, one entry per rounding body that holds the line: the
+    # nearest tie broken away from zero in both dyadic bodies, a float
+    # flushed to zero one octave early in both float bodies, an inexact
+    # quotient flagged exact, the fixed-point carry past the top octave
+    # checked one bit early, and a negative sum added as a positive one
     ("bitnum.py",
-     "    if rounding == NEAREST and rem > (1 << (-shift - 1)):",
-     "    if rounding == NEAREST and rem >= (1 << (-shift - 1)):",
-     ["tests/test_bitnum.py"]),
+     "        if rounding == NEAREST and rem > 1 << (drop - 1):",
+     "        if rounding == NEAREST and rem >= 1 << (drop - 1):",
+     ["tests/test_bitnum.py::TestRoundingDifferential::"
+      "test_nearest_ties_go_toward_zero"]),
     ("bitnum.py",
-     "    if msb < -fmt.q:",
-     "    if msb <= -fmt.q:",
+     "        if rounding == NEAREST and rem > 1 << (extra - 1):",
+     "        if rounding == NEAREST and rem >= 1 << (extra - 1):",
+     ["tests/test_bitnum.py::TestRoundingDifferential::"
+      "test_nearest_ties_go_toward_zero"]),
+    ("bitnum.py",
+     "    if msb < -q:",
+     "    if msb <= -q:",
      ["tests/test_acceptance.py::test_criterion_03_floating_point_families"]),
+    ("bitnum.py",
+     "    if msb < -emax:",
+     "    if msb <= -emax:",
+     ["tests/test_bitnum.py::TestExhaustiveOps::"
+      "test_ops_give_the_reference_representation"]),
+    ("bitnum.py",
+     "    return FxNum(fmt, _FINITE, sign, q >> low, exp2 + low, r != 0)",
+     "    return FxNum(fmt, _FINITE, sign, q >> low, exp2 + low, False)",
+     ["tests/test_bitnum.py::TestExhaustiveOps::"
+      "test_ops_give_the_reference_representation"]),
+    ("bitnum.py",
+     "            if sig.bit_length() + lsb > budget:     # carried past the top",
+     "            if sig.bit_length() + lsb >= budget:",
+     ["tests/test_bitnum.py::TestRoundingDifferential::"
+      "test_fx_round_matches_reference"]),
+    ("bitnum.py",
+     "            return round_dyadic(-1, -total, e, fmt)",
+     "            return round_dyadic(1, -total, e, fmt)",
+     ["tests/test_bitnum.py::TestArithmetic::"
+      "test_fx_ops_round_the_exact_result_once"]),
     # the formats told apart by type
     ("bitnum.py",
      "        return type(self) is type(other) and tuple.__eq__(self, other)",
