@@ -37,15 +37,15 @@ value, and the MLP (with its answer bit) per full representation of the
 attention output sa, since the MLP reads nothing else; many pairs share one
 sa.  The divide is not memoised: its (num, den) pairs rarely repeat.  No
 error is ever stored, so an indeterminate form is raised on every visit.
-forward records no per-token list: its trace refolds them when they are
-first read.
+forward records no per-token list: its trace's tokens() refolds them from
+the cells on each call.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from itertools import groupby, product
+from itertools import groupby, product, zip_longest
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -215,60 +215,29 @@ def with_stage_widths(spec: TransformerSpec, widths: dict) -> TransformerSpec:
                             for name, old in spec.formats.items()})
 
 
-# The per-token lists a trace from forward fills on first read.
-_REFOLDED = ("logits", "weights", "num_terms", "num_partials", "den_partials")
+class EvalTrace(NamedTuple):
+    """What forward computed on one pair: the end of each stage, and the
+    spec and cells that tokens() refolds into the per-token lists.
 
-
-class EvalTrace:
-    """Everything the pipeline computed, token by token.
-
-    forward keeps the spec and cells and leaves the lists of _REFOLDED
-    unset; the first read of any fills all five by refolding the cells one
-    position at a time, up to where an indeterminate form stopped the pass.
-    A trace built with its lists holds them as given.  The fields are the
-    names annotated below, in repr order; a default is a class attribute.
-    spec and cells stay out of repr and ==.
+    A field left None was not reached: the denominator of a linear head, or
+    any stage at or after an indeterminate form, which sets indeterminate,
+    answers 0 and leaves hidden empty.
     """
 
-    logits: list
-    weights: list
-    num_terms: list
-    num_partials: list
-    den_partials: list
-    numerator: object = None
-    denominator: object = None
-    sa: object = None
-    hidden: list
-    output: object = None
-    bit: int | None = None
-    index_base: int = 0
-    indeterminate: bool = False
-    spec: object = None
-    cells: list | None = None
+    numerator: object
+    denominator: object
+    sa: object
+    hidden: tuple
+    output: object
+    bit: int
+    indeterminate: bool
+    spec: TransformerSpec
+    cells: list
 
-    def __init__(self, logits, weights, **fields):
-        unknown = fields.keys() - self.__annotations__.keys()
-        if unknown:
-            raise TypeError(f"EvalTrace has no fields {sorted(unknown)}")
-        vars(self).update(num_terms=[], num_partials=[], den_partials=[],
-                          hidden=[], logits=logits, weights=weights)
-        vars(self).update(fields)
-
-    def _shown(self):
-        return [(name, getattr(self, name)) for name in self.__annotations__
-                if name not in ("spec", "cells")]
-
-    def __repr__(self):
-        shown = ", ".join(f"{name}={value!r}" for name, value in self._shown())
-        return f"EvalTrace({shown})"
-
-    def __eq__(self, other):
-        return (self._shown() == other._shown() if type(other) is EvalTrace
-                else NotImplemented)
-
-    def __getattr__(self, name):
-        if name not in _REFOLDED or self.cells is None:
-            raise AttributeError(name)
+    def tokens(self):
+        """(logits, weights, num_terms, num_partials, den_partials), fresh
+        lists on every call: the cells refolded one position at a time, up
+        to where an indeterminate form stopped the pass."""
         spec, cells, partials = self.spec, self.cells, ([], [])
         den = self.numerator is not None and spec.attention_kind == SOFTMAX
         try:
@@ -279,24 +248,22 @@ class EvalTrace:
                     partials[which].append(state)
         except IndeterminateForm:
             pass
-        vars(self).update(
-            logits=[c.logit for c in cells], weights=[c.weight for c in cells],
-            num_terms=[c.num_term for c in cells[:len(partials[0])]],
-            num_partials=partials[0], den_partials=partials[1])
-        return vars(self)[name]
+        return ([c.logit for c in cells], [c.weight for c in cells],
+                [c.num_term for c in cells[:len(partials[0])]],
+                partials[0], partials[1])
 
     def render_lines(self):
         def enc(v):
             return "." if v is None else encode_scalar(v)
 
         lines = []
-        for j, (lg, w) in enumerate(zip(self.logits, self.weights)):
+        # logits and weights cover every position; a fold an indeterminate
+        # form stopped pads with None
+        for j, (lg, w, term, np_, dp) in enumerate(
+                zip_longest(*self.tokens())):
             coeff = "-N" if lg is None else str(lg)
-            term = self.num_terms[j] if j < len(self.num_terms) else None
-            np_ = self.num_partials[j] if j < len(self.num_partials) else None
-            dp = self.den_partials[j] if j < len(self.den_partials) else None
             lines.append(
-                f"token {self.index_base + j}: logit={coeff} weight={w} "
+                f"token {self.spec.index_base + j}: logit={coeff} weight={w} "
                 f"num+={enc(term)} num={enc(np_)} den={enc(dp)}")
         lines.append(f"numerator: {enc(self.numerator)}")
         if self.denominator is not None:
@@ -794,30 +761,23 @@ def finish_softmax(spec: TransformerSpec, num, den):
 def forward(spec: TransformerSpec, y: str, z: str) -> EvalTrace:
     """The whole head on the input pair: numerator fold, the denominator
     fold and divide for softmax attention, then the MLP.  The trace keeps
-    the cells and fills its per-token lists only when they are read (see
-    EvalTrace)."""
+    the cells for EvalTrace.tokens to refold."""
     cells = token_cells(spec, y, z)
-    trace = EvalTrace.__new__(EvalTrace)    # with the lists of _REFOLDED unset
-    vars(trace).update(spec=spec, cells=cells,
-                       index_base=spec.index_base, hidden=[])
+    num = den = sa = None
     stage = "numerator"
     try:
-        num = fold(spec, 0, None, 0, len(cells), cells)
-        _, trace.numerator, sa = _scaled(spec, num)
+        _, num, sa = _scaled(spec, fold(spec, 0, None, 0, len(cells), cells))
         if spec.attention_kind == SOFTMAX:
             stage = "attention"
-            trace.denominator = fold(spec, 1, None, 0, len(cells), cells)
-            sa = _attend(spec, trace.numerator, trace.denominator)
-        trace.sa = sa
+            den = fold(spec, 1, None, 0, len(cells), cells)
+            sa = _attend(spec, num, den)
         stage = "mlp"
-        trace.output, hidden, trace.bit = _head(spec, sa)
-        trace.hidden = list(hidden)
+        out, hidden, bit = _head(spec, sa)
     except IndeterminateForm:
         # Inf - Inf and Inf/Inf under the saturating formats behave like a
         # NaN: every later comparison is false, so the head answers 0
         # without evaluating further.
-        trace.indeterminate = True
-        trace.bit = 0
+        return EvalTrace(num, den, sa, (), None, 0, True, spec, cells)
     except ArithmeticError as exc:
         raise StageError(stage, None, exc) from exc
-    return trace
+    return EvalTrace(num, den, sa, hidden, out, bit, False, spec, cells)

@@ -106,10 +106,6 @@ class FxFormat(_Format, _FxFields):
     __slots__ = ()
     _LEAST = {"p": 2}
 
-    @property
-    def budget(self) -> int:
-        return self.p - 1
-
     def descriptor(self) -> str:
         return f"fx:p={self.p},scale=2^{self.scale_log2},round={self.rounding}"
 
@@ -127,10 +123,6 @@ class FpFormat(_Format, _FpFields):
 
     __slots__ = ()
     _LEAST = {"t": 1, "e": 2}
-
-    @property
-    def q(self) -> int:
-        return (1 << (self.e - 1)) - 1
 
     def descriptor(self) -> str:
         return f"fp:t={self.t},e={self.e},round={self.rounding}"

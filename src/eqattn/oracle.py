@@ -68,11 +68,9 @@ def precision_delta_spec(spec: TransformerSpec, delta: int) -> TransformerSpec:
 def _fmt_scalar(v) -> str:
     if v is None:
         return "?"
-    if getattr(v, "is_inf", False):
+    if v.is_inf:
         return "inf" if v.sign > 0 else "-inf"
-    if hasattr(v, "as_fraction"):
-        v = v.as_fraction()
-    return str(v)
+    return str(v.as_fraction())
 
 
 class Failure(NamedTuple):

@@ -45,7 +45,7 @@ def round_to_multiple(u: Fraction, step: Fraction, mode: str) -> Fraction:
 
 def fx_values(fmt) -> list:
     """Every finite value of a fixed-point format, in ascending order."""
-    budget = fmt.budget
+    budget = fmt.p - 1
     scale = Fraction(2) ** fmt.scale_log2
     mags = set()
     for f in range(budget + 1):
@@ -63,7 +63,8 @@ def fx_values(fmt) -> list:
 def fp_values(fmt) -> list:
     """Every finite value of a floating-point format, in ascending order."""
     out = {Fraction(0)}
-    for msb in range(-fmt.q, fmt.q + 1):
+    q = (1 << fmt.e - 1) - 1
+    for msb in range(-q, q + 1):
         for a in range(1 << (fmt.t - 1)):
             sig = (1 << (fmt.t - 1)) + a
             u = Fraction(sig) * Fraction(2) ** (msb - (fmt.t - 1))
@@ -83,7 +84,7 @@ def fx_round_ref(value, fmt):
         return Fraction(0)
     sign = 1 if v > 0 else -1
     u = abs(v) / Fraction(2) ** fmt.scale_log2
-    budget = fmt.budget
+    budget = fmt.p - 1
     octave = floor_log2(u) + 1
     if octave > budget:
         return (INF, sign)
@@ -110,9 +111,10 @@ def fp_round_ref(value, fmt):
     if r == 0:
         return Fraction(0)
     msb = floor_log2(r)
-    if msb > fmt.q:
+    q = (1 << fmt.e - 1) - 1
+    if msb > q:
         return (INF, sign)
-    if msb < -fmt.q:
+    if msb < -q:
         return Fraction(0)
     return sign * r
 

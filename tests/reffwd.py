@@ -3,15 +3,17 @@
 Like gridref, nothing here is fast: every pair recomputes its logits,
 weights, rounded numerator terms and denominator terms from the spec, and
 the folds run position by position exactly as the pipeline is specified.
-The differential tests check attn.forward against it trace for trace.
+The differential tests check attn.forward against it trace for trace: its
+RefTrace holds the per-token lists EvalTrace.tokens refolds and the end
+values EvalTrace holds.
 sum_left is the same left fold over a bare list of values, which the scalar
 tests check against gridref.fold_ref.
 """
 
 from fractions import Fraction
+from typing import NamedTuple
 
 from eqattn.attn import (
-    EvalTrace,
     StageError,
     _accept_bit,
     _ops,
@@ -33,20 +35,39 @@ def sum_left(values, fmt):
     return acc if acc is not None else num_cls.zero(fmt)
 
 
-def ref_forward(spec, x, normalize=None) -> EvalTrace:
+class RefTrace(NamedTuple):
+    """ref_forward's record: the five lists EvalTrace.tokens returns, in
+    its order, then EvalTrace's end values; None where a stage was not
+    reached."""
+
+    logits: list
+    weights: list
+    num_terms: list
+    num_partials: list
+    den_partials: list
+    numerator: object = None
+    denominator: object = None
+    sa: object = None
+    hidden: tuple = ()
+    output: object = None
+    bit: int | None = None
+    indeterminate: bool = False
+
+    def tokens(self):
+        return self[:5]
+
+
+def ref_forward(spec, x, normalize=None) -> RefTrace:
     if normalize is None:
         normalize = spec.attention_kind == "softmax"
     add, mul, div, round_, num_cls = _ops(spec.fold_fmt)
     logits = token_logits(spec, x)
     weights = [exp_logit_exact(lg) for lg in logits]
     col, scale = spec.value_column()
-    trace = EvalTrace(logits=logits, weights=weights,
-                      index_base=spec.index_base)
+    trace = RefTrace(logits, weights, [], [], [])
 
     def nan_like():
-        trace.indeterminate = True
-        trace.bit = 0
-        return trace
+        return trace._replace(indeterminate=True, bit=0)
 
     num = None
     for j, (w, row) in enumerate(zip(weights, x)):
@@ -65,7 +86,7 @@ def ref_forward(spec, x, normalize=None) -> EvalTrace:
         return nan_like()
     except ArithmeticError as exc:
         raise StageError("numerator", None, exc) from exc
-    trace.numerator = num
+    trace = trace._replace(numerator=num)
 
     if normalize:
         den = None
@@ -80,7 +101,7 @@ def ref_forward(spec, x, normalize=None) -> EvalTrace:
                 raise StageError("denominator", spec.index_base + j,
                                  exc) from exc
             trace.den_partials.append(den)
-        trace.denominator = den
+        trace = trace._replace(denominator=den)
         try:
             sa = div(num, den, spec.out_fmt)
         except IndeterminateForm:
@@ -90,7 +111,7 @@ def ref_forward(spec, x, normalize=None) -> EvalTrace:
     else:
         sa = round_(num, spec.out_fmt) if num.is_finite else \
             num_cls.inf(num.sign, spec.out_fmt)
-    trace.sa = sa
+    trace = trace._replace(sa=sa)
 
     try:
         out, hidden = mlp_eval(spec.mlp, sa, spec.out_fmt)
@@ -98,7 +119,5 @@ def ref_forward(spec, x, normalize=None) -> EvalTrace:
         return nan_like()
     except ArithmeticError as exc:
         raise StageError("mlp", None, exc) from exc
-    trace.hidden = hidden
-    trace.output = out
-    trace.bit = _accept_bit(out)
-    return trace
+    return trace._replace(hidden=tuple(hidden), output=out,
+                          bit=_accept_bit(out))

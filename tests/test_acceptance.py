@@ -202,7 +202,7 @@ def test_criterion_07_rounding_property_battery():
         scale = Fraction(2) ** fmt.scale_log2
         u = abs(v) / scale
         octave = gridref.floor_log2(u) + 1
-        return Fraction(2) ** (max(octave, 0) - fmt.budget) * scale
+        return Fraction(2) ** (max(octave, 0) - (fmt.p - 1)) * scale
 
     def fp_step(v, fmt):
         return Fraction(2) ** (gridref.floor_log2(abs(v)) - (fmt.t - 1))

@@ -37,18 +37,19 @@ class TestForward:
         x = toy_spec.encode("0", "0")
         logits = token_logits(toy_spec, x)
         assert logits[-1] is None
-        trace = forward(toy_spec, "0", "0")
-        assert trace.weights[-1] == 0
-        assert trace.weights[0] == 1
+        weights = forward(toy_spec, "0", "0").tokens()[1]
+        assert weights[-1] == 0
+        assert weights[0] == 1
 
     def test_partials_are_recorded_per_token(self, toy_spec):
         trace = forward(toy_spec, "0", "1")
+        _, _, terms, nums, dens = trace.tokens()
         n_tokens = toy_spec.n + 1
-        assert len(trace.num_partials) == n_tokens
-        assert len(trace.den_partials) == n_tokens
-        assert len(trace.num_terms) == n_tokens
-        assert trace.num_partials[-1] == trace.numerator
-        assert trace.den_partials[-1] == trace.denominator
+        assert len(nums) == n_tokens
+        assert len(dens) == n_tokens
+        assert len(terms) == n_tokens
+        assert nums[-1] == trace.numerator
+        assert dens[-1] == trace.denominator
 
     def test_linear_kind_skips_normalization(self, toy_spec):
         """With linear attention the raw numerator goes to the MLP, so the
@@ -140,7 +141,8 @@ class TestTraceRendering:
         assert lines[-1] == "mlp output: +1/2^0 -> bit 1"
         assert "logit=-N" in lines[2]
 
-    def test_render_marks_indeterminate(self):
-        trace = EvalTrace(logits=[], weights=[], indeterminate=True,
-                          bit=0)
+    def test_render_marks_indeterminate(self, toy_spec):
+        trace = EvalTrace(numerator=None, denominator=None, sa=None,
+                          hidden=(), output=None, bit=0, indeterminate=True,
+                          spec=toy_spec, cells=[])
         assert "attention output: indeterminate" in trace.render_lines()

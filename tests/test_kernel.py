@@ -2,14 +2,15 @@
 
 attn.forward folds cells read from the compiled table; reffwd.ref_forward
 recomputes every term from the spec.  They must agree on the answer bit, on
-every line of the rendered trace, on the inexact and saturation flags and
-on how they fail, for every family, below native precision, after
-quantization, with a query row that reads an input bit, and across the
-spec copies the library makes; also with step tables so small that they
-clear in the middle of a constant run, and when an indeterminate form is
-raised inside one.  A constant run is one lookup, also over cells built
-afresh from the same rows.  forward's trace fills its per-token lists when
-they are first read, after any later clear, and two traces share none.
+every per-token list and end value of the trace, on the inexact and
+saturation flags and on how they fail, for every family, below native
+precision, after quantization, with a query row that reads an input bit,
+and across the spec copies the library makes; also with step tables so
+small that they clear in the middle of a constant run, when an
+indeterminate form is raised inside one, and when one planted in the W^V
+scale stops the pass between the two folds.  A constant run is one lookup, also over cells built
+afresh from the same rows.  forward's trace refolds its per-token lists on
+each tokens() call, into new lists, also after the tables were cleared.
 The protocol resumes the same kernel at a prefix boundary, so it must give
 the forward bit and the reference partials at every legal prefix length,
 those that cut a constant run included.  The compiled encode must return
@@ -29,9 +30,8 @@ import pytest
 
 from conftest import build_toy_spec
 from eqattn import attn, oracle
-from eqattn.attn import (_REFOLDED, StageError, TokenRule, _make_cell, _rep,
-                         alice_len, fold, fold_reads, forward, token_cells,
-                         token_logits)
+from eqattn.attn import (StageError, TokenRule, _make_cell, _rep, alice_len,
+                         fold, fold_reads, forward, token_cells, token_logits)
 from eqattn.bitnum import (FxFormat, IndeterminateForm, NonDyadicLogit,
                            encode_scalar)
 from eqattn.commsim import run_protocol
@@ -70,16 +70,15 @@ def _scalars(trace):
     def rep(v):
         return None if v is None else (encode_scalar(v), v.inexact)
 
-    lists = (trace.num_terms, trace.num_partials, trace.den_partials,
-             trace.hidden)
+    lists = trace.tokens()[2:] + (trace.hidden,)
     ends = (trace.numerator, trace.denominator, trace.sa, trace.output)
     return [[rep(v) for v in vs] for vs in lists] + [rep(v) for v in ends]
 
 
 def _assert_same(spec, y, z):
     got, want = forward(spec, y, z), ref_forward(spec, spec.encode(y, z))
-    assert got.bit == want.bit
-    assert got.render_lines() == want.render_lines()
+    assert got.bit == want.bit and got.indeterminate == want.indeterminate
+    assert got.tokens()[:2] == want.tokens()[:2]
     assert trace_saturated(got) == trace_saturated(want)
     assert _scalars(got) == _scalars(want)
     return got
@@ -142,7 +141,7 @@ def test_saturating_quantized_specs_match_the_reference(label, monkeypatch):
             for y, z in _pairs(spec.m, 30, 2):
                 trace = _assert_same(spec, y, z)
                 indeterminate += trace.indeterminate
-                in_numerator += len(trace.num_partials) <= spec.n
+                in_numerator += len(trace.tokens()[3]) <= spec.n
         assert indeterminate > 0 and in_numerator > 0
 
 
@@ -186,8 +185,9 @@ def test_an_indeterminate_form_inside_a_constant_run(monkeypatch):
         assert range(10, 18) in _runs(spec)
         for y, z in _pairs(spec.m, 20, 12) * 2:
             trace = _assert_same(spec, y, z)
-            assert trace.indeterminate and len(trace.num_partials) == 13
-            assert trace.den_partials == [] and trace.numerator is None
+            _, _, _, nums, dens = trace.tokens()
+            assert trace.indeterminate and len(nums) == 13
+            assert dens == [] and trace.numerator is None
         # Every weight of the run is 0; where the denominator holds 7/2
         # on entering it, the planted add raises at its second token.
         spec = _subject("fx-simple m=5")
@@ -195,37 +195,57 @@ def test_an_indeterminate_form_inside_a_constant_run(monkeypatch):
         stopped = 0
         for y, z in _pairs(spec.m, 40, 13) * 2:
             trace = _assert_same(spec, y, z)
-            if len(trace.den_partials) <= spec.n:
+            _, _, _, nums, dens = trace.tokens()
+            if len(dens) <= spec.n:
                 stopped += 1
                 assert trace.indeterminate and trace.numerator is not None
-                assert len(trace.num_partials) == spec.n + 1
-                assert len(trace.den_partials) == 11
+                assert len(nums) == spec.n + 1
+                assert len(dens) == 11
         assert stopped > 0
+
+
+def test_an_indeterminate_scale_leaves_no_denominator(monkeypatch):
+    """No head meets one there, since W^V's scale is held exactly and is
+    not zero, so it is planted: the numerator fold ends, its scale raises,
+    and the trace holds the whole numerator fold and no denominator."""
+    spec = _subject("fx-simple m=5")
+    real, scale = attn.fx_mul, spec.value_column()[1]
+
+    def mul(a, b, fmt):
+        if fmt is spec.num_fmt and b.is_finite and b.as_fraction() == scale:
+            raise IndeterminateForm("planted")
+        return real(a, b, fmt)
+
+    monkeypatch.setattr(attn, "fx_mul", mul)
+    for y, z in _pairs(spec.m, 10, 14):
+        trace = _assert_same(spec, y, z)
+        _, _, _, nums, dens = trace.tokens()
+        assert trace.indeterminate and trace.numerator is None
+        assert len(nums) == spec.n + 1 and dens == []
 
 
 @pytest.mark.parametrize("label", SUBJECTS)
 def test_trace_lists_are_refolded_when_first_read(label):
-    """forward leaves the per-token lists unset; read after the step tables
-    were cleared they equal the reference, and a second read gives the
-    same values."""
+    """forward records no per-token list; tokens() refolds them, after the
+    step tables were cleared too, to the reference's, and a second call
+    gives the same values in new lists."""
     spec = precision_delta_spec(_subject(label), -1)
     pairs = _pairs(spec.m, 20, 11)
     traces = [forward(spec, y, z) for y, z in pairs]
-    assert not any(set(_REFOLDED) & set(vars(t)) for t in traces)
     comp = spec._compiled
     for table in (comp.num, comp.den):
         table.steps.clear()
         table.values.clear()
     for trace, (y, z) in zip(traces, pairs):
         want = ref_forward(spec, spec.encode(y, z))
-        first = [[_rep(v) for v in vs] for vs in (
-            trace.den_partials, trace.num_partials, trace.num_terms)]
+        first = trace.tokens()
         assert _scalars(trace) == _scalars(want)
-        assert trace.render_lines() == want.render_lines()
-        assert [list(map(str, trace.logits)), trace.weights] == \
+        assert [list(map(str, first[0])), first[1]] == \
             [list(map(str, want.logits)), want.weights]
-        assert [[_rep(v) for v in vs] for vs in (
-            trace.den_partials, trace.num_partials, trace.num_terms)] == first
+        again = trace.tokens()
+        assert not any(a is b for a, b in zip(first, again))
+        assert [[_rep(v) for v in vs] for vs in again[2:]] == \
+            [[_rep(v) for v in vs] for vs in first[2:]]
 
 
 class _CountingDict(dict):

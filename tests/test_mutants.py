@@ -85,6 +85,19 @@ MUTANTS = [
      "    table, (stage, t, f) = (comp.num, comp.den)[which], _FOLDS[0]",
      ["tests/test_kernel.py::test_native_and_cliff_specs_match_the_"
       "reference"]),
+    # the trace refolding the denominator after the numerator stopped, and
+    # forward's indeterminate trace dropping a finished denominator
+    ("attn.py",
+     "        den = self.numerator is not None and spec.attention_kind == "
+     "SOFTMAX",
+     "        den = spec.attention_kind == SOFTMAX",
+     ["tests/test_kernel.py::test_an_indeterminate_scale_leaves_no_"
+      "denominator"]),
+    ("attn.py",
+     "        return EvalTrace(num, den, sa, (), None, 0, True, spec, cells)",
+     "        return EvalTrace(num, None, sa, (), None, 0, True, spec, cells)",
+     ["tests/test_kernel.py::test_saturating_quantized_specs_match_the_"
+      "reference"]),
     # head_class certifying output bounds on both sides of 1
     ("attn.py",
      "    if high.is_inf or (low.as_fraction() - 1) * (high.as_fraction() - 1)"

@@ -104,21 +104,22 @@ def test_no_module_imports_a_private_name_of_another():
 
 def _fields(node):
     """The fields a class declares: the names its body annotates.  In the
-    package only records annotate names: a NamedTuple, whose fields a
-    subclass may extend with methods (FxFormat's are _FxFields'), or a
-    plain class that keeps its fields in the instance __dict__
-    (EvalTrace)."""
+    package only records annotate names, and every record is a NamedTuple,
+    whose fields a subclass may extend with methods (FxFormat's are
+    _FxFields')."""
     return [n.target.id for n in node.body if isinstance(n, ast.AnnAssign)]
 
 
 def test_every_package_name_is_read_outside_the_tests():
-    """Each top-level function, class and constant, and each method,
-    property or class constant (a name a class body assigns, as in
-    name = classmethod(...)), defined in src/eqattn/ is named somewhere in
-    src/eqattn/ or perfbench/ besides its definition: an attribute, a name
-    read, or a string that is one dotted identifier, as perfbench/tracer.py
-    names what it wraps ("PromiseSet.check").  Words of prose strings do
-    not count.
+    """Each top-level function, class and constant defined in src/eqattn/
+    is named somewhere in src/eqattn/ or perfbench/ besides its
+    definition: an attribute, a name read, or a string that is one dotted
+    identifier, as perfbench/tracer.py names what it wraps
+    ("PromiseSet.check").  Words of prose strings do not count.  Each
+    method, property or class constant (a name a class body assigns, as in
+    name = classmethod(...)) is read there as an attribute, x.name, or
+    named by such a string: a local variable of the same name does not
+    count.
     Each field of a record (a name a class body annotates) is read there
     as an attribute, x.field.  A name only the tests read belongs in the
     tests.  Dunder names are called by Python itself, and _make by
@@ -127,7 +128,8 @@ def test_every_package_name_is_read_outside_the_tests():
     _FOLDS."""
     pkg = os.path.dirname(eqattn.__file__)
     bench = os.path.join(os.path.dirname(os.path.dirname(pkg)), "perfbench")
-    named, read, defined, fields = set(), set(), [], []
+    named, read, dotted, defined, members, fields = \
+        set(), set(), set(), [], [], []
     for d in (pkg, bench):
         for name in sorted(os.listdir(d)):
             if not name.endswith(".py"):
@@ -147,15 +149,15 @@ def test_every_package_name_is_read_outside_the_tests():
                         isinstance(node.value, str) and \
                         all(part.isidentifier()
                             for part in node.value.split(".")):
-                    named.update(node.value.split("."))
+                    dotted.update(node.value.split("."))
             if d != pkg:
                 continue
             for node in tree.body:
                 if isinstance(node, ast.ClassDef):
-                    defined += [(name, f"{node.name}.{n.name}", n.name)
+                    members += [(name, f"{node.name}.{n.name}", n.name)
                                 for n in node.body
                                 if isinstance(n, ast.FunctionDef)]
-                    defined += [(name, f"{node.name}.{t.id}", t.id)
+                    members += [(name, f"{node.name}.{t.id}", t.id)
                                 for n in node.body
                                 if isinstance(n, ast.Assign)
                                 for t in n.targets
@@ -170,10 +172,15 @@ def test_every_package_name_is_read_outside_the_tests():
                            else [])
                 defined += [(name, t.id, t.id) for t in targets
                             if isinstance(t, ast.Name)]
-    unread = [f"{module}:{qual}" for module, qual, bare in defined
-              if bare not in named
-              and bare not in ("table_outline", "__version__", "_make")
-              and not (bare.startswith("__") and bare.endswith("__"))]
+
+    def unread_of(names, seen):
+        return [f"{module}:{qual}" for module, qual, bare in names
+                if bare not in seen
+                and bare not in ("table_outline", "__version__", "_make")
+                and not (bare.startswith("__") and bare.endswith("__"))]
+
+    unread = unread_of(defined, named | dotted) + \
+        unread_of(members, read | dotted)
     unread += [f"{module}:{qual}" for module, qual, field in fields
                if field not in read]
     assert unread == []

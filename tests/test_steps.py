@@ -344,28 +344,25 @@ def test_memoised_scale_and_mlp_equal_fresh_evaluations(monkeypatch):
     assert raised > 0
 
 
-def test_each_trace_gets_its_own_hidden_units():
-    """And its own per-token lists, filled when first read: two traces of
-    one pair share no list, and changing one changes no other."""
+def test_traces_share_no_mutable_list():
+    """The hidden units are the memoised tuple, which no trace can change,
+    and each tokens() call returns new lists: changing one changes no
+    other trace's, nor the next call's."""
     spec = make("fx-tight", m=7)[0]
     y = z = "0010100"
     first = forward(spec, y, z)
     want = [_rep(h) for h in first.hidden]
-    lists = ("hidden",) + attn._REFOLDED
-    before = {name: list(getattr(first, name)) for name in lists}
-    first.hidden[0] = first.output
-    first.hidden.append(first.sa)
-    for name in attn._REFOLDED:
-        getattr(first, name).append(first.sa)
-    for trace in (forward(spec, y, z),
+    assert type(first.hidden) is tuple and len(want) == 2
+    lists = first.tokens()
+    before = [list(vs) for vs in lists]
+    for vs in lists:
+        vs.append(first.sa)
+    for trace in (first, forward(spec, y, z),
                   ref_forward(spec, spec.encode(y, z))):
         assert [_rep(h) for h in trace.hidden] == want
-        for name in attn._REFOLDED:
-            assert len(getattr(trace, name)) == len(before[name])
-    second = forward(spec, y, z)
-    for name in lists:
-        assert getattr(second, name) is not getattr(first, name)
-        assert getattr(second, name) == before[name]
+        assert list(trace.tokens()) == before
+    again = first.tokens()
+    assert not any(a is b for a, b in zip(lists, again))
 
 
 @pytest.mark.parametrize("name,kwargs", [
