@@ -23,22 +23,24 @@ for Bob; the factored verifier steps each fold through its step table
 
 A fold's state at any boundary is one value of its bounded format, so each
 fold step is a small finite map (state, term) -> next state.  A compiled
-spec interns one canonical scalar per full representation of each fold
-format (inexact flag and sign of zero included) and memoises that map in a
-step table; the memo is exact because the bounded add reads only its
-operands' representations.  Two or more constant positions in a row add
-the same cells on every input, so they are one entry of the same table,
-keyed on (state, run).  The tables are cleared once they reach a fixed
-size, so a wide format, whose states rarely repeat, keeps bounded memory.
+spec memoises that map in a step table keyed by value: a scalar's key is
+its full representation (_rep: inexact flag and sign of zero included), a
+function of the value alone, so equal values share their steps however
+they were reached and no table has to keep a canonical object alive.  The
+memo is exact because the bounded add reads only its operands'
+representations.  Two or more constant positions in a row add the same
+cells on every input, so they are one entry of the same table, keyed on
+(state, run).  A table is cleared once it reaches a fixed size, so a wide
+format, whose states rarely repeat, keeps bounded memory.
 
-The tail after the folds is memoised the same way, in smaller tables.  The
-W^V scale (and a linear head's attention output) is kept per numerator fold
-value, and the MLP (with its answer bit) per full representation of the
-attention output sa, since the MLP reads nothing else; many pairs share one
-sa.  The divide is not memoised: its (num, den) pairs rarely repeat.  No
-error is ever stored, so an indeterminate form is raised on every visit.
-forward records no per-token list: its trace's tokens() refolds them from
-the cells on each call.
+The tail after the folds is memoised the same way, in smaller tables: the
+W^V scale (and a linear head's attention output) per full representation
+of the numerator fold value, and the MLP (with its answer bit) per full
+representation of the attention output sa, since each reads nothing else;
+many pairs share one sa.  The divide is not memoised: its (num, den) pairs
+rarely repeat.  No error is ever stored, so an indeterminate form is raised
+on every visit.  forward records no per-token list: its trace's tokens()
+refolds them from the cells on each call.
 """
 
 from __future__ import annotations
@@ -191,8 +193,8 @@ class TransformerSpec(_SpecFields):
     # The compiled kernel is built on first use and lives in the instance
     # __dict__, beside the tuple of fields, so == and repr never see it.
     # The fields are read-only, so it never goes stale; _replace and
-    # pickling start the copy without it: the fold steps are keyed by
-    # object identity, which an unpickled copy does not share.
+    # pickling start the copy without it, since it rebuilds on first use:
+    # a pickle carries only the fields, not the memo tables.
     @cached_property
     def _compiled(self) -> "_Compiled":
         return _Compiled(self)
@@ -239,9 +241,8 @@ class EvalTrace(NamedTuple):
         lists on every call: the cells refolded one position at a time, up
         to where an indeterminate form stopped the pass."""
         spec, cells, partials = self.spec, self.cells, ([], [])
-        den = self.numerator is not None and spec.attention_kind == SOFTMAX
         try:
-            for which in range(1 + den):
+            for which in range(1 + (spec.attention_kind == SOFTMAX)):
                 state = None
                 for j in range(len(cells)):
                     state = fold(spec, which, state, j, j + 1, cells)
@@ -304,13 +305,17 @@ class Cell(NamedTuple):
     """One token row's share of the folds, at any position.  num_term is the
     weight times value rounded into fold_fmt, or the ArithmeticError that
     rounding raised, for the fold to raise on reaching it.  den_first opens
-    a denominator fold; den_term is the exact weight later steps add."""
+    a denominator fold; den_term is the exact weight later steps add.
+    num_key and den_key are the two terms' step-table keys: _rep of the
+    term, or a num_term error itself, which no table stores."""
 
     logit: Fraction | None
     weight: Fraction
     num_term: object
     den_first: object
     den_term: object
+    num_key: object
+    den_key: object
 
 
 def _rep(v):
@@ -319,63 +324,47 @@ def _rep(v):
     return v.kind, v.sign, v.sig, v.exp2, v.inexact
 
 
-# The most entries (steps, runs and interned values) one fold format's tables
-# hold.  The largest table of the benchmark workloads, fp-linear (4,4), holds
-# about 8,400.  A wide format, where few states repeat, clears its tables each
-# time they fill, so memory stays bounded however long the run.  Each table
-# of the tail (scale, MLP) holds at most TAIL_LIMIT: an MLP entry costs about
-# 600 bytes, and no benchmark command's tail table exceeds 542 entries.
+# The most entries (steps and runs) one fold's table holds.  The largest table
+# of the benchmark workloads, fp-linear (4,4), holds about 8,350.  A wide
+# format, where few states repeat, clears its table each time it fills, so
+# memory stays bounded however long the run.  Each table of the tail (scale,
+# MLP) holds at most TAIL_LIMIT: an MLP entry costs about 600 bytes, and no
+# benchmark command's tail table exceeds 542 entries.
 STEP_LIMIT = 1 << 14
 TAIL_LIMIT = 1 << 12
 
 
 class _Steps:
-    """One fold's intern table (values) and step table (steps).
+    """One fold's step table.
 
-    steps keys a step on (id(state), id(term)) and a constant run of
-    positions a..b-1 on (id(state), a, b), of canonical objects only, which
-    values keeps alive, so no id is reused while it is a key.  Both tables
-    are cleared together once they hold STEP_LIMIT entries.  A state of
-    None opens the fold.  Folds and traces share the canonical objects, so
-    none may be mutated.
+    steps maps (key of state, key of term) to the fold after that step,
+    and (key of state, a, b) to the fold after the constant run of
+    positions a..b-1, each as the entry (state, key of state).  A key is
+    the value's _rep; None is the state before the first term.  The table
+    is cleared once it holds STEP_LIMIT entries.  Folds and traces share
+    the stored states, so none may be mutated.
     """
 
     def __init__(self, fmt):
         self.fmt = fmt
         self.add = _ops(fmt)[0]
-        self.values = {}
         self.steps = {}
 
-    def intern(self, v):
-        return v if v is None else self.values.setdefault(_rep(v), v)
-
-    def _make_room(self):
-        if len(self.steps) + len(self.values) >= STEP_LIMIT:
+    def store(self, key, entry):
+        if len(self.steps) >= STEP_LIMIT:
             self.steps.clear()
-            self.values.clear()
+        self.steps[key] = entry
+        return entry
 
-    def end_run(self, state, a, b, nxt):
-        """Store and return nxt, walked from state over the constant run
-        a..b-1; both are interned after any clear."""
-        self._make_room()
-        nxt = self.steps[id(self.intern(state)), a, b] = self.intern(nxt)
-        return nxt
-
-    def step(self, state, term, first):
-        """The miss path: first is the value a fold opens with at term.
-        state and term are interned here, after any clear.  A raised error
-        is never stored."""
+    def step(self, entry, term, term_key, first):
+        """The miss path from entry, (state, key), over term: first is the
+        value a fold opens with at term.  A raised error is never
+        stored."""
         if isinstance(term, ArithmeticError):
             raise term
-        self._make_room()
-        state, term = self.intern(state), self.intern(term)
-        key = (id(state), id(term))
-        nxt = self.steps.get(key)
-        if nxt is None:
-            nxt = self.intern(first if state is None
-                              else self.add(state, term, self.fmt))
-            self.steps[key] = nxt
-        return nxt
+        state, key = entry
+        nxt = first if state is None else self.add(state, term, self.fmt)
+        return self.store((key, term_key), (nxt, _rep(nxt)))
 
 
 def _row_lookup(rule: TokenRule, m: int):
@@ -394,9 +383,9 @@ def _row_lookup(rule: TokenRule, m: int):
 
 class _Compiled:
     """A spec's compiled cells; the step tables of its two folds; the memo
-    tables of the tail (scaled keyed by the numerator fold value's id, mlps
-    by the attention output's full representation); and its constants held
-    in their stage formats: W^V's scale and the MLP.
+    tables of the tail (scaled keyed by the numerator fold value's full
+    representation, mlps by the attention output's); and its constants
+    held in their stage formats: W^V's scale and the MLP.
 
     built maps each distinct row value of the embedding to its cell under
     the constant query row, or to the error building that cell raised;
@@ -471,12 +460,13 @@ def _make_cell(spec: TransformerSpec, comp: _Compiled, row,
     round_ = _ops(spec.fold_fmt)[3]
     w = exp_logit_exact(logit)
     try:
-        term = comp.num.intern(
-            round_(w * Fraction(row[comp.col] or 0), spec.fold_fmt))
+        term = round_(w * Fraction(row[comp.col] or 0), spec.fold_fmt)
+        key = _rep(term)
     except ArithmeticError as exc:
-        term = exc
-    return Cell(logit, w, term, comp.den.intern(round_(w, spec.den_fmt)),
-                comp.den.intern(hold_exact(w, spec.den_fmt)))
+        term = key = exc
+    den_term = hold_exact(w, spec.den_fmt)
+    return Cell(logit, w, term, round_(w, spec.den_fmt), den_term, key,
+                _rep(den_term))
 
 
 def token_cells(spec: TransformerSpec, y: str, z: str) -> list[Cell]:
@@ -541,8 +531,9 @@ def alice_len(spec: TransformerSpec) -> int:
 
 
 # Per fold: the stage a StageError names, and the indices in Cell of the term
-# each step adds (num_term, den_term) and of the value it opens with.
-_FOLDS = (("numerator", 2, 2), ("denominator", 4, 3))
+# each step adds (num_term, den_term), of the value it opens with and of the
+# term's key.
+_FOLDS = (("numerator", 2, 2, 5), ("denominator", 4, 3, 6))
 
 
 def fold(spec: TransformerSpec, which: int, state, lo: int, hi: int, cells):
@@ -555,54 +546,56 @@ def fold(spec: TransformerSpec, which: int, state, lo: int, hi: int, cells):
     other arithmetic errors are raised as a StageError naming the fold and
     the token.
 
-    The fold walks its step table: the incoming state is interned once,
-    then each position is one dict lookup on the canonical state and the
-    cell's canonical term, and fx_add / fp_add runs only on a miss.  This is
-    exact because a bounded add's result, its inexact flag included, depends
-    only on the two operands' representations.  Two or more constant
-    positions in a row within lo..hi are one lookup on (state, run); a miss
-    walks them one by one and stores the end.  This is exact for cells from
-    token_cells: a constant position holds its compiled cell, or one built
-    afresh from the same row, whose terms have the same representations.
-    An indeterminate form is never stored, so it is raised on every visit.
-    A table cleared at its size limit only turns later steps back into
-    misses.
+    The fold walks its step table: the incoming state's key is computed
+    once, then each position is one dict lookup on the state's key and the
+    cell's term key, and fx_add / fp_add runs only on a miss.  This is
+    exact because a bounded add's result, its inexact flag included,
+    depends only on the two operands' representations.  Two or more
+    constant positions in a row within lo..hi are one lookup on (state,
+    run); a miss walks them one by one and stores the end.  This is exact
+    for cells from token_cells: a constant position holds its compiled
+    cell, or one built afresh from the same row, whose terms have the same
+    representations.  An indeterminate form is never stored, so it is
+    raised on every visit.  A table cleared at its size limit only turns
+    later steps back into misses.
     """
     comp = spec._compiled
     plan = comp.plans.get((lo, hi)) or comp.plan(lo, hi)
-    table, (stage, t, f) = (comp.num, comp.den)[which], _FOLDS[which]
+    table, (stage, t, f, k) = (comp.num, comp.den)[which], _FOLDS[which]
     get = table.steps.get
-    s = table.intern(state)
+    entry = (state, None if state is None else _rep(state))
     j = lo
     try:
         for a, b, run in plan:
             if run:
-                start, hit = s, get((id(s), a, b))
+                run_key = (entry[1], a, b)
+                hit = get(run_key)
                 if hit is not None:
-                    s = hit
+                    entry = hit
                     continue
             for j in range(a, b):
-                term = cells[j][t]
-                nxt = get((id(s), id(term)))
-                s = table.step(s, term, cells[j][f]) if nxt is None else nxt
+                cell = cells[j]
+                entry = get((entry[1], cell[k])) or \
+                    table.step(entry, cell[t], cell[k], cell[f])
             if run:
-                s = table.end_run(start, a, b, s)
+                table.store(run_key, entry)
     except IndeterminateForm:
         raise
     except ArithmeticError as exc:
         raise StageError(stage, spec.index_base + j, exc) from exc
-    return s
+    return entry[0]
 
 
 def fold_stepper(spec: TransformerSpec, which: int):
     """(stage a StageError names, step) of the numerator (which 0) or
-    denominator (which 1) fold.  step(state, cell) is the fold after cell
-    from state (canonical, None to open it), through its step table."""
+    denominator (which 1) fold.  step(entry, cell) is the fold after cell
+    from entry, a table entry (state, key), (None, None) to open it, as
+    the next entry, through the step table."""
     comp = spec._compiled
     table = (comp.num, comp.den)[which]
-    stage, t, f = _FOLDS[which]
-    return stage, lambda state, cell: table.steps.get(
-        (id(state), id(cell[t]))) or table.step(state, cell[t], cell[f])
+    stage, t, f, k = _FOLDS[which]
+    return stage, lambda entry, cell: table.steps.get(
+        (entry[1], cell[k])) or table.step(entry, cell[t], cell[k], cell[f])
 
 
 def _store(table: dict, key, value):
@@ -615,29 +608,31 @@ def _store(table: dict, key, value):
 
 
 def _scaled(spec: TransformerSpec, num):
-    """(num, num times W^V rounded into num_fmt, and for a linear head the
-    attention output), memoised on id(num): the entry holds num, so the id
-    stays unique while it is a key.  Folds return canonical values, so
-    repeats hit."""
+    """(num times W^V rounded into num_fmt, and for a linear head the
+    attention output), memoised on num's full representation: the multiply
+    reads nothing else.  It never raises IndeterminateForm, which takes
+    0 * Inf: the scale is held exactly, so it is finite, and validate
+    requires it to be nonzero."""
     comp = spec._compiled
-    hit = comp.scaled.get(id(num))
+    key = _rep(num)
+    hit = comp.scaled.get(key)
     if hit is None:
         scaled = _ops(spec.num_fmt)[1](num, comp.scale, spec.num_fmt)
         sa = _attend(spec, scaled, None) \
             if spec.attention_kind == LINEAR else None
-        hit = _store(comp.scaled, id(num), (num, scaled, sa))
+        hit = _store(comp.scaled, key, (scaled, sa))
     return hit
 
 
 def scale_numerator(spec: TransformerSpec, num):
     """The finished numerator fold times W^V, rounded into num_fmt."""
-    return _scaled(spec, num)[1]
+    return _scaled(spec, num)[0]
 
 
 def linear_output(spec: TransformerSpec, num):
     """A linear head's attention output from its finished numerator fold:
     the scaled numerator, rounded into out_fmt."""
-    return _scaled(spec, num)[2]
+    return _scaled(spec, num)[1]
 
 
 def relu(v):
@@ -766,7 +761,7 @@ def forward(spec: TransformerSpec, y: str, z: str) -> EvalTrace:
     num = den = sa = None
     stage = "numerator"
     try:
-        _, num, sa = _scaled(spec, fold(spec, 0, None, 0, len(cells), cells))
+        num, sa = _scaled(spec, fold(spec, 0, None, 0, len(cells), cells))
         if spec.attention_kind == SOFTMAX:
             stage = "attention"
             den = fold(spec, 1, None, 0, len(cells), cells)

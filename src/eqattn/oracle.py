@@ -311,13 +311,15 @@ def _buckets(spec, which, s):
 
     The value (the scaled numerator or the denominator, _NAN on an
     indeterminate form) is folded in one pass over the positions that
-    counts the paths a << width | b by state: the fold (_NAN, or the
-    StageError it raised), the order once a compared bit differs, and the
-    bits a later position reads or, while the order is open, not yet
-    compared.  A position branches on the bits it reads first (the last
-    also on those none reads).  Equal states merge, keeping their
-    FAILURE_LIST_CAP smallest paths (unread bits 0), so the first erring
-    pair raises its error, as one whole fold per pair would."""
+    counts the paths a << width | b by state: the fold (its step-table
+    entry, _NAN, or the StageError it raised), the order once a compared
+    bit differs, and the bits a later position reads or, while the order
+    is open, not yet compared.  A position branches on the bits it reads
+    first (the last also on those none reads).  Equal states merge,
+    keeping their FAILURE_LIST_CAP smallest paths (unread bits 0), so the
+    first erring pair raises its error, as one whole fold per pair would.
+    A fold merges on its value key (_rep), so states reached after a step
+    table cleared still merge; an error keys on the StageError itself."""
     rest = "0" * (spec.m - s)
     lead, width, trail = ("0" * s, len(rest), "") if which else ("", s, rest)
     low = (1 << width) - 1
@@ -330,7 +332,7 @@ def _buckets(spec, which, s):
               for code in _subsets(mask)} for j, mask in enumerate(masks)]
     after = list(accumulate(reversed(masks), or_, initial=0))[::-1]
     known = c = 0                       # bits read; a, b read below bit c
-    states = {(id(None), None, 0): [None, None, 0, 1, [0]]}
+    states = {(None, None, 0): [(None, None), None, 0, 1, [0]]}
     for j, mask in enumerate(masks):    # the last also reads what none does
         new = mask & ~known | (~after[0] & (low << width | low)
                                if j == len(masks) - 1 else 0)
@@ -346,7 +348,7 @@ def _buckets(spec, which, s):
                 o = order if order is not None or a == b else (a > b) - (a < b)
                 if which == 0 and o == 1:     # the numerator's a <= b
                     continue
-                if f is not _NAN and not isinstance(f, StageError):
+                if type(f) is tuple:          # a live fold: (state, key)
                     try:
                         f = step(f, cells[j][code & mask])
                     except IndeterminateForm:
@@ -355,7 +357,8 @@ def _buckets(spec, which, s):
                         f = StageError(stage, spec.index_base + j, exc)
                 code &= keep_open if o is None else after[j + 1]
                 moved = [p | add for p in paths] if add else paths
-                entry = nxt.setdefault((id(f), o, code), [f, o, code, 0, []])
+                key = f[1] if type(f) is tuple else f
+                entry = nxt.setdefault((key, o, code), [f, o, code, 0, []])
                 entry[3] += count
                 entry[4] = sorted(entry[4] + moved)[:FAILURE_LIST_CAP]
         states = nxt
@@ -364,10 +367,8 @@ def _buckets(spec, which, s):
                                         key=lambda e: e[4][0]):
         if isinstance(f, StageError):
             raise f from f.original
-        try:
-            f = scale_numerator(spec, f) if which == 0 and f is not _NAN else f
-        except IndeterminateForm:
-            f = _NAN
+        if type(f) is tuple:
+            f = scale_numerator(spec, f[0]) if which == 0 else f[0]
         bucket = buckets.setdefault((f, o or 0), [0, []])
         bucket[0] += count
         bucket[1] = sorted(bucket[1] + [divmod(p, 1 << width)

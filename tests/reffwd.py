@@ -80,12 +80,9 @@ def ref_forward(spec, x, normalize=None) -> RefTrace:
             raise StageError("numerator", spec.index_base + j, exc) from exc
         trace.num_terms.append(term)
         trace.num_partials.append(num)
-    try:
-        num = mul(num, hold_exact(scale, spec.num_fmt), spec.num_fmt)
-    except IndeterminateForm:
-        return nan_like()
-    except ArithmeticError as exc:
-        raise StageError("numerator", None, exc) from exc
+    # The scale is held exactly and is not zero, so no head can meet an
+    # error here; one would propagate, not pass as an answer.
+    num = mul(num, hold_exact(scale, spec.num_fmt), spec.num_fmt)
     trace = trace._replace(numerator=num)
 
     if normalize:

@@ -7,12 +7,14 @@ the full representation of each key's value (the indeterminate marker
 included), with the same counts, the same listed pairs and the same
 insertion order, which fixes the failure lists and the order the verifier
 combines buckets in.  Besides the built heads, hand-built subjects read
-field bits in ways those heads never do.
+field bits in ways those heads never do.  The pass merges fold states by
+value, so step tables that clear in the middle of it change neither its
+steps nor its buckets.
 """
 
 import pytest
 
-from eqattn import oracle
+from eqattn import attn, oracle
 from eqattn.attn import (
     StageError,
     TokenRule,
@@ -65,6 +67,38 @@ def _both_folds(builder, spec, s):
     return [[(value if value is oracle._NAN else _rep(value), rel, cnt, ex)
              for (value, rel), (cnt, ex) in builder(spec, which, s).items()]
             for which in (0, 1)]
+
+
+def _counted(monkeypatch, spec, s):
+    """Both folds' buckets as _both_folds lists them, and how many steps
+    the pass takes through fold_stepper."""
+    steps = [0]
+    real = oracle.fold_stepper
+
+    def counting(spec, which):
+        stage, step = real(spec, which)
+
+        def counted(*args):
+            steps[0] += 1
+            return step(*args)
+
+        return stage, counted
+
+    monkeypatch.setattr(oracle, "fold_stepper", counting)
+    return _both_folds(oracle._buckets, spec, s), steps[0]
+
+
+def test_states_merge_by_value_across_table_clears(monkeypatch):
+    """fx-tight m=13 with step tables so small that they clear many times
+    in each pass: a fold value reached before a clear and the same value
+    reached after it are one state, so the pass takes the 5,307 steps and
+    makes the buckets it does with tables that never clear."""
+    spec, promises = make("fx-tight", m=13)
+    s = fold_split(spec, promises)
+    want = _counted(monkeypatch, spec, s)
+    assert want[1] == 5307
+    monkeypatch.setattr(attn, "STEP_LIMIT", 64)
+    assert _counted(monkeypatch, make("fx-tight", m=13)[0], s) == want
 
 
 def _subjects():

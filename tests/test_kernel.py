@@ -6,11 +6,11 @@ every per-token list and end value of the trace, on the inexact and
 saturation flags and on how they fail, for every family, below native
 precision, after quantization, with a query row that reads an input bit,
 and across the spec copies the library makes; also with step tables so
-small that they clear in the middle of a constant run, when an
-indeterminate form is raised inside one, and when one planted in the W^V
-scale stops the pass between the two folds.  A constant run is one lookup, also over cells built
-afresh from the same rows.  forward's trace refolds its per-token lists on
-each tokens() call, into new lists, also after the tables were cleared.
+small that they clear in the middle of a constant run, and when an
+indeterminate form is raised inside one.  A constant run is one lookup,
+also over cells built afresh from the same rows.  forward's trace refolds
+its per-token lists on each tokens() call, into new lists, also after the
+tables were cleared.
 The protocol resumes the same kernel at a prefix boundary, so it must give
 the forward bit and the reference partials at every legal prefix length,
 those that cut a constant run included.  The compiled encode must return
@@ -204,26 +204,6 @@ def test_an_indeterminate_form_inside_a_constant_run(monkeypatch):
         assert stopped > 0
 
 
-def test_an_indeterminate_scale_leaves_no_denominator(monkeypatch):
-    """No head meets one there, since W^V's scale is held exactly and is
-    not zero, so it is planted: the numerator fold ends, its scale raises,
-    and the trace holds the whole numerator fold and no denominator."""
-    spec = _subject("fx-simple m=5")
-    real, scale = attn.fx_mul, spec.value_column()[1]
-
-    def mul(a, b, fmt):
-        if fmt is spec.num_fmt and b.is_finite and b.as_fraction() == scale:
-            raise IndeterminateForm("planted")
-        return real(a, b, fmt)
-
-    monkeypatch.setattr(attn, "fx_mul", mul)
-    for y, z in _pairs(spec.m, 10, 14):
-        trace = _assert_same(spec, y, z)
-        _, _, _, nums, dens = trace.tokens()
-        assert trace.indeterminate and trace.numerator is None
-        assert len(nums) == spec.n + 1 and dens == []
-
-
 @pytest.mark.parametrize("label", SUBJECTS)
 def test_trace_lists_are_refolded_when_first_read(label):
     """forward records no per-token list; tokens() refolds them, after the
@@ -235,7 +215,6 @@ def test_trace_lists_are_refolded_when_first_read(label):
     comp = spec._compiled
     for table in (comp.num, comp.den):
         table.steps.clear()
-        table.values.clear()
     for trace, (y, z) in zip(traces, pairs):
         want = ref_forward(spec, spec.encode(y, z))
         first = trace.tokens()
@@ -295,8 +274,9 @@ def test_warm_step_tables_replay_the_cold_folds(label):
 
 
 def test_cells_of_a_dropped_kernel_still_fold_exactly():
-    """Cells built before a pickle round trip hold terms canonical only in
-    the original's tables; folding them in the copy must still be exact."""
+    """Cells built before a pickle round trip carry their terms' value
+    keys into the copy's new tables; folding them there must still be
+    exact."""
     spec = _subject("fp-softmax (4,7)")
     copy = pickle.loads(pickle.dumps(spec))
     for y, z in _pairs(spec.m, 20, 9):

@@ -1,7 +1,8 @@
 """Every module of the package is reachable from the command line, every
 function the benchmark traces exists, no module imports a name it never
-uses, none imports another module's private name, and every name the
-package defines is read by the package or the benchmark."""
+uses, none imports another module's private name, no memo keys on object
+identity, and every name the package defines is read by the package or the
+benchmark."""
 
 import ast
 import importlib
@@ -13,6 +14,8 @@ import subprocess
 import sys
 
 import eqattn
+from eqattn import attn
+from eqattn.bitnum import FxFormat
 
 
 def test_every_module_is_imported_by_the_cli():
@@ -100,6 +103,29 @@ def test_no_module_imports_a_private_name_of_another():
                              for alias in node.names
                              if alias.name.startswith("_")]
     assert borrowed == []
+
+
+def test_memo_tables_key_on_values_not_identity():
+    """No module under src/eqattn/ calls id(): every memo table keys on
+    values (attn._rep), which stay equal for equal values whatever table
+    held them, so no table keeps canonical objects alive to make an id
+    safe.  The fold's step table is that one table: no intern table, no
+    intern or end_run."""
+    d = os.path.dirname(eqattn.__file__)
+    calls = []
+    for name in sorted(os.listdir(d)):
+        if not name.endswith(".py"):
+            continue
+        path = os.path.join(d, name)
+        with open(path) as f:
+            tree = ast.parse(f.read(), path)
+        calls += [f"{name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Name) and node.func.id == "id"]
+    assert calls == []
+    table = attn._Steps(FxFormat(4))
+    assert sorted(vars(table)) == ["add", "fmt", "steps"]
+    assert not any(hasattr(table, name) for name in ("intern", "end_run"))
 
 
 def _fields(node):

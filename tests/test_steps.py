@@ -1,13 +1,14 @@
 """The kernel's memo tables against fresh bounded arithmetic.
 
-attn._Steps interns one canonical scalar per full representation of a fold
-format and memoises the bounded add over canonical (state, term) pairs.  A
-memoised step must equal a fresh fx_add / fp_add in representation and in
-its inexact flag, for random small formats under both rounding policies;
-Inf - Inf must raise on every visit and leave nothing behind; a pass that
-repeats earlier steps must add nothing; and every id the table keys on, for
-a step or for a constant run, must be one of its own live canonical
-objects.
+attn._Steps memoises a fold format's bounded add over (state, term) pairs,
+keyed by value: by each scalar's full representation, _rep.  A memoised
+step must equal a fresh fx_add / fp_add in representation and in its
+inexact flag, for random small formats under both rounding policies;
+values equal but for the inexact flag or the sign of zero must take
+separate entries; Inf - Inf must raise on every visit and leave nothing
+behind; a pass that repeats earlier steps must add nothing; and every key,
+of a step or of a constant run, must be made of value keys, so a fold
+resumed from a fresh copy of a state repeats no addition.
 
 The tail's tables, the W^V scale keyed by the fold value and the MLP keyed
 by the attention output, obey the same rules: equal to fresh arithmetic,
@@ -15,7 +16,6 @@ no stored error, no trace sharing a mutable list, bounded by TAIL_LIMIT.
 A verify run pins the adds and MLP evaluations the memos leave.
 """
 
-import gc
 import random
 from fractions import Fraction
 
@@ -87,17 +87,32 @@ def _operands(rng, fmt, count=14):
     return pool
 
 
-def test_interning_keeps_every_flag_and_sign():
+def _walk(table, entry, term):
+    """The table's entry after term from entry, as fold_stepper steps:
+    the stored one, or the miss path's."""
+    key = _rep(term)
+    return table.steps.get((entry[1], key)) or \
+        table.step(entry, term, key, term)
+
+
+def test_values_equal_but_for_a_flag_take_separate_entries():
+    """A value and its copy with the inexact flag flipped, and +0 and -0,
+    are equal under == but are two keys, as terms and as states: each step
+    stores its own entry, with the flag a fresh add gives."""
     rng = random.Random(0x51)
     for fmt in _formats(rng):
         table = _Steps(fmt)
-        pool = _operands(rng, fmt)
-        canon = [table.intern(v) for v in pool]
-        for v, c in zip(pool, canon):
-            assert _rep(c) == _rep(v)
-            assert table.intern(c) is c
-        distinct = {_rep(v) for v in pool}
-        assert len({id(c) for c in canon}) == len(distinct)
+        add = _kit(fmt)[2]
+        pool = [v for v in _operands(rng, fmt) if v.is_finite]
+        keys = {_rep(v) for v in pool}
+        assert len(keys) > len(set(pool))
+        term = pool[-1]
+        for v in pool:
+            assert _rep(_walk(table, (None, None), v)[0]) == _rep(v)
+            state, key = _walk(table, (v, _rep(v)), term)
+            assert key == _rep(state) == _rep(add(v, term, fmt))
+        assert set(table.steps) == {(None, k) for k in keys} | \
+            {(k, _rep(term)) for k in keys}
 
 
 def test_memoised_steps_equal_fresh_adds():
@@ -110,18 +125,17 @@ def test_memoised_steps_equal_fresh_adds():
         rng.shuffle(pairs)
         for _ in range(2):   # the second pass reads the stored steps
             for a, b in pairs:
-                state = table.intern(a)
+                entry = (a, _rep(a))
                 try:
                     want = add(a, b, fmt)
                 except IndeterminateForm:
                     with pytest.raises(IndeterminateForm):
-                        table.step(state, b, b)
+                        _walk(table, entry, b)
                     continue
-                got = table.step(state, b, b)
-                assert _rep(got) == _rep(want), (fmt, a, b)
-                assert got.fmt == fmt
-                stored = table.steps[(id(state), id(table.intern(b)))]
-                assert stored is got
+                got = _walk(table, entry, b)
+                assert got[1] == _rep(got[0]) == _rep(want), (fmt, a, b)
+                assert got[0].fmt == fmt
+                assert table.steps[(_rep(a), _rep(b))] is got
 
 
 def test_inf_minus_inf_raises_on_every_visit_and_is_never_stored():
@@ -129,14 +143,13 @@ def test_inf_minus_inf_raises_on_every_visit_and_is_never_stored():
     for fmt in _formats(rng):
         cls = _kit(fmt)[0]
         table = _Steps(fmt)
-        pinf = table.intern(cls.inf(1, fmt))
-        ninf = table.intern(cls.inf(-1, fmt))
+        pinf, ninf = cls.inf(1, fmt), cls.inf(-1, fmt)
         for _ in range(3):
             for a, b in ((pinf, ninf), (ninf, pinf)):
                 with pytest.raises(IndeterminateForm):
-                    table.step(a, b, b)
+                    _walk(table, (a, _rep(a)), b)
         assert table.steps == {}
-        assert _rep(table.step(pinf, pinf, pinf)) == _rep(pinf)
+        assert _walk(table, (pinf, _rep(pinf)), pinf)[1] == _rep(pinf)
         assert len(table.steps) == 1
 
 
@@ -159,13 +172,13 @@ def test_a_repeated_pass_makes_no_additions(monkeypatch):
         table = _Steps(fmt)
         pool = _operands(rng, fmt, 6)
         finite = [v for v in pool if not v.is_inf]
-        pairs = [(table.intern(a), b) for a in pool for b in finite]
+        pairs = [((a, _rep(a)), b) for a in pool for b in finite]
         for a, b in pairs:
-            table.step(a, b, b)
+            _walk(table, a, b)
         assert calls[0] > 0
         calls[0] = 0
         for a, b in pairs:
-            table.step(a, b, b)
+            _walk(table, a, b)
         assert calls[0] == 0
         monkeypatch.undo()
 
@@ -198,37 +211,49 @@ def test_a_repeated_fold_makes_no_additions(monkeypatch, name, kwargs, add):
     assert calls[0] == 0
 
 
-def test_table_keys_are_ids_of_live_canonical_objects():
-    """Folds, some resumed from states the caller holds, must key only on
-    the tables' own objects."""
+def test_table_keys_are_value_keys(monkeypatch):
+    """A step is keyed on (key of the state, key of the term), a constant
+    run on (key of the state, a, b), a state's key being its _rep, or None
+    before the first term; every entry is (state, _rep(state)).  So a fold
+    resumed from a fresh copy of a state it reached before adds nothing."""
+    adds = _counting(monkeypatch, "fp_add")
     spec = make("fp-softmax", t=4, e=7)[0]
-    rng = random.Random(0x56)
-    for i, (y, z) in enumerate(_wide_pairs(spec, rng, 30)):
+    pairs = _wide_pairs(spec, random.Random(0x56), 30)
+    terms = [set(), set()]     # the term keys of each fold, all _rep
+    for y, z in pairs:
+        cells = token_cells(spec, y, z)
+        for which in (0, 1):
+            fold(spec, which, None, 0, len(cells), cells)
+        for cell in cells:
+            assert cell.num_key == _rep(cell.num_term)
+            assert cell.den_key == _rep(cell.den_term)
+            terms[0].add(cell.num_key)
+            terms[1].add(cell.den_key)
+    comp = spec._compiled
+    runs = set()
+    for table, keys in zip((comp.num, comp.den), terms):
+        assert table.steps
+        states = {None} | {key for _, key in table.steps.values()}
+        for key, (state, state_key) in table.steps.items():
+            assert state_key == _rep(state)
+            assert key[0] in states
+            if len(key) == 2:
+                assert key[1] in keys
+            else:   # a constant run: a range of constant positions
+                runs.add(key[1:])
+                assert all(comp.consts[j] is not None
+                           for j in range(*key[1:]))
+    assert runs
+    adds[0] = 0
+    for i, (y, z) in enumerate(pairs):
         cells = token_cells(spec, y, z)
         k = i % len(cells)
         num = fold(spec, 0, None, 0, k, cells)
-        if num is not None:   # resume from a copy the tables do not hold
+        if num is not None:   # resume from a copy the table does not hold
             num = type(num)(num.fmt, num.kind, num.sign, num.sig, num.exp2,
                             num.inexact)
         fold(spec, 0, num, k, len(cells), cells)
-        fold(spec, 1, None, 0, len(cells), cells)
-        del cells, num
-        gc.collect()
-    comp = spec._compiled
-    runs = set()
-    for table in (comp.num, comp.den):
-        live = {id(v) for v in table.values.values()} | {id(None)}
-        assert table.steps
-        for state_id, *rest in table.steps:
-            assert state_id in live
-            if len(rest) == 1:
-                assert rest[0] in live
-            else:   # a constant run: a range of constant positions
-                runs.add(tuple(rest))
-                assert all(comp.consts[j] is not None for j in range(*rest))
-        for nxt in table.steps.values():
-            assert table.values[_rep(nxt)] is nxt
-    assert runs
+    assert adds[0] == 0
 
 
 def _wide_pairs(spec, rng, count):
@@ -238,7 +263,7 @@ def _wide_pairs(spec, rng, count):
 
 
 def _table_sizes(comp):
-    return [len(t.steps) + len(t.values) for t in (comp.num, comp.den)]
+    return [len(t.steps) for t in (comp.num, comp.den)]
 
 
 def test_a_full_table_is_cleared_and_folds_stay_exact(monkeypatch):
@@ -257,11 +282,10 @@ def test_a_full_table_is_cleared_and_folds_stay_exact(monkeypatch):
                     for which in (0, 1)]
         assert _rep(num) == _rep(trace.num_partials[-1])
         assert _rep(den) == _rep(trace.den_partials[-1])
-        # a step adds at most a state, a term, a result and one key past
-        # the limit; building a cell interns three values
-        built = len(comp.built)
+        # a full table is cleared before the entry that would pass the
+        # limit is stored
         for i, size in enumerate(_table_sizes(comp)):
-            assert size <= limit + 4 + 3 * built
+            assert size <= limit
             cleared[i] |= size < before[i]
     assert cleared == [True, True]
 
@@ -270,7 +294,7 @@ def test_wide_format_tables_stay_bounded():
     spec = make("fx-tight", m=41)[0]
     comp = spec._compiled
     peak, sizes, cleared = [0, 0], [0, 0], False
-    for y, z in _wide_pairs(spec, random.Random(0x58), 400):
+    for y, z in _wide_pairs(spec, random.Random(0x58), 600):
         cells = token_cells(spec, y, z)
         for which in (0, 1):
             fold(spec, which, None, 0, len(cells), cells)
@@ -278,13 +302,12 @@ def test_wide_format_tables_stay_bounded():
         peak = [max(p, s) for p, s in zip(peak, sizes)]
         for size, last in zip(sizes, before):
             if size < last:   # cleared in this fold, at STEP_LIMIT entries:
-                # a fold adds at most four entries per position and one
-                # per constant run, so the last fold ended near the limit
-                assert last >= attn.STEP_LIMIT - 5 * (spec.n + 1)
+                # a fold adds at most one entry per position and one per
+                # constant run, so the last fold ended near the limit
+                assert last >= attn.STEP_LIMIT - 2 * (spec.n + 1)
                 cleared = True
-    built = len(comp.built)
     assert cleared   # at least one table filled
-    assert max(peak) <= attn.STEP_LIMIT + 4 + 3 * built
+    assert max(peak) <= attn.STEP_LIMIT
 
 
 def _dyadic(rng):
