@@ -74,17 +74,6 @@ SOFTMAX = "softmax"
 LINEAR = "linear"
 
 
-class StageError(RuntimeError):
-    """An arithmetic error annotated with the pipeline stage that raised it."""
-
-    def __init__(self, stage: str, token: int | None, original: Exception):
-        where = stage if token is None else f"{stage}[token {token}]"
-        super().__init__(f"{where}: {original}")
-        self.stage = stage
-        self.token = token
-        self.original = original
-
-
 def _ops(fmt):
     if isinstance(fmt, FxFormat):
         return fx_add, fx_mul, fx_div, fx_round, FxNum
@@ -303,11 +292,9 @@ def token_logits(spec: TransformerSpec, x) -> list[Fraction | None]:
 
 class Cell(NamedTuple):
     """One token row's share of the folds, at any position.  num_term is the
-    weight times value rounded into fold_fmt, or the ArithmeticError that
-    rounding raised, for the fold to raise on reaching it.  den_first opens
-    a denominator fold; den_term is the exact weight later steps add.
-    num_key and den_key are the two terms' step-table keys: _rep of the
-    term, or a num_term error itself, which no table stores."""
+    weight times value rounded into fold_fmt; den_first opens a denominator
+    fold; den_term is the exact weight later steps add.  num_key and
+    den_key are the two terms' step-table keys, their _rep."""
 
     logit: Fraction | None
     weight: Fraction
@@ -360,8 +347,6 @@ class _Steps:
         """The miss path from entry, (state, key), over term: first is the
         value a fold opens with at term.  A raised error is never
         stored."""
-        if isinstance(term, ArithmeticError):
-            raise term
         state, key = entry
         nxt = first if state is None else self.add(state, term, self.fmt)
         return self.store((key, term_key), (nxt, _rep(nxt)))
@@ -388,12 +373,13 @@ class _Compiled:
     held in their stage formats: W^V's scale and the MLP.
 
     built maps each distinct row value of the embedding to its cell under
-    the constant query row, or to the error building that cell raised;
+    the constant query row, or to the ValueError building that cell raised
+    (a logit exp_logit_exact refuses, or a sentinel in the query row);
     without a constant query row it is empty.  encoders holds each
     position's getter over y + z and its map from the bits read to the
     rule's row; lookups holds the same getter and a map from the bits read
-    to the row's cell, for the cells a fold can use: not those whose build
-    raised or whose num_term is an error, which are built afresh each time.
+    to the row's cell, for the rows whose cell was built: the others are
+    built afresh each time, and raise.
     consts holds each constant position's cell in lookups, else None.
     alice_len is the protocol prefix alice_len(spec) returns.
     """
@@ -416,8 +402,7 @@ class _Compiled:
         self.mlp = _hold_mlp(spec.mlp, spec.out_fmt)
         self.built = self._build(spec)
         usable = {row: cell for row, cell in self.built.items()
-                  if isinstance(cell, Cell)
-                  and not isinstance(cell.num_term, ArithmeticError)}
+                  if isinstance(cell, Cell)}
         self.lookups = [(get, {bits: usable[row] for bits, row in rows.items()
                                if row in usable})
                         for get, rows in self.encoders]
@@ -459,13 +444,9 @@ def _make_cell(spec: TransformerSpec, comp: _Compiled, row,
                logit: Fraction | None) -> Cell:
     round_ = _ops(spec.fold_fmt)[3]
     w = exp_logit_exact(logit)
-    try:
-        term = round_(w * Fraction(row[comp.col] or 0), spec.fold_fmt)
-        key = _rep(term)
-    except ArithmeticError as exc:
-        term = key = exc
+    term = round_(w * Fraction(row[comp.col] or 0), spec.fold_fmt)
     den_term = hold_exact(w, spec.den_fmt)
-    return Cell(logit, w, term, round_(w, spec.den_fmt), den_term, key,
+    return Cell(logit, w, term, round_(w, spec.den_fmt), den_term, _rep(term),
                 _rep(den_term))
 
 
@@ -474,11 +455,10 @@ def token_cells(spec: TransformerSpec, y: str, z: str) -> list[Cell]:
 
     Each position reads its cell from the compiled lookups by the bits it
     reads of y + z.  On a miss (a query row that reads input bits, a row
-    whose cell raised or whose num_term is an error, or input encode
-    refuses) every cell is built uncached from encode's rows: their logits
-    are computed once and every cell is built, in position order, before
-    folding starts, so an error is raised at the first position that
-    reaches it.
+    whose cell could not be built, or input encode refuses) every cell is
+    built uncached from encode's rows: their logits are computed once and
+    every cell is built, in position order, before folding starts, so an
+    error is raised at the first position that reaches it.
     """
     comp = spec._compiled
     bits = y + z
@@ -499,9 +479,8 @@ def fold_reads(spec: TransformerSpec) -> tuple[set, set]:
 
     A position's source bits count for a fold when that fold's term
     differs, by full representation, between the compiled cells of its
-    rule's rows; an error term differs from every other term, itself on
-    another row included.  A query row that reads input bits, or a row
-    whose cell could not be built, puts every bit in both sets.
+    rule's rows.  A query row that reads input bits, or a row whose cell
+    could not be built, puts every bit in both sets.
     """
     comp = spec._compiled
     every = set(range(1, spec.m + 1))
@@ -510,8 +489,7 @@ def fold_reads(spec: TransformerSpec) -> tuple[set, set]:
         return every, set(every)
 
     def varies(terms):
-        return len({i if isinstance(t, ArithmeticError) else _rep(t)
-                    for i, t in enumerate(terms)}) > 1
+        return len({_rep(t) for t in terms}) > 1
 
     num, den = set(), set()
     for rule in spec.embedding:
@@ -530,10 +508,9 @@ def alice_len(spec: TransformerSpec) -> int:
     return spec._compiled.alice_len
 
 
-# Per fold: the stage a StageError names, and the indices in Cell of the term
-# each step adds (num_term, den_term), of the value it opens with and of the
-# term's key.
-_FOLDS = (("numerator", 2, 2, 5), ("denominator", 4, 3, 6))
+# Per fold: the indices in Cell of the term each step adds (num_term,
+# den_term), of the value it opens with and of the term's key.
+_FOLDS = ((2, 2, 5), (4, 3, 6))
 
 
 def fold(spec: TransformerSpec, which: int, state, lo: int, hi: int, cells):
@@ -542,9 +519,9 @@ def fold(spec: TransformerSpec, which: int, state, lo: int, hi: int, cells):
 
     state is that fold so far, None before its first term: the numerator in
     the fold format, before the W^V scale, or the denominator.  Returns the
-    new state and records nothing else.  IndeterminateForm propagates;
-    other arithmetic errors are raised as a StageError naming the fold and
-    the token.
+    new state and records nothing else.  The only error a step can raise
+    is IndeterminateForm: every format's sizes are bounded where it is
+    made, so rounding and adding raise nothing else.
 
     The fold walks its step table: the incoming state's key is computed
     once, then each position is one dict lookup on the state's key and the
@@ -561,40 +538,34 @@ def fold(spec: TransformerSpec, which: int, state, lo: int, hi: int, cells):
     """
     comp = spec._compiled
     plan = comp.plans.get((lo, hi)) or comp.plan(lo, hi)
-    table, (stage, t, f, k) = (comp.num, comp.den)[which], _FOLDS[which]
+    table, (t, f, k) = (comp.num, comp.den)[which], _FOLDS[which]
     get = table.steps.get
     entry = (state, None if state is None else _rep(state))
-    j = lo
-    try:
-        for a, b, run in plan:
-            if run:
-                run_key = (entry[1], a, b)
-                hit = get(run_key)
-                if hit is not None:
-                    entry = hit
-                    continue
-            for j in range(a, b):
-                cell = cells[j]
-                entry = get((entry[1], cell[k])) or \
-                    table.step(entry, cell[t], cell[k], cell[f])
-            if run:
-                table.store(run_key, entry)
-    except IndeterminateForm:
-        raise
-    except ArithmeticError as exc:
-        raise StageError(stage, spec.index_base + j, exc) from exc
+    for a, b, run in plan:
+        if run:
+            run_key = (entry[1], a, b)
+            hit = get(run_key)
+            if hit is not None:
+                entry = hit
+                continue
+        for j in range(a, b):
+            cell = cells[j]
+            entry = get((entry[1], cell[k])) or \
+                table.step(entry, cell[t], cell[k], cell[f])
+        if run:
+            table.store(run_key, entry)
     return entry[0]
 
 
 def fold_stepper(spec: TransformerSpec, which: int):
-    """(stage a StageError names, step) of the numerator (which 0) or
-    denominator (which 1) fold.  step(entry, cell) is the fold after cell
-    from entry, a table entry (state, key), (None, None) to open it, as
-    the next entry, through the step table."""
+    """The step of the numerator (which 0) or denominator (which 1) fold:
+    step(entry, cell) is the fold after cell from entry, a table entry
+    (state, key), (None, None) to open it, as the next entry, through the
+    step table.  Like fold, it raises nothing but IndeterminateForm."""
     comp = spec._compiled
     table = (comp.num, comp.den)[which]
-    stage, t, f, k = _FOLDS[which]
-    return stage, lambda entry, cell: table.steps.get(
+    t, f, k = _FOLDS[which]
+    return lambda entry, cell: table.steps.get(
         (entry[1], cell[k])) or table.step(entry, cell[t], cell[k], cell[f])
 
 
@@ -759,20 +730,15 @@ def forward(spec: TransformerSpec, y: str, z: str) -> EvalTrace:
     the cells for EvalTrace.tokens to refold."""
     cells = token_cells(spec, y, z)
     num = den = sa = None
-    stage = "numerator"
     try:
         num, sa = _scaled(spec, fold(spec, 0, None, 0, len(cells), cells))
         if spec.attention_kind == SOFTMAX:
-            stage = "attention"
             den = fold(spec, 1, None, 0, len(cells), cells)
             sa = _attend(spec, num, den)
-        stage = "mlp"
         out, hidden, bit = _head(spec, sa)
     except IndeterminateForm:
         # Inf - Inf and Inf/Inf under the saturating formats behave like a
         # NaN: every later comparison is false, so the head answers 0
         # without evaluating further.
         return EvalTrace(num, den, sa, (), None, 0, True, spec, cells)
-    except ArithmeticError as exc:
-        raise StageError(stage, None, exc) from exc
     return EvalTrace(num, den, sa, hidden, out, bit, False, spec, cells)

@@ -59,18 +59,28 @@ INF_CODE_LOG2 = 1 << 14
 class _Format(tuple):
     """What the two formats add to their NamedTuple fields: every
     construction path (the constructor, _make and so _replace, unpickling)
-    checks each size field against its least value in _LEAST and the
-    rounding policy, and equality and hash tell the kinds apart, so
-    FxFormat(4, 2) != FpFormat(4, 2) and the two key separate entries."""
+    checks each size field against its (least, most) values in _SIZES and
+    the rounding policy, and equality and hash tell the kinds apart, so
+    FxFormat(4, 2) != FpFormat(4, 2) and the two key separate entries.
+
+    The bounds keep every shift the kernels make by a size small, so the
+    only error arithmetic in a format can raise is IndeterminateForm.  No
+    size passes INF_CODE_LOG2, and e stops at 15, where q = 2**(e-1) - 1
+    is still below it: the infinity code saturates in every float format.
+    Every format a construction or a preset makes is far inside them."""
 
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        for name, least in cls._LEAST.items():
-            if getattr(self, name) < least:
+        for name, (least, most) in cls._SIZES.items():
+            size = getattr(self, name)
+            if size < least:
                 raise InvalidFormat(f"{name} must be at least {least}, "
-                                    f"got {getattr(self, name)}")
+                                    f"got {size}")
+            if size > most:
+                raise InvalidFormat(f"{name} must be at most {most}, "
+                                    f"got {size}")
         if self.rounding not in (NEAREST, TRUNC):
             raise InvalidFormat(f"unknown rounding policy {self.rounding!r}")
         return self
@@ -104,7 +114,8 @@ class FxFormat(_Format, _FxFields):
     """
 
     __slots__ = ()
-    _LEAST = {"p": 2}
+    _SIZES = {"p": (2, INF_CODE_LOG2),
+              "scale_log2": (-INF_CODE_LOG2, INF_CODE_LOG2)}
 
     def descriptor(self) -> str:
         return f"fx:p={self.p},scale=2^{self.scale_log2},round={self.rounding}"
@@ -122,7 +133,7 @@ class FpFormat(_Format, _FpFields):
     zero is its own class."""
 
     __slots__ = ()
-    _LEAST = {"t": 1, "e": 2}
+    _SIZES = {"t": (1, INF_CODE_LOG2), "e": (2, 15)}
 
     def descriptor(self) -> str:
         return f"fp:t={self.t},e={self.e},round={self.rounding}"

@@ -14,10 +14,11 @@ and every MLP step in its input.  Each fold's buckets come from one pass
 over the positions that steps the fold through its step table and counts
 the pairs of fields by state, not one by one (the transfer-matrix method:
 Stanley, Enumerative Combinatorics I, 4.7): fx-tight m=13 takes about
-4,200 states and 753 divides, not 3.4e7 forward passes.  The cap bounds
-the pairs of fields, not the promise pairs.  Every reported failure is
-re-evaluated with a direct forward pass before it is believed.  Every
-path, and quantlab's sampled scoring, counts pairs into one Tally.
+4,200 states and 753 divides, not 3.4e7 forward passes.  The cap,
+PAIR_CAP, bounds the pairs of fields, not the promise pairs.  Every
+reported failure is re-evaluated with a direct forward pass before it is
+believed.  Every path, and quantlab's sampled scoring, counts pairs into
+one Tally.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from typing import NamedTuple
 
 from .attn import (
     SOFTMAX,
-    StageError,
     TransformerSpec,
     finish_softmax,
     fold_reads,
@@ -45,7 +45,10 @@ from .attn import (
 from .bitnum import INF_KINDS, FpFormat, FxFormat, IndeterminateForm
 from .constructs import PromiseSet, float_fields, make, native_precision
 
-PAIR_CAP_DEFAULT = 10 ** 8
+# The most pairs an exhaustive run takes on: promise pairs pair by pair, or
+# the factored verifier's pairs of fields and then of buckets.  Read on
+# each call, so a test may set it.
+PAIR_CAP = 10 ** 8
 
 
 class BudgetExceeded(RuntimeError):
@@ -213,19 +216,19 @@ def tally_pairs(spec, pairs) -> Tally:
     return Tally(total, wrong, tuple(listed), saturated)
 
 
-def _count_pairs(promises: PromiseSet, m: int, cap: int) -> int:
+def _count_pairs(promises: PromiseSet, m: int) -> int:
     """How many exhaustive promise pairs there are, found without listing
     a string: in closed form when the flags are pair_scoped, else in one
-    streamed pass, which is refused past cap when the 2^m strings alone
-    exceed it."""
+    streamed pass, which is refused past PAIR_CAP when the 2^m strings
+    alone exceed it."""
     if promises.pair_scoped:
         s = "0" * m
         if not (promises.y_ok(s) and promises.z_ok(s)):
             return 0
         return (1 << m - 1) * ((1 << m) + 1)
-    if 1 << m > cap:
+    if 1 << m > PAIR_CAP:
         raise BudgetExceeded(
-            f"{1 << m} strings of {m} bits exceed the cap of {cap}")
+            f"{1 << m} strings of {m} bits exceed the cap of {PAIR_CAP}")
     ys = zs = below = 0      # below: (y, z) with z < y, both admitted
     for v in range(1 << m):
         s = _bits(v, m)
@@ -237,26 +240,25 @@ def _count_pairs(promises: PromiseSet, m: int, cap: int) -> int:
 
 
 def promise_pairs(promises: PromiseSet, m: int, count: int | None = None,
-                  rng: random.Random | None = None,
-                  cap: int = PAIR_CAP_DEFAULT):
+                  rng: random.Random | None = None):
     """Promise pairs (y, z) of m-bit strings, y <= z.
 
     With count None: an iterator over every pair, y ascending, then z
     ascending.  Each promise flag constrains y, z, the length or the order
     alone, so y_ok, z_ok and y <= z are the whole promise.  Pairs are
-    counted first (_count_pairs) and BudgetExceeded is raised past cap on
-    the call, before any string is listed; they are then made one at a
-    time, as they are consumed.  Otherwise: a list of count uniform draws
-    from rng, by rejection.  Each draw takes getrandbits(m) twice, swaps
-    the two into order and keeps the pair when check passes.
+    counted first (_count_pairs) and BudgetExceeded is raised past
+    PAIR_CAP on the call, before any string is listed; they are then made
+    one at a time, as they are consumed.  Otherwise: a list of count
+    uniform draws from rng, by rejection.  Each draw takes getrandbits(m)
+    twice, swaps the two into order and keeps the pair when check passes.
     BudgetExceeded is raised when the promise set is too sparse to
     sample.
     """
     if count is None:
-        total = _count_pairs(promises, m, cap)
-        if total > cap:
+        total = _count_pairs(promises, m)
+        if total > PAIR_CAP:
             raise BudgetExceeded(
-                f"{total} promise pairs exceed the cap of {cap}")
+                f"{total} promise pairs exceed the cap of {PAIR_CAP}")
         strings = [_bits(v, m) for v in range(1 << m)]
         ys = [y for y in strings if promises.y_ok(y)]
         zs = [z for z in strings if promises.z_ok(z)]
@@ -312,18 +314,19 @@ def _buckets(spec, which, s):
     The value (the scaled numerator or the denominator, _NAN on an
     indeterminate form) is folded in one pass over the positions that
     counts the paths a << width | b by state: the fold (its step-table
-    entry, _NAN, or the StageError it raised), the order once a compared
-    bit differs, and the bits a later position reads or, while the order
-    is open, not yet compared.  A position branches on the bits it reads
-    first (the last also on those none reads).  Equal states merge,
-    keeping their FAILURE_LIST_CAP smallest paths (unread bits 0), so the
-    first erring pair raises its error, as one whole fold per pair would.
-    A fold merges on its value key (_rep), so states reached after a step
-    table cleared still merge; an error keys on the StageError itself."""
+    entry, or _NAN once a step raised IndeterminateForm, the one error a
+    fold step can raise), the order once a compared bit differs, and the
+    bits a later position reads or, while the order is open, not yet
+    compared.  A position branches on the bits it reads first (the last
+    also on those none reads).  Equal states merge, keeping their
+    FAILURE_LIST_CAP smallest paths (unread bits 0), so each bucket lists
+    the pairs one whole fold per pair, in (a, b) order, would.  A fold
+    merges on its value key (_rep), so states reached after a step table
+    cleared still merge."""
     rest = "0" * (spec.m - s)
     lead, width, trail = ("0" * s, len(rest), "") if which else ("", s, rest)
     low = (1 << width) - 1
-    stage, step = fold_stepper(spec, which)
+    step = fold_stepper(spec, which)
     masks = [sum({1 << width - i + len(lead) + width * (name == "y")
                   for name, i in rule.source if 0 < i - len(lead) <= width})
              for rule in spec.embedding]        # the field bits each reads
@@ -353,8 +356,6 @@ def _buckets(spec, which, s):
                         f = step(f, cells[j][code & mask])
                     except IndeterminateForm:
                         f = _NAN
-                    except ArithmeticError as exc:
-                        f = StageError(stage, spec.index_base + j, exc)
                 code &= keep_open if o is None else after[j + 1]
                 moved = [p | add for p in paths] if add else paths
                 key = f[1] if type(f) is tuple else f
@@ -365,8 +366,6 @@ def _buckets(spec, which, s):
     buckets = {}
     for f, o, _, count, paths in sorted(states.values(),
                                         key=lambda e: e[4][0]):
-        if isinstance(f, StageError):
-            raise f from f.original
         if type(f) is tuple:
             f = scale_numerator(spec, f[0]) if which == 0 else f[0]
         bucket = buckets.setdefault((f, o or 0), [0, []])
@@ -462,7 +461,7 @@ def _combine(spec, num_buckets, den_buckets, s) -> Tally:
     return Tally(total, wrong, tuple(listed), saturated)
 
 
-def _factored_exhaustive(spec, s, cap, rng, expected_total):
+def _factored_exhaustive(spec, s, rng, expected_total):
     """Exhaustive verification split after input bit s (fold_split),
     which must cover expected_total pairs (_count_pairs).
 
@@ -473,20 +472,22 @@ def _factored_exhaustive(spec, s, cap, rng, expected_total):
     (_combine): each run of sorted denominators whose end quotients
     attn.head_class certifies is counted at once, and NaN, zero, infinite
     and negative denominators and non-finite numerators are runs of one.
-    cap bounds the pairs of fields, though the passes (_buckets) visit far
-    fewer states, then the bucket pairs.  A random sample of combined
+    PAIR_CAP bounds the pairs of fields, though the passes (_buckets) visit
+    far fewer states, then the bucket pairs.  A random sample of combined
     verdicts is re-checked against direct forward passes, as is every
     listed failure, which keeps the trace of its re-check.
     """
     m = spec.m
     second = m - s
     work = (1 << s) * ((1 << s) + 1) // 2 + (1 << 2 * second)
-    if work > cap:
-        raise BudgetExceeded(f"{work} field pairs exceed the cap of {cap}")
+    if work > PAIR_CAP:
+        raise BudgetExceeded(
+            f"{work} field pairs exceed the cap of {PAIR_CAP}")
     num_buckets, den_buckets = _buckets(spec, 0, s), _buckets(spec, 1, s)
     combos = len(num_buckets) * len(den_buckets)
-    if combos > cap:
-        raise BudgetExceeded(f"{combos} bucket pairs exceed the cap of {cap}")
+    if combos > PAIR_CAP:
+        raise BudgetExceeded(
+            f"{combos} bucket pairs exceed the cap of {PAIR_CAP}")
 
     tally = _combine(spec, num_buckets, den_buckets, s)
     if tally.total != expected_total:
@@ -518,30 +519,29 @@ def _report(spec, construction: str, mode: str, tally: Tally,
 
 
 def verify_exhaustive_spec(spec: TransformerSpec, promises: PromiseSet,
-                           construction: str,
-                           cap: int = PAIR_CAP_DEFAULT) -> VerifyReport:
+                           construction: str) -> VerifyReport:
     """Exhaustively verify an already-built (possibly modified) spec,
     factored where fold_split finds a split and pair by pair otherwise."""
     start = time.monotonic()
     s = fold_split(spec, promises)
     if s is None:
-        tally = tally_pairs(spec, promise_pairs(promises, spec.m, cap=cap))
+        tally = tally_pairs(spec, promise_pairs(promises, spec.m))
     else:
         rng = random.Random(f"{construction}:{spec.m}:exhaustive")
-        tally = _factored_exhaustive(spec, s, cap, rng,
-                                     _count_pairs(promises, spec.m, cap))
+        tally = _factored_exhaustive(spec, s, rng,
+                                     _count_pairs(promises, spec.m))
     return _report(spec, construction, "exhaustive", tally, start)
 
 
 def verify_exhaustive(construction: str, m: int | None = None,
                       t: int | None = None, e: int | None = None,
-                      n: int | None = None, precision_delta: int = 0,
-                      cap: int = PAIR_CAP_DEFAULT) -> VerifyReport:
+                      n: int | None = None,
+                      precision_delta: int = 0) -> VerifyReport:
     """Check every promise pair of a named construction, optionally with
     every stage format thinned by precision_delta bits."""
     spec, promises = make(construction, m=m, t=t, e=e, n=n)
     spec = precision_delta_spec(spec, precision_delta)
-    return verify_exhaustive_spec(spec, promises, construction, cap)
+    return verify_exhaustive_spec(spec, promises, construction)
 
 
 def _adversarial_pairs(promises, m, rng):

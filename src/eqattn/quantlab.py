@@ -160,7 +160,9 @@ def _int_rounder(label: str, values, bits: int):
     scale that covers the largest magnitude, then rounding into the
     (bits, scale) fixed-point grid.  The covering choice (rather than the
     closest power of two) keeps the largest weight finite and makes
-    requantization at the same width the identity."""
+    requantization at the same width the identity.  The grid is
+    FxFormat(bits) with the scale applied outside it (_grid_rounder), so a
+    tensor too small for a format's scale_log2 is still calibrated."""
     finite = [abs(Fraction(v)) for v in values if not is_inf_code(v)]
     maxabs = max(finite, default=Fraction(0))
     if maxabs == 0:
@@ -169,7 +171,7 @@ def _int_rounder(label: str, values, bits: int):
         scale_log2 = 0
     else:
         scale_log2 = ceil_log2(maxabs / ((1 << (bits - 1)) - 1))
-    return _grid_rounder(fx_round, FxFormat(bits, scale_log2))
+    return _grid_rounder(fx_round, FxFormat(bits), scale_log2)
 
 
 def _float_rounder(fmt: FpFormat):
@@ -177,17 +179,21 @@ def _float_rounder(fmt: FpFormat):
     return _grid_rounder(fp_round, FpFormat(fmt.t, fmt.e))
 
 
-def _grid_rounder(round_, grid):
-    """Round a weight onto grid: infinity codes pass through, overflow
-    becomes the infinity code."""
+def _grid_rounder(round_, grid, scale_log2=0):
+    """Round a weight onto grid's values times 2**scale_log2: infinity
+    codes pass through, overflow becomes the infinity code.  The weight is
+    divided by the scale, rounded onto grid and multiplied back, which is
+    how a grid with that scale rounds, so no format holds the scale."""
+    unit = Fraction(2) ** scale_log2
 
     def rnd(v: Fraction) -> Fraction:
         if is_inf_code(v):
             return _inf_code(1 if v > 0 else -1)
-        x = round_(v, grid)
+        x = round_(v / unit, grid)
         if x.is_inf:
             return _inf_code(x.sign)
-        return x.as_fraction()
+        e, n = x.exp2 + scale_log2, x.sign * x.sig
+        return Fraction(n << e) if e >= 0 else Fraction(n, 1 << -e)
 
     return rnd
 

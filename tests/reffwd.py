@@ -13,13 +13,7 @@ tests check against gridref.fold_ref.
 from fractions import Fraction
 from typing import NamedTuple
 
-from eqattn.attn import (
-    StageError,
-    _accept_bit,
-    _ops,
-    mlp_eval,
-    token_logits,
-)
+from eqattn.attn import _accept_bit, _ops, mlp_eval, token_logits
 from eqattn.bitnum import IndeterminateForm, exp_logit_exact, hold_exact
 
 
@@ -70,41 +64,34 @@ def ref_forward(spec, x, normalize=None) -> RefTrace:
         return trace._replace(indeterminate=True, bit=0)
 
     num = None
-    for j, (w, row) in enumerate(zip(weights, x)):
+    for w, row in zip(weights, x):
         try:
             term = round_(w * Fraction(row[col] or 0), spec.fold_fmt)
             num = term if num is None else add(num, term, spec.fold_fmt)
         except IndeterminateForm:
             return nan_like()
-        except ArithmeticError as exc:
-            raise StageError("numerator", spec.index_base + j, exc) from exc
         trace.num_terms.append(term)
         trace.num_partials.append(num)
     # The scale is held exactly and is not zero, so no head can meet an
-    # error here; one would propagate, not pass as an answer.
+    # indeterminate form here; one would propagate, not pass as an answer.
     num = mul(num, hold_exact(scale, spec.num_fmt), spec.num_fmt)
     trace = trace._replace(numerator=num)
 
     if normalize:
         den = None
-        for j, w in enumerate(weights):
+        for w in weights:
             try:
                 term = hold_exact(w, spec.den_fmt)
                 den = round_(w, spec.den_fmt) if den is None else \
                     add(den, term, spec.den_fmt)
             except IndeterminateForm:
                 return nan_like()
-            except ArithmeticError as exc:
-                raise StageError("denominator", spec.index_base + j,
-                                 exc) from exc
             trace.den_partials.append(den)
         trace = trace._replace(denominator=den)
         try:
             sa = div(num, den, spec.out_fmt)
         except IndeterminateForm:
             return nan_like()
-        except ArithmeticError as exc:
-            raise StageError("attention", None, exc) from exc
     else:
         sa = round_(num, spec.out_fmt) if num.is_finite else \
             num_cls.inf(num.sign, spec.out_fmt)
@@ -114,7 +101,5 @@ def ref_forward(spec, x, normalize=None) -> RefTrace:
         out, hidden = mlp_eval(spec.mlp, sa, spec.out_fmt)
     except IndeterminateForm:
         return nan_like()
-    except ArithmeticError as exc:
-        raise StageError("mlp", None, exc) from exc
     return trace._replace(hidden=tuple(hidden), output=out,
                           bit=_accept_bit(out))

@@ -16,7 +16,6 @@ import pytest
 
 from eqattn import attn, oracle
 from eqattn.attn import (
-    StageError,
     TokenRule,
     _rep,
     fold,
@@ -76,13 +75,13 @@ def _counted(monkeypatch, spec, s):
     real = oracle.fold_stepper
 
     def counting(spec, which):
-        stage, step = real(spec, which)
+        step = real(spec, which)
 
         def counted(*args):
             steps[0] += 1
             return step(*args)
 
-        return stage, counted
+        return counted
 
     monkeypatch.setattr(oracle, "fold_stepper", counting)
     return _both_folds(oracle._buckets, spec, s), steps[0]
@@ -198,41 +197,3 @@ def test_the_short_subjects_reach_indeterminate_buckets():
                 _both_folds(_ref_pass, spec, fold_split(spec, pr))
                 for value, *_ in fold_]
         assert oracle._NAN in keys
-
-
-def _poisoned(refs):
-    """fx-tight m=7 with an infinite value on each input bit of refs: the
-    numerator term of that row is an arithmetic error."""
-    spec, promises = make("fx-tight", m=7)
-    embedding = [TokenRule(rule.source,
-                           (rule.rows[0], rule.rows[1][:2] + (float("inf"),)))
-                 if rule.source and rule.source[0] in refs else rule
-                 for rule in spec.embedding]
-    return spec._replace(embedding=embedding).validate(), promises
-
-
-def _first_error(builder, spec, s):
-    """(stage, token) of the StageError builder raises on the numerator
-    fold."""
-    with pytest.raises(StageError) as info:
-        builder(spec, 0, s)
-    return info.value.stage, info.value.token
-
-
-@pytest.mark.parametrize("refs", [[("y", 3)], [("z", 3)],
-                                  [("y", 3), ("z", 2)]],
-                         ids=["y", "z", "y3-z2"])
-def test_a_stage_error_surfaces_at_the_same_pair_and_token(refs):
-    """An error term in Alice's prefix (y) or in Bob's part (z) is raised
-    as one whole fold per pair, in (a, b) order, raises it first.  With
-    both, the smallest erring pair, (0, 4), errs at z2 (token 11), though
-    y3 (token 3) comes first in the sequence: the pass raises the error of
-    the smallest erring pair, not of the first erring position."""
-    spec, promises = _poisoned(refs)
-    s = fold_split(spec, promises)
-    assert s == 4
-    want = _first_error(_ref_pass, spec, s)
-    assert _first_error(oracle._buckets, spec, s) == want
-    assert want[0] == "numerator"
-    assert want[1] == (11 if ("z", 2) in refs else
-                       {"y": 3, "z": 12}[refs[0][0]])

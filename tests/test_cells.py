@@ -15,8 +15,8 @@ import warnings
 import pytest
 
 from eqattn import attn
-from eqattn.attn import (Cell, StageError, _make_cell, _rep, fold_reads,
-                         forward, token_cells, token_logits)
+from eqattn.attn import (Cell, _make_cell, _rep, fold_reads, forward,
+                         token_cells, token_logits)
 from eqattn.bitnum import LogitOutOfRange
 from eqattn.constructs import make
 from eqattn.quantlab import (FP8_E4M3, INT6, DegenerateTensor,
@@ -83,8 +83,7 @@ def test_every_table_cell_equals_a_fresh_build(family, fmt):
         for y, z in _patterns(spec, j):
             row = spec.encode(y, z)[j]
             fresh = _fresh(spec, row)
-            if isinstance(fresh, Exception) or \
-                    isinstance(fresh.num_term, ArithmeticError):
+            if isinstance(fresh, Exception):
                 assert get(y + z) not in cells
                 missing.add(row)
             else:
@@ -102,7 +101,7 @@ def test_every_table_cell_equals_a_fresh_build(family, fmt):
 
 def _old_fold_reads(spec):
     """fold_reads from cells built fresh, row by row: the cells of every
-    rule's rows under the query row, each error term a value of its own."""
+    rule's rows under the query row."""
     comp = spec._compiled
     every = set(range(1, spec.m + 1))
     if comp.query is None:
@@ -115,8 +114,7 @@ def _old_fold_reads(spec):
         return every, set(every)
 
     def varies(terms):
-        return len({t if isinstance(t, ArithmeticError) else _rep(t)
-                    for t in terms}) > 1
+        return len({_rep(t) for t in terms}) > 1
 
     num, den = set(), set()
     for rule in spec.embedding:
@@ -134,36 +132,6 @@ def _old_fold_reads(spec):
 def test_fold_reads_matches_fresh_cells(family, fmt):
     spec = _subject(family, fmt)
     assert fold_reads(spec) == _old_fold_reads(spec)
-
-
-def test_an_error_term_differs_from_every_other_term(monkeypatch):
-    """A num_term that rounding raised on stays out of the table, counts as
-    a value of its own in fold_reads, and is raised by the fold."""
-    spec = make("fx-tight", m=5)[0]
-    fmt = spec.fold_fmt
-    real = attn.fx_round
-
-    def refuse_large(value, f):
-        if f is fmt and value > 1:
-            raise OverflowError("term past the fold format")
-        return real(value, f)
-
-    monkeypatch.setattr(attn, "fx_round", refuse_large)
-    comp = spec._compiled
-    bad = [row for row, cell in comp.built.items()
-           if isinstance(cell.num_term, OverflowError)]
-    assert bad and not any(isinstance(cell.num_term, ArithmeticError)
-                           for _, cells in comp.lookups
-                           for cell in cells.values())
-    assert fold_reads(spec) == _old_fold_reads(spec)
-    pairs = ((format(v, "05b"), format(v, "05b")) for v in range(32))
-    y, z = next((y, z) for y, z in pairs
-                if any(row in bad for row in spec.encode(y, z)))
-    first = next(j for j, row in enumerate(spec.encode(y, z)) if row in bad)
-    with pytest.raises(StageError, match="numerator.*past the fold format") \
-            as info:
-        forward(spec, y, z)
-    assert info.value.token == spec.index_base + first
 
 
 def _infinity_keyed_pair(spec):

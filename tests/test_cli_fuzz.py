@@ -2,6 +2,7 @@
 documented exit code (0 success, 1 verified failure or rejected weights,
 2 usage error), never 3, the internal invariant breach."""
 
+import json
 import random
 
 import pytest
@@ -22,7 +23,9 @@ SIZES = {
     "--e": (("2", "3"), ("-1", "0")),
 }
 TOKENS = {"--n": (("20",), ("1", "0", "-3"))}
-DELTA = {"--precision-delta": (("-1", "0", "1", "3"), ("-9",))}
+# A width past the bound of every format size.
+HUGE = "99999999999999999999"
+DELTA = {"--precision-delta": (("-1", "0", "1", "3"), ("-9", HUGE))}
 COMMANDS = {
     "verify": {**REPORT, **TRACE, **SIZES, **TOKENS, **DELTA,
                "--samples": (("5", "20", "0"), ("-1",))},
@@ -38,7 +41,8 @@ COMMANDS = {
                 "--e": (("2", "3"), ("0", "9"))},
     "quantize": {**REPORT, **SIZES,
                  "--formats": (("int8", "native,native-1", "fp8_e4m3"),
-                               ("int1", "bogus", "")),
+                               ("int1", "bogus", "", f"int{HUGE}",
+                                f"fp_e{HUGE}m3", f"native+{HUGE}")),
                  "--ms": (("5", "3,5"), ("4", "x")),
                  "--count": (("5",), ("0", "-1")), "--exhaustive": None,
                  "--weights": (("good.json",), ("bad.json", "absent.json"))},
@@ -199,3 +203,33 @@ def test_a_refused_target_is_named(argv, name, capsys):
     # The message names the target as it was given on the command line.
     assert _exit_code(argv) == 2
     assert f"{name}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,code,needle", [
+    (["quantize", "--construction", "fx-tight", "--m", "5", "--count", "4",
+      "--formats", f"int{HUGE}"], 2, f"int{HUGE}: p must be at most 16384"),
+    (["quantize", "--construction", "fx-tight", "--m", "5", "--count", "4",
+      "--formats", f"fp_e{HUGE}m3"], 2, "e must be at most 15"),
+    (["quantize", "--construction", "fx-tight", "--m", "5", "--count", "4",
+      "--formats", f"native+{HUGE}"], 2, "p must be at most 16384"),
+    (["verify", "--construction", "fx-tight", "--m", "5",
+      "--precision-delta", HUGE], 2, "p must be at most 16384"),
+    (["verify", "--construction", "fp-linear", "--t", "4", "--e", "3",
+      "--precision-delta", HUGE], 2, "t must be at most 16384"),
+    (["import-check", "huge.json"], 1,
+     "formats.fold: scale_log2 must be at most 16384"),
+    (["quantize", "--weights", "huge.json", "--formats", "int8", "--count",
+      "4"], 1, "formats.fold: scale_log2 must be at most 16384"),
+], ids=["int", "fp", "native", "delta-fx", "delta-fp", "import-check",
+        "quantize-weights"])
+def test_a_width_past_its_bound_is_refused_where_the_format_is_made(
+        argv, code, needle, weights_dir, capsys):
+    """Each format checks its sizes when it is made, so a flag or a weights
+    file that asks for an absurd width is refused with exit 2 or 1, before
+    any arithmetic runs in it."""
+    doc = json.loads((weights_dir / "good.json").read_text())
+    doc["formats"]["fold"] = f"fx:p=3,scale=2^{HUGE},round=nearest"
+    (weights_dir / "huge.json").write_text(json.dumps(doc))
+    assert _exit_code(argv) == code
+    out, err = capsys.readouterr()
+    assert needle in err and out == ""

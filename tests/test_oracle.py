@@ -124,22 +124,26 @@ class TestExhaustive:
                            match="spot check found a failure"):
             verify_exhaustive("fx-tight", m=5)
 
-    def test_factored_cap_bounds_the_work_not_the_pairs(self):
+    def test_factored_cap_bounds_the_work_not_the_pairs(self, monkeypatch):
         """fx-tight m=7 splits after bit 4 and folds 16*17/2 + 8*8 = 200
         field pairs, so a cap of 200 admits its 8,256 promise pairs and 199
         does not.  One bit wider at m=11 it folds 64*65/2 + 32*32 = 3,104
         field pairs into 64 x 94 bucket pairs, checked once bucketed."""
-        assert verify_exhaustive("fx-tight", m=7, cap=200).total == 8256
+        monkeypatch.setattr(oracle, "PAIR_CAP", 200)
+        assert verify_exhaustive("fx-tight", m=7).total == 8256
+        monkeypatch.setattr(oracle, "PAIR_CAP", 199)
         with pytest.raises(BudgetExceeded, match="^200 field pairs"):
-            verify_exhaustive("fx-tight", m=7, cap=199)
+            verify_exhaustive("fx-tight", m=7)
+        monkeypatch.setattr(oracle, "PAIR_CAP", 3104)
         with pytest.raises(BudgetExceeded, match="^6016 bucket pairs"):
-            verify_exhaustive("fx-tight", m=11, precision_delta=1, cap=3104)
+            verify_exhaustive("fx-tight", m=11, precision_delta=1)
 
-    def test_pair_cap_guards_runaway_enumerations(self):
+    def test_pair_cap_guards_runaway_enumerations(self, monkeypatch):
         with pytest.raises(BudgetExceeded):
             verify_exhaustive("fp-softmax", t=4, e=7)
+        monkeypatch.setattr(oracle, "PAIR_CAP", 10)
         with pytest.raises(BudgetExceeded):
-            verify_exhaustive("fp-linear", t=4, e=3, cap=10)
+            verify_exhaustive("fp-linear", t=4, e=3)
 
 
 

@@ -1,7 +1,8 @@
 """Every module of the package is reachable from the command line, every
 function the benchmark traces exists, no module imports a name it never
 uses, none imports another module's private name, no memo keys on object
-identity, and every name the package defines is read by the package or the
+identity, no arithmetic error but an indeterminate form is caught, and
+every name the package defines is read by the package or the
 benchmark."""
 
 import ast
@@ -15,7 +16,8 @@ import sys
 
 import eqattn
 from eqattn import attn
-from eqattn.bitnum import FxFormat
+from eqattn.bitnum import FpNum, FxFormat, FxNum
+from eqattn.constructs import make
 
 
 def test_every_module_is_imported_by_the_cli():
@@ -126,6 +128,44 @@ def test_memo_tables_key_on_values_not_identity():
     table = attn._Steps(FxFormat(4))
     assert sorted(vars(table)) == ["add", "fmt", "steps"]
     assert not any(hasattr(table, name) for name in ("intern", "end_run"))
+
+
+def test_arithmetic_raises_nothing_but_an_indeterminate_form():
+    """Each format refuses a size past its bound where it is made, so the
+    arithmetic of a finite spec raises no error but IndeterminateForm, and
+    nothing converts or carries another: no module under src/eqattn/
+    names StageError, and no except clause there catches ArithmeticError
+    or a built-in subclass of it.  Clauses that catch IndeterminateForm,
+    and _build's except ValueError, are allowed.  So every compiled cell's
+    num_term is a scalar."""
+    d = os.path.dirname(eqattn.__file__)
+    arithmetic = {"ArithmeticError", "OverflowError", "ZeroDivisionError",
+                  "FloatingPointError"}
+    found = []
+    for name in sorted(os.listdir(d)):
+        if not name.endswith(".py"):
+            continue
+        path = os.path.join(d, name)
+        with open(path) as f:
+            tree = ast.parse(f.read(), path)
+        for node in ast.walk(tree):
+            if "StageError" in (getattr(node, "id", None),
+                                getattr(node, "attr", None),
+                                getattr(node, "name", None)):
+                found.append(f"{name}:{node.lineno} StageError")
+            if isinstance(node, ast.ExceptHandler) and node.type:
+                caught = node.type.elts if isinstance(node.type, ast.Tuple) \
+                    else [node.type]
+                found += [f"{name}:{node.lineno} except {c.id}"
+                          for c in caught if isinstance(c, ast.Name)
+                          and c.id in arithmetic]
+    assert found == []
+    for name, size in (("fx-simple", {"m": 5}), ("fx-tight", {"m": 5}),
+                       ("fp-linear", {"t": 3, "e": 3}),
+                       ("fp-softmax", {"t": 4, "e": 7})):
+        cells = make(name, **size)[0]._compiled.built.values()
+        assert all(isinstance(c.num_term, (FxNum, FpNum))
+                   for c in cells), name
 
 
 def _fields(node):

@@ -6,6 +6,7 @@ from itertools import product
 
 import pytest
 
+from eqattn import oracle
 from eqattn.constructs import PromiseSet, make
 from eqattn.oracle import BudgetExceeded, promise_pairs
 
@@ -22,13 +23,16 @@ def _brute_force(promises, m):
     ("fp-linear", {"t": 4, "e": 3}),
     ("fp-linear", {"t": 3, "e": 3}),
 ])
-def test_exhaustive_pairs_are_the_promise_filter_in_order(name, size):
+def test_exhaustive_pairs_are_the_promise_filter_in_order(name, size,
+                                                          monkeypatch):
     spec, promises = make(name, **size)
     want = _brute_force(promises, spec.m)
     assert list(promise_pairs(promises, spec.m)) == want
-    assert list(promise_pairs(promises, spec.m, cap=len(want))) == want
+    monkeypatch.setattr(oracle, "PAIR_CAP", len(want))
+    assert list(promise_pairs(promises, spec.m)) == want
+    monkeypatch.setattr(oracle, "PAIR_CAP", len(want) - 1)
     with pytest.raises(BudgetExceeded, match=f"^{len(want)} promise pairs"):
-        promise_pairs(promises, spec.m, cap=len(want) - 1)
+        promise_pairs(promises, spec.m)
 
 
 def test_exhaustive_pairs_are_made_as_they_are_consumed():
@@ -39,10 +43,11 @@ def test_exhaustive_pairs_are_made_as_they_are_consumed():
     assert sum(1 for _ in pairs) == 2_098_176 - 1
 
 
-def test_exhaustive_cap_is_checked_before_listing():
+def test_exhaustive_cap_is_checked_before_listing(monkeypatch):
     spec, promises = make("fp-softmax", t=4, e=7)
+    monkeypatch.setattr(oracle, "PAIR_CAP", 10 ** 6)
     with pytest.raises(BudgetExceeded, match="479771776 promise pairs"):
-        promise_pairs(promises, spec.m, cap=10 ** 6)
+        promise_pairs(promises, spec.m)
 
 
 def test_pair_scoped_promises_are_counted_in_closed_form():
@@ -62,10 +67,11 @@ def test_pair_scoped_promises_are_counted_in_closed_form():
                       "fp-linear": False, "fp-softmax": False}
 
 
-def test_more_strings_than_the_cap_are_refused_before_counting():
+def test_more_strings_than_the_cap_are_refused_before_counting(monkeypatch):
     spec, promises = make("fp-linear", t=4, e=3)
+    monkeypatch.setattr(oracle, "PAIR_CAP", (1 << spec.m) - 1)
     with pytest.raises(BudgetExceeded, match=f"^{1 << spec.m} strings"):
-        promise_pairs(promises, spec.m, cap=(1 << spec.m) - 1)
+        promise_pairs(promises, spec.m)
 
 
 def _reference_draws(promises, m, count, rng):

@@ -130,6 +130,21 @@ class TestIntQuantization:
                     num = Fraction(v)
                     assert num.denominator & (num.denominator - 1) == 0
 
+    def test_a_tensor_too_small_for_a_format_scale_is_calibrated(
+            self, toy_spec):
+        """A tensor whose largest weight is 2^-20000 calibrates to the
+        scale 2^-20002, past what a format holds (scale_log2 >= -16384);
+        it rounds as the same tensor 2^20000 times larger, scaled back."""
+        tiny = Fraction(1, 1 << 20000)
+        b1 = (Fraction(-13, 8), Fraction(1))
+
+        def quantized_b1(scale):
+            mlp = toy_spec.mlp._replace(b1=tuple(b * scale for b in b1))
+            return quantize_spec(toy_spec._replace(mlp=mlp), INT4).mlp.b1
+
+        assert quantized_b1(1) == (Fraction(-3, 2), Fraction(1))
+        assert quantized_b1(tiny) == tuple(b * tiny for b in quantized_b1(1))
+
     def test_degenerate_tensor_warns(self, toy_spec):
         muted = toy_spec._replace(
             mlp=toy_spec.mlp._replace(w2=(Fraction(0),) * 2))

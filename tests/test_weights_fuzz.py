@@ -14,7 +14,8 @@ FAMILIES = (("fx-tight", {"m": 5}), ("fx-simple", {"m": 3}),
 
 # Replacement values: wrong types, non-finite numbers and strings, scalar
 # strings that are not dyadic encodings, in-range values that may pass,
-# and format descriptors of either kind, good and bad.
+# and format descriptors of either kind, good and bad (a size past its
+# bound among them).
 POISON = (
     True, False, None, math.nan, math.inf, -math.inf, "+inf", "-inf",
     "neglarge", "NaN", "1/3", "+1/3", "+3/2^-1", "+1/2^", "-0", "0.5", "",
@@ -24,6 +25,8 @@ POISON = (
     "fx:p=4,scale=2^0,round=nearest", "fx:p=3,scale=2^-1,round=trunc",
     "fx:p=0,scale=2^0,round=nearest", "fp:t=4,e=3,round=nearest",
     "fp:t=3,e=2,round=sideways",
+    "fx:p=3,scale=2^99999999999999999999,round=nearest",
+    "fp:t=4,e=99999999999999999999,round=nearest",
 )
 
 
