@@ -13,42 +13,40 @@ The query row is constant and logits are exact, so all a token row feeds
 into the folds depends only on the row's contents, not on its position.  A
 spec compiles, on first use, one cell per distinct row value, built from one
 token_logits call, and a map per position from the input bits it reads to
-its cell, so token_cells and forward take the pair (y, z) and read each
-position's cell with one lookup.  One resumable kernel, fold, runs one
-fold, the numerator or the denominator, over any range of positions from
-any state of it: forward runs each fold once, then the divide and the MLP;
-the one-way protocol cuts each at Alice's prefix (alice_len) and resumes it
-for Bob; the factored verifier steps each fold through its step table
-(fold_stepper).
+its cell: token_cells and forward read each position's cell by the pair
+read as one number, int(y + z, 2), masked to the bits it reads.  One
+resumable kernel, fold, runs one fold, the numerator or the denominator,
+over any range of positions from any state of it: forward runs each fold
+once, then the divide and the MLP; the one-way protocol cuts each at
+Alice's prefix (alice_len) and resumes it for Bob; the factored verifier
+steps each fold through its step table (fold_stepper).
 
 A fold's state at any boundary is one value of its bounded format, so each
 fold step is a small finite map (state, term) -> next state.  A compiled
-spec memoises that map in a step table keyed by value: a scalar's key is
-its full representation (_rep: inexact flag and sign of zero included), a
-function of the value alone, so equal values share their steps however
-they were reached and no table has to keep a canonical object alive.  The
-memo is exact because the bounded add reads only its operands'
-representations.  Two or more constant positions in a row add the same
-cells on every input, so they are one entry of the same table, keyed on
-(state, run).  A table is cleared once it reaches a fixed size, so a wide
-format, whose states rarely repeat, keeps bounded memory.
+spec memoises that map in a step table, a graph with one node per state
+value: the value, its value code and its edges, a map from a term's code
+to the next node.  A value code (_code) is an int, an injective function
+of the value's full representation (_rep: inexact flag and sign of zero
+included) computed with no table, so equal values share one node however
+they were reached, also after the table was cleared, as it is at a fixed
+size to bound its memory.  The memo is exact because the bounded add reads
+only its operands' representations.
 
 The tail after the folds is memoised the same way, in smaller tables: the
-W^V scale (and a linear head's attention output) per full representation
-of the numerator fold value, and the MLP (with its answer bit) per full
-representation of the attention output sa, since each reads nothing else;
-many pairs share one sa.  The divide is not memoised: its (num, den) pairs
-rarely repeat.  No error is ever stored, so an indeterminate form is raised
-on every visit.  forward records no per-token list: its trace's tokens()
-refolds them from the cells on each call.
+W^V scale (and a linear head's attention output) per value code of the
+numerator fold value, and the MLP (with its answer bit) per value code of
+the attention output sa, since each reads nothing else; many pairs share
+one sa.  The divide is not memoised: its (num, den) pairs rarely repeat.
+No error is ever stored, so an indeterminate form is raised on every
+visit.  forward records no per-token list: its trace's tokens() refolds
+them from the cells on each call.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from itertools import groupby, product, zip_longest
-from operator import itemgetter
+from itertools import zip_longest
 from typing import NamedTuple
 
 from .bitnum import (
@@ -56,6 +54,7 @@ from .bitnum import (
     FpNum,
     FxFormat,
     FxNum,
+    KINDS,
     IndeterminateForm,
     encode_scalar,
     exp_logit_exact,
@@ -160,20 +159,18 @@ class TransformerSpec(_SpecFields):
     def encode(self, y: str, z: str):
         """Token rows (exact dyadics) for an input pair, query row last.
 
-        Each position looks its row up by the bits its getter reads from
-        y + z, so the rows are the spec's own objects.  A character other
-        than 0 or 1 misses the lookup and raises ValueError.
+        Each position looks its row up by int(y + z, 2) masked to the bits
+        it reads, so the rows are the spec's own objects.  A character
+        other than 0 or 1, which int would read as a sign, a separator, a
+        space or a digit, raises ValueError first.
         """
         if len(y) != self.m or len(z) != self.m:
             raise ValueError(f"inputs must have m = {self.m} bits")
-        comp = self._compiled
         bits = y + z
-        try:
-            if not (comp.unread and bits.strip("01")):
-                return [rows[get(bits)] for get, rows in comp.encoders]
-        except KeyError:
-            pass
-        raise ValueError(f"inputs must be bit strings, got {y!r}, {z!r}")
+        if bits.strip("01"):
+            raise ValueError(f"inputs must be bit strings, got {y!r}, {z!r}")
+        bits = int(bits, 2)
+        return [rows[bits & mask] for mask, rows in self._compiled.encoders]
 
     def value_column(self) -> tuple[int, Fraction]:
         k = next(i for i, c in enumerate(self.wv) if c)
@@ -294,7 +291,7 @@ class Cell(NamedTuple):
     """One token row's share of the folds, at any position.  num_term is the
     weight times value rounded into fold_fmt; den_first opens a denominator
     fold; den_term is the exact weight later steps add.  num_key and
-    den_key are the two terms' step-table keys, their _rep."""
+    den_key are the two terms' value codes, their step-table keys."""
 
     logit: Fraction | None
     weight: Fraction
@@ -311,8 +308,23 @@ def _rep(v):
     return v.kind, v.sign, v.sig, v.exp2, v.inexact
 
 
-# The most entries (steps and runs) one fold's table holds.  The largest table
-# of the benchmark workloads, fp-linear (4,4), holds about 8,350.  A wide
+_KIND_CODES = {kind: i for i, kind in enumerate(KINDS)}
+
+
+def _code(v):
+    """A scalar's value code: an int that is an injective function of
+    _rep(v), computed from the value alone.  It is the Cantor pair of sig
+    and exp2 (exp2 folded onto the naturals as 2e or -2e - 1), times 16,
+    plus the kind (4 values), the sign and the inexact flag."""
+    e = v.exp2
+    e = e + e if e >= 0 else -1 - e - e
+    n = v.sig + e
+    return ((n * n + n >> 1) + e) << 4 | _KIND_CODES[v.kind] << 2 | \
+        (v.sign < 0) << 1 | v.inexact
+
+
+# The most edges one fold's table holds.  The largest table of the
+# benchmark workloads, fp-linear (4,4), holds 7,996.  A wide
 # format, where few states repeat, clears its table each time it fills, so
 # memory stays bounded however long the run.  Each table of the tail (scale,
 # MLP) holds at most TAIL_LIMIT: an MLP entry costs about 600 bytes, and no
@@ -322,67 +334,73 @@ TAIL_LIMIT = 1 << 12
 
 
 class _Steps:
-    """One fold's step table.
+    """One fold's step table: a graph of canonical nodes.
 
-    steps maps (key of state, key of term) to the fold after that step,
-    and (key of state, a, b) to the fold after the constant run of
-    positions a..b-1, each as the entry (state, key of state).  A key is
-    the value's _rep; None is the state before the first term.  The table
-    is cleared once it holds STEP_LIMIT entries.  Folds and traces share
-    the stored states, so none may be mutated.
-    """
+    A node is (state, code, edges): a value of the fold's format, its value
+    code (_code) and a map from a term's code to the node after adding that
+    term.  root, (None, None, edges), is the fold before its first term;
+    nodes holds one node per code.  size counts the edges; at STEP_LIMIT
+    every edge and node is dropped in place, so a walk that holds a node
+    only misses and links it to new ones.  No state may be mutated."""
 
     def __init__(self, fmt):
         self.fmt = fmt
         self.add = _ops(fmt)[0]
-        self.steps = {}
+        self.root = (None, None, {})
+        self.nodes = {}
+        self.size = 0
 
-    def store(self, key, entry):
-        if len(self.steps) >= STEP_LIMIT:
-            self.steps.clear()
-        self.steps[key] = entry
-        return entry
+    def node(self, state):
+        """The canonical node of state, the root for None."""
+        if state is None:
+            return self.root
+        code = _code(state)
+        return self.nodes.setdefault(code, (state, code, {}))
 
-    def step(self, entry, term, term_key, first):
-        """The miss path from entry, (state, key), over term: first is the
-        value a fold opens with at term.  A raised error is never
-        stored."""
-        state, key = entry
-        nxt = first if state is None else self.add(state, term, self.fmt)
-        return self.store((key, term_key), (nxt, _rep(nxt)))
+    def step(self, node, term, term_code, first):
+        """The miss path from node over term: first is the value a fold
+        opens with at term.  A raised error is never stored."""
+        nxt = first if node[0] is None else self.add(node[0], term, self.fmt)
+        if self.size >= STEP_LIMIT:
+            for old in (self.root, *self.nodes.values()):
+                old[2].clear()
+            self.nodes.clear()
+            self.size = 0
+        self.size += 1
+        node[2][term_code] = nxt = self.node(nxt)
+        return nxt
 
 
 def _row_lookup(rule: TokenRule, m: int):
-    """A position's getter over y + z and the map from what it reads to
-    the rule's row.  One source bit reads a character, several read a
-    tuple of them, the first reference most significant; a constant
-    position reads the empty string."""
-    idx = [i - 1 if name == "y" else m + i - 1 for name, i in rule.source]
-    if not idx:
-        return itemgetter(slice(0, 0)), {"": rule.rows[0]}
-    keys = list(product("01", repeat=len(idx)))
-    if len(idx) == 1:
-        keys = [k for (k,) in keys]
-    return itemgetter(*idx), dict(zip(keys, rule.rows))
+    """A position's mask over int(y + z, 2), where y_i is bit 2m - i and z_i
+    bit m - i, and the map from the masked number to the rule's row, the
+    first reference the row index's most significant bit."""
+    shifts = [2 * m - i if name == "y" else m - i
+              for name, i in rule.source][::-1]
+    mask = sum({1 << s for s in shifts})
+    rows, v = {}, mask
+    while True:     # every v whose bits are some of mask's
+        rows[v] = rule.rows[sum((v >> s & 1) << k
+                                for k, s in enumerate(shifts))]
+        if not v:
+            return mask, rows
+        v = v - 1 & mask
 
 
 class _Compiled:
     """A spec's compiled cells; the step tables of its two folds; the memo
-    tables of the tail (scaled keyed by the numerator fold value's full
-    representation, mlps by the attention output's); and its constants
-    held in their stage formats: W^V's scale and the MLP.
+    tables of the tail (scaled keyed by the numerator fold value's code,
+    mlps by the attention output's); and its constants held in their stage
+    formats: W^V's scale and the MLP.
 
     built maps each distinct row value of the embedding to its cell under
     the constant query row, or to the ValueError building that cell raised
     (a logit exp_logit_exact refuses, or a sentinel in the query row);
     without a constant query row it is empty.  encoders holds each
-    position's getter over y + z and its map from the bits read to the
-    rule's row; lookups holds the same getter and a map from the bits read
-    to the row's cell, for the rows whose cell was built: the others are
-    built afresh each time, and raise.
-    consts holds each constant position's cell in lookups, else None.
-    alice_len is the protocol prefix alice_len(spec) returns.
-    """
+    position's _row_lookup, its mask and rows; lookups the same mask and a
+    map to the row's cell, for the rows whose cell was built: the others
+    are built afresh each time, and raise.  alice_len is the protocol
+    prefix alice_len(spec) returns."""
 
     def __init__(self, spec: TransformerSpec):
         last = spec.embedding[-1]
@@ -392,8 +410,6 @@ class _Compiled:
         self.scaled = {}
         self.mlps = {}
         self.encoders = [_row_lookup(rule, spec.m) for rule in spec.embedding]
-        read = {ref for rule in spec.embedding for ref in rule.source}
-        self.unread = len(read) < 2 * spec.m
         self.alice_len = next((j for j, rule in enumerate(spec.embedding)
                                if any(name == "z" for name, _ in rule.source)),
                               len(spec.embedding))
@@ -403,23 +419,9 @@ class _Compiled:
         self.built = self._build(spec)
         usable = {row: cell for row, cell in self.built.items()
                   if isinstance(cell, Cell)}
-        self.lookups = [(get, {bits: usable[row] for bits, row in rows.items()
-                               if row in usable})
-                        for get, rows in self.encoders]
-        self.consts = [cells.get("") for _, cells in self.lookups]
-        self.plans = {}
-
-    def plan(self, lo: int, hi: int) -> list:
-        """Positions lo..hi-1 as segments (a, b, run), memoised: run is
-        true when a..b-1 are two or more consts in a row."""
-        segments = []
-        for const, group in groupby(range(lo, hi),
-                                    lambda j: self.consts[j] is not None):
-            positions = list(group)
-            segments.append((positions[0], positions[-1] + 1,
-                             const and len(positions) > 1))
-        self.plans[lo, hi] = segments
-        return segments
+        self.lookups = [(mask, {v: usable[row] for v, row in rows.items()
+                                if row in usable})
+                        for mask, rows in self.encoders]
 
     def _build(self, spec):
         """One token_logits call and one cell per distinct row value."""
@@ -446,28 +448,29 @@ def _make_cell(spec: TransformerSpec, comp: _Compiled, row,
     w = exp_logit_exact(logit)
     term = round_(w * Fraction(row[comp.col] or 0), spec.fold_fmt)
     den_term = hold_exact(w, spec.den_fmt)
-    return Cell(logit, w, term, round_(w, spec.den_fmt), den_term, _rep(term),
-                _rep(den_term))
+    return Cell(logit, w, term, round_(w, spec.den_fmt), den_term, _code(term),
+                _code(den_term))
 
 
 def token_cells(spec: TransformerSpec, y: str, z: str) -> list[Cell]:
     """The cell of every position for the input pair, query row last.
 
-    Each position reads its cell from the compiled lookups by the bits it
-    reads of y + z.  On a miss (a query row that reads input bits, a row
-    whose cell could not be built, or input encode refuses) every cell is
-    built uncached from encode's rows: their logits are computed once and
-    every cell is built, in position order, before folding starts, so an
-    error is raised at the first position that reaches it.
+    Each position reads its cell from the compiled lookups by int(y + z, 2)
+    masked to the bits it reads.  On a miss (a query row that reads input
+    bits, a row whose cell could not be built, or input encode refuses)
+    every cell is built uncached from encode's rows: their logits are
+    computed once and every cell is built, in position order, before
+    folding starts, so an error is raised at the first position that
+    reaches it.
     """
     comp = spec._compiled
     bits = y + z
-    try:
-        if len(y) == spec.m == len(z) and \
-                not (comp.unread and bits.strip("01")):
-            return [cells[get(bits)] for get, cells in comp.lookups]
-    except KeyError:
-        pass
+    if len(y) == spec.m == len(z) and not bits.strip("01"):
+        bits = int(bits, 2)
+        try:
+            return [cells[bits & mask] for mask, cells in comp.lookups]
+        except KeyError:
+            pass
     x = spec.encode(y, z)
     return [_make_cell(spec, comp, row, logit)
             for row, logit in zip(x, token_logits(spec, x))]
@@ -509,7 +512,7 @@ def alice_len(spec: TransformerSpec) -> int:
 
 
 # Per fold: the indices in Cell of the term each step adds (num_term,
-# den_term), of the value it opens with and of the term's key.
+# den_term), of the value it opens with and of the term's code.
 _FOLDS = ((2, 2, 5), (4, 3, 6))
 
 
@@ -523,50 +526,36 @@ def fold(spec: TransformerSpec, which: int, state, lo: int, hi: int, cells):
     is IndeterminateForm: every format's sizes are bounded where it is
     made, so rounding and adding raise nothing else.
 
-    The fold walks its step table: the incoming state's key is computed
-    once, then each position is one dict lookup on the state's key and the
-    cell's term key, and fx_add / fp_add runs only on a miss.  This is
-    exact because a bounded add's result, its inexact flag included,
-    depends only on the two operands' representations.  Two or more
-    constant positions in a row within lo..hi are one lookup on (state,
-    run); a miss walks them one by one and stores the end.  This is exact
-    for cells from token_cells: a constant position holds its compiled
-    cell, or one built afresh from the same row, whose terms have the same
-    representations.  An indeterminate form is never stored, so it is
-    raised on every visit.  A table cleared at its size limit only turns
-    later steps back into misses.
+    The fold walks its step table (_walk) from the root, or from the node
+    of the incoming state, whose value code is computed once: each position
+    is one lookup of the cell's term code in the node's edges, and fx_add /
+    fp_add runs only on a miss.  An indeterminate form is never stored, so
+    it is raised on every visit.  A cleared table only turns later steps
+    back into misses.
     """
+    return _walk(spec, which, state, cells[lo:hi])[0]
+
+
+def _walk(spec: TransformerSpec, which: int, state, cells):
+    """fold over cells, to the end node."""
     comp = spec._compiled
-    plan = comp.plans.get((lo, hi)) or comp.plan(lo, hi)
     table, (t, f, k) = (comp.num, comp.den)[which], _FOLDS[which]
-    get = table.steps.get
-    entry = (state, None if state is None else _rep(state))
-    for a, b, run in plan:
-        if run:
-            run_key = (entry[1], a, b)
-            hit = get(run_key)
-            if hit is not None:
-                entry = hit
-                continue
-        for j in range(a, b):
-            cell = cells[j]
-            entry = get((entry[1], cell[k])) or \
-                table.step(entry, cell[t], cell[k], cell[f])
-        if run:
-            table.store(run_key, entry)
-    return entry[0]
+    node = table.node(state)
+    for cell in cells:
+        node = node[2].get(cell[k]) or table.step(node, cell[t], cell[k],
+                                                  cell[f])
+    return node
 
 
 def fold_stepper(spec: TransformerSpec, which: int):
-    """The step of the numerator (which 0) or denominator (which 1) fold:
-    step(entry, cell) is the fold after cell from entry, a table entry
-    (state, key), (None, None) to open it, as the next entry, through the
-    step table.  Like fold, it raises nothing but IndeterminateForm."""
+    """(step, root) of the numerator (which 0) or denominator (which 1)
+    fold: step(node, cell) is the node of its step table after cell, and
+    root opens the fold.  Like fold, it raises only IndeterminateForm."""
     comp = spec._compiled
     table = (comp.num, comp.den)[which]
     t, f, k = _FOLDS[which]
-    return lambda entry, cell: table.steps.get(
-        (entry[1], cell[k])) or table.step(entry, cell[t], cell[k], cell[f])
+    return (lambda node, cell: node[2].get(cell[k])
+            or table.step(node, cell[t], cell[k], cell[f])), table.root
 
 
 def _store(table: dict, key, value):
@@ -578,32 +567,31 @@ def _store(table: dict, key, value):
     return value
 
 
-def _scaled(spec: TransformerSpec, num):
+def _scaled(spec: TransformerSpec, num, code):
     """(num times W^V rounded into num_fmt, and for a linear head the
-    attention output), memoised on num's full representation: the multiply
-    reads nothing else.  It never raises IndeterminateForm, which takes
-    0 * Inf: the scale is held exactly, so it is finite, and validate
-    requires it to be nonzero."""
+    attention output), memoised on num's value code: the multiply reads
+    nothing else.  It never raises IndeterminateForm, which takes 0 * Inf:
+    the scale is held exactly, so it is finite, and validate requires it to
+    be nonzero."""
     comp = spec._compiled
-    key = _rep(num)
-    hit = comp.scaled.get(key)
+    hit = comp.scaled.get(code)
     if hit is None:
         scaled = _ops(spec.num_fmt)[1](num, comp.scale, spec.num_fmt)
         sa = _attend(spec, scaled, None) \
             if spec.attention_kind == LINEAR else None
-        hit = _store(comp.scaled, key, (scaled, sa))
+        hit = _store(comp.scaled, code, (scaled, sa))
     return hit
 
 
 def scale_numerator(spec: TransformerSpec, num):
     """The finished numerator fold times W^V, rounded into num_fmt."""
-    return _scaled(spec, num)[0]
+    return _scaled(spec, num, _code(num))[0]
 
 
 def linear_output(spec: TransformerSpec, num):
     """A linear head's attention output from its finished numerator fold:
     the scaled numerator, rounded into out_fmt."""
-    return _scaled(spec, num)[1]
+    return _scaled(spec, num, _code(num))[1]
 
 
 def relu(v):
@@ -649,9 +637,9 @@ def _accept_bit(out) -> int:
 
 def _head(spec: TransformerSpec, sa):
     """(output, hidden units as a tuple, answer bit) of the MLP at sa,
-    memoised on sa's full representation: mlp_eval reads nothing else."""
+    memoised on sa's value code: mlp_eval reads nothing else."""
     comp = spec._compiled
-    key = _rep(sa)
+    key = _code(sa)
     hit = comp.mlps.get(key)
     if hit is None:
         out, hidden = mlp_eval(spec.mlp, sa, spec.out_fmt, comp.mlp)
@@ -731,9 +719,9 @@ def forward(spec: TransformerSpec, y: str, z: str) -> EvalTrace:
     cells = token_cells(spec, y, z)
     num = den = sa = None
     try:
-        num, sa = _scaled(spec, fold(spec, 0, None, 0, len(cells), cells))
+        num, sa = _scaled(spec, *_walk(spec, 0, None, cells)[:2])
         if spec.attention_kind == SOFTMAX:
-            den = fold(spec, 1, None, 0, len(cells), cells)
+            den = _walk(spec, 1, None, cells)[0]
             sa = _attend(spec, num, den)
         out, hidden, bit = _head(spec, sa)
     except IndeterminateForm:

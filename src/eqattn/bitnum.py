@@ -28,7 +28,8 @@ _FINITE = "finite"
 _POS_INF = "pinf"
 _NEG_INF = "ninf"
 _ZERO = "zero"
-# The kinds of +-Inf; every other kind is finite.
+# Every kind a scalar takes; those of +-Inf are the ones not finite.
+KINDS = (_FINITE, _ZERO, _POS_INF, _NEG_INF)
 INF_KINDS = frozenset((_POS_INF, _NEG_INF))
 
 
@@ -66,8 +67,9 @@ class _Format(tuple):
     The bounds keep every shift the kernels make by a size small, so the
     only error arithmetic in a format can raise is IndeterminateForm.  No
     size passes INF_CODE_LOG2, and e stops at 15, where q = 2**(e-1) - 1
-    is still below it: the infinity code saturates in every float format.
-    Every format a construction or a preset makes is far inside them."""
+    is still below it, and a fixed-point format's top_octave stops at it:
+    the infinity code saturates in every format.  Every format a
+    construction or a preset makes is far inside them."""
 
     __slots__ = ()
 
@@ -115,7 +117,13 @@ class FxFormat(_Format, _FxFields):
 
     __slots__ = ()
     _SIZES = {"p": (2, INF_CODE_LOG2),
-              "scale_log2": (-INF_CODE_LOG2, INF_CODE_LOG2)}
+              "scale_log2": (-INF_CODE_LOG2, INF_CODE_LOG2),
+              "top_octave": (-INF_CODE_LOG2, INF_CODE_LOG2)}
+
+    @property
+    def top_octave(self) -> int:
+        """scale_log2 + p - 1: every finite magnitude is below 2**top_octave."""
+        return self.scale_log2 + self.p - 1
 
     def descriptor(self) -> str:
         return f"fx:p={self.p},scale=2^{self.scale_log2},round={self.rounding}"
@@ -503,6 +511,10 @@ def decode_scalar(text: str) -> Fraction | float:
     try:
         sign = {"+": 1, "-": -1}[text[0]]
         n, _, k = text[1:].partition("/2^")
-        return Fraction(sign * int(n), 1 << int(k))
+        n, k = sign * int(n), int(k)
     except Exception as exc:
         raise ValueError(f"bad scalar encoding {text!r}") from exc
+    if not 0 <= k <= 2 * INF_CODE_LOG2:     # no format holds a finer value
+        raise ValueError(f"bad scalar encoding {text!r}: k of n/2^k must be "
+                         f"0 to {2 * INF_CODE_LOG2}")
+    return Fraction(n, 1 << k)

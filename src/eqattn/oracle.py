@@ -314,19 +314,19 @@ def _buckets(spec, which, s):
     The value (the scaled numerator or the denominator, _NAN on an
     indeterminate form) is folded in one pass over the positions that
     counts the paths a << width | b by state: the fold (its step-table
-    entry, or _NAN once a step raised IndeterminateForm, the one error a
+    node, or _NAN once a step raised IndeterminateForm, the one error a
     fold step can raise), the order once a compared bit differs, and the
     bits a later position reads or, while the order is open, not yet
     compared.  A position branches on the bits it reads first (the last
     also on those none reads).  Equal states merge, keeping their
     FAILURE_LIST_CAP smallest paths (unread bits 0), so each bucket lists
     the pairs one whole fold per pair, in (a, b) order, would.  A fold
-    merges on its value key (_rep), so states reached after a step table
-    cleared still merge."""
+    walks nodes from its table's root and merges on the node's value code,
+    so states reached after a step table cleared still merge."""
     rest = "0" * (spec.m - s)
     lead, width, trail = ("0" * s, len(rest), "") if which else ("", s, rest)
     low = (1 << width) - 1
-    step = fold_stepper(spec, which)
+    step, root = fold_stepper(spec, which)
     masks = [sum({1 << width - i + len(lead) + width * (name == "y")
                   for name, i in rule.source if 0 < i - len(lead) <= width})
              for rule in spec.embedding]        # the field bits each reads
@@ -335,7 +335,7 @@ def _buckets(spec, which, s):
               for code in _subsets(mask)} for j, mask in enumerate(masks)]
     after = list(accumulate(reversed(masks), or_, initial=0))[::-1]
     known = c = 0                       # bits read; a, b read below bit c
-    states = {(None, None, 0): [(None, None), None, 0, 1, [0]]}
+    states = {(None, None, 0): [root, None, 0, 1, [0]]}
     for j, mask in enumerate(masks):    # the last also reads what none does
         new = mask & ~known | (~after[0] & (low << width | low)
                                if j == len(masks) - 1 else 0)
@@ -351,7 +351,7 @@ def _buckets(spec, which, s):
                 o = order if order is not None or a == b else (a > b) - (a < b)
                 if which == 0 and o == 1:     # the numerator's a <= b
                     continue
-                if type(f) is tuple:          # a live fold: (state, key)
+                if type(f) is tuple:          # a live fold: its node
                     try:
                         f = step(f, cells[j][code & mask])
                     except IndeterminateForm:

@@ -7,9 +7,9 @@ the full representation of each key's value (the indeterminate marker
 included), with the same counts, the same listed pairs and the same
 insertion order, which fixes the failure lists and the order the verifier
 combines buckets in.  Besides the built heads, hand-built subjects read
-field bits in ways those heads never do.  The pass merges fold states by
-value, so step tables that clear in the middle of it change neither its
-steps nor its buckets.
+field bits in ways those heads never do.  The pass walks step-table nodes
+and merges fold states by value code, so step tables that clear in the
+middle of it change neither its steps nor its buckets.
 """
 
 import pytest
@@ -75,13 +75,13 @@ def _counted(monkeypatch, spec, s):
     real = oracle.fold_stepper
 
     def counting(spec, which):
-        step = real(spec, which)
+        step, root = real(spec, which)
 
         def counted(*args):
             steps[0] += 1
             return step(*args)
 
-        return counted
+        return counted, root
 
     monkeypatch.setattr(oracle, "fold_stepper", counting)
     return _both_folds(oracle._buckets, spec, s), steps[0]
@@ -90,14 +90,18 @@ def _counted(monkeypatch, spec, s):
 def test_states_merge_by_value_across_table_clears(monkeypatch):
     """fx-tight m=13 with step tables so small that they clear many times
     in each pass: a fold value reached before a clear and the same value
-    reached after it are one state, so the pass takes the 5,307 steps and
-    makes the buckets it does with tables that never clear."""
+    reached after it, at two nodes, are one state, since the pass merges
+    on the node's value code; so it takes the 5,307 steps and makes the
+    buckets it does with tables that never clear."""
     spec, promises = make("fx-tight", m=13)
     s = fold_split(spec, promises)
     want = _counted(monkeypatch, spec, s)
     assert want[1] == 5307
     monkeypatch.setattr(attn, "STEP_LIMIT", 64)
-    assert _counted(monkeypatch, make("fx-tight", m=13)[0], s) == want
+    small = make("fx-tight", m=13)[0]
+    assert _counted(monkeypatch, small, s) == want
+    assert all(0 < t.size <= 64 for t in (small._compiled.num,
+                                          small._compiled.den))
 
 
 def _subjects():

@@ -1,10 +1,11 @@
 """The compiled cells against cells built fresh.
 
 A spec compiles one cell per distinct row value, from one token_logits call,
-and a map per position from the input bits it reads to its cell; token_cells
-and fold_reads read every cell from these.  At every position and for every
-pattern of its bits, the mapped cell must equal a fresh _make_cell of the
-encoded row on every field, for every family and its quantizations; a row
+and a map per position from the input bits it reads, int(y + z, 2) masked to
+them, to its cell; token_cells and fold_reads read every cell from these.
+At every position and for every pattern of its bits, the mapped cell must
+equal a fresh _make_cell of the encoded row on every field, its term codes
+included, for every family and its quantizations; a row
 whose cell cannot be built is mapped at no position and still fails at the
 first position that reaches it; fold_reads must give what a fresh build of
 every cell gives.
@@ -56,7 +57,8 @@ def _fresh(spec, row):
 
 def _fields(cell):
     return (cell.logit, cell.weight, _rep(cell.num_term),
-            _rep(cell.den_first), _rep(cell.den_term))
+            _rep(cell.den_first), _rep(cell.den_term), cell.num_key,
+            cell.den_key)
 
 
 def _patterns(spec, j):
@@ -79,15 +81,19 @@ def test_every_table_cell_equals_a_fresh_build(family, fmt):
     rows = {row for rule in spec.embedding for row in rule.rows}
     assert set(comp.built) == rows
     missing, mapped = set(), {}
-    for j, (get, cells) in enumerate(comp.lookups):
+    for j, (mask, cells) in enumerate(comp.lookups):
+        reads = {1 << (2 * spec.m - i if name == "y" else spec.m - i)
+                 for name, i in spec.embedding[j].source}
+        assert mask == sum(reads)
+        assert all(v & mask == v for v in cells)
         for y, z in _patterns(spec, j):
             row = spec.encode(y, z)[j]
             fresh = _fresh(spec, row)
             if isinstance(fresh, Exception):
-                assert get(y + z) not in cells
+                assert int(y + z, 2) & mask not in cells
                 missing.add(row)
             else:
-                cell = cells[get(y + z)]
+                cell = cells[int(y + z, 2) & mask]
                 assert _fields(cell) == _fields(fresh)
                 mapped.setdefault(row, cell)
                 assert mapped[row] is cell

@@ -8,6 +8,9 @@ import random
 import pytest
 
 from eqattn import cli
+from eqattn.bitnum import InvalidFormat
+from eqattn.oracle import precision_delta_spec
+from eqattn.quantlab import import_weights
 
 # Each flag draws a value from its first tuple, or with probability 1/5
 # from its second, which argparse or the command refuses.  Each command
@@ -220,16 +223,55 @@ def test_a_refused_target_is_named(argv, name, capsys):
      "formats.fold: scale_log2 must be at most 16384"),
     (["quantize", "--weights", "huge.json", "--formats", "int8", "--count",
       "4"], 1, "formats.fold: scale_log2 must be at most 16384"),
+    # A fixed-point format whose top octave passes 2^16384, where the
+    # infinity code would be finite: in a weights file, and made by the
+    # width rewrite that --precision-delta and "native+k" share.
+    (["import-check", "top.json"], 1,
+     "formats.fold: top_octave must be at most 16384, got 32767"),
+    (["quantize", "--weights", "wide.json", "--formats", "native+16000",
+      "--count", "4"], 2, "top_octave must be at most 16384, got 32002"),
+    # A weight finer than any format holds.
+    (["import-check", "fine.json"], 1,
+     "mlp.b2: bad scalar encoding '+1/2^32769': k of n/2^k must be 0 to "
+     "32768"),
 ], ids=["int", "fp", "native", "delta-fx", "delta-fp", "import-check",
-        "quantize-weights"])
+        "quantize-weights", "top-octave", "top-octave-widened",
+        "fine-weight"])
 def test_a_width_past_its_bound_is_refused_where_the_format_is_made(
         argv, code, needle, weights_dir, capsys):
     """Each format checks its sizes when it is made, so a flag or a weights
     file that asks for an absurd width is refused with exit 2 or 1, before
     any arithmetic runs in it."""
-    doc = json.loads((weights_dir / "good.json").read_text())
-    doc["formats"]["fold"] = f"fx:p=3,scale=2^{HUGE},round=nearest"
-    (weights_dir / "huge.json").write_text(json.dumps(doc))
+    _bad_widths(weights_dir)
     assert _exit_code(argv) == code
     out, err = capsys.readouterr()
     assert needle in err and out == ""
+
+
+def _bad_widths(weights_dir):
+    """good.json with one field changed, as the width tests read them."""
+    for name, section, field, value in (
+            ("huge", "formats", "fold", f"fx:p=3,scale=2^{HUGE},round=nearest"),
+            ("top", "formats", "fold", "fx:p=16384,scale=2^16384,round=nearest"),
+            ("wide", "formats", "fold", "fx:p=3,scale=2^16000,round=nearest"),
+            ("fine", "mlp", "b2", "+1/2^32769"),
+            ("finest", "mlp", "b2", "+1/2^32768")):
+        doc = json.loads((weights_dir / "good.json").read_text())
+        doc[section][field] = value
+        (weights_dir / f"{name}.json").write_text(json.dumps(doc))
+
+
+def test_the_widest_formats_and_finest_weights_are_accepted(weights_dir,
+                                                            capsys):
+    """The bounds just inside the refusals above: a weight of 2^-32768, a
+    format whose top octave is 2^16384, where the infinity code still
+    saturates, and a --precision-delta that takes the wide fold format to
+    it; one bit more is refused."""
+    _bad_widths(weights_dir)
+    assert _exit_code(["import-check", "finest.json"]) == 0
+    assert _exit_code(["import-check", "wide.json"]) == 0
+    spec = import_weights(weights_dir / "wide.json")
+    assert precision_delta_spec(spec, 382).fold_fmt.top_octave == 16384
+    with pytest.raises(InvalidFormat, match="top_octave must be at most"):
+        precision_delta_spec(spec, 383)
+    capsys.readouterr()

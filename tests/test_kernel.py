@@ -6,17 +6,18 @@ every per-token list and end value of the trace, on the inexact and
 saturation flags and on how they fail, for every family, below native
 precision, after quantization, with a query row that reads an input bit,
 and across the spec copies the library makes; also with step tables so
-small that they clear in the middle of a constant run, and when an
-indeterminate form is raised inside one.  A constant run is one lookup,
-also over cells built afresh from the same rows.  forward's trace refolds
-its per-token lists on each tokens() call, into new lists, also after the
-tables were cleared.
+small that they clear in the middle of a run of constant positions, and
+when an indeterminate form is raised inside one.  Cells built afresh from
+the same rows fold through warm tables, keyed by value code, to the same
+partials.  forward's trace refolds its per-token lists on each tokens()
+call, into new lists, also after the tables were cleared.
 The protocol resumes the same kernel at a prefix boundary, so it must give
 the forward bit and the reference partials at every legal prefix length,
-those that cut a constant run included.  The compiled encode must return
-the very row objects a bit-by-bit reading of each rule selects; it, forward
-and token_cells must refuse any character but 0 and 1, and any pair but
-two m-bit strings.
+those that cut a run of constant positions included.  The compiled encode
+must return the very row objects a bit-by-bit reading of each rule
+selects; it, forward and token_cells must refuse any character but 0 and
+1, also those int(s, 2) reads (a 0b prefix, a _ separator, a sign, a space,
+a non-ASCII digit), and any pair but two m-bit strings.
 """
 
 import gc
@@ -213,8 +214,11 @@ def test_trace_lists_are_refolded_when_first_read(label):
     pairs = _pairs(spec.m, 20, 11)
     traces = [forward(spec, y, z) for y, z in pairs]
     comp = spec._compiled
+    assert comp.num.size > 0
     for table in (comp.num, comp.den):
-        table.steps.clear()
+        for node in (table.root, *table.nodes.values()):
+            node[2].clear()
+        table.nodes.clear()
     for trace, (y, z) in zip(traces, pairs):
         want = ref_forward(spec, spec.encode(y, z))
         first = trace.tokens()
@@ -225,41 +229,6 @@ def test_trace_lists_are_refolded_when_first_read(label):
         assert not any(a is b for a, b in zip(first, again))
         assert [[_rep(v) for v in vs] for vs in again[2:]] == \
             [[_rep(v) for v in vs] for vs in first[2:]]
-
-
-class _CountingDict(dict):
-    """A step table that counts the lookups fold makes."""
-    lookups = 0
-
-    def get(self, key, default=None):
-        self.lookups += 1
-        return super().get(key, default)
-
-
-@pytest.mark.parametrize("name,kwargs,per_fold", [
-    ("fp-linear", {"t": 4, "e": 4}, 11),
-    ("fp-softmax", {"t": 4, "e": 7}, 19),
-    ("fx-tight", {"m": 13}, 31),
-])
-def test_a_constant_run_is_one_lookup(name, kwargs, per_fold):
-    """Warm, a fold makes one lookup per variable position and one per
-    constant run of two or more."""
-    spec = make(name, **kwargs)[0]
-    n = spec.n + 1
-    assert n - sum(len(r) for r in _runs(spec)) + len(_runs(spec)) \
-        == per_fold
-    pairs = _pairs(spec.m, 20, 14)
-    for y, z in pairs:
-        for which in (0, 1):
-            fold(spec, which, None, 0, n, token_cells(spec, y, z))
-    comp = spec._compiled
-    for y, z in pairs:
-        tables = [comp.num, comp.den]
-        for table in tables:
-            table.steps = _CountingDict(table.steps)
-        for which in (0, 1):
-            fold(spec, which, None, 0, n, token_cells(spec, y, z))
-        assert [t.steps.lookups for t in tables] == [per_fold, per_fold]
 
 
 @pytest.mark.parametrize("label", SUBJECTS)
@@ -392,7 +361,7 @@ def test_a_query_row_that_reads_an_input_bit():
                                            Fraction(1))))
     spec = spec._replace(embedding=spec.embedding[:-1] + [query]).validate()
     comp = spec._compiled
-    assert comp.built == {} and comp.consts == [None] * (spec.n + 1)
+    assert comp.built == {} and not any(cells for _, cells in comp.lookups)
     assert fold_reads(spec) == ({1}, {1})
     pairs = list(product("01", repeat=2))
     bits = [_assert_same(spec, y, z).bit for y, z in pairs]
@@ -406,10 +375,11 @@ def test_a_query_row_that_reads_an_input_bit():
 
 
 @pytest.mark.parametrize("label", SUBJECTS)
-def test_a_run_entry_stands_for_cells_built_afresh(label):
-    """fold keeps no check on the cells of a constant run: cells built
-    uncached from the same rows, as token_cells builds them on a miss,
-    fold through the warm run entries to the reference partials."""
+def test_cells_built_afresh_fold_through_warm_tables(label):
+    """fold keeps no check on where a cell came from: cells built uncached
+    from the same rows, as token_cells builds them on a miss, fold through
+    the warm edges of their terms' value codes to the reference
+    partials."""
     spec = _subject(label)
     pairs = _pairs(spec.m, 10, 15)
     for y, z in pairs:
@@ -419,7 +389,8 @@ def test_a_run_entry_stands_for_cells_built_afresh(label):
         x = spec.encode(y, z)
         fresh = [_make_cell(spec, comp, row, logit)
                  for row, logit in zip(x, token_logits(spec, x))]
-        assert not any(a is b for a, b in zip(fresh, comp.consts))
+        compiled = {id(c) for _, cells in comp.lookups for c in cells.values()}
+        assert not any(id(c) in compiled for c in fresh)
         want = ref_forward(spec, x)
         softmax = spec.attention_kind == "softmax"
         for which in range(1 + softmax):
@@ -548,8 +519,17 @@ def test_wide_rules_are_read_most_significant_first():
     # 14 bits in all, as y + z of m = 7 has: only the split is wrong.
     (make("fx-tight", m=7)[0], "0" * 8, "0" * 6,
      "inputs must have m = 7 bits"),
+    # int(y + z, 2) reads each of these; the bit check must come first.
+    (make("fx-tight", m=7)[0], "0b10100", "0010100", "bit strings"),
+    (make("fx-tight", m=7)[0], "001_100", "0010100", "bit strings"),
+    (make("fx-tight", m=7)[0], "+010100", "0010100", "bit strings"),
+    (make("fx-tight", m=7)[0], "-010100", "0010100", "bit strings"),
+    (make("fx-tight", m=7)[0], " 010100", "0010100", "bit strings"),
+    (make("fx-tight", m=7)[0], "\u0661010100", "0010100", "bit strings"),
+    (make("fx-tight", m=7)[0], "0010100", "001_100", "bit strings"),
 ], ids=["fp-linear", "fx-tight", "fp-softmax", "fx-simple", "unread",
-        "split-length"])
+        "split-length", "0b-prefix", "separator", "plus", "minus", "space",
+        "arabic-indic-digit", "separator-in-z"])
 def test_encode_rejects_characters_that_are_not_bits(spec, y, z, match):
     for fn in (spec.encode, partial(forward, spec),
                partial(token_cells, spec)):

@@ -79,10 +79,23 @@ MUTANTS = [
      "            if False:",
      ["tests/test_cli_fuzz.py::test_a_width_past_its_bound_is_refused_"
       "where_the_format_is_made"]),
+    # a fixed-point top octave past the infinity code accepted, and a
+    # weight finer than any format decoded
+    ("bitnum.py",
+     '              "top_octave": (-INF_CODE_LOG2, INF_CODE_LOG2)}',
+     '              "top_octave": (-INF_CODE_LOG2, 2 * INF_CODE_LOG2)}',
+     ["tests/test_cli_fuzz.py::test_a_width_past_its_bound_is_refused_"
+      "where_the_format_is_made"]),
+    ("bitnum.py",
+     "    if not 0 <= k <= 2 * INF_CODE_LOG2:     # no format holds a finer "
+     "value",
+     "    if not 0 <= k:",
+     ["tests/test_cli_fuzz.py::test_a_width_past_its_bound_is_refused_"
+      "where_the_format_is_made"]),
     # the fold-step tables cleared 64 times too often
     ("attn.py",
-     "        if len(self.steps) >= STEP_LIMIT:",
-     "        if len(self.steps) >= STEP_LIMIT // 64:",
+     "        if self.size >= STEP_LIMIT:",
+     "        if self.size >= STEP_LIMIT // 64:",
      ["tests/test_steps.py::test_wide_format_tables_stay_bounded"]),
     # the denominator folded with the numerator's terms
     ("attn.py",
@@ -90,19 +103,41 @@ MUTANTS = [
      "    table, (t, f, k) = (comp.num, comp.den)[which], _FOLDS[0]",
      ["tests/test_kernel.py::test_native_and_cliff_specs_match_the_"
       "reference"]),
-    # value keys that tell too little apart: a constant run keyed without
-    # its end, so a prefix that cuts the run reads the whole run's entry,
-    # and the denominator's steps keyed on the numerator's term
+    # value keys that tell too little apart: a value code blind to the
+    # inexact flag, an edge stored under the state's code instead of the
+    # term's, and the denominator's steps keyed on the numerator's term
     ("attn.py",
-     "            run_key = (entry[1], a, b)",
-     "            run_key = (entry[1], a)",
-     ["tests/test_kernel.py::test_protocol_gives_the_forward_bit_at_every_"
-      "prefix"]),
+     "        (v.sign < 0) << 1 | v.inexact",
+     "        (v.sign < 0) << 1",
+     ["tests/test_steps.py::test_value_codes_are_equal_exactly_when_"
+      "representations_are"]),
+    ("attn.py",
+     "        node[2][term_code] = nxt = self.node(nxt)",
+     "        node[2][node[1]] = nxt = self.node(nxt)",
+     ["tests/test_steps.py::test_table_keys_are_value_keys"]),
     ("attn.py",
      "_FOLDS = ((2, 2, 5), (4, 3, 6))",
      "_FOLDS = ((2, 2, 5), (4, 3, 5))",
      ["tests/test_kernel.py::test_native_and_cliff_specs_match_the_"
       "reference"]),
+    # the masked lookups: a z reference masked at y's bit, and a string
+    # that int(s, 2) reads but that is no bit string let through, by
+    # encode and by token_cells
+    ("attn.py",
+     '    shifts = [2 * m - i if name == "y" else m - i',
+     '    shifts = [2 * m - i if name == "y" else 2 * m - i',
+     ["tests/test_kernel.py::test_compiled_encode_returns_the_rules_own_"
+      "rows"]),
+    ("attn.py",
+     '        if bits.strip("01"):',
+     "        if False:",
+     ["tests/test_kernel.py::test_encode_rejects_characters_that_are_not_"
+      "bits"]),
+    ("attn.py",
+     '    if len(y) == spec.m == len(z) and not bits.strip("01"):',
+     "    if len(y) == spec.m == len(z):",
+     ["tests/test_kernel.py::test_encode_rejects_characters_that_are_not_"
+      "bits"]),
     # forward's indeterminate trace dropping a finished denominator
     ("attn.py",
      "        return EvalTrace(num, den, sa, (), None, 0, True, spec, cells)",

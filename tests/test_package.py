@@ -109,10 +109,12 @@ def test_no_module_imports_a_private_name_of_another():
 
 def test_memo_tables_key_on_values_not_identity():
     """No module under src/eqattn/ calls id(): every memo table keys on
-    values (attn._rep), which stay equal for equal values whatever table
-    held them, so no table keeps canonical objects alive to make an id
-    safe.  The fold's step table is that one table: no intern table, no
-    intern or end_run."""
+    value codes (attn._code, an int function of attn._rep), which stay
+    equal for equal values whatever table held them, so no table keeps
+    canonical objects alive to make an id safe.  The fold's step table is
+    its graph of nodes alone, keyed by code: no intern table, no intern or
+    end_run, and no constant-run plan; every node code and edge key is an
+    int."""
     d = os.path.dirname(eqattn.__file__)
     calls = []
     for name in sorted(os.listdir(d)):
@@ -126,8 +128,20 @@ def test_memo_tables_key_on_values_not_identity():
                   and isinstance(node.func, ast.Name) and node.func.id == "id"]
     assert calls == []
     table = attn._Steps(FxFormat(4))
-    assert sorted(vars(table)) == ["add", "fmt", "steps"]
+    assert sorted(vars(table)) == ["add", "fmt", "nodes", "root", "size"]
     assert not any(hasattr(table, name) for name in ("intern", "end_run"))
+    spec = make("fx-tight", m=7)[0]
+    comp = spec._compiled
+    assert not any(hasattr(comp, name) for name in ("plan", "plans",
+                                                     "consts"))
+    for y in ("0010100", "1111111"):
+        attn.forward(spec, y, "0010100")
+    for table in (comp.num, comp.den):
+        assert table.nodes and table.root[1] is None
+        for code, node in table.nodes.items():
+            assert type(code) is int and node[1] is code
+        assert all(type(key) is int for node in
+                   (table.root, *table.nodes.values()) for key in node[2])
 
 
 def test_arithmetic_raises_nothing_but_an_indeterminate_form():

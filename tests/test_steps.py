@@ -1,14 +1,15 @@
 """The kernel's memo tables against fresh bounded arithmetic.
 
-attn._Steps memoises a fold format's bounded add over (state, term) pairs,
-keyed by value: by each scalar's full representation, _rep.  A memoised
-step must equal a fresh fx_add / fp_add in representation and in its
-inexact flag, for random small formats under both rounding policies;
-values equal but for the inexact flag or the sign of zero must take
-separate entries; Inf - Inf must raise on every visit and leave nothing
-behind; a pass that repeats earlier steps must add nothing; and every key,
-of a step or of a constant run, must be made of value keys, so a fold
-resumed from a fresh copy of a state repeats no addition.
+attn._Steps memoises a fold format's bounded add over (state, term) pairs
+as a graph of nodes keyed by value code: attn._code, an int that must be
+equal for two scalars exactly when their full representations, _rep, are.
+A memoised step must equal a fresh fx_add / fp_add in representation and
+in its inexact flag, for random small formats under both rounding
+policies; values equal but for the inexact flag or the sign of zero must
+take separate nodes and edges; Inf - Inf must raise on every visit and
+leave nothing behind; a pass that repeats earlier steps must add nothing;
+and every node and edge must be keyed by a value code, so a fold resumed
+from a fresh copy of a state repeats no addition.
 
 The tail's tables, the W^V scale keyed by the fold value and the MLP keyed
 by the attention output, obey the same rules: equal to fresh arithmetic,
@@ -17,6 +18,7 @@ A verify run pins the adds and MLP evaluations the memos leave.
 """
 
 import random
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -25,6 +27,7 @@ from conftest import build_toy_spec
 from eqattn import attn
 from eqattn.attn import (
     MlpSpec,
+    _code,
     _rep,
     _Steps,
     fold,
@@ -49,8 +52,10 @@ from eqattn.bitnum import (
     fx_round,
     hold_exact,
 )
-from eqattn.constructs import make
+from eqattn.constructs import CONSTRUCTIONS, make
+from eqattn.quantlab import FP8_E4M3, INT6, DegenerateTensor, quantize_spec
 from reffwd import ref_forward
+from test_bitnum import EXHAUSTIVE, _held
 
 
 def _formats(rng, count=16):
@@ -87,32 +92,71 @@ def _operands(rng, fmt, count=14):
     return pool
 
 
-def _walk(table, entry, term):
-    """The table's entry after term from entry, as fold_stepper steps:
-    the stored one, or the miss path's."""
-    key = _rep(term)
-    return table.steps.get((entry[1], key)) or \
-        table.step(entry, term, key, term)
+def _walk(table, node, term):
+    """The table's node after term from node, as fold_stepper steps: the
+    stored edge, or the miss path's."""
+    code = _code(term)
+    return node[2].get(code) or table.step(node, term, code, term)
+
+
+def _flipped(v):
+    return type(v)(v.fmt, v.kind, v.sign, v.sig, v.exp2, not v.inexact)
+
+
+def test_value_codes_are_equal_exactly_when_representations_are():
+    """_code(a) == _code(b) iff _rep(a) == _rep(b), over every value of the
+    36 formats of the op-versus-reference test, each with both inexact
+    flags, both signs of zero and both infinities, and the compiled terms
+    of every built head and two of its quantizations."""
+    pool = []
+    for fmt, _ in EXHAUSTIVE:
+        zero = _kit(fmt)[0].zero(fmt)
+        for v in _held(fmt) + [type(zero)(fmt, zero.kind, -1, 0, 0)]:
+            pool += [v, _flipped(v)]
+    for name, sizes in (("fx-simple", {"m": 5}), ("fx-tight", {"m": 7}),
+                        ("fp-linear", {"t": 4, "e": 4}),
+                        ("fp-softmax", {"t": 4, "e": 7})):
+        spec = make(name, **sizes)[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegenerateTensor)
+            specs = [spec] + [quantize_spec(spec, f) for f in (INT6, FP8_E4M3)]
+        for s in specs:
+            for cell in s._compiled.built.values():
+                assert (cell.num_key, cell.den_key) == \
+                    (_code(cell.num_term), _code(cell.den_term))
+                pool += [cell.num_term, cell.den_first, cell.den_term]
+    assert set(CONSTRUCTIONS) == {"fx-simple", "fx-tight", "fp-linear",
+                                  "fp-softmax"}
+    codes = {}
+    for v in pool:
+        codes.setdefault(_rep(v), set()).add(_code(v))
+    assert all(len(c) == 1 for c in codes.values())          # a function
+    assert len(set().union(*codes.values())) == len(codes)   # injective
+    assert len(codes) > 500
 
 
 def test_values_equal_but_for_a_flag_take_separate_entries():
     """A value and its copy with the inexact flag flipped, and +0 and -0,
-    are equal under == but are two keys, as terms and as states: each step
-    stores its own entry, with the flag a fresh add gives."""
+    are equal under == but have two codes, as terms and as states: each
+    step stores its own edge to its own node, with the flag a fresh add
+    gives."""
     rng = random.Random(0x51)
     for fmt in _formats(rng):
         table = _Steps(fmt)
         add = _kit(fmt)[2]
         pool = [v for v in _operands(rng, fmt) if v.is_finite]
-        keys = {_rep(v) for v in pool}
-        assert len(keys) > len(set(pool))
+        codes = {_code(v) for v in pool}
+        assert len(codes) == len({_rep(v) for v in pool}) > len(set(pool))
         term = pool[-1]
         for v in pool:
-            assert _rep(_walk(table, (None, None), v)[0]) == _rep(v)
-            state, key = _walk(table, (v, _rep(v)), term)
-            assert key == _rep(state) == _rep(add(v, term, fmt))
-        assert set(table.steps) == {(None, k) for k in keys} | \
-            {(k, _rep(term)) for k in keys}
+            assert _rep(_walk(table, table.root, v)[0]) == _rep(v)
+            state, code, _ = _walk(table, table.node(v), term)
+            assert code == _code(state)
+            assert _rep(state) == _rep(add(v, term, fmt))
+        assert set(table.root[2]) == codes
+        assert {c for c, node in table.nodes.items() if node[2]} == codes
+        assert all(set(table.nodes[c][2]) == {_code(term)} for c in codes)
+        assert table.size == 2 * len(codes)
 
 
 def test_memoised_steps_equal_fresh_adds():
@@ -125,17 +169,19 @@ def test_memoised_steps_equal_fresh_adds():
         rng.shuffle(pairs)
         for _ in range(2):   # the second pass reads the stored steps
             for a, b in pairs:
-                entry = (a, _rep(a))
+                node = table.node(a)
                 try:
                     want = add(a, b, fmt)
                 except IndeterminateForm:
                     with pytest.raises(IndeterminateForm):
-                        _walk(table, entry, b)
+                        _walk(table, node, b)
                     continue
-                got = _walk(table, entry, b)
-                assert got[1] == _rep(got[0]) == _rep(want), (fmt, a, b)
+                got = _walk(table, node, b)
+                assert got[1] == _code(got[0]), (fmt, a, b)
+                assert _rep(got[0]) == _rep(want), (fmt, a, b)
                 assert got[0].fmt == fmt
-                assert table.steps[(_rep(a), _rep(b))] is got
+                assert table.nodes[_code(a)][2][_code(b)] is got
+                assert table.nodes[got[1]] is got
 
 
 def test_inf_minus_inf_raises_on_every_visit_and_is_never_stored():
@@ -147,10 +193,11 @@ def test_inf_minus_inf_raises_on_every_visit_and_is_never_stored():
         for _ in range(3):
             for a, b in ((pinf, ninf), (ninf, pinf)):
                 with pytest.raises(IndeterminateForm):
-                    _walk(table, (a, _rep(a)), b)
-        assert table.steps == {}
-        assert _walk(table, (pinf, _rep(pinf)), pinf)[1] == _rep(pinf)
-        assert len(table.steps) == 1
+                    _walk(table, table.node(a), b)
+        assert table.size == 0
+        assert not any(node[2] for node in table.nodes.values())
+        assert _walk(table, table.node(pinf), pinf)[1] == _code(pinf)
+        assert table.size == 1
 
 
 def _counting(monkeypatch, name):
@@ -172,13 +219,13 @@ def test_a_repeated_pass_makes_no_additions(monkeypatch):
         table = _Steps(fmt)
         pool = _operands(rng, fmt, 6)
         finite = [v for v in pool if not v.is_inf]
-        pairs = [((a, _rep(a)), b) for a in pool for b in finite]
+        pairs = [(a, b) for a in pool for b in finite]
         for a, b in pairs:
-            _walk(table, a, b)
+            _walk(table, table.node(a), b)
         assert calls[0] > 0
         calls[0] = 0
         for a, b in pairs:
-            _walk(table, a, b)
+            _walk(table, table.node(a), b)
         assert calls[0] == 0
         monkeypatch.undo()
 
@@ -212,38 +259,33 @@ def test_a_repeated_fold_makes_no_additions(monkeypatch, name, kwargs, add):
 
 
 def test_table_keys_are_value_keys(monkeypatch):
-    """A step is keyed on (key of the state, key of the term), a constant
-    run on (key of the state, a, b), a state's key being its _rep, or None
-    before the first term; every entry is (state, _rep(state)).  So a fold
+    """Each node is (state, _code(state), edges), the one node of its code;
+    each edge is keyed on a term's code, the cell's num_key or den_key, and
+    leads to such a node; the root is (None, None, edges).  So a fold
     resumed from a fresh copy of a state it reached before adds nothing."""
     adds = _counting(monkeypatch, "fp_add")
     spec = make("fp-softmax", t=4, e=7)[0]
     pairs = _wide_pairs(spec, random.Random(0x56), 30)
-    terms = [set(), set()]     # the term keys of each fold, all _rep
+    terms = [set(), set()]     # the term codes of each fold
     for y, z in pairs:
         cells = token_cells(spec, y, z)
         for which in (0, 1):
             fold(spec, which, None, 0, len(cells), cells)
         for cell in cells:
-            assert cell.num_key == _rep(cell.num_term)
-            assert cell.den_key == _rep(cell.den_term)
+            assert cell.num_key == _code(cell.num_term)
+            assert cell.den_key == _code(cell.den_term)
             terms[0].add(cell.num_key)
             terms[1].add(cell.den_key)
     comp = spec._compiled
-    runs = set()
-    for table, keys in zip((comp.num, comp.den), terms):
-        assert table.steps
-        states = {None} | {key for _, key in table.steps.values()}
-        for key, (state, state_key) in table.steps.items():
-            assert state_key == _rep(state)
-            assert key[0] in states
-            if len(key) == 2:
-                assert key[1] in keys
-            else:   # a constant run: a range of constant positions
-                runs.add(key[1:])
-                assert all(comp.consts[j] is not None
-                           for j in range(*key[1:]))
-    assert runs
+    for table, codes in zip((comp.num, comp.den), terms):
+        assert table.root[:2] == (None, None) and table.root[2]
+        assert table.size == sum(len(node[2]) for node in
+                                 (table.root, *table.nodes.values()))
+        for code, node in table.nodes.items():
+            assert node[1] == code == _code(node[0])
+        for node in (table.root, *table.nodes.values()):
+            assert set(node[2]) <= codes
+            assert all(table.nodes[to[1]] is to for to in node[2].values())
     adds[0] = 0
     for i, (y, z) in enumerate(pairs):
         cells = token_cells(spec, y, z)
@@ -263,7 +305,9 @@ def _wide_pairs(spec, rng, count):
 
 
 def _table_sizes(comp):
-    return [len(t.steps) for t in (comp.num, comp.den)]
+    """The edges each fold's table holds, as its size counts them."""
+    return [sum(len(node[2]) for node in (t.root, *t.nodes.values()))
+            for t in (comp.num, comp.den)]
 
 
 def test_a_full_table_is_cleared_and_folds_stay_exact(monkeypatch):
@@ -301,10 +345,10 @@ def test_wide_format_tables_stay_bounded():
         before, sizes = sizes, _table_sizes(comp)
         peak = [max(p, s) for p, s in zip(peak, sizes)]
         for size, last in zip(sizes, before):
-            if size < last:   # cleared in this fold, at STEP_LIMIT entries:
-                # a fold adds at most one entry per position and one per
-                # constant run, so the last fold ended near the limit
-                assert last >= attn.STEP_LIMIT - 2 * (spec.n + 1)
+            if size < last:   # cleared in this fold, at STEP_LIMIT edges:
+                # a fold adds at most one edge per position, so the last
+                # fold ended near the limit
+                assert last >= attn.STEP_LIMIT - (spec.n + 1)
                 cleared = True
     assert cleared   # at least one table filled
     assert max(peak) <= attn.STEP_LIMIT
