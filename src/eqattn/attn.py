@@ -15,11 +15,12 @@ spec compiles, on first use, one cell per distinct row value, built from one
 token_logits call, and a map per position from the input bits it reads to
 its cell: token_cells and forward read each position's cell by the pair
 read as one number, int(y + z, 2), masked to the bits it reads.  One
-resumable kernel, fold, runs one fold, the numerator or the denominator,
-over any range of positions from any state of it: forward runs each fold
-once, then the divide and the MLP; the one-way protocol cuts each at
-Alice's prefix (alice_len) and resumes it for Bob; the factored verifier
-steps each fold through its step table (fold_stepper).
+kernel, fold, runs one fold over cells from any state of it, and one
+pipeline, resume, runs both folds from given states and then the W^V
+scale, the divide and the MLP.  forward is resume from None over every
+cell; the one-way protocol folds Alice's prefix (alice_len) and resumes
+Bob's suffix from her partials; the factored verifier steps each fold
+through its step table (fold_stepper).
 
 A fold's state at any boundary is one value of its bounded format, so each
 fold step is a small finite map (state, term) -> next state.  A compiled
@@ -56,6 +57,7 @@ from .bitnum import (
     FxNum,
     KINDS,
     IndeterminateForm,
+    InvalidFormat,
     encode_scalar,
     exp_logit_exact,
     fp_add,
@@ -192,19 +194,22 @@ class TransformerSpec(_SpecFields):
 def with_stage_widths(spec: TransformerSpec, widths: dict) -> TransformerSpec:
     """The spec with each stage of spec.formats at the width of widths[stage]:
     p of an FxFormat, t and e of an FpFormat.  A stage keeps its rounding,
-    and its scale while it stays fixed point.  Weights are untouched."""
-    def stage(old, new):
-        if isinstance(new, FxFormat):
-            scale = old.scale_log2 if isinstance(old, FxFormat) else 0
-            return FxFormat(new.p, scale, old.rounding)
-        return FpFormat(new.t, new.e, old.rounding)
+    and its scale while it stays fixed point; a refusal names the stage."""
+    def stage(name, old, new):
+        try:
+            if isinstance(new, FxFormat):
+                scale = old.scale_log2 if isinstance(old, FxFormat) else 0
+                return FxFormat(new.p, scale, old.rounding)
+            return FpFormat(new.t, new.e, old.rounding)
+        except InvalidFormat as exc:
+            raise InvalidFormat(f"{name}: {exc}") from None
 
-    return spec._replace(**{f"{name}_fmt": stage(old, widths[name])
+    return spec._replace(**{f"{name}_fmt": stage(name, old, widths[name])
                             for name, old in spec.formats.items()})
 
 
 class EvalTrace(NamedTuple):
-    """What forward computed on one pair: the end of each stage, and the
+    """What resume computed over its cells: the end of each stage, and the
     spec and cells that tokens() refolds into the per-token lists.
 
     A field left None was not reached: the denominator of a linear head, or
@@ -224,14 +229,15 @@ class EvalTrace(NamedTuple):
 
     def tokens(self):
         """(logits, weights, num_terms, num_partials, den_partials), fresh
-        lists on every call: the cells refolded one position at a time, up
-        to where an indeterminate form stopped the pass."""
+        lists on every call: the cells refolded one position at a time from
+        fresh folds, up to where an indeterminate form stopped the pass:
+        true only of a trace that began at None, as forward's do."""
         spec, cells, partials = self.spec, self.cells, ([], [])
         try:
             for which in range(1 + (spec.attention_kind == SOFTMAX)):
                 state = None
                 for j in range(len(cells)):
-                    state = fold(spec, which, state, j, j + 1, cells)
+                    state = fold(spec, which, state, cells[j:j + 1])[0]
                     partials[which].append(state)
         except IndeterminateForm:
             pass
@@ -371,6 +377,14 @@ class _Steps:
         return nxt
 
 
+def submasks(mask: int) -> list[int]:
+    """Every int whose set bits are some of mask's, in ascending order."""
+    subs = [0]
+    while v := subs[-1] - mask & mask:
+        subs.append(v)
+    return subs
+
+
 def _row_lookup(rule: TokenRule, m: int):
     """A position's mask over int(y + z, 2), where y_i is bit 2m - i and z_i
     bit m - i, and the map from the masked number to the rule's row, the
@@ -378,13 +392,9 @@ def _row_lookup(rule: TokenRule, m: int):
     shifts = [2 * m - i if name == "y" else m - i
               for name, i in rule.source][::-1]
     mask = sum({1 << s for s in shifts})
-    rows, v = {}, mask
-    while True:     # every v whose bits are some of mask's
-        rows[v] = rule.rows[sum((v >> s & 1) << k
-                                for k, s in enumerate(shifts))]
-        if not v:
-            return mask, rows
-        v = v - 1 & mask
+    return mask, {v: rule.rows[sum((v >> s & 1) << k
+                                   for k, s in enumerate(shifts))]
+                  for v in submasks(mask)}
 
 
 class _Compiled:
@@ -516,28 +526,19 @@ def alice_len(spec: TransformerSpec) -> int:
 _FOLDS = ((2, 2, 5), (4, 3, 6))
 
 
-def fold(spec: TransformerSpec, which: int, state, lo: int, hi: int, cells):
+def fold(spec: TransformerSpec, which: int, state, cells):
     """Resume the numerator (which 0) or denominator (which 1) bounded left
-    fold over the cells of positions lo..hi-1.
+    fold from state, that fold so far (None before its first term; the
+    numerator before the W^V scale), over cells, and return the end node
+    of its step table: (state, value code, edges), the root for no state
+    and no cells.  The only error a step can raise is IndeterminateForm:
+    every format's sizes are bounded where it is made.
 
-    state is that fold so far, None before its first term: the numerator in
-    the fold format, before the W^V scale, or the denominator.  Returns the
-    new state and records nothing else.  The only error a step can raise
-    is IndeterminateForm: every format's sizes are bounded where it is
-    made, so rounding and adding raise nothing else.
-
-    The fold walks its step table (_walk) from the root, or from the node
-    of the incoming state, whose value code is computed once: each position
-    is one lookup of the cell's term code in the node's edges, and fx_add /
-    fp_add runs only on a miss.  An indeterminate form is never stored, so
-    it is raised on every visit.  A cleared table only turns later steps
-    back into misses.
+    Each cell is one lookup of its term code in the current node's edges;
+    fx_add / fp_add runs only on a miss.  An indeterminate form is never
+    stored, so it is raised on every visit, and a cleared table only turns
+    later steps back into misses.
     """
-    return _walk(spec, which, state, cells[lo:hi])[0]
-
-
-def _walk(spec: TransformerSpec, which: int, state, cells):
-    """fold over cells, to the end node."""
     comp = spec._compiled
     table, (t, f, k) = (comp.num, comp.den)[which], _FOLDS[which]
     node = table.node(state)
@@ -588,16 +589,8 @@ def scale_numerator(spec: TransformerSpec, num):
     return _scaled(spec, num, _code(num))[0]
 
 
-def linear_output(spec: TransformerSpec, num):
-    """A linear head's attention output from its finished numerator fold:
-    the scaled numerator, rounded into out_fmt."""
-    return _scaled(spec, num, _code(num))[1]
-
-
 def relu(v):
-    if v.is_inf:
-        return v if v.sign > 0 else type(v).zero(v.fmt)
-    if v.sign < 0 and not v.is_zero:
+    if v.sign < 0 and not v.is_zero:    # -inf included
         return type(v).zero(v.fmt)
     return v
 
@@ -618,11 +611,7 @@ def mlp_eval(mlp: MlpSpec, v, fmt, held=None):
     """
     add, mul, _, _, _ = _ops(fmt)
     w1, b1, w2, b2 = held or _hold_mlp(mlp, fmt)
-    hidden = []
-    for w, b in zip(w1, b1):
-        u = mul(v, w, fmt)
-        u = add(u, b, fmt)
-        hidden.append(relu(u))
+    hidden = [relu(add(mul(v, w, fmt), b, fmt)) for w, b in zip(w1, b1)]
     acc = None
     for h, w in zip(hidden, w2):
         term = mul(h, w, fmt)
@@ -696,37 +685,43 @@ def _attend(spec: TransformerSpec, num, den):
 
 
 def finish_softmax(spec: TransformerSpec, num, den):
-    """Divide prepared numerator/denominator folds and run the output head.
+    """Divide a softmax head's scaled numerator by its denominator fold and
+    run the output head.
 
-    Returns (bit, sa, output); as in forward, an indeterminate form in the
+    Returns (bit, sa, output); as in resume, an indeterminate form in the
     division or the MLP answers 0 with sa and output None.  Lets verifiers
     that compute the two folds independently share the exact tail of the
-    pipeline.  A den of None finishes a linear head: num is then its
-    attention output, as linear_output gives it.
+    pipeline.
     """
     try:
-        sa = num if den is None else _attend(spec, num, den)
+        sa = _attend(spec, num, den)
         out, _, bit = _head(spec, sa)
     except IndeterminateForm:
         return 0, None, None
     return bit, sa, out
 
 
-def forward(spec: TransformerSpec, y: str, z: str) -> EvalTrace:
-    """The whole head on the input pair: numerator fold, the denominator
-    fold and divide for softmax attention, then the MLP.  The trace keeps
-    the cells for EvalTrace.tokens to refold."""
-    cells = token_cells(spec, y, z)
-    num = den = sa = None
+def resume(spec: TransformerSpec, num, den, cells) -> EvalTrace:
+    """The head resumed over cells from the fold states num and den (None
+    opens a fold; a linear head reads no den): both folds, the W^V scale,
+    for softmax attention the divide, then the MLP.  The trace keeps the
+    cells, and its numerator is the scaled fold."""
+    numer = denom = sa = None
     try:
-        num, sa = _scaled(spec, *_walk(spec, 0, None, cells)[:2])
+        numer, sa = _scaled(spec, *fold(spec, 0, num, cells)[:2])
         if spec.attention_kind == SOFTMAX:
-            den = _walk(spec, 1, None, cells)[0]
-            sa = _attend(spec, num, den)
+            denom = fold(spec, 1, den, cells)[0]
+            sa = _attend(spec, numer, denom)
         out, hidden, bit = _head(spec, sa)
     except IndeterminateForm:
         # Inf - Inf and Inf/Inf under the saturating formats behave like a
         # NaN: every later comparison is false, so the head answers 0
         # without evaluating further.
-        return EvalTrace(num, den, sa, (), None, 0, True, spec, cells)
-    return EvalTrace(num, den, sa, hidden, out, bit, False, spec, cells)
+        return EvalTrace(numer, denom, sa, (), None, 0, True, spec, cells)
+    return EvalTrace(numer, denom, sa, hidden, out, bit, False, spec, cells)
+
+
+def forward(spec: TransformerSpec, y: str, z: str) -> EvalTrace:
+    """The whole head on the input pair: resume from fresh folds over every
+    position's cell, so the trace's tokens() refolds the whole pass."""
+    return resume(spec, None, None, token_cells(spec, y, z))

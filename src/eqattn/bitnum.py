@@ -508,13 +508,13 @@ def decode_scalar(text: str) -> Fraction | float:
         return float("inf")
     if text == "-inf":
         return float("-inf")
-    try:
-        sign = {"+": 1, "-": -1}[text[0]]
-        n, _, k = text[1:].partition("/2^")
-        n, k = sign * int(n), int(k)
-    except Exception as exc:
-        raise ValueError(f"bad scalar encoding {text!r}") from exc
-    if not 0 <= k <= 2 * INF_CODE_LOG2:     # no format holds a finer value
+    sign = {"+": 1, "-": -1}.get(text[:1])
+    n, _, k = text[1:].partition("/2^")
+    if not (sign and n.isdigit() and k.isdigit() and (n + k).isascii()):
+        raise ValueError(f"bad scalar encoding {text!r}: expected +n/2^k or "
+                         "-n/2^k, n and k ASCII digit strings")
+    n, k = sign * int(n), int(k)
+    if k > 2 * INF_CODE_LOG2:     # no format holds a finer value
         raise ValueError(f"bad scalar encoding {text!r}: k of n/2^k must be "
                          f"0 to {2 * INF_CODE_LOG2}")
     return Fraction(n, 1 << k)

@@ -3,12 +3,13 @@ counting arguments that lower-bound them.
 
 The reduction: the bounded left fold decomposes at any prefix boundary, so
 Alice's share is a prefix length k of the fold order.  Alice (holding y)
-folds the first k tokens, by default the attn.alice_len(spec) tokens that
-read no z bit, and sends the partial numerator and denominator as two p-bit
-scalars; Bob resumes each fold from that state over the rest and finishes
-the pipeline.  Both halves run the one kernel that forward runs end to end,
-so the answer bit equals the single-machine forward pass by construction;
-the tests still check it pair-exhaustively at small m.
+folds the first k tokens (by default the attn.alice_len(spec) tokens that
+read no z bit) with attn.fold and sends the partial numerator and
+denominator as two p-bit scalars.  Bob runs attn.resume from those states
+over the rest: the one pipeline, folds, W^V scale, divide and MLP, that
+forward runs from fresh folds.  So the answer bit equals the
+single-machine forward pass by construction; the tests still check it
+pair-exhaustively at small m.
 """
 
 from __future__ import annotations
@@ -20,10 +21,8 @@ from .attn import (
     LINEAR,
     TransformerSpec,
     alice_len,
-    finish_softmax,
     fold,
-    linear_output,
-    scale_numerator,
+    resume,
     token_cells,
 )
 from .bitnum import IndeterminateForm, ceil_log2
@@ -89,31 +88,23 @@ def run_protocol(spec: TransformerSpec, y: str, z: str,
     Alice's share is the prefix length k, 1 to spec.n + 1 tokens (default
     alice_len(spec), the tokens that read no z bit): she evaluates the
     bounded folds over those tokens and sends the partials; Bob resumes
-    and answers.
+    the head from them over the rest (attn.resume) and answers.
     """
     if k is None:
         k = alice_len(spec)
     elif not 1 <= k <= spec.n + 1:
         raise ValueError(f"Alice's prefix length must be 1 to {spec.n + 1} "
                          f"tokens, got {k}")
-    linear = spec.attention_kind == LINEAR
-    cost = bit_cost(spec)
-
     cells = token_cells(spec, y, z)
     try:
-        l2 = fold(spec, 0, None, 0, k, cells)
-        l1 = None if linear else fold(spec, 1, None, 0, k, cells)
+        l2 = fold(spec, 0, None, cells[:k])[0]
+        l1 = None if spec.attention_kind == LINEAR else \
+            fold(spec, 1, None, cells[:k])[0]
     except IndeterminateForm:
-        return ProtocolRun(prefix=k, l1=None, l2=None, bit_cost=cost,
-                           bob_bit=0)
-    try:
-        num = fold(spec, 0, l2, k, len(cells), cells)
-        den = None if linear else fold(spec, 1, l1, k, len(cells), cells)
-        num = (linear_output if linear else scale_numerator)(spec, num)
-        bit = finish_softmax(spec, num, den)[0]
-    except IndeterminateForm:
-        bit = 0
-    return ProtocolRun(prefix=k, l1=l1, l2=l2, bit_cost=cost, bob_bit=bit)
+        return ProtocolRun(prefix=k, l1=None, l2=None,
+                           bit_cost=bit_cost(spec), bob_bit=0)
+    return ProtocolRun(prefix=k, l1=l1, l2=l2, bit_cost=bit_cost(spec),
+                       bob_bit=resume(spec, l2, l1, cells[k:]).bit)
 
 
 def enumerate_fooling(m: int, e: int) -> FoolingReport:

@@ -39,6 +39,7 @@ from .attn import (
     forward,
     head_class,
     scale_numerator,
+    submasks,
     token_cells,
     with_stage_widths,
 )
@@ -332,7 +333,7 @@ def _buckets(spec, which, s):
              for rule in spec.embedding]        # the field bits each reads
     cells = [{code: token_cells(spec, *(lead + _bits(v, width) + trail for v
                                         in (code >> width, code & low)))[j]
-              for code in _subsets(mask)} for j, mask in enumerate(masks)]
+              for code in submasks(mask)} for j, mask in enumerate(masks)]
     after = list(accumulate(reversed(masks), or_, initial=0))[::-1]
     known = c = 0                       # bits read; a, b read below bit c
     states = {(None, None, 0): [root, None, 0, 1, [0]]}
@@ -343,7 +344,7 @@ def _buckets(spec, which, s):
         was, c = c, width - (~(known & known >> width) & low).bit_length()
         compare = low >> was & ~(low >> c)      # b's bits was..c-1
         keep_open = after[j + 1] | known & (low >> c) * (low + 2)
-        nxt, adds = {}, _subsets(new)
+        nxt, adds = {}, submasks(new)
         for fold_, order, needed, count, paths in states.values():
             for add in adds:
                 code, f = needed | add, fold_
@@ -373,12 +374,6 @@ def _buckets(spec, which, s):
         bucket[1] = sorted(bucket[1] + [divmod(p, 1 << width)
                                         for p in paths])[:FAILURE_LIST_CAP]
     return buckets
-
-
-def _subsets(mask):
-    """Every code whose set bits are some of mask's."""
-    return [sum(c) for c in product(*[(0, 1 << r) for r in range(
-        mask.bit_length()) if mask >> r & 1])]
 
 
 def _segments(spec, num, dens, npos):

@@ -412,9 +412,9 @@ def sweep(source, formats, ms=None, count: int = 5120, seed: int = 0, *,
     fixed-point families or (t, e) for floating-point ones) or an already
     built TransformerSpec, which carries no promise set.
     Subjects are built, their formats resolved (_resolve_format) and
-    their rows measured one at a time.  exhaustive runs every promise pair
-    through the verifier instead of a sampled dataset.  Both give a
-    Tally, and _quant_row makes each row.
+    their rows measured one at a time; a refused format names its token.
+    exhaustive runs every promise pair through the verifier instead of a
+    sampled dataset.  Both give a Tally, and _quant_row makes each row.
     """
     if isinstance(source, TransformerSpec):
         subjects = [(source, None, "imported")]
@@ -429,8 +429,11 @@ def sweep(source, formats, ms=None, count: int = 5120, seed: int = 0, *,
             raise ValueError("an exhaustive sweep needs the subject's "
                              "promise set")
         pairs = None if exhaustive else gen_dataset(spec0.m, count, seed)
-        for f in fmts:
-            qspec = quantize_spec(spec0, f)
+        for token, f in zip(formats, fmts):
+            try:
+                qspec = quantize_spec(spec0, f)
+            except InvalidFormat as exc:    # a stage format it widened
+                raise InvalidFormat(f"{token}: {exc}") from None
             if exhaustive:
                 rep = verify_exhaustive_spec(qspec, pr, label)
                 tally = Tally(rep.total, rep.failure_count, (), rep.inf_count)

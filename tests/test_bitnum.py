@@ -540,6 +540,7 @@ class TestEncoding:
     def test_bad_encodings_rejected(self):
         with pytest.raises(ValueError):
             encode_scalar(Fraction(1, 3))
-        for bad in ("", "1/2^2", "+x/2^2", "inf"):
+        for bad in ("", "1/2^2", "+x/2^2", "inf", "--1/2^0", "+1_0/2^3",
+                    "+ 5/2^ 3", "+5/2^+3", "+5/2^-0", "+\u0663/2^1"):
             with pytest.raises(ValueError):
                 decode_scalar(bad)

@@ -35,7 +35,7 @@ def _ref_buckets(spec, pairs, width, lead, trail, which):
         cells = token_cells(spec, lead + format(a, f"0{width}b") + trail,
                             lead + format(b, f"0{width}b") + trail)
         try:
-            value = fold(spec, which, None, 0, len(cells), cells)
+            value = fold(spec, which, None, cells)[0]
             if which == 0:
                 value = scale_numerator(spec, value)
         except IndeterminateForm:

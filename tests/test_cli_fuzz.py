@@ -28,6 +28,10 @@ SIZES = {
 TOKENS = {"--n": (("20",), ("1", "0", "-3"))}
 # A width past the bound of every format size.
 HUGE = "99999999999999999999"
+# Weights scalars that encode_scalar never writes but int() reads: a doubled
+# sign (a sign flip), a separator, spaces, a signed k, and a non-ASCII digit.
+ODD_SCALARS = ("--1/2^0", "+1_0/2^3", "+ 5/2^ 3", "+5/2^+3", "+5/2^-0",
+               "+\u0663/2^1")
 DELTA = {"--precision-delta": (("-1", "0", "1", "3"), ("-9", HUGE))}
 COMMANDS = {
     "verify": {**REPORT, **TRACE, **SIZES, **TOKENS, **DELTA,
@@ -229,19 +233,27 @@ def test_a_refused_target_is_named(argv, name, capsys):
     (["import-check", "top.json"], 1,
      "formats.fold: top_octave must be at most 16384, got 32767"),
     (["quantize", "--weights", "wide.json", "--formats", "native+16000",
-      "--count", "4"], 2, "top_octave must be at most 16384, got 32002"),
-    # A weight finer than any format holds.
+      "--count", "4"], 2,
+     "error: native+16000: fold: top_octave must be at most 16384, got "
+     "32002\n"),
+    # A weight finer than any format holds, and the odd scalar strings.
     (["import-check", "fine.json"], 1,
      "mlp.b2: bad scalar encoding '+1/2^32769': k of n/2^k must be 0 to "
      "32768"),
+    *[(["import-check", f"odd{i}.json"], 1,
+       f"mlp.b2: bad scalar encoding {text!r}: expected +n/2^k or -n/2^k, "
+       "n and k ASCII digit strings") for i, text in enumerate(ODD_SCALARS)],
 ], ids=["int", "fp", "native", "delta-fx", "delta-fp", "import-check",
         "quantize-weights", "top-octave", "top-octave-widened",
-        "fine-weight"])
+        "fine-weight", "doubled-sign", "separator", "spaces", "signed-k",
+        "negative-zero-k", "arabic-digit"])
 def test_a_width_past_its_bound_is_refused_where_the_format_is_made(
         argv, code, needle, weights_dir, capsys):
     """Each format checks its sizes when it is made, so a flag or a weights
     file that asks for an absurd width is refused with exit 2 or 1, before
-    any arithmetic runs in it."""
+    any arithmetic runs in it; a refused stage width names its token and
+    its stage.  A weights scalar is read the same way: one finer than any
+    format, or one encode_scalar never writes, is refused with exit 1."""
     _bad_widths(weights_dir)
     assert _exit_code(argv) == code
     out, err = capsys.readouterr()
@@ -255,7 +267,9 @@ def _bad_widths(weights_dir):
             ("top", "formats", "fold", "fx:p=16384,scale=2^16384,round=nearest"),
             ("wide", "formats", "fold", "fx:p=3,scale=2^16000,round=nearest"),
             ("fine", "mlp", "b2", "+1/2^32769"),
-            ("finest", "mlp", "b2", "+1/2^32768")):
+            ("finest", "mlp", "b2", "+1/2^32768"),
+            *[(f"odd{i}", "mlp", "b2", text)
+              for i, text in enumerate(ODD_SCALARS)]):
         doc = json.loads((weights_dir / "good.json").read_text())
         doc[section][field] = value
         (weights_dir / f"{name}.json").write_text(json.dumps(doc))

@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from eqattn.attn import forward
+from eqattn import commsim
+from eqattn.attn import forward, resume, token_cells
 from eqattn.commsim import FoolingReport, enumerate_fooling, run_protocol
 from eqattn.constructs import make, native_precision
 from eqattn.oracle import BudgetExceeded
@@ -82,6 +83,38 @@ class TestProtocol:
             assert run.bit_cost == p
             assert run.bob_bit == forward(spec, y, z).bit
             done += 1
+
+    def test_bob_resumes_the_forward_pipeline_from_alices_partials(
+            self, monkeypatch):
+        """Bob's half is attn.resume, the pipeline forward runs from fresh
+        folds: one call per transcript, over the cells after Alice's
+        prefix, from the two partials she sent, and its bit is Bob's."""
+        calls = []
+
+        def counted(spec, num, den, cells):
+            trace = resume(spec, num, den, cells)
+            calls.append((num, den, cells, trace.bit))
+            return trace
+
+        monkeypatch.setattr(commsim, "resume", counted)
+        rng = random.Random(6)
+        for spec, promises in (make("fx-tight", m=5),
+                               make("fp-linear", t=4, e=3),
+                               make("fp-softmax", t=4, e=7)):
+            m = spec.m
+            for _ in range(12):
+                y, z = sorted(format(rng.getrandbits(m), f"0{m}b")
+                              for _ in "yz")
+                if promises.check(y, z):
+                    continue
+                for k in (None, 1, spec.n + 1):
+                    calls.clear()
+                    run = run_protocol(spec, y, z, k)
+                    assert len(calls) == 1
+                    num, den, cells, bit = calls[0]
+                    assert cells == token_cells(spec, y, z)[run.prefix:]
+                    assert num is run.l2 and den is run.l1
+                    assert bit == run.bob_bit == forward(spec, y, z).bit
 
     def test_prefix_lengths_past_the_sequence_are_rejected(self):
         """Alice holds 1 to n + 1 tokens: the empty share, a negative one

@@ -250,10 +250,10 @@ def test_cells_of_a_dropped_kernel_still_fold_exactly():
     copy = pickle.loads(pickle.dumps(spec))
     for y, z in _pairs(spec.m, 20, 9):
         cells = token_cells(spec, y, z)
-        n = len(cells)
-        want = [fold(spec, which, None, 0, n, cells) for which in (0, 1)]
-        got = [fold(copy, which, None, 0, n, cells) for which in (0, 1)]
-        resumed = fold(copy, 0, fold(copy, 0, None, 0, 3, cells), 3, n, cells)
+        want = [fold(spec, which, None, cells)[0] for which in (0, 1)]
+        got = [fold(copy, which, None, cells)[0] for which in (0, 1)]
+        resumed = fold(copy, 0, fold(copy, 0, None, cells[:3])[0],
+                       cells[3:])[0]
         assert [encode_scalar(v) for v in got] == \
             [encode_scalar(v) for v in want]
         assert [v.inexact for v in got] == [v.inexact for v in want]
@@ -396,7 +396,7 @@ def test_cells_built_afresh_fold_through_warm_tables(label):
         for which in range(1 + softmax):
             partials = (want.num_partials, want.den_partials)[which]
             try:
-                end = _rep(fold(spec, which, None, 0, len(x), fresh))
+                end = _rep(fold(spec, which, None, fresh)[0])
             except IndeterminateForm:
                 end = None
             if len(partials) == len(x):

@@ -87,9 +87,15 @@ MUTANTS = [
      ["tests/test_cli_fuzz.py::test_a_width_past_its_bound_is_refused_"
       "where_the_format_is_made"]),
     ("bitnum.py",
-     "    if not 0 <= k <= 2 * INF_CODE_LOG2:     # no format holds a finer "
-     "value",
-     "    if not 0 <= k:",
+     "    if k > 2 * INF_CODE_LOG2:     # no format holds a finer value",
+     "    if False:",
+     ["tests/test_cli_fuzz.py::test_a_width_past_its_bound_is_refused_"
+      "where_the_format_is_made"]),
+    # a weights scalar read by int(), which takes a second sign, separators,
+    # spaces and non-ASCII digits
+    ("bitnum.py",
+     "    if not (sign and n.isdigit() and k.isdigit() and (n + k).isascii()):",
+     "    if not sign:",
      ["tests/test_cli_fuzz.py::test_a_width_past_its_bound_is_refused_"
       "where_the_format_is_made"]),
     # the fold-step tables cleared 64 times too often
@@ -138,12 +144,45 @@ MUTANTS = [
      "    if len(y) == spec.m == len(z):",
      ["tests/test_kernel.py::test_encode_rejects_characters_that_are_not_"
       "bits"]),
-    # forward's indeterminate trace dropping a finished denominator
+    # resume's indeterminate trace dropping a finished denominator, or
+    # answering 1
     ("attn.py",
-     "        return EvalTrace(num, den, sa, (), None, 0, True, spec, cells)",
-     "        return EvalTrace(num, None, sa, (), None, 0, True, spec, cells)",
+     "        return EvalTrace(numer, denom, sa, (), None, 0, True, spec, "
+     "cells)",
+     "        return EvalTrace(numer, None, sa, (), None, 0, True, spec, "
+     "cells)",
      ["tests/test_kernel.py::test_saturating_quantized_specs_match_the_"
       "reference"]),
+    ("attn.py",
+     "        return EvalTrace(numer, denom, sa, (), None, 0, True, spec, "
+     "cells)",
+     "        return EvalTrace(numer, denom, sa, (), None, 1, True, spec, "
+     "cells)",
+     ["tests/test_kernel.py::test_saturating_quantized_specs_match_the_"
+      "reference"]),
+    # a fold that ignores its incoming state and opens at the root, and
+    # Bob resuming from fresh folds instead of Alice's partials
+    ("attn.py",
+     "    node = table.node(state)",
+     "    node = table.root",
+     ["tests/test_commsim.py::TestProtocol::"
+      "test_any_prefix_length_gives_the_same_bit"]),
+    ("commsim.py",
+     "                       bob_bit=resume(spec, l2, l1, cells[k:]).bit)",
+     "                       bob_bit=resume(spec, None, None, cells[k:]).bit)",
+     ["tests/test_commsim.py::TestProtocol::"
+      "test_bob_resumes_the_forward_pipeline_from_alices_partials"]),
+    # a stage width refused without its stage, or without its token
+    ("attn.py",
+     '            raise InvalidFormat(f"{name}: {exc}") from None',
+     "            raise",
+     ["tests/test_cli_fuzz.py::test_a_width_past_its_bound_is_refused_"
+      "where_the_format_is_made"]),
+    ("quantlab.py",
+     '                raise InvalidFormat(f"{token}: {exc}") from None',
+     "                raise",
+     ["tests/test_cli_fuzz.py::test_a_width_past_its_bound_is_refused_"
+      "where_the_format_is_made"]),
     # head_class certifying output bounds on both sides of 1
     ("attn.py",
      "    if high.is_inf or (low.as_fraction() - 1) * (high.as_fraction() - 1)"

@@ -27,6 +27,8 @@ QUANT_FP = ("--formats", "native,fp16", "--count", "64")
 EXHAUSTIVE = ("--formats", "native,native-1,int4", "--exhaustive")
 CSV = ("--format", "csv")
 TEXT = ("--format", "text")
+# An admissible YES pair of fp-softmax (4,7).
+PAIR47 = ("--y", "010000010110010", "--z", "010000010110010")
 
 # (argv, exit code, sha256 of the masked stdout); "WEIGHTS" stands for a
 # weights file of fx-tight at m=5.
@@ -80,6 +82,16 @@ CASES = {
                                *TEXT), 0,
         "be54b8e9ac55f311e7608f3d84ab8d94"
         "7d2efea86d31ee7f9d78ced842ba6eb6"),
+    "protocol-fx5": (("protocol", *FX5, "--count", "64", "--seed", "1"), 0,
+        "c5088ba8f13ae043dde9017ff5528566"
+        "1114c955203e263ad3174b380eeff5ad"),
+    "protocol-fp43-trace": (("protocol", *FP43, "--count", "64", "--seed",
+                             "1", "--trace"), 0,
+        "fe13096aac4e18df35479229cc1facec"
+        "a4b1c85b399323a530031219636bbaf7"),
+    "protocol-fp47-pair": (("protocol", *FP47, *PAIR47), 0,
+        "9d63998f10bf060dcf9fb8ba6f358105"
+        "d4c56db6944a93ffa280becb8908a975"),
     "fooling-text": (("fooling", "--m", "6", "--e", "3"), 0,
         "069b8c6600fb51bec1d24faeedb90d72"
         "09f3b61539651f0cc0b81e77ff9047aa"),

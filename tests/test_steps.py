@@ -246,7 +246,7 @@ def test_a_repeated_fold_makes_no_additions(monkeypatch, name, kwargs, add):
         out = []
         for y, z in pairs:
             cells = token_cells(spec, y, z)
-            out.append([fold(spec, which, None, 0, len(cells), cells)
+            out.append([fold(spec, which, None, cells)[0]
                         for which in (0, 1)])
         return out
 
@@ -270,7 +270,7 @@ def test_table_keys_are_value_keys(monkeypatch):
     for y, z in pairs:
         cells = token_cells(spec, y, z)
         for which in (0, 1):
-            fold(spec, which, None, 0, len(cells), cells)
+            fold(spec, which, None, cells)
         for cell in cells:
             assert cell.num_key == _code(cell.num_term)
             assert cell.den_key == _code(cell.den_term)
@@ -290,11 +290,11 @@ def test_table_keys_are_value_keys(monkeypatch):
     for i, (y, z) in enumerate(pairs):
         cells = token_cells(spec, y, z)
         k = i % len(cells)
-        num = fold(spec, 0, None, 0, k, cells)
+        num = fold(spec, 0, None, cells[:k])[0]
         if num is not None:   # resume from a copy the table does not hold
             num = type(num)(num.fmt, num.kind, num.sign, num.sig, num.exp2,
                             num.inexact)
-        fold(spec, 0, num, k, len(cells), cells)
+        fold(spec, 0, num, cells[k:])
     assert adds[0] == 0
 
 
@@ -322,8 +322,7 @@ def test_a_full_table_is_cleared_and_folds_stay_exact(monkeypatch):
         before = _table_sizes(comp)
         cells = token_cells(spec, y, z)
         trace = ref_forward(spec, spec.encode(y, z))
-        num, den = [fold(spec, which, None, 0, len(cells), cells)
-                    for which in (0, 1)]
+        num, den = [fold(spec, which, None, cells)[0] for which in (0, 1)]
         assert _rep(num) == _rep(trace.num_partials[-1])
         assert _rep(den) == _rep(trace.den_partials[-1])
         # a full table is cleared before the entry that would pass the
@@ -341,7 +340,7 @@ def test_wide_format_tables_stay_bounded():
     for y, z in _wide_pairs(spec, random.Random(0x58), 600):
         cells = token_cells(spec, y, z)
         for which in (0, 1):
-            fold(spec, which, None, 0, len(cells), cells)
+            fold(spec, which, None, cells)
         before, sizes = sizes, _table_sizes(comp)
         peak = [max(p, s) for p, s in zip(peak, sizes)]
         for size, last in zip(sizes, before):
