@@ -11,16 +11,16 @@ runs entirely in the output format.
 
 The query row is constant and logits are exact, so all a token row feeds
 into the folds depends only on the row's contents, not on its position.  A
-spec compiles, on first use, one cell per distinct row value, built from one
-token_logits call, and a map per position from the input bits it reads to
-its cell: token_cells and forward read each position's cell by the pair
-read as one number, int(y + z, 2), masked to the bits it reads.  One
-kernel, fold, runs one fold over cells from any state of it, and one
-pipeline, resume, runs both folds from given states and then the W^V
-scale, the divide and the MLP.  forward is resume from None over every
-cell; the one-way protocol folds Alice's prefix (alice_len) and resumes
-Bob's suffix from her partials; the factored verifier steps each fold
-through its step table (fold_stepper).
+spec compiles, on first use, in one pass that numbers its distinct rows,
+then one token_logits call and one cell per distinct row.  A position reads
+the pair as one number, int(y + z, 2), masked to its bits: its index map
+gives its rule's row index (encode) and its lookup, built from the row
+numbers, the row's cell (token_cells, forward).  One kernel, fold, runs one
+fold over cells from any state of it, and one pipeline, resume, runs both
+folds from given states and then the W^V scale, the divide and the MLP.
+forward is resume from None over every cell; the one-way protocol folds
+Alice's prefix (alice_len) and resumes Bob's suffix from her partials; the
+factored verifier steps each fold through its step table (fold_stepper).
 
 A fold's state at any boundary is one value of its bounded format, so each
 fold step is a small finite map (state, term) -> next state.  A compiled
@@ -123,10 +123,6 @@ class _SpecFields(NamedTuple):
 
 class TransformerSpec(_SpecFields):
     @property
-    def d(self) -> int:
-        return 3
-
-    @property
     def formats(self) -> dict:
         return {"fold": self.fold_fmt, "num": self.num_fmt,
                 "den": self.den_fmt, "out": self.out_fmt}
@@ -144,7 +140,7 @@ class TransformerSpec(_SpecFields):
                 if name not in ("y", "z") or not 1 <= idx <= self.m:
                     raise ValueError(f"bad bit reference ({name!r}, {idx})")
             for row in rule.rows:
-                if len(row) != self.d:
+                if len(row) != 3:
                     raise ValueError("embedding rows must have 3 coordinates")
         if self.attention_kind not in (SOFTMAX, LINEAR):
             raise ValueError(f"unknown attention kind {self.attention_kind}")
@@ -161,10 +157,11 @@ class TransformerSpec(_SpecFields):
     def encode(self, y: str, z: str):
         """Token rows (exact dyadics) for an input pair, query row last.
 
-        Each position looks its row up by int(y + z, 2) masked to the bits
-        it reads, so the rows are the spec's own objects.  A character
-        other than 0 or 1, which int would read as a sign, a separator, a
-        space or a digit, raises ValueError first.
+        Each position's index map takes int(y + z, 2) masked to the bits it
+        reads to the index of its rule's row, so the rows are the spec's
+        own objects.  A character other than 0 or 1, which int would read
+        as a sign, a separator, a space or a digit, raises ValueError
+        first.
         """
         if len(y) != self.m or len(z) != self.m:
             raise ValueError(f"inputs must have m = {self.m} bits")
@@ -172,7 +169,8 @@ class TransformerSpec(_SpecFields):
         if bits.strip("01"):
             raise ValueError(f"inputs must be bit strings, got {y!r}, {z!r}")
         bits = int(bits, 2)
-        return [rows[bits & mask] for mask, rows in self._compiled.encoders]
+        return [rule.rows[index[bits & mask]] for rule, (mask, index)
+                in zip(self.embedding, self._compiled.encoders)]
 
     def value_column(self) -> tuple[int, Fraction]:
         k = next(i for i, c in enumerate(self.wv) if c)
@@ -361,7 +359,8 @@ class _Steps:
         if state is None:
             return self.root
         code = _code(state)
-        return self.nodes.setdefault(code, (state, code, {}))
+        return self.nodes.get(code) or \
+            self.nodes.setdefault(code, (state, code, {}))
 
     def step(self, node, term, term_code, first):
         """The miss path from node over term: first is the value a fold
@@ -387,14 +386,19 @@ def submasks(mask: int) -> list[int]:
 
 def _row_lookup(rule: TokenRule, m: int):
     """A position's mask over int(y + z, 2), where y_i is bit 2m - i and z_i
-    bit m - i, and the map from the masked number to the rule's row, the
-    first reference the row index's most significant bit."""
-    shifts = [2 * m - i if name == "y" else m - i
-              for name, i in rule.source][::-1]
-    mask = sum({1 << s for s in shifts})
-    return mask, {v: rule.rows[sum((v >> s & 1) << k
-                                   for k, s in enumerate(shifts))]
-                  for v in submasks(mask)}
+    bit m - i, and its index map from each masked number to its rule's row
+    index, the first reference most significant: over ascending submasks,
+    the index without the lowest set bit, OR that bit's weight, the index
+    bits of every reference to it."""
+    weight = {}
+    for k, (name, i) in enumerate(reversed(rule.source)):
+        bit = 1 << (2 * m - i if name == "y" else m - i)
+        weight[bit] = weight.get(bit, 0) | 1 << k
+    mask = sum(weight)
+    index = {0: 0}
+    for v in submasks(mask)[1:]:
+        index[v] = index[v & v - 1] | weight[v & -v]
+    return mask, index
 
 
 class _Compiled:
@@ -407,10 +411,10 @@ class _Compiled:
     the constant query row, or to the ValueError building that cell raised
     (a logit exp_logit_exact refuses, or a sentinel in the query row);
     without a constant query row it is empty.  encoders holds each
-    position's _row_lookup, its mask and rows; lookups the same mask and a
-    map to the row's cell, for the rows whose cell was built: the others
-    are built afresh each time, and raise.  alice_len is the protocol
-    prefix alice_len(spec) returns."""
+    position's _row_lookup, its mask and index map; lookups the same mask
+    and a map from the masked number to the row's cell, for the rows whose
+    cell was built: the others are built afresh each time, and raise.
+    alice_len is the protocol prefix alice_len(spec) returns."""
 
     def __init__(self, spec: TransformerSpec):
         last = spec.embedding[-1]
@@ -426,29 +430,30 @@ class _Compiled:
         self.col, scale = spec.value_column()
         self.scale = hold_exact(scale, spec.num_fmt)
         self.mlp = _hold_mlp(spec.mlp, spec.out_fmt)
-        self.built = self._build(spec)
-        usable = {row: cell for row, cell in self.built.items()
-                  if isinstance(cell, Cell)}
-        self.lookups = [(mask, {v: usable[row] for v, row in rows.items()
-                                if row in usable})
-                        for mask, rows in self.encoders]
+        number = {}     # distinct row -> its number, each row hashed once
+        ids = [[number.setdefault(row, len(number)) for row in rule.rows]
+               for rule in spec.embedding]
+        cells = self._build(spec, list(number))
+        self.built = {r: c for r, c in zip(number, cells) if c is not None}
+        self.lookups = [(mask, {v: c for v, i in index.items()
+                                if isinstance(c := cells[mine[i]], Cell)})
+                        for (mask, index), mine in zip(self.encoders, ids)]
 
-    def _build(self, spec):
-        """One token_logits call and one cell per distinct row value."""
+    def _build(self, spec, distinct):
+        """Per distinct row, from one token_logits call: its cell, or the
+        ValueError building it raised; None without a constant query row."""
         if self.query is None:
-            return {}
-        distinct = list(dict.fromkeys(
-            row for rule in spec.embedding for row in rule.rows))
+            return [None] * len(distinct)
         try:
             logits = token_logits(spec, distinct + [self.query])
         except ValueError as exc:       # a sentinel in the query row
-            return dict.fromkeys(distinct, exc)
-        built = {}
+            return [exc] * len(distinct)
+        built = []
         for row, logit in zip(distinct, logits):
             try:
-                built[row] = _make_cell(spec, self, row, logit)
+                built.append(_make_cell(spec, self, row, logit))
             except ValueError as exc:   # a logit exp_logit_exact refuses
-                built[row] = exc
+                built.append(exc)
         return built
 
 
@@ -500,18 +505,12 @@ def fold_reads(spec: TransformerSpec) -> tuple[set, set]:
     if comp.query is None or \
             not all(isinstance(cell, Cell) for cell in comp.built.values()):
         return every, set(every)
-
-    def varies(terms):
-        return len({_rep(t) for t in terms}) > 1
-
     num, den = set(), set()
     for rule in spec.embedding:
         mine = [comp.built[row] for row in rule.rows]
-        bits = {idx for _, idx in rule.source}
-        if varies([c.num_term for c in mine]):
-            num |= bits
-        if varies([c.den_term for c in mine]):
-            den |= bits
+        for reads, (term, _, _) in zip((num, den), _FOLDS):
+            if len({_rep(cell[term]) for cell in mine}) > 1:
+                reads.update(idx for _, idx in rule.source)
     return num, den
 
 

@@ -131,12 +131,15 @@ def parse_quant_format(text: str) -> FxFormat | FpFormat:
 
 
 def is_inf_code(value) -> bool:
-    """Whether a stored weight is the infinity code (either sign)."""
-    return value is not None and abs(Fraction(value)) >= _INF_CODE
-
-
-def _inf_code(sign: int) -> Fraction:
-    return _INF_CODE if sign > 0 else -_INF_CODE
+    """Whether a stored weight n / d is the infinity code (either sign):
+    |n| >= d << INF_CODE_LOG2, which the bit lengths decide unless they
+    differ by exactly INF_CODE_LOG2."""
+    if value is None:
+        return False
+    v = value if isinstance(value, (int, Fraction)) else Fraction(value)
+    n, d = abs(v.numerator), v.denominator
+    gap = n.bit_length() - d.bit_length() - INF_CODE_LOG2
+    return gap > 0 or gap == 0 and n >= d << INF_CODE_LOG2
 
 
 def _spec_tensors(spec: TransformerSpec):
@@ -163,8 +166,8 @@ def _int_rounder(label: str, values, bits: int):
     requantization at the same width the identity.  The grid is
     FxFormat(bits) with the scale applied outside it (_grid_rounder), so a
     tensor too small for a format's scale_log2 is still calibrated."""
-    finite = [abs(Fraction(v)) for v in values if not is_inf_code(v)]
-    maxabs = max(finite, default=Fraction(0))
+    maxabs = max((abs(Fraction(v)) for v in values if not is_inf_code(v)),
+                 default=0)
     if maxabs == 0:
         warnings.warn(DegenerateTensor(
             f"tensor {label} has no nonzero weight; scale defaults to 1"))
@@ -188,10 +191,10 @@ def _grid_rounder(round_, grid, scale_log2=0):
 
     def rnd(v: Fraction) -> Fraction:
         if is_inf_code(v):
-            return _inf_code(1 if v > 0 else -1)
-        x = round_(v / unit, grid)
+            return _INF_CODE if v > 0 else -_INF_CODE
+        x = round_(v / unit if scale_log2 else v, grid)
         if x.is_inf:
-            return _inf_code(x.sign)
+            return _INF_CODE if x.sign > 0 else -_INF_CODE
         e, n = x.exp2 + scale_log2, x.sign * x.sig
         return Fraction(n << e) if e >= 0 else Fraction(n, 1 << -e)
 
@@ -215,13 +218,9 @@ def quantize_spec(spec: TransformerSpec,
     calibrated over the distinct values, and each distinct (tensor, row)
     is quantized once.
     """
-    rounders = {}
-    for label, values in _spec_tensors(spec):
-        if isinstance(fmt, FxFormat):
-            rounders[label] = _int_rounder(label, dict.fromkeys(values),
-                                           fmt.p)
-        else:
-            rounders[label] = _float_rounder(fmt)
+    rounders = {label: _int_rounder(label, dict.fromkeys(values), fmt.p)
+                if isinstance(fmt, FxFormat) else _float_rounder(fmt)
+                for label, values in _spec_tensors(spec)}
 
     @cache
     def q(label, v):

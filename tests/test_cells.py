@@ -5,25 +5,30 @@ and a map per position from the input bits it reads, int(y + z, 2) masked to
 them, to its cell; token_cells and fold_reads read every cell from these.
 At every position and for every pattern of its bits, the mapped cell must
 equal a fresh _make_cell of the encoded row on every field, its term codes
-included, for every family and its quantizations; a row
-whose cell cannot be built is mapped at no position and still fails at the
-first position that reaches it; fold_reads must give what a fresh build of
-every cell gives.
+included, for every family and its quantizations, whose rows are shared
+objects; a row whose cell cannot be built is mapped at no position and
+still fails at the first position that reaches it; fold_reads must give
+what a fresh build of every cell gives.  Each position's index map
+(_row_lookup) must give, for every number its mask admits, the row index
+its references read bit by bit, on random rules.
 """
 
 import warnings
+from fractions import Fraction
+from itertools import product
 
 import pytest
+from conftest import build_toy_spec
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from eqattn import attn
-from eqattn.attn import (Cell, _make_cell, _rep, fold_reads, forward,
-                         token_cells, token_logits)
+from eqattn.attn import (Cell, TokenRule, _make_cell, _rep, _row_lookup,
+                         fold_reads, forward, token_cells, token_logits)
 from eqattn.bitnum import LogitOutOfRange
 from eqattn.constructs import make
-from eqattn.quantlab import (FP8_E4M3, INT6, DegenerateTensor,
-                             parse_quant_format, quantize_spec)
-
-FP_E2M1 = parse_quant_format("fp_e2m1")
+from eqattn.quantlab import (DegenerateTensor, _resolve_format,
+                             quantize_spec)
 
 FAMILIES = {
     "fx-simple m=5": ("fx-simple", {"m": 5}),
@@ -31,18 +36,24 @@ FAMILIES = {
     "fp-linear (4,3)": ("fp-linear", {"t": 4, "e": 3}),
     "fp-softmax (4,7)": ("fp-softmax", {"t": 4, "e": 7}),
 }
-FORMATS = {"native": None, "int6": INT6, "fp8_e4m3": FP8_E4M3,
-           "fp_e2m1": FP_E2M1}
+# native is the subject itself; every other name is a quantization target
+FORMATS = ("native", "int6", "fp8_e4m3", "fp_e2m1")
+# more targets of the quantize benchmark, whose quantized rows are shared
+# objects across rules (quantize_spec rounds each distinct row once)
+TARGETS = [("fx-tight m=7", "native-1"), ("fx-tight m=7", "int8"),
+           ("fp-softmax (4,7)", "fp16"), ("fp-softmax (4,7)", "int8")]
+SUBJECTS = [pytest.param(*subject, id="-".join(subject))
+            for subject in [*product(FAMILIES, FORMATS), *TARGETS]]
 
 
 def _subject(family, fmt):
     name, size = FAMILIES[family]
     spec = make(name, **size)[0]
-    if FORMATS[fmt] is None:
+    if fmt == "native":
         return spec
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegenerateTensor)
-        return quantize_spec(spec, FORMATS[fmt])
+        return quantize_spec(spec, _resolve_format(fmt, spec))
 
 
 def _fresh(spec, row):
@@ -73,8 +84,7 @@ def _patterns(spec, j):
         yield "".join(bits["y"]), "".join(bits["z"])
 
 
-@pytest.mark.parametrize("fmt", FORMATS)
-@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("family,fmt", SUBJECTS)
 def test_every_table_cell_equals_a_fresh_build(family, fmt):
     spec = _subject(family, fmt)
     comp = spec._compiled
@@ -103,6 +113,47 @@ def test_every_table_cell_equals_a_fresh_build(family, fmt):
     assert len(mapped) + len(missing) == len(rows)
     # one cell per distinct row value, at every position it is read from
     assert len({id(cell) for cell in mapped.values()}) == len(mapped)
+
+
+def _rule_of(source):
+    """A rule over source whose rows are distinct objects, one per pattern:
+    a key of 0, so weight 1, and the pattern as the value."""
+    return TokenRule(source, tuple((Fraction(1, 2), Fraction(0), Fraction(k))
+                                   for k in range(1 << len(source))))
+
+
+@st.composite
+def lookup_rules(draw):
+    """(m, rule) for m = 3..7 and 1-4 references, y and z mixed, in any
+    order and possibly repeated."""
+    m = draw(st.integers(3, 7))
+    refs = st.tuples(st.sampled_from("yz"), st.integers(1, m))
+    return m, _rule_of(tuple(draw(st.lists(refs, min_size=1, max_size=4))))
+
+
+@example((3, _rule_of((("z", 2), ("y", 1), ("z", 2)))))
+@example((4, _rule_of((("y", 4), ("y", 4), ("z", 1), ("y", 4)))))
+@given(lookup_rules())
+def test_row_lookup_indexes_each_submask_by_the_per_bit_formula(case):
+    """Every number the rule's mask admits maps to the row its references
+    read, bit by bit, the first most significant; a bit read twice sets
+    both index bits.  encode reads the rule's own row objects."""
+    m, rule = case
+    shifts = [2 * m - i if name == "y" else m - i
+              for name, i in rule.source][::-1]
+    mask, index = _row_lookup(rule, m)
+    assert mask == sum({1 << s for s in shifts})
+    subs = sorted({sum(bits) for bits in
+                   product(*[(0, 1 << s) for s in set(shifts)])})
+    assert sorted(index) == subs
+    toy = build_toy_spec()
+    spec = toy._replace(m=m, n=1,
+                        embedding=[rule, toy.embedding[-1]]).validate()
+    for v in subs:
+        want = sum((v >> s & 1) << k for k, s in enumerate(shifts))
+        assert index[v] == want
+        bits = format(v, f"0{2 * m}b")
+        assert spec.encode(bits[:m], bits[m:])[0] is rule.rows[want]
 
 
 def _old_fold_reads(spec):

@@ -130,10 +130,26 @@ MUTANTS = [
     # that int(s, 2) reads but that is no bit string let through, by
     # encode and by token_cells
     ("attn.py",
-     '    shifts = [2 * m - i if name == "y" else m - i',
-     '    shifts = [2 * m - i if name == "y" else 2 * m - i',
+     '        bit = 1 << (2 * m - i if name == "y" else m - i)',
+     '        bit = 1 << (2 * m - i if name == "y" else 2 * m - i)',
      ["tests/test_kernel.py::test_compiled_encode_returns_the_rules_own_"
       "rows"]),
+    # the index maps: a bit read twice weighted by its last reference only,
+    # a position's cells read from the distinct rows by its own row
+    # indices, and a node made on a miss left out of the table
+    ("attn.py",
+     "        weight[bit] = weight.get(bit, 0) | 1 << k",
+     "        weight[bit] = 1 << k",
+     ["tests/test_cells.py::test_row_lookup_indexes_each_submask_by_the_"
+      "per_bit_formula"]),
+    ("attn.py",
+     "                                if isinstance(c := cells[mine[i]], Cell)})",
+     "                                if isinstance(c := cells[i], Cell)})",
+     ["tests/test_cells.py::test_every_table_cell_equals_a_fresh_build"]),
+    ("attn.py",
+     "            self.nodes.setdefault(code, (state, code, {}))",
+     "            (state, code, {})",
+     ["tests/test_steps.py::test_table_keys_are_value_keys"]),
     ("attn.py",
      '        if bits.strip("01"):',
      "        if False:",
@@ -286,6 +302,12 @@ MUTANTS = [
      "    if args.samples and args.t is None and args.e is None:",
      "    if False:",
      ["tests/test_cli_fuzz.py::test_pinned_usage_errors"]),
+    # a weight of exactly 2**INF_CODE_LOG2 not taken for the infinity code
+    ("quantlab.py",
+     "    return gap > 0 or gap == 0 and n >= d << INF_CODE_LOG2",
+     "    return gap > 0 or gap == 0 and n > d << INF_CODE_LOG2",
+     ["tests/test_quantlab.py::TestInfCode::"
+      "test_is_inf_code_at_the_boundary"]),
     # an integer target calibrated on a format of the tensor's own scale,
     # which a tensor of tiny weights takes past the bound
     ("quantlab.py",

@@ -1,12 +1,14 @@
 """Post-training quantization: formats, calibration, datasets, accuracy."""
 
 import json
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
 from eqattn.attn import forward
-from eqattn.bitnum import FpFormat, FxFormat, InvalidFormat, fp_round, fx_round
+from eqattn.bitnum import (INF_CODE_LOG2, FpFormat, FxFormat, InvalidFormat,
+                           fp_round, fx_round)
 from eqattn.constructs import make
 from eqattn.oracle import to_csv
 from eqattn.quantlab import (
@@ -175,6 +177,27 @@ class TestFloatQuantization:
         spec, _ = make("fp-linear", t=4, e=3)
         quant = quantize_spec(spec, FP8_E4M3)
         assert not any(is_inf_code(v) for v in spec_weights(quant))
+
+
+class TestInfCode:
+    def test_is_inf_code_at_the_boundary(self):
+        """is_inf_code against |v| >= 2**16384 on exact Fractions: at the
+        boundary, just below and above it (2**16384 -+ 1/3 and + 1, where
+        the bit lengths do not decide), far from it either way, and in
+        every type it reads."""
+        assert INF_CODE_LOG2 == 16384
+        top = 1 << INF_CODE_LOG2
+        below = [top - Fraction(1, 1 << k) for k in (1, 2, 64, 16384, 20000)]
+        cases = [
+            top, -top, Fraction(top), Fraction(-top), *below,
+            *(-v for v in below), top - Fraction(1, 3), Fraction(1, 3) - top,
+            top + Fraction(1, 3), top - 1, 1 - top, top + 1, 1 << 20000,
+            -1 << 20000, Fraction(1 << 20000, 3), Fraction(1, 1 << 20000),
+            0, 1, -5, Fraction(-7, 8), True, 1e300, -2.5, Decimal("-7.5"),
+        ]
+        for v in cases:
+            assert is_inf_code(v) == (abs(Fraction(v)) >= 2 ** 16384), v
+        assert is_inf_code(None) is False
 
 
 class TestDataset:
