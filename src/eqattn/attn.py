@@ -15,12 +15,11 @@ spec compiles, on first use, in one pass that numbers its distinct rows,
 then one token_logits call and one cell per distinct row.  A position reads
 the pair as one number, int(y + z, 2), masked to its bits: its index map
 gives its rule's row index (encode) and its lookup, built from the row
-numbers, the row's cell (token_cells, forward).  One kernel, fold, runs one
-fold over cells from any state of it, and one pipeline, resume, runs both
-folds from given states and then the W^V scale, the divide and the MLP.
-forward is resume from None over every cell; the one-way protocol folds
-Alice's prefix (alice_len) and resumes Bob's suffix from her partials; the
-factored verifier steps each fold through its step table (fold_stepper).
+numbers, the row's cell (token_cells).  One kernel, fold, runs one fold
+over cells from any state of it, and one pipeline, resume, runs both folds
+of a pair from a position and given nodes, then the W^V scale, the divide
+and the MLP: forward from 0 and fresh folds, Bob from Alice's end nodes
+(prefix_folds).  The factored verifier steps each fold (fold_stepper).
 
 A fold's state at any boundary is one value of its bounded format, so each
 fold step is a small finite map (state, term) -> next state.  A compiled
@@ -33,21 +32,19 @@ they were reached, also after the table was cleared, as it is at a fixed
 size to bound its memory.  The memo is exact because the bounded add reads
 only its operands' representations.
 
-The tail after the folds is memoised the same way, in smaller tables: the
-W^V scale (and a linear head's attention output) per value code of the
-numerator fold value, and the MLP (with its answer bit) per value code of
-the attention output sa, since each reads nothing else; many pairs share
-one sa.  The divide is not memoised: its (num, den) pairs rarely repeat.
-No error is ever stored, so an indeterminate form is raised on every
-visit.  forward records no per-token list: its trace's tokens() refolds
-them from the cells on each call.
+Most positions add the same term for every pair, so resume steps a fold
+a segment at a time (_segments), from a position whose cells differ, 0 or
+the cut, to the next.  The tail is one probe keyed on the two fold ends'
+codes; a miss runs the W^V scale, memoised per numerator fold value, the
+divide and the MLP, memoised per attention output.  No error is stored, so
+an indeterminate form is raised on every visit.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from itertools import zip_longest
+from itertools import count, zip_longest
 from typing import NamedTuple
 
 from .bitnum import (
@@ -207,8 +204,8 @@ def with_stage_widths(spec: TransformerSpec, widths: dict) -> TransformerSpec:
 
 
 class EvalTrace(NamedTuple):
-    """What resume computed over its cells: the end of each stage, and the
-    spec and cells that tokens() refolds into the per-token lists.
+    """What resume computed for a pair: the end of each stage, and the spec
+    and pair that tokens() refolds into the per-token lists.
 
     A field left None was not reached: the denominator of a linear head, or
     any stage at or after an indeterminate form, which sets indeterminate,
@@ -223,14 +220,15 @@ class EvalTrace(NamedTuple):
     bit: int
     indeterminate: bool
     spec: TransformerSpec
-    cells: list
+    y: str
+    z: str
 
     def tokens(self):
-        """(logits, weights, num_terms, num_partials, den_partials), fresh
-        lists on every call: the cells refolded one position at a time from
-        fresh folds, up to where an indeterminate form stopped the pass:
-        true only of a trace that began at None, as forward's do."""
-        spec, cells, partials = self.spec, self.cells, ([], [])
+        """(logits, weights, num_terms, num_partials, den_partials), new on
+        each call: the pair's cells refolded one at a time from fresh folds,
+        up to where an indeterminate form stopped them."""
+        spec, partials = self.spec, ([], [])
+        cells = token_cells(spec, self.y, self.z)
         try:
             for which in range(1 + (spec.attention_kind == SOFTMAX)):
                 state = None
@@ -327,12 +325,11 @@ def _code(v):
         (v.sign < 0) << 1 | v.inexact
 
 
-# The most edges one fold's table holds.  The largest table of the
-# benchmark workloads, fp-linear (4,4), holds 7,996.  A wide
+# The most edges one fold's table holds: the benchmark's largest, fp-linear
+# (4,4), holds 9,029, 7,996 for terms and 1,033 for segments.  A wide
 # format, where few states repeat, clears its table each time it fills, so
-# memory stays bounded however long the run.  Each table of the tail (scale,
-# MLP) holds at most TAIL_LIMIT: an MLP entry costs about 600 bytes, and no
-# benchmark command's tail table exceeds 542 entries.
+# memory stays bounded.  Each tail table holds at most TAIL_LIMIT: an MLP
+# entry costs about 600 bytes; the largest, fp-softmax (4,7)'s, 1,473.
 STEP_LIMIT = 1 << 14
 TAIL_LIMIT = 1 << 12
 
@@ -341,11 +338,12 @@ class _Steps:
     """One fold's step table: a graph of canonical nodes.
 
     A node is (state, code, edges): a value of the fold's format, its value
-    code (_code) and a map from a term's code to the node after adding that
-    term.  root, (None, None, edges), is the fold before its first term;
-    nodes holds one node per code.  size counts the edges; at STEP_LIMIT
-    every edge and node is dropped in place, so a walk that holds a node
-    only misses and links it to new ones.  No state may be mutated."""
+    code (_code) and a map from a term's code, or a negative segment key,
+    to the node after it.  root, (None, None, edges), is the fold before
+    its first term; nodes holds one node per code.  size counts the edges;
+    at STEP_LIMIT every edge and node is dropped in place, so a walk that
+    holds a node only misses and links it to new ones.  No state may be
+    mutated."""
 
     def __init__(self, fmt):
         self.fmt = fmt
@@ -375,6 +373,15 @@ class _Steps:
         node[2][term_code] = nxt = self.node(nxt)
         return nxt
 
+    def link(self, node, key, cells, which):
+        """Walk a segment's cells from node in fold which; link its negative
+        key to the end, counted in size, unless full (a term's miss clears)."""
+        end = _walk(self, node, cells, which)
+        if key < 0 and self.size < STEP_LIMIT:
+            self.size += 1      # dropped at STEP_LIMIT like a term's edge
+            node[2][key] = end
+        return end
+
 
 def submasks(mask: int) -> list[int]:
     """Every int whose set bits are some of mask's, in ascending order."""
@@ -402,25 +409,28 @@ def _row_lookup(rule: TokenRule, m: int):
 
 
 class _Compiled:
-    """A spec's compiled cells; the step tables of its two folds; the memo
-    tables of the tail (scaled keyed by the numerator fold value's code,
-    mlps by the attention output's); and its constants held in their stage
-    formats: W^V's scale and the MLP.
+    """A spec's compiled cells; its two folds' step tables, their segments
+    per cut and keys, the source of negative segment keys; the tail's memo
+    tables (tails keyed by the two fold ends' codes, scaled by the fold
+    value's, mlps by the attention output's); and W^V's scale and the MLP
+    held in their stage formats.
 
-    built maps each distinct row value of the embedding to its cell under
-    the constant query row, or to the ValueError building that cell raised
-    (a logit exp_logit_exact refuses, or a sentinel in the query row);
-    without a constant query row it is empty.  encoders holds each
-    position's _row_lookup, its mask and index map; lookups the same mask
-    and a map from the masked number to the row's cell, for the rows whose
-    cell was built: the others are built afresh each time, and raise.
-    alice_len is the protocol prefix alice_len(spec) returns."""
+    built maps each distinct row of the embedding to its cell under the
+    constant query row, or to the ValueError building it raised (a logit
+    exp_logit_exact refuses, or a sentinel in the query row); without a
+    constant query row it is empty.  encoders holds each position's
+    _row_lookup, its mask and index map; lookups the same mask and a map
+    from the masked number to the row's cell, for built cells; complete
+    says every cell was built.  alice_len is alice_len(spec)."""
 
     def __init__(self, spec: TransformerSpec):
         last = spec.embedding[-1]
         self.query = None if last.source else last.rows[0]
         self.num = _Steps(spec.fold_fmt)
         self.den = _Steps(spec.den_fmt)
+        self.segments = {}
+        self.keys = count(-1, -1)
+        self.tails = {}
         self.scaled = {}
         self.mlps = {}
         self.encoders = [_row_lookup(rule, spec.m) for rule in spec.embedding]
@@ -438,6 +448,7 @@ class _Compiled:
         self.lookups = [(mask, {v: c for v, i in index.items()
                                 if isinstance(c := cells[mine[i]], Cell)})
                         for (mask, index), mine in zip(self.encoders, ids)]
+        self.complete = all(isinstance(cell, Cell) for cell in cells)
 
     def _build(self, spec, distinct):
         """Per distinct row, from one token_logits call: its cell, or the
@@ -468,16 +479,12 @@ def _make_cell(spec: TransformerSpec, comp: _Compiled, row,
 
 
 def token_cells(spec: TransformerSpec, y: str, z: str) -> list[Cell]:
-    """The cell of every position for the input pair, query row last.
-
-    Each position reads its cell from the compiled lookups by int(y + z, 2)
-    masked to the bits it reads.  On a miss (a query row that reads input
-    bits, a row whose cell could not be built, or input encode refuses)
-    every cell is built uncached from encode's rows: their logits are
-    computed once and every cell is built, in position order, before
-    folding starts, so an error is raised at the first position that
-    reaches it.
-    """
+    """The cell of every position for the input pair, query row last: read
+    from the compiled lookups by int(y + z, 2) masked to its bits.  On a
+    miss (a query row that reads input bits, a cell that was not built, or
+    input encode refuses) every cell is built uncached from encode's rows,
+    in position order and before any fold, so an error is raised at the
+    first position that reaches it."""
     comp = spec._compiled
     bits = y + z
     if len(y) == spec.m == len(z) and not bits.strip("01"):
@@ -502,8 +509,7 @@ def fold_reads(spec: TransformerSpec) -> tuple[set, set]:
     """
     comp = spec._compiled
     every = set(range(1, spec.m + 1))
-    if comp.query is None or \
-            not all(isinstance(cell, Cell) for cell in comp.built.values()):
+    if not comp.complete:
         return every, set(every)
     num, den = set(), set()
     for rule in spec.embedding:
@@ -530,17 +536,18 @@ def fold(spec: TransformerSpec, which: int, state, cells):
     fold from state, that fold so far (None before its first term; the
     numerator before the W^V scale), over cells, and return the end node
     of its step table: (state, value code, edges), the root for no state
-    and no cells.  The only error a step can raise is IndeterminateForm:
-    every format's sizes are bounded where it is made.
-
-    Each cell is one lookup of its term code in the current node's edges;
-    fx_add / fp_add runs only on a miss.  An indeterminate form is never
-    stored, so it is raised on every visit, and a cleared table only turns
-    later steps back into misses.
+    and no cells.  Each cell is one lookup of its term code in the current
+    node's edges; fx_add / fp_add runs only on a miss.  The only error a
+    step can raise is IndeterminateForm (every format's sizes are bounded
+    where it is made), never stored, so it is raised on every visit.
     """
-    comp = spec._compiled
-    table, (t, f, k) = (comp.num, comp.den)[which], _FOLDS[which]
-    node = table.node(state)
+    table = (spec._compiled.num, spec._compiled.den)[which]
+    return _walk(table, table.node(state), cells, which)
+
+
+def _walk(table: _Steps, node, cells, which: int):
+    """fold's walk over cells from node, in the fold which's table."""
+    t, f, k = _FOLDS[which]
     for cell in cells:
         node = node[2].get(cell[k]) or table.step(node, cell[t], cell[k],
                                                   cell[f])
@@ -552,8 +559,7 @@ def fold_stepper(spec: TransformerSpec, which: int):
     fold: step(node, cell) is the node of its step table after cell, and
     root opens the fold.  Like fold, it raises only IndeterminateForm."""
     comp = spec._compiled
-    table = (comp.num, comp.den)[which]
-    t, f, k = _FOLDS[which]
+    table, (t, f, k) = (comp.num, comp.den)[which], _FOLDS[which]
     return (lambda node, cell: node[2].get(cell[k])
             or table.step(node, cell[t], cell[k], cell[f])), table.root
 
@@ -568,24 +574,21 @@ def _store(table: dict, key, value):
 
 
 def _scaled(spec: TransformerSpec, num, code):
-    """(num times W^V rounded into num_fmt, and for a linear head the
-    attention output), memoised on num's value code: the multiply reads
-    nothing else.  It never raises IndeterminateForm, which takes 0 * Inf:
-    the scale is held exactly, so it is finite, and validate requires it to
-    be nonzero."""
+    """num times W^V rounded into num_fmt, memoised on num's value code:
+    the multiply reads nothing else.  It never raises IndeterminateForm,
+    which takes 0 * Inf: the scale is held exactly, so it is finite, and
+    validate requires it to be nonzero."""
     comp = spec._compiled
     hit = comp.scaled.get(code)
     if hit is None:
-        scaled = _ops(spec.num_fmt)[1](num, comp.scale, spec.num_fmt)
-        sa = _attend(spec, scaled, None) \
-            if spec.attention_kind == LINEAR else None
-        hit = _store(comp.scaled, code, (scaled, sa))
+        mul = _ops(spec.num_fmt)[1]
+        hit = _store(comp.scaled, code, mul(num, comp.scale, spec.num_fmt))
     return hit
 
 
 def scale_numerator(spec: TransformerSpec, num):
     """The finished numerator fold times W^V, rounded into num_fmt."""
-    return _scaled(spec, num, _code(num))[0]
+    return _scaled(spec, num, _code(num))
 
 
 def relu(v):
@@ -684,14 +687,10 @@ def _attend(spec: TransformerSpec, num, den):
 
 
 def finish_softmax(spec: TransformerSpec, num, den):
-    """Divide a softmax head's scaled numerator by its denominator fold and
-    run the output head.
-
-    Returns (bit, sa, output); as in resume, an indeterminate form in the
-    division or the MLP answers 0 with sa and output None.  Lets verifiers
-    that compute the two folds independently share the exact tail of the
-    pipeline.
-    """
+    """(bit, sa, output) of a softmax head's scaled numerator divided by its
+    denominator fold, then the output head; as in resume, an indeterminate
+    form answers 0 with sa and output None.  Verifiers that compute the two
+    folds apart share the exact tail through it."""
     try:
         sa = _attend(spec, num, den)
         out, _, bit = _head(spec, sa)
@@ -700,27 +699,88 @@ def finish_softmax(spec: TransformerSpec, num, den):
     return bit, sa, out
 
 
-def resume(spec: TransformerSpec, num, den, cells) -> EvalTrace:
-    """The head resumed over cells from the fold states num and den (None
-    opens a fold; a linear head reads no den): both folds, the W^V scale,
-    for softmax attention the divide, then the MLP.  The trace keeps the
-    cells, and its numerator is the scaled fold."""
+def _segments(comp: _Compiled, cut: int):
+    """Per fold, (all, before cut, after) of its segments, memoised: each
+    (mask, keys, runs) from 0, cut or a position whose cells differ in the
+    fold's term or opening (_rep) to the next.  keys maps the pair's number
+    masked to that position's bits to a key, runs the key to the cells: one
+    cell's term code, else a new negative int from comp.keys."""
+    folds = comp.segments[cut] = []
+    for _, f, k in _FOLDS:
+        starts = [j for j, (_, cs) in enumerate(comp.lookups) if j in (0, cut)
+                  or len({(c[k], _rep(c[f])) for c in cs.values()}) > 1]
+        segs = []
+        for a, b in zip(starts, starts[1:] + [len(comp.lookups)]):
+            mask, cells = comp.lookups[a]
+            rest = [comp.lookups[j][1][0] for j in range(a + 1, b)]
+            keys = {c[k]: next(comp.keys) if rest else c[k]
+                    for c in cells.values()}   # term code at a -> key
+            segs.append((mask, {v: keys[c[k]] for v, c in cells.items()},
+                         {keys[c[k]]: (c, *rest) for c in cells.values()}))
+        j = sum(start < cut for start in starts)
+        folds.append((segs, segs[:j], segs[j:]))
+    return folds
+
+
+def _fold_ends(spec: TransformerSpec, ends, nodes, y, z, cut, part):
+    """Append to ends each fold's end node (numerator, softmax denominator)
+    as it ends, from nodes (None: a root) over part 0 (all), 1 or 2 (before,
+    after) of the pair's segments cut at cut, or cells if not all built."""
+    comp, bits, cells = spec._compiled, y + z, None
+    if comp.complete and len(y) == spec.m == len(z) and not bits.strip("01"):
+        bits, segs = int(bits, 2), comp.segments.get(cut)
+        segs = segs or _segments(comp, cut)
+    else:
+        cells = token_cells(spec, y, z)
+        cells = cells[cut:] if part == 2 else cells[:cut] if part else cells
+    for which in range(1 + (spec.attention_kind == SOFTMAX)):
+        table = comp.den if which else comp.num
+        node = nodes[which] or table.root
+        if cells is not None:
+            node = _walk(table, node, cells, which)
+        else:
+            for mask, keys, runs in segs[which][part]:
+                key = keys[bits & mask]
+                node = node[2].get(key) or \
+                    table.link(node, key, runs[key], which)
+        ends.append(node)
+
+
+def prefix_folds(spec: TransformerSpec, y: str, z: str, k: int):
+    """Alice's share: the end nodes of the pair's folds over its first k
+    positions (den None for a linear head).  Raises IndeterminateForm."""
+    ends = []
+    _fold_ends(spec, ends, (None, None), y, z, k, 1)
+    return (*ends, None)[:2]
+
+
+def resume(spec: TransformerSpec, num, den, y, z, k=0) -> EvalTrace:
+    """The head on the pair from position k and nodes num and den (None: a
+    root; a linear head reads no den): folds cut at k (at alice_len from 0),
+    then the tail memo on the end codes; its numerator is the scaled fold."""
+    comp, ends = spec._compiled, []
     numer = denom = sa = None
     try:
-        numer, sa = _scaled(spec, *fold(spec, 0, num, cells)[:2])
-        if spec.attention_kind == SOFTMAX:
-            denom = fold(spec, 1, den, cells)[0]
+        _fold_ends(spec, ends, (num, den), y, z,
+                   *((k, 2) if k else (comp.alice_len, 0)))
+        key = ends[0][1], ends[-1][1]
+        hit = comp.tails.get(key)
+        if hit is None:
+            numer, denom = _scaled(spec, *ends[0][:2]), \
+                ends[1][0] if len(ends) == 2 else None
             sa = _attend(spec, numer, denom)
-        out, hidden, bit = _head(spec, sa)
+            out, hidden, bit = _head(spec, sa)
+            hit = _store(comp.tails, key, (numer, denom, sa, hidden, out, bit))
     except IndeterminateForm:
         # Inf - Inf and Inf/Inf under the saturating formats behave like a
         # NaN: every later comparison is false, so the head answers 0
         # without evaluating further.
-        return EvalTrace(numer, denom, sa, (), None, 0, True, spec, cells)
-    return EvalTrace(numer, denom, sa, hidden, out, bit, False, spec, cells)
+        if ends and numer is None:      # the denominator fold stopped
+            numer = _scaled(spec, *ends[0][:2])
+        return EvalTrace(numer, denom, sa, (), None, 0, True, spec, y, z)
+    return EvalTrace(*hit, False, spec, y, z)
 
 
 def forward(spec: TransformerSpec, y: str, z: str) -> EvalTrace:
-    """The whole head on the input pair: resume from fresh folds over every
-    position's cell, so the trace's tokens() refolds the whole pass."""
-    return resume(spec, None, None, token_cells(spec, y, z))
+    """The whole head on the input pair: resume from 0 and fresh folds."""
+    return resume(spec, None, None, y, z)

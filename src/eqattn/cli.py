@@ -24,6 +24,7 @@ internal invariant breach.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import random
 import sys
@@ -330,7 +331,9 @@ def cmd_import_check(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Every command's parser, built once: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="eqattn",
         description="Exact bounded-precision attention heads for equality: "

@@ -4,12 +4,12 @@ counting arguments that lower-bound them.
 The reduction: the bounded left fold decomposes at any prefix boundary, so
 Alice's share is a prefix length k of the fold order.  Alice (holding y)
 folds the first k tokens (by default the attn.alice_len(spec) tokens that
-read no z bit) with attn.fold and sends the partial numerator and
-denominator as two p-bit scalars.  Bob runs attn.resume from those states
-over the rest: the one pipeline, folds, W^V scale, divide and MLP, that
-forward runs from fresh folds.  So the answer bit equals the
-single-machine forward pass by construction; the tests still check it
-pair-exhaustively at small m.
+read no z bit) with attn.prefix_folds and sends the partial numerator and
+denominator as two p-bit scalars.  Bob runs attn.resume at k from the
+nodes of those states: the one pipeline, folds cut into segments at k, W^V
+scale, divide and MLP, that forward runs from 0 and fresh folds.  So the
+answer bit equals the single-machine forward pass by construction; the
+tests still check it pair-exhaustively at small m.
 """
 
 from __future__ import annotations
@@ -21,9 +21,8 @@ from .attn import (
     LINEAR,
     TransformerSpec,
     alice_len,
-    fold,
+    prefix_folds,
     resume,
-    token_cells,
 )
 from .bitnum import IndeterminateForm, ceil_log2
 from .constructs import native_precision
@@ -95,16 +94,14 @@ def run_protocol(spec: TransformerSpec, y: str, z: str,
     elif not 1 <= k <= spec.n + 1:
         raise ValueError(f"Alice's prefix length must be 1 to {spec.n + 1} "
                          f"tokens, got {k}")
-    cells = token_cells(spec, y, z)
     try:
-        l2 = fold(spec, 0, None, cells[:k])[0]
-        l1 = None if spec.attention_kind == LINEAR else \
-            fold(spec, 1, None, cells[:k])[0]
+        num, den = prefix_folds(spec, y, z, k)
     except IndeterminateForm:
         return ProtocolRun(prefix=k, l1=None, l2=None,
                            bit_cost=bit_cost(spec), bob_bit=0)
-    return ProtocolRun(prefix=k, l1=l1, l2=l2, bit_cost=bit_cost(spec),
-                       bob_bit=resume(spec, l2, l1, cells[k:]).bit)
+    return ProtocolRun(prefix=k, l1=den and den[0], l2=num[0],
+                       bit_cost=bit_cost(spec),
+                       bob_bit=resume(spec, num, den, y, z, k).bit)
 
 
 def enumerate_fooling(m: int, e: int) -> FoolingReport:

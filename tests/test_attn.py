@@ -144,5 +144,5 @@ class TestTraceRendering:
     def test_render_marks_indeterminate(self, toy_spec):
         trace = EvalTrace(numerator=None, denominator=None, sa=None,
                           hidden=(), output=None, bit=0, indeterminate=True,
-                          spec=toy_spec, cells=[])
+                          spec=toy_spec, y="0", z="1")
         assert "attention output: indeterminate" in trace.render_lines()

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from eqattn import commsim
-from eqattn.attn import forward, resume, token_cells
+from eqattn.attn import forward, resume
 from eqattn.commsim import FoolingReport, enumerate_fooling, run_protocol
 from eqattn.constructs import make, native_precision
 from eqattn.oracle import BudgetExceeded
@@ -86,14 +86,15 @@ class TestProtocol:
 
     def test_bob_resumes_the_forward_pipeline_from_alices_partials(
             self, monkeypatch):
-        """Bob's half is attn.resume, the pipeline forward runs from fresh
-        folds: one call per transcript, over the cells after Alice's
-        prefix, from the two partials she sent, and its bit is Bob's."""
+        """Bob's half is attn.resume, the pipeline forward runs from
+        position 0 and fresh folds: one call per transcript, on the pair at
+        Alice's prefix length, from the step-table nodes of the two
+        partials she sent, and its bit is Bob's."""
         calls = []
 
-        def counted(spec, num, den, cells):
-            trace = resume(spec, num, den, cells)
-            calls.append((num, den, cells, trace.bit))
+        def counted(spec, num, den, y, z, k):
+            trace = resume(spec, num, den, y, z, k)
+            calls.append((num, den, (y, z, k), trace.bit))
             return trace
 
         monkeypatch.setattr(commsim, "resume", counted)
@@ -102,6 +103,7 @@ class TestProtocol:
                                make("fp-linear", t=4, e=3),
                                make("fp-softmax", t=4, e=7)):
             m = spec.m
+            comp = spec._compiled
             for _ in range(12):
                 y, z = sorted(format(rng.getrandbits(m), f"0{m}b")
                               for _ in "yz")
@@ -111,9 +113,15 @@ class TestProtocol:
                     calls.clear()
                     run = run_protocol(spec, y, z, k)
                     assert len(calls) == 1
-                    num, den, cells, bit = calls[0]
-                    assert cells == token_cells(spec, y, z)[run.prefix:]
-                    assert num is run.l2 and den is run.l1
+                    num, den, at, bit = calls[0]
+                    assert at == (y, z, run.prefix)
+                    assert num[0] is run.l2
+                    assert comp.num.nodes[num[1]] is num
+                    if spec.attention_kind == "linear":
+                        assert den is run.l1 is None
+                    else:
+                        assert den[0] is run.l1
+                        assert comp.den.nodes[den[1]] is den
                     assert bit == run.bob_bit == forward(spec, y, z).bit
 
     def test_prefix_lengths_past_the_sequence_are_rejected(self):

@@ -105,8 +105,8 @@ MUTANTS = [
      ["tests/test_steps.py::test_wide_format_tables_stay_bounded"]),
     # the denominator folded with the numerator's terms
     ("attn.py",
-     "    table, (t, f, k) = (comp.num, comp.den)[which], _FOLDS[which]",
-     "    table, (t, f, k) = (comp.num, comp.den)[which], _FOLDS[0]",
+     "    t, f, k = _FOLDS[which]",
+     "    t, f, k = _FOLDS[0]",
      ["tests/test_kernel.py::test_native_and_cliff_specs_match_the_"
       "reference"]),
     # value keys that tell too little apart: a value code blind to the
@@ -163,31 +163,68 @@ MUTANTS = [
     # resume's indeterminate trace dropping a finished denominator, or
     # answering 1
     ("attn.py",
-     "        return EvalTrace(numer, denom, sa, (), None, 0, True, spec, "
-     "cells)",
-     "        return EvalTrace(numer, None, sa, (), None, 0, True, spec, "
-     "cells)",
+     "        return EvalTrace(numer, denom, sa, (), None, 0, True, spec, y, "
+     "z)",
+     "        return EvalTrace(numer, None, sa, (), None, 0, True, spec, y, "
+     "z)",
      ["tests/test_kernel.py::test_saturating_quantized_specs_match_the_"
       "reference"]),
     ("attn.py",
-     "        return EvalTrace(numer, denom, sa, (), None, 0, True, spec, "
-     "cells)",
-     "        return EvalTrace(numer, denom, sa, (), None, 1, True, spec, "
-     "cells)",
+     "        return EvalTrace(numer, denom, sa, (), None, 0, True, spec, y, "
+     "z)",
+     "        return EvalTrace(numer, denom, sa, (), None, 1, True, spec, y, "
+     "z)",
      ["tests/test_kernel.py::test_saturating_quantized_specs_match_the_"
       "reference"]),
-    # a fold that ignores its incoming state and opens at the root, and
-    # Bob resuming from fresh folds instead of Alice's partials
+    # a fold that ignores its incoming state and opens at the root, a
+    # segment fold that does, and Bob resuming from fresh folds instead of
+    # Alice's partials
     ("attn.py",
-     "    node = table.node(state)",
-     "    node = table.root",
+     "    return _walk(table, table.node(state), cells, which)",
+     "    return _walk(table, table.root, cells, which)",
+     ["tests/test_kernel.py::test_native_and_cliff_specs_match_the_"
+      "reference"]),
+    ("attn.py",
+     "        node = nodes[which] or table.root",
+     "        node = table.root",
      ["tests/test_commsim.py::TestProtocol::"
       "test_any_prefix_length_gives_the_same_bit"]),
     ("commsim.py",
-     "                       bob_bit=resume(spec, l2, l1, cells[k:]).bit)",
-     "                       bob_bit=resume(spec, None, None, cells[k:]).bit)",
+     "                       bob_bit=resume(spec, num, den, y, z, k).bit)",
+     "                       bob_bit=resume(spec, None, None, y, z, k).bit)",
      ["tests/test_commsim.py::TestProtocol::"
       "test_bob_resumes_the_forward_pipeline_from_alices_partials"]),
+    # segments: one cut off by one at the protocol cut (alice_len by
+    # default), so a segment straddles it or Alice takes one too many, two
+    # segments sharing a key, and a segment edge not counted in size; and
+    # the tail keyed on the numerator's end alone
+    ("attn.py",
+     "        starts = [j for j, (_, cs) in enumerate(comp.lookups) if j in "
+     "(0, cut)",
+     "        starts = [j for j, (_, cs) in enumerate(comp.lookups) if j in "
+     "(0, cut + 1)",
+     ["tests/test_segments.py::test_the_protocol_matches_the_per_cell_"
+      "pipeline_at_every_cut"]),
+    ("attn.py",
+     "        j = sum(start < cut for start in starts)",
+     "        j = sum(start <= cut for start in starts)",
+     ["tests/test_segments.py::test_the_protocol_matches_the_per_cell_"
+      "pipeline_at_every_cut"]),
+    ("attn.py",
+     "            keys = {c[k]: next(comp.keys) if rest else c[k]",
+     "            keys = {c[k]: -1 - a if rest else c[k]",
+     ["tests/test_segments.py::test_segment_folds_match_the_per_cell_"
+      "pipeline"]),
+    ("attn.py",
+     "            self.size += 1      # dropped at STEP_LIMIT like a term's "
+     "edge",
+     "            pass",
+     ["tests/test_package.py::test_memo_tables_key_on_values_not_identity"]),
+    ("attn.py",
+     "        key = ends[0][1], ends[-1][1]",
+     "        key = ends[0][1], None",
+     ["tests/test_segments.py::test_segment_folds_match_the_per_cell_"
+      "pipeline"]),
     # a stage width refused without its stage, or without its token
     ("attn.py",
      '            raise InvalidFormat(f"{name}: {exc}") from None',

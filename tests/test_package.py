@@ -17,6 +17,7 @@ import sys
 import eqattn
 from eqattn import attn
 from eqattn.bitnum import FpNum, FxFormat, FxNum
+from eqattn.commsim import run_protocol
 from eqattn.constructs import make
 
 
@@ -113,8 +114,10 @@ def test_memo_tables_key_on_values_not_identity():
     equal for equal values whatever table held them, so no table keeps
     canonical objects alive to make an id safe.  The fold's step table is
     its graph of nodes alone, keyed by code: no intern table, no intern or
-    end_run, and no constant-run plan; every node code and edge key is an
-    int."""
+    end_run.  Every node code and edge key is an int: a term code, which
+    is never negative, or the negative key of a segment of two or more
+    cells, which names cells in its segment's runs.  Every edge leads to
+    the canonical node of its code, and size counts both kinds of edge."""
     d = os.path.dirname(eqattn.__file__)
     calls = []
     for name in sorted(os.listdir(d)):
@@ -132,16 +135,24 @@ def test_memo_tables_key_on_values_not_identity():
     assert not any(hasattr(table, name) for name in ("intern", "end_run"))
     spec = make("fx-tight", m=7)[0]
     comp = spec._compiled
-    assert not any(hasattr(comp, name) for name in ("plan", "plans",
-                                                     "consts"))
     for y in ("0010100", "1111111"):
         attn.forward(spec, y, "0010100")
+        run_protocol(spec, y, "0010100", 3)
+    assert all(min(cell.num_key, cell.den_key) >= 0
+               for cell in comp.built.values())
+    runs = {key for folds in comp.segments.values() for parts in folds
+            for _, _, cells in parts[0] for key in cells if key < 0}
     for table in (comp.num, comp.den):
         assert table.nodes and table.root[1] is None
         for code, node in table.nodes.items():
             assert type(code) is int and node[1] is code
-        assert all(type(key) is int for node in
-                   (table.root, *table.nodes.values()) for key in node[2])
+        edges = [(key, to) for node in (table.root, *table.nodes.values())
+                 for key, to in node[2].items()]
+        assert all(type(key) is int for key, _ in edges)
+        assert all(table.nodes[to[1]] is to for _, to in edges)
+        segment = [key for key, _ in edges if key < 0]
+        assert segment and set(segment) <= runs
+        assert table.size == len(edges)
 
 
 def test_arithmetic_raises_nothing_but_an_indeterminate_form():

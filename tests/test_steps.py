@@ -11,9 +11,10 @@ leave nothing behind; a pass that repeats earlier steps must add nothing;
 and every node and edge must be keyed by a value code, so a fold resumed
 from a fresh copy of a state repeats no addition.
 
-The tail's tables, the W^V scale keyed by the fold value and the MLP keyed
-by the attention output, obey the same rules: equal to fresh arithmetic,
-no stored error, no trace sharing a mutable list, bounded by TAIL_LIMIT.
+The tail's tables, the fold ends' keyed by their two codes, the W^V scale
+keyed by the fold value and the MLP keyed by the attention output, obey
+the same rules: equal to fresh arithmetic, no stored error, no trace
+sharing a mutable list, bounded by TAIL_LIMIT.
 A verify run pins the adds and MLP evaluations the memos leave.
 """
 
@@ -440,9 +441,9 @@ def test_tail_tables_stay_bounded_and_exact(monkeypatch, name, kwargs):
     monkeypatch.setattr(attn, "TAIL_LIMIT", limit)
     spec = make(name, **kwargs)[0]
     comp = spec._compiled
-    cleared = [False, False]
+    cleared = [False, False, False]
     for y, z in _wide_pairs(spec, random.Random(0x5A), 60):
-        before = [len(comp.scaled), len(comp.mlps)]
+        before = [len(comp.scaled), len(comp.mlps), len(comp.tails)]
         got, want = forward(spec, y, z), ref_forward(spec, spec.encode(y, z))
         assert got.bit == want.bit
         for a, b in ((got.numerator, want.numerator), (got.sa, want.sa),
@@ -450,10 +451,10 @@ def test_tail_tables_stay_bounded_and_exact(monkeypatch, name, kwargs):
             assert _rep(a) == _rep(b)
         assert [_rep(h) for h in got.hidden] == \
             [_rep(h) for h in want.hidden]
-        sizes = [len(comp.scaled), len(comp.mlps)]
+        sizes = [len(comp.scaled), len(comp.mlps), len(comp.tails)]
         assert max(sizes) <= limit
         cleared = [c or s < b for c, s, b in zip(cleared, sizes, before)]
-    assert cleared == [True, True]
+    assert cleared == [True, True, True]
 
 
 def test_a_verify_run_pins_its_adds_and_mlp_evaluations(monkeypatch,
