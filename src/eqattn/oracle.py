@@ -10,15 +10,16 @@ after it, the verifier buckets each fold's values over its own pairs of
 fields, y[:s] <= z[:s] for the numerator and every pair of tails for the
 denominator, and combines the buckets by runs: rounding is monotone, so
 against one numerator value the quotient is monotone in the denominator,
-and every MLP step in its input.  Each fold's buckets come from one pass
-over the positions that steps the fold through its step table and counts
-the pairs of fields by state, not one by one (the transfer-matrix method:
-Stanley, Enumerative Combinatorics I, 4.7): fx-tight m=13 takes about
-4,200 states and 753 divides, not 3.4e7 forward passes.  The cap,
-PAIR_CAP, bounds the pairs of fields, not the promise pairs.  Every
-reported failure is re-evaluated with a direct forward pass before it is
-believed.  Every path, and quantlab's sampled scoring, counts pairs into
-one Tally.
+against one positive denominator in the numerator, and every MLP step in
+its input, so each numerator value's runs are seeded from those of the
+value below it.  Each fold's buckets come from one pass over the
+positions that steps the fold through its step table and counts the pairs
+of fields by state, not one by one (the transfer-matrix method: Stanley,
+Enumerative Combinatorics I, 4.7): fx-tight m=13 takes about 4,200 states
+and 435 divides, not 3.4e7 forward passes.  The cap, PAIR_CAP, bounds the
+pairs of fields, not the promise pairs.  Every reported failure is
+re-evaluated with a direct forward pass before it is believed.  Every
+path, and quantlab's sampled scoring, counts pairs into one Tally.
 """
 
 from __future__ import annotations
@@ -359,10 +360,13 @@ def _buckets(spec, which, s):
                         f = _NAN
                 code &= keep_open if o is None else after[j + 1]
                 moved = [p | add for p in paths] if add else paths
-                key = f[1] if type(f) is tuple else f
-                entry = nxt.setdefault((key, o, code), [f, o, code, 0, []])
-                entry[3] += count
-                entry[4] = sorted(entry[4] + moved)[:FAILURE_LIST_CAP]
+                key = f[1] if type(f) is tuple else f, o, code
+                entry = nxt.get(key)
+                if entry is None:
+                    nxt[key] = [f, o, code, count, moved]
+                else:
+                    entry[3] += count
+                    entry[4] = sorted(entry[4] + moved)[:FAILURE_LIST_CAP]
         states = nxt
     buckets = {}
     for f, o, _, count, paths in sorted(states.values(),
@@ -376,40 +380,54 @@ def _buckets(spec, which, s):
     return buckets
 
 
-def _segments(spec, num, dens, npos):
+def _runs(spec, num, dens, npos, seeds):
     """Runs (i, j, bit, saturated) that cover dens once, each sharing its
     class against num.  dens[:npos], finite, positive and ascending, are
-    halved until head_class certifies each range's end quotients."""
-    ends, runs = {}, []
-    finite = num is not _NAN and num.is_finite
-    todo = [(i, i, i) for i in range(npos if finite else 0, len(dens))]
-    todo += [(0, npos - 1, 0)] if finite and npos else []
-    while todo:
-        i, j, first = todo.pop()    # certify dens[i..j], count dens[first..j]
-        for k in {i, j} - ends.keys():
+    split from the left: a run from i tries the first seed end g >= i
+    (seeds ascending, ending at npos - 1), and while head_class certifies
+    dens[i..g]'s end quotients in dens[i]'s class it gallops right, then
+    bisects back to the last end that certifies; a seed that does not
+    certify is bisected down from."""
+    ends = {}
+
+    def end(k):                 # (bit, saturated, sa) at dens[k]
+        if k not in ends:
             den = dens[k]
             bit, sa, out = (0, None, None) if num is _NAN or den is _NAN \
                 else finish_softmax(spec, num, den)
             ends[k] = bit, sa is None or _any_inf(num, den, sa, out), sa
-        lo, hi = ends[i][2], ends[j][2]
-        if i < j and num.sign > 0:    # the quotient falls as den rises
+        return ends[k]
+
+    def fits(i, j):             # dens[i..j] certified in dens[i]'s class
+        lo, hi = end(i)[2], end(j)[2]
+        if num.sign > 0:        # the quotient falls as den rises
             lo, hi = hi, lo
-        cls = ends[i][:2] if i == j else None if lo is None or hi is None \
-            else head_class(spec, lo, hi)
-        if cls is not None:
-            runs.append((first, j, *cls))
-        elif j - i > 1:
-            mid = (i + j) // 2
-            todo += [(mid, j, mid + 1), (i, mid, first)]
-        else:
-            runs += [(k, k, *ends[k][:2]) for k in range(first, j + 1)]
-    return runs
+        return i == j or lo is not None and hi is not None \
+            and head_class(spec, lo, hi) == end(i)[:2]
+
+    finite = num is not _NAN and num.is_finite
+    runs, i = [], 0
+    while finite and i < npos:
+        g = seeds[bisect.bisect_left(seeds, i)]
+        lo, hi, step = (g, npos, 1) if fits(i, g) else (i, g, 0)
+        while step and lo < npos - 1:       # gallop right from the seed
+            k = min(lo + step, npos - 1)
+            lo, hi, step = (k, hi, 2 * step) if fits(i, k) else (lo, k, 0)
+        while hi - lo > 1:      # lo certifies, hi does not
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if fits(i, mid) else (lo, mid)
+        runs.append((i, lo, *end(i)[:2]))
+        i = lo + 1
+    return runs + [(k, k, *end(k)[:2])
+                   for k in range(npos if finite else 0, len(dens))]
 
 
 def _combine(spec, num_buckets, den_buckets, s) -> Tally:
     """Every pair y <= z the buckets make, each numerator value's runs
     counted from prefix sums over the distinct denominator values; the
-    first failures listed in bucket order and re-checked with forward."""
+    first failures listed in bucket order and re-checked with forward.
+    Finite numerator values are visited in sorted order, each sign apart,
+    each row's runs (_runs) seeded from the run ends of the row before."""
     counts = {}
     for (den, rel2), (cnt, _) in den_buckets.items():
         counts.setdefault(den, {-1: 0, 0: 0, 1: 0})[rel2] += cnt
@@ -419,11 +437,20 @@ def _combine(spec, num_buckets, den_buckets, s) -> Tally:
     dens = pos + [v for v in counts if v not in known]
     prefix = {r: list(accumulate((counts[v][r] for v in dens), initial=0))
               for r in (-1, 0, 1)}
+    rows = dict.fromkeys(v for v, _ in num_buckets
+                         if v is not _NAN and v.is_finite)
+    npos, last, classed = len(pos), None, {}
+    for num in sorted(rows, key=lambda v: v.as_fraction()):
+        neg = num.as_fraction() < 0     # each sign's rows seeded in turn
+        if neg != last:
+            seeds, last = [npos - 1], neg
+        classed[num] = runs = _runs(spec, num, dens, npos, seeds)
+        seeds = [j for _, j, _, _ in runs if j < npos]
     total = wrong = saturated = 0
-    listed, classed = [], {}
+    listed = []
     for (num, rel1), (cnt1, ex1) in num_buckets.items():
-        if num not in classed:
-            classed[num] = _segments(spec, num, dens, len(pos))
+        if num not in classed:      # NaN and infinite: runs of one
+            classed[num] = _runs(spec, num, dens, npos, ())
         # the expected bit at each order of the tails that keeps y <= z
         verdicts = {-1: 0, 0: 1} if rel1 == 0 else {-1: 0, 0: 0, 1: 0}
         bad = 0
@@ -464,7 +491,8 @@ def _factored_exhaustive(spec, s, rng, expected_total):
     to s, so each is folded alone over its own pairs of fields: y[:s] <=
     z[:s] for the numerator, every pair of tails for the denominator.
     Their buckets combine into every pair y <= z by monotone runs
-    (_combine): each run of sorted denominators whose end quotients
+    (_combine): each row's runs of sorted denominators are seeded from the
+    run ends of the numerator value below, each run whose end quotients
     attn.head_class certifies is counted at once, and NaN, zero, infinite
     and negative denominators and non-finite numerators are runs of one.
     PAIR_CAP bounds the pairs of fields, though the passes (_buckets) visit

@@ -281,8 +281,9 @@ MUTANTS = [
      "        keep_open = known & (low >> c) * (low + 2)",
      ["tests/test_buckets.py::test_resumed_buckets_match_one_fold_per_pair"]),
     ("oracle.py",
-     "                entry[4] = sorted(entry[4] + moved)[:FAILURE_LIST_CAP]",
-     "                entry[4] = (entry[4] + moved)[:FAILURE_LIST_CAP]",
+     "                    entry[4] = sorted(entry[4] + moved)"
+     "[:FAILURE_LIST_CAP]",
+     "                    entry[4] = (entry[4] + moved)[:FAILURE_LIST_CAP]",
      ["tests/test_buckets.py::test_resumed_buckets_match_one_fold_per_pair"]),
     ("oracle.py",
      "                                        key=lambda e: e[4][0]):",
@@ -295,10 +296,34 @@ MUTANTS = [
     # the pass merging fold states by ==, blind to the inexact flag and the
     # sign of zero
     ("oracle.py",
-     "                key = f[1] if type(f) is tuple else f",
-     "                key = f[0] if type(f) is tuple else f",
+     "                key = f[1] if type(f) is tuple else f, o, code",
+     "                key = f[0] if type(f) is tuple else f, o, code",
      ["tests/test_buckets.py::test_states_merge_by_value_across_table_"
       "clears"]),
+    # the seeded runs: a seed's run taken without certifying it, the gallop
+    # keeping the end it failed to certify, the bisection's midpoint
+    # rounded up, and every row seeded with the whole row, not the run
+    # ends of the row before
+    ("oracle.py",
+     "        lo, hi, step = (g, npos, 1) if fits(i, g) else (i, g, 0)",
+     "        lo, hi, step = (g, npos, 1) if True else (i, g, 0)",
+     ["tests/test_combine.py::test_every_row_of_runs_is_certified"]),
+    ("oracle.py",
+     "            lo, hi, step = (k, hi, 2 * step) if fits(i, k) else "
+     "(lo, k, 0)",
+     "            lo, hi, step = (k, hi, 2 * step) if fits(i, k) else "
+     "(k, k, 0)",
+     ["tests/test_combine.py::test_every_row_of_runs_is_certified"]),
+    ("oracle.py",
+     "            mid = (lo + hi) // 2",
+     "            mid = (lo + hi + 1) // 2",
+     ["tests/test_combine.py::test_the_seeded_runs_pin_their_"
+      "certifications_and_divides"]),
+    ("oracle.py",
+     "        seeds = [j for _, j, _, _ in runs if j < npos]",
+     "        seeds = [npos - 1]",
+     ["tests/test_combine.py::test_the_seeded_runs_pin_their_"
+      "certifications_and_divides"]),
     # the run counts off by one column, and every pair counted saturated
     ("oracle.py",
      "                n = cnt1 * (cum[j + 1] - cum[i])",

@@ -461,20 +461,22 @@ def test_a_verify_run_pins_its_adds_and_mlp_evaluations(monkeypatch,
                                                        run_cli):
     """fx-tight m=7 exhaustive: the factored verifier's tables, its
     certified runs and spot checks.  A change that drops a memo changes
-    these counts: without the two tail tables they are 1,026 adds, 1,036
-    multiplications and 180 evaluations.  Each evaluation makes 4 adds and
-    4 multiplications, and so does each of the 29 output bounds the
-    combine takes (attn._output_bounds); the other 11 multiplications are
-    the scale table's misses.  So 240 of the adds are the MLP's (27
-    evaluations in the combine, 4 in the spot checks); the other 190 are
-    the fold-step misses of the two bucket passes, one per distinct
-    (state, term) step.  The numerator pass drops a path once a compared
-    bit shows a > b; here every path it keeps still ends in a pair it
-    counts, so it takes the steps of one whole fold per counted pair, as
-    the per-pair walk did.  The spot checks' folds all hit."""
+    these counts: without the MLP and tail tables they are 930 adds, 751
+    multiplications and 163 evaluations (55 divides in the combine, 64
+    spot checks, two per output bound).  Each evaluation makes 4 adds and
+    4 multiplications, and so does each of the 22 output bounds the
+    combine's seeded runs are tried with (attn._output_bounds); the other 11
+    multiplications are the scale table's misses.  So 212 of the adds are
+    the MLP's (27 evaluations in the combine, 4 in the spot checks, and
+    the 22 bounds); the other 190 are the fold-step misses of the two
+    bucket passes, one per distinct (state, term) step.  The numerator
+    pass drops a path once a compared bit shows a > b; here every path it
+    keeps still ends in a pair it counts, so it takes the steps of one
+    whole fold per counted pair, as the per-pair walk did.  The spot
+    checks' folds all hit."""
     adds = _counting(monkeypatch, "fx_add")
     muls = _counting(monkeypatch, "fx_mul")
     evals = _counting(monkeypatch, "mlp_eval")
     code, out, _ = run_cli("verify", "--construction", "fx-tight", "--m", "7")
     assert code == 0 and "8256 pairs, 0 failures" in out
-    assert (adds[0], muls[0], evals[0]) == (430, 251, 31)
+    assert (adds[0], muls[0], evals[0]) == (402, 223, 31)
