@@ -19,7 +19,7 @@ numbers, the row's cell (token_cells).  One kernel, fold, runs one fold
 over cells from any state of it, and one pipeline, resume, runs both folds
 of a pair from a position and given nodes, then the W^V scale, the divide
 and the MLP: forward from 0 and fresh folds, Bob from Alice's end nodes
-(prefix_folds).  The factored verifier steps each fold (fold_stepper).
+(prefix_folds).  The factored verifier walks the same segments.
 
 A fold's state at any boundary is one value of its bounded format, so each
 fold step is a small finite map (state, term) -> next state.  A compiled
@@ -43,7 +43,7 @@ an indeterminate form is raised on every visit.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import count, zip_longest
 from typing import NamedTuple
 
@@ -186,12 +186,14 @@ class TransformerSpec(_SpecFields):
         return None
 
 
-def with_stage_widths(spec: TransformerSpec, widths: dict) -> TransformerSpec:
-    """The spec with each stage of spec.formats at the width of widths[stage]:
-    p of an FxFormat, t and e of an FpFormat.  A stage keeps its rounding,
-    and its scale while it stays fixed point; a refusal names the stage."""
-    def stage(name, old, new):
+def with_stage_widths(spec: TransformerSpec, width) -> TransformerSpec:
+    """The spec with each stage of spec.formats at the width of
+    width(stage format), a format: p of an FxFormat, t and e of an
+    FpFormat.  A stage keeps its rounding, and its scale while it stays
+    fixed point; a refusal, in width or here, names the stage."""
+    def stage(name, old):
         try:
+            new = width(old)
             if isinstance(new, FxFormat):
                 scale = old.scale_log2 if isinstance(old, FxFormat) else 0
                 return FxFormat(new.p, scale, old.rounding)
@@ -199,7 +201,7 @@ def with_stage_widths(spec: TransformerSpec, widths: dict) -> TransformerSpec:
         except InvalidFormat as exc:
             raise InvalidFormat(f"{name}: {exc}") from None
 
-    return spec._replace(**{f"{name}_fmt": stage(name, old, widths[name])
+    return spec._replace(**{f"{name}_fmt": stage(name, old)
                             for name, old in spec.formats.items()})
 
 
@@ -554,16 +556,6 @@ def _walk(table: _Steps, node, cells, which: int):
     return node
 
 
-def fold_stepper(spec: TransformerSpec, which: int):
-    """(step, root) of the numerator (which 0) or denominator (which 1)
-    fold: step(node, cell) is the node of its step table after cell, and
-    root opens the fold.  Like fold, it raises only IndeterminateForm."""
-    comp = spec._compiled
-    table, (t, f, k) = (comp.num, comp.den)[which], _FOLDS[which]
-    return (lambda node, cell: node[2].get(cell[k])
-            or table.step(node, cell[t], cell[k], cell[f])), table.root
-
-
 def _store(table: dict, key, value):
     """table[key] = value, clearing a table that holds TAIL_LIMIT entries
     first.  Callers store only what was computed, never an error."""
@@ -722,6 +714,25 @@ def _segments(comp: _Compiled, cut: int):
     return folds
 
 
+def _walk_segments(table: _Steps, which: int, node, segs, bits: int):
+    """_walk over segs for the pair's number bits: each segment is its
+    key's edge, or on a miss its cells walked and linked (_Steps.link)."""
+    for mask, keys, runs in segs:
+        key = keys[bits & mask]
+        node = node[2].get(key) or table.link(node, key, runs[key], which)
+    return node
+
+
+def fold_segments(spec: TransformerSpec, which: int):
+    """(walk, root, segments) of the numerator (which 0) or denominator
+    (which 1) fold of a fully built spec, cut at alice_len as forward cuts
+    it (_segments); walk(node, segs, bits) is _walk_segments in its table."""
+    comp = spec._compiled
+    table, cut = (comp.num, comp.den)[which], comp.alice_len
+    segs = comp.segments.get(cut) or _segments(comp, cut)
+    return partial(_walk_segments, table, which), table.root, segs[which][0]
+
+
 def _fold_ends(spec: TransformerSpec, ends, nodes, y, z, cut, part):
     """Append to ends each fold's end node (numerator, softmax denominator)
     as it ends, from nodes (None: a root) over part 0 (all), 1 or 2 (before,
@@ -736,14 +747,8 @@ def _fold_ends(spec: TransformerSpec, ends, nodes, y, z, cut, part):
     for which in range(1 + (spec.attention_kind == SOFTMAX)):
         table = comp.den if which else comp.num
         node = nodes[which] or table.root
-        if cells is not None:
-            node = _walk(table, node, cells, which)
-        else:
-            for mask, keys, runs in segs[which][part]:
-                key = keys[bits & mask]
-                node = node[2].get(key) or \
-                    table.link(node, key, runs[key], which)
-        ends.append(node)
+        ends.append(_walk_segments(table, which, node, segs[which][part], bits)
+                    if cells is None else _walk(table, node, cells, which))
 
 
 def prefix_folds(spec: TransformerSpec, y: str, z: str, k: int):

@@ -12,14 +12,15 @@ denominator, and combines the buckets by runs: rounding is monotone, so
 against one numerator value the quotient is monotone in the denominator,
 against one positive denominator in the numerator, and every MLP step in
 its input, so each numerator value's runs are seeded from those of the
-value below it.  Each fold's buckets come from one pass over the
-positions that steps the fold through its step table and counts the pairs
-of fields by state, not one by one (the transfer-matrix method: Stanley,
-Enumerative Combinatorics I, 4.7): fx-tight m=13 takes about 4,200 states
-and 435 divides, not 3.4e7 forward passes.  The cap, PAIR_CAP, bounds the
-pairs of fields, not the promise pairs.  Every reported failure is
-re-evaluated with a direct forward pass before it is believed.  Every
-path, and quantlab's sampled scoring, counts pairs into one Tally.
+value below it.  Each fold's buckets come from one pass over the segments
+forward walks the fold in (attn.fold_segments), stepping it through its
+step table and counting the pairs of fields by state, not one by one (the
+transfer-matrix method: Stanley, Enumerative Combinatorics I, 4.7):
+fx-tight m=13 takes 1,843 states over its 31 segments and 435 divides,
+not 3.4e7 forward passes.  The cap, PAIR_CAP, bounds the pairs of fields,
+not the promise pairs.  Every reported failure is re-evaluated with a
+direct forward pass before it is believed.  Every path, and quantlab's
+sampled scoring, counts pairs into one Tally.
 """
 
 from __future__ import annotations
@@ -36,12 +37,11 @@ from .attn import (
     TransformerSpec,
     finish_softmax,
     fold_reads,
-    fold_stepper,
+    fold_segments,
     forward,
     head_class,
     scale_numerator,
     submasks,
-    token_cells,
     with_stage_widths,
 )
 from .bitnum import INF_KINDS, FpFormat, FxFormat, IndeterminateForm
@@ -65,9 +65,9 @@ def precision_delta_spec(spec: TransformerSpec, delta: int) -> TransformerSpec:
     """
     if delta == 0:
         return spec
-    return with_stage_widths(spec, {
-        name: FxFormat(f.p + delta) if isinstance(f, FxFormat)
-        else FpFormat(f.t + delta, f.e) for name, f in spec.formats.items()})
+    return with_stage_widths(spec, lambda f: FxFormat(f.p + delta)
+                             if isinstance(f, FxFormat) else
+                             FpFormat(f.t + delta, f.e))
 
 
 def _fmt_scalar(v) -> str:
@@ -293,8 +293,8 @@ def fold_split(spec: TransformerSpec, promises: PromiseSet) -> int | None:
     Only a softmax head has two folds to split, and only a promise whose
     flags all constrain the pair as a whole (length, y <= z) admits every
     pair the factored enumeration counts.  Which positions read the bits
-    does not matter: each fold's pass (_buckets) branches on any field bit
-    at any position.
+    does not matter: each fold's pass (_buckets) branches on a field bit
+    at the first of its segments that reads it, else at the last.
     """
     if spec.attention_kind != SOFTMAX or not promises.pair_scoped:
         return None
@@ -314,48 +314,42 @@ def _buckets(spec, which, s):
     order of each bucket's first pair.
 
     The value (the scaled numerator or the denominator, _NAN on an
-    indeterminate form) is folded in one pass over the positions that
-    counts the paths a << width | b by state: the fold (its step-table
-    node, or _NAN once a step raised IndeterminateForm, the one error a
-    fold step can raise), the order once a compared bit differs, and the
-    bits a later position reads or, while the order is open, not yet
-    compared.  A position branches on the bits it reads first (the last
-    also on those none reads).  Equal states merge, keeping their
+    indeterminate form) is folded in one pass over the segments forward
+    walks (fold_segments) that counts the paths a << m | b (the pair's
+    number shifted right by m - s for the numerator) by state: the fold
+    (its step-table node, or _NAN once a step raised IndeterminateForm, the
+    one error a fold step can raise), the order once a compared bit
+    differs, and the bits a later segment reads or, while the order is
+    open, not yet compared.  A segment branches on the field bits it reads
+    first (the last also on those none reads).  Equal states merge on the
+    node's value code, across step-table clears too, keeping their
     FAILURE_LIST_CAP smallest paths (unread bits 0), so each bucket lists
-    the pairs one whole fold per pair, in (a, b) order, would.  A fold
-    walks nodes from its table's root and merges on the node's value code,
-    so states reached after a step table cleared still merge."""
-    rest = "0" * (spec.m - s)
-    lead, width, trail = ("0" * s, len(rest), "") if which else ("", s, rest)
+    the pairs one whole fold per pair, in (a, b) order, would."""
+    m = spec.m
+    width, shift = (m - s, 0) if which else (s, m - s)
     low = (1 << width) - 1
-    step, root = fold_stepper(spec, which)
-    masks = [sum({1 << width - i + len(lead) + width * (name == "y")
-                  for name, i in rule.source if 0 < i - len(lead) <= width})
-             for rule in spec.embedding]        # the field bits each reads
-    cells = [{code: token_cells(spec, *(lead + _bits(v, width) + trail for v
-                                        in (code >> width, code & low)))[j]
-              for code in submasks(mask)} for j, mask in enumerate(masks)]
+    walk, root, segs = fold_segments(spec, which)
+    masks = [mask >> shift & (low << m | low) for mask, _, _ in segs]
     after = list(accumulate(reversed(masks), or_, initial=0))[::-1]
+    masks[-1] |= (low << m | low) & ~after[0]   # the last reads what none does
     known = c = 0                       # bits read; a, b read below bit c
     states = {(None, None, 0): [root, None, 0, 1, [0]]}
-    for j, mask in enumerate(masks):    # the last also reads what none does
-        new = mask & ~known | (~after[0] & (low << width | low)
-                               if j == len(masks) - 1 else 0)
-        known |= new                # a and b both read at each index < c:
-        was, c = c, width - (~(known & known >> width) & low).bit_length()
+    for j, mask in enumerate(masks):
+        new, known = mask & ~known, known | mask    # a, b both read below c:
+        was, c = c, width - (~(known & known >> m) & low).bit_length()
         compare = low >> was & ~(low >> c)      # b's bits was..c-1
-        keep_open = after[j + 1] | known & (low >> c) * (low + 2)
-        nxt, adds = {}, submasks(new)
+        keep_open = after[j + 1] | known & (low >> c) * (1 << m | 1)
+        nxt, adds, seg = {}, submasks(new), segs[j:j + 1]
         for fold_, order, needed, count, paths in states.values():
             for add in adds:
                 code, f = needed | add, fold_
-                a, b = code >> width & compare, code & compare
+                a, b = code >> m & compare, code & compare
                 o = order if order is not None or a == b else (a > b) - (a < b)
                 if which == 0 and o == 1:     # the numerator's a <= b
                     continue
                 if type(f) is tuple:          # a live fold: its node
                     try:
-                        f = step(f, cells[j][code & mask])
+                        f = walk(f, seg, code << shift)
                     except IndeterminateForm:
                         f = _NAN
                 code &= keep_open if o is None else after[j + 1]
@@ -375,7 +369,7 @@ def _buckets(spec, which, s):
             f = scale_numerator(spec, f[0]) if which == 0 else f[0]
         bucket = buckets.setdefault((f, o or 0), [0, []])
         bucket[0] += count
-        bucket[1] = sorted(bucket[1] + [divmod(p, 1 << width)
+        bucket[1] = sorted(bucket[1] + [divmod(p, 1 << m)
                                         for p in paths])[:FAILURE_LIST_CAP]
     return buckets
 

@@ -237,7 +237,7 @@ def quantize_spec(spec: TransformerSpec,
                   b1=q_row("mlp.b1", spec.mlp.b1),
                   w2=q_row("mlp.w2", spec.mlp.w2),
                   b2=q("mlp.b2", spec.mlp.b2))
-    out = with_stage_widths(spec, dict.fromkeys(spec.formats, fmt))._replace(
+    out = with_stage_widths(spec, lambda _: fmt)._replace(
         embedding=embedding,
         wq=q_row("wq", spec.wq),
         wk=q_row("wk", spec.wk),

@@ -1,15 +1,17 @@
 """The factored verifier's buckets against a per-pair reference.
 
-oracle._buckets walks the positions once, carrying a count per fold state.
-The reference below is the plain builder: token_cells and one whole fold
+oracle._buckets walks each fold's segments once, the same segments forward
+walks (attn.fold_segments), carrying a count per fold state.  The
+reference below is the plain builder: token_cells and one whole fold
 per pair, in (a, b) order.  Both must give the same buckets, compared by
 the full representation of each key's value (the indeterminate marker
 included), with the same counts, the same listed pairs and the same
 insertion order, which fixes the failure lists and the order the verifier
 combines buckets in.  Besides the built heads, hand-built subjects read
-field bits in ways those heads never do.  The pass walks step-table nodes
-and merges fold states by value code, so step tables that clear in the
-middle of it change neither its steps nor its buckets.
+field bits in ways those heads never do, and cut segments where those
+heads do not.  The pass walks step-table nodes and merges fold states by
+value code, so step tables that clear in the middle of it change neither
+its steps nor its buckets.
 """
 
 import pytest
@@ -69,21 +71,21 @@ def _both_folds(builder, spec, s):
 
 
 def _counted(monkeypatch, spec, s):
-    """Both folds' buckets as _both_folds lists them, and how many steps
-    the pass takes through fold_stepper."""
+    """Both folds' buckets as _both_folds lists them, and how many segment
+    steps the pass takes through fold_segments's walk."""
     steps = [0]
-    real = oracle.fold_stepper
+    real = oracle.fold_segments
 
     def counting(spec, which):
-        step, root = real(spec, which)
+        walk, root, segs = real(spec, which)
 
         def counted(*args):
             steps[0] += 1
-            return step(*args)
+            return walk(*args)
 
-        return counted, root
+        return counted, root, segs
 
-    monkeypatch.setattr(oracle, "fold_stepper", counting)
+    monkeypatch.setattr(oracle, "fold_segments", counting)
     return _both_folds(oracle._buckets, spec, s), steps[0]
 
 
@@ -91,12 +93,12 @@ def test_states_merge_by_value_across_table_clears(monkeypatch):
     """fx-tight m=13 with step tables so small that they clear many times
     in each pass: a fold value reached before a clear and the same value
     reached after it, at two nodes, are one state, since the pass merges
-    on the node's value code; so it takes the 5,307 steps and makes the
-    buckets it does with tables that never clear."""
+    on the node's value code; so it takes the 2,917 segment steps and
+    makes the buckets it does with tables that never clear."""
     spec, promises = make("fx-tight", m=13)
     s = fold_split(spec, promises)
     want = _counted(monkeypatch, spec, s)
-    assert want[1] == 5307
+    assert want[1] == 2917
     monkeypatch.setattr(attn, "STEP_LIMIT", 64)
     small = make("fx-tight", m=13)[0]
     assert _counted(monkeypatch, small, s) == want
@@ -174,6 +176,18 @@ def _hand_built():
         ("y4-read-after-z4", e[:5] + [silent] + e[6:18] + [e[5]] + e[19:]),
         # y4 and z4 read nowhere: the pass branches on them at the end.
         ("y4-z4-unread", e[:5] + [silent] + e[6:14] + [silent] + e[15:]),
+        # Two constant positions between y1's second read and y2's: one
+        # numerator segment spans them.
+        ("constants-inside-a-segment",
+         e[:3] + [e[11], e[18]] + e[3:11] + e[12:18] + e[19:]),
+        # y3 read only by a rule whose rows are equal: no segment reads it,
+        # so the numerator's last segment branches on it.
+        ("y3-read-but-ignored",
+         e[:4] + [TokenRule((("y", 3),), e[4].rows[:1] * 2)] + e[5:]),
+        # Alice's prefix ends at a rule that reads z7 with equal rows: the
+        # cut splits a segment of each fold there.
+        ("cut-inside-a-run",
+         e[:9] + [TokenRule((("z", 7),), e[9].rows[:1] * 2)] + e[10:]),
     ]
     return [(label, spec._replace(embedding=emb).validate())
             for label, emb in subjects]

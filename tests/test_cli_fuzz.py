@@ -192,6 +192,9 @@ def test_flag_combinations_exit_with_a_documented_code(weights_dir, capsys):
     # sweep samples only the (t, e) subject, so --samples needs one.
     (["sweep", "--construction", "fx-tight", "--ms", "5", "--samples",
       "100"], "--samples needs a --t/--e subject"),
+    # A --precision-delta that leaves a stage too narrow names the stage.
+    (["sweep", "--construction", "fx-tight", "--ms", "5,7",
+      "--precision-delta", "-2"], "error: fold: p must be at least 2, got 1"),
 ])
 def test_pinned_usage_errors(argv, needle, weights_dir, capsys):
     assert _exit_code(argv) == 2

@@ -266,8 +266,7 @@ MUTANTS = [
     # first pairs; and the denominator's pass dropping a > b as the
     # numerator's does
     ("oracle.py",
-     "        was, c = c, width - (~(known & known >> width) & low)"
-     ".bit_length()",
+     "        was, c = c, width - (~(known & known >> m) & low).bit_length()",
      "        was, c = c, width - (~known & low).bit_length()",
      ["tests/test_buckets.py::test_hand_built_buckets_match_one_fold_per_"
       "pair"]),
@@ -277,8 +276,8 @@ MUTANTS = [
      ["tests/test_buckets.py::test_hand_built_buckets_match_one_fold_per_"
       "pair"]),
     ("oracle.py",
-     "        keep_open = after[j + 1] | known & (low >> c) * (low + 2)",
-     "        keep_open = known & (low >> c) * (low + 2)",
+     "        keep_open = after[j + 1] | known & (low >> c) * (1 << m | 1)",
+     "        keep_open = known & (low >> c) * (1 << m | 1)",
      ["tests/test_buckets.py::test_resumed_buckets_match_one_fold_per_pair"]),
     ("oracle.py",
      "                    entry[4] = sorted(entry[4] + moved)"
@@ -293,6 +292,23 @@ MUTANTS = [
      "                if which == 0 and o == 1:     # the numerator's a <= b",
      "                if o == 1:     # the numerator's a <= b",
      ["tests/test_buckets.py::test_resumed_buckets_match_one_fold_per_pair"]),
+    # the pass over the segments forward walks: a segment's key read from
+    # the path's code unshifted, the segment masks not clipped to the
+    # fields (the denominator's segment at the cut reads z1), and the
+    # segments cut at 0, not at alice_len as forward cuts them
+    ("oracle.py",
+     "                        f = walk(f, seg, code << shift)",
+     "                        f = walk(f, seg, code)",
+     ["tests/test_buckets.py::test_resumed_buckets_match_one_fold_per_pair"]),
+    ("oracle.py",
+     "    masks = [mask >> shift & (low << m | low) for mask, _, _ in segs]",
+     "    masks = [mask >> shift for mask, _, _ in segs]",
+     ["tests/test_buckets.py::test_resumed_buckets_match_one_fold_per_pair"]),
+    ("attn.py",
+     "    table, cut = (comp.num, comp.den)[which], comp.alice_len",
+     "    table, cut = (comp.num, comp.den)[which], 0",
+     ["tests/test_segments.py::test_one_segmentation_serves_a_whole_verify_"
+      "run"]),
     # the pass merging fold states by ==, blind to the inexact flag and the
     # sign of zero
     ("oracle.py",

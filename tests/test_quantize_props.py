@@ -100,8 +100,7 @@ def _per_value(spec, fmt):
         row("wq", spec.wq), row("wk", spec.wk), row("wv", spec.wv),
         row("mlp.w1", spec.mlp.w1), row("mlp.b1", spec.mlp.b1),
         row("mlp.w2", spec.mlp.w2), row("mlp.b2", (spec.mlp.b2,))[0],
-        list(with_stage_widths(spec, dict.fromkeys(spec.formats, fmt))
-             .formats.values()),
+        list(with_stage_widths(spec, lambda _: fmt).formats.values()),
     )
 
 

@@ -13,6 +13,8 @@ raises Inf - Inf), on heads whose divide or denominator fold raises, and
 in the one-way protocol at every prefix length 1..n+1.  A spec whose cells
 are not all built folds cell by cell.  On the benchmark's protocol
 commands the tail memo leaves one divide per distinct pair of fold ends.
+An exhaustive verify's bucket passes walk the same segments, so its spot
+checks link no new segment edge.
 """
 
 import warnings
@@ -22,7 +24,7 @@ from itertools import product
 import pytest
 
 from conftest import build_toy_spec
-from eqattn import attn
+from eqattn import attn, oracle
 from eqattn.attn import (TokenRule, _rep, fold, forward, prefix_folds,
                          resume, token_cells)
 from eqattn.bitnum import IndeterminateForm
@@ -166,6 +168,33 @@ def test_a_spec_with_unbuilt_cells_folds_cell_by_cell():
     comp = spec._compiled
     assert not comp.complete and comp.segments == {}
     assert comp.num.size > 0
+
+
+def test_one_segmentation_serves_a_whole_verify_run(monkeypatch):
+    """fx-tight m=13 exhaustive: the bucket passes walk each fold over the
+    segments forward walks, cut at alice_len, so the run leaves that one
+    segmentation, and the 64 spot checks link no segment edge the passes
+    did not (attn._Steps.link is not called after them)."""
+    passes, links = [], [0]
+    real_buckets, real_link = oracle._buckets, attn._Steps.link
+
+    def buckets(spec, which, s):
+        out = real_buckets(spec, which, s)
+        passes.append((spec, links[0]))
+        return out
+
+    def link(self, *args):
+        links[0] += 1
+        return real_link(self, *args)
+
+    monkeypatch.setattr(oracle, "_buckets", buckets)
+    monkeypatch.setattr(attn._Steps, "link", link)
+    report = oracle.verify_exhaustive("fx-tight", m=13)
+    assert report.total == 33_558_528 and report.passed
+    (spec, _), (_, linked) = passes
+    comp = spec._compiled
+    assert list(comp.segments) == [comp.alice_len]
+    assert linked > 0 and links[0] == linked
 
 
 @pytest.mark.parametrize("argv,name,calls", [

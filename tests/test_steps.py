@@ -94,8 +94,8 @@ def _operands(rng, fmt, count=14):
 
 
 def _walk(table, node, term):
-    """The table's node after term from node, as fold_stepper steps: the
-    stored edge, or the miss path's."""
+    """The table's node after term from node, as attn's fold walk steps:
+    the stored edge, or the miss path's."""
     code = _code(term)
     return node[2].get(code) or table.step(node, term, code, term)
 
